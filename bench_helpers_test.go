@@ -2,7 +2,6 @@ package iswitch
 
 import (
 	"iswitch/internal/core"
-	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/rl"
 	"iswitch/internal/sim"
@@ -12,7 +11,7 @@ import (
 // full-size synthetic gradients for workload w on 4 workers.
 func benchSyncRound(w perfmodel.Workload) *core.RunStats {
 	k := sim.NewKernel()
-	c := core.NewISWStar(k, 4, w.Floats(), netsim.TenGbE(), core.ISWConfigFor(w))
+	c := core.Build(k, core.ClusterSpec{Topology: core.TopoStar, Mode: core.ModeISW, Workers: 4, ModelFloats: w.Floats()})
 	agents := make([]rl.Agent, 4)
 	services := make([]core.Service, 4)
 	for i := range agents {

@@ -13,11 +13,11 @@
 //	                              # a scalar-vs-SIMD throughput smoke
 //	iswitch-bench -simcore        # benchmark the calendar-queue event
 //	                              # scheduler against the reference heap
-//	iswitch-bench -lossy          # reliability sweep: loss × topology ×
+//	iswitch-bench -exp lossy      # reliability sweep: loss × topology ×
 //	                              # mode plus crash and failover cells
-//	iswitch-bench -quant          # quantized/sparse aggregation sweep:
+//	iswitch-bench -exp quant      # quantized/sparse aggregation sweep:
 //	                              # scheme × round time × wire bytes
-//	iswitch-bench -serve          # inference fleet: latency-vs-load to
+//	iswitch-bench -exp serve      # inference fleet: latency-vs-load to
 //	                              # saturation + training co-residency
 //
 // Experiments run on a bounded worker pool (-parallel); every
@@ -91,10 +91,6 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		kern    = flag.Bool("kernels", false, "report float32 kernel backends and exit")
 		simcore = flag.Bool("simcore", false, "benchmark the event scheduler (calendar vs heap) and exit")
-		lossy   = flag.Bool("lossy", false, "run the reliability (loss/crash/failover) sweep and exit")
-		quant   = flag.Bool("quant", false, "run the quantized/sparse compression sweep and exit")
-		fair    = flag.Bool("fair", false, "run the adversarial-tenant fairness isolation cells and exit")
-		srv     = flag.Bool("serve", false, "run the inference-serving sweep and co-residency cells and exit")
 		workers = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulation workers (<1: GOMAXPROCS)")
 	)
 	flag.Parse()
@@ -107,27 +103,6 @@ func main() {
 		// Wall-clock numbers, so it lives outside the deterministic
 		// experiment registry, like -kernels.
 		fmt.Println(experiments.SimCore().String())
-		return
-	}
-	if *lossy {
-		// Also registered as -exp lossy; the dedicated flag matches
-		// -simcore for the CI smoke.
-		fmt.Println(experiments.Lossy().String())
-		return
-	}
-	if *quant {
-		// Also registered as -exp quant.
-		fmt.Println(experiments.Quant().String())
-		return
-	}
-	if *fair {
-		// Also registered as -exp fair.
-		fmt.Println(experiments.Fairness().String())
-		return
-	}
-	if *srv {
-		// Also registered as -exp serve.
-		fmt.Println(experiments.Serve().String())
 		return
 	}
 	// Every results run records which gradient datapath produced it.

@@ -82,12 +82,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("iswitch-sim: %v", err)
 	}
-	if *psShards < 1 {
-		log.Fatalf("iswitch-sim: -ps-shards must be >= 1")
-	}
-	if *psShards > 1 && (*strategy != "ps" || *topology != "star") {
-		log.Fatalf("iswitch-sim: -ps-shards applies to -strategy ps -topology star only")
-	}
 	if *doTrace > 0 && *strategy != "isw" {
 		log.Fatalf("iswitch-sim: -trace supports -strategy isw (any topology or mode)")
 	}
@@ -129,10 +123,6 @@ func main() {
 	case "tree":
 		spec.Topology = core.TopoTree
 	case "3tier":
-		if *strategy != "isw" {
-			fmt.Fprintf(os.Stderr, "unsupported combination: %s over %s\n", *strategy, *topology)
-			os.Exit(1)
-		}
 		spec.Topology = core.TopoThreeTier
 		spec.AGGs, spec.ToRsPerAGG, spec.HostsPerToR = *aggs, *tors, *hosts
 		spec.Link, spec.Uplink, spec.CoreLink = netsim.DefaultThreeTierLinks()
@@ -144,34 +134,39 @@ func main() {
 	case "ps":
 		cfg := core.PSConfigFor(w)
 		spec.PS = &cfg
+		spec.Mode = core.ModePS
+		if *mode == "async" {
+			spec.Mode = core.ModeAsyncPS
+		}
 	case "ar":
 		cfg := core.ARConfigFor(w)
 		spec.AR = &cfg
+		spec.Mode = core.ModeAllReduce
 	case "isw":
 		cfg := core.ISWConfigFor(w)
 		spec.ISW = &cfg
+		spec.Mode = core.ModeISW
 	default:
 		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
 		os.Exit(1)
 	}
+	if *mode != "sync" && *mode != "async" {
+		fmt.Fprintln(os.Stderr, "mode must be sync or async")
+		os.Exit(1)
+	}
+	if *mode == "async" && *strategy == "ar" {
+		fmt.Fprintln(os.Stderr, "async supports strategies: ps, isw")
+		os.Exit(1)
+	}
+	if err := spec.Validate(); err != nil {
+		log.Fatalf("iswitch-sim: %v", err)
+	}
+	c := core.Build(k, spec)
+	if *doTrace > 0 {
+		defer dumpTrace(newTraceRecorder(c.Workers()[0], *doTrace, *traceEnd))
+	}
 
-	switch *mode {
-	case "sync":
-		switch *strategy {
-		case "ps":
-			spec.Mode = core.ModePS
-			if *psShards > 1 {
-				spec.Mode = core.ModeShardedPS
-			}
-		case "ar":
-			spec.Mode = core.ModeAllReduce
-		case "isw":
-			spec.Mode = core.ModeISW
-		}
-		c := core.Build(k, spec)
-		if *doTrace > 0 && *strategy == "isw" {
-			defer dumpTrace(newTraceRecorder(c.Workers()[0], *doTrace, *traceEnd))
-		}
+	if *mode == "sync" {
 		services := make([]core.Service, n)
 		for i := range services {
 			services[i] = c.Client(i)
@@ -192,49 +187,29 @@ func main() {
 		fmt.Printf("  total virtual:    %v\n", stats.Total.Round(1000))
 		fmt.Printf("  paper reference:  PS %v  AR %v  iSW %v per iteration\n",
 			w.PaperSyncPerIterPS, w.PaperSyncPerIterAR, w.PaperSyncPerIterISW)
-
-	case "async":
-		cfg := core.AsyncConfig{Updates: *updates, StalenessBound: *stale,
-			LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate}
-		var stats *core.AsyncStats
-		switch *strategy {
-		case "isw":
-			spec.Mode = core.ModeISW
-			c := core.Build(k, spec).ISW
-			if *doTrace > 0 {
-				defer dumpTrace(newTraceRecorder(c.Workers()[0], *doTrace, *traceEnd))
-			}
-			stats = core.RunAsyncISW(k, agents, c, cfg)
-		case "ps":
-			if *psShards > 1 {
-				spec.Mode = core.ModeAsyncShardedPS
-				c := core.Build(k, spec).Sharded
-				stats = core.RunAsyncShardedPS(k, agents, core.NewSyntheticAgent(w.Floats()), c, cfg)
-				break
-			}
-			spec.Mode = core.ModeAsyncPS
-			c := core.Build(k, spec).PS
-			stats = core.RunAsyncPS(k, agents, core.NewSyntheticAgent(w.Floats()), c, cfg)
-		default:
-			fmt.Fprintln(os.Stderr, "async supports strategies: ps, isw")
-			os.Exit(1)
-		}
-		fmt.Printf("%s | async %s over %s | %d workers | %d updates | S=%d\n",
-			w.Name, *strategy, *topology, n, *updates, *stale)
-		fmt.Printf("  per-update interval: %v\n", stats.MeanIter().Round(1000))
-		fmt.Printf("  committed/discarded: %d/%d\n", stats.Committed, stats.Discarded)
-		fmt.Printf("  mean staleness:      %.2f (bound %d)\n", stats.MeanStaleness(), *stale)
-		for s, ps := range stats.PerShard {
-			fmt.Printf("    shard %d:           committed/discarded %d/%d, mean staleness %.2f\n",
-				s, ps.Committed, ps.Discarded, ps.MeanStaleness())
-		}
-		fmt.Printf("  total virtual:       %v\n", stats.Total.Round(1000))
-		fmt.Printf("  paper reference:     async PS %v  async iSW %v per iteration\n",
-			w.PaperAsyncPerIterPS, w.PaperAsyncPerIterISW)
-	default:
-		fmt.Fprintln(os.Stderr, "mode must be sync or async")
-		os.Exit(1)
+		return
 	}
+
+	cfg := core.AsyncConfig{Updates: *updates, StalenessBound: *stale,
+		LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate}
+	var stats *core.AsyncStats
+	if c.PS != nil {
+		stats = core.RunAsyncPS(k, agents, core.NewSyntheticAgent(w.Floats()), c.PS, cfg)
+	} else {
+		stats = core.RunAsyncISW(k, agents, c.ISW, cfg)
+	}
+	fmt.Printf("%s | async %s over %s | %d workers | %d updates | S=%d\n",
+		w.Name, *strategy, *topology, n, *updates, *stale)
+	fmt.Printf("  per-update interval: %v\n", stats.MeanIter().Round(1000))
+	fmt.Printf("  committed/discarded: %d/%d\n", stats.Committed, stats.Discarded)
+	fmt.Printf("  mean staleness:      %.2f (bound %d)\n", stats.MeanStaleness(), *stale)
+	for s, ps := range stats.PerShard {
+		fmt.Printf("    shard %d:           committed/discarded %d/%d, mean staleness %.2f\n",
+			s, ps.Committed, ps.Discarded, ps.MeanStaleness())
+	}
+	fmt.Printf("  total virtual:       %v\n", stats.Total.Round(1000))
+	fmt.Printf("  paper reference:     async PS %v  async iSW %v per iteration\n",
+		w.PaperAsyncPerIterPS, w.PaperAsyncPerIterISW)
 }
 
 // runJobs simulates J co-running training jobs sharing one iSwitch

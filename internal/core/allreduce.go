@@ -54,27 +54,12 @@ func (c ARConfig) stepCost(chunkFloats int) sim.Time {
 	return sim.Time(t)*c.PerStep + sim.Time(float64(2*chunkFloats*4)/c.CopyRate*1e9)
 }
 
-// ARCluster is a star network whose workers run Ring-AllReduce.
+// ARCluster is a star or two-level network whose workers run
+// Ring-AllReduce.
 type ARCluster struct {
-	Star    *netsim.Star
 	workers []*netsim.Host
 	n       int
 	cfg     ARConfig
-}
-
-// NewARCluster builds nWorkers workers on one plain switch.
-//
-// Deprecated: use Build with ClusterSpec{Topology: TopoStar, Mode: ModeAllReduce}.
-func NewARCluster(k *sim.Kernel, nWorkers, modelFloats int, link netsim.LinkConfig, cfg ARConfig) *ARCluster {
-	return Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeAllReduce, Workers: nWorkers, ModelFloats: modelFloats, Link: link, AR: &cfg}).AR
-}
-
-func newARCluster(k *sim.Kernel, nWorkers, modelFloats int, link netsim.LinkConfig, cfg ARConfig) *ARCluster {
-	if nWorkers < 2 {
-		panic("core: Ring-AllReduce needs at least 2 workers")
-	}
-	star := netsim.BuildStar(k, nWorkers, link)
-	return &ARCluster{Star: star, workers: star.Hosts, n: modelFloats, cfg: cfg}
 }
 
 // Workers exposes the worker hosts.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"iswitch/internal/netsim"
 	"iswitch/internal/protocol"
 	"iswitch/internal/rl"
 	"iswitch/internal/sim"
@@ -12,9 +11,10 @@ import (
 
 // Asynchronous distributed training, two designs:
 //
-//   - Async PS (Figure 3): a central parameter server holds the
-//     authoritative weights; each worker loops pull → compute → push,
-//     and the server applies each accepted (non-stale) gradient.
+//   - Async PS (Figure 3): a central parameter server (one host, or S
+//     shard hosts) holds the authoritative weights; each worker loops
+//     pull → compute → push, and the server applies each accepted
+//     (non-stale) gradient.
 //   - Async iSwitch (Algorithm 1): fully decentralized. Each worker
 //     runs a Local-Gradient-Computing thread and a Local-Weight-Update
 //     thread; the switch aggregates any H gradient vectors on the fly
@@ -58,8 +58,8 @@ type AsyncStats struct {
 	// StalenessSum/Committed is the run's average staleness.
 	StalenessSum int64
 	// PerShard holds per-shard commit/discard/staleness accounting for
-	// sharded parameter-server runs (nil for single-server and iSwitch
-	// runs); PerShard[s] belongs to shard s.
+	// parameter-server runs over more than one shard (nil otherwise);
+	// PerShard[s] belongs to shard s.
 	PerShard []ShardStats
 }
 
@@ -197,105 +197,148 @@ func pullRequest(src, dst protocol.Addr) *protocol.Packet {
 }
 
 // RunAsyncPS trains agents with the asynchronous parameter-server
-// baseline. masterAgent supplies the server's authoritative weights and
-// optimizer; it must be constructed with the same model seed as the
-// workers (its environment is never stepped).
+// baseline against the cluster's S shard servers (build it with
+// ModeAsyncPS, which spawns no synchronous servers). masterAgent
+// supplies the authoritative weights and optimizer; it must be
+// constructed with the same model seed as the workers (its environment
+// is never stepped).
+//
+// Each shard holds its slice of the weights with its own update
+// counter; Algorithm 1's staleness bound is enforced per shard (a
+// gradient slice computed against weights more than S updates behind
+// that shard's counter is discarded). The run ends when every shard has
+// applied cfg.Updates updates. With more than one shard, each accepted
+// update is applied through a full-length gradient that is zero outside
+// the shard's slice — identical to a per-slice update for SGD-style
+// optimizers (the timing layer's concern) — and AsyncStats.PerShard
+// reports each shard's accounting.
 func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster *PSCluster, cfg AsyncConfig) *AsyncStats {
 	nWorkers := len(agents)
+	nShards := cluster.NumShards()
 	stats := &AsyncStats{}
-	for i := 0; i <= nWorkers; i++ { // last entry holds server updates
+	if nShards > 1 {
+		stats.PerShard = make([]ShardStats, nShards)
+	}
+	for i := 0; i < nWorkers+nShards; i++ { // shard s's update records at nWorkers+s
 		stats.Workers = append(stats.Workers, &WorkerStats{})
 	}
-	serverStats := stats.Workers[nWorkers]
 	stop := false
+	remaining := nShards
 
-	// The synchronous server spawned by NewPSCluster must be replaced;
-	// build async clusters with NewAsyncPSCluster instead.
-	server, workers := cluster.Server, cluster.workers
-	nFloats := cluster.n
-
-	// Pull requests are served by a dedicated reply thread so weight
-	// reads never block the push/update path (real parameter servers
-	// serve reads concurrently; only writes serialize).
-	pulls := sim.NewChan[protocol.Addr](k, "ps-pulls")
-	var version int64
-	lastSent := make(map[protocol.Addr]int64)
-
-	k.Spawn("async-ps-pull-server", func(p *sim.Proc) {
-		params := make([]float32, masterAgent.GradLen())
-		for {
-			src := pulls.Recv(p)
-			p.Sleep(cluster.cfg.PerMessage)
-			masterAgent.ReadParams(params)
-			lastSent[src] = version
-			for _, out := range protocol.Segment(server.Addr, src, params) {
-				server.Send(out)
-			}
+	for s := 0; s < nShards; s++ {
+		srv := cluster.Servers[s]
+		lo, hi := cluster.ShardElems(s)
+		nShard := hi - lo
+		segBase := uint64(cluster.segLo[s])
+		shardStats := stats.Workers[nWorkers+s]
+		perShard := new(ShardStats) // discarded at one shard: the global counters are the shard's
+		if nShards > 1 {
+			perShard = &stats.PerShard[s]
 		}
-	})
+		msgCost := cluster.cfg.shardMsgCost(nShard, cluster.n)
+		updateCost := scaleByShare(cfg.WeightUpdate+cluster.cfg.AsyncUpdateExtra, nShard, cluster.n)
 
-	k.Spawn("async-ps-server", func(p *sim.Proc) {
-		asm := make(map[protocol.Addr]*protocol.Assembler)
-		prev := p.Now()
-		for version < cfg.Updates {
-			pkt := server.Recv(p)
-			switch {
-			case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
-				pulls.Send(pkt.Src)
-			case pkt.IsData():
-				a := asm[pkt.Src]
-				if a == nil {
-					a = protocol.NewAssembler(nFloats)
-					asm[pkt.Src] = a
+		// Pull requests are served by a dedicated reply thread so weight
+		// reads never block the push/update path (real parameter servers
+		// serve reads concurrently; only writes serialize).
+		pulls := sim.NewChan[protocol.Addr](k, fmt.Sprintf("ps-pulls-%d", s))
+		var version int64
+		lastSent := make(map[protocol.Addr]int64)
+
+		k.Spawn(fmt.Sprintf("async-ps-pull-server-%d", s), func(p *sim.Proc) {
+			params := make([]float32, masterAgent.GradLen())
+			for {
+				src := pulls.Recv(p)
+				p.Sleep(msgCost)
+				masterAgent.ReadParams(params)
+				lastSent[src] = version
+				for _, out := range protocol.Segment(srv.Addr, src, params[lo:hi]) {
+					out.Seg += segBase
+					srv.Send(out)
 				}
-				if err := a.Add(pkt); err != nil {
-					continue
-				}
-				if !a.Complete() {
-					continue
-				}
-				// Push: apply if within the staleness bound.
-				p.Sleep(cluster.cfg.PerMessage)
-				staleness := version - lastSent[pkt.Src]
-				if staleness <= cfg.StalenessBound {
-					stats.Committed++
-					stats.StalenessSum += staleness
-					p.Sleep(cfg.WeightUpdate + cluster.cfg.AsyncUpdateExtra)
-					masterAgent.ApplyAggregated(a.Vector(), 1)
-					version++
-					now := p.Now()
-					serverStats.Iters = append(serverStats.Iters, IterRecord{
-						Start: prev, ComputeEnd: prev, AggEnd: now, UpdateEnd: now,
-					})
-					prev = now
-					if now > stats.Total {
-						stats.Total = now
+			}
+		})
+
+		k.Spawn(fmt.Sprintf("async-ps-server-%d", s), func(p *sim.Proc) {
+			asm := make(map[protocol.Addr]*protocol.Assembler)
+			var applyBuf []float32 // S>1: full-length gradient, zero outside [lo,hi)
+			if nShards > 1 {
+				applyBuf = make([]float32, cluster.n)
+			}
+			prev := p.Now()
+			for version < cfg.Updates {
+				pkt := srv.Recv(p)
+				switch {
+				case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
+					pulls.Send(pkt.Src)
+				case pkt.IsData():
+					a := asm[pkt.Src]
+					if a == nil {
+						a = protocol.NewAssembler(nShard)
+						asm[pkt.Src] = a
 					}
-				} else {
-					stats.Discarded++
+					if err := a.AddFloats(pkt.Seg-segBase, pkt.Data); err != nil {
+						continue
+					}
+					if !a.Complete() {
+						continue
+					}
+					// Push: apply if within the staleness bound.
+					p.Sleep(msgCost)
+					staleness := version - lastSent[pkt.Src]
+					if staleness <= cfg.StalenessBound {
+						stats.Committed++
+						stats.StalenessSum += staleness
+						perShard.Committed++
+						perShard.StalenessSum += staleness
+						perShard.MaxStaleness = max(perShard.MaxStaleness, staleness)
+						p.Sleep(updateCost)
+						grad := a.Vector()
+						if applyBuf != nil {
+							copy(applyBuf[lo:hi], grad)
+							grad = applyBuf
+						}
+						masterAgent.ApplyAggregated(grad, 1)
+						version++
+						now := p.Now()
+						shardStats.Iters = append(shardStats.Iters, IterRecord{
+							Start: prev, ComputeEnd: prev, AggEnd: now, UpdateEnd: now,
+						})
+						prev = now
+						if now > stats.Total {
+							stats.Total = now
+						}
+					} else {
+						stats.Discarded++
+						perShard.Discarded++
+					}
+					a.Reset()
 				}
-				a.Reset()
 			}
-		}
-		stop = true
-	})
+			if remaining--; remaining == 0 {
+				stop = true
+			}
+		})
+	}
 
 	for i := range agents {
-		agent, ws, host := agents[i], stats.Workers[i], workers[i]
+		agent, ws, host := agents[i], stats.Workers[i], cluster.workers[i]
 		worker := i
 		k.Spawn(fmt.Sprintf("async-ps-worker-%d", i), func(p *sim.Proc) {
-			weights := protocol.NewAssembler(nFloats)
+			weights := protocol.NewAssembler(cluster.n)
 			grad := make([]float32, agent.GradLen())
-			fp16 := cluster.scheme == protocol.CompFP16
 			for iter := 0; !stop; iter++ {
-				// Pull the latest weights.
+				// Pull the latest weights from every shard (replies
+				// arrive concurrently on S server NICs).
 				p.Sleep(cluster.cfg.WorkerBase)
-				host.Send(pullRequest(host.Addr, server.Addr))
+				for _, srv := range cluster.Servers {
+					host.Send(pullRequest(host.Addr, srv.Addr))
+				}
 				weights.Reset()
 				for !weights.Complete() {
 					pkt, ok := host.RecvTimeout(p, 200*cfg.LocalCompute+sim.Time(1e9))
 					if !ok {
-						return // server stopped mid-reply
+						return // servers stopped mid-reply
 					}
 					if pkt.IsData() {
 						if err := weights.Add(pkt); err != nil {
@@ -314,27 +357,14 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 				// wire precision (the server applies what the wire
 				// carried); weight pulls stay raw float32 so the
 				// authoritative weights never lose precision.
-				if fp16 {
+				if cluster.scheme == protocol.CompFP16 {
 					kernels.F16RoundInPlace(grad)
 				}
-				for _, pkt := range protocol.Segment(host.Addr, server.Addr, grad) {
-					if fp16 {
-						pkt.Enc = protocol.CompFP16
-					}
-					host.Send(pkt)
-				}
+				cluster.scatter(host, grad)
 			}
 		})
 	}
 	k.Run()
 	stats.Updates = cfg.Updates
 	return stats
-}
-
-// NewAsyncPSCluster builds a PS cluster without spawning the
-// synchronous server (RunAsyncPS provides its own).
-//
-// Deprecated: use Build with ClusterSpec{Topology: TopoStar, Mode: ModeAsyncPS}.
-func NewAsyncPSCluster(k *sim.Kernel, nWorkers, modelFloats int, link netsim.LinkConfig, cfg PSConfig) *PSCluster {
-	return Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeAsyncPS, Workers: nWorkers, ModelFloats: modelFloats, Link: link, PS: &cfg}).PS
 }

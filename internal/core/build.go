@@ -9,11 +9,9 @@ import (
 	"iswitch/internal/switchnet"
 )
 
-// The unified builder API. A ClusterSpec names a topology and an
-// aggregation mode as data; Build turns it into a running cluster. The
-// fourteen per-topology-per-mode constructors (NewISWStar, NewPSCluster,
-// NewARClusterTree, ...) remain as one-line wrappers over Build, so a
-// spec and its legacy constructor produce byte-identical simulations.
+// The builder API. A ClusterSpec names a topology and an aggregation
+// mode as data; Validate says whether the pairing is supported and Build
+// turns it into a running cluster. Build is the only constructor.
 
 // Topology selects the physical fabric.
 type Topology int
@@ -52,12 +50,10 @@ const (
 	ModeISW Mode = iota
 	// ModePS is the synchronous parameter server baseline.
 	ModePS
-	// ModeAsyncPS is the asynchronous parameter server baseline.
+	// ModeAsyncPS is the asynchronous parameter server baseline: the
+	// same cluster without the synchronous server processes (RunAsyncPS
+	// spawns its own).
 	ModeAsyncPS
-	// ModeShardedPS is the sharded synchronous parameter server.
-	ModeShardedPS
-	// ModeAsyncShardedPS is the sharded asynchronous parameter server.
-	ModeAsyncShardedPS
 	// ModeAllReduce is the Ring-AllReduce baseline.
 	ModeAllReduce
 )
@@ -70,10 +66,6 @@ func (m Mode) String() string {
 		return "ps"
 	case ModeAsyncPS:
 		return "async-ps"
-	case ModeShardedPS:
-		return "sharded-ps"
-	case ModeAsyncShardedPS:
-		return "async-sharded-ps"
 	case ModeAllReduce:
 		return "allreduce"
 	default:
@@ -99,15 +91,16 @@ type ClusterSpec struct {
 
 	// ModelFloats is the gradient length.
 	ModelFloats int
-	// Shards is the server count for the sharded-PS modes.
+	// Shards is the parameter-server host count, each owning a contiguous
+	// slice of the model (0 or 1: the paper's single host). PS modes only.
 	Shards int
 
 	// Compression selects the gradient wire scheme for the whole job
 	// (CompNone: the paper's raw float32). Validate documents which
-	// mode×scheme pairings are supported; Build rejects the rest. For
-	// ModeISW the value is copied into the ISW config (and a non-zero
-	// ISWConfig.Compression on a spec with CompNone is honoured), so
-	// either field may name the scheme.
+	// mode×scheme pairings are supported. For ModeISW the value is
+	// copied into the ISW config (and a non-zero ISWConfig.Compression
+	// on a spec with CompNone is honoured), so either field may name the
+	// scheme.
 	Compression protocol.Compression
 
 	// Link is the worker access link (zero value: 10 GbE). Uplink feeds
@@ -144,10 +137,9 @@ type Cluster struct {
 	Spec ClusterSpec
 	k    *sim.Kernel
 
-	ISW     *ISWCluster
-	PS      *PSCluster
-	Sharded *ShardedPSCluster
-	AR      *ARCluster
+	ISW *ISWCluster
+	PS  *PSCluster
+	AR  *ARCluster
 }
 
 // Kernel returns the simulation kernel the cluster was built on.
@@ -160,8 +152,6 @@ func (c *Cluster) Client(i int) Service {
 		return c.ISW.Client(i)
 	case c.PS != nil:
 		return c.PS.Client(i)
-	case c.Sharded != nil:
-		return c.Sharded.Client(i)
 	case c.AR != nil:
 		return c.AR.Client(i)
 	}
@@ -175,8 +165,6 @@ func (c *Cluster) Workers() []*netsim.Host {
 		return c.ISW.Workers()
 	case c.PS != nil:
 		return c.PS.Workers()
-	case c.Sharded != nil:
-		return c.Sharded.Workers()
 	case c.AR != nil:
 		return c.AR.Workers()
 	}
@@ -204,22 +192,70 @@ func (s ClusterSpec) scheme() protocol.Compression {
 	return protocol.CompNone
 }
 
-// Validate checks the spec's compression scheme against its aggregation
-// mode, returning a descriptive error for unsupported pairings. Build
-// calls it and panics on failure; tests and experiment drivers may call
-// it directly to probe support.
+// Validate checks that the spec describes a cluster Build can construct:
+// a known topology and mode with positive shape fields, a supported
+// topology×mode pairing, a shard count the PS modes can honour, and a
+// compression scheme the mode's datapath implements. Each rejection says
+// why. Build panics on a spec that fails; drivers handed a user-written
+// spec call Validate first and report the error.
 func (s ClusterSpec) Validate() error {
+	if s.ModelFloats <= 0 {
+		return fmt.Errorf("core: ModelFloats must be positive, got %d", s.ModelFloats)
+	}
+	switch s.Topology {
+	case TopoStar, TopoTree:
+		if s.Workers <= 0 {
+			return fmt.Errorf("core: %v needs Workers > 0, got %d", s.Topology, s.Workers)
+		}
+		if s.PerRack < 0 {
+			return fmt.Errorf("core: PerRack must not be negative, got %d (0 puts every worker in one rack)", s.PerRack)
+		}
+	case TopoThreeTier:
+		if s.AGGs <= 0 || s.ToRsPerAGG <= 0 || s.HostsPerToR <= 0 {
+			return fmt.Errorf("core: 3tier needs positive AGGs, ToRsPerAGG and HostsPerToR, got %d/%d/%d", s.AGGs, s.ToRsPerAGG, s.HostsPerToR)
+		}
+	case TopoFatTree:
+		if s.KAry < 2 || s.KAry%2 != 0 || s.HostsPerEdge <= 0 {
+			return fmt.Errorf("core: fattree needs an even KAry >= 2 and HostsPerEdge > 0, got %d/%d", s.KAry, s.HostsPerEdge)
+		}
+	default:
+		return fmt.Errorf("core: unknown topology %v", s.Topology)
+	}
+	switch s.Mode {
+	case ModeISW:
+	case ModePS, ModeAsyncPS, ModeAllReduce:
+		if s.Topology != TopoStar && s.Topology != TopoTree {
+			return fmt.Errorf("core: %v over %v is not supported: the baselines run over plain forwarding switches, which are built for the star and two-level tree fabrics only", s.Mode, s.Topology)
+		}
+		if s.Mode == ModeAllReduce && s.Workers < 2 {
+			return fmt.Errorf("core: Ring-AllReduce needs at least 2 workers, got %d", s.Workers)
+		}
+	default:
+		return fmt.Errorf("core: unknown mode %v", s.Mode)
+	}
+	if s.Shards < 0 || s.Shards > MaxPSShards {
+		return fmt.Errorf("core: Shards must be in [0, %d], got %d", MaxPSShards, s.Shards)
+	}
+	if s.Shards > 1 {
+		if s.Mode != ModePS && s.Mode != ModeAsyncPS {
+			return fmt.Errorf("core: Shards = %d applies to the parameter-server modes only (got %v)", s.Shards, s.Mode)
+		}
+		if s.Topology != TopoStar {
+			return fmt.Errorf("core: a sharded parameter server over %v is not supported: the sharded baseline is defined and tested with every shard host on the workers' own switch (star)", s.Topology)
+		}
+	}
+
 	scheme := s.scheme()
 	if !scheme.Valid() {
 		return fmt.Errorf("core: unknown compression scheme Compression(%d)", uint8(scheme))
 	}
 	switch scheme {
 	case protocol.CompFP16:
-		switch s.Mode {
-		case ModeISW, ModePS, ModeAsyncPS:
-			// Supported: one aggregation point that re-rounds emissions.
-		default:
-			return fmt.Errorf("core: fp16 compression is not supported under %v: the scheme needs a single aggregation point that re-rounds emissions (in-switch or parameter server); sharded and ring strategies splice raw float32 chunks between peers", s.Mode)
+		if s.Mode == ModeAllReduce {
+			return fmt.Errorf("core: fp16 compression is not supported under %v: the scheme needs a single aggregation point that re-rounds emissions (in-switch or parameter server); the ring splices raw float32 chunks between peers", s.Mode)
+		}
+		if s.Shards > 1 {
+			return fmt.Errorf("core: fp16 compression with %d parameter-server shards is not supported: fp16 over the parameter server is defined and tested for the single host only", s.Shards)
 		}
 	case protocol.CompInt32Block:
 		if s.Mode != ModeISW {
@@ -236,8 +272,8 @@ func (s ClusterSpec) Validate() error {
 	return nil
 }
 
-// Build constructs the cluster a spec describes. It panics on a
-// malformed spec or an unsupported topology×mode pairing (construction
+// Build constructs the cluster a spec describes. It panics on a spec
+// that fails Validate or whose fault plan does not apply (construction
 // is test/experiment setup; errors there are programming mistakes).
 func Build(k *sim.Kernel, spec ClusterSpec) *Cluster {
 	if err := spec.Validate(); err != nil {
@@ -255,9 +291,6 @@ func Build(k *sim.Kernel, spec ClusterSpec) *Cluster {
 	if coreLink == (netsim.LinkConfig{}) {
 		coreLink = uplink
 	}
-	if spec.ModelFloats <= 0 {
-		panic("core: Build needs ModelFloats > 0")
-	}
 
 	c := &Cluster{Spec: spec, k: k}
 	switch spec.Mode {
@@ -265,34 +298,8 @@ func Build(k *sim.Kernel, spec ClusterSpec) *Cluster {
 		c.ISW = buildISW(k, spec, link, uplink, coreLink)
 	case ModePS, ModeAsyncPS:
 		c.PS = buildPS(k, spec, link, uplink)
-	case ModeShardedPS, ModeAsyncShardedPS:
-		if spec.Topology != TopoStar {
-			panic(fmt.Sprintf("core: Build: %v over %v is not supported", spec.Mode, spec.Topology))
-		}
-		cfg := DefaultPSConfig()
-		if spec.PS != nil {
-			cfg = *spec.PS
-		}
-		if spec.Mode == ModeShardedPS {
-			c.Sharded = newSyncShardedPSCluster(k, spec.Workers, spec.ModelFloats, spec.Shards, link, cfg)
-		} else {
-			c.Sharded = newShardedPSCluster(k, spec.Workers, spec.ModelFloats, spec.Shards, link, cfg)
-		}
 	case ModeAllReduce:
-		cfg := DefaultARConfig()
-		if spec.AR != nil {
-			cfg = *spec.AR
-		}
-		switch spec.Topology {
-		case TopoStar:
-			c.AR = newARCluster(k, spec.Workers, spec.ModelFloats, link, cfg)
-		case TopoTree:
-			c.AR = newARClusterTree(k, spec.Workers, rackWidth(spec), spec.ModelFloats, link, uplink, cfg)
-		default:
-			panic(fmt.Sprintf("core: Build: allreduce over %v is not supported", spec.Topology))
-		}
-	default:
-		panic(fmt.Sprintf("core: Build: unknown mode %v", spec.Mode))
+		c.AR = buildAR(k, spec, link, uplink)
 	}
 
 	if spec.Faults != nil {
@@ -376,37 +383,53 @@ func buildISW(k *sim.Kernel, spec ClusterSpec, link, uplink, coreLink netsim.Lin
 	return c
 }
 
+// buildPS wires the workers plus the shard servers (on the workers'
+// switch for a star, on the root for a tree) and, for ModePS, spawns the
+// synchronous server processes.
 func buildPS(k *sim.Kernel, spec ClusterSpec, link, uplink netsim.LinkConfig) *PSCluster {
-	cfg := DefaultPSConfig()
+	c := &PSCluster{n: spec.ModelFloats, cfg: DefaultPSConfig(), scheme: spec.scheme()}
 	if spec.PS != nil {
-		cfg = *spec.PS
+		c.cfg = *spec.PS
 	}
-	sync := spec.Mode == ModePS
-	switch spec.Topology {
-	case TopoStar:
+	var attach func(protocol.Addr) *netsim.Host
+	if spec.Topology == TopoStar {
 		star := netsim.BuildStar(k, spec.Workers, link)
-		server := star.AttachHost(k, PSServerAddr(), link)
-		c := &PSCluster{Star: star, Server: server, workers: star.Hosts[:spec.Workers], n: spec.ModelFloats, cfg: cfg, scheme: spec.scheme()}
-		if sync {
-			c.startServer(k)
-		}
-		return c
-	case TopoTree:
+		c.workers = star.Hosts // AttachHost appends the servers to star.Hosts, not to this slice
+		attach = func(a protocol.Addr) *netsim.Host { return star.AttachHost(k, a, link) }
+	} else {
 		tr := netsim.BuildRacksN(k, spec.Workers, rackWidth(spec), link, uplink)
-		server := tr.AttachRootHost(k, PSServerAddr(), uplink)
-		c := &PSCluster{Server: server, workers: tr.Hosts, n: spec.ModelFloats, cfg: cfg, scheme: spec.scheme()}
-		if sync {
-			c.startServer(k)
-		}
-		return c
-	default:
-		panic(fmt.Sprintf("core: Build: %v over %v is not supported", spec.Mode, spec.Topology))
+		c.workers = tr.Hosts
+		attach = func(a protocol.Addr) *netsim.Host { return tr.AttachRootHost(k, a, uplink) }
 	}
+	totalSegs := protocol.SegmentCount(spec.ModelFloats)
+	nShards := min(max(spec.Shards, 1), totalSegs) // a shard owns at least one whole segment
+	for s := 0; s < nShards; s++ {
+		c.segLo = append(c.segLo, s*totalSegs/nShards)
+		c.Servers = append(c.Servers, attach(PSShardAddr(s)))
+	}
+	c.segLo = append(c.segLo, totalSegs)
+	c.Server = c.Servers[0]
+	if spec.Mode == ModePS {
+		for s := range c.Servers {
+			c.startServer(k, s)
+		}
+	}
+	return c
 }
 
-func newARClusterTree(k *sim.Kernel, totalWorkers, perRack, modelFloats int, edge, uplink netsim.LinkConfig, cfg ARConfig) *ARCluster {
-	tr := netsim.BuildRacksN(k, totalWorkers, perRack, edge, uplink)
-	return &ARCluster{workers: tr.Hosts, n: modelFloats, cfg: cfg}
+// buildAR wires the ring's workers; the ring follows worker index
+// order, so on a tree rack boundaries add root-switch crossings.
+func buildAR(k *sim.Kernel, spec ClusterSpec, link, uplink netsim.LinkConfig) *ARCluster {
+	c := &ARCluster{n: spec.ModelFloats, cfg: DefaultARConfig()}
+	if spec.AR != nil {
+		c.cfg = *spec.AR
+	}
+	if spec.Topology == TopoStar {
+		c.workers = netsim.BuildStar(k, spec.Workers, link).Hosts
+	} else {
+		c.workers = netsim.BuildRacksN(k, spec.Workers, rackWidth(spec), link, uplink).Hosts
+	}
+	return c
 }
 
 // ApplyFaults installs a declarative fault plan onto the built cluster:
@@ -461,9 +484,3 @@ func (c *Cluster) ApplyFaults(fp *netsim.FaultPlan) error {
 	}
 	return nil
 }
-
-// --- Legacy constructors as Build wrappers -------------------------------
-//
-// Deprecated in favor of Build(k, ClusterSpec{...}); each remains as a
-// one-line wrapper so existing call sites and the byte-identical
-// equivalence guarantee both hold. New code should use Build.

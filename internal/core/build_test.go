@@ -1,234 +1,13 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
-	"regexp"
-	"strings"
 	"testing"
 	"time"
 
-	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/rl"
 	"iswitch/internal/sim"
 )
-
-// runSyncCluster trains integer agents over the given per-worker client
-// factory and returns every worker's applied-aggregate history plus the
-// virtual makespan.
-func runSyncCluster(t *testing.T, k *sim.Kernel, n, nFloats, iters int, client func(int) Service) ([][][]float32, sim.Time) {
-	t.Helper()
-	agents := make([]rl.Agent, n)
-	ints := make([]*intAgent, n)
-	services := make([]Service, n)
-	for i := range agents {
-		ints[i] = newIntAgent(i, nFloats)
-		agents[i] = ints[i]
-		services[i] = client(i)
-	}
-	stats := RunSync(k, agents, services, fastTiming(iters))
-	k.Shutdown()
-	out := make([][][]float32, n)
-	for i, a := range ints {
-		out[i] = a.applied
-	}
-	return out, stats.Total
-}
-
-// TestBuildMatchesLegacyConstructors pins the builder redesign's
-// equivalence guarantee: for every legacy constructor, the explicit
-// ClusterSpec produces a byte-identical simulation — same virtual
-// makespan, same aggregate sums at every worker and iteration.
-func TestBuildMatchesLegacyConstructors(t *testing.T) {
-	const nFloats = protocolFloats + 13
-	const iters = 4
-	edge, uplink := testLink(), netsim.FortyGbE()
-	isw, ps, ar := DefaultISWConfig(), DefaultPSConfig(), DefaultARConfig()
-
-	cases := []struct {
-		name   string
-		n      int
-		legacy func(k *sim.Kernel) func(int) Service
-		spec   ClusterSpec
-	}{
-		{"isw-star", 6,
-			func(k *sim.Kernel) func(int) Service { return NewISWStar(k, 6, nFloats, edge, isw).Client },
-			ClusterSpec{Topology: TopoStar, Mode: ModeISW, Workers: 6, ModelFloats: nFloats, Link: edge, ISW: &isw}},
-		{"isw-tree", 6,
-			func(k *sim.Kernel) func(int) Service { return NewISWTreeN(k, 6, 3, nFloats, edge, uplink, isw).Client },
-			ClusterSpec{Topology: TopoTree, Mode: ModeISW, Workers: 6, PerRack: 3, ModelFloats: nFloats, Link: edge, Uplink: uplink, ISW: &isw}},
-		{"isw-tree-racks", 6,
-			func(k *sim.Kernel) func(int) Service { return NewISWTree(k, 2, 3, nFloats, edge, uplink, isw).Client },
-			ClusterSpec{Topology: TopoTree, Mode: ModeISW, Workers: 6, PerRack: 3, ModelFloats: nFloats, Link: edge, Uplink: uplink, ISW: &isw}},
-		{"isw-3tier", 8,
-			func(k *sim.Kernel) func(int) Service {
-				return NewISWThreeTier(k, 2, 2, 2, nFloats, edge, uplink, uplink, isw).Client
-			},
-			ClusterSpec{Topology: TopoThreeTier, Mode: ModeISW, AGGs: 2, ToRsPerAGG: 2, HostsPerToR: 2,
-				ModelFloats: nFloats, Link: edge, Uplink: uplink, CoreLink: uplink, ISW: &isw}},
-		{"ps-star", 4,
-			func(k *sim.Kernel) func(int) Service { return NewPSCluster(k, 4, nFloats, edge, ps).Client },
-			ClusterSpec{Topology: TopoStar, Mode: ModePS, Workers: 4, ModelFloats: nFloats, Link: edge, PS: &ps}},
-		{"ps-tree", 6,
-			func(k *sim.Kernel) func(int) Service { return NewPSClusterTree(k, 6, 3, nFloats, edge, uplink, ps).Client },
-			ClusterSpec{Topology: TopoTree, Mode: ModePS, Workers: 6, PerRack: 3, ModelFloats: nFloats, Link: edge, Uplink: uplink, PS: &ps}},
-		{"sharded-ps", 4,
-			func(k *sim.Kernel) func(int) Service { return NewShardedPSCluster(k, 4, nFloats, 2, edge, ps).Client },
-			ClusterSpec{Topology: TopoStar, Mode: ModeShardedPS, Workers: 4, Shards: 2, ModelFloats: nFloats, Link: edge, PS: &ps}},
-		{"ar-star", 4,
-			func(k *sim.Kernel) func(int) Service { return NewARCluster(k, 4, nFloats, edge, ar).Client },
-			ClusterSpec{Topology: TopoStar, Mode: ModeAllReduce, Workers: 4, ModelFloats: nFloats, Link: edge, AR: &ar}},
-		{"ar-tree", 6,
-			func(k *sim.Kernel) func(int) Service { return NewARClusterTree(k, 6, 3, nFloats, edge, uplink, ar).Client },
-			ClusterSpec{Topology: TopoTree, Mode: ModeAllReduce, Workers: 6, PerRack: 3, ModelFloats: nFloats, Link: edge, Uplink: uplink, AR: &ar}},
-	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			kA := sim.NewKernel()
-			gotA, totalA := runSyncCluster(t, kA, tc.n, nFloats, iters, tc.legacy(kA))
-			kB := sim.NewKernel()
-			cl := Build(kB, tc.spec)
-			gotB, totalB := runSyncCluster(t, kB, tc.n, nFloats, iters, cl.Client)
-
-			if totalA != totalB {
-				t.Fatalf("virtual makespan differs: legacy %v, Build %v", totalA, totalB)
-			}
-			for w := range gotA {
-				if len(gotA[w]) != len(gotB[w]) {
-					t.Fatalf("worker %d: legacy applied %d rounds, Build %d", w, len(gotA[w]), len(gotB[w]))
-				}
-				for it := range gotA[w] {
-					for i := range gotA[w][it] {
-						if gotA[w][it][i] != gotB[w][it][i] {
-							t.Fatalf("worker %d iter %d elem %d: legacy %v, Build %v",
-								w, it, i, gotA[w][it][i], gotB[w][it][i])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestBuildMatchesLegacyAsync covers the asynchronous constructors; the
-// traces compared are the async stats (makespan, commit/discard split,
-// staleness), which pin the packet-level schedule.
-func TestBuildMatchesLegacyAsync(t *testing.T) {
-	const n, nFloats = 4, protocolFloats + 13
-	edge, uplink := testLink(), netsim.FortyGbE()
-	ps := DefaultPSConfig()
-	acfg := AsyncConfig{Updates: 30, StalenessBound: 3,
-		LocalCompute: 50 * time.Microsecond, WeightUpdate: 10 * time.Microsecond}
-
-	runPS := func(build func(k *sim.Kernel) *PSCluster) *AsyncStats {
-		k := sim.NewKernel()
-		defer k.Shutdown()
-		agents := make([]rl.Agent, n)
-		for i := range agents {
-			agents[i] = NewSyntheticAgent(nFloats)
-		}
-		return RunAsyncPS(k, agents, NewSyntheticAgent(nFloats), build(k), acfg)
-	}
-	runSharded := func(build func(k *sim.Kernel) *ShardedPSCluster) *AsyncStats {
-		k := sim.NewKernel()
-		defer k.Shutdown()
-		agents := make([]rl.Agent, n)
-		for i := range agents {
-			agents[i] = NewSyntheticAgent(nFloats)
-		}
-		return RunAsyncShardedPS(k, agents, NewSyntheticAgent(nFloats), build(k), acfg)
-	}
-
-	cases := []struct {
-		name   string
-		legacy func() *AsyncStats
-		spec   func() *AsyncStats
-	}{
-		{"async-ps-star",
-			func() *AsyncStats {
-				return runPS(func(k *sim.Kernel) *PSCluster { return NewAsyncPSCluster(k, n, nFloats, edge, ps) })
-			},
-			func() *AsyncStats {
-				return runPS(func(k *sim.Kernel) *PSCluster {
-					return Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeAsyncPS, Workers: n, ModelFloats: nFloats, Link: edge, PS: &ps}).PS
-				})
-			}},
-		{"async-ps-tree",
-			func() *AsyncStats {
-				return runPS(func(k *sim.Kernel) *PSCluster { return NewAsyncPSClusterTree(k, n, 2, nFloats, edge, uplink, ps) })
-			},
-			func() *AsyncStats {
-				return runPS(func(k *sim.Kernel) *PSCluster {
-					return Build(k, ClusterSpec{Topology: TopoTree, Mode: ModeAsyncPS, Workers: n, PerRack: 2, ModelFloats: nFloats, Link: edge, Uplink: uplink, PS: &ps}).PS
-				})
-			}},
-		{"async-sharded-ps",
-			func() *AsyncStats {
-				return runSharded(func(k *sim.Kernel) *ShardedPSCluster { return NewAsyncShardedPSCluster(k, n, nFloats, 2, edge, ps) })
-			},
-			func() *AsyncStats {
-				return runSharded(func(k *sim.Kernel) *ShardedPSCluster {
-					return Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeAsyncShardedPS, Workers: n, Shards: 2, ModelFloats: nFloats, Link: edge, PS: &ps}).Sharded
-				})
-			}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			a, b := tc.legacy(), tc.spec()
-			if a.Total != b.Total || a.Committed != b.Committed || a.Discarded != b.Discarded {
-				t.Fatalf("legacy (total %v, committed %d, discarded %d) != Build (total %v, committed %d, discarded %d)",
-					a.Total, a.Committed, a.Discarded, b.Total, b.Committed, b.Discarded)
-			}
-		})
-	}
-}
-
-// TestDeprecatedConstructorsOnlyWrapped scans the repository for calls
-// to the deprecated per-topology constructors outside internal/core:
-// production code must go through Build (tests may keep exercising the
-// wrappers — that is how the equivalence guarantee stays pinned).
-func TestDeprecatedConstructorsOnlyWrapped(t *testing.T) {
-	deprecated := regexp.MustCompile(`\bcore\.New(ISWStar|ISWTreeN|ISWTree|ISWThreeTier|PSClusterTree|PSCluster|AsyncPSClusterTree|AsyncPSCluster|ShardedPSCluster|AsyncShardedPSCluster|ARClusterTree|ARCluster)\s*\(`)
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offenders []string
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == ".git" || path == filepath.Join(root, "internal", "core") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, line := range strings.Split(string(src), "\n") {
-			if deprecated.MatchString(line) {
-				rel, _ := filepath.Rel(root, path)
-				offenders = append(offenders, rel+": "+strings.TrimSpace(line))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range offenders {
-		t.Errorf("deprecated constructor call (use core.Build): %s", o)
-	}
-}
 
 // TestNoSpuriousHelpsAtZeroLoss pins the Help-timer calibration: with
 // RecoveryTimeoutFor deriving the timeout from the performance model's

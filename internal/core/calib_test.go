@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/rl"
 	"iswitch/internal/sim"
@@ -17,35 +16,21 @@ func TestCalibrationSweep(t *testing.T) {
 		t.Skip("calibration sweep")
 	}
 	for _, w := range perfmodel.Workloads() {
-		run := func(strategy string) time.Duration {
+		run := func(mode Mode) time.Duration {
 			k := sim.NewKernel()
+			ps, ar := PSConfigFor(w), ARConfigFor(w)
+			c := Build(k, ClusterSpec{Topology: TopoStar, Mode: mode, Workers: 4,
+				ModelFloats: w.Floats(), PS: &ps, AR: &ar})
 			agents := make([]rl.Agent, 4)
-			var services []Service
-			switch strategy {
-			case "PS":
-				c := NewPSCluster(k, 4, w.Floats(), netsim.TenGbE(), PSConfigFor(w))
-				for i := range agents {
-					agents[i] = NewSyntheticAgent(w.Floats())
-					services = append(services, c.Client(i))
-				}
-			case "AR":
-				c := NewARCluster(k, 4, w.Floats(), netsim.TenGbE(), ARConfigFor(w))
-				for i := range agents {
-					agents[i] = NewSyntheticAgent(w.Floats())
-					services = append(services, c.Client(i))
-				}
-			case "ISW":
-				c := NewISWStar(k, 4, w.Floats(), netsim.TenGbE(), DefaultISWConfig())
-				for i := range agents {
-					agents[i] = NewSyntheticAgent(w.Floats())
-					services = append(services, c.Client(i))
-				}
+			services := make([]Service, 4)
+			for i := range agents {
+				agents[i], services[i] = NewSyntheticAgent(w.Floats()), c.Client(i)
 			}
 			stats := RunSync(k, agents, services, SyncConfig{Iterations: 3,
 				LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate})
 			return stats.MeanIter()
 		}
-		ps, ar, isw := run("PS"), run("AR"), run("ISW")
+		ps, ar, isw := run(ModePS), run(ModeAllReduce), run(ModeISW)
 		t.Logf("%-5s PS %8.2fms (paper %6.2f)  AR %8.2fms (paper %6.2f)  iSW %8.2fms (paper %6.2f)",
 			w.Name,
 			float64(ps)/1e6, float64(w.PaperSyncPerIterPS)/1e6,

@@ -49,6 +49,26 @@ func testLink() netsim.LinkConfig {
 		PerPacketOverhead: 300 * time.Nanosecond}
 }
 
+// starSpec is the spec most tests start from: nWorkers on one switch
+// over testLink, the mode's default config.
+func starSpec(mode Mode, nWorkers, nFloats int) ClusterSpec {
+	return ClusterSpec{Topology: TopoStar, Mode: mode, Workers: nWorkers, ModelFloats: nFloats, Link: testLink()}
+}
+
+// psStar builds starSpec's parameter-server cluster over shards hosts.
+func psStar(k *sim.Kernel, mode Mode, nWorkers, nFloats, shards int) *PSCluster {
+	spec := starSpec(mode, nWorkers, nFloats)
+	spec.Shards = shards
+	return Build(k, spec).PS
+}
+
+// treeSpec is the in-switch rack hierarchy: nRacks full racks of
+// perRack workers, 40 GbE uplinks.
+func treeSpec(nRacks, perRack, nFloats int) ClusterSpec {
+	return ClusterSpec{Topology: TopoTree, Mode: ModeISW, Workers: nRacks * perRack, PerRack: perRack,
+		ModelFloats: nFloats, Link: testLink(), Uplink: netsim.FortyGbE()}
+}
+
 // fastTiming keeps unit-test runs quick.
 func fastTiming(iters int) SyncConfig {
 	return SyncConfig{Iterations: iters,
@@ -74,17 +94,17 @@ func runStrategyTimed(t *testing.T, strategy string, nWorkers, nFloats int, cfg 
 	var services []Service
 	switch strategy {
 	case "PS":
-		c := NewPSCluster(k, nWorkers, nFloats, testLink(), DefaultPSConfig())
+		c := Build(k, starSpec(ModePS, nWorkers, nFloats)).PS
 		for i := range agents {
 			services = append(services, c.Client(i))
 		}
 	case "AR":
-		c := NewARCluster(k, nWorkers, nFloats, testLink(), DefaultARConfig())
+		c := Build(k, starSpec(ModeAllReduce, nWorkers, nFloats)).AR
 		for i := range agents {
 			services = append(services, c.Client(i))
 		}
 	case "ISW":
-		c := NewISWStar(k, nWorkers, nFloats, testLink(), DefaultISWConfig())
+		c := Build(k, starSpec(ModeISW, nWorkers, nFloats)).ISW
 		for i := range agents {
 			services = append(services, c.Client(i))
 		}
@@ -195,7 +215,7 @@ func TestIterRecordPhases(t *testing.T) {
 func TestHierarchicalISWAggregates(t *testing.T) {
 	const nRacks, perRack, nFloats = 2, 3, 800
 	k := sim.NewKernel()
-	c := NewISWTree(k, nRacks, perRack, nFloats, testLink(), netsim.FortyGbE(), DefaultISWConfig())
+	c := Build(k, treeSpec(nRacks, perRack, nFloats)).ISW
 	nWorkers := nRacks * perRack
 	agents := make([]rl.Agent, nWorkers)
 	ints := make([]*intAgent, nWorkers)
@@ -235,7 +255,7 @@ func TestHierarchicalISWAggregates(t *testing.T) {
 func TestAsyncISWRespectsStalenessAndConverges(t *testing.T) {
 	const nWorkers, nFloats = 4, 400
 	k := sim.NewKernel()
-	c := NewISWStar(k, nWorkers, nFloats, testLink(), DefaultISWConfig())
+	c := Build(k, starSpec(ModeISW, nWorkers, nFloats)).ISW
 	agents := make([]rl.Agent, nWorkers)
 	ints := make([]*intAgent, nWorkers)
 	for i := range agents {
@@ -282,7 +302,7 @@ func TestAsyncISWRespectsStalenessAndConverges(t *testing.T) {
 func TestAsyncPSAppliesUpdates(t *testing.T) {
 	const nWorkers, nFloats = 3, 300
 	k := sim.NewKernel()
-	c := NewAsyncPSCluster(k, nWorkers, nFloats, testLink(), DefaultPSConfig())
+	c := Build(k, starSpec(ModeAsyncPS, nWorkers, nFloats)).PS
 	agents := make([]rl.Agent, nWorkers)
 	for i := range agents {
 		agents[i] = newIntAgent(i, nFloats)
@@ -312,7 +332,7 @@ func TestAsyncStalenessBoundZeroDiscardsStale(t *testing.T) {
 	// must be discarded once multiple workers race.
 	const nWorkers, nFloats = 4, 200
 	k := sim.NewKernel()
-	c := NewISWStar(k, nWorkers, nFloats, testLink(), DefaultISWConfig())
+	c := Build(k, starSpec(ModeISW, nWorkers, nFloats)).ISW
 	agents := make([]rl.Agent, nWorkers)
 	for i := range agents {
 		agents[i] = newIntAgent(i, nFloats)
@@ -342,7 +362,7 @@ func TestFunctionalSyncTrainingLearns(t *testing.T) {
 		}
 		agents[i] = a
 	}
-	c := NewISWStar(k, nWorkers, agents[0].GradLen(), testLink(), DefaultISWConfig())
+	c := Build(k, starSpec(ModeISW, nWorkers, agents[0].GradLen())).ISW
 	var services []Service
 	for i := range agents {
 		services = append(services, c.Client(i))
@@ -427,7 +447,7 @@ func TestChunkRangeCoversVector(t *testing.T) {
 func TestCalibrationAnchorsDQNSyncPS(t *testing.T) {
 	w := perfmodel.Workloads()[0]
 	k := sim.NewKernel()
-	c := NewPSCluster(k, 4, w.Floats(), netsim.TenGbE(), DefaultPSConfig())
+	c := Build(k, ClusterSpec{Topology: TopoStar, Mode: ModePS, Workers: 4, ModelFloats: w.Floats()}).PS
 	agents := make([]rl.Agent, 4)
 	var services []Service
 	for i := range agents {
@@ -447,14 +467,14 @@ func TestCalibrationAnchorsDQNSyncPS(t *testing.T) {
 
 func TestServiceInterfacesExposed(t *testing.T) {
 	k := sim.NewKernel()
-	c := NewISWStar(k, 2, 100, testLink(), DefaultISWConfig())
+	c := Build(k, starSpec(ModeISW, 2, 100)).ISW
 	if c.StarSwitch == nil {
 		t.Fatal("star switch not exposed")
 	}
 	if got := c.Client(0).H(); got != 2 {
 		t.Fatalf("H = %d", got)
 	}
-	tree := NewISWTree(k, 2, 3, 100, testLink(), netsim.FortyGbE(), DefaultISWConfig())
+	tree := Build(k, treeSpec(2, 3, 100)).ISW
 	if tree.Tree == nil || len(tree.Workers()) != 6 {
 		t.Fatal("tree cluster malformed")
 	}
@@ -468,7 +488,7 @@ func BenchmarkSyncISWRoundDQN(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := sim.NewKernel()
 		n := perfmodel.Workloads()[0].Floats()
-		c := NewISWStar(k, 4, n, netsim.TenGbE(), DefaultISWConfig())
+		c := Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeISW, Workers: 4, ModelFloats: n}).ISW
 		agents := make([]rl.Agent, 4)
 		var services []Service
 		for j := range agents {

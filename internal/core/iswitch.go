@@ -77,6 +77,11 @@ func DefaultISWConfig() ISWConfig {
 	return ISWConfig{WorkerBase: perfmodel.ISWWorkerBase}
 }
 
+// ISWConfigFor adapts the default iSwitch config to a workload (kept
+// for symmetry with PSConfigFor/ARConfigFor; the raw-UDP client path
+// has no per-workload software costs).
+func ISWConfigFor(perfmodel.Workload) ISWConfig { return DefaultISWConfig() }
+
 // perPacket resolves the payload size in use.
 func (c ISWConfig) perPacket() int {
 	if c.FloatsPerPacket > 0 {
@@ -113,22 +118,6 @@ type ISWCluster struct {
 	Retransmits uint64 // contribution segments resent on relayed Helps
 	Failovers   uint64 // workers that switched to the relay path
 	Rejoins     uint64 // crashed workers re-admitted
-}
-
-// NewISWStar builds nWorkers workers under one iSwitch.
-//
-// Deprecated: use Build with ClusterSpec{Topology: TopoStar, Mode: ModeISW}.
-func NewISWStar(k *sim.Kernel, nWorkers, modelFloats int, link netsim.LinkConfig, cfg ISWConfig) *ISWCluster {
-	return Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeISW, Workers: nWorkers, ModelFloats: modelFloats, Link: link, ISW: &cfg}).ISW
-}
-
-// NewISWTree builds the rack-scale hierarchy (§3.4): nRacks racks of
-// perRack workers, ToR switches aggregating locally (H = perRack) and a
-// root switch aggregating across racks (H = nRacks).
-//
-// Deprecated: use Build with ClusterSpec{Topology: TopoTree, Mode: ModeISW}.
-func NewISWTree(k *sim.Kernel, nRacks, perRack, modelFloats int, edge, uplink netsim.LinkConfig, cfg ISWConfig) *ISWCluster {
-	return Build(k, ClusterSpec{Topology: TopoTree, Mode: ModeISW, Workers: nRacks * perRack, PerRack: perRack, ModelFloats: modelFloats, Link: edge, Uplink: uplink, ISW: &cfg}).ISW
 }
 
 // NewISWOnFabric builds an ISWCluster over hosts of an already-built

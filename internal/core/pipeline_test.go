@@ -19,7 +19,7 @@ func TestAsyncPipelineOverlapsStages(t *testing.T) {
 	update := 500 * time.Microsecond
 
 	k := sim.NewKernel()
-	c := NewISWStar(k, nWorkers, nFloats, testLink(), DefaultISWConfig())
+	c := Build(k, starSpec(ModeISW, nWorkers, nFloats)).ISW
 	agents := make([]rl.Agent, nWorkers)
 	for i := range agents {
 		agents[i] = newIntAgent(i, nFloats)
@@ -48,7 +48,7 @@ func TestAsyncPipelineOverlapsStages(t *testing.T) {
 func runISWSyncOnce(t *testing.T, nWorkers, nFloats int, compute, update time.Duration) time.Duration {
 	t.Helper()
 	k := sim.NewKernel()
-	c := NewISWStar(k, nWorkers, nFloats, testLink(), DefaultISWConfig())
+	c := Build(k, starSpec(ModeISW, nWorkers, nFloats)).ISW
 	agents := make([]rl.Agent, nWorkers)
 	services := make([]Service, nWorkers)
 	for i := range agents {
@@ -68,7 +68,7 @@ func runISWSyncOnce(t *testing.T, nWorkers, nFloats int, compute, update time.Du
 func TestAlgorithm1VirtualPSEquivalence(t *testing.T) {
 	const nWorkers, nFloats = 4, 500
 	k := sim.NewKernel()
-	c := NewISWStar(k, nWorkers, nFloats, testLink(), DefaultISWConfig())
+	c := Build(k, starSpec(ModeISW, nWorkers, nFloats)).ISW
 	agents := make([]rl.Agent, nWorkers)
 	ints := make([]*intAgent, nWorkers)
 	for i := range agents {

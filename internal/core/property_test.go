@@ -18,7 +18,7 @@ func TestAllReduceEquivalenceQuick(t *testing.T) {
 		nFloats := int(nFloats16%700) + 1 // 1..700
 
 		k := sim.NewKernel()
-		c := NewARCluster(k, nWorkers, nFloats, testLink(), DefaultARConfig())
+		c := Build(k, starSpec(ModeAllReduce, nWorkers, nFloats)).AR
 		agents := make([]rl.Agent, nWorkers)
 		ints := make([]*intAgent, nWorkers)
 		services := make([]Service, nWorkers)
@@ -70,7 +70,9 @@ func TestISWEquivalenceQuick(t *testing.T) {
 		k := sim.NewKernel()
 		cfg := DefaultISWConfig()
 		cfg.FloatsPerPacket = perPkt
-		c := NewISWStar(k, nWorkers, nFloats, testLink(), cfg)
+		spec := starSpec(ModeISW, nWorkers, nFloats)
+		spec.ISW = &cfg
+		c := Build(k, spec).ISW
 		agents := make([]rl.Agent, nWorkers)
 		ints := make([]*intAgent, nWorkers)
 		services := make([]Service, nWorkers)
@@ -115,7 +117,7 @@ func TestISWEquivalenceQuick(t *testing.T) {
 func TestSimulationDeterministic(t *testing.T) {
 	run := func() (time.Duration, time.Duration) {
 		k := sim.NewKernel()
-		c := NewISWStar(k, 4, 5000, testLink(), DefaultISWConfig())
+		c := Build(k, starSpec(ModeISW, 4, 5000)).ISW
 		agents := make([]rl.Agent, 4)
 		services := make([]Service, 4)
 		for i := range agents {
@@ -137,7 +139,7 @@ func TestSimulationDeterministic(t *testing.T) {
 func TestAsyncPSDiscardsStale(t *testing.T) {
 	const nWorkers, nFloats = 4, 200
 	k := sim.NewKernel()
-	c := NewAsyncPSCluster(k, nWorkers, nFloats, testLink(), DefaultPSConfig())
+	c := Build(k, starSpec(ModeAsyncPS, nWorkers, nFloats)).PS
 	agents := make([]rl.Agent, nWorkers)
 	for i := range agents {
 		agents[i] = newIntAgent(i, nFloats)
@@ -153,131 +155,5 @@ func TestAsyncPSDiscardsStale(t *testing.T) {
 	}
 	if stats.MeanStaleness() != 0 {
 		t.Fatalf("committed staleness %v under S=0", stats.MeanStaleness())
-	}
-}
-
-// Property: a one-shard sharded PS is the single-server PS — bitwise
-// identical applied sums AND identical virtual-clock timing — across
-// worker counts, model sizes (including non-whole-packet sizes), and
-// iteration counts.
-func TestShardedPSOneShardSyncEquivalenceQuick(t *testing.T) {
-	f := func(workers8, nFloats16, iters8 uint16) bool {
-		nWorkers := int(workers8%3) + 2   // 2..4 (PSServerAddr collides with worker subnet beyond)
-		nFloats := int(nFloats16%900) + 1 // 1..900, mostly not 366-aligned
-		iters := int(iters8%3) + 1        // 1..3
-
-		run := func(sharded bool) ([]*intAgent, *RunStats) {
-			k := sim.NewKernel()
-			var client func(int) Service
-			if sharded {
-				client = NewShardedPSCluster(k, nWorkers, nFloats, 1, testLink(), DefaultPSConfig()).Client
-			} else {
-				client = NewPSCluster(k, nWorkers, nFloats, testLink(), DefaultPSConfig()).Client
-			}
-			agents := make([]rl.Agent, nWorkers)
-			ints := make([]*intAgent, nWorkers)
-			services := make([]Service, nWorkers)
-			for i := range agents {
-				ints[i] = newIntAgent(i, nFloats)
-				agents[i] = ints[i]
-				services[i] = client(i)
-			}
-			return ints, RunSync(k, agents, services, fastTiming(iters))
-		}
-		base, bstats := run(false)
-		shrd, sstats := run(true)
-
-		if bstats.Total != sstats.Total || bstats.MeanIter() != sstats.MeanIter() ||
-			bstats.MeanAgg() != sstats.MeanAgg() {
-			return false
-		}
-		for w := range base {
-			if len(base[w].applied) != len(shrd[w].applied) {
-				return false
-			}
-			for it := range base[w].applied {
-				for i := range base[w].applied[it] {
-					if base[w].applied[it][i] != shrd[w].applied[it][i] {
-						return false
-					}
-				}
-			}
-			for i := range base[w].params {
-				if base[w].params[i] != shrd[w].params[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the one-shard asynchronous sharded PS reproduces the async
-// single-server baseline exactly — same commits, discards, staleness
-// accounting, virtual-clock totals, and bitwise-identical master
-// weights — across worker counts, model sizes, and staleness bounds.
-func TestShardedPSOneShardAsyncEquivalenceQuick(t *testing.T) {
-	f := func(workers8, nFloats16, bound8 uint16) bool {
-		nWorkers := int(workers8%3) + 2
-		nFloats := int(nFloats16%900) + 1
-		bound := int64(bound8 % 4) // 0..3
-		cfg := AsyncConfig{Updates: 8, StalenessBound: bound,
-			LocalCompute: 120 * time.Microsecond, WeightUpdate: 15 * time.Microsecond}
-
-		type out struct {
-			stats  *AsyncStats
-			master *intAgent
-		}
-		run := func(sharded bool) out {
-			k := sim.NewKernel()
-			agents := make([]rl.Agent, nWorkers)
-			for i := range agents {
-				agents[i] = newIntAgent(i, nFloats)
-			}
-			master := newIntAgent(99, nFloats)
-			var stats *AsyncStats
-			if sharded {
-				c := NewAsyncShardedPSCluster(k, nWorkers, nFloats, 1, testLink(), DefaultPSConfig())
-				stats = RunAsyncShardedPS(k, agents, master, c, cfg)
-			} else {
-				c := NewAsyncPSCluster(k, nWorkers, nFloats, testLink(), DefaultPSConfig())
-				stats = RunAsyncPS(k, agents, master, c, cfg)
-			}
-			return out{stats, master}
-		}
-		b, s := run(false), run(true)
-
-		if b.stats.Committed != s.stats.Committed ||
-			b.stats.Discarded != s.stats.Discarded ||
-			b.stats.StalenessSum != s.stats.StalenessSum ||
-			b.stats.Total != s.stats.Total ||
-			b.stats.MeanIter() != s.stats.MeanIter() {
-			return false
-		}
-		// The single shard's counters are the global counters.
-		if len(s.stats.PerShard) != 1 {
-			return false
-		}
-		ps := s.stats.PerShard[0]
-		if ps.Committed != s.stats.Committed || ps.Discarded != s.stats.Discarded ||
-			ps.StalenessSum != s.stats.StalenessSum {
-			return false
-		}
-		// Master weights bitwise identical.
-		if len(b.master.applied) != len(s.master.applied) {
-			return false
-		}
-		for i := range b.master.params {
-			if b.master.params[i] != s.master.params[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
 	}
 }

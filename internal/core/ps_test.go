@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/protocol"
 	"iswitch/internal/rl"
@@ -19,7 +18,7 @@ func TestShardPartitionCoversVector(t *testing.T) {
 		{366 * 7, 7}, {366*7 + 1, 7}, {50, 9} /* clamps to 1 segment */, {1_602_500, 16},
 	} {
 		k := sim.NewKernel()
-		c := NewAsyncShardedPSCluster(k, 2, tc.n, tc.shards, testLink(), DefaultPSConfig())
+		c := psStar(k, ModeAsyncPS, 2, tc.n, tc.shards)
 		prevHi := 0
 		for s := 0; s < c.NumShards(); s++ {
 			lo, hi := c.ShardElems(s)
@@ -37,27 +36,19 @@ func TestShardPartitionCoversVector(t *testing.T) {
 		if prevHi != tc.n {
 			t.Fatalf("n=%d shards=%d: covered %d", tc.n, tc.shards, prevHi)
 		}
-		// Segment ownership is the contiguous index-range check.
-		for seg := 0; seg < protocol.SegmentCount(tc.n); seg++ {
-			s := c.ShardOf(uint64(seg))
-			lo, hi := c.ShardElems(s)
-			elo, ehi := protocol.SegmentRange(tc.n, uint64(seg))
-			if elo < lo || ehi > hi {
-				t.Fatalf("n=%d shards=%d: seg %d ([%d,%d)) assigned to shard %d ([%d,%d))",
-					tc.n, tc.shards, seg, elo, ehi, s, lo, hi)
-			}
-		}
 	}
 }
 
-// Synchronous sharded aggregation must equal the direct element-wise
-// sum at any shard count, including models whose length does not divide
-// into whole packets.
+// Synchronous aggregation must equal the direct element-wise sum at any
+// shard count, including models whose length does not divide into whole
+// packets, and at a worker count whose addresses reach 10.0.0.10 (the
+// single server's former address, which worker 4 shares on a star).
 func TestShardedPSMatchesDirectSum(t *testing.T) {
-	for _, shards := range []int{1, 2, 3, 5} {
-		const nWorkers, nFloats, iters = 3, 1500, 2
+	for _, tc := range []struct{ workers, shards int }{{3, 1}, {3, 2}, {3, 3}, {3, 5}, {6, 1}} {
+		nWorkers, shards := tc.workers, tc.shards
+		const nFloats, iters = 1500, 2
 		k := sim.NewKernel()
-		c := NewShardedPSCluster(k, nWorkers, nFloats, shards, testLink(), DefaultPSConfig())
+		c := psStar(k, ModePS, nWorkers, nFloats, shards)
 		agents := make([]rl.Agent, nWorkers)
 		ints := make([]*intAgent, nWorkers)
 		services := make([]Service, nWorkers)
@@ -102,7 +93,7 @@ func TestShardedPSSyncAggDecreases(t *testing.T) {
 	const nWorkers, nFloats = 4, 400_000
 	agg := func(shards int) time.Duration {
 		k := sim.NewKernel()
-		c := NewShardedPSCluster(k, nWorkers, nFloats, shards, testLink(), DefaultPSConfig())
+		c := psStar(k, ModePS, nWorkers, nFloats, shards)
 		agents := make([]rl.Agent, nWorkers)
 		services := make([]Service, nWorkers)
 		for i := range agents {
@@ -127,7 +118,7 @@ func TestShardedPSSyncAggDecreases(t *testing.T) {
 func TestAsyncShardedPSAppliesPerShardUpdates(t *testing.T) {
 	const nWorkers, nFloats, shards = 3, 1200, 3
 	k := sim.NewKernel()
-	c := NewAsyncShardedPSCluster(k, nWorkers, nFloats, shards, testLink(), DefaultPSConfig())
+	c := psStar(k, ModeAsyncPS, nWorkers, nFloats, shards)
 	agents := make([]rl.Agent, nWorkers)
 	for i := range agents {
 		agents[i] = newIntAgent(i, nFloats)
@@ -135,7 +126,7 @@ func TestAsyncShardedPSAppliesPerShardUpdates(t *testing.T) {
 	master := newIntAgent(99, nFloats)
 	cfg := AsyncConfig{Updates: 10, StalenessBound: 3,
 		LocalCompute: 50 * time.Microsecond, WeightUpdate: 10 * time.Microsecond}
-	stats := RunAsyncShardedPS(k, agents, master, c, cfg)
+	stats := RunAsyncPS(k, agents, master, c, cfg)
 
 	if len(stats.PerShard) != shards {
 		t.Fatalf("PerShard has %d entries, want %d", len(stats.PerShard), shards)
@@ -175,7 +166,7 @@ func TestAsyncShardedPSAppliesPerShardUpdates(t *testing.T) {
 func TestAsyncShardedPSUpdatesAreSliceLocal(t *testing.T) {
 	const nWorkers, nFloats, shards = 2, 1100, 3
 	k := sim.NewKernel()
-	c := NewAsyncShardedPSCluster(k, nWorkers, nFloats, shards, testLink(), DefaultPSConfig())
+	c := psStar(k, ModeAsyncPS, nWorkers, nFloats, shards)
 	agents := make([]rl.Agent, nWorkers)
 	for i := range agents {
 		agents[i] = newIntAgent(i, nFloats)
@@ -183,7 +174,7 @@ func TestAsyncShardedPSUpdatesAreSliceLocal(t *testing.T) {
 	master := newIntAgent(99, nFloats)
 	cfg := AsyncConfig{Updates: 4, StalenessBound: 2,
 		LocalCompute: 50 * time.Microsecond, WeightUpdate: 10 * time.Microsecond}
-	RunAsyncShardedPS(k, agents, master, c, cfg)
+	RunAsyncPS(k, agents, master, c, cfg)
 
 	bounds := make([][2]int, shards)
 	for s := 0; s < shards; s++ {
@@ -229,31 +220,26 @@ func (a *scratchAgent) ApplyAggregated(sum []float32, h int) {
 // psClient.Aggregate must return its reusable assembler buffer instead
 // of a fresh per-round copy (the alloc-regression guard for the fix).
 func TestPSAggregateReusesScratchBuffer(t *testing.T) {
-	for _, strategy := range []string{"ps", "sharded"} {
+	for _, shards := range []int{1, 2} {
 		const nWorkers, nFloats, iters = 2, 2000, 3
 		k := sim.NewKernel()
 		agents := make([]rl.Agent, nWorkers)
 		scratch := make([]*scratchAgent, nWorkers)
 		services := make([]Service, nWorkers)
-		var client func(int) Service
-		if strategy == "ps" {
-			client = NewPSCluster(k, nWorkers, nFloats, testLink(), DefaultPSConfig()).Client
-		} else {
-			client = NewShardedPSCluster(k, nWorkers, nFloats, 2, testLink(), DefaultPSConfig()).Client
-		}
+		c := psStar(k, ModePS, nWorkers, nFloats, shards)
 		for i := range agents {
 			scratch[i] = &scratchAgent{intAgent: *newIntAgent(i, nFloats)}
 			agents[i] = scratch[i]
-			services[i] = client(i)
+			services[i] = c.Client(i)
 		}
 		RunSync(k, agents, services, fastTiming(iters))
 		for w, a := range scratch {
 			if len(a.ptrs) != iters {
-				t.Fatalf("%s worker %d saw %d aggregates", strategy, w, len(a.ptrs))
+				t.Fatalf("S=%d worker %d saw %d aggregates", shards, w, len(a.ptrs))
 			}
 			for it := 1; it < iters; it++ {
 				if a.ptrs[it] != a.ptrs[0] {
-					t.Fatalf("%s worker %d: aggregate buffer reallocated at iter %d", strategy, w, it)
+					t.Fatalf("S=%d worker %d: aggregate buffer reallocated at iter %d", shards, w, it)
 				}
 			}
 		}
@@ -270,7 +256,7 @@ func BenchmarkPSAggregateRoundPPO(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := sim.NewKernel()
-		c := NewPSCluster(k, 4, n, netsim.TenGbE(), DefaultPSConfig())
+		c := Build(k, ClusterSpec{Topology: TopoStar, Mode: ModePS, Workers: 4, ModelFloats: n}).PS
 		agents := make([]rl.Agent, 4)
 		services := make([]Service, 4)
 		for j := range agents {

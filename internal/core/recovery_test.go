@@ -19,7 +19,9 @@ func TestSyncSurvivesPacketLoss(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := DefaultISWConfig()
 	cfg.RecoveryTimeout = 2 * time.Millisecond
-	c := NewISWStar(k, nWorkers, nFloats, testLink(), cfg)
+	spec := starSpec(ModeISW, nWorkers, nFloats)
+	spec.ISW = &cfg
+	c := Build(k, spec).ISW
 	c.StarSwitch.SetDedup(true)
 	// Worker 0's uplink loses 20% of packets; worker 1's downlink 10%.
 	c.Workers()[0].Port().SetLoss(0.20, 7)
@@ -78,7 +80,7 @@ func TestSyncSurvivesPacketLoss(t *testing.T) {
 func TestSyncWithoutRecoveryStallsOnLoss(t *testing.T) {
 	const nWorkers, nFloats = 2, 100
 	k := sim.NewKernel()
-	c := NewISWStar(k, nWorkers, nFloats, testLink(), DefaultISWConfig())
+	c := Build(k, starSpec(ModeISW, nWorkers, nFloats)).ISW
 	c.Workers()[0].Port().SetLoss(1.0, 3) // lose everything from worker 0
 
 	agents := make([]rl.Agent, nWorkers)
@@ -116,7 +118,9 @@ func TestRecoverySurvivesFinalRoundDownlinkLoss(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := DefaultISWConfig()
 	cfg.RecoveryTimeout = 3 * time.Millisecond
-	c := NewISWStar(k, nWorkers, nFloats, testLink(), cfg)
+	spec := starSpec(ModeISW, nWorkers, nFloats)
+	spec.ISW = &cfg
+	c := Build(k, spec).ISW
 	c.StarSwitch.SetDedup(true)
 	// Heavy downlink loss toward worker 0 makes a lost final-round
 	// broadcast overwhelmingly likely across 12 iterations.

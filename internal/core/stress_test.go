@@ -30,7 +30,7 @@ func TestAsyncISWJitterStress(t *testing.T) {
 	const nWorkers, nFloats = 5, 800
 	run := func(seed uint64) (*AsyncStats, []*intAgent) {
 		k := sim.NewKernel()
-		c := NewISWStar(k, nWorkers, nFloats, testLink(), DefaultISWConfig())
+		c := Build(k, starSpec(ModeISW, nWorkers, nFloats)).ISW
 		agents := make([]rl.Agent, nWorkers)
 		ints := make([]*intAgent, nWorkers)
 		for i := range agents {
@@ -84,7 +84,7 @@ func TestAsyncShardedPSJitterStress(t *testing.T) {
 	const nWorkers, nFloats, shards = 4, 1500, 3
 	run := func(seed uint64) (*AsyncStats, *intAgent) {
 		k := sim.NewKernel()
-		c := NewAsyncShardedPSCluster(k, nWorkers, nFloats, shards, testLink(), DefaultPSConfig())
+		c := psStar(k, ModeAsyncPS, nWorkers, nFloats, shards)
 		agents := make([]rl.Agent, nWorkers)
 		for i := range agents {
 			agents[i] = newIntAgent(i, nFloats)
@@ -93,7 +93,7 @@ func TestAsyncShardedPSJitterStress(t *testing.T) {
 		cfg := AsyncConfig{Updates: 12, StalenessBound: 3,
 			LocalCompute: 120 * time.Microsecond, WeightUpdate: 15 * time.Microsecond,
 			ComputeJitter: seededJitter(seed, 400*time.Microsecond)}
-		return RunAsyncShardedPS(k, agents, master, c, cfg), master
+		return RunAsyncPS(k, agents, master, c, cfg), master
 	}
 	stats, master := run(7)
 

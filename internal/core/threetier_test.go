@@ -20,7 +20,8 @@ func TestThreeTierAggregation(t *testing.T) {
 
 	k := sim.NewKernel()
 	edge, agg, coreLink := netsim.DefaultThreeTierLinks()
-	c := NewISWThreeTier(k, nAGGs, torsPerAGG, hostsPerToR, nFloats, edge, agg, coreLink, DefaultISWConfig())
+	c := Build(k, ClusterSpec{Topology: TopoThreeTier, Mode: ModeISW, AGGs: nAGGs, ToRsPerAGG: torsPerAGG, HostsPerToR: hostsPerToR,
+		ModelFloats: nFloats, Link: edge, Uplink: agg, CoreLink: coreLink}).ISW
 
 	agents := make([]rl.Agent, nWorkers)
 	ints := make([]*intAgent, nWorkers)
@@ -87,7 +88,8 @@ func TestThreeTierAsync(t *testing.T) {
 	const nWorkers, nFloats = 12, 300
 	k := sim.NewKernel()
 	edge, agg, coreLink := netsim.DefaultThreeTierLinks()
-	c := NewISWThreeTier(k, 2, 2, 3, nFloats, edge, agg, coreLink, DefaultISWConfig())
+	c := Build(k, ClusterSpec{Topology: TopoThreeTier, Mode: ModeISW, AGGs: 2, ToRsPerAGG: 2, HostsPerToR: 3,
+		ModelFloats: nFloats, Link: edge, Uplink: agg, CoreLink: coreLink}).ISW
 	agents := make([]rl.Agent, nWorkers)
 	ints := make([]*intAgent, nWorkers)
 	for i := range agents {

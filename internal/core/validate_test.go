@@ -5,17 +5,17 @@ import (
 	"testing"
 
 	"iswitch/internal/protocol"
+	"iswitch/internal/sim"
 )
 
 // ClusterSpec.Validate must accept every supported compression×mode
 // pairing and reject the rest with an error that names the scheme and
 // explains the architectural reason.
 func TestValidateCompressionMatrix(t *testing.T) {
-	allModes := []Mode{ModeISW, ModePS, ModeAsyncPS, ModeShardedPS, ModeAsyncShardedPS, ModeAllReduce}
+	allModes := []Mode{ModeISW, ModePS, ModeAsyncPS, ModeAllReduce}
 
 	okFor := map[protocol.Compression]map[Mode]bool{
-		protocol.CompNone: {ModeISW: true, ModePS: true, ModeAsyncPS: true,
-			ModeShardedPS: true, ModeAsyncShardedPS: true, ModeAllReduce: true},
+		protocol.CompNone:       {ModeISW: true, ModePS: true, ModeAsyncPS: true, ModeAllReduce: true},
 		protocol.CompFP16:       {ModeISW: true, ModePS: true, ModeAsyncPS: true},
 		protocol.CompInt32Block: {ModeISW: true},
 		protocol.CompTopK:       {ModeISW: true},
@@ -53,36 +53,121 @@ func TestValidateCompressionMatrix(t *testing.T) {
 	}
 }
 
-// Unknown scheme bytes and top-k over a non-default segment grid are
-// rejected with descriptive errors.
-func TestValidateCompressionEdgeCases(t *testing.T) {
-	t.Run("unknown-scheme", func(t *testing.T) {
-		spec := ClusterSpec{Topology: TopoStar, Mode: ModeISW, Workers: 4,
-			ModelFloats: 100, Compression: protocol.Compression(99)}
-		err := spec.Validate()
-		if err == nil || !strings.Contains(err.Error(), "unknown compression scheme") {
-			t.Fatalf("want unknown-scheme error, got %v", err)
+// Every Validate rejection outside the compression×mode matrix: one row
+// each, matched on the part of the message that names the reason.
+func TestValidateRejections(t *testing.T) {
+	base := ClusterSpec{Topology: TopoStar, Mode: ModePS, Workers: 4, ModelFloats: 800}
+	with := func(edit func(*ClusterSpec)) ClusterSpec {
+		spec := base
+		edit(&spec)
+		return spec
+	}
+	smallSegs := DefaultISWConfig()
+	smallSegs.FloatsPerPacket = 64
+	for _, tc := range []struct {
+		name string
+		spec ClusterSpec
+		want string
+	}{
+		{"ps-over-3tier", with(func(s *ClusterSpec) {
+			s.Topology, s.AGGs, s.ToRsPerAGG, s.HostsPerToR = TopoThreeTier, 2, 2, 2
+		}), "ps over 3tier is not supported"},
+		{"async-ps-over-fattree", with(func(s *ClusterSpec) {
+			s.Topology, s.Mode, s.KAry, s.HostsPerEdge = TopoFatTree, ModeAsyncPS, 4, 1
+		}), "async-ps over fattree is not supported"},
+		{"allreduce-over-3tier", with(func(s *ClusterSpec) {
+			s.Topology, s.Mode, s.AGGs, s.ToRsPerAGG, s.HostsPerToR = TopoThreeTier, ModeAllReduce, 2, 2, 2
+		}), "allreduce over 3tier is not supported"},
+		{"allreduce-over-fattree", with(func(s *ClusterSpec) {
+			s.Topology, s.Mode, s.KAry, s.HostsPerEdge = TopoFatTree, ModeAllReduce, 4, 1
+		}), "allreduce over fattree is not supported"},
+		{"allreduce-one-worker", with(func(s *ClusterSpec) { s.Mode, s.Workers = ModeAllReduce, 1 }), "at least 2 workers"},
+		{"shards-over-tree", with(func(s *ClusterSpec) { s.Topology, s.Shards = TopoTree, 2 }), "sharded parameter server over tree"},
+		{"shards-fp16", with(func(s *ClusterSpec) { s.Shards, s.Compression = 2, protocol.CompFP16 }), "fp16 compression with 2 parameter-server shards"},
+		{"shards-off-ps", with(func(s *ClusterSpec) { s.Mode, s.Shards = ModeISW, 2 }), "parameter-server modes only"},
+		{"shards-negative", with(func(s *ClusterSpec) { s.Shards = -1 }), "Shards must be in [0, 128]"},
+		{"shards-too-many", with(func(s *ClusterSpec) { s.Shards = MaxPSShards + 1 }), "Shards must be in [0, 128]"},
+		{"workers-zero", with(func(s *ClusterSpec) { s.Workers = 0 }), "needs Workers > 0"},
+		{"workers-negative-tree", with(func(s *ClusterSpec) { s.Topology, s.Workers = TopoTree, -3 }), "needs Workers > 0"},
+		{"per-rack-negative", with(func(s *ClusterSpec) { s.Topology, s.PerRack = TopoTree, -1 }), "PerRack must not be negative"},
+		{"3tier-zero-shape", with(func(s *ClusterSpec) {
+			s.Topology, s.Mode, s.AGGs, s.ToRsPerAGG = TopoThreeTier, ModeISW, 2, 2
+		}), "positive AGGs, ToRsPerAGG and HostsPerToR"},
+		{"fattree-odd-k", with(func(s *ClusterSpec) {
+			s.Topology, s.Mode, s.KAry, s.HostsPerEdge = TopoFatTree, ModeISW, 3, 1
+		}), "even KAry >= 2"},
+		{"fattree-no-hosts", with(func(s *ClusterSpec) {
+			s.Topology, s.Mode, s.KAry = TopoFatTree, ModeISW, 4
+		}), "HostsPerEdge > 0"},
+		{"model-floats-zero", with(func(s *ClusterSpec) { s.ModelFloats = 0 }), "ModelFloats must be positive"},
+		{"unknown-topology", with(func(s *ClusterSpec) { s.Topology = Topology(9) }), "unknown topology"},
+		{"unknown-mode", with(func(s *ClusterSpec) { s.Mode = Mode(9) }), "unknown mode"},
+		{"unknown-scheme", with(func(s *ClusterSpec) { s.Compression = protocol.Compression(99) }), "unknown compression scheme"},
+		{"topk-nondefault-segment", with(func(s *ClusterSpec) {
+			s.Mode, s.Compression, s.ISW = ModeISW, protocol.CompTopK, &smallSegs
+		}), "per-packet payload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.spec.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want an error containing %q, got %v", tc.want, err)
+			}
+		})
+	}
+}
+
+// Validate is the whole support matrix: any spec it accepts, Build
+// constructs without panicking. The sweep crosses every topology and
+// mode (plus an unknown value of each) with zero, odd and valid shape
+// fields, shard counts inside and outside the range, and every scheme.
+func TestValidateAcceptedSpecsBuild(t *testing.T) {
+	accepted := map[Mode]int{}
+	for _, topo := range []Topology{TopoStar, TopoTree, TopoThreeTier, TopoFatTree, Topology(9)} {
+		for _, mode := range []Mode{ModeISW, ModePS, ModeAsyncPS, ModeAllReduce, Mode(9)} {
+			for _, n := range []int{0, 1, 3} {
+				for _, shards := range []int{-1, 0, 2, MaxPSShards + 1} {
+					for _, scheme := range protocol.Compressions() {
+						for _, floats := range []int{0, 800} {
+							spec := ClusterSpec{Topology: topo, Mode: mode, Workers: n, PerRack: 2,
+								AGGs: n, ToRsPerAGG: 1, HostsPerToR: 2, KAry: n + 1, HostsPerEdge: n,
+								ModelFloats: floats, Shards: shards, Compression: scheme}
+							if spec.Validate() != nil {
+								continue
+							}
+							accepted[mode]++
+							func() {
+								k := sim.NewKernel()
+								defer k.Shutdown()
+								defer func() {
+									if r := recover(); r != nil {
+										t.Errorf("Validate accepted %+v but Build panicked: %v", spec, r)
+									}
+								}()
+								if c := Build(k, spec); len(c.Workers()) == 0 {
+									t.Errorf("Build(%+v) has no workers", spec)
+								}
+							}()
+						}
+					}
+				}
+			}
 		}
-	})
-	t.Run("topk-nondefault-segment", func(t *testing.T) {
-		cfg := DefaultISWConfig()
-		cfg.FloatsPerPacket = 64
-		spec := ClusterSpec{Topology: TopoStar, Mode: ModeISW, Workers: 4,
-			ModelFloats: 100, Compression: protocol.CompTopK, ISW: &cfg}
-		err := spec.Validate()
-		if err == nil || !strings.Contains(err.Error(), "per-packet payload") {
-			t.Fatalf("want per-packet payload error, got %v", err)
+	}
+	for _, mode := range []Mode{ModeISW, ModePS, ModeAsyncPS, ModeAllReduce} {
+		if accepted[mode] == 0 {
+			t.Errorf("sweep accepted no %v spec", mode)
 		}
-	})
-	t.Run("isw-config-scheme", func(t *testing.T) {
-		// The scheme may come from the ISW config instead of the spec
-		// field; the support matrix still applies.
-		cfg := DefaultISWConfig()
-		cfg.Compression = protocol.CompInt32Block
-		spec := ClusterSpec{Topology: TopoStar, Mode: ModeISW, Workers: 4,
-			ModelFloats: 100, ISW: &cfg}
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("config-carried scheme rejected: %v", err)
-		}
-	})
+	}
+}
+
+// The scheme may come from the ISW config instead of the spec field; the
+// support matrix still applies.
+func TestValidateISWConfigScheme(t *testing.T) {
+	cfg := DefaultISWConfig()
+	cfg.Compression = protocol.CompInt32Block
+	spec := ClusterSpec{Topology: TopoStar, Mode: ModeISW, Workers: 4,
+		ModelFloats: 100, ISW: &cfg}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("config-carried scheme rejected: %v", err)
+	}
 }

@@ -73,25 +73,15 @@ func AblationHierarchical() Result {
 // simSyncThreeTier runs a sync timing simulation on the three-tier
 // fabric.
 func simSyncThreeTier(w perfmodel.Workload, nAGGs, torsPerAGG, hostsPerToR, iters int) *core.RunStats {
-	k := sim.NewKernel()
-	defer k.Shutdown()
 	edge, aggL, coreL := netsim.DefaultThreeTierLinks()
 	cfg := core.ISWConfigFor(w)
-	c := core.Build(k, core.ClusterSpec{
+	return simSyncSpec(w, core.ClusterSpec{
 		Topology: core.TopoThreeTier, Mode: core.ModeISW,
 		AGGs: nAGGs, ToRsPerAGG: torsPerAGG, HostsPerToR: hostsPerToR,
 		ModelFloats: w.Floats(),
 		Link:        edge, Uplink: aggL, CoreLink: coreL,
 		ISW: &cfg,
-	}).ISW
-	n := nAGGs * torsPerAGG * hostsPerToR
-	agents := make([]rl.Agent, n)
-	services := make([]core.Service, n)
-	for i := range agents {
-		agents[i], services[i] = core.NewSyntheticAgent(w.Floats()), c.Client(i)
-	}
-	return core.RunSync(k, agents, services, core.SyncConfig{
-		Iterations: iters, LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate})
+	}, iters)
 }
 
 // AblationH sweeps the aggregation threshold H below the worker count

@@ -93,12 +93,17 @@ func strategySpec(w perfmodel.Workload, strategy string, nWorkers, perRack int, 
 // strategy, measuring per-iteration time. perRack <= 0 selects the flat
 // single-switch testbed; otherwise the two-level rack topology.
 func simSync(w perfmodel.Workload, strategy string, nWorkers, perRack, iters int) *core.RunStats {
+	return simSyncSpec(w, strategySpec(w, strategy, nWorkers, perRack, false), iters)
+}
+
+// simSyncSpec is simSync for any synchronous spec (shard counts and
+// fabrics strategySpec does not name).
+func simSyncSpec(w perfmodel.Workload, spec core.ClusterSpec, iters int) *core.RunStats {
 	k := sim.NewKernel()
 	defer k.Shutdown() // release parked server loops (goroutine leak fix)
-	agents := make([]rl.Agent, nWorkers)
-	services := make([]core.Service, nWorkers)
-
-	c := core.Build(k, strategySpec(w, strategy, nWorkers, perRack, false))
+	c := core.Build(k, spec)
+	agents := make([]rl.Agent, len(c.Workers()))
+	services := make([]core.Service, len(agents))
 	for i := range agents {
 		agents[i], services[i] = core.NewSyntheticAgent(w.Floats()), c.Client(i)
 	}
@@ -113,24 +118,26 @@ func simSync(w perfmodel.Workload, strategy string, nWorkers, perRack, iters int
 // stats; strategy is PS or iSW. updates is the number of weight
 // updates to simulate.
 func simAsync(w perfmodel.Workload, strategy string, nWorkers, perRack int, updates int64, staleness int64) *core.AsyncStats {
+	return simAsyncSpec(w, strategySpec(w, strategy, nWorkers, perRack, true), updates, staleness)
+}
+
+// simAsyncSpec is simAsync for any ModeAsyncPS or ModeISW spec.
+func simAsyncSpec(w perfmodel.Workload, spec core.ClusterSpec, updates, staleness int64) *core.AsyncStats {
 	k := sim.NewKernel()
 	defer k.Shutdown()
 	cfg := core.AsyncConfig{
 		Updates: updates, StalenessBound: staleness,
 		LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate,
 	}
-	agents := make([]rl.Agent, nWorkers)
+	c := core.Build(k, spec)
+	agents := make([]rl.Agent, len(c.Workers()))
 	for i := range agents {
 		agents[i] = core.NewSyntheticAgent(w.Floats())
 	}
-	spec := strategySpec(w, strategy, nWorkers, perRack, true)
-	switch strategy {
-	case StratPS:
-		return core.RunAsyncPS(k, agents, core.NewSyntheticAgent(w.Floats()), core.Build(k, spec).PS, cfg)
-	case StratISW:
-		return core.RunAsyncISW(k, agents, core.Build(k, spec).ISW, cfg)
+	if c.PS != nil {
+		return core.RunAsyncPS(k, agents, core.NewSyntheticAgent(w.Floats()), c.PS, cfg)
 	}
-	panic("experiments: unknown async strategy " + strategy)
+	return core.RunAsyncISW(k, agents, c.ISW, cfg)
 }
 
 // asyncPerIter extracts the per-iteration (inter-update) time from an

@@ -6,9 +6,9 @@ import (
 	"strings"
 	"time"
 
-	"iswitch/internal/fp16"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/rl"
+	"iswitch/internal/tensor/kernels"
 )
 
 // AblationFP16 quantifies the paper's raw-float32 wire format choice
@@ -57,8 +57,8 @@ func AblationFP16() Result {
 	g := make([]float32, n)
 	// One wire buffer and one decode buffer, reused across workers: the
 	// pack/unpack round trip is the thing being modeled, and the
-	// zero-alloc AppendPack/UnpackInto forms keep the loop allocation-free
-	// after setup.
+	// zero-alloc F16AppendPack/F16UnpackInto forms keep the loop
+	// allocation-free after setup.
 	q := make([]float32, n)
 	wire := make([]byte, 0, 2*n)
 	for _, a := range agents {
@@ -66,8 +66,8 @@ func AblationFP16() Result {
 		for i, v := range g {
 			exact[i] += float64(v)
 		}
-		wire = fp16.AppendPack(wire[:0], g)
-		fp16.UnpackInto(q, wire)
+		wire = kernels.F16AppendPack(wire[:0], g)
+		kernels.F16UnpackInto(q, wire)
 		for i, v := range q {
 			quant[i] += v
 		}

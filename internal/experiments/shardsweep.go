@@ -6,17 +6,13 @@ import (
 	"time"
 
 	"iswitch/internal/core"
-	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
-	"iswitch/internal/rl"
-	"iswitch/internal/sim"
 )
 
-// Shard-count sweep for the sharded parameter-server baseline: how far
-// does partitioning the model across S server hosts close the gap to
-// in-switch aggregation? S=1 is bit-identical to the single-server
-// baseline (the equivalence the core tests pin down), so the first
-// column doubles as a cross-check against Table 4/5.
+// Shard-count sweep for the parameter-server baseline: how far does
+// partitioning the model across S server hosts close the gap to
+// in-switch aggregation? S=1 is the single-server baseline, so the
+// first column doubles as a cross-check against Table 4/5.
 
 // shardSweepCounts is the sweep grid.
 func shardSweepCounts() []int { return []int{1, 2, 4, 8} }
@@ -32,49 +28,6 @@ func shardSweepWorkloads() []perfmodel.Workload {
 		}
 	}
 	return out
-}
-
-// simSyncShardedPS runs the synchronous sharded-PS timing simulation.
-func simSyncShardedPS(w perfmodel.Workload, nWorkers, shards, iters int) *core.RunStats {
-	k := sim.NewKernel()
-	defer k.Shutdown()
-	cfg := core.PSConfigFor(w)
-	c := core.Build(k, core.ClusterSpec{
-		Topology: core.TopoStar, Mode: core.ModeShardedPS,
-		Workers: nWorkers, Shards: shards,
-		ModelFloats: w.Floats(), Link: netsim.TenGbE(), PS: &cfg,
-	}).Sharded
-	agents := make([]rl.Agent, nWorkers)
-	services := make([]core.Service, nWorkers)
-	for i := range agents {
-		agents[i] = core.NewSyntheticAgent(w.Floats())
-		services[i] = c.Client(i)
-	}
-	return core.RunSync(k, agents, services, core.SyncConfig{
-		Iterations:   iters,
-		LocalCompute: w.LocalCompute,
-		WeightUpdate: w.WeightUpdate,
-	})
-}
-
-// simAsyncShardedPS runs the asynchronous sharded-PS timing simulation.
-func simAsyncShardedPS(w perfmodel.Workload, nWorkers, shards int, updates, staleness int64) *core.AsyncStats {
-	k := sim.NewKernel()
-	defer k.Shutdown()
-	cfg := core.PSConfigFor(w)
-	c := core.Build(k, core.ClusterSpec{
-		Topology: core.TopoStar, Mode: core.ModeAsyncShardedPS,
-		Workers: nWorkers, Shards: shards,
-		ModelFloats: w.Floats(), Link: netsim.TenGbE(), PS: &cfg,
-	}).Sharded
-	agents := make([]rl.Agent, nWorkers)
-	for i := range agents {
-		agents[i] = core.NewSyntheticAgent(w.Floats())
-	}
-	return core.RunAsyncShardedPS(k, agents, core.NewSyntheticAgent(w.Floats()), c, core.AsyncConfig{
-		Updates: updates, StalenessBound: staleness,
-		LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate,
-	})
 }
 
 // ShardSweepRow is one workload's shard-count sweep.
@@ -101,10 +54,15 @@ func shardSweepRows() []ShardSweepRow {
 		async *core.AsyncStats
 	}
 	cells := parMap(len(ws)*len(counts), func(i int) cell {
-		w, s := ws[i/len(counts)], counts[i%len(counts)]
+		w := ws[i/len(counts)]
+		spec := func(async bool) core.ClusterSpec {
+			sp := strategySpec(w, StratPS, 4, 0, async)
+			sp.Shards = counts[i%len(counts)]
+			return sp
+		}
 		return cell{
-			sync:  simSyncShardedPS(w, 4, s, 2),
-			async: simAsyncShardedPS(w, 4, s, 40, 3),
+			sync:  simSyncSpec(w, spec(false), 2),
+			async: simAsyncSpec(w, spec(true), 40, 3),
 		}
 	})
 	var rows []ShardSweepRow

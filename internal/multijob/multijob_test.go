@@ -17,6 +17,13 @@ func testLink() netsim.LinkConfig {
 	return netsim.LinkConfig{BitsPerSecond: 10e9, Propagation: 2 * time.Microsecond}
 }
 
+// refStar is the single-tenant reference the fabric runs are compared
+// against: nW workers under one iSwitch over testLink.
+func refStar(k *sim.Kernel, nW, floats int) *core.ISWCluster {
+	return core.Build(k, core.ClusterSpec{Topology: core.TopoStar, Mode: core.ModeISW,
+		Workers: nW, ModelFloats: floats, Link: testLink()}).ISW
+}
+
 func ppoWorkload(t *testing.T) perfmodel.Workload {
 	t.Helper()
 	wl, err := perfmodel.WorkloadByName("PPO")
@@ -57,7 +64,7 @@ func TestSingleJobEquivalenceStarSync(t *testing.T) {
 	// Reference: the single-tenant star cluster.
 	refAgents := newPPOAgents(t, nW)
 	k1 := sim.NewKernel()
-	cl := core.NewISWStar(k1, nW, floats, testLink(), core.DefaultISWConfig())
+	cl := refStar(k1, nW, floats)
 	svcs := make([]core.Service, nW)
 	for i := range svcs {
 		svcs[i] = cl.Client(i)
@@ -125,7 +132,7 @@ func TestSingleJobEquivalenceStarAsync(t *testing.T) {
 	}
 
 	k1 := sim.NewKernel()
-	cl := core.NewISWStar(k1, nW, floats, testLink(), core.DefaultISWConfig())
+	cl := refStar(k1, nW, floats)
 	refAgents := make([]rl.Agent, nW)
 	for i := range refAgents {
 		refAgents[i] = core.NewSyntheticAgent(floats)
@@ -167,7 +174,8 @@ func TestSingleJobEquivalenceTreeSync(t *testing.T) {
 	edge, uplink := testLink(), netsim.LinkConfig{BitsPerSecond: 32e9, Propagation: 4 * time.Microsecond}
 
 	k1 := sim.NewKernel()
-	cl := core.NewISWTree(k1, nRacks, perRack, floats, edge, uplink, core.DefaultISWConfig())
+	cl := core.Build(k1, core.ClusterSpec{Topology: core.TopoTree, Mode: core.ModeISW, Workers: nRacks * perRack,
+		PerRack: perRack, ModelFloats: floats, Link: edge, Uplink: uplink}).ISW
 	refAgents := make([]rl.Agent, nW)
 	svcs := make([]core.Service, nW)
 	for i := range refAgents {

@@ -5,14 +5,16 @@ import (
 	"math"
 )
 
-// IEEE 754 half-precision conversion, hoisted here from internal/fp16
-// so the wire pack/unpack/round loops dispatch through the backend
-// table like every other element-wise kernel (internal/fp16 is now a
-// thin veneer over these). No architecture currently registers an
-// assembly form — the scalar word-assembly loops below saturate the
-// conversion at wire-buffer sizes — but the dispatch seam means an
-// F16C/NEON-FP16 backend drops in without touching callers, and the
-// cross-backend parity tests already cover it.
+// IEEE 754 half-precision conversion. The paper transmits and sums
+// gradients "in a raw float-point format" (float32); these kernels
+// quantify that choice (experiments.AblationFP16) and carry the
+// CompFP16 scheme on the live wire. The pack/unpack/round loops dispatch
+// through the backend table like every other element-wise kernel. No
+// architecture currently registers an assembly form — the scalar
+// word-assembly loops below saturate the conversion at wire-buffer
+// sizes — but the dispatch seam means an F16C/NEON-FP16 backend drops in
+// without touching callers, and the cross-backend parity tests already
+// cover it.
 
 // F16FromF32 converts a float32 to its nearest half-precision bit
 // pattern (round-to-nearest-even), handling subnormals, infinities and

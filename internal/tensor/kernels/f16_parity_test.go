@@ -1,4 +1,4 @@
-package fp16
+package kernels
 
 import (
 	"math"
@@ -6,16 +6,16 @@ import (
 	"testing"
 )
 
-// TestRoundTripExhaustive pins the conversion now hosted in
-// tensor/kernels against the full half-precision domain: every one of
-// the 65536 bit patterns must survive ToFloat32 → FromFloat32 (NaN
+// TestF16RoundTripExhaustive pins the conversion against the full
+// half-precision domain: every one of
+// the 65536 bit patterns must survive F16ToF32 → F16FromF32 (NaN
 // payloads excepted — they canonicalize to 0x7e00, which must then be
 // a fixed point).
-func TestRoundTripExhaustive(t *testing.T) {
+func TestF16RoundTripExhaustive(t *testing.T) {
 	for h := 0; h < 1<<16; h++ {
 		bits := uint16(h)
-		f := ToFloat32(bits)
-		back := FromFloat32(f)
+		f := F16ToF32(bits)
+		back := F16FromF32(f)
 		if exp, mant := bits>>10&0x1f, bits&0x3ff; exp == 0x1f && mant != 0 {
 			want := bits&0x8000 | 0x7e00
 			if back != want {
@@ -29,10 +29,10 @@ func TestRoundTripExhaustive(t *testing.T) {
 	}
 }
 
-// TestFromFloat32Reference checks rounding against an independent
+// TestF16FromF32Reference checks rounding against an independent
 // float64-based reference on random float32s: the nearest representable
 // half (ties to even) measured in exact float64 arithmetic.
-func TestFromFloat32Reference(t *testing.T) {
+func TestF16FromF32Reference(t *testing.T) {
 	refNearest := func(f float32) uint16 {
 		f64 := float64(f)
 		if math.IsNaN(f64) {
@@ -46,7 +46,7 @@ func TestFromFloat32Reference(t *testing.T) {
 		best, bestErr := uint16(0), math.Inf(1)
 		lo, hi := uint16(0), uint16(0x7c00) // scan normals+subnormals+inf
 		for h := lo; ; h++ {
-			v := float64(ToFloat32(h &^ 0x8000))
+			v := float64(F16ToF32(h &^ 0x8000))
 			if h == 0x7c00 {
 				// IEEE RNE rounds as if the exponent range were
 				// unbounded, so infinity competes as the next grid
@@ -76,8 +76,8 @@ func TestFromFloat32Reference(t *testing.T) {
 		default:
 			f = (rng.Float32() - 0.5) * 1e-9 // underflow to zero
 		}
-		if got, want := FromFloat32(f), refNearest(f); got != want {
-			t.Fatalf("FromFloat32(%g) = %#04x, want %#04x (%v)", f, got, want, ToFloat32(want))
+		if got, want := F16FromF32(f), refNearest(f); got != want {
+			t.Fatalf("F16FromF32(%g) = %#04x, want %#04x (%v)", f, got, want, F16ToF32(want))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -159,5 +160,43 @@ func TestBadJoinRejectedOverUDP(t *testing.T) {
 	}
 	if sw.Members() != 0 {
 		t.Fatalf("members = %d", sw.Members())
+	}
+}
+
+// A 2-byte Ack datagram decodes to an empty Value; Join and SetH must
+// report it as a rejection, not index into it. A raw UDP socket plays
+// the switch and answers every datagram with the short Ack.
+func TestShortAckRejectedNotPanics(t *testing.T) {
+	fake, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 2048)
+		for {
+			_, from, err := fake.ReadFromUDP(buf)
+			if err != nil {
+				return // socket closed: the test is over
+			}
+			fake.WriteToUDP([]byte{protocol.ToSControl, byte(protocol.ActionAck)}, from)
+		}
+	}()
+	defer func() {
+		fake.Close()
+		<-done
+	}()
+
+	c, err := Dial(fake.LocalAddr().String(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Join(); err == nil {
+		t.Error("Join accepted an Ack with no value byte")
+	}
+	if err := c.SetH(2); err == nil {
+		t.Error("SetH accepted an Ack with no value byte")
 	}
 }

@@ -374,7 +374,7 @@ func (c *Client) SetH(h uint32) error {
 	if err != nil {
 		return err
 	}
-	if !pkt.IsControl() || pkt.Action != protocol.ActionAck || pkt.Value[0] != 1 {
+	if !pkt.IsControl() || pkt.Action != protocol.ActionAck || len(pkt.Value) != 1 || pkt.Value[0] != 1 {
 		return fmt.Errorf("transport: SetH rejected")
 	}
 	return nil
