@@ -9,10 +9,6 @@
 //	iswitch-bench -all -quick     # everything, shortened training
 //	iswitch-bench -parallel 4     # worker-pool width (default GOMAXPROCS)
 //	iswitch-bench -list           # list experiment ids
-//	iswitch-bench -kernels        # report float32 kernel backends and
-//	                              # a scalar-vs-SIMD throughput smoke
-//	iswitch-bench -simcore        # benchmark the calendar-queue event
-//	                              # scheduler against the reference heap
 //	iswitch-bench -exp lossy      # reliability sweep: loss × topology ×
 //	                              # mode plus crash and failover cells
 //	iswitch-bench -exp quant      # quantized/sparse aggregation sweep:
@@ -23,13 +19,19 @@
 // Experiments run on a bounded worker pool (-parallel); every
 // simulation cell is an isolated kernel with fixed seeds and results
 // are printed in paper order, so stdout is byte-identical at any
-// parallelism level. Timing lines go to stderr.
+// parallelism level. Timing lines go to stderr. That stdout is the
+// repository's virtual-time gate: internal/experiments/testdata/golden
+// holds it per experiment (TestReportGolden), regenerated with
+//
+//	iswitch-bench -exp <id> -parallel 1 > internal/experiments/testdata/golden/<id>.txt
+//
+// Wall-clock numbers (kernels, event queue, data plane) live in
+// benchmark/ instead.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"time"
@@ -39,72 +41,16 @@ import (
 	"iswitch/internal/tensor/kernels"
 )
 
-// kernelReport prints the available float32 kernel backends and a quick
-// Add/Dot throughput smoke for each — enough for CI logs to prove which
-// datapath the numbers below were produced on.
-func kernelReport(w io.Writer) {
-	fmt.Fprintf(w, "float32 kernel backends: %v (selected: %s)\n", kernels.Backends(), kernels.Backend())
-	orig := kernels.Backend()
-	defer kernels.SetBackend(orig)
-	const n = 16384 // 64 KiB of float32s
-	dst := make([]float32, n)
-	src := make([]float32, n)
-	for i := range src {
-		src[i] = float32(i%7) * 0.25
-	}
-	for _, b := range kernels.Backends() {
-		if err := kernels.SetBackend(b); err != nil {
-			fmt.Fprintf(w, "  %-8s unavailable: %v\n", b, err)
-			continue
-		}
-		for _, k := range []struct {
-			name string
-			fn   func()
-		}{
-			{"Add", func() { kernels.Add(dst, src) }},
-			{"Dot", func() { kernels.Dot(dst, src) }},
-		} {
-			iters := 1
-			var el time.Duration
-			for {
-				t0 := time.Now()
-				for i := 0; i < iters; i++ {
-					k.fn()
-				}
-				el = time.Since(t0)
-				if el > 10*time.Millisecond {
-					break
-				}
-				iters *= 4
-			}
-			gbps := float64(4*n) * float64(iters) / float64(el.Nanoseconds())
-			fmt.Fprintf(w, "  %-8s %-4s %6.1f GB/s (64 KiB)\n", b, k.name, gbps)
-		}
-	}
-}
-
 func main() {
 	var (
 		exp     = flag.String("exp", "", "experiment id to run (empty: all cheap ones)")
 		all     = flag.Bool("all", false, "include expensive functional-training experiments")
 		quick   = flag.Bool("quick", false, "shorten functional training runs")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
-		kern    = flag.Bool("kernels", false, "report float32 kernel backends and exit")
-		simcore = flag.Bool("simcore", false, "benchmark the event scheduler (calendar vs heap) and exit")
 		workers = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulation workers (<1: GOMAXPROCS)")
 	)
 	flag.Parse()
 
-	if *kern {
-		kernelReport(os.Stdout)
-		return
-	}
-	if *simcore {
-		// Wall-clock numbers, so it lives outside the deterministic
-		// experiment registry, like -kernels.
-		fmt.Println(experiments.SimCore().String())
-		return
-	}
 	// Every results run records which gradient datapath produced it.
 	fmt.Fprintf(os.Stderr, "float32 kernel backend: %s\n", kernels.Backend())
 

@@ -88,29 +88,18 @@ func main() {
 	if *jobs < 1 {
 		log.Fatalf("iswitch-sim: -jobs must be >= 1")
 	}
-	if *jobs > 1 {
-		if *strategy != "isw" {
-			log.Fatalf("iswitch-sim: -jobs requires -strategy isw (only iSwitches are multi-tenant)")
-		}
-		runJobs(w, *jobs, *jobsPol, *topology, *workers, *perRack, *aggs, *tors, *hosts,
-			*mode, *iters, *updates, *stale, *doTrace, *traceEnd)
-		return
+	if *iters < 1 {
+		log.Fatalf("iswitch-sim: -iters must be >= 1")
 	}
-	k := sim.NewKernel()
-
-	n := *workers
-	if *topology == "3tier" {
-		n = *aggs * *tors * *hosts
-	}
-	agents := make([]rl.Agent, n)
-	for i := range agents {
-		agents[i] = core.NewSyntheticAgent(w.Floats())
+	if *updates < 1 {
+		log.Fatalf("iswitch-sim: -updates must be >= 1")
 	}
 
-	// One declarative spec covers every strategy × topology pairing; the
-	// pieces below only vary Mode (sync/async flavors) on top of it.
+	// One declarative spec covers every strategy × topology pairing and
+	// the shared fabric of -jobs; the pieces below only vary Mode
+	// (sync/async flavors) on top of it.
 	spec := core.ClusterSpec{
-		Workers:     n,
+		Workers:     *jobs * *workers,
 		PerRack:     *perRack,
 		ModelFloats: w.Floats(),
 		Link:        netsim.TenGbE(),
@@ -129,6 +118,14 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *topology)
 		os.Exit(1)
+	}
+	if *jobs > 1 {
+		if *strategy != "isw" {
+			log.Fatalf("iswitch-sim: -jobs requires -strategy isw (only iSwitches are multi-tenant)")
+		}
+		runJobs(w, spec, *jobs, *jobsPol, *topology, *workers,
+			*mode, *iters, *updates, *stale, *doTrace, *traceEnd)
+		return
 	}
 	switch *strategy {
 	case "ps":
@@ -161,7 +158,13 @@ func main() {
 	if err := spec.Validate(); err != nil {
 		log.Fatalf("iswitch-sim: %v", err)
 	}
+	k := sim.NewKernel()
 	c := core.Build(k, spec)
+	n := len(c.Workers())
+	agents := make([]rl.Agent, n)
+	for i := range agents {
+		agents[i] = core.NewSyntheticAgent(w.Floats())
+	}
 	if *doTrace > 0 {
 		defer dumpTrace(newTraceRecorder(c.Workers()[0], *doTrace, *traceEnd))
 	}
@@ -216,9 +219,8 @@ func main() {
 // fabric through the multijob admission scheduler. Workloads cycle
 // starting from the -workload selection; every job runs the chosen
 // mode with the chosen per-job worker count.
-func runJobs(w perfmodel.Workload, jobs int, policy, topology string,
-	workers, perRack, aggs, tors, hosts int,
-	mode string, iters int, updates, stale int64, doTrace int, traceTail bool) {
+func runJobs(w perfmodel.Workload, fabric core.ClusterSpec, jobs int, policy, topology string,
+	workers int, mode string, iters int, updates, stale int64, doTrace int, traceTail bool) {
 	var pol accel.Partition
 	switch policy {
 	case "demand":
@@ -229,24 +231,13 @@ func runJobs(w perfmodel.Workload, jobs int, policy, topology string,
 		log.Fatalf("iswitch-sim: -jobs-policy must be demand or static")
 	}
 
-	k := sim.NewKernel()
-	fcfg := multijob.FabricConfig{Policy: pol}
-	nHosts := jobs * workers
-	var f *multijob.Fabric
-	switch topology {
-	case "star":
-		f = multijob.NewStarFabric(k, nHosts, netsim.TenGbE(), fcfg)
-	case "tree":
-		f = multijob.NewTreeFabric(k, nHosts, perRack, netsim.TenGbE(), netsim.FortyGbE(), fcfg)
-	case "3tier":
-		e, a, c := netsim.DefaultThreeTierLinks()
-		f = multijob.NewThreeTierFabric(k, aggs, tors, hosts, e, a, c, fcfg)
-		if len(f.Hosts) < nHosts {
-			log.Fatalf("iswitch-sim: 3tier fabric has %d hosts; %d jobs x %d workers need %d",
-				len(f.Hosts), jobs, workers, nHosts)
-		}
-	default:
-		log.Fatalf("iswitch-sim: unknown topology %q", topology)
+	f, err := multijob.NewFabricFromSpec(sim.NewKernel(), fabric, multijob.FabricConfig{Policy: pol})
+	if err != nil {
+		log.Fatalf("iswitch-sim: %v", err)
+	}
+	if nHosts := jobs * workers; len(f.Hosts) < nHosts {
+		log.Fatalf("iswitch-sim: %s fabric has %d hosts; %d jobs x %d workers need %d",
+			topology, len(f.Hosts), jobs, workers, nHosts)
 	}
 
 	var rec *trace.Recorder

@@ -192,6 +192,47 @@ func (s ClusterSpec) scheme() protocol.Compression {
 	return protocol.CompNone
 }
 
+// ResolveFabric checks the topology's shape fields and returns the spec
+// with the fabric defaults filled in: a zero Link is 10 GbE, a zero
+// Uplink inherits Link, a zero CoreLink inherits Uplink, and a PerRack
+// of 0 puts every worker in one rack. It is the one copy of both that
+// Validate, Build and multijob.NewFabricFromSpec (which reads nothing
+// else of the spec) share.
+func (s ClusterSpec) ResolveFabric() (ClusterSpec, error) {
+	switch s.Topology {
+	case TopoStar, TopoTree:
+		if s.Workers <= 0 {
+			return s, fmt.Errorf("core: %v needs Workers > 0, got %d", s.Topology, s.Workers)
+		}
+		if s.PerRack < 0 {
+			return s, fmt.Errorf("core: PerRack must not be negative, got %d (0 puts every worker in one rack)", s.PerRack)
+		}
+		if s.PerRack == 0 {
+			s.PerRack = s.Workers
+		}
+	case TopoThreeTier:
+		if s.AGGs <= 0 || s.ToRsPerAGG <= 0 || s.HostsPerToR <= 0 {
+			return s, fmt.Errorf("core: 3tier needs positive AGGs, ToRsPerAGG and HostsPerToR, got %d/%d/%d", s.AGGs, s.ToRsPerAGG, s.HostsPerToR)
+		}
+	case TopoFatTree:
+		if s.KAry < 2 || s.KAry%2 != 0 || s.HostsPerEdge <= 0 {
+			return s, fmt.Errorf("core: fattree needs an even KAry >= 2 and HostsPerEdge > 0, got %d/%d", s.KAry, s.HostsPerEdge)
+		}
+	default:
+		return s, fmt.Errorf("core: unknown topology %v", s.Topology)
+	}
+	if s.Link == (netsim.LinkConfig{}) {
+		s.Link = netsim.TenGbE()
+	}
+	if s.Uplink == (netsim.LinkConfig{}) {
+		s.Uplink = s.Link
+	}
+	if s.CoreLink == (netsim.LinkConfig{}) {
+		s.CoreLink = s.Uplink
+	}
+	return s, nil
+}
+
 // Validate checks that the spec describes a cluster Build can construct:
 // a known topology and mode with positive shape fields, a supported
 // topology×mode pairing, a shard count the PS modes can honour, and a
@@ -202,24 +243,8 @@ func (s ClusterSpec) Validate() error {
 	if s.ModelFloats <= 0 {
 		return fmt.Errorf("core: ModelFloats must be positive, got %d", s.ModelFloats)
 	}
-	switch s.Topology {
-	case TopoStar, TopoTree:
-		if s.Workers <= 0 {
-			return fmt.Errorf("core: %v needs Workers > 0, got %d", s.Topology, s.Workers)
-		}
-		if s.PerRack < 0 {
-			return fmt.Errorf("core: PerRack must not be negative, got %d (0 puts every worker in one rack)", s.PerRack)
-		}
-	case TopoThreeTier:
-		if s.AGGs <= 0 || s.ToRsPerAGG <= 0 || s.HostsPerToR <= 0 {
-			return fmt.Errorf("core: 3tier needs positive AGGs, ToRsPerAGG and HostsPerToR, got %d/%d/%d", s.AGGs, s.ToRsPerAGG, s.HostsPerToR)
-		}
-	case TopoFatTree:
-		if s.KAry < 2 || s.KAry%2 != 0 || s.HostsPerEdge <= 0 {
-			return fmt.Errorf("core: fattree needs an even KAry >= 2 and HostsPerEdge > 0, got %d/%d", s.KAry, s.HostsPerEdge)
-		}
-	default:
-		return fmt.Errorf("core: unknown topology %v", s.Topology)
+	if _, err := s.ResolveFabric(); err != nil {
+		return err
 	}
 	switch s.Mode {
 	case ModeISW:
@@ -279,27 +304,15 @@ func Build(k *sim.Kernel, spec ClusterSpec) *Cluster {
 	if err := spec.Validate(); err != nil {
 		panic("core: Build: " + err.Error())
 	}
-	link := spec.Link
-	if link == (netsim.LinkConfig{}) {
-		link = netsim.TenGbE()
-	}
-	uplink := spec.Uplink
-	if uplink == (netsim.LinkConfig{}) {
-		uplink = link
-	}
-	coreLink := spec.CoreLink
-	if coreLink == (netsim.LinkConfig{}) {
-		coreLink = uplink
-	}
-
 	c := &Cluster{Spec: spec, k: k}
+	spec, _ = spec.ResolveFabric() // Validate checked the shape
 	switch spec.Mode {
 	case ModeISW:
-		c.ISW = buildISW(k, spec, link, uplink, coreLink)
+		c.ISW = buildISW(k, spec)
 	case ModePS, ModeAsyncPS:
-		c.PS = buildPS(k, spec, link, uplink)
+		c.PS = buildPS(k, spec)
 	case ModeAllReduce:
-		c.AR = buildAR(k, spec, link, uplink)
+		c.AR = buildAR(k, spec)
 	}
 
 	if spec.Faults != nil {
@@ -310,14 +323,9 @@ func Build(k *sim.Kernel, spec ClusterSpec) *Cluster {
 	return c
 }
 
-func rackWidth(spec ClusterSpec) int {
-	if spec.PerRack > 0 {
-		return spec.PerRack
-	}
-	return spec.Workers // one rack
-}
-
-func buildISW(k *sim.Kernel, spec ClusterSpec, link, uplink, coreLink netsim.LinkConfig) *ISWCluster {
+// buildISW, buildPS and buildAR take a spec ResolveFabric has filled in.
+func buildISW(k *sim.Kernel, spec ClusterSpec) *ISWCluster {
+	link, uplink, coreLink := spec.Link, spec.Uplink, spec.CoreLink
 	cfg := DefaultISWConfig()
 	if spec.ISW != nil {
 		cfg = *spec.ISW
@@ -335,7 +343,7 @@ func buildISW(k *sim.Kernel, spec ClusterSpec, link, uplink, coreLink netsim.Lin
 			c.target = append(c.target, sc.IS.Addr())
 		}
 	case TopoTree:
-		tc := switchnet.BuildTreeN(k, spec.Workers, rackWidth(spec), link, uplink)
+		tc := switchnet.BuildTreeN(k, spec.Workers, spec.PerRack, link, uplink)
 		c = &ISWCluster{
 			workers: tc.Workers, n: spec.ModelFloats, h: len(tc.Workers), cfg: cfg,
 			Tree: tc,
@@ -386,7 +394,8 @@ func buildISW(k *sim.Kernel, spec ClusterSpec, link, uplink, coreLink netsim.Lin
 // buildPS wires the workers plus the shard servers (on the workers'
 // switch for a star, on the root for a tree) and, for ModePS, spawns the
 // synchronous server processes.
-func buildPS(k *sim.Kernel, spec ClusterSpec, link, uplink netsim.LinkConfig) *PSCluster {
+func buildPS(k *sim.Kernel, spec ClusterSpec) *PSCluster {
+	link, uplink := spec.Link, spec.Uplink
 	c := &PSCluster{n: spec.ModelFloats, cfg: DefaultPSConfig(), scheme: spec.scheme()}
 	if spec.PS != nil {
 		c.cfg = *spec.PS
@@ -397,7 +406,7 @@ func buildPS(k *sim.Kernel, spec ClusterSpec, link, uplink netsim.LinkConfig) *P
 		c.workers = star.Hosts // AttachHost appends the servers to star.Hosts, not to this slice
 		attach = func(a protocol.Addr) *netsim.Host { return star.AttachHost(k, a, link) }
 	} else {
-		tr := netsim.BuildRacksN(k, spec.Workers, rackWidth(spec), link, uplink)
+		tr := netsim.BuildRacksN(k, spec.Workers, spec.PerRack, link, uplink)
 		c.workers = tr.Hosts
 		attach = func(a protocol.Addr) *netsim.Host { return tr.AttachRootHost(k, a, uplink) }
 	}
@@ -419,7 +428,8 @@ func buildPS(k *sim.Kernel, spec ClusterSpec, link, uplink netsim.LinkConfig) *P
 
 // buildAR wires the ring's workers; the ring follows worker index
 // order, so on a tree rack boundaries add root-switch crossings.
-func buildAR(k *sim.Kernel, spec ClusterSpec, link, uplink netsim.LinkConfig) *ARCluster {
+func buildAR(k *sim.Kernel, spec ClusterSpec) *ARCluster {
+	link, uplink := spec.Link, spec.Uplink
 	c := &ARCluster{n: spec.ModelFloats, cfg: DefaultARConfig()}
 	if spec.AR != nil {
 		c.cfg = *spec.AR
@@ -427,7 +437,7 @@ func buildAR(k *sim.Kernel, spec ClusterSpec, link, uplink netsim.LinkConfig) *A
 	if spec.Topology == TopoStar {
 		c.workers = netsim.BuildStar(k, spec.Workers, link).Hosts
 	} else {
-		c.workers = netsim.BuildRacksN(k, spec.Workers, rackWidth(spec), link, uplink).Hosts
+		c.workers = netsim.BuildRacksN(k, spec.Workers, spec.PerRack, link, uplink).Hosts
 	}
 	return c
 }

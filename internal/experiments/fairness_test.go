@@ -12,7 +12,8 @@ import (
 // proves the adversary actually bites without enforcement, so the fair
 // cell's floors are not vacuously met.
 func TestFairnessIsolationGates(t *testing.T) {
-	off, raw, fair := FairnessCells()
+	cells := fairCells()
+	off, raw, fair := cells[0], cells[1], cells[2]
 
 	// The adversary must genuinely hurt without enforcement, or the
 	// isolation gates below test nothing.

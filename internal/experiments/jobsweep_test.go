@@ -11,7 +11,7 @@ import (
 // aggregated throughput climbs with J and then saturates; and past the
 // SRAM budget admission control starts queueing jobs.
 func TestJobSweepContentionRegression(t *testing.T) {
-	rows := jobSweepRows()
+	rows := jobRows()
 	counts := jobSweepCounts()
 	if len(rows) != len(counts) {
 		t.Fatalf("got %d rows for %d counts", len(rows), len(counts))
@@ -79,7 +79,7 @@ func TestJobSweepContentionRegression(t *testing.T) {
 		}
 	}
 
-	text := renderJobSweep(rows).Text
+	text := report("job-sweep").Text
 	for _, want := range []string{"fairness", "DQN/0", "queued"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("rendered sweep missing %q:\n%s", want, text)

@@ -17,8 +17,8 @@ import (
 // rate × topology × training mode, with dedicated fault cells for
 // worker crash (rejoin and permanent/evicted) and whole-plane switch
 // failover. Every number is virtual-time and therefore deterministic;
-// the same measurements feed `iswitch-bench -lossy` and the
-// BENCH_lossy.json regression baseline.
+// `iswitch-bench -exp lossy` prints it and testdata/golden/lossy.txt
+// holds it.
 
 // LossyCell is one sweep cell's measurement.
 type LossyCell struct {

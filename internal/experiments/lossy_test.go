@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -28,124 +26,13 @@ func TestRenderLossy(t *testing.T) {
 	}
 }
 
-// --- BENCH_lossy.json --------------------------------------------------
-
-type lossyCellJSON struct {
-	Topology   string  `json:"topology"`
-	Mode       string  `json:"mode"`
-	Fault      string  `json:"fault"`
-	Loss       float64 `json:"loss"`
-	Workers    int     `json:"workers"`
-	Iterations int     `json:"iterations"`
-	TotalMs    float64 `json:"total_ms"`
-	MeanIterMs float64 `json:"mean_iter_ms"`
-	// MaxIterMs is the slowest single iteration — the recovery latency.
-	MaxIterMs   float64 `json:"max_iter_ms"`
-	Goodput     float64 `json:"goodput_updates_per_sec"`
-	Overhead    float64 `json:"overhead_vs_clean"`
-	Drops       uint64  `json:"drops"`
-	HelpsSent   uint64  `json:"helps_sent"`
-	Retransmits uint64  `json:"retransmits"`
-	ShadowHits  uint64  `json:"shadow_hits"`
-	Targeted    uint64  `json:"targeted_relays"`
-	Evicted     uint64  `json:"evicted"`
-	Rejoins     uint64  `json:"rejoins"`
-	Failovers   uint64  `json:"failovers"`
-}
-
-type lossyDoc struct {
-	Workers     int             `json:"workers"`
-	Iterations  int             `json:"iterations"`
-	ModelFloats int             `json:"model_floats"`
-	Cells       []lossyCellJSON `json:"cells"`
-}
-
-func lossyCellKey(topo, mode, fault string, loss float64) string {
-	return fmt.Sprintf("%s/%s/%s/%.4f", topo, mode, fault, loss)
-}
-
-func lossyToDoc(d LossyData) lossyDoc {
-	doc := lossyDoc{Workers: lossyWorkers, Iterations: lossyIterations, ModelFloats: lossyModelFloats}
-	for _, c := range d.Cells {
-		doc.Cells = append(doc.Cells, lossyCellJSON{
-			Topology: c.Topology, Mode: c.Mode, Fault: c.Fault, Loss: c.Loss,
-			Workers: c.Workers, Iterations: c.Iterations,
-			TotalMs:    float64(c.Total) / 1e6,
-			MeanIterMs: float64(c.MeanIter) / 1e6,
-			MaxIterMs:  float64(c.MaxIter) / 1e6,
-			Goodput:    c.Goodput, Overhead: c.Overhead,
-			Drops: c.Drops, HelpsSent: c.HelpsSent, Retransmits: c.Retransmits,
-			ShadowHits: c.ShadowHits, Targeted: c.Targeted,
-			Evicted: c.Evicted, Rejoins: c.Rejoins, Failovers: c.Failovers,
-		})
-	}
-	return doc
-}
-
-// TestWriteLossyJSON records the reliability baseline to the file named
-// by BENCH_LOSSY_JSON (skipped when unset, so a plain `go test ./...`
-// never writes files). CI uses:
-//
-//	BENCH_LOSSY_JSON=BENCH_lossy.json go test -run WriteLossyJSON ./internal/experiments
-func TestWriteLossyJSON(t *testing.T) {
-	out := os.Getenv("BENCH_LOSSY_JSON")
-	if out == "" {
-		t.Skip("BENCH_LOSSY_JSON not set")
-	}
-	data, err := json.MarshalIndent(lossyToDoc(RunLossy()), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
-}
-
-// TestLossyRegression is the CI reliability smoke: re-run the sweep and
-// fail if any cell's recovery latency (slowest iteration) grew more than
-// 50% over the committed BENCH_lossy.json baseline, or its goodput fell
-// below 75% of it. The sweep is virtual-time and fully deterministic, so
-// drift only comes from code changes; the generous ratios leave room for
-// deliberate protocol tuning without churning the baseline on every
-// timing-neutral refactor. Fault cells must also still exercise their
-// machinery (rejoin/eviction/failover counters stay nonzero). Gated on
-// BENCH_LOSSY_CHECK so the ~1s sweep runs once in CI, not in every local
-// `go test ./...`.
-func TestLossyRegression(t *testing.T) {
-	if os.Getenv("BENCH_LOSSY_CHECK") == "" {
-		t.Skip("BENCH_LOSSY_CHECK not set")
-	}
-	raw, err := os.ReadFile("../../BENCH_lossy.json")
-	if err != nil {
-		t.Fatalf("baseline missing (regenerate with BENCH_LOSSY_JSON): %v", err)
-	}
-	var base lossyDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("corrupt baseline: %v", err)
-	}
-	baseCells := map[string]lossyCellJSON{}
-	for _, c := range base.Cells {
-		baseCells[lossyCellKey(c.Topology, c.Mode, c.Fault, c.Loss)] = c
-	}
-
-	cur := lossyToDoc(RunLossy())
-	if len(cur.Cells) != len(base.Cells) {
-		t.Logf("sweep grew from %d to %d cells; only common cells are gated (regenerate the baseline to cover the rest)",
-			len(base.Cells), len(cur.Cells))
-	}
-	for _, c := range cur.Cells {
-		key := lossyCellKey(c.Topology, c.Mode, c.Fault, c.Loss)
-		b, ok := baseCells[key]
-		if !ok {
-			continue
-		}
-		if b.MaxIterMs > 0 && c.MaxIterMs > 1.5*b.MaxIterMs {
-			t.Errorf("%s: recovery latency %.2fms exceeds 1.5x the %.2fms baseline", key, c.MaxIterMs, b.MaxIterMs)
-		}
-		if b.Goodput > 0 && c.Goodput < 0.75*b.Goodput {
-			t.Errorf("%s: goodput %.1f/s fell below 75%% of the %.1f/s baseline", key, c.Goodput, b.Goodput)
-		}
+// TestLossyFaultsExercised holds the absolute half of the old
+// reliability gate over the sweep the golden checked: every fault cell
+// still exercises its machinery (Rejoins is not in the report, so the
+// golden alone would not notice), and a clean cell sends no Help.
+func TestLossyFaultsExercised(t *testing.T) {
+	for _, c := range lossyData().Cells {
+		key := fmt.Sprintf("%s/%s/%s/%.3f", c.Topology, c.Mode, c.Fault, c.Loss)
 		switch c.Fault {
 		case "crash-rejoin":
 			if c.Rejoins == 0 {

@@ -5,44 +5,6 @@ import (
 	"testing"
 )
 
-// TestParallelOutputByteIdentical is the harness's determinism
-// guarantee: running a generator's cells concurrently must produce
-// byte-identical Result text to the sequential run, because every cell
-// is an isolated kernel with fixed seeds and results are assembled in
-// submission order. One sync-path and one async-path generator cover
-// both simulation drivers.
-func TestParallelOutputByteIdentical(t *testing.T) {
-	if raceEnabled {
-		// The generators run ~10x slower under the race detector and this
-		// test runs each one twice; on small machines that pushes the
-		// package past go test's default timeout. Determinism is not a
-		// race property — the pool's concurrency is still exercised under
-		// -race by the other generator tests (which run with the default
-		// sequential parallelism) and by internal/parallel's own suite.
-		t.Skip("byte-identity check skipped under -race; see comment")
-	}
-	old := Parallelism()
-	defer SetParallelism(old)
-
-	gens := []func() Result{AblationMTU, AblationStaleness}
-	SetParallelism(1)
-	var seq []Result
-	for _, g := range gens {
-		seq = append(seq, g())
-	}
-	SetParallelism(4)
-	for i, g := range gens {
-		got := g()
-		if got.Text != seq[i].Text {
-			t.Errorf("%s: parallel output differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
-				got.ID, seq[i].Text, got.Text)
-		}
-		if got.String() != seq[i].String() {
-			t.Errorf("%s: rendered Result differs between parallelism levels", got.ID)
-		}
-	}
-}
-
 func TestSetParallelismClamp(t *testing.T) {
 	old := Parallelism()
 	defer SetParallelism(old)

@@ -271,9 +271,9 @@ func quantAblation() []QuantAblationRow {
 	return rows
 }
 
-// RunQuant runs the full sweep.
-func RunQuant() QuantData {
-	var d QuantData
+// quantSweep runs the DES cells, one per scheme, and fills in the
+// ratios against the CompNone cell.
+func quantSweep() []QuantCell {
 	schemes := []protocol.Compression{protocol.CompNone, protocol.CompFP16,
 		protocol.CompInt32Block, protocol.CompTopK}
 	cells := parMap(len(schemes), func(i int) QuantCell { return runQuantCell(schemes[i]) })
@@ -286,9 +286,12 @@ func RunQuant() QuantData {
 			cells[i].ByteRatio = float64(base.AccessBytes) / float64(cells[i].AccessBytes)
 		}
 	}
-	d.Cells = cells
-	d.Ablation = quantAblation()
-	return d
+	return cells
+}
+
+// RunQuant runs the full sweep.
+func RunQuant() QuantData {
+	return QuantData{Cells: quantSweep(), Ablation: quantAblation()}
 }
 
 // Quant renders the sweep as an experiment result.

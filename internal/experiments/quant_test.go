@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -40,160 +38,55 @@ func TestRenderQuant(t *testing.T) {
 // the gradient (relative error strictly below 1.0 — the error of
 // sending nothing — with headroom). Bounds are generous multiples of
 // the observed values so the gate trips on regressions, not noise.
+// These are the rows the golden leaves out (they differ in the last
+// digit by kernel backend), read from the same run.
 func TestQuantConvergenceGate(t *testing.T) {
+	bounds := map[string]struct{ maxErr, maxDrift float64 }{
+		protocol.CompFP16.String():       {5e-3, 1e-2},
+		protocol.CompInt32Block.String(): {1e-2, 5e-2},
+		protocol.CompTopK.String():       {0.8, 0.5},
+	}
 	for _, name := range rl.Workloads() {
 		t.Run(name, func(t *testing.T) {
-			ref, _, _ := quantTrainRun(name, protocol.CompNone)
-			for _, tc := range []struct {
-				scheme           protocol.Compression
-				maxErr, maxDrift float64
-			}{
-				{protocol.CompFP16, 5e-3, 1e-2},
-				{protocol.CompInt32Block, 1e-2, 5e-2},
-				{protocol.CompTopK, 0.8, 0.5},
-			} {
-				params, relErr, _ := quantTrainRun(name, tc.scheme)
-				if relErr > tc.maxErr {
-					t.Errorf("%v: final-round aggregate error %.3e exceeds %.1e", tc.scheme, relErr, tc.maxErr)
+			checked := 0
+			for _, r := range quantAccuracy() {
+				b, ok := bounds[r.Scheme]
+				if r.Workload != name || !ok {
+					continue
 				}
-				var dN, rN float64
-				for i := range params {
-					d := float64(params[i] - ref[i])
-					dN += d * d
-					rN += float64(ref[i]) * float64(ref[i])
+				checked++
+				if r.RelErr > b.maxErr {
+					t.Errorf("%s: final-round aggregate error %.3e exceeds %.1e", r.Scheme, r.RelErr, b.maxErr)
 				}
-				drift := dN
-				if rN > 0 {
-					drift = dN / rN
+				if r.ParamDrift > b.maxDrift {
+					t.Errorf("%s: param drift %.3e exceeds %.1e", r.Scheme, r.ParamDrift, b.maxDrift)
 				}
-				if drift > tc.maxDrift*tc.maxDrift { // compare squared norms
-					t.Errorf("%v: param drift %.3e exceeds %.1e", tc.scheme, drift, tc.maxDrift*tc.maxDrift)
-				}
+			}
+			if checked != len(bounds) {
+				t.Errorf("ablation has %d lossy-scheme rows for %s, want %d", checked, name, len(bounds))
 			}
 		})
 	}
 }
 
-// --- BENCH_quant.json --------------------------------------------------
-
-type quantCellJSON struct {
-	Scheme      string  `json:"scheme"`
-	Workers     int     `json:"workers"`
-	Iterations  int     `json:"iterations"`
-	TotalMs     float64 `json:"total_ms"`
-	MeanIterMs  float64 `json:"mean_iter_ms"`
-	AccessBytes uint64  `json:"access_bytes"`
-	Speedup     float64 `json:"speedup_vs_fp32"`
-	ByteRatio   float64 `json:"byte_ratio_vs_fp32"`
-}
-
-type quantAblJSON struct {
-	Workload    string  `json:"workload"`
-	Scheme      string  `json:"scheme"`
-	RelErr      float64 `json:"rel_err"`
-	UploadBytes uint64  `json:"upload_bytes"`
-	ParamDrift  float64 `json:"param_drift"`
-}
-
-type quantDoc struct {
-	ModelFloats int             `json:"model_floats"`
-	KAry        int             `json:"k_ary"`
-	HostsPer    int             `json:"hosts_per_edge"`
-	Cells       []quantCellJSON `json:"cells"`
-	Ablation    []quantAblJSON  `json:"ablation"`
-}
-
-func quantToDoc(d QuantData) quantDoc {
-	doc := quantDoc{ModelFloats: quantModelFloats, KAry: quantKAry, HostsPer: quantHostsPer}
-	for _, c := range d.Cells {
-		doc.Cells = append(doc.Cells, quantCellJSON{
-			Scheme: c.Scheme, Workers: c.Workers, Iterations: c.Iterations,
-			TotalMs: float64(c.Total) / 1e6, MeanIterMs: float64(c.MeanIter) / 1e6,
-			AccessBytes: c.AccessBytes, Speedup: c.Speedup, ByteRatio: c.ByteRatio,
-		})
+// TestQuantInt32BlockFloors holds the compression acceptance floors
+// over the DES sweep the golden checked: int32block keeps >= 1.5x round
+// speedup and >= 1.9x access-link byte cut over raw float32.
+func TestQuantInt32BlockFloors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the 6.4 MB fat-tree sweep takes minutes under -race; covered by non-race legs")
 	}
-	for _, r := range d.Ablation {
-		doc.Ablation = append(doc.Ablation, quantAblJSON{
-			Workload: r.Workload, Scheme: r.Scheme, RelErr: r.RelErr,
-			UploadBytes: r.UploadBytes, ParamDrift: r.ParamDrift,
-		})
-	}
-	return doc
-}
-
-// TestWriteQuantJSON records the compression baseline to the file named
-// by BENCH_QUANT_JSON (skipped when unset, so a plain `go test ./...`
-// never writes files). CI uses:
-//
-//	BENCH_QUANT_JSON=BENCH_quant.json go test -run WriteQuantJSON ./internal/experiments
-func TestWriteQuantJSON(t *testing.T) {
-	out := os.Getenv("BENCH_QUANT_JSON")
-	if out == "" {
-		t.Skip("BENCH_QUANT_JSON not set")
-	}
-	data, err := json.MarshalIndent(quantToDoc(RunQuant()), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
-}
-
-// TestQuantRegression is the CI compression gate: re-run the DES sweep
-// and hold the int32block cell to the acceptance floors — ≥1.5× round
-// speedup and ≥1.9× access-link byte cut over raw float32 — and every
-// cell to within 25% of the committed BENCH_quant.json baseline. The
-// sweep is virtual-time and fully deterministic, so drift only comes
-// from code changes. Gated on BENCH_QUANT_CHECK so the sweep runs once
-// in CI, not in every local `go test ./...`.
-func TestQuantRegression(t *testing.T) {
-	if os.Getenv("BENCH_QUANT_CHECK") == "" {
-		t.Skip("BENCH_QUANT_CHECK not set")
-	}
-	raw, err := os.ReadFile("../../BENCH_quant.json")
-	if err != nil {
-		t.Fatalf("missing committed baseline: %v", err)
-	}
-	var base quantDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatal(err)
-	}
-	baseBy := map[string]quantCellJSON{}
-	for _, c := range base.Cells {
-		baseBy[c.Scheme] = c
-	}
-
-	cur := quantToDoc(RunQuant())
-
-	var q16 *quantCellJSON
-	for i := range cur.Cells {
-		c := &cur.Cells[i]
-		if c.Scheme == protocol.CompInt32Block.String() {
-			q16 = c
-		}
-		b, ok := baseBy[c.Scheme]
-		if !ok {
-			t.Errorf("scheme %s missing from baseline", c.Scheme)
+	for _, c := range quantCells() {
+		if c.Scheme != protocol.CompInt32Block.String() {
 			continue
 		}
-		if c.MeanIterMs > b.MeanIterMs*1.25 {
-			t.Errorf("%s: mean iter %.3f ms regressed over baseline %.3f ms",
-				c.Scheme, c.MeanIterMs, b.MeanIterMs)
+		if c.Speedup < 1.5 {
+			t.Errorf("int32block speedup %.2fx below the 1.5x acceptance floor", c.Speedup)
 		}
-		if float64(c.AccessBytes) > float64(b.AccessBytes)*1.25 {
-			t.Errorf("%s: access bytes %d regressed over baseline %d",
-				c.Scheme, c.AccessBytes, b.AccessBytes)
+		if c.ByteRatio < 1.9 {
+			t.Errorf("int32block byte ratio %.2fx below the 1.9x acceptance floor", c.ByteRatio)
 		}
+		return
 	}
-	if q16 == nil {
-		t.Fatal("int32block cell missing from sweep")
-	}
-	if q16.Speedup < 1.5 {
-		t.Errorf("int32block speedup %.2fx below the 1.5x acceptance floor", q16.Speedup)
-	}
-	if q16.ByteRatio < 1.9 {
-		t.Errorf("int32block byte ratio %.2fx below the 1.9x acceptance floor", q16.ByteRatio)
-	}
+	t.Fatal("int32block cell missing from sweep")
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -46,181 +44,34 @@ func TestRenderServe(t *testing.T) {
 	}
 }
 
-// --- BENCH_serve.json --------------------------------------------------
-
-type serveSweepJSON struct {
-	Rate       float64 `json:"rate_per_sec"`
-	AchievedPS float64 `json:"achieved_per_sec"`
-	P50Us      float64 `json:"p50_us"`
-	P99Us      float64 `json:"p99_us"`
-	MaxUs      float64 `json:"max_us"`
-	Occupancy  float64 `json:"occupancy"`
-	MaxBatch   int     `json:"max_batch"`
-	Saturated  bool    `json:"saturated"`
-	Reason     string  `json:"reason,omitempty"`
-}
-
-type serveCellJSON struct {
-	Label        string  `json:"label"`
-	P50Us        float64 `json:"p50_us"`
-	P99Us        float64 `json:"p99_us"`
-	MaxUs        float64 `json:"max_us"`
-	Sent         uint64  `json:"sent"`
-	Done         uint64  `json:"done"`
-	Lost         uint64  `json:"lost"`
-	TrainRoundMs float64 `json:"train_round_ms"`
-	TrainPoliced uint64  `json:"train_policed"`
-	ServePoliced uint64  `json:"serve_policed"`
-}
-
-type serveDoc struct {
-	Replicas    int              `json:"replicas"`
-	Generators  int              `json:"generators"`
-	P99SLOUs    float64          `json:"p99_slo_us"`
-	Curve       []serveSweepJSON `json:"curve"`
-	CoResRatePS float64          `json:"cores_rate_per_sec"`
-	Off         serveCellJSON    `json:"cores_off"`
-	FIFO        serveCellJSON    `json:"cores_fifo"`
-	Fair        serveCellJSON    `json:"cores_fair"`
-	FairOverOff float64          `json:"fair_p99_over_off"`
-	FIFOOverOff float64          `json:"fifo_p99_over_off"`
-}
-
-func serveCellToJSON(c serve.CoResCell) serveCellJSON {
-	return serveCellJSON{
-		Label: c.Label,
-		P50Us: us(c.Serve.P50), P99Us: us(c.Serve.P99), MaxUs: us(c.Serve.Max),
-		Sent: c.Serve.Sent, Done: c.Serve.Done, Lost: c.Serve.Lost,
-		TrainRoundMs: float64(c.TrainRound) / 1e6,
-		TrainPoliced: c.TrainPoliced, ServePoliced: c.ServePoliced,
-	}
-}
-
-func serveToDoc(d ServeData) serveDoc {
-	doc := serveDoc{
-		Replicas: serveSweepReplicas, Generators: serveSweepGenerators,
-		P99SLOUs:    us(serveSweepSLO),
-		CoResRatePS: d.CoRes.Cfg.Rate,
-		Off:         serveCellToJSON(d.CoRes.Off),
-		FIFO:        serveCellToJSON(d.CoRes.FIFO),
-		Fair:        serveCellToJSON(d.CoRes.Fair),
-		FairOverOff: ratio(d.CoRes.Fair.Serve.P99, d.CoRes.Off.Serve.P99),
-		FIFOOverOff: ratio(d.CoRes.FIFO.Serve.P99, d.CoRes.Off.Serve.P99),
-	}
-	for _, pt := range d.Curve {
-		doc.Curve = append(doc.Curve, serveSweepJSON{
-			Rate: pt.Rate, AchievedPS: pt.M.Achieved,
-			P50Us: us(pt.M.P50), P99Us: us(pt.M.P99), MaxUs: us(pt.M.Max),
-			Occupancy: pt.M.Occupancy, MaxBatch: pt.M.MaxBatch,
-			Saturated: pt.Saturated, Reason: pt.Reason,
-		})
-	}
-	return doc
-}
-
-// TestWriteServeJSON records the serving baseline to the file named by
-// BENCH_SERVE_JSON (skipped when unset). CI regenerates with:
-//
-//	BENCH_SERVE_JSON=BENCH_serve.json go test -run WriteServeJSON ./internal/experiments
-func TestWriteServeJSON(t *testing.T) {
-	out := os.Getenv("BENCH_SERVE_JSON")
-	if out == "" {
-		t.Skip("BENCH_SERVE_JSON not set")
-	}
-	data, err := json.MarshalIndent(serveToDoc(RunServe()), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
-}
-
-// TestServeRegression is the CI serving smoke: re-run the sweep and the
-// co-residency cells and gate them two ways against the committed
-// BENCH_serve.json baseline. Relative gates (generous ratios, since the
-// run is deterministic and drift only comes from code changes): the
-// saturation rate must not shrink, matching pre-saturation points must
-// not inflate p99 more than 1.5x, and train rounds must stay within
-// 1.5x. Absolute gates restate the isolation claim itself: under
-// weighted-fair + policing the compliant inference tenant's p99 stays
-// within serveFairP99Cap of the unimpeded cell while FIFO shows at
-// least serveFIFOP99Floor of inflation, zero inference frames are
-// policed or lost anywhere, and the fair cell actually policed the
-// training tenant. Gated on BENCH_SERVE_CHECK so the run happens once
-// in CI, not in every local `go test ./...`.
-func TestServeRegression(t *testing.T) {
-	if os.Getenv("BENCH_SERVE_CHECK") == "" {
-		t.Skip("BENCH_SERVE_CHECK not set")
-	}
-	raw, err := os.ReadFile("../../BENCH_serve.json")
-	if err != nil {
-		t.Fatalf("baseline missing (regenerate with BENCH_SERVE_JSON): %v", err)
-	}
-	var base serveDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("corrupt baseline: %v", err)
-	}
-
-	cur := serveToDoc(RunServe())
-
-	// Relative: saturation must not come earlier than the baseline.
-	satRate := func(d serveDoc) float64 {
-		for _, pt := range d.Curve {
-			if pt.Saturated {
-				return pt.Rate
-			}
-		}
-		return 0
-	}
-	if b, c := satRate(base), satRate(cur); b > 0 && c > 0 && c < b {
-		t.Errorf("fleet saturates at %.0f req/s, earlier than the %.0f baseline", c, b)
-	}
-	basePts := map[float64]serveSweepJSON{}
-	for _, pt := range base.Curve {
-		basePts[pt.Rate] = pt
-	}
-	for _, pt := range cur.Curve {
-		b, ok := basePts[pt.Rate]
-		if !ok || pt.Saturated || b.Saturated {
-			continue
-		}
-		if b.P99Us > 0 && pt.P99Us > 1.5*b.P99Us {
-			t.Errorf("rate %.0f: p99 %.1fus exceeds 1.5x the %.1fus baseline", pt.Rate, pt.P99Us, b.P99Us)
-		}
-	}
-	for _, pair := range []struct {
-		name string
-		b, c serveCellJSON
-	}{{"fifo", base.FIFO, cur.FIFO}, {"fair", base.Fair, cur.Fair}} {
-		if pair.b.TrainRoundMs > 0 && pair.c.TrainRoundMs > 1.5*pair.b.TrainRoundMs {
-			t.Errorf("%s train round %.3fms exceeds 1.5x the %.3fms baseline",
-				pair.name, pair.c.TrainRoundMs, pair.b.TrainRoundMs)
-		}
-	}
-
-	// Absolute: the isolation claim itself.
-	for _, c := range []serveCellJSON{cur.Off, cur.FIFO, cur.Fair} {
-		if c.Lost != 0 {
-			t.Errorf("cell %s lost %d inference requests", c.Label, c.Lost)
+// TestServeIsolation restates the isolation claim over the cells the
+// golden checked: under weighted-fair + policing the compliant
+// inference tenant's p99 stays within serveFairP99Cap of the unimpeded
+// cell while FIFO shows at least serveFIFOP99Floor of inflation, zero
+// inference frames are policed or lost anywhere, and the fair cell
+// actually policed the training tenant.
+func TestServeIsolation(t *testing.T) {
+	cr := serveData().CoRes
+	for _, c := range []serve.CoResCell{cr.Off, cr.FIFO, cr.Fair} {
+		if c.Serve.Lost != 0 {
+			t.Errorf("cell %s lost %d inference requests", c.Label, c.Serve.Lost)
 		}
 		if c.ServePoliced != 0 {
 			t.Errorf("cell %s policed %d compliant inference frames", c.Label, c.ServePoliced)
 		}
 	}
-	if cur.FIFOOverOff < serveFIFOP99Floor {
+	if r := ratio(cr.FIFO.Serve.P99, cr.Off.Serve.P99); r < serveFIFOP99Floor {
 		t.Errorf("fifo p99 only %.2fx the unimpeded cell (< %.1fx): no contention to isolate",
-			cur.FIFOOverOff, serveFIFOP99Floor)
+			r, serveFIFOP99Floor)
 	}
-	if cur.FairOverOff > serveFairP99Cap {
+	if r := ratio(cr.Fair.Serve.P99, cr.Off.Serve.P99); r > serveFairP99Cap {
 		t.Errorf("fair p99 %.2fx the unimpeded cell exceeds the %.1fx isolation gate",
-			cur.FairOverOff, serveFairP99Cap)
+			r, serveFairP99Cap)
 	}
-	if cur.Fair.P99Us >= cur.FIFO.P99Us {
-		t.Errorf("fair p99 %.1fus not below fifo %.1fus", cur.Fair.P99Us, cur.FIFO.P99Us)
+	if cr.Fair.Serve.P99 >= cr.FIFO.Serve.P99 {
+		t.Errorf("fair p99 %v not below fifo %v", cr.Fair.Serve.P99, cr.FIFO.Serve.P99)
 	}
-	if cur.Fair.TrainPoliced == 0 {
+	if cr.Fair.TrainPoliced == 0 {
 		t.Error("fair cell never policed the training tenant (policer not engaged)")
 	}
 }

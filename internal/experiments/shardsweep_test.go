@@ -2,23 +2,8 @@ package experiments
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
-
-// The sweep is the heaviest generator in the package (8 async cells,
-// two of them DQN-sized); run it once and share the rows between tests.
-var sweepOnce = sync.Once{}
-var sweepRows []ShardSweepRow
-
-func sweepRowsCached() []ShardSweepRow {
-	sweepOnce.Do(func() {
-		SetParallelism(0)
-		defer SetParallelism(1)
-		sweepRows = shardSweepRows()
-	})
-	return sweepRows
-}
 
 // The sweep's headline claim: partitioning the async PS across more
 // shards strictly reduces the per-update round time for both the
@@ -32,7 +17,7 @@ func TestShardSweepAsyncStrictlyDecreasing(t *testing.T) {
 		// strength (the sharded runtime itself is raced in internal/core).
 		t.Skip("sweep generators too slow under -race; covered by non-race legs")
 	}
-	for _, row := range sweepRowsCached() {
+	for _, row := range shardRows() {
 		for i := 1; i < len(row.Shards); i++ {
 			prev, cur := row.Shards[i-1], row.Shards[i]
 			if row.AsyncPerIter[cur] >= row.AsyncPerIter[prev] {
@@ -58,11 +43,11 @@ func TestShardSweepRendersAllColumns(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sweep generators too slow under -race; covered by non-race legs")
 	}
-	rows := sweepRowsCached()
+	rows := shardRows()
 	if len(rows) != 2 {
 		t.Fatalf("sweep has %d rows, want 2 (DQN, PPO)", len(rows))
 	}
-	text := renderShardSweep(rows).Text
+	text := report("shard-sweep").Text
 	for _, want := range []string{"S=1", "S=2", "S=4", "S=8", "DQN", "PPO", "sync", "async"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("shard-sweep missing %q:\n%s", want, text)

@@ -1,10 +1,7 @@
 package multijob
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -14,8 +11,7 @@ import (
 )
 
 // Benchmarks for the multi-tenant scheduler: wall-clock cost of
-// simulating J co-running jobs, plus the sweep metrics recorded into
-// BENCH_multijob.json (env-gated, see TestWriteBenchJSON).
+// simulating J co-running jobs.
 
 // benchSpecs builds J small jobs cycling the four paper workloads
 // (model sizes scaled down so a bench sweep stays sub-second).
@@ -46,10 +42,10 @@ func runBenchSweep(tb testing.TB, j int) Summary {
 }
 
 // benchAdversarialSummary runs the adversarial fairness scenario the
-// regression gate and the bench JSON both record: two racks of four on
-// oversubscribed uplinks, three weighted wire-bound tenants, and an
-// open-loop flood adversary sharing a rack with one of them, under
-// weighted-fair admission with egress policing armed.
+// regression gate holds: two racks of four on oversubscribed uplinks,
+// three weighted wire-bound tenants, and an open-loop flood adversary
+// sharing a rack with one of them, under weighted-fair admission with
+// egress policing armed.
 func benchAdversarialSummary(tb testing.TB) Summary {
 	tb.Helper()
 	wl := perfmodel.Workload{
@@ -82,9 +78,8 @@ func benchAdversarialSummary(tb testing.TB) Summary {
 
 // TestAdversarialFairnessRegression is the always-on ratio gate for the
 // isolation headline: compliant tenants' Jain fairness under an active
-// adversary must stay at or above 0.9. It runs on every `go test`, not
-// just the env-gated JSON emission, so a scheduler or policer
-// regression fails CI directly.
+// adversary must stay at or above 0.9. It runs on every `go test`, so a
+// scheduler or policer regression fails CI directly.
 func TestAdversarialFairnessRegression(t *testing.T) {
 	sum := benchAdversarialSummary(t)
 	if sum.CompliantFairness < 0.9 {
@@ -106,76 +101,4 @@ func BenchmarkMultiJobSweep(b *testing.B) {
 			}
 		})
 	}
-}
-
-// --- BENCH_multijob.json emission --------------------------------------
-
-type benchRow struct {
-	Jobs              int     `json:"jobs"`
-	MakespanMs        float64 `json:"makespan_ms"`
-	MeanRoundMs       float64 `json:"mean_round_ms"`
-	AggThroughputGbps float64 `json:"agg_throughput_gbps"`
-	Fairness          float64 `json:"fairness"`
-	WallMs            float64 `json:"wall_ms"`
-}
-
-// benchAdvRow records the adversarial fairness scenario (see
-// benchAdversarialSummary): the compliant Jain figure is the one the
-// always-on regression test gates at >= 0.9.
-type benchAdvRow struct {
-	Jobs          int     `json:"jobs"`
-	CompliantJain float64 `json:"compliant_jain"`
-	Fairness      float64 `json:"fairness"`
-	MakespanMs    float64 `json:"makespan_ms"`
-	WallMs        float64 `json:"wall_ms"`
-}
-
-type benchDoc struct {
-	GOARCH      string      `json:"goarch"`
-	NumCPU      int         `json:"num_cpu"`
-	Rows        []benchRow  `json:"sweeps"`
-	Adversarial benchAdvRow `json:"adversarial"`
-}
-
-// TestWriteBenchJSON records the multi-tenant sweep trajectory to the
-// file named by BENCH_MULTIJOB_JSON (skipped when unset, so a plain
-// `go test ./...` never writes files). CI uses:
-//
-//	BENCH_MULTIJOB_JSON=BENCH_multijob.json go test -run WriteBenchJSON ./internal/multijob
-func TestWriteBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_MULTIJOB_JSON")
-	if out == "" {
-		t.Skip("BENCH_MULTIJOB_JSON not set")
-	}
-	doc := benchDoc{GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU()}
-	for _, j := range []int{1, 2, 4, 8} {
-		start := time.Now()
-		sum := runBenchSweep(t, j)
-		wall := time.Since(start)
-		doc.Rows = append(doc.Rows, benchRow{
-			Jobs:              j,
-			MakespanMs:        float64(sum.Makespan) / 1e6,
-			MeanRoundMs:       float64(sum.MeanRound) / 1e6,
-			AggThroughputGbps: sum.AggThroughputBps / 1e9,
-			Fairness:          sum.Fairness,
-			WallMs:            float64(wall.Nanoseconds()) / 1e6,
-		})
-	}
-	advStart := time.Now()
-	advSum := benchAdversarialSummary(t)
-	doc.Adversarial = benchAdvRow{
-		Jobs:          advSum.Jobs,
-		CompliantJain: advSum.CompliantFairness,
-		Fairness:      advSum.Fairness,
-		MakespanMs:    float64(advSum.Makespan) / 1e6,
-		WallMs:        float64(time.Since(advStart).Nanoseconds()) / 1e6,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

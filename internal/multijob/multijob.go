@@ -244,47 +244,27 @@ func NewFatTreeFabric(k *sim.Kernel, kAry, hostsPerEdge int,
 // NewFabricFromSpec builds a multi-tenant fabric from the same
 // declarative core.ClusterSpec the single-job Build consumes: the
 // spec's topology shape and link tiers pick the constructor, cfg
-// supplies the tenancy model (SRAM partition, admission policy). The
-// spec's Mode and per-mode configs are ignored — every tenant names
-// its own workload in its JobSpec.
+// supplies the tenancy model (SRAM partition, admission policy). Shape
+// rules and link defaults are core's (ClusterSpec.ResolveFabric), so a
+// shape Build would reject is an error here too, never a panic
+// downstream. The spec's Mode and per-mode configs are ignored — every
+// tenant names its own workload in its JobSpec.
 func NewFabricFromSpec(k *sim.Kernel, spec core.ClusterSpec, cfg FabricConfig) (*Fabric, error) {
-	link := spec.Link
-	if link == (netsim.LinkConfig{}) {
-		link = netsim.TenGbE()
-	}
-	uplink := spec.Uplink
-	if uplink == (netsim.LinkConfig{}) {
-		uplink = link
-	}
-	coreLink := spec.CoreLink
-	if coreLink == (netsim.LinkConfig{}) {
-		coreLink = uplink
+	spec, err := spec.ResolveFabric()
+	if err != nil {
+		return nil, fmt.Errorf("multijob: %w", err)
 	}
 	switch spec.Topology {
 	case core.TopoStar:
-		if spec.Workers <= 0 {
-			return nil, fmt.Errorf("multijob: star fabric needs Workers > 0")
-		}
-		return NewStarFabric(k, spec.Workers, link, cfg), nil
+		return NewStarFabric(k, spec.Workers, spec.Link, cfg), nil
 	case core.TopoTree:
-		if spec.Workers <= 0 || spec.PerRack <= 0 {
-			return nil, fmt.Errorf("multijob: tree fabric needs Workers and PerRack > 0")
-		}
-		return NewTreeFabric(k, spec.Workers, spec.PerRack, link, uplink, cfg), nil
+		return NewTreeFabric(k, spec.Workers, spec.PerRack, spec.Link, spec.Uplink, cfg), nil
 	case core.TopoThreeTier:
-		if spec.AGGs <= 0 || spec.ToRsPerAGG <= 0 || spec.HostsPerToR <= 0 {
-			return nil, fmt.Errorf("multijob: three-tier fabric needs AGGs, ToRsPerAGG, HostsPerToR > 0")
-		}
 		return NewThreeTierFabric(k, spec.AGGs, spec.ToRsPerAGG, spec.HostsPerToR,
-			link, uplink, coreLink, cfg), nil
-	case core.TopoFatTree:
-		if spec.KAry <= 0 || spec.HostsPerEdge <= 0 {
-			return nil, fmt.Errorf("multijob: fat-tree fabric needs KAry and HostsPerEdge > 0")
-		}
+			spec.Link, spec.Uplink, spec.CoreLink, cfg), nil
+	default: // ResolveFabric admits no fifth topology
 		return NewFatTreeFabric(k, spec.KAry, spec.HostsPerEdge,
-			link, uplink, coreLink, cfg), nil
-	default:
-		return nil, fmt.Errorf("multijob: unsupported fabric topology %v", spec.Topology)
+			spec.Link, spec.Uplink, spec.CoreLink, cfg), nil
 	}
 }
 

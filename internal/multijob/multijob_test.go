@@ -464,12 +464,20 @@ func TestFabricFromSpec(t *testing.T) {
 		t.Fatalf("spec-built fabric diverged:\n got %+v\nwant %+v", got, want)
 	}
 
+	// PerRack 0 means one rack here as it does in core.Build.
+	if f, err := NewFabricFromSpec(sim.NewKernel(), core.ClusterSpec{
+		Topology: core.TopoTree, Workers: 4}, FabricConfig{}); err != nil || len(f.Switches) != 2 {
+		t.Errorf("tree with PerRack 0: want one ToR under the root, got %v, %v", f, err)
+	}
+
 	for _, bad := range []core.ClusterSpec{
-		{Topology: core.TopoStar},                 // missing Workers
-		{Topology: core.TopoTree, Workers: 4},     // missing PerRack
-		{Topology: core.TopoThreeTier, AGGs: 2},   // missing tiers
-		{Topology: core.TopoFatTree, KAry: 4},     // missing HostsPerEdge
-		{Topology: core.Topology(99), Workers: 2}, // unknown shape
+		{Topology: core.TopoStar},                              // missing Workers
+		{Topology: core.TopoTree, Workers: 4, PerRack: -1},     // negative rack width
+		{Topology: core.TopoThreeTier, AGGs: 2},                // missing tiers
+		{Topology: core.TopoFatTree, KAry: 4},                  // HostsPerEdge: 0
+		{Topology: core.TopoFatTree, KAry: 3, HostsPerEdge: 1}, // odd KAry (BuildFatTree would panic)
+		{Topology: core.TopoFatTree, HostsPerEdge: 1},          // KAry: 0
+		{Topology: core.Topology(99), Workers: 2},              // unknown shape
 	} {
 		if _, err := NewFabricFromSpec(sim.NewKernel(), bad, FabricConfig{}); err == nil {
 			t.Errorf("spec %+v: want error", bad)

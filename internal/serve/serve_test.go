@@ -283,7 +283,7 @@ func TestRunUntilSaturation(t *testing.T) {
 }
 
 // TestCoResidencyIsolation is the always-on reduced gate of the
-// headline claim (the full sweep is CI-gated against BENCH_serve.json):
+// headline claim (experiments' TestServeIsolation holds the full cells):
 // FIFO co-residency inflates inference p99 well past the unimpeded
 // baseline, weighted-fair + policing pulls it back inside a fixed
 // factor, no inference frame is ever policed or lost, and the policer

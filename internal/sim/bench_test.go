@@ -128,3 +128,15 @@ func TestChanSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("chan steady state allocates %.3f allocs/op (total %.0f); ring buffers should be allocation-free", perOp, allocs)
 	}
 }
+
+// TestHoldCalendarAllocFree is the event-pooling regression gate: on
+// the calendar scheduler a steady-state hold recycles its event through
+// the kernel's free list, so priming aside the run must not allocate.
+// 0.1 allocs/event leaves room for the priming and bucket growth
+// amortized over 100k holds; the unpooled heap path sits at 1.0.
+func TestHoldCalendarAllocFree(t *testing.T) {
+	res := RunHold(NewKernel(), 1024, 100_000, 7)
+	if res.AllocsPerEvent > 0.1 {
+		t.Fatalf("calendar hold allocates %.3f/event, want <= 0.1 (pooling regression)", res.AllocsPerEvent)
+	}
+}

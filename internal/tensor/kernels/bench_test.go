@@ -1,13 +1,9 @@
 package kernels
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 )
 
 // Benchmarks run every kernel on every available backend at the sizes
@@ -17,9 +13,8 @@ import (
 //
 // go test -bench . ./internal/tensor/kernels
 //
-// TestWriteBenchJSON (env-gated, see below) renders the scalar-vs-SIMD
-// comparison into BENCH_kernels.json so the perf trajectory is recorded
-// in-repo.
+// The committed wall-clock numbers are tensor.add_gbps_64k and
+// tensor.add_seg_ns in benchmark/BASELINE.json.
 
 var benchSizes = []struct {
 	name string
@@ -138,131 +133,4 @@ func BenchmarkKernelAdam(b *testing.B) {
 			AdamStep(p, m, v, g, 0.9, 0.999, 0.1, 0.001, 0.1, 0.001, 1e-3, 1e-8)
 		}
 	})
-}
-
-// --- BENCH_kernels.json emission ---------------------------------------
-
-type benchEntry struct {
-	Kernel      string  `json:"kernel"`
-	SizeBytes   int     `json:"size_bytes"`
-	ScalarGBps  float64 `json:"scalar_GBps"`
-	SimdGBps    float64 `json:"simd_GBps"`
-	Speedup     float64 `json:"speedup"`
-	SimdBackend string  `json:"simd_backend"`
-}
-
-type benchReport struct {
-	GOARCH   string       `json:"goarch"`
-	NumCPU   int          `json:"num_cpu"`
-	Backends []string     `json:"backends"`
-	Default  string       `json:"default_backend"`
-	Kernels  []benchEntry `json:"kernels"`
-}
-
-// timeKernel measures steady-state ns/op for fn over vectors of n
-// floats with a self-calibrating iteration count.
-func timeKernel(n int, fn func()) float64 {
-	iters := 1
-	for {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			fn()
-		}
-		el := time.Since(start)
-		if el > 20*time.Millisecond {
-			return float64(el.Nanoseconds()) / float64(iters)
-		}
-		iters *= 4
-	}
-}
-
-// TestWriteBenchJSON records the scalar-vs-SIMD throughput table to the
-// file named by BENCH_KERNELS_JSON (skipped when unset, so a plain
-// `go test ./...` never writes files). CI and the Makefile-free local
-// flow both use:
-//
-//	BENCH_KERNELS_JSON=BENCH_kernels.json go test -run WriteBenchJSON ./internal/tensor/kernels
-func TestWriteBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_KERNELS_JSON")
-	if out == "" {
-		t.Skip("BENCH_KERNELS_JSON not set")
-	}
-	orig := Backend()
-	defer SetBackend(orig)
-
-	rep := benchReport{
-		GOARCH:   runtime.GOARCH,
-		NumCPU:   runtime.NumCPU(),
-		Backends: Backends(),
-		Default:  orig,
-	}
-	simd := ""
-	for _, b := range Backends() {
-		if b != "scalar" {
-			simd = b
-		}
-	}
-
-	for _, k := range []struct {
-		name string
-		run  func(n int) func()
-	}{
-		{"Add", func(n int) func() {
-			dst, src := benchVec(n, 1), benchVec(n, 2)
-			return func() { Add(dst, src) }
-		}},
-		{"Axpy", func(n int) func() {
-			dst, src := benchVec(n, 3), benchVec(n, 4)
-			return func() { Axpy(0.5, dst, src) }
-		}},
-		{"Scale", func(n int) func() {
-			dst := benchVec(n, 5)
-			return func() { Scale(-1, dst) }
-		}},
-		{"Dot", func(n int) func() {
-			x, y := benchVec(n, 6), benchVec(n, 7)
-			return func() { Dot(x, y) }
-		}},
-		{"Adam", func(n int) func() {
-			p, m, v, g := benchVec(n, 9), benchVec(n, 10), benchVec(n, 11), benchVec(n, 12)
-			for i := range v {
-				if v[i] < 0 {
-					v[i] = -v[i]
-				}
-			}
-			return func() { AdamStep(p, m, v, g, 0.9, 0.999, 0.1, 0.001, 0.1, 0.001, 1e-3, 1e-8) }
-		}},
-	} {
-		for _, sz := range benchSizes {
-			fn := k.run(sz.n)
-			gbps := func(backend string) float64 {
-				if err := SetBackend(backend); err != nil {
-					t.Fatal(err)
-				}
-				ns := timeKernel(sz.n, fn)
-				return float64(4*sz.n) / ns // bytes/ns == GB/s
-			}
-			e := benchEntry{
-				Kernel:      k.name,
-				SizeBytes:   4 * sz.n,
-				ScalarGBps:  gbps("scalar"),
-				SimdBackend: simd,
-			}
-			if simd != "" {
-				e.SimdGBps = gbps(simd)
-				e.Speedup = e.SimdGBps / e.ScalarGBps
-			}
-			rep.Kernels = append(rep.Kernels, e)
-		}
-	}
-
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(out, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (backends %v)", out, rep.Backends)
 }
