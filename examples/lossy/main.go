@@ -95,7 +95,7 @@ func main() {
 		early/float64(kth), late/float64(kth))
 
 	isw := cluster.ISW
-	sw := isw.StarSwitch
+	sw := isw.Fabric.IS
 	dropped := cluster.Workers()[0].Port().Dropped + sw.Switch().Ports()[0].Dropped
 	acc := sw.Accelerator().Stats()
 	shadow := sw.Shadow().Stats()

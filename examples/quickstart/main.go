@@ -82,5 +82,5 @@ func main() {
 		stats.MeanIter().Round(1e4), stats.Workers[0].MeanCompute().Round(1e4),
 		stats.MeanAgg().Round(1e4), stats.Workers[0].MeanUpdate().Round(1e4))
 	fmt.Printf("switch stats: %d data packets in, %d segment broadcasts\n",
-		cluster.StarSwitch.DataIn, cluster.StarSwitch.Broadcasts)
+		cluster.Fabric.IS.DataIn, cluster.Fabric.IS.Broadcasts)
 }

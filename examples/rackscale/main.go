@@ -48,18 +48,19 @@ func main() {
 	for i := range services {
 		services[i] = cluster.Client(i)
 	}
+	root, tors := cluster.Fabric.IS, cluster.Switches()[1:]
 	fmt.Printf("training DDPG on %d workers across %d racks (hierarchical aggregation)...\n",
-		workers, len(cluster.Tree.ToRs))
+		workers, len(tors))
 	stats := core.RunSync(k, agents, services, core.SyncConfig{
 		Iterations: 400, LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate})
 	fmt.Printf("  %d iterations in %v virtual time (per-iteration %v)\n",
 		400, stats.Total.Round(1e6), stats.MeanIter().Round(1e4))
-	for r, tor := range cluster.Tree.ToRs {
+	for r, tor := range tors {
 		fmt.Printf("  rack %d ToR: %d packets in, %d partial aggregates forwarded up\n",
 			r, tor.DataIn, tor.UpForwards)
 	}
 	fmt.Printf("  root switch: %d partial aggregates in, %d global broadcasts\n",
-		cluster.Tree.Root.DataIn, cluster.Tree.Root.Broadcasts)
+		root.DataIn, root.Broadcasts)
 
 	// --- Timing: Figure 15-style scaling, full DDPG-size gradients. ---
 	fmt.Printf("\nscaling DDPG-sized (%d KB) timing, racks of %d:\n", w.ModelBytes/1024, perRack)

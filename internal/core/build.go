@@ -195,9 +195,9 @@ func (s ClusterSpec) scheme() protocol.Compression {
 // ResolveFabric checks the topology's shape fields and returns the spec
 // with the fabric defaults filled in: a zero Link is 10 GbE, a zero
 // Uplink inherits Link, a zero CoreLink inherits Uplink, and a PerRack
-// of 0 puts every worker in one rack. It is the one copy of both that
-// Validate, Build and multijob.NewFabricFromSpec (which reads nothing
-// else of the spec) share.
+// of 0 puts every worker in one rack. A shape past what netsim's address
+// plans can number is rejected here, so it never reaches a builder. It is
+// the one copy of all three that Validate, Build and BuildFabric share.
 func (s ClusterSpec) ResolveFabric() (ClusterSpec, error) {
 	switch s.Topology {
 	case TopoStar, TopoTree:
@@ -210,13 +210,32 @@ func (s ClusterSpec) ResolveFabric() (ClusterSpec, error) {
 		if s.PerRack == 0 {
 			s.PerRack = s.Workers
 		}
+		perSwitch, racks := s.Workers, 1
+		if s.Topology == TopoTree { // whole racks are wired, used or not
+			perSwitch, racks = s.PerRack, (s.Workers-1)/s.PerRack+1
+		}
+		if perSwitch > netsim.MaxHostsPerSwitch {
+			return s, fmt.Errorf("core: %v puts %d workers on one switch; the address plan numbers at most %d", s.Topology, perSwitch, netsim.MaxHostsPerSwitch)
+		}
+		if racks > netsim.MaxRacks {
+			return s, fmt.Errorf("core: tree needs %d racks of %d for %d workers; the address plan numbers at most %d", racks, s.PerRack, s.Workers, netsim.MaxRacks)
+		}
 	case TopoThreeTier:
 		if s.AGGs <= 0 || s.ToRsPerAGG <= 0 || s.HostsPerToR <= 0 {
 			return s, fmt.Errorf("core: 3tier needs positive AGGs, ToRsPerAGG and HostsPerToR, got %d/%d/%d", s.AGGs, s.ToRsPerAGG, s.HostsPerToR)
 		}
+		if s.HostsPerToR > netsim.MaxHostsPerSwitch {
+			return s, fmt.Errorf("core: 3tier puts %d workers on one ToR; the address plan numbers at most %d", s.HostsPerToR, netsim.MaxHostsPerSwitch)
+		}
+		if s.AGGs > netsim.MaxThreeTierToRs/s.ToRsPerAGG { // AGGs × ToRsPerAGG, safe from overflow
+			return s, fmt.Errorf("core: 3tier has %d AGGs x %d ToRs; the address plan numbers at most %d ToRs", s.AGGs, s.ToRsPerAGG, netsim.MaxThreeTierToRs)
+		}
 	case TopoFatTree:
 		if s.KAry < 2 || s.KAry%2 != 0 || s.HostsPerEdge <= 0 {
 			return s, fmt.Errorf("core: fattree needs an even KAry >= 2 and HostsPerEdge > 0, got %d/%d", s.KAry, s.HostsPerEdge)
+		}
+		if s.KAry > netsim.MaxFatTreeK || s.HostsPerEdge > netsim.MaxFatTreeHostsPerEdge {
+			return s, fmt.Errorf("core: fattree k=%d with %d hosts per edge is past the address plan's k <= %d and %d hosts per edge", s.KAry, s.HostsPerEdge, netsim.MaxFatTreeK, netsim.MaxFatTreeHostsPerEdge)
 		}
 	default:
 		return s, fmt.Errorf("core: unknown topology %v", s.Topology)
@@ -231,6 +250,28 @@ func (s ClusterSpec) ResolveFabric() (ClusterSpec, error) {
 		s.CoreLink = s.Uplink
 	}
 	return s, nil
+}
+
+// BuildFabric constructs the iSwitch-enabled fabric the spec's topology
+// fields describe (ResolveFabric's shape rules and link defaults apply;
+// nothing else of the spec is read). It is the one place a Topology
+// turns into switches: Build runs one job over the result,
+// multijob.NewFabricFromSpec shares it between tenants.
+func (s ClusterSpec) BuildFabric(k *sim.Kernel) (*switchnet.Fabric, error) {
+	s, err := s.ResolveFabric()
+	if err != nil {
+		return nil, err
+	}
+	switch s.Topology {
+	case TopoStar:
+		return switchnet.BuildStar(k, s.Workers, s.Link), nil
+	case TopoTree:
+		return switchnet.BuildTreeN(k, s.Workers, s.PerRack, s.Link, s.Uplink), nil
+	case TopoThreeTier:
+		return switchnet.BuildThreeTier(k, s.AGGs, s.ToRsPerAGG, s.HostsPerToR, s.Link, s.Uplink, s.CoreLink), nil
+	default: // ResolveFabric admits no fifth topology
+		return switchnet.BuildFatTree(k, s.KAry, s.HostsPerEdge, s.Link, s.Uplink, s.CoreLink), nil
+	}
 }
 
 // Validate checks that the spec describes a cluster Build can construct:
@@ -325,52 +366,18 @@ func Build(k *sim.Kernel, spec ClusterSpec) *Cluster {
 
 // buildISW, buildPS and buildAR take a spec ResolveFabric has filled in.
 func buildISW(k *sim.Kernel, spec ClusterSpec) *ISWCluster {
-	link, uplink, coreLink := spec.Link, spec.Uplink, spec.CoreLink
 	cfg := DefaultISWConfig()
 	if spec.ISW != nil {
 		cfg = *spec.ISW
 	}
 	cfg.Compression = spec.scheme()
-	var c *ISWCluster
-	switch spec.Topology {
-	case TopoStar:
-		sc := switchnet.BuildStar(k, spec.Workers, link)
-		c = &ISWCluster{
-			workers: sc.Workers, n: spec.ModelFloats, h: spec.Workers, cfg: cfg,
-			StarSwitch: sc.IS,
-		}
-		for range sc.Workers {
-			c.target = append(c.target, sc.IS.Addr())
-		}
-	case TopoTree:
-		tc := switchnet.BuildTreeN(k, spec.Workers, spec.PerRack, link, uplink)
-		c = &ISWCluster{
-			workers: tc.Workers, n: spec.ModelFloats, h: len(tc.Workers), cfg: cfg,
-			Tree: tc,
-		}
-		for i := range tc.Workers {
-			c.target = append(c.target, tc.ToROf(i).Addr())
-		}
-	case TopoThreeTier:
-		tc := switchnet.BuildThreeTier(k, spec.AGGs, spec.ToRsPerAGG, spec.HostsPerToR, link, uplink, coreLink)
-		c = &ISWCluster{
-			workers: tc.Workers, n: spec.ModelFloats, h: len(tc.Workers), cfg: cfg,
-			ThreeTier: tc,
-		}
-		for i := range tc.Workers {
-			c.target = append(c.target, tc.ToROf3(i).Addr())
-		}
-	case TopoFatTree:
-		fc := switchnet.BuildFatTree(k, spec.KAry, spec.HostsPerEdge, link, uplink, coreLink)
-		c = &ISWCluster{
-			workers: fc.Workers, n: spec.ModelFloats, h: len(fc.Workers), cfg: cfg,
-			FatTree: fc,
-		}
-		for i := range fc.Workers {
-			c.target = append(c.target, fc.EdgeOfWorker(i).Addr())
-		}
-	default:
-		panic(fmt.Sprintf("core: Build: unknown topology %v", spec.Topology))
+	fab, _ := spec.BuildFabric(k) // Validate checked the shape
+	c := &ISWCluster{
+		workers: fab.Workers, n: spec.ModelFloats, h: len(fab.Workers), cfg: cfg,
+		Fabric: fab,
+	}
+	for i := range fab.Workers {
+		c.target = append(c.target, fab.Leaf(i).Addr())
 	}
 	if spec.Dedup || spec.LivenessHorizon > 0 {
 		for _, is := range c.Switches() {

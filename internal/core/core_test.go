@@ -468,14 +468,14 @@ func TestCalibrationAnchorsDQNSyncPS(t *testing.T) {
 func TestServiceInterfacesExposed(t *testing.T) {
 	k := sim.NewKernel()
 	c := Build(k, starSpec(ModeISW, 2, 100)).ISW
-	if c.StarSwitch == nil {
+	if c.Fabric.IS == nil || len(c.Switches()) != 1 {
 		t.Fatal("star switch not exposed")
 	}
 	if got := c.Client(0).H(); got != 2 {
 		t.Fatalf("H = %d", got)
 	}
 	tree := Build(k, treeSpec(2, 3, 100)).ISW
-	if tree.Tree == nil || len(tree.Workers()) != 6 {
+	if len(tree.Switches()) != 3 || len(tree.Workers()) != 6 {
 		t.Fatal("tree cluster malformed")
 	}
 	if got := tree.Client(5).H(); got != 6 {

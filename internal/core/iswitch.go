@@ -101,11 +101,9 @@ type ISWCluster struct {
 	h      int
 	cfg    ISWConfig
 
-	// Exposed for experiments/tests.
-	StarSwitch *switchnet.ISwitch
-	Tree       *switchnet.TreeCluster
-	ThreeTier  *switchnet.ThreeTierCluster
-	FatTree    *switchnet.FatTreeCluster
+	// Fabric is the switch hierarchy Build wired (nil for a cluster
+	// NewISWOnFabric laid over hosts of a shared fabric).
+	Fabric *switchnet.Fabric
 
 	// crashes holds the per-worker crash schedule (ScheduleCrash).
 	crashes map[int][]netsim.CrashFault

@@ -114,7 +114,8 @@ func (c PSConfig) shardMsgCost(shardFloats, modelFloats int) sim.Time {
 const MaxPSShards = 128
 
 // PSShardAddr returns shard s's server address. Servers live on the
-// 10.0.1.x subnet, clear of worker addresses at any worker count.
+// 10.0.1.x subnet; worker plans keep the third byte 0 (netsim.HostAddr)
+// and bound their own indices, so no valid shape reaches it.
 func PSShardAddr(s int) protocol.Addr {
 	if s < 0 || s >= MaxPSShards {
 		panic(fmt.Sprintf("core: shard index %d out of range [0,%d)", s, MaxPSShards))

@@ -49,25 +49,10 @@ func (c *ISWCluster) ScheduleCrash(f netsim.CrashFault) {
 // Switches lists the cluster's aggregation switches, root/core first —
 // the index space netsim.SwitchFault.Switch names.
 func (c *ISWCluster) Switches() []*switchnet.ISwitch {
-	var out []*switchnet.ISwitch
-	switch {
-	case c.StarSwitch != nil:
-		out = append(out, c.StarSwitch)
-	case c.Tree != nil:
-		out = append(out, c.Tree.Root)
-		out = append(out, c.Tree.ToRs...)
-	case c.ThreeTier != nil:
-		out = append(out, c.ThreeTier.Core)
-		out = append(out, c.ThreeTier.AGGs...)
-		out = append(out, c.ThreeTier.ToRs...)
-	case c.FatTree != nil:
-		out = append(out, c.FatTree.Core)
-		out = append(out, c.FatTree.Aggs...)
-		for _, row := range c.FatTree.Edges {
-			out = append(out, row...)
-		}
+	if c.Fabric == nil {
+		return nil
 	}
-	return out
+	return c.Fabric.Switches
 }
 
 // relayArmed reports whether the switch-to-relay failover is in play.

@@ -22,10 +22,10 @@ func TestSyncSurvivesPacketLoss(t *testing.T) {
 	spec := starSpec(ModeISW, nWorkers, nFloats)
 	spec.ISW = &cfg
 	c := Build(k, spec).ISW
-	c.StarSwitch.SetDedup(true)
+	c.Fabric.IS.SetDedup(true)
 	// Worker 0's uplink loses 20% of packets; worker 1's downlink 10%.
 	c.Workers()[0].Port().SetLoss(0.20, 7)
-	c.StarSwitch.Switch().Ports()[1].SetLoss(0.10, 9)
+	c.Fabric.IS.Switch().Ports()[1].SetLoss(0.10, 9)
 
 	agents := make([]rl.Agent, nWorkers)
 	ints := make([]*intAgent, nWorkers)
@@ -64,15 +64,15 @@ func TestSyncSurvivesPacketLoss(t *testing.T) {
 			}
 		}
 	}
-	dropped := c.Workers()[0].Port().Dropped + c.StarSwitch.Switch().Ports()[1].Dropped
+	dropped := c.Workers()[0].Port().Dropped + c.Fabric.IS.Switch().Ports()[1].Dropped
 	if dropped == 0 {
 		t.Fatal("loss injection did not fire; test proves nothing")
 	}
-	if c.StarSwitch.Accelerator().Stats().DupDropped == 0 {
+	if c.Fabric.IS.Accelerator().Stats().DupDropped == 0 {
 		t.Log("note: no duplicate retransmissions were needed this run")
 	}
 	t.Logf("survived %d dropped packets (%d duplicate retransmits absorbed, %d help relays) in %v",
-		dropped, c.StarSwitch.Accelerator().Stats().DupDropped, c.StarSwitch.HelpRelayed, stats.Total)
+		dropped, c.Fabric.IS.Accelerator().Stats().DupDropped, c.Fabric.IS.HelpRelayed, stats.Total)
 }
 
 // With recovery disabled and loss present, training must stall rather
@@ -121,10 +121,10 @@ func TestRecoverySurvivesFinalRoundDownlinkLoss(t *testing.T) {
 	spec := starSpec(ModeISW, nWorkers, nFloats)
 	spec.ISW = &cfg
 	c := Build(k, spec).ISW
-	c.StarSwitch.SetDedup(true)
+	c.Fabric.IS.SetDedup(true)
 	// Heavy downlink loss toward worker 0 makes a lost final-round
 	// broadcast overwhelmingly likely across 12 iterations.
-	c.StarSwitch.Switch().Ports()[0].SetLoss(0.30, 5)
+	c.Fabric.IS.Switch().Ports()[0].SetLoss(0.30, 5)
 
 	agents := make([]rl.Agent, nWorkers)
 	ints := make([]*intAgent, nWorkers)
@@ -150,9 +150,9 @@ func TestRecoverySurvivesFinalRoundDownlinkLoss(t *testing.T) {
 			t.Fatalf("worker %d completed %d of %d iterations", w, len(a.applied), iters)
 		}
 	}
-	if c.StarSwitch.Switch().Ports()[0].Dropped == 0 {
+	if c.Fabric.IS.Switch().Ports()[0].Dropped == 0 {
 		t.Fatal("loss injection did not fire")
 	}
 	t.Logf("dropped %d, help served from cache %d, relayed %d",
-		c.StarSwitch.Switch().Ports()[0].Dropped, c.StarSwitch.HelpServed, c.StarSwitch.HelpRelayed)
+		c.Fabric.IS.Switch().Ports()[0].Dropped, c.Fabric.IS.HelpServed, c.Fabric.IS.HelpRelayed)
 }

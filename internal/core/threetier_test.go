@@ -63,18 +63,19 @@ func TestThreeTierAggregation(t *testing.T) {
 
 	// Each level forwarded/aggregated the expected volumes.
 	segs := uint64((nFloats + 365) / 366)
-	for i, tor := range c.ThreeTier.ToRs {
+	sws := c.Switches() // core, then the AGGs, then the ToRs
+	for i, tor := range sws[1+nAGGs:] {
 		if tor.UpForwards != segs*iters {
 			t.Errorf("tor %d upforwards = %d, want %d", i, tor.UpForwards, segs*iters)
 		}
 	}
-	for i, aggSW := range c.ThreeTier.AGGs {
+	for i, aggSW := range sws[1 : 1+nAGGs] {
 		if aggSW.UpForwards != segs*iters {
 			t.Errorf("agg %d upforwards = %d, want %d", i, aggSW.UpForwards, segs*iters)
 		}
 	}
-	if c.ThreeTier.Core.Broadcasts != segs*iters {
-		t.Errorf("core broadcasts = %d, want %d", c.ThreeTier.Core.Broadcasts, segs*iters)
+	if sws[0].Broadcasts != segs*iters {
+		t.Errorf("core broadcasts = %d, want %d", sws[0].Broadcasts, segs*iters)
 	}
 	if stats.MeanIter() <= 0 {
 		t.Fatal("no timing recorded")

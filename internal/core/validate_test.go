@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"iswitch/internal/netsim"
 	"iswitch/internal/protocol"
 	"iswitch/internal/sim"
 )
@@ -111,6 +112,58 @@ func TestValidateRejections(t *testing.T) {
 			err := tc.spec.Validate()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want an error containing %q, got %v", tc.want, err)
+			}
+		})
+	}
+}
+
+// The address plans number hosts and switches with one byte per index.
+// Each row is a shape at a plan's limit, which Validate accepts, and the
+// edit that takes it one past, which must be rejected with the limit in
+// the message (past it a byte wraps onto another host's address, routes
+// overwrite each other and no round completes).
+func TestValidateAddressPlanBounds(t *testing.T) {
+	spec := func(topo Topology, edit func(*ClusterSpec)) ClusterSpec {
+		s := ClusterSpec{Topology: topo, Mode: ModeISW, ModelFloats: 800}
+		edit(&s)
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		at   ClusterSpec
+		past func(*ClusterSpec)
+		want string
+	}{
+		{"star-workers", spec(TopoStar, func(s *ClusterSpec) { s.Workers = netsim.MaxHostsPerSwitch }),
+			func(s *ClusterSpec) { s.Workers++ }, "at most 127"},
+		{"star-workers-ps", spec(TopoStar, func(s *ClusterSpec) { s.Mode, s.Workers = ModePS, netsim.MaxHostsPerSwitch }),
+			func(s *ClusterSpec) { s.Workers++ }, "at most 127"},
+		// One rack, mostly unused, is still wired whole.
+		{"tree-per-rack", spec(TopoTree, func(s *ClusterSpec) { s.Workers, s.PerRack = 4, netsim.MaxHostsPerSwitch }),
+			func(s *ClusterSpec) { s.PerRack++ }, "at most 127"},
+		{"tree-one-rack", spec(TopoTree, func(s *ClusterSpec) { s.Workers = netsim.MaxHostsPerSwitch }),
+			func(s *ClusterSpec) { s.Workers++ }, "at most 127"},
+		{"tree-racks", spec(TopoTree, func(s *ClusterSpec) { s.Workers, s.PerRack = 2*netsim.MaxRacks, 2 }),
+			func(s *ClusterSpec) { s.Workers++ }, "at most 253"},
+		{"3tier-hosts-per-tor", spec(TopoThreeTier, func(s *ClusterSpec) { s.AGGs, s.ToRsPerAGG, s.HostsPerToR = 1, 1, netsim.MaxHostsPerSwitch }),
+			func(s *ClusterSpec) { s.HostsPerToR++ }, "at most 127"},
+		{"3tier-tors", spec(TopoThreeTier, func(s *ClusterSpec) { s.AGGs, s.ToRsPerAGG, s.HostsPerToR = 2, netsim.MaxThreeTierToRs/2, 1 }),
+			func(s *ClusterSpec) { s.ToRsPerAGG++ }, "at most 222 ToRs"},
+		{"3tier-aggs", spec(TopoThreeTier, func(s *ClusterSpec) { s.AGGs, s.ToRsPerAGG, s.HostsPerToR = netsim.MaxThreeTierToRs, 1, 1 }),
+			func(s *ClusterSpec) { s.AGGs++ }, "at most 222 ToRs"},
+		{"fattree-k", spec(TopoFatTree, func(s *ClusterSpec) { s.KAry, s.HostsPerEdge = netsim.MaxFatTreeK, 1 }),
+			func(s *ClusterSpec) { s.KAry += 2 }, "k <= 254"},
+		{"fattree-hosts-per-edge", spec(TopoFatTree, func(s *ClusterSpec) { s.KAry, s.HostsPerEdge = 2, netsim.MaxFatTreeHostsPerEdge }),
+			func(s *ClusterSpec) { s.HostsPerEdge++ }, "254 hosts per edge"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.at.Validate(); err != nil {
+				t.Fatalf("rejected at the bound: %v", err)
+			}
+			spec := tc.at
+			tc.past(&spec)
+			if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("one past the bound: want an error containing %q, got %v", tc.want, err)
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/sim"
+	"iswitch/internal/switchnet"
 )
 
 // Fairness isolation experiment: an adversarial tenant floods a shared
@@ -108,20 +109,6 @@ func fairnessSpecs(withAdv, weighted bool) []multijob.JobSpec {
 	return specs
 }
 
-// uplinkOf finds the transmit port from a ToR toward the root.
-func uplinkOf(f *multijob.Fabric, tor, root int) *netsim.Port {
-	rootPorts := make(map[*netsim.Port]bool)
-	for _, p := range f.Switches[root].Switch().Ports() {
-		rootPorts[p] = true
-	}
-	for _, p := range f.Switches[tor].Switch().Ports() {
-		if rootPorts[p.Peer()] {
-			return p
-		}
-	}
-	panic("experiments: fairness fabric has no ToR→root uplink")
-}
-
 func fairnessCell(label string, withAdv, weighted bool) FairnessCell {
 	cfg := multijob.FabricConfig{}
 	if weighted {
@@ -131,8 +118,8 @@ func fairnessCell(label string, withAdv, weighted bool) FairnessCell {
 	uplink := netsim.TenGbE()
 	uplink.BitsPerSecond = fairUplinkBps
 	// Hosts 0..3 under ToR0 (jobs a, b), 4..7 under ToR1 (c, adv).
-	f := multijob.NewTreeFabric(k, 2*fairPerRack, fairPerRack,
-		netsim.TenGbE(), uplink, cfg)
+	f := multijob.NewFabric(k, switchnet.BuildTreeN(k, 2*fairPerRack, fairPerRack,
+		netsim.TenGbE(), uplink), cfg)
 	res, err := multijob.Run(f, fairnessSpecs(withAdv, weighted))
 	if err != nil {
 		panic(fmt.Sprintf("experiments: fairness cell %s: %v", label, err))
@@ -144,7 +131,7 @@ func fairnessCell(label string, withAdv, weighted bool) FairnessCell {
 		RoundMs:       make(map[string]float64),
 	}
 	// Switches[0] is the root, [1] ToR0, [2] ToR1 (NewTreeFabric order).
-	up0, up1 := uplinkOf(f, 1, 0), uplinkOf(f, 2, 0)
+	up0, up1 := f.Switches[1].Uplink(), f.Switches[2].Uplink() // [root, ToR0, ToR1]
 	byName := make(map[string]*multijob.JobResult)
 	tx := func(p *netsim.Port, r *multijob.JobResult) uint64 { return p.TxBytesByJob(r.Job) }
 	for _, r := range res {

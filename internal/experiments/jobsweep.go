@@ -9,6 +9,7 @@ import (
 	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/sim"
+	"iswitch/internal/switchnet"
 )
 
 // Multi-tenant job-count sweep: J co-running training jobs share one
@@ -69,8 +70,8 @@ func jobSweepRows() []JobSweepRow {
 	return parMap(len(counts), func(i int) JobSweepRow {
 		j := counts[i]
 		k := sim.NewKernel()
-		f := multijob.NewTreeFabric(k, jobSweepWorkersPerJob*j, jobSweepPerRack,
-			netsim.TenGbE(), netsim.TenGbE(), multijob.FabricConfig{})
+		f := multijob.NewFabric(k, switchnet.BuildTreeN(k, jobSweepWorkersPerJob*j, jobSweepPerRack,
+			netsim.TenGbE(), netsim.TenGbE()), multijob.FabricConfig{})
 		res, err := multijob.Run(f, jobSweepSpecs(j))
 		if err != nil {
 			panic(fmt.Sprintf("experiments: job-sweep J=%d: %v", j, err))

@@ -156,116 +156,51 @@ type Fabric struct {
 	target []protocol.Addr
 	path   [][]*switchnet.ISwitch
 
-	// Switches lists every iSwitch in the fabric (deduped).
+	// Switches lists every iSwitch in the fabric, root first.
 	Switches []*switchnet.ISwitch
 
 	cfg  FabricConfig
 	next int // host-allocation cursor
 }
 
-func (f *Fabric) arm(cfg FabricConfig) {
-	f.cfg = cfg
+// NewFabric makes a built iSwitch fabric multi-tenant: every switch
+// gets its own SRAM pool and shared bus (cfg), and the fabric's
+// per-worker chains become the paths admission walks.
+func NewFabric(k *sim.Kernel, fab *switchnet.Fabric, cfg FabricConfig) *Fabric {
+	f := &Fabric{K: k, Hosts: fab.Workers, Switches: fab.Switches, cfg: cfg}
+	for i := range fab.Workers {
+		f.target = append(f.target, fab.Leaf(i).Addr())
+		f.path = append(f.path, fab.Chain(i))
+	}
 	for _, is := range f.Switches {
 		is.SetTenancy(accel.NewSRAMPool(cfg.SRAMBytes, cfg.Policy, cfg.MaxJobs),
 			accel.NewSharedBus())
 	}
-}
-
-// NewStarFabric builds a single-switch fabric with nHosts workers.
-func NewStarFabric(k *sim.Kernel, nHosts int, link netsim.LinkConfig, cfg FabricConfig) *Fabric {
-	c := switchnet.BuildStar(k, nHosts, link)
-	f := &Fabric{K: k, Hosts: c.Workers, Switches: []*switchnet.ISwitch{c.IS}}
-	for range c.Workers {
-		f.target = append(f.target, c.IS.Addr())
-		f.path = append(f.path, []*switchnet.ISwitch{c.IS})
-	}
-	f.arm(cfg)
 	return f
 }
 
-// NewTreeFabric builds the rack-scale two-level fabric: nHosts workers
-// in racks of perRack under ToR switches beneath one root.
-func NewTreeFabric(k *sim.Kernel, nHosts, perRack int, edge, uplink netsim.LinkConfig, cfg FabricConfig) *Fabric {
-	c := switchnet.BuildTreeN(k, nHosts, perRack, edge, uplink)
-	f := &Fabric{K: k, Hosts: c.Workers}
-	f.Switches = append(f.Switches, c.Root)
-	f.Switches = append(f.Switches, c.ToRs...)
-	for i := range c.Workers {
-		tor := c.ToROf(i)
-		f.target = append(f.target, tor.Addr())
-		f.path = append(f.path, []*switchnet.ISwitch{tor, c.Root})
-	}
-	f.arm(cfg)
-	return f
-}
-
-// NewThreeTierFabric builds the full ToR→AGG→core fabric.
-func NewThreeTierFabric(k *sim.Kernel, nAGGs, torsPerAGG, hostsPerToR int,
-	edge, aggLink, coreLink netsim.LinkConfig, cfg FabricConfig) *Fabric {
-	c := switchnet.BuildThreeTier(k, nAGGs, torsPerAGG, hostsPerToR, edge, aggLink, coreLink)
-	f := &Fabric{K: k, Hosts: c.Workers}
-	f.Switches = append(f.Switches, c.Core)
-	f.Switches = append(f.Switches, c.AGGs...)
-	f.Switches = append(f.Switches, c.ToRs...)
-	for i := range c.Workers {
-		tor := c.ToROf3(i)
-		agg := c.AGGs[c.Net.AGGOf[c.Net.ToROf[i]]]
-		f.target = append(f.target, tor.Addr())
-		f.path = append(f.path, []*switchnet.ISwitch{tor, agg, c.Core})
-	}
-	f.arm(cfg)
-	return f
-}
-
-// NewFatTreeFabric builds a k-ary fat-tree (kAry pods, kAry/2 edge and
-// aggregation switches per pod, hostsPerEdge workers per edge switch)
-// with iSwitch aggregation on the embedded spine tree: each worker's
-// chain is edge → pod agg0 → core0. kAry=8 with hostsPerEdge=32 is the
-// 1024-worker rackscale shape the calendar-queue kernel is sized for.
+// NewFatTreeFabric is NewFabric over switchnet.BuildFatTree: kAry=8
+// with hostsPerEdge=32 is the 1024-worker rackscale shape the
+// calendar-queue kernel is sized for.
 func NewFatTreeFabric(k *sim.Kernel, kAry, hostsPerEdge int,
 	edge, aggLink, coreLink netsim.LinkConfig, cfg FabricConfig) *Fabric {
-	c := switchnet.BuildFatTree(k, kAry, hostsPerEdge, edge, aggLink, coreLink)
-	f := &Fabric{K: k, Hosts: c.Workers}
-	f.Switches = append(f.Switches, c.Core)
-	for pod := range c.Edges {
-		f.Switches = append(f.Switches, c.Aggs[pod])
-		f.Switches = append(f.Switches, c.Edges[pod]...)
-	}
-	for i := range c.Workers {
-		es := c.EdgeOfWorker(i)
-		agg := c.Aggs[c.Net.PodOf[i]]
-		f.target = append(f.target, es.Addr())
-		f.path = append(f.path, []*switchnet.ISwitch{es, agg, c.Core})
-	}
-	f.arm(cfg)
-	return f
+	return NewFabric(k, switchnet.BuildFatTree(k, kAry, hostsPerEdge, edge, aggLink, coreLink), cfg)
 }
 
 // NewFabricFromSpec builds a multi-tenant fabric from the same
 // declarative core.ClusterSpec the single-job Build consumes: the
-// spec's topology shape and link tiers pick the constructor, cfg
-// supplies the tenancy model (SRAM partition, admission policy). Shape
-// rules and link defaults are core's (ClusterSpec.ResolveFabric), so a
-// shape Build would reject is an error here too, never a panic
-// downstream. The spec's Mode and per-mode configs are ignored — every
-// tenant names its own workload in its JobSpec.
+// spec's topology shape and link tiers pick the fabric, cfg supplies
+// the tenancy model (SRAM partition, admission policy). Shape rules and
+// link defaults are core's (ClusterSpec.ResolveFabric), so a shape
+// Build would reject is an error here too, never a panic downstream.
+// The spec's Mode and per-mode configs are ignored — every tenant names
+// its own workload in its JobSpec.
 func NewFabricFromSpec(k *sim.Kernel, spec core.ClusterSpec, cfg FabricConfig) (*Fabric, error) {
-	spec, err := spec.ResolveFabric()
+	fab, err := spec.BuildFabric(k)
 	if err != nil {
 		return nil, fmt.Errorf("multijob: %w", err)
 	}
-	switch spec.Topology {
-	case core.TopoStar:
-		return NewStarFabric(k, spec.Workers, spec.Link, cfg), nil
-	case core.TopoTree:
-		return NewTreeFabric(k, spec.Workers, spec.PerRack, spec.Link, spec.Uplink, cfg), nil
-	case core.TopoThreeTier:
-		return NewThreeTierFabric(k, spec.AGGs, spec.ToRsPerAGG, spec.HostsPerToR,
-			spec.Link, spec.Uplink, spec.CoreLink, cfg), nil
-	default: // ResolveFabric admits no fifth topology
-		return NewFatTreeFabric(k, spec.KAry, spec.HostsPerEdge,
-			spec.Link, spec.Uplink, spec.CoreLink, cfg), nil
-	}
+	return NewFabric(k, fab, cfg), nil
 }
 
 // FreeHosts reports how many fabric hosts are still unassigned.

@@ -11,10 +11,25 @@ import (
 	"iswitch/internal/protocol"
 	"iswitch/internal/rl"
 	"iswitch/internal/sim"
+	"iswitch/internal/switchnet"
 )
 
 func testLink() netsim.LinkConfig {
 	return netsim.LinkConfig{BitsPerSecond: 10e9, Propagation: 2 * time.Microsecond}
+}
+
+// The positional shorthands the tests build fabrics with: NewFabric
+// over the matching switchnet builder.
+func NewStarFabric(k *sim.Kernel, nHosts int, link netsim.LinkConfig, cfg FabricConfig) *Fabric {
+	return NewFabric(k, switchnet.BuildStar(k, nHosts, link), cfg)
+}
+
+func NewTreeFabric(k *sim.Kernel, nHosts, perRack int, edge, uplink netsim.LinkConfig, cfg FabricConfig) *Fabric {
+	return NewFabric(k, switchnet.BuildTreeN(k, nHosts, perRack, edge, uplink), cfg)
+}
+
+func NewThreeTierFabric(k *sim.Kernel, nAGGs, torsPerAGG, hostsPerToR int, edge, aggLink, coreLink netsim.LinkConfig, cfg FabricConfig) *Fabric {
+	return NewFabric(k, switchnet.BuildThreeTier(k, nAGGs, torsPerAGG, hostsPerToR, edge, aggLink, coreLink), cfg)
 }
 
 // refStar is the single-tenant reference the fabric runs are compared

@@ -457,12 +457,6 @@ func (s *scheduler) removeRunning(jr *jobRun) {
 // ports have a single tenant and stay unpoliced, as does every port in
 // a single-job run — the legacy byte-identity path.
 func (s *scheduler) armShaping() {
-	owner := make(map[*netsim.Port]*switchnet.ISwitch)
-	for _, is := range s.f.Switches {
-		for _, p := range is.Switch().Ports() {
-			owner[p] = is
-		}
-	}
 	type portKey struct {
 		is   *switchnet.ISwitch
 		port *netsim.Port
@@ -480,13 +474,9 @@ func (s *scheduler) armShaping() {
 		}
 		for _, chain := range jr.chains {
 			for lvl := 0; lvl+1 < len(chain); lvl++ {
-				child, parent := chain[lvl], chain[lvl+1]
-				for _, p := range child.Switch().Ports() {
-					if owner[p.Peer()] == parent {
-						note(portKey{child, p}, jr)         // partials up
-						note(portKey{parent, p.Peer()}, jr) // broadcasts down
-					}
-				}
+				up := chain[lvl].Uplink()
+				note(portKey{chain[lvl], up}, jr)          // partials up
+				note(portKey{chain[lvl+1], up.Peer()}, jr) // broadcasts down
 			}
 		}
 	}

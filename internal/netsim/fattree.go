@@ -56,6 +56,8 @@ func BuildFatTree(k *sim.Kernel, kAry, hostsPerEdge int, edge, aggLink, coreLink
 	if hostsPerEdge < 1 {
 		panic(fmt.Sprintf("netsim: fat-tree hostsPerEdge must be >= 1, got %d", hostsPerEdge))
 	}
+	checkShape("fat-tree pods", kAry, MaxFatTreeK)
+	checkShape("hosts per edge", hostsPerEdge, MaxFatTreeHostsPerEdge)
 	half := kAry / 2
 	ft := &FatTree{K: kAry, HostsPerEdge: hostsPerEdge}
 
@@ -141,6 +143,14 @@ func BuildFatTree(k *sim.Kernel, kAry, hostsPerEdge int, edge, aggLink, coreLink
 	}
 	return ft
 }
+
+const (
+	// MaxFatTreeK bounds the pods to 0..253: below the switches' 11.255.*,
+	// and switchnet.FatEdgeAddr's 2+pod still fits its byte.
+	MaxFatTreeK = 254
+	// MaxFatTreeHostsPerEdge: host 253 takes the last byte 255.
+	MaxFatTreeHostsPerEdge = 254
+)
 
 // fatTreeAddr places fat-tree workers in 11.pod.edge.host — a separate
 // /8 from the star (10.0.*), tree (10.1..31.*), and three-tier

@@ -247,9 +247,6 @@ func (p *Port) Send(pkt *protocol.Packet) {
 	})
 }
 
-// BusyUntil exposes the egress serialization horizon, for tests.
-func (p *Port) BusyUntil() sim.Time { return p.busyUntil }
-
 // Connect creates a full-duplex link between two deliverables and
 // returns the two ports (a's side first).
 func Connect(k *sim.Kernel, cfg LinkConfig, a Deliverable, aName string, b Deliverable, bName string) (*Port, *Port) {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -386,4 +387,63 @@ func TestPerJobTxAccounting(t *testing.T) {
 	if len(shares) != 2 || shares[1] != 2*per || shares[2] != per {
 		t.Fatalf("ledger = %v", shares)
 	}
+}
+
+// Every address plan numbers its hosts with one byte per index. At each
+// plan's limit all host addresses are still distinct and clear of the
+// subnets the aggregation switches' own addresses live in (10.254.*,
+// 10.255.*, 11.255.*); one past it the builder panics, never wraps.
+func TestAddressPlansAtBounds(t *testing.T) {
+	l := testLink()
+	shapes := []struct {
+		name  string
+		hosts func(over int) []*Host // over: 0 builds at the bound, 1 one past it
+	}{
+		{"star", func(o int) []*Host { return BuildStar(sim.NewKernel(), MaxHostsPerSwitch+o, l).Hosts }},
+		{"tree-racks", func(o int) []*Host { return BuildRacks(sim.NewKernel(), MaxRacks+o, MaxHostsPerSwitch, l, l).Hosts }},
+		{"tree-per-rack", func(o int) []*Host { return BuildRacksN(sim.NewKernel(), 4, MaxHostsPerSwitch+o, l, l).Hosts }},
+		{"3tier-tors", func(o int) []*Host {
+			return BuildThreeTier(sim.NewKernel(), 2, MaxThreeTierToRs/2+o, MaxHostsPerSwitch, l, l, l).Hosts
+		}},
+		{"3tier-aggs", func(o int) []*Host { return BuildThreeTier(sim.NewKernel(), MaxThreeTierToRs+o, 1, 1, l, l, l).Hosts }},
+		{"3tier-hosts", func(o int) []*Host { return BuildThreeTier(sim.NewKernel(), 1, 1, MaxHostsPerSwitch+o, l, l, l).Hosts }},
+		{"fattree-hosts", func(o int) []*Host { return BuildFatTree(sim.NewKernel(), 4, MaxFatTreeHostsPerEdge+o, l, l, l).Hosts }},
+	}
+	for _, s := range shapes {
+		t.Run(s.name, func(t *testing.T) {
+			seen := make(map[[4]byte]bool)
+			for _, h := range s.hosts(0) {
+				ip := h.Addr.IP
+				if seen[ip] {
+					t.Fatalf("duplicate host address %v", h.Addr)
+				}
+				seen[ip] = true
+				if ip[1] >= 254 {
+					t.Fatalf("host address %v is inside the switches' control subnets", h.Addr)
+				}
+			}
+			defer func() {
+				if r := recover(); r == nil {
+					t.Fatal("one past the bound was built")
+				} else if msg, ok := r.(string); !ok || !strings.Contains(msg, "address plan") {
+					t.Fatalf("panic does not name the address plan: %v", r)
+				}
+			}()
+			s.hosts(1)
+		})
+	}
+	// A fat-tree at MaxFatTreeK has 4M links, too many to build here: the
+	// pod byte is checked on the address function and the builder's
+	// guard on its own.
+	first := fatTreeAddr(0, 0, 0)
+	last := fatTreeAddr(MaxFatTreeK-1, MaxFatTreeK/2-1, MaxFatTreeHostsPerEdge-1)
+	if first.IP != [4]byte{11, 0, 0, 2} || last.IP != [4]byte{11, 253, 126, 255} {
+		t.Fatalf("fat-tree plan corners = %v, %v", first, last)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BuildFatTree accepted k past the bound")
+		}
+	}()
+	BuildFatTree(sim.NewKernel(), MaxFatTreeK+2, 1, l, l, l)
 }

@@ -31,6 +31,8 @@ type ThreeTier struct {
 // ToR switches, each over hostsPerToR workers. Edge links join workers
 // to ToRs; aggLink joins ToRs to AGGs; coreLink joins AGGs to the core.
 func BuildThreeTier(k *sim.Kernel, nAGGs, torsPerAGG, hostsPerToR int, edge, aggLink, coreLink LinkConfig) *ThreeTier {
+	checkShape("three-tier ToRs", nAGGs*torsPerAGG, MaxThreeTierToRs)
+	checkShape("hosts per ToR", hostsPerToR, MaxHostsPerSwitch)
 	core := NewSwitch(k, "core", DefaultSwitchDelay)
 	tt := &ThreeTier{Core: core}
 
@@ -77,6 +79,9 @@ func BuildThreeTier(k *sim.Kernel, nAGGs, torsPerAGG, hostsPerToR int, edge, agg
 	}
 	return tt
 }
+
+// MaxThreeTierToRs bounds AGGs × ToRs per AGG: second bytes 32..253.
+const MaxThreeTierToRs = 222
 
 // threeTierAddr places workers in 10.32+tor.0.x to avoid colliding with
 // the star (10.0.*) and two-level (10.1..31.*) address plans.

@@ -21,9 +21,28 @@ const DefaultSwitchDelay = 1 * time.Microsecond
 // membership-table example.
 const WorkerPort = 9999
 
-// HostAddr returns the canonical address of host h in rack r.
+// HostAddr returns the canonical address of host h in rack r,
+// 10.rack.0.(2+2·host). Every plan spends one address byte per index;
+// past the Max* limit beside it a byte would wrap onto another host's
+// address and the two routes overwrite each other. The builders panic
+// there (core.ClusterSpec.ResolveFabric rejects the spec first).
 func HostAddr(rack, host int) protocol.Addr {
 	return protocol.AddrFrom(10, byte(rack), 0, byte(2+2*host), WorkerPort)
+}
+
+const (
+	// MaxHostsPerSwitch bounds a star, a rack and a three-tier ToR: host
+	// 126 takes the last byte 254.
+	MaxHostsPerSwitch = 127
+	// MaxRacks bounds a Tree: rack bytes 1..253, below the 10.254.* and
+	// 10.255.* of the aggregation switches' own addresses.
+	MaxRacks = 253
+)
+
+func checkShape(what string, got, limit int) {
+	if got > limit {
+		panic(fmt.Sprintf("netsim: %d %s is past the address plan's limit of %d", got, what, limit))
+	}
 }
 
 // Star is a single switch with n directly attached hosts.
@@ -35,6 +54,7 @@ type Star struct {
 // BuildStar wires n hosts to one switch over identical links and
 // installs host routes.
 func BuildStar(k *sim.Kernel, n int, link LinkConfig) *Star {
+	checkShape("hosts on a star", n, MaxHostsPerSwitch)
 	sw := NewSwitch(k, "sw0", DefaultSwitchDelay)
 	st := &Star{Switch: sw}
 	for i := 0; i < n; i++ {
@@ -112,6 +132,8 @@ func (t *Tree) AttachRootHost(k *sim.Kernel, addr protocol.Addr, link LinkConfig
 // BuildRacks builds nRacks racks of hostsPerRack workers. Edge links
 // connect hosts to their ToR; uplink links connect ToRs to the root.
 func BuildRacks(k *sim.Kernel, nRacks, hostsPerRack int, edge, uplink LinkConfig) *Tree {
+	checkShape("tree racks", nRacks, MaxRacks)
+	checkShape("hosts per rack", hostsPerRack, MaxHostsPerSwitch)
 	root := NewSwitch(k, "core", DefaultSwitchDelay)
 	tr := &Tree{Root: root}
 	for r := 0; r < nRacks; r++ {

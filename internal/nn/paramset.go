@@ -112,11 +112,3 @@ func (ps *ParamSet) ClipEachNorm(buf []float32, c float32) {
 		off += n.ParamCount()
 	}
 }
-
-// StepLocal applies each optimizer to the gradients currently held in
-// the networks (single-node training without aggregation).
-func (ps *ParamSet) StepLocal() {
-	for i, n := range ps.nets {
-		ps.opts[i].Step(n.Params(), n.Grads())
-	}
-}

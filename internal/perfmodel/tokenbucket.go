@@ -82,9 +82,6 @@ func (tb *TokenBucket) TakeAt(now time.Duration, n int) bool {
 	return true
 }
 
-// Level reports the current token level in bytes (tests).
-func (tb *TokenBucket) Level() float64 { return tb.tokens }
-
 // EgressShaper maps jobs to token buckets on one egress port. Jobs
 // without a bucket (the default job 0 included) are never delayed, so a
 // shaper-armed port carrying only unshaped traffic behaves exactly like

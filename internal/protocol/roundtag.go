@@ -31,6 +31,3 @@ func TagSeg(round, seg uint64) uint64 { return RoundTag(round) | (seg & SegIndex
 
 // SegIndex strips the round tag off a Seg field.
 func SegIndex(tagged uint64) uint64 { return tagged & SegIndexMask }
-
-// SegRound extracts a Seg field's round tag as a raw 16-bit value.
-func SegRound(tagged uint64) uint64 { return tagged >> RoundShift }

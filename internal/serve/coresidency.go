@@ -9,6 +9,7 @@ import (
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/protocol"
 	"iswitch/internal/sim"
+	"iswitch/internal/switchnet"
 )
 
 // Co-residency: inference tenants and a gradient-training job sharing
@@ -122,21 +123,6 @@ type CoResResult struct {
 	Off, FIFO, Fair CoResCell
 }
 
-// uplinkBetween finds the transmit port from ToR switch index tor
-// toward the root (multijob fabric switch order: root first).
-func uplinkBetween(f *multijob.Fabric, tor, root int) *netsim.Port {
-	rootPorts := make(map[*netsim.Port]bool)
-	for _, p := range f.Switches[root].Switch().Ports() {
-		rootPorts[p] = true
-	}
-	for _, p := range f.Switches[tor].Switch().Ports() {
-		if rootPorts[p.Peer()] {
-			return p
-		}
-	}
-	panic("serve: fabric has no ToR→root uplink")
-}
-
 // runCoResCell runs one cell. withTrain adds the gradient job; policed
 // additionally selects WeightedFair admission and arms the contended
 // link's per-job egress policers.
@@ -152,7 +138,7 @@ func runCoResCell(cfg CoResConfig, label string, withTrain, policed bool) CoResC
 	// replicas on 6–7 (rack 1, beside workers 4–5), generators on 8–9
 	// (rack 2) — requests and responses cross the same ToR1↔root link
 	// as rack 1's gradient partials and broadcasts.
-	f := multijob.NewTreeFabric(k, 12, 4, netsim.TenGbE(), uplink, fabCfg)
+	f := multijob.NewFabric(k, switchnet.BuildTreeN(k, 12, 4, netsim.TenGbE(), uplink), fabCfg)
 
 	genCfg := GenConfig{Rate: cfg.Rate, Arrival: ArrivalPoisson,
 		Duration: cfg.Duration, Seed: cfg.Seed + 101,
@@ -170,7 +156,7 @@ func runCoResCell(cfg CoResConfig, label string, withTrain, policed bool) CoResC
 		// link is ToR1↔root, both directions (partials + responses up,
 		// broadcasts + requests down).
 		root, tor1 := 0, 2
-		up = uplinkBetween(f, tor1, root)
+		up = f.Switches[tor1].Uplink()
 		for _, dir := range []struct {
 			sw   int
 			port *netsim.Port

@@ -20,8 +20,8 @@ import (
 func benchDemuxSwitch(tb testing.TB, nJobs int) (*ISwitch, []*protocol.Packet) {
 	tb.Helper()
 	k := sim.NewKernel()
-	c := BuildStar(k, 2, testLink(),
-		WithTenancy(accel.NewSRAMPool(0, accel.PartitionDemand, 8), accel.NewSharedBus()))
+	c := BuildStar(k, 2, testLink())
+	c.IS.SetTenancy(accel.NewSRAMPool(0, accel.PartitionDemand, 8), accel.NewSharedBus())
 	payload := make([]float32, protocol.FloatsPerPacket)
 	pkts := make([]*protocol.Packet, 0, nJobs)
 	for j := 1; j <= nJobs; j++ {

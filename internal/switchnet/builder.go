@@ -6,8 +6,10 @@ import (
 	"iswitch/internal/sim"
 )
 
-// Cluster builders that pair the plain network topologies with iSwitch
-// extensions on every switch.
+// Fabric builders that pair the plain network topologies with iSwitch
+// extensions on every switch. The switch addresses below spend one byte
+// per index like the host plans; netsim's shape limits (MaxRacks,
+// MaxThreeTierToRs, MaxFatTreeK) keep every such byte from wrapping.
 
 // SwitchPort is the UDP port iSwitch control planes listen on.
 const SwitchPort = 9990
@@ -21,104 +23,95 @@ func ToRAddr(r int) protocol.Addr { return protocol.AddrFrom(10, 255, byte(r+1),
 // RootAddr returns the core switch address.
 func RootAddr() protocol.Addr { return protocol.AddrFrom(10, 255, 0, 1, SwitchPort) }
 
-// StarCluster is n workers under one iSwitch-enabled switch — the
-// paper's main testbed shape (Figure 1c).
-type StarCluster struct {
-	Net     *netsim.Star
-	IS      *ISwitch
+// Fabric is an iSwitch-enabled topology: the paper's one rule (a switch
+// sums its children and forwards one partial to its parent; the root
+// broadcasts back down, §3.4) applied over a star, a rack tree, a
+// three-tier hierarchy or a fat-tree's embedded spine.
+type Fabric struct {
 	Workers []*netsim.Host
+	// Switches lists every aggregation switch, the root first, then each
+	// lower level in index order — the index space
+	// netsim.SwitchFault.Switch names.
+	Switches []*ISwitch
+	// IS is the root switch (the only switch of a star).
+	IS *ISwitch
+
+	leaves [][]*ISwitch // leaf switch l's chain: itself first, the root last
+	leafOf []int        // worker i hangs off leaf leafOf[i]
 }
 
-// BuildStar wires nWorkers hosts to one iSwitch over identical links.
-// opts (e.g. WithTenancy) are applied to the switch.
-func BuildStar(k *sim.Kernel, nWorkers int, link netsim.LinkConfig, opts ...Option) *StarCluster {
+// Chain returns worker i's aggregation path, leaf switch first, root
+// last. The slice is shared between the leaf's workers: read-only.
+func (f *Fabric) Chain(i int) []*ISwitch { return f.leaves[f.leafOf[i]] }
+
+// Leaf returns the switch worker i contributes to.
+func (f *Fabric) Leaf(i int) *ISwitch { return f.Chain(i)[0] }
+
+func newFabric(workers []*netsim.Host, rootSw *netsim.Switch, rootAddr protocol.Addr) *Fabric {
+	root := attach(rootSw, rootAddr)
+	return &Fabric{Workers: workers, Switches: []*ISwitch{root}, IS: root}
+}
+
+// child enables iSwitch on sw one level below parent: sw forwards its
+// completed local aggregates up uplink, parent counts it as one
+// contributor (an operator's configuration, not a Join round trip) and
+// routes broadcasts for addr back down the same link.
+func child(parent *ISwitch, sw *netsim.Switch, addr protocol.Addr, uplink *netsim.Port) *ISwitch {
+	is := attach(sw, addr)
+	is.parent, is.uplink = parent.addr, uplink
+	parent.RegisterChildSwitchJob(protocol.DefaultJob, addr)
+	parent.sw.AddRoute(protocol.Addr{IP: addr.IP}, uplink.Peer())
+	return is
+}
+
+// BuildStar wires nWorkers hosts to one iSwitch over identical links —
+// the paper's main testbed shape (Figure 1c).
+func BuildStar(k *sim.Kernel, nWorkers int, link netsim.LinkConfig) *Fabric {
 	star := netsim.BuildStar(k, nWorkers, link)
-	is := Attach(star.Switch, StarAddr(), opts...)
-	return &StarCluster{Net: star, IS: is, Workers: star.Hosts}
+	f := newFabric(star.Hosts, star.Switch, StarAddr())
+	f.leaves, f.leafOf = [][]*ISwitch{{f.IS}}, make([]int, nWorkers)
+	return f
 }
 
-// TreeCluster is the rack-scale shape (Figure 10): a root iSwitch over
-// per-rack ToR iSwitches, three (or so) workers per rack.
-type TreeCluster struct {
-	Net     *netsim.Tree
-	Root    *ISwitch
-	ToRs    []*ISwitch
-	Workers []*netsim.Host
-}
-
-// BuildTree builds nRacks racks of perRack workers with iSwitch enabled
-// at every level. ToRs forward completed local aggregates to the root;
-// the root broadcasts global aggregates back down through the ToRs.
-func BuildTree(k *sim.Kernel, nRacks, perRack int, edge, uplink netsim.LinkConfig, opts ...Option) *TreeCluster {
-	return attachTree(netsim.BuildRacks(k, nRacks, perRack, edge, uplink), opts...)
-}
-
-// BuildTreeN builds a tree holding totalWorkers workers in racks of up
-// to perRack (last rack may be partial), matching the paper's
-// scalability emulation where a 4-node job spans two 3-port racks.
-func BuildTreeN(k *sim.Kernel, totalWorkers, perRack int, edge, uplink netsim.LinkConfig, opts ...Option) *TreeCluster {
-	return attachTree(netsim.BuildRacksN(k, totalWorkers, perRack, edge, uplink), opts...)
-}
-
-func attachTree(tr *netsim.Tree, opts ...Option) *TreeCluster {
-	root := Attach(tr.Root, RootAddr(), opts...)
-	tc := &TreeCluster{Net: tr, Root: root, Workers: tr.Hosts}
-	for r, torSw := range tr.ToRs {
-		tor := Attach(torSw, ToRAddr(r), append([]Option{WithParent(RootAddr(), tr.Uplinks[r])}, opts...)...)
-		tc.ToRs = append(tc.ToRs, tor)
-		root.RegisterChildSwitch(ToRAddr(r))
-		// The root must be able to route broadcasts to each ToR address.
-		rootDown := tr.Uplinks[r].Peer()
-		tr.Root.AddRoute(protocol.Addr{IP: ToRAddr(r).IP}, rootDown)
+// BuildTreeN builds the rack-scale shape (Figure 10): totalWorkers
+// workers in racks of up to perRack (the last rack may be partial,
+// matching the paper's scalability emulation where a 4-node job spans
+// two 3-port racks) under per-rack ToR iSwitches beneath one root.
+func BuildTreeN(k *sim.Kernel, totalWorkers, perRack int, edge, uplink netsim.LinkConfig) *Fabric {
+	tr := netsim.BuildRacksN(k, totalWorkers, perRack, edge, uplink)
+	f := newFabric(tr.Hosts, tr.Root, RootAddr())
+	f.leafOf = tr.RackOf
+	for r, sw := range tr.ToRs {
+		tor := child(f.IS, sw, ToRAddr(r), tr.Uplinks[r])
+		f.Switches = append(f.Switches, tor)
+		f.leaves = append(f.leaves, []*ISwitch{tor, f.IS})
 	}
-	return tc
+	return f
 }
-
-// ToROf returns the ToR iSwitch responsible for worker index i.
-func (tc *TreeCluster) ToROf(i int) *ISwitch { return tc.ToRs[tc.Net.RackOf[i]] }
 
 // AGGAddr returns aggregation switch a's address.
 func AGGAddr(a int) protocol.Addr { return protocol.AddrFrom(10, 254, byte(a+1), 1, SwitchPort) }
 
-// ThreeTierCluster is the full ToR→AGG→Core hierarchy of Figure 10 with
-// iSwitch enabled at all three levels: ToRs aggregate their rack
+// BuildThreeTier enables iSwitch on every switch of the full
+// ToR→AGG→Core hierarchy of Figure 10: ToRs aggregate their rack
 // (H = workers/rack), AGGs aggregate their pod (H = ToRs/AGG), and the
 // core performs the global aggregation (H = number of AGGs) before
 // broadcasting back down through the levels.
-type ThreeTierCluster struct {
-	Net     *netsim.ThreeTier
-	Core    *ISwitch
-	AGGs    []*ISwitch
-	ToRs    []*ISwitch
-	Workers []*netsim.Host
-}
-
-// BuildThreeTier enables iSwitch on every switch of a three-tier fabric.
-func BuildThreeTier(k *sim.Kernel, nAGGs, torsPerAGG, hostsPerToR int, edge, aggLink, coreLink netsim.LinkConfig, opts ...Option) *ThreeTierCluster {
+func BuildThreeTier(k *sim.Kernel, nAGGs, torsPerAGG, hostsPerToR int, edge, aggLink, coreLink netsim.LinkConfig) *Fabric {
 	net := netsim.BuildThreeTier(k, nAGGs, torsPerAGG, hostsPerToR, edge, aggLink, coreLink)
-	core := Attach(net.Core, RootAddr(), opts...)
-	tc := &ThreeTierCluster{Net: net, Core: core, Workers: net.Hosts}
-
-	for a, aggSw := range net.AGGs {
-		agg := Attach(aggSw, AGGAddr(a), append([]Option{WithParent(RootAddr(), net.AGGUplinks[a])}, opts...)...)
-		tc.AGGs = append(tc.AGGs, agg)
-		core.RegisterChildSwitch(AGGAddr(a))
-		coreDown := net.AGGUplinks[a].Peer()
-		net.Core.AddRoute(protocol.Addr{IP: AGGAddr(a).IP}, coreDown)
+	f := newFabric(net.Hosts, net.Core, RootAddr())
+	f.leafOf = net.ToROf
+	for a, sw := range net.AGGs {
+		f.Switches = append(f.Switches, child(f.IS, sw, AGGAddr(a), net.AGGUplinks[a]))
 	}
-	for t, torSw := range net.ToRs {
-		a := net.AGGOf[t]
-		tor := Attach(torSw, ToRAddr(t), append([]Option{WithParent(AGGAddr(a), net.ToRUplinks[t])}, opts...)...)
-		tc.ToRs = append(tc.ToRs, tor)
-		tc.AGGs[a].RegisterChildSwitch(ToRAddr(t))
-		aggDown := net.ToRUplinks[t].Peer()
-		net.AGGs[a].AddRoute(protocol.Addr{IP: ToRAddr(t).IP}, aggDown)
+	for t, sw := range net.ToRs {
+		agg := f.Switches[1+net.AGGOf[t]]
+		tor := child(agg, sw, ToRAddr(t), net.ToRUplinks[t])
+		f.Switches = append(f.Switches, tor)
+		f.leaves = append(f.leaves, []*ISwitch{tor, agg, f.IS})
 	}
-	return tc
+	return f
 }
-
-// ToROf3 returns the ToR iSwitch of worker i in a three-tier cluster.
-func (tc *ThreeTierCluster) ToROf3(i int) *ISwitch { return tc.ToRs[tc.Net.ToROf[i]] }
 
 // Fat-tree addresses live in 11.255.*.* — above the 11.pod.edge.host
 // worker plan, mirroring how the other topologies reserve high octets
@@ -135,49 +128,27 @@ func FatEdgeAddr(p, e int) protocol.Addr {
 	return protocol.AddrFrom(11, 255, byte(2+p), byte(e+1), SwitchPort)
 }
 
-// FatTreeCluster is a k-ary fat-tree with iSwitch aggregation on the
-// embedded spine tree: every edge switch aggregates its rack and
-// forwards partials to its pod's agg0, which forwards to core0, which
-// broadcasts the global aggregate back down.
-type FatTreeCluster struct {
-	Net     *netsim.FatTree
-	Core    *ISwitch   // on Cores[0]
-	Aggs    []*ISwitch // one per pod, on Aggs[pod][0]
-	Edges   [][]*ISwitch
-	Workers []*netsim.Host
-}
-
-// EdgeOfWorker returns the edge iSwitch worker i homes on.
-func (fc *FatTreeCluster) EdgeOfWorker(i int) *ISwitch {
-	return fc.Edges[fc.Net.PodOf[i]][fc.Net.EdgeOf[i]]
-}
-
-// BuildFatTree enables iSwitch on the spine of a k-ary fat-tree
-// (every edge switch, each pod's agg0, and core0). kAry must be even;
-// hostsPerEdge scales rack density (k=8 with 32 hosts/edge = 1024
-// workers).
-func BuildFatTree(k *sim.Kernel, kAry, hostsPerEdge int, edge, aggLink, coreLink netsim.LinkConfig, opts ...Option) *FatTreeCluster {
+// BuildFatTree enables iSwitch on the embedded spine tree of a k-ary
+// fat-tree: every edge switch aggregates its rack and forwards partials
+// to its pod's agg0, which forwards to core0, which broadcasts the
+// global aggregate back down. kAry must be even; hostsPerEdge scales
+// rack density (k=8 with 32 hosts/edge = 1024 workers).
+func BuildFatTree(k *sim.Kernel, kAry, hostsPerEdge int, edge, aggLink, coreLink netsim.LinkConfig) *Fabric {
 	net := netsim.BuildFatTree(k, kAry, hostsPerEdge, edge, aggLink, coreLink)
-	core := Attach(net.Cores[0], FatCoreAddr(), opts...)
-	fc := &FatTreeCluster{Net: net, Core: core, Workers: net.Hosts}
-
-	for pod := 0; pod < kAry; pod++ {
-		aggSw := net.Aggs[pod][0]
-		agg := Attach(aggSw, FatAggAddr(pod), append([]Option{WithParent(FatCoreAddr(), net.AggUplinks[pod])}, opts...)...)
-		fc.Aggs = append(fc.Aggs, agg)
-		core.RegisterChildSwitch(FatAggAddr(pod))
-		coreDown := net.AggUplinks[pod].Peer()
-		net.Cores[0].AddRoute(protocol.Addr{IP: FatAggAddr(pod).IP}, coreDown)
-
-		var podEdges []*ISwitch
-		for e, edgeSw := range net.Edges[pod] {
-			es := Attach(edgeSw, FatEdgeAddr(pod, e), append([]Option{WithParent(FatAggAddr(pod), net.EdgeUplinks[pod][e])}, opts...)...)
-			podEdges = append(podEdges, es)
-			agg.RegisterChildSwitch(FatEdgeAddr(pod, e))
-			aggDown := net.EdgeUplinks[pod][e].Peer()
-			aggSw.AddRoute(protocol.Addr{IP: FatEdgeAddr(pod, e).IP}, aggDown)
+	f := newFabric(net.Hosts, net.Cores[0], FatCoreAddr())
+	for pod, aggs := range net.Aggs {
+		agg := child(f.IS, aggs[0], FatAggAddr(pod), net.AggUplinks[pod])
+		f.Switches = append(f.Switches, agg)
+		for e, sw := range net.Edges[pod] {
+			es := child(agg, sw, FatEdgeAddr(pod, e), net.EdgeUplinks[pod][e])
+			f.leaves = append(f.leaves, []*ISwitch{es, agg, f.IS})
 		}
-		fc.Edges = append(fc.Edges, podEdges)
 	}
-	return fc
+	for _, chain := range f.leaves { // the edge level lists after every pod's agg
+		f.Switches = append(f.Switches, chain[0])
+	}
+	for i := range net.Hosts {
+		f.leafOf = append(f.leafOf, net.PodOf[i]*kAry/2+net.EdgeOf[i])
+	}
+	return f
 }

@@ -15,8 +15,9 @@ import (
 func TestCheckpointRestoreAccounting(t *testing.T) {
 	k := sim.NewKernel()
 	pool := accel.NewSRAMPool(1<<20, accel.PartitionDemand, 0)
-	c := BuildStar(k, 2, testLink(), WithTenancy(pool, accel.NewSharedBus()))
+	c := BuildStar(k, 2, testLink())
 	is := c.IS
+	is.SetTenancy(pool, accel.NewSharedBus())
 
 	const floats = 1000
 	if err := is.AdmitJob(1, floats); err != nil {
@@ -107,8 +108,8 @@ func TestRestoreRefusedWhenSRAMTaken(t *testing.T) {
 	k := sim.NewKernel()
 	demand := accel.ContextDemand(1000, protocol.FloatsPerPacket)
 	pool := accel.NewSRAMPool(demand+demand/2, accel.PartitionDemand, 0)
-	c := BuildStar(k, 2, testLink(), WithTenancy(pool, nil))
-	is := c.IS
+	is := BuildStar(k, 2, testLink()).IS
+	is.SetTenancy(pool, nil)
 
 	if err := is.AdmitJob(1, 1000); err != nil {
 		t.Fatal(err)
@@ -139,8 +140,9 @@ func TestRestoreRefusedWhenSRAMTaken(t *testing.T) {
 func TestPreemptRestoreMidRound(t *testing.T) {
 	k := sim.NewKernel()
 	pool := accel.NewSRAMPool(0, accel.PartitionDemand, 0)
-	c := BuildStar(k, 2, testLink(), WithTenancy(pool, accel.NewSharedBus()))
+	c := BuildStar(k, 2, testLink())
 	is := c.IS
+	is.SetTenancy(pool, accel.NewSharedBus())
 	const job = protocol.JobID(5)
 	const floats = 4
 	if err := is.AdmitJob(job, floats); err != nil {

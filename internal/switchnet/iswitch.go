@@ -33,7 +33,7 @@ import (
 // their packets are honoured; data for unknown jobs is dropped, never
 // aggregated, so a queued or evicted job can not corrupt an admitted
 // job's segment buffers. When a finite SRAM pool is attached
-// (WithTenancy), admission reserves the job's worst-case segment-state
+// (SetTenancy), admission reserves the job's worst-case segment-state
 // demand; when a shared bus is attached, concurrent jobs' bursts
 // contend for the 256-bit datapath.
 type ISwitch struct {
@@ -54,9 +54,8 @@ type ISwitch struct {
 	// LimitJobEgressOn (nil until the first limit; see shaping.go).
 	shapers map[*netsim.Port]*perfmodel.EgressShaper
 
-	parent    protocol.Addr // zero => root
-	hasParent bool
-	uplink    *netsim.Port // ingress from the parent (broadcasts arrive here)
+	parent protocol.Addr // the next level up, reached through uplink
+	uplink *netsim.Port  // nil on the root; broadcasts from the parent arrive here
 
 	// horizon, when positive, arms lazy liveness detection: a worker
 	// whose contribution is blocking a segment and that has not been
@@ -133,51 +132,28 @@ func newJobCtx(job protocol.JobID) *jobCtx {
 	}
 }
 
-// Option configures an ISwitch.
-type Option func(*ISwitch)
-
-// WithParent makes the switch a non-root level that forwards completed
-// local aggregates to parentAddr via uplink. Broadcast packets arriving
-// on uplink are replicated to children.
-func WithParent(parentAddr protocol.Addr, uplink *netsim.Port) Option {
-	return func(is *ISwitch) {
-		is.parent = parentAddr
-		is.hasParent = true
-		is.uplink = uplink
-	}
-}
-
-// WithTenancy arms multi-tenant resource modeling: admitted jobs
-// reserve segment-state SRAM from pool, and concurrent jobs' bursts
-// contend on bus. Either may be nil to disable that dimension. The
-// default job 0 context is never metered — a tenancy-armed switch
-// carrying one job times identically to a legacy switch.
-func WithTenancy(pool *accel.SRAMPool, bus *accel.SharedBus) Option {
-	return func(is *ISwitch) { is.SetTenancy(pool, bus) }
-}
-
-// SetTenancy attaches the SRAM pool and shared bus after construction —
-// used by fabric builders that create one pool per switch (SRAM is a
-// per-switch resource, so sharing one pool across a hierarchy would
-// double-charge a job admitted at several levels).
+// SetTenancy arms multi-tenant resource modeling: admitted jobs reserve
+// segment-state SRAM from pool, and concurrent jobs' bursts contend on
+// bus. Either may be nil to disable that dimension. The default job 0
+// context is never metered — a tenancy-armed switch carrying one job
+// times identically to a legacy switch. SRAM is a per-switch resource:
+// sharing one pool across a hierarchy would double-charge a job admitted
+// at several levels.
 func (is *ISwitch) SetTenancy(pool *accel.SRAMPool, bus *accel.SharedBus) {
 	is.pool = pool
 	is.bus = bus
 }
 
-// Attach builds the iSwitch extension on top of sw. addr is the
-// switch's own protocol address (used as the source of aggregated
-// packets and as the destination its children send to).
-func Attach(sw *netsim.Switch, addr protocol.Addr, opts ...Option) *ISwitch {
+// attach builds the iSwitch extension on top of sw as a root level.
+// addr is the switch's own protocol address (used as the source of
+// aggregated packets and as the destination its children send to).
+func attach(sw *netsim.Switch, addr protocol.Addr) *ISwitch {
 	def := newJobCtx(protocol.DefaultJob)
 	is := &ISwitch{
 		sw:   sw,
 		addr: addr,
 		def:  def,
 		jobs: map[protocol.JobID]*jobCtx{protocol.DefaultJob: def},
-	}
-	for _, o := range opts {
-		o(is)
 	}
 	sw.SetTap(is.tap)
 	return is
@@ -214,16 +190,12 @@ func (is *ISwitch) MembershipOf(job protocol.JobID) *Membership {
 // Switch returns the underlying forwarding switch.
 func (is *ISwitch) Switch() *netsim.Switch { return is.sw }
 
+// Uplink returns this switch's port toward its parent level (nil on the
+// root); the parent's port for the same link is its Peer.
+func (is *ISwitch) Uplink() *netsim.Port { return is.uplink }
+
 // SRAMPool returns the attached SRAM pool (nil on unmetered switches).
 func (is *ISwitch) SRAMPool() *accel.SRAMPool { return is.pool }
-
-// Bus returns the attached shared bus (nil when contention modeling is
-// off).
-func (is *ISwitch) Bus() *accel.SharedBus { return is.bus }
-
-// IsRoot reports whether this switch performs the final (global)
-// aggregation.
-func (is *ISwitch) IsRoot() bool { return !is.hasParent }
 
 // ctx resolves a job's context; nil means the job is not admitted.
 func (is *ISwitch) ctx(job protocol.JobID) *jobCtx {
@@ -319,9 +291,6 @@ func (is *ISwitch) SetCompression(job protocol.JobID, scheme protocol.Compressio
 		ctx.modelFloats = modelFloats
 	}
 }
-
-// Compression returns the default job's negotiated scheme.
-func (is *ISwitch) Compression() protocol.Compression { return is.def.scheme }
 
 // tap is the data-plane intercept. It runs in kernel context after the
 // switch's forwarding-pipeline delay.
@@ -480,7 +449,7 @@ func (is *ISwitch) handleHelp(ctx *jobCtx, pkt *protocol.Packet) {
 		is.maybeAckHelp(ctx, pkt.Src, false)
 		return
 	}
-	if is.hasParent && pkt.Src != is.parent {
+	if is.uplink != nil && pkt.Src != is.parent {
 		up := protocol.NewControl(is.addr, is.parent, protocol.ActionHelp, pkt.Value)
 		up.Job = ctx.job
 		is.HelpUpForwards++
@@ -581,7 +550,7 @@ func (is *ISwitch) relayToMissing(ctx *jobCtx, seg uint64, helpValue []byte) {
 		relay.Job = ctx.job
 		is.unicast(relay)
 	}
-	if is.hasParent {
+	if is.uplink != nil {
 		// Chasing missing members can outlast the parent's liveness
 		// horizon (this switch is waiting out its own horizon before
 		// evicting a dead contributor, and emits nothing upward in the
@@ -654,7 +623,7 @@ func (is *ISwitch) emitFloat(ctx *jobCtx, seg uint64, sum []float32) {
 		kernels.F16RoundInPlace(sum)
 		out.Enc = protocol.CompFP16
 	}
-	if is.hasParent {
+	if is.uplink != nil {
 		out.Dst = is.parent
 		is.UpForwards++
 		is.uplink.Send(out) // the packet retains the buffer
@@ -669,7 +638,7 @@ func (is *ISwitch) emitFloat(ctx *jobCtx, seg uint64, sum []float32) {
 func (is *ISwitch) emitQ(ctx *jobCtx, seg uint64, q []int32, shift uint8) {
 	out := &protocol.Packet{Src: is.addr, ToS: protocol.ToSData, Job: ctx.job,
 		Seg: seg, Enc: protocol.CompInt32Block, Shift: shift, QData: q}
-	if is.hasParent {
+	if is.uplink != nil {
 		out.Dst = is.parent
 		is.UpForwards++
 		is.uplink.Send(out) // the packet retains the buffer
@@ -707,14 +676,6 @@ func (is *ISwitch) ForceThreshold(h uint32) error {
 	}
 	is.def.autoH = false
 	return nil
-}
-
-// RegisterChildSwitch records a lower-level switch as a contributor to
-// the default job (used by the hierarchical topology builder instead
-// of a Join round trip, since switches are configured by the operator,
-// not the job).
-func (is *ISwitch) RegisterChildSwitch(addr protocol.Addr) {
-	is.RegisterChildSwitchJob(protocol.DefaultJob, addr)
 }
 
 // RegisterChildSwitchJob records a lower-level switch as a contributor
@@ -761,7 +722,7 @@ func (is *ISwitch) handleData(pkt *protocol.Packet, in *netsim.Port) {
 	// of a globally aggregated segment: replicate to the job's children
 	// (each child gets its own pooled copy) and retire the frame. It is
 	// also proof the upstream aggregation path is alive.
-	if is.hasParent && in == is.uplink {
+	if is.uplink != nil && in == is.uplink {
 		ctx.helpUpSince = 0
 		is.broadcast(ctx, pkt)
 		pkt.Release()
@@ -878,13 +839,8 @@ func (is *ISwitch) ack(dst protocol.Addr, job protocol.JobID, ok bool) {
 	is.unicast(ack)
 }
 
-// FlushAndBroadcast force-broadcasts one partial segment of the default
-// job (FBcast data path), returning false if the segment held no
-// contributions.
-func (is *ISwitch) FlushAndBroadcast(seg uint64) bool {
-	return is.flushAndBroadcast(is.def, seg)
-}
-
+// flushAndBroadcast force-broadcasts one partial segment (FBcast data
+// path), returning false if the segment held no contributions.
 func (is *ISwitch) flushAndBroadcast(ctx *jobCtx, seg uint64) bool {
 	if ctx.scheme == protocol.CompInt32Block {
 		q, shift, _, ok := ctx.acc.FlushQ(seg)
@@ -900,10 +856,4 @@ func (is *ISwitch) flushAndBroadcast(ctx *jobCtx, seg uint64) bool {
 	}
 	is.emitFloat(ctx, seg, sum)
 	return true
-}
-
-// AggregationLatency reports the accelerator's per-packet datapath time
-// for a full-MTU gradient packet; exposed for the analytic timing model.
-func (is *ISwitch) AggregationLatency() time.Duration {
-	return is.def.acc.PacketLatency(protocol.FloatsPerPacket)
 }

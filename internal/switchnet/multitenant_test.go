@@ -33,7 +33,8 @@ func TestCrossJobIsolationInterleaved(t *testing.T) {
 	k := sim.NewKernel()
 	pool := accel.NewSRAMPool(0, accel.PartitionDemand, 0)
 	bus := accel.NewSharedBus()
-	c := BuildStar(k, 6, testLink(), WithTenancy(pool, bus))
+	c := BuildStar(k, 6, testLink())
+	c.IS.SetTenancy(pool, bus)
 
 	const n = 4
 	for job := protocol.JobID(1); job <= 3; job++ {
@@ -175,7 +176,7 @@ func TestDuplicateJoinKeepsThresholdStable(t *testing.T) {
 	k.Run()
 }
 
-func threeTierTestCluster(k *sim.Kernel) *ThreeTierCluster {
+func threeTierTestCluster(k *sim.Kernel) *Fabric {
 	link := testLink()
 	return BuildThreeTier(k, 2, 2, 2, link, link, link)
 }
@@ -191,7 +192,7 @@ func TestThreeTierHelpServedFromToRCache(t *testing.T) {
 	var recovered *protocol.Packet
 	for i, w := range c.Workers {
 		i, w := i, w
-		tor := c.ToROf3(i)
+		tor := c.Leaf(i)
 		k.Spawn("worker", func(p *sim.Proc) {
 			join(p, w, tor.Addr(), n, t)
 			p.Sleep(time.Millisecond)
@@ -226,9 +227,9 @@ func TestThreeTierHelpServedFromToRCache(t *testing.T) {
 	if recovered == nil || recovered.Data[0] != 36 {
 		t.Fatalf("Help not re-served from ToR cache: %+v", recovered)
 	}
-	if c.ToRs[0].HelpServed != 1 || c.ToRs[0].HelpRelayed != 0 {
+	if c.Leaf(0).HelpServed != 1 || c.Leaf(0).HelpRelayed != 0 {
 		t.Fatalf("ToR0 served=%d relayed=%d, want cache hit without relay",
-			c.ToRs[0].HelpServed, c.ToRs[0].HelpRelayed)
+			c.Leaf(0).HelpServed, c.Leaf(0).HelpRelayed)
 	}
 }
 
@@ -240,7 +241,7 @@ func TestThreeTierHelpRelayStaysInRack(t *testing.T) {
 	gotHelp := make([]bool, len(c.Workers))
 	for i, w := range c.Workers {
 		i, w := i, w
-		tor := c.ToROf3(i)
+		tor := c.Leaf(i)
 		k.Spawn("worker", func(p *sim.Proc) {
 			join(p, w, tor.Addr(), 16, t)
 			if i == 0 {
@@ -269,8 +270,8 @@ func TestThreeTierHelpRelayStaysInRack(t *testing.T) {
 			t.Fatalf("worker %d outside rack 0 received the Help", i)
 		}
 	}
-	if c.ToRs[0].HelpRelayed != 1 {
-		t.Fatalf("ToR0 HelpRelayed = %d", c.ToRs[0].HelpRelayed)
+	if c.Leaf(0).HelpRelayed != 1 {
+		t.Fatalf("ToR0 HelpRelayed = %d", c.Leaf(0).HelpRelayed)
 	}
 }
 
@@ -282,7 +283,7 @@ func TestThreeTierHaltRelaysDownHierarchy(t *testing.T) {
 	halted := make([]bool, len(c.Workers))
 	for i, w := range c.Workers {
 		i, w := i, w
-		tor := c.ToROf3(i)
+		tor := c.Leaf(i)
 		k.Spawn("worker", func(p *sim.Proc) {
 			join(p, w, tor.Addr(), 16, t)
 			if i == 0 {

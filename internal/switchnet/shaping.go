@@ -39,15 +39,6 @@ func (is *ISwitch) LimitJobEgressOn(port *netsim.Port, job protocol.JobID, frac,
 	sh.Limit(uint16(job), frac*port.Config().BitsPerSecond, burstBytes)
 }
 
-// LimitJobEgress caps a job's share on every egress port of this
-// switch — the blunt form for callers without per-port contention
-// knowledge.
-func (is *ISwitch) LimitJobEgress(job protocol.JobID, frac, burstBytes float64) {
-	for _, p := range is.sw.Ports() {
-		is.LimitJobEgressOn(p, job, frac, burstBytes)
-	}
-}
-
 // ShaperOn returns the shaper installed on one of this switch's ports
 // (nil if the port is unshaped) — observability for experiments.
 func (is *ISwitch) ShaperOn(port *netsim.Port) *perfmodel.EgressShaper {

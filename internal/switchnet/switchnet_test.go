@@ -137,7 +137,7 @@ func TestStarAggregationBroadcast(t *testing.T) {
 
 func TestTreeHierarchicalAggregation(t *testing.T) {
 	k := sim.NewKernel()
-	c := BuildTree(k, 2, 3, testLink(), netsim.LinkConfig{BitsPerSecond: 32e9, Propagation: time.Microsecond})
+	c := BuildTreeN(k, 6, 3, testLink(), netsim.LinkConfig{BitsPerSecond: 32e9, Propagation: time.Microsecond})
 	n := protocol.FloatsPerPacket + 5
 	grads := make([][]float32, 6)
 	for w := range grads {
@@ -150,7 +150,7 @@ func TestTreeHierarchicalAggregation(t *testing.T) {
 	results := make([][]float32, 6)
 	for i, w := range c.Workers {
 		i, w := i, w
-		tor := c.ToROf(i)
+		tor := c.Leaf(i)
 		k.Spawn("worker", func(p *sim.Proc) {
 			join(p, w, tor.Addr(), uint64(n), t)
 			p.Sleep(time.Millisecond)
@@ -183,13 +183,13 @@ func TestTreeHierarchicalAggregation(t *testing.T) {
 		}
 	}
 	// Each ToR forwarded its 2 segments up; root broadcast 2 segments.
-	for r, tor := range c.ToRs {
+	for r, tor := range c.Switches[1:] {
 		if tor.UpForwards != 2 {
 			t.Fatalf("tor %d upforwards = %d, want 2", r, tor.UpForwards)
 		}
 	}
-	if c.Root.Broadcasts != 2 {
-		t.Fatalf("root broadcasts = %d, want 2", c.Root.Broadcasts)
+	if c.IS.Broadcasts != 2 {
+		t.Fatalf("root broadcasts = %d, want 2", c.IS.Broadcasts)
 	}
 }
 
