@@ -546,6 +546,17 @@ func (a *Accelerator) SeenBy(seg uint64) []string {
 	return out
 }
 
+// Seen reports whether contributor is recorded for a pending segment
+// (dedup mode).
+func (a *Accelerator) Seen(seg uint64, contributor string) bool {
+	st := a.segs[seg]
+	if st == nil {
+		return false
+	}
+	_, ok := st.seen[contributor]
+	return ok
+}
+
 // CountOf reports a pending segment's contribution count.
 func (a *Accelerator) CountOf(seg uint64) uint32 {
 	if st := a.segs[seg]; st != nil {

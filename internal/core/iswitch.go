@@ -302,8 +302,10 @@ func (ic *iswClient) sendGradient(grad []float32, limit int) {
 	}
 	if cfg.RecoveryTimeout > 0 {
 		ic.round++
-		ic.prevGrad = ic.curGrad
-		ic.curGrad = append(ic.curGrad[:0:0], grad...) // copy: caller reuses grad
+		// Retain a copy (the caller reuses grad) in the older of the two
+		// retained buffers: it held round r-2, which no Help can name any
+		// more, so the two rotate and no round allocates after the second.
+		ic.prevGrad, ic.curGrad = ic.curGrad, append(ic.prevGrad[:0], grad...)
 	}
 	if ic.failedOver {
 		// The software relay path aggregates raw float32 regardless of
@@ -313,46 +315,31 @@ func (ic *iswClient) sendGradient(grad []float32, limit int) {
 	}
 	tag := ic.roundTag()
 	per := cfg.perPacket()
-	sent := 0
-	switch cfg.Compression {
-	case protocol.CompInt32Block:
-		codec := ic.ensureCodec()
-		for s := uint64(0); int(s) < protocol.SegmentCountWith(len(grad), per); s++ {
-			if limit >= 0 && sent >= limit {
-				break
-			}
-			lo, hi := protocol.SegmentRangeWith(len(grad), s, per)
-			q := codec.EncodeQ(s, grad[lo:hi])
-			tmp := protocol.NewQData(ic.host.Addr, ic.sw, s|tag, q, 0)
-			tmp.Job = cfg.Job
-			ic.host.Send(tmp.PooledClone()) // clone owns a copy of the codec scratch
-			sent++
-		}
-	case protocol.CompTopK:
-		codec := ic.codec
-		for s := uint64(0); int(s) < protocol.SegmentCountWith(len(grad), per); s++ {
-			if limit >= 0 && sent >= limit {
-				break
-			}
-			idx, vals := codec.Sparse(s)
-			tmp := protocol.NewSparseData(ic.host.Addr, ic.sw, s|tag, idx, vals)
-			tmp.Job = cfg.Job
-			ic.host.Send(tmp.PooledClone())
-			sent++
-		}
-	default:
-		for _, pkt := range protocol.SegmentWith(ic.host.Addr, ic.sw, grad, per) {
-			if limit >= 0 && sent >= limit {
-				break
-			}
-			pkt.Seg |= tag
-			pkt.Job = cfg.Job
+	segs := protocol.SegmentCountWith(len(grad), per)
+	if limit >= 0 && limit < segs {
+		segs = limit
+	}
+	for s := uint64(0); s < uint64(segs); s++ {
+		lo, hi := protocol.SegmentRangeWith(len(grad), s, per)
+		var pkt *protocol.Packet
+		switch cfg.Compression {
+		case protocol.CompInt32Block:
+			// The clone owns a copy of the codec scratch.
+			q := ic.ensureCodec().EncodeQ(s, grad[lo:hi])
+			pkt = protocol.NewQData(ic.host.Addr, ic.sw, s|tag, q, 0).PooledClone()
+		case protocol.CompTopK:
+			idx, vals := ic.codec.Sparse(s)
+			pkt = protocol.NewSparseData(ic.host.Addr, ic.sw, s|tag, idx, vals).PooledClone()
+		default:
+			// The frame aliases grad; it is not pooled (see README
+			// "Performance": the downlink clones live in that pool).
+			pkt = protocol.NewData(ic.host.Addr, ic.sw, s|tag, grad[lo:hi])
 			if cfg.Compression == protocol.CompFP16 {
 				pkt.Enc = protocol.CompFP16
 			}
-			ic.host.Send(pkt)
-			sent++
 		}
+		pkt.Job = cfg.Job
+		ic.host.Send(pkt)
 	}
 }
 
@@ -432,6 +419,10 @@ func (ic *iswClient) retransmit(taggedSeg uint64) {
 // stalls back the timer off exponentially; with failover armed, enough
 // of them with no sign of switch life (no data, no ack) trips the
 // sticky switch-to-relay failover.
+//
+// The result is the assembler's own vector, valid until this worker's
+// next CollectAggregate as the Service contract says: a round costs no
+// model-sized copy.
 func (ic *iswClient) CollectAggregate(p *sim.Proc) []float32 {
 	if ic.asm == nil {
 		ic.asm = protocol.NewAssemblerWith(ic.cluster.n, ic.cluster.cfg.perPacket())
@@ -533,7 +524,7 @@ func (ic *iswClient) CollectAggregate(p *sim.Proc) []float32 {
 		// worker advances to identical exponents.
 		ic.codec.Advance()
 	}
-	return append([]float32(nil), ic.asm.Vector()...)
+	return ic.asm.Vector()
 }
 
 // addQuantized decodes one quantized aggregate segment through the

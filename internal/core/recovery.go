@@ -425,7 +425,10 @@ func (ic *iswClient) collectViaRelay(p *sim.Proc) []float32 {
 		ic.relayLocalContribution(rt, ic.curGrad)
 		for {
 			if sum, ok := st.done[rt]; ok {
-				return append([]float32(nil), sum...)
+				// The engine keeps sum to answer Helps, so the caller gets
+				// the assembler's vector like every other path.
+				copy(ic.asm.Vector(), sum)
+				return ic.asm.Vector()
 			}
 			pkt, ok := ic.host.RecvTimeout(p, ic.backoffTimeout())
 			if !ok {
@@ -474,5 +477,5 @@ func (ic *iswClient) collectViaRelay(p *sim.Proc) []float32 {
 			pkt.Release()
 		}
 	}
-	return append([]float32(nil), ic.asm.Vector()...)
+	return ic.asm.Vector()
 }

@@ -48,6 +48,13 @@ func relSpec(topo ClusterSpec, nFloats int, cfg *ISWConfig, plan *netsim.FaultPl
 // the agents, the cluster, and the virtual makespan.
 func runReliability(t *testing.T, spec ClusterSpec, iters int) ([]*intAgent, *ISWCluster, sim.Time) {
 	t.Helper()
+	return runReliabilityWith(t, spec, iters, func(a *intAgent) rl.Agent { return a })
+}
+
+// runReliabilityWith is runReliability with each worker's intAgent
+// wrapped by the caller (an agent that watches what it is handed).
+func runReliabilityWith(t *testing.T, spec ClusterSpec, iters int, wrap func(*intAgent) rl.Agent) ([]*intAgent, *ISWCluster, sim.Time) {
+	t.Helper()
 	k := sim.NewKernel()
 	c := Build(k, spec).ISW
 	n := len(c.Workers())
@@ -56,7 +63,7 @@ func runReliability(t *testing.T, spec ClusterSpec, iters int) ([]*intAgent, *IS
 	services := make([]Service, n)
 	for i := range agents {
 		ints[i] = newIntAgent(i, spec.ModelFloats)
-		agents[i] = ints[i]
+		agents[i] = wrap(ints[i])
 		services[i] = c.Client(i)
 	}
 	var stats *RunStats

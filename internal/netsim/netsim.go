@@ -67,6 +67,12 @@ type Port struct {
 	owner Deliverable
 	peer  *Port
 
+	// wire holds the frames in flight toward peer, in transmit order.
+	// busyUntil never decreases and propagation is constant, so arrival
+	// times are monotone per port: the link is a FIFO and needs one
+	// pending kernel event (its head's), however long the burst. Made on
+	// the first Send, so wiring a fabric costs what it did without it.
+	wire      *sim.FIFO[*protocol.Packet]
 	busyUntil sim.Time
 	lossRate  float64
 	lossRNG   *rand.Rand
@@ -235,16 +241,20 @@ func (p *Port) Send(pkt *protocol.Packet) {
 		pkt.Release() // dropped frames go straight back to the pool
 		return
 	}
-	peer := p.peer
-	arrive := txEnd + p.cfg.Propagation - now
-	p.k.After(arrive, func() {
-		peer.RxPackets++
-		peer.RxBytes += uint64(pkt.WireLen())
-		if peer.Trace != nil {
-			peer.Trace(peer.k.Now(), "rx", pkt)
-		}
-		peer.owner.Deliver(pkt, peer)
-	})
+	if p.wire == nil {
+		p.wire = sim.NewFIFO(p.k, p.peer.arrive)
+	}
+	p.wire.Push(txEnd+p.cfg.Propagation-now, pkt)
+}
+
+// arrive takes a frame off the link at this, the receiving, end.
+func (p *Port) arrive(pkt *protocol.Packet) {
+	p.RxPackets++
+	p.RxBytes += uint64(pkt.WireLen())
+	if p.Trace != nil {
+		p.Trace(p.k.Now(), "rx", pkt)
+	}
+	p.owner.Deliver(pkt, p)
 }
 
 // Connect creates a full-duplex link between two deliverables and
@@ -298,7 +308,8 @@ func (h *Host) RecvTimeout(p *sim.Proc, d time.Duration) (*protocol.Packet, bool
 type Switch struct {
 	k     *sim.Kernel
 	name  string
-	proc  time.Duration // per-packet pipeline (lookup + crossbar) delay
+	proc  time.Duration      // per-packet pipeline (lookup + crossbar) delay
+	pipe  *sim.FIFO[ingress] // frames inside the pipeline; made on first use
 	ports []*Port
 	route map[protocol.Addr]*Port
 	def   *Port // default route (uplink) when no table entry matches
@@ -358,14 +369,29 @@ func (s *Switch) RouteFor(dst protocol.Addr) (*Port, bool) {
 // consumed the packet (it will not be forwarded normally).
 func (s *Switch) SetTap(tap func(pkt *protocol.Packet, in *Port) bool) { s.tap = tap }
 
-// Deliver implements Deliverable: store-and-forward then route.
+// ingress is a frame inside the forwarding pipeline and the port it
+// came in on.
+type ingress struct {
+	pkt *protocol.Packet
+	in  *Port
+}
+
+// Deliver implements Deliverable: store-and-forward then route. The
+// pipeline delay is the same for every frame, so frames leave it in the
+// order they entered.
 func (s *Switch) Deliver(pkt *protocol.Packet, in *Port) {
-	s.k.After(s.proc, func() {
-		if s.tap != nil && s.tap(pkt, in) {
-			return
-		}
-		s.Forward(pkt)
-	})
+	if s.pipe == nil {
+		s.pipe = sim.NewFIFO(s.k, s.process)
+	}
+	s.pipe.Push(s.proc, ingress{pkt, in})
+}
+
+// process is the far end of the pipeline: tap, else route.
+func (s *Switch) process(f ingress) {
+	if s.tap != nil && s.tap(f.pkt, f.in) {
+		return
+	}
+	s.Forward(f.pkt)
 }
 
 // Forward routes pkt out the port its destination maps to.

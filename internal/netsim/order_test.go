@@ -1,0 +1,278 @@
+package netsim
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"iswitch/internal/protocol"
+	"iswitch/internal/sim"
+)
+
+// Order differential for the port FIFO. A link keeps its in-flight
+// frames in a sim.FIFO with one pending kernel event; the model it
+// replaced scheduled one After per frame. The two must deliver the same
+// frames at the same times in the same order, on both schedulers, with
+// the same number of kernel events. The reference below is that older
+// model, written out in the test: a star of recording hosts around one
+// store-and-forward node, every arrival and every pipeline exit its own
+// closure.
+
+// arrival is one frame reaching a host.
+type arrival struct {
+	at   sim.Time
+	host int
+	seg  uint64
+}
+
+// orderScript is a seeded traffic pattern and fault plan for a star of
+// hosts. Ports are numbered host-side transmitters first (0..hosts-1),
+// then the switch-side ones.
+type orderScript struct {
+	hosts  int
+	bursts []orderBurst
+	faults []orderFault
+}
+
+type orderBurst struct {
+	at       sim.Time
+	from, to int
+	frames   int
+	floats   int
+}
+
+type orderFault struct {
+	port        int
+	lossRate    float64
+	lossSeed    int64
+	dropNth     []uint64
+	from, until sim.Time // down window, if until > from
+}
+
+// orderLink: 1 byte/ns and frame sizes of 150, 450 and 1450 bytes keep
+// every time on a 50 ns grid, so arrivals on different ports tie often.
+func orderLink() LinkConfig {
+	return LinkConfig{BitsPerSecond: 8e9, Propagation: 100 * time.Nanosecond}
+}
+
+const orderSwitchDelay = 200 * time.Nanosecond
+
+func newOrderScript(seed int64, hosts, bursts int) orderScript {
+	rng := rand.New(rand.NewSource(seed))
+	s := orderScript{hosts: hosts}
+	sizes := []int{25, 100, 350}
+	for i := 0; i < bursts; i++ {
+		b := orderBurst{
+			at:     sim.Time(rng.Intn(200)) * 50 * time.Nanosecond,
+			from:   rng.Intn(hosts),
+			frames: 1 + rng.Intn(12),
+			floats: sizes[rng.Intn(len(sizes))],
+		}
+		b.to = (b.from + 1 + rng.Intn(hosts-1)) % hosts
+		s.bursts = append(s.bursts, b)
+	}
+	for port := 0; port < 2*hosts; port++ {
+		f := orderFault{port: port}
+		switch rng.Intn(4) {
+		case 0:
+			f.lossRate, f.lossSeed = 0.05+0.3*rng.Float64(), rng.Int63()
+		case 1:
+			for n := rng.Intn(4); n >= 0; n-- {
+				f.dropNth = append(f.dropNth, uint64(1+rng.Intn(30)))
+			}
+		case 2:
+			f.from = sim.Time(rng.Intn(100)) * 50 * time.Nanosecond
+			f.until = f.from + sim.Time(1+rng.Intn(60))*50*time.Nanosecond
+		}
+		s.faults = append(s.faults, f)
+	}
+	return s
+}
+
+// play schedules the script's bursts on k and runs it; send transmits
+// from a host's NIC.
+func (s orderScript) play(k *sim.Kernel, send func(host int, pkt *protocol.Packet)) {
+	seg := uint64(0)
+	for _, b := range s.bursts {
+		b := b
+		first := seg
+		seg += uint64(b.frames)
+		k.After(b.at, func() {
+			for i := 0; i < b.frames; i++ {
+				send(b.from, dataPkt(HostAddr(0, b.from), HostAddr(0, b.to), first+uint64(i), b.floats))
+			}
+		})
+	}
+	k.Run()
+}
+
+// recorder is a host that only notes what reaches it.
+type recorder struct {
+	k     *sim.Kernel
+	host  int
+	trace *[]arrival
+}
+
+func (r *recorder) Deliver(pkt *protocol.Packet, _ *Port) {
+	*r.trace = append(*r.trace, arrival{r.k.Now(), r.host, pkt.Seg})
+}
+
+// runProduction plays the script over real Ports and a real Switch.
+func runProduction(k *sim.Kernel, s orderScript) ([]arrival, uint64) {
+	var trace []arrival
+	sw := NewSwitch(k, "sw", orderSwitchDelay)
+	ports := make([]*Port, 2*s.hosts)
+	for h := 0; h < s.hosts; h++ {
+		swPort, hostPort := Connect(k, orderLink(), sw, fmt.Sprintf("sw/p%d", h),
+			&recorder{k, h, &trace}, fmt.Sprintf("h%d", h))
+		sw.AddPort(swPort)
+		sw.AddRoute(HostAddr(0, h), swPort)
+		ports[h], ports[s.hosts+h] = hostPort, swPort
+	}
+	for _, f := range s.faults {
+		p := ports[f.port]
+		if f.lossRate > 0 {
+			p.SetLoss(f.lossRate, f.lossSeed)
+		}
+		p.DropNth(f.dropNth...)
+		if f.until > f.from {
+			p.SetDownWindow(f.from, f.until)
+		}
+	}
+	s.play(k, func(h int, pkt *protocol.Packet) { ports[h].Send(pkt) })
+	return trace, k.Events()
+}
+
+// refPort is Port.Send as it was before the FIFO: same serialization,
+// same loss draws and fault checks in the same order, one After per
+// surviving frame.
+type refPort struct {
+	k         *sim.Kernel
+	cfg       LinkConfig
+	deliver   func(*protocol.Packet)
+	busyUntil sim.Time
+	tx        uint64
+	fault     orderFault
+	lossRNG   *rand.Rand
+	dropNth   map[uint64]bool
+}
+
+func (p *refPort) send(pkt *protocol.Packet) {
+	now := p.k.Now()
+	start := now
+	if p.busyUntil > start {
+		start = p.busyUntil
+	}
+	txEnd := start + p.cfg.SerializationTime(pkt.WireLen())
+	p.busyUntil = txEnd
+	p.tx++
+	drop := p.lossRNG != nil && p.lossRNG.Float64() < p.fault.lossRate
+	if !drop && p.dropNth[p.tx] {
+		delete(p.dropNth, p.tx)
+		drop = true
+	}
+	if !drop && start >= p.fault.from && start < p.fault.until {
+		drop = true
+	}
+	if drop {
+		return
+	}
+	p.k.After(txEnd+p.cfg.Propagation-now, func() { p.deliver(pkt) })
+}
+
+// runReference plays the script over refPorts and a closure-per-frame
+// forwarding pipeline.
+func runReference(k *sim.Kernel, s orderScript) ([]arrival, uint64) {
+	var trace []arrival
+	ports := make([]*refPort, 2*s.hosts)
+	index := make(map[protocol.Addr]int, s.hosts)
+	for h := 0; h < s.hosts; h++ {
+		h := h
+		index[HostAddr(0, h)] = h
+		ports[h] = &refPort{k: k, cfg: orderLink(), deliver: func(pkt *protocol.Packet) {
+			k.After(orderSwitchDelay, func() { ports[s.hosts+index[pkt.Dst]].send(pkt) })
+		}}
+		ports[s.hosts+h] = &refPort{k: k, cfg: orderLink(), deliver: func(pkt *protocol.Packet) {
+			trace = append(trace, arrival{k.Now(), h, pkt.Seg})
+		}}
+	}
+	for _, f := range s.faults {
+		p := ports[f.port]
+		p.fault = f
+		if f.lossRate > 0 {
+			p.lossRNG = rand.New(rand.NewSource(f.lossSeed))
+		}
+		p.dropNth = make(map[uint64]bool)
+		for _, n := range f.dropNth {
+			p.dropNth[n] = true
+		}
+	}
+	s.play(k, func(h int, pkt *protocol.Packet) { ports[h].send(pkt) })
+	return trace, k.Events()
+}
+
+// checkPortOrder runs one script through production and reference on
+// both schedulers, requires one trace and one event count, and returns
+// the trace.
+func checkPortOrder(t *testing.T, s orderScript) []arrival {
+	t.Helper()
+	want, wantEvents := runReference(sim.NewHeapKernel(), s)
+	for _, r := range []struct {
+		name string
+		run  func(*sim.Kernel, orderScript) ([]arrival, uint64)
+		k    *sim.Kernel
+	}{
+		{"reference/calendar", runReference, sim.NewKernel()},
+		{"production/heap", runProduction, sim.NewHeapKernel()},
+		{"production/calendar", runProduction, sim.NewKernel()},
+	} {
+		trace, events := r.run(r.k, s)
+		if events != wantEvents {
+			t.Fatalf("%s ran %d kernel events, reference/heap %d", r.name, events, wantEvents)
+		}
+		if len(trace) != len(want) {
+			t.Fatalf("%s delivered %d frames, reference/heap %d", r.name, len(trace), len(want))
+		}
+		for i := range want {
+			if trace[i] != want[i] {
+				t.Fatalf("%s diverges at delivery %d: got %+v, reference/heap %+v", r.name, i, trace[i], want[i])
+			}
+		}
+	}
+	return want
+}
+
+// TestPortOrderDifferential covers 40 seeded scripts and checks that
+// they do what they are for: frames are lost, and arrivals tie.
+func TestPortOrderDifferential(t *testing.T) {
+	delivered, sent, ties := 0, 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		s := newOrderScript(seed, 2+int(seed%4), 30)
+		trace := checkPortOrder(t, s)
+		delivered += len(trace)
+		for _, b := range s.bursts {
+			sent += b.frames
+		}
+		for i := 1; i < len(trace); i++ {
+			if trace[i].at == trace[i-1].at && trace[i].host != trace[i-1].host {
+				ties++
+			}
+		}
+	}
+	if delivered == 0 || delivered >= sent {
+		t.Fatalf("%d of %d frames delivered: the fault plans are not dropping any", delivered, sent)
+	}
+	if ties < 100 {
+		t.Fatalf("only %d arrivals tie across ports: the scripts do not test tie-breaking", ties)
+	}
+}
+
+// FuzzPortOrder lets the fuzzer pick the script.
+func FuzzPortOrder(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint8(10))
+	f.Add(int64(7), uint8(5), uint8(60))
+	f.Fuzz(func(t *testing.T, seed int64, hosts, bursts uint8) {
+		checkPortOrder(t, newOrderScript(seed, 2+int(hosts%5), 1+int(bursts%80)))
+	})
+}

@@ -11,6 +11,7 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 )
 
 // Reserved ToS values tagging iSwitch traffic. Any other ToS means the
@@ -120,9 +121,18 @@ type Addr struct {
 	Port uint16
 }
 
-// String formats the address in dotted-quad:port form.
+// String formats the address in dotted-quad:port form. Every host, port
+// and membership row is named by one at set-up, so it avoids fmt.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d:%d", a.IP[0], a.IP[1], a.IP[2], a.IP[3], a.Port)
+	b := make([]byte, 0, len("255.255.255.255:65535"))
+	for i, octet := range a.IP {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(octet), 10)
+	}
+	b = append(b, ':')
+	return string(strconv.AppendUint(b, uint64(a.Port), 10))
 }
 
 // AddrFrom builds an Addr from four octets and a port.

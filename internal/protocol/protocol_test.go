@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -380,5 +381,17 @@ func TestSegmentAssembleQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Addr.String is written without fmt (it names every host, port and
+// membership row at set-up); it must render exactly what fmt did.
+func TestAddrStringMatchesFmt(t *testing.T) {
+	for _, a := range []Addr{{}, AddrFrom(10, 0, 0, 2, 9999), AddrFrom(255, 255, 255, 255, 65535),
+		AddrFrom(1, 20, 100, 0, 7), AddrFrom(192, 168, 1, 254, 80)} {
+		want := fmt.Sprintf("%d.%d.%d.%d:%d", a.IP[0], a.IP[1], a.IP[2], a.IP[3], a.Port)
+		if got := a.String(); got != want {
+			t.Fatalf("Addr%v.String() = %q, want %q", a.IP, got, want)
+		}
 	}
 }

@@ -140,3 +140,37 @@ func TestCalQueueInterleavedHold(t *testing.T) {
 		t.Fatalf("len() = %d, want steady-state 64", q.len())
 	}
 }
+
+// TestCalQueueReservedSeqInsert: FIFO enqueues a head under a seq
+// reserved when the value was pushed, so an insert at an occupied
+// timestamp may carry a seq older than the bucket's tail (or its head).
+// The chain must stay in (t, seq) order whichever path takes it: head,
+// middle, tail, and the overflow heap.
+func TestCalQueueReservedSeqInsert(t *testing.T) {
+	q := newCalQueue()
+	at := 5 * time.Microsecond
+	for _, seq := range []uint64{5, 7, 9} { // ascending: the tail fast path
+		calPushAt(q, at, seq)
+	}
+	calPushAt(q, at, 6)                    // middle
+	calPushAt(q, at, 4)                    // before the head
+	calPushAt(q, at, 8)                    // middle, next to the tail
+	calPushAt(q, at, 10)                   // tail again
+	calPushAt(q, at+time.Nanosecond, 3)    // same bucket, later time, older seq
+	for _, seq := range []uint64{22, 21} { // past the year: overflow heap
+		calPushAt(q, time.Second, seq)
+	}
+	if q.overflow.len() != 2 {
+		t.Fatalf("overflow.len() = %d, want 2", q.overflow.len())
+	}
+	want := []uint64{4, 5, 6, 7, 8, 9, 10, 3, 21, 22}
+	for i, seq := range want {
+		e := q.pop()
+		if e == nil || e.seq != seq {
+			t.Fatalf("pop %d = %+v, want seq %d", i, e, seq)
+		}
+	}
+	if q.pop() != nil {
+		t.Fatal("queue not empty after draining")
+	}
+}

@@ -132,10 +132,21 @@ func (k *Kernel) Events() uint64 { return k.events }
 // QueueLen reports the number of pending events.
 func (k *Kernel) QueueLen() int { return k.sched.len() }
 
-// schedule allocates an event (from the free list when the scheduler
-// pools) and enqueues it, returning its seq.
+// schedule enqueues an event under the next tie-break seq and returns
+// that seq.
 func (k *Kernel) schedule(t Time, fn func(), proc *Proc) uint64 {
 	k.seq++
+	k.enqueue(t, k.seq, fn, proc)
+	return k.seq
+}
+
+// enqueue allocates an event (from the free list when the scheduler
+// pools) and queues it under (t, seq). seq is either fresh (schedule) or
+// was reserved earlier and not yet used (FIFO): both schedulers order by
+// the key alone, so an event enqueued late under an older seq pops
+// exactly where it would have had it been enqueued when the seq was
+// taken.
+func (k *Kernel) enqueue(t Time, seq uint64, fn func(), proc *Proc) {
 	var e *event
 	if k.free != nil {
 		e = k.free
@@ -144,13 +155,12 @@ func (k *Kernel) schedule(t Time, fn func(), proc *Proc) uint64 {
 	} else {
 		e = &event{}
 	}
-	e.t, e.seq, e.fn, e.proc = t, k.seq, fn, proc
+	e.t, e.seq, e.fn, e.proc = t, seq, fn, proc
 	if k.cal != nil {
 		k.cal.push(e)
 	} else {
 		k.sched.push(e)
 	}
-	return k.seq
 }
 
 // recycle returns a popped event to the free list once its payload has

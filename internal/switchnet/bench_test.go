@@ -92,3 +92,62 @@ func BenchmarkDefaultJobDemux(b *testing.B) {
 		c.IS.tap(pkt, nil)
 	}
 }
+
+// TestStarDataPlaneAllocFree is the allocation gate for a whole star
+// round: 4 workers' frames in, the accelerator's sum held across its
+// latency in a recycled emission record, the root's header written into
+// the reused broadcast template, 4 pooled copies out. After the first
+// round has touched every segment (buffers, shadow slots, rings, the
+// packet pool), a round allocates nothing. With dedup armed the
+// contributor key comes from the membership row, so that path is held
+// to the same zero.
+func TestStarDataPlaneAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	for _, dedup := range []bool{false, true} {
+		const workers, segs = 4, 64
+		k := sim.NewKernel()
+		c := BuildStar(k, workers, testLink())
+		c.IS.SetDedup(dedup)
+		for _, h := range c.Workers {
+			h.Send(protocol.NewControl(h.Addr, c.IS.Addr(), protocol.ActionJoin, protocol.JoinValue(segs)))
+		}
+		k.Run()
+		payload := make([]float32, protocol.FloatsPerPacket)
+		var pkts []*protocol.Packet
+		for s := uint64(0); s < segs; s++ {
+			for _, h := range c.Workers {
+				pkts = append(pkts, protocol.NewData(h.Addr, c.IS.Addr(), s, payload))
+			}
+		}
+		round := func() {
+			for i, pkt := range pkts {
+				c.Workers[i%workers].Send(pkt)
+			}
+			k.Run()
+			for _, h := range c.Workers {
+				for n := 0; ; n++ {
+					pkt, ok := h.RX.TryRecv()
+					if !ok {
+						if n != segs {
+							t.Fatalf("dedup=%v: worker got %d of %d broadcasts", dedup, n, segs)
+						}
+						break
+					}
+					pkt.Release()
+				}
+			}
+		}
+		for _, h := range c.Workers { // the Join acks
+			if pkt, ok := h.RX.TryRecv(); !ok || !pkt.IsControl() {
+				t.Fatalf("dedup=%v: join not acknowledged", dedup)
+			}
+		}
+		round()
+		if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+			t.Fatalf("dedup=%v: star data plane allocated %.1f times per %d-frame round, want 0",
+				dedup, allocs, len(pkts))
+		}
+	}
+}

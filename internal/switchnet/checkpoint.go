@@ -245,7 +245,7 @@ func (cp *JobCheckpoint) UnmarshalBinary(b []byte) error {
 		var a protocol.Addr
 		copy(a.IP[:], r.bytes(4, "member.ip"))
 		a.Port = r.u16("member.port")
-		m.Addr = a
+		m.Addr, m.Key = a, a.String() // Key is derived, not on the wire
 		m.Type = MemberType(r.u8("member.type"))
 		m.Parent = int(int32(r.u32("member.parent")))
 		m.ModelFloats = r.u64("member.modelFloats")

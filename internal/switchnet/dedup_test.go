@@ -3,6 +3,7 @@ package switchnet
 import (
 	"testing"
 
+	"iswitch/internal/protocol"
 	"iswitch/internal/sim"
 )
 
@@ -65,5 +66,64 @@ func TestDedupOffAllowsRepeatContributions(t *testing.T) {
 	sum, done, _ := acc.IngestFrom(0, "fast-worker", []float32{2})
 	if !done || sum[0] != 3 {
 		t.Fatalf("async-style double contribution rejected: %v %v", sum, done)
+	}
+}
+
+// The dedup bitmap names a contributor by its address string. Rendering
+// it costs a Sprintf, so it happens once, at Join (and again when a row
+// comes back from a binary checkpoint, which does not carry it); data
+// frames and targeted Helps look it up.
+func TestContributorKeyRenderedAtJoin(t *testing.T) {
+	k := sim.NewKernel()
+	c := BuildStar(k, 2, testLink())
+	is := c.IS
+	is.SetDedup(true)
+	for _, h := range c.Workers {
+		h.Send(protocol.NewControl(h.Addr, is.Addr(), protocol.ActionJoin, protocol.JoinValue(4)))
+	}
+	k.Run()
+	mem := is.Membership()
+	for i, m := range mem.Members() {
+		if want := c.Workers[i].Addr.String(); m.Key != want || mem.KeyOf(m.Addr) != want {
+			t.Fatalf("member %d: Key %q, KeyOf %q, want %q", i, m.Key, mem.KeyOf(m.Addr), want)
+		}
+	}
+	stranger := protocol.AddrFrom(10, 9, 9, 9, 1)
+	if got := mem.KeyOf(stranger); got != stranger.String() {
+		t.Fatalf("KeyOf(non-member) = %q, want %q", got, stranger.String())
+	}
+
+	// One worker's frame: the bitmap knows it by the membership key.
+	w0, w1 := mem.Members()[0], mem.Members()[1]
+	c.Workers[0].Send(protocol.NewData(w0.Addr, is.Addr(), 0, []float32{1, 2, 3, 4}))
+	k.Run()
+	acc := is.Accelerator()
+	if !acc.Seen(0, w0.Key) || acc.Seen(0, w1.Key) || acc.Seen(1, w0.Key) {
+		t.Fatalf("after worker 0's frame: Seen(0,w0)=%v Seen(0,w1)=%v Seen(1,w0)=%v; want true false false",
+			acc.Seen(0, w0.Key), acc.Seen(0, w1.Key), acc.Seen(1, w0.Key))
+	}
+
+	// The key survives a checkpoint's binary form, which omits it.
+	if err := is.AdmitJob(1, 4); err != nil {
+		t.Fatal(err)
+	}
+	is.MembershipOf(1).Join(w0.Addr, MemberWorker, 0, 4)
+	cp, err := is.PreemptJob(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cp.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back JobCheckpoint
+	if err := back.UnmarshalBinary(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := is.RestoreJob(&back); err != nil {
+		t.Fatal(err)
+	}
+	if got := is.MembershipOf(1).Members()[0].Key; got != w0.Key {
+		t.Fatalf("restored member's Key = %q, want %q", got, w0.Key)
 	}
 }

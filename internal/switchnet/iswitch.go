@@ -57,6 +57,12 @@ type ISwitch struct {
 	parent protocol.Addr // the next level up, reached through uplink
 	uplink *netsim.Port  // nil on the root; broadcasts from the parent arrive here
 
+	// freeEm recycles the records that carry a completed segment across
+	// the accelerator's latency; bcast is the header the root's emissions
+	// are cloned from (broadcast copies it per member, so one is enough).
+	freeEm *emission
+	bcast  protocol.Packet
+
 	// horizon, when positive, arms lazy liveness detection: a worker
 	// whose contribution is blocking a segment and that has not been
 	// heard from within horizon is evicted (Leave + SetH adjustment)
@@ -515,15 +521,11 @@ func (is *ISwitch) serveFromShadow(ctx *jobCtx, seg uint64, req protocol.Addr) b
 // hosts-per-edge=1 fat-trees hit this). If eviction lowers H enough to
 // complete segments, they are emitted immediately.
 func (is *ISwitch) relayToMissing(ctx *jobCtx, seg uint64, helpValue []byte) {
-	seen := make(map[string]bool)
-	for _, c := range ctx.acc.SeenBy(seg) {
-		seen[c] = true
-	}
 	now := is.sw.Kernel().Now()
 	var targets []protocol.Addr
 	evicted := false
 	for _, m := range ctx.mem.Members() {
-		if seen[m.Addr.String()] {
+		if ctx.acc.Seen(seg, m.Key) {
 			continue
 		}
 		if is.horizon > 0 {
@@ -617,7 +619,8 @@ func (is *ISwitch) emitDrained(ctx *jobCtx) {
 // Top-k aggregates emit dense (CompNone layout), matching the scheme's
 // wire contract.
 func (is *ISwitch) emitFloat(ctx *jobCtx, seg uint64, sum []float32) {
-	out := &protocol.Packet{Src: is.addr, ToS: protocol.ToSData,
+	out := is.emitHeader()
+	*out = protocol.Packet{Src: is.addr, ToS: protocol.ToSData,
 		Job: ctx.job, Seg: seg, Data: sum}
 	if ctx.scheme == protocol.CompFP16 {
 		kernels.F16RoundInPlace(sum)
@@ -633,10 +636,21 @@ func (is *ISwitch) emitFloat(ctx *jobCtx, seg uint64, sum []float32) {
 	ctx.acc.Recycle(sum)
 }
 
+// emitHeader returns the packet an emission is written into: a fresh
+// one below the root, where it travels up the link, and the reused
+// broadcast template at the root, where only its per-member copies do.
+func (is *ISwitch) emitHeader() *protocol.Packet {
+	if is.uplink != nil {
+		return new(protocol.Packet)
+	}
+	return &is.bcast
+}
+
 // emitQ is emitFloat for the quantized integer datapath: the payload is
 // the narrowed int32 sum plus its re-widening shift.
 func (is *ISwitch) emitQ(ctx *jobCtx, seg uint64, q []int32, shift uint8) {
-	out := &protocol.Packet{Src: is.addr, ToS: protocol.ToSData, Job: ctx.job,
+	out := is.emitHeader()
+	*out = protocol.Packet{Src: is.addr, ToS: protocol.ToSData, Job: ctx.job,
 		Seg: seg, Enc: protocol.CompInt32Block, Shift: shift, QData: q}
 	if is.uplink != nil {
 		out.Dst = is.parent
@@ -742,12 +756,12 @@ func (is *ISwitch) handleData(pkt *protocol.Packet, in *netsim.Port) {
 	// job's accelerator (keyed by source for the optional dedup
 	// bitmap), charging the datapath latency before any output. With a
 	// shared bus attached, the burst train also queues behind other
-	// jobs' in-flight bursts. The contributor key is only rendered when
-	// dedup is armed — Addr.String costs an allocation per packet, and
-	// the default datapath must stay allocation-free.
+	// jobs' in-flight bursts. The contributor key is only looked up when
+	// dedup is armed, and was rendered once, at Join: Addr.String costs
+	// an allocation, and the datapath must stay allocation-free.
 	var contributor string
 	if ctx.acc.Dedup() {
-		contributor = pkt.Src.String()
+		contributor = ctx.mem.KeyOf(pkt.Src)
 	}
 	seg := pkt.Seg
 	var (
@@ -782,13 +796,41 @@ func (is *ISwitch) handleData(pkt *protocol.Packet, in *netsim.Port) {
 	if !done {
 		return
 	}
-	is.sw.Kernel().After(lat, func() {
-		if qsum != nil {
-			is.emitQ(ctx, seg, qsum, oshift)
-			return
-		}
-		is.emitFloat(ctx, seg, sum)
-	})
+	em := is.freeEm
+	if em == nil {
+		em = &emission{is: is}
+		em.fire = em.run
+	} else {
+		is.freeEm = em.next
+	}
+	em.ctx, em.seg, em.sum, em.qsum, em.shift = ctx, seg, sum, qsum, oshift
+	is.sw.Kernel().After(lat, em.fire)
+}
+
+// emission is one completed segment waiting out the accelerator's
+// latency. The latency varies per segment (bus contention), so each is
+// its own event; the record and its bound method are recycled, so
+// scheduling one allocates nothing after the first.
+type emission struct {
+	is    *ISwitch
+	ctx   *jobCtx
+	seg   uint64
+	sum   []float32
+	qsum  []int32
+	shift uint8
+	fire  func() // em.run, bound once
+	next  *emission
+}
+
+func (em *emission) run() {
+	is, ctx, seg, sum, qsum, shift := em.is, em.ctx, em.seg, em.sum, em.qsum, em.shift
+	em.ctx, em.sum, em.qsum = nil, nil, nil
+	em.next, is.freeEm = is.freeEm, em
+	if qsum != nil {
+		is.emitQ(ctx, seg, qsum, shift)
+		return
+	}
+	is.emitFloat(ctx, seg, sum)
 }
 
 // encOK validates a contribution's encoding against the job's scheme.

@@ -42,6 +42,9 @@ type Member struct {
 	Parent int // parent member ID, or -1 for the root entry
 	// ModelFloats is the gradient length announced at Join.
 	ModelFloats uint64
+	// Key is Addr.String(), rendered once at Join: the name the
+	// accelerator's dedup bitmap knows this contributor by.
+	Key string
 }
 
 // Membership is the control plane's member table. Iteration order is
@@ -71,8 +74,18 @@ func (m *Membership) Join(addr protocol.Addr, typ MemberType, parent int, modelF
 	m.byAddr[addr] = len(m.members)
 	m.members = append(m.members, Member{
 		ID: id, Addr: addr, Type: typ, Parent: parent, ModelFloats: modelFloats,
+		Key: addr.String(),
 	})
 	return id
+}
+
+// KeyOf returns the dedup key for a contribution from addr: the
+// member's Key, or a fresh rendering for an address that never joined.
+func (m *Membership) KeyOf(addr protocol.Addr) string {
+	if i, ok := m.byAddr[addr]; ok {
+		return m.members[i].Key
+	}
+	return addr.String()
 }
 
 // Leave removes the entry for addr. It reports whether one existed.
