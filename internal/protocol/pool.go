@@ -41,8 +41,14 @@ func (p *Packet) Release() {
 	if p == nil || !p.pooled {
 		return
 	}
-	dataBuf, valueBuf, qBuf, idxBuf := p.dataBuf, p.valueBuf, p.qBuf, p.idxBuf
-	*p = Packet{dataBuf: dataBuf, valueBuf: valueBuf, qBuf: qBuf, idxBuf: idxBuf}
+	// Cleared field by field: assigning a Packet literal builds a
+	// 232-byte temporary and copies it over *p on every frame.
+	// TestReleaseClearsEveryField fails if a new field is left out.
+	p.Src, p.Dst, p.ToS, p.Job = Addr{}, Addr{}, 0, 0
+	p.Action, p.Value = 0, nil
+	p.Seg, p.Data = 0, nil
+	p.Enc, p.Shift, p.QData, p.Idx = 0, 0, nil, nil
+	p.pooled = false
 	packetPool.Put(p)
 }
 

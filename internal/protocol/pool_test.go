@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -74,5 +75,59 @@ func TestPooledRoundTripDoesNotAllocateAtSteadyState(t *testing.T) {
 	})
 	if allocs > 0.1 {
 		t.Fatalf("PooledClone/Release allocates %.2f allocs/op at steady state, want ~0", allocs)
+	}
+}
+
+// setNonZero gives v, and everything inside it, a non-zero value;
+// slices get length 3 and capacity 8.
+func setNonZero(t *testing.T, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 3, 8))
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			setNonZero(t, v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			setNonZero(t, v.Field(i))
+		}
+	default:
+		t.Fatalf("setNonZero: no case for kind %s; add one", v.Kind())
+	}
+}
+
+// TestReleaseClearsEveryField walks Packet by reflection so a field
+// added later cannot be forgotten in Release's field-by-field clear:
+// everything is zero afterwards except the four owned backing arrays,
+// which keep their capacity.
+func TestReleaseClearsEveryField(t *testing.T) {
+	p := new(Packet)
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		// NewAt makes the unexported fields settable too.
+		setNonZero(t, reflect.NewAt(f.Type(), f.Addr().UnsafePointer()).Elem())
+	}
+	p.Release()
+	kept := map[string]bool{"dataBuf": true, "valueBuf": true, "qBuf": true, "idxBuf": true}
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		switch {
+		case kept[name]:
+			if f.Cap() != 8 {
+				t.Errorf("Release left %s with capacity %d, want 8", name, f.Cap())
+			}
+			delete(kept, name)
+		case !f.IsZero():
+			t.Errorf("Release left %s = %v, want zero", name, f)
+		}
+	}
+	for name := range kept {
+		t.Errorf("Packet has no field %s", name)
 	}
 }

@@ -129,6 +129,42 @@ func TestChanSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestSleepWakeAllocFree: a process switch itself allocates nothing.
+// A steady Sleep/wake loop and a Chan ping-pong between two processes,
+// warmed up and then advanced in slices of virtual time, run at exactly
+// 0 allocations.
+func TestSleepWakeAllocFree(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	k.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	a, c := NewChan[int](k, "a"), NewChan[int](k, "c")
+	k.Spawn("ping", func(p *Proc) {
+		for i := 0; ; i++ {
+			a.Send(i)
+			c.Recv(p)
+			p.Sleep(time.Microsecond)
+		}
+	})
+	k.Spawn("pong", func(p *Proc) {
+		for {
+			c.Send(a.Recv(p))
+		}
+	})
+	k.RunUntil(time.Millisecond) // warm-up: event pool, waiter records, rings
+	before := k.Events()
+	allocs := testing.AllocsPerRun(100, func() { k.RunUntil(k.Now() + 100*time.Microsecond) })
+	if n := k.Events() - before; n < 100*300 {
+		t.Fatalf("only %d events in the measured window; the loop is not running", n)
+	}
+	if allocs != 0 {
+		t.Fatalf("sleep/wake and chan ping-pong allocate %.2f per 100µs slice, want 0", allocs)
+	}
+}
+
 // TestHoldCalendarAllocFree is the event-pooling regression gate: on
 // the calendar scheduler a steady-state hold recycles its event through
 // the kernel's free list, so priming aside the run must not allocate.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -153,4 +154,39 @@ func TestSpawnFromDyingProcess(t *testing.T) {
 			t.Fatalf("Procs() = %d, want 0", k.Procs())
 		}
 	})
+}
+
+// TestGoexitInProcessEndsRun pins the one way a process differs from a
+// plain goroutine: runtime.Goexit inside it (a t.Fatal in a test's
+// process body) ends the goroutine that called Run, with that
+// goroutine's defers and the process's own both run, because iter.Pull
+// propagates a Goexit to the caller of next.
+func TestGoexitInProcessEndsRun(t *testing.T) {
+	var procDefer, runReturned bool
+	k := NewKernel()
+	helperExited := make(chan struct{})
+	go func() {
+		defer close(helperExited)
+		k.Spawn("quits", func(p *Proc) {
+			defer func() { procDefer = true }()
+			p.Sleep(time.Microsecond)
+			runtime.Goexit()
+		})
+		k.Run()
+		runReturned = true
+	}()
+	select {
+	case <-helperExited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run's caller still alive after a process called Goexit")
+	}
+	if runReturned {
+		t.Fatal("Run returned normally after a process called Goexit")
+	}
+	if !procDefer {
+		t.Fatal("the exiting process's deferred function did not run")
+	}
+	if k.Procs() != 0 {
+		t.Fatalf("Procs() = %d, want 0", k.Procs())
+	}
 }

@@ -35,8 +35,8 @@ func TestShutdownReleasesParkedProcs(t *testing.T) {
 			t.Fatalf("Procs() = %d after Shutdown, want 0", k.Procs())
 		}
 	}
-	// Goroutines exit asynchronously after the final parkCh handshake;
-	// give the runtime a moment before counting.
+	// Shutdown has already destroyed the processes' goroutines; the
+	// grace period is for unrelated runtime goroutines.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		runtime.Gosched()
@@ -122,5 +122,30 @@ func TestSpawnAfterShutdownIsInert(t *testing.T) {
 	k.Shutdown() // release the late goroutine too
 	if ran {
 		t.Fatal("process spawned after Shutdown ran its body")
+	}
+}
+
+// TestSpawnIsLazy: Spawn creates no goroutine (the coroutine is built by
+// the start event), so a kernel that is set up and shut down without
+// running costs none and runs no body.
+func TestSpawnIsLazy(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel()
+	ran := 0
+	for i := 0; i < 1000; i++ {
+		k.Spawn("idle", func(p *Proc) { ran++ })
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("goroutines: %d before Spawn, %d after 1000 Spawns", before, n)
+	}
+	k.Shutdown()
+	if ran != 0 {
+		t.Fatalf("%d process bodies ran without Run", ran)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("goroutines: %d before, %d after Shutdown", before, n)
+	}
+	if k.Procs() != 0 {
+		t.Fatalf("Procs() = %d after Shutdown, want 0", k.Procs())
 	}
 }

@@ -1,10 +1,12 @@
+//go:build go1.23
+
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel multiplexes cooperative processes (goroutines that hold a
-// scheduler token one at a time) over a virtual clock. Exactly one
-// goroutine — either the kernel itself or a single process — runs at any
-// moment, so simulation state needs no locking and runs are bit-for-bit
-// reproducible for a given spawn order and seed.
+// The kernel multiplexes cooperative processes (one iter.Pull coroutine
+// each) over a virtual clock. Exactly one goroutine — either the kernel
+// itself or a single process — runs at any moment, so simulation state
+// needs no locking and runs are bit-for-bit reproducible for a given
+// spawn order and seed.
 //
 // Processes advance virtual time with Proc.Sleep and communicate through
 // virtual-time channels (Chan). Network links, switches, and training
@@ -17,12 +19,16 @@
 // differential suite. Events are pool-allocated through a free list, so
 // the steady-state hot path — After callbacks and process wakes —
 // performs no heap allocation. Pure-callback events (After) execute
-// inline in the kernel loop with no goroutine handoff; only waking a
-// parked process pays the two channel operations of the token exchange.
+// inline in the kernel loop with no goroutine handoff; waking a parked
+// process is one coroutine switch in and one back out, each a direct
+// hand-over of the thread that touches neither a run queue nor a
+// channel. (The go1.23 build line is for iter: go.mod stays at go 1.22
+// because benchmark/go.mod replaces this module at that version.)
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -68,15 +74,12 @@ type Kernel struct {
 	now      Time
 	seq      uint64
 	sched    scheduler
-	cal      *calQueue     // sched devirtualized, nil for other schedulers
-	pool     bool          // sched.pooled(), cached off the hot path
-	free     *event        // recycled events (calendar scheduler only)
-	parkCh   chan struct{} // processes signal "parked or finished"
+	cal      *calQueue // sched devirtualized, nil for other schedulers
+	pool     bool      // sched.pooled(), cached off the hot path
+	free     *event    // recycled events (calendar scheduler only)
 	stopped  bool
-	down     bool // Shutdown has begun; parked processes must unwind
 	panicVal any
-	procs    int     // live (spawned, unfinished) processes
-	live     []*Proc // the live processes themselves (Shutdown resumes them)
+	live     []*Proc // the spawned, unfinished processes (Shutdown stops them)
 	events   uint64  // total events processed
 }
 
@@ -95,7 +98,7 @@ func NewKernel() *Kernel {
 func NewHeapKernel() *Kernel { return newKernel(newHeapQueue()) }
 
 func newKernel(s scheduler) *Kernel {
-	k := &Kernel{parkCh: make(chan struct{}), sched: s, pool: s.pooled()}
+	k := &Kernel{sched: s, pool: s.pooled()}
 	// Devirtualize the hot path: push/peek/pop run a few times per
 	// event, and the calendar queue is the production scheduler.
 	k.cal, _ = s.(*calQueue)
@@ -123,7 +126,7 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Procs reports the number of live (spawned, unfinished) processes.
-func (k *Kernel) Procs() int { return k.procs }
+func (k *Kernel) Procs() int { return len(k.live) }
 
 // Events reports the total number of events the kernel has processed —
 // the numerator of every events/sec measurement.
@@ -186,33 +189,43 @@ func (k *Kernel) After(d Time, fn func()) {
 
 // Spawn creates a process named name running fn, starting at the current
 // virtual time. It may be called before Run or from kernel callbacks and
-// other processes.
+// other processes. The process's coroutine (and so its goroutine) is
+// created when its start event runs, not here.
+//
+// A panic in fn surfaces from Run as "sim: process %q panicked: %v".
+// runtime.Goexit in fn (a t.Fatal in a test's process body) ends the
+// goroutine that called Run, as iter.Pull propagates it; the kernel must
+// not be used afterwards.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{k: k, name: name, resumeCh: make(chan struct{})}
-	k.procs++
-	p.liveIdx = len(k.live)
+	p := &Proc{k: k, name: name, fn: fn, liveIdx: len(k.live)}
 	k.live = append(k.live, p)
-	go func() {
-		<-p.resumeCh // wait for the start event
-		defer func() {
-			if r := recover(); r != nil && r != errShutdown {
-				p.k.panicVal = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-			}
-			p.done = true
-			p.k.procs--
-			p.k.unlive(p)
-			p.k.parkCh <- struct{}{}
-		}()
-		if !p.k.down {
-			fn(p)
-		}
-	}()
 	p.wakeSeq = k.schedule(k.now, nil, p)
 	return p
 }
 
-// unlive removes a finished process from the live list (swap-remove).
-func (k *Kernel) unlive(p *Proc) {
+// resume hands the thread to p until it parks or finishes. The first
+// resume is the start event: it builds the coroutine around p.fn.
+func (p *Proc) resume() {
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			defer func() {
+				if r := recover(); r != nil && r != errShutdown {
+					p.k.panicVal = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
+				}
+				p.k.finish(p)
+			}()
+			p.fn(p)
+		})
+	}
+	p.next()
+}
+
+// finish retires p: it will not be resumed again and leaves the live
+// list (swap-remove).
+func (k *Kernel) finish(p *Proc) {
+	p.done = true
+	p.fn = nil // a retained *Proc must not keep the body's captures alive
 	last := len(k.live) - 1
 	k.live[p.liveIdx] = k.live[last]
 	k.live[p.liveIdx].liveIdx = p.liveIdx
@@ -264,8 +277,7 @@ func (k *Kernel) run(limit Time) {
 			fn()
 		}
 		if proc != nil && !proc.done && !proc.cancelWake(seq) {
-			proc.resumeCh <- struct{}{}
-			<-k.parkCh
+			proc.resume()
 		}
 		if k.panicVal != nil {
 			panic(k.panicVal)
@@ -292,14 +304,18 @@ var errShutdown = &struct{ s string }{"sim: kernel shut down"}
 // from inside its blocking call (Sleep, Recv, Barrier.Wait, ...): its
 // deferred functions still run, but the process can not block again —
 // any further blocking call re-panics. Recovering the sentinel and
-// parking anyway is unsupported. Pending events are discarded; the
-// kernel must not be used afterwards. Shutdown is idempotent.
+// parking anyway is unsupported. A process whose start event never ran
+// is retired without its body running. Every goroutine is gone when
+// Shutdown returns. Pending events are discarded; the kernel must not
+// be used afterwards. Shutdown is idempotent.
 func (k *Kernel) Shutdown() {
-	k.down = true
 	for len(k.live) > 0 {
 		p := k.live[len(k.live)-1]
-		p.resumeCh <- struct{}{}
-		<-k.parkCh
+		if p.stop != nil {
+			p.stop() // park returns false; the unwind ends in finish
+		} else {
+			k.finish(p)
+		}
 	}
 	for k.sched.pop() != nil {
 	}
@@ -307,14 +323,21 @@ func (k *Kernel) Shutdown() {
 }
 
 // Proc is a simulated process. All methods must be called from the
-// process's own goroutine while it holds the scheduler token (i.e., from
-// inside the fn passed to Spawn).
+// process's own goroutine while it is the one running (i.e., from inside
+// the fn passed to Spawn).
 type Proc struct {
-	k        *Kernel
-	name     string
-	resumeCh chan struct{}
-	done     bool
-	liveIdx  int // index in k.live while live
+	k       *Kernel
+	name    string
+	fn      func(*Proc)
+	done    bool
+	liveIdx int // index in k.live while live
+
+	// The coroutine, built by the first resume: next switches into the
+	// process, yield switches back to whoever called next, stop makes
+	// the pending and every later yield return false.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// wakeSeq, when nonzero, identifies the single event allowed to wake
 	// this proc; events carrying any other seq are stale (for example a
@@ -336,9 +359,7 @@ func (p *Proc) Spawn(name string, fn func(*Proc)) *Proc { return p.k.Spawn(name,
 
 // park yields the token to the kernel and blocks until resumed.
 func (p *Proc) park() {
-	p.k.parkCh <- struct{}{}
-	<-p.resumeCh
-	if p.k.down {
+	if !p.yield(struct{}{}) {
 		panic(errShutdown)
 	}
 }
