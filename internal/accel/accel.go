@@ -72,6 +72,7 @@ type segState struct {
 	qbuf  []int32
 	count uint32
 	seen  map[string]struct{}
+	next  *segState // the spare list's link, while banked bufferless
 }
 
 // Accelerator is the functional + timing model of the in-switch
@@ -84,11 +85,17 @@ type Accelerator struct {
 	segs  map[uint64]*segState
 	dedup bool
 
-	// pool recycles segState records (and their payload buffers) so
-	// steady-state aggregation never allocates: emission hands the
-	// buffer to the caller and banks the record; Recycle returns the
-	// buffer for the next round.
-	pool sync.Pool
+	// pool and spare recycle segState records so steady-state
+	// aggregation never allocates. pool holds the records that have a
+	// buffer: a new segment takes one, and the GC may reclaim idle ones.
+	// Emission hands the buffer to the caller and leaves the bufferless
+	// record on the spare list (64 bytes each, bounded by the segments in
+	// flight; the accelerator is single-threaded, so a plain list);
+	// Recycle puts the returned buffer on a spare record and banks it in
+	// pool. A returned buffer therefore never lands on a record that
+	// already holds one.
+	pool  sync.Pool
+	spare *segState
 
 	// qscratch re-widens narrowed child partials (q << shift) before
 	// the saturating add, without mutating the caller's payload.
@@ -146,13 +153,32 @@ func (a *Accelerator) Reset() {
 	a.stats.Resets++
 }
 
-// newSegState takes a segment record from the pool (or allocates one)
-// with a zeroed n-element buffer and a cleared contributor bitmap.
-func (a *Accelerator) newSegState(n int) *segState {
+// getState takes a segment record for a new segment: one that holds a
+// buffer if there is one, else a spare or a fresh one. Its counter and
+// contributor bitmap are cleared.
+func (a *Accelerator) getState() *segState {
 	st, _ := a.pool.Get().(*segState)
 	if st == nil {
-		return &segState{buf: make([]float32, n)}
+		st = a.spareState()
 	}
+	st.count = 0
+	clear(st.seen)
+	return st
+}
+
+// spareState takes a bufferless record off the spare list, or makes one.
+func (a *Accelerator) spareState() *segState {
+	st := a.spare
+	if st == nil {
+		return &segState{}
+	}
+	a.spare, st.next = st.next, nil
+	return st
+}
+
+// newSegState returns a segment record with a zeroed n-element buffer.
+func (a *Accelerator) newSegState(n int) *segState {
+	st := a.getState()
 	if cap(st.buf) >= n {
 		st.buf = st.buf[:n]
 		tensor.Zero(st.buf)
@@ -160,18 +186,13 @@ func (a *Accelerator) newSegState(n int) *segState {
 		st.buf = make([]float32, n)
 	}
 	st.qbuf = st.qbuf[:0]
-	st.count = 0
-	clear(st.seen)
 	return st
 }
 
 // newSegStateQ is newSegState for the integer datapath: a zeroed
 // n-element int32 accumulator.
 func (a *Accelerator) newSegStateQ(n int) *segState {
-	st, _ := a.pool.Get().(*segState)
-	if st == nil {
-		return &segState{qbuf: make([]int32, n)}
-	}
+	st := a.getState()
 	if cap(st.qbuf) >= n {
 		st.qbuf = st.qbuf[:n]
 		clear(st.qbuf)
@@ -179,23 +200,18 @@ func (a *Accelerator) newSegStateQ(n int) *segState {
 		st.qbuf = make([]int32, n)
 	}
 	st.buf = st.buf[:0]
-	st.count = 0
-	clear(st.seen)
 	return st
 }
 
 // recycleState banks a record, buffer included, for reuse.
-func (a *Accelerator) recycleState(st *segState) {
-	clear(st.seen)
-	a.pool.Put(st)
-}
+func (a *Accelerator) recycleState(st *segState) { a.pool.Put(st) }
 
 // takeBuf detaches a completed segment's buffer for the caller and
-// banks the bufferless record.
+// leaves the bufferless record on the spare list.
 func (a *Accelerator) takeBuf(st *segState) []float32 {
 	buf := st.buf
 	st.buf = nil
-	a.recycleState(st)
+	st.next, a.spare = a.spare, st
 	return buf
 }
 
@@ -203,7 +219,7 @@ func (a *Accelerator) takeBuf(st *segState) []float32 {
 func (a *Accelerator) takeQBuf(st *segState) []int32 {
 	buf := st.qbuf
 	st.qbuf = nil
-	a.recycleState(st)
+	st.next, a.spare = a.spare, st
 	return buf
 }
 
@@ -211,19 +227,14 @@ func (a *Accelerator) takeQBuf(st *segState) []int32 {
 // IngestFrom, DrainSatisfied, or Flush to the segment-buffer pool. Call
 // it once the aggregate has been consumed (e.g. serialized onto the
 // wire) and do not use buf afterwards; the accelerator will reuse the
-// storage for a future segment. Recycling is optional — buffers that
+// storage for a future segment. Recycling is optional: buffers that
 // are retained instead are simply replaced by fresh allocations.
 func (a *Accelerator) Recycle(buf []float32) {
 	if buf == nil {
 		return
 	}
-	st, _ := a.pool.Get().(*segState)
-	if st == nil {
-		st = &segState{}
-	}
-	if cap(buf) >= cap(st.buf) {
-		st.buf = buf[:0]
-	}
+	st := a.spareState()
+	st.buf = buf[:0]
 	a.pool.Put(st)
 }
 
@@ -233,13 +244,8 @@ func (a *Accelerator) RecycleQ(buf []int32) {
 	if buf == nil {
 		return
 	}
-	st, _ := a.pool.Get().(*segState)
-	if st == nil {
-		st = &segState{}
-	}
-	if cap(buf) >= cap(st.qbuf) {
-		st.qbuf = buf[:0]
-	}
+	st := a.spareState()
+	st.qbuf = buf[:0]
 	a.pool.Put(st)
 }
 

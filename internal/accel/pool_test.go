@@ -95,3 +95,76 @@ func TestRecycleKeepsLargerBuffer(t *testing.T) {
 		t.Fatalf("recycled capacity %d, want the banked 2048-element buffer reused", cap(sum2))
 	}
 }
+
+// TestRecycleNeverDropsALiveBuffer: a returned buffer goes onto a
+// bufferless record, never over a buffer some record already holds,
+// which would send the held one to the GC and make the next segment
+// allocate. The cases that expose it are records banked whole (Reset,
+// FlushAll) and buffers that come back in a run with no emission between
+// them. With 1 024 segments in flight, completing and recycling every
+// one of them, round after round, allocates nothing after first touch on
+// either datapath.
+func TestRecycleNeverDropsALiveBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is unreliable under -race")
+	}
+	const liveSegs = 1024
+	for _, h := range []uint32{4, 16} {
+		cfg := DefaultConfig()
+		cfg.Threshold = h
+		data := make([]float32, 366)
+		q := make([]int32, 366)
+
+		af := New(cfg)
+		var sums [][]float32
+		floatRound := func() {
+			sums = sums[:0]
+			for w := uint32(0); w < h; w++ {
+				for seg := uint64(0); seg < liveSegs; seg++ {
+					if sum, done, _ := af.Ingest(seg, data); done {
+						sums = append(sums, sum)
+					}
+				}
+			}
+			for _, sum := range sums { // every buffer comes back in one run
+				af.Recycle(sum)
+			}
+		}
+		aq := New(cfg)
+		var qsums [][]int32
+		quantRound := func() {
+			qsums = qsums[:0]
+			for w := uint32(0); w < h; w++ {
+				for seg := uint64(0); seg < liveSegs; seg++ {
+					if sum, _, done, _ := aq.IngestQFrom(seg, "", q, 0); done {
+						qsums = append(qsums, sum)
+					}
+				}
+			}
+			for _, sum := range qsums {
+				aq.RecycleQ(sum)
+			}
+		}
+		floatRound() // first touch
+		quantRound()
+		if len(sums) != liveSegs || len(qsums) != liveSegs {
+			t.Fatalf("H=%d: %d float and %d quantized segments completed, want %d each", h, len(sums), len(qsums), liveSegs)
+		}
+		if n := testing.AllocsPerRun(5, floatRound); n != 0 {
+			t.Errorf("H=%d: float round of %d segments allocates %v times after first touch, want 0", h, liveSegs, n)
+		}
+		if n := testing.AllocsPerRun(5, quantRound); n != 0 {
+			t.Errorf("H=%d: quantized round of %d segments allocates %v times after first touch, want 0", h, liveSegs, n)
+		}
+
+		// Records banked whole (Reset) still hold their buffers when the
+		// next returned buffer arrives.
+		for seg := uint64(0); seg < liveSegs; seg++ {
+			af.Ingest(seg, data)
+		}
+		af.Reset()
+		if n := testing.AllocsPerRun(5, floatRound); n != 0 {
+			t.Errorf("H=%d: float round after a Reset allocates %v times, want 0", h, n)
+		}
+	}
+}

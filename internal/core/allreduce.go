@@ -120,12 +120,10 @@ func (ac *arClient) recvChunk(p *sim.Proc, ci int) []float32 {
 	asm := protocol.NewAssembler(hi - lo)
 	for !asm.Complete() {
 		pkt := ac.host.Recv(p)
-		if !pkt.IsData() {
-			continue
+		if pkt.IsData() {
+			_ = asm.Add(pkt) // a bad segment is dropped
 		}
-		if err := asm.Add(pkt); err != nil {
-			continue
-		}
+		pkt.Release()
 	}
 	return asm.Vector()
 }

@@ -268,24 +268,26 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 			prev := p.Now()
 			for version < cfg.Updates {
 				pkt := srv.Recv(p)
+				src := pkt.Src
 				switch {
 				case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
-					pulls.Send(pkt.Src)
+					pkt.Release()
+					pulls.Send(src)
 				case pkt.IsData():
-					a := asm[pkt.Src]
+					a := asm[src]
 					if a == nil {
 						a = protocol.NewAssembler(nShard)
-						asm[pkt.Src] = a
+						asm[src] = a
 					}
-					if err := a.AddFloats(pkt.Seg-segBase, pkt.Data); err != nil {
-						continue
-					}
-					if !a.Complete() {
+					// The payload is copied out: the frame is spent.
+					err := a.AddFloats(pkt.Seg-segBase, pkt.Data)
+					pkt.Release()
+					if err != nil || !a.Complete() {
 						continue
 					}
 					// Push: apply if within the staleness bound.
 					p.Sleep(msgCost)
-					staleness := version - lastSent[pkt.Src]
+					staleness := version - lastSent[src]
 					if staleness <= cfg.StalenessBound {
 						stats.Committed++
 						stats.StalenessSum += staleness
@@ -313,6 +315,8 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 						perShard.Discarded++
 					}
 					a.Reset()
+				default:
+					pkt.Release()
 				}
 			}
 			if remaining--; remaining == 0 {
@@ -341,10 +345,9 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 						return // servers stopped mid-reply
 					}
 					if pkt.IsData() {
-						if err := weights.Add(pkt); err != nil {
-							continue
-						}
+						_ = weights.Add(pkt) // a bad segment is dropped
 					}
+					pkt.Release()
 				}
 				agent.WriteParams(weights.Vector())
 				// Local gradient computing.

@@ -273,16 +273,12 @@ func runCompReliability(t *testing.T, spec ClusterSpec, iters int) ([]*fracAgent
 // shadow slots re-serve quantized (and sparse jobs' dense) emissions
 // and workers retransmit re-encoded contributions; the run must stay
 // bit-identical to the clean run — the quantized grid timeline included
-// — on a star and a fat-tree.
+// — on a star, a rack tree and a fat-tree.
 func TestCompressedLossReserveBitIdentical(t *testing.T) {
 	nFloats := 2*protocolFloats + 9
 	const iters = 8
-	topos := []ClusterSpec{
-		{Topology: TopoStar, Workers: 6},
-		{Topology: TopoFatTree, KAry: 4, HostsPerEdge: 1},
-	}
 	for _, scheme := range []protocol.Compression{protocol.CompInt32Block, protocol.CompTopK} {
-		for _, topo := range topos {
+		for _, topo := range relTopoSpecs() {
 			t.Run(fmt.Sprintf("%s-%s", scheme, topo.Topology), func(t *testing.T) {
 				cfg := DefaultISWConfig()
 				cfg.RecoveryTimeout = 2 * time.Millisecond
@@ -322,13 +318,25 @@ func TestCompressedLossReserveBitIdentical(t *testing.T) {
 // quantized scheme rejoins and re-contributes on the round's original
 // grid (EncodeQPrev / the cached sparse selection); the dedup bitmap
 // absorbs duplicates and the run stays bit-identical to a crash-free
-// one.
+// one, on every topology for int32block and on the star for top-k.
 func TestCompressedCrashRejoin(t *testing.T) {
 	nFloats := 2*protocolFloats + 9
 	const iters = 8
-	for _, scheme := range []protocol.Compression{protocol.CompInt32Block, protocol.CompTopK} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			topo := ClusterSpec{Topology: TopoStar, Workers: 6}
+	type tc struct {
+		scheme protocol.Compression
+		topo   ClusterSpec
+	}
+	cases := []tc{{protocol.CompTopK, relTopoSpecs()[0]}}
+	for _, topo := range relTopoSpecs() {
+		cases = append(cases, tc{protocol.CompInt32Block, topo})
+	}
+	for _, c := range cases {
+		scheme, topo := c.scheme, c.topo
+		name := scheme.String() // the star cases keep their original names
+		if topo.Topology != TopoStar {
+			name += "-" + topo.Topology.String()
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg := DefaultISWConfig()
 			cfg.RecoveryTimeout = 2 * time.Millisecond
 			clean, _, _ := runCompReliability(t, compRelSpec(topo, scheme, nFloats, &cfg, nil), iters)
@@ -353,26 +361,29 @@ func TestCompressedCrashRejoin(t *testing.T) {
 func TestQuantizedFailoverConsistency(t *testing.T) {
 	nFloats := 2*protocolFloats + 9
 	const iters = 8
-	topo := ClusterSpec{Topology: TopoStar, Workers: 6}
-	cfg := DefaultISWConfig()
-	cfg.RecoveryTimeout = 2 * time.Millisecond
+	for _, topo := range relTopoSpecs() {
+		t.Run(topo.Topology.String(), func(t *testing.T) {
+			cfg := DefaultISWConfig()
+			cfg.RecoveryTimeout = 2 * time.Millisecond
 
-	_, _, cleanTotal := runCompReliability(t, compRelSpec(topo, protocol.CompInt32Block, nFloats, &cfg, nil), iters)
+			_, _, cleanTotal := runCompReliability(t, compRelSpec(topo, protocol.CompInt32Block, nFloats, &cfg, nil), iters)
 
-	cfg2 := cfg
-	cfg2.FailoverAfter = 3
-	plan := &netsim.FaultPlan{Switches: []netsim.SwitchFault{{Switch: -1, At: cleanTotal / 2}}}
-	faulted, c, _ := runCompReliability(t, compRelSpec(topo, protocol.CompInt32Block, nFloats, &cfg2, plan), iters)
-	if int(c.Failovers) != len(faulted) {
-		t.Fatalf("expected all %d workers to fail over, got %d", len(faulted), c.Failovers)
-	}
-	for w := 1; w < len(faulted); w++ {
-		for it := 0; it < iters; it++ {
-			for i := range faulted[w].applied[it] {
-				if x, y := faulted[w].applied[it][i], faulted[0].applied[it][i]; x != y {
-					t.Fatalf("iter %d elem %d: worker %d applied %v, worker 0 %v", it, i, w, x, y)
+			cfg2 := cfg
+			cfg2.FailoverAfter = 3
+			plan := &netsim.FaultPlan{Switches: []netsim.SwitchFault{{Switch: -1, At: cleanTotal / 2}}}
+			faulted, c, _ := runCompReliability(t, compRelSpec(topo, protocol.CompInt32Block, nFloats, &cfg2, plan), iters)
+			if int(c.Failovers) != len(faulted) {
+				t.Fatalf("expected all %d workers to fail over, got %d", len(faulted), c.Failovers)
+			}
+			for w := 1; w < len(faulted); w++ {
+				for it := 0; it < iters; it++ {
+					for i := range faulted[w].applied[it] {
+						if x, y := faulted[w].applied[it][i], faulted[0].applied[it][i]; x != y {
+							t.Fatalf("iter %d elem %d: worker %d applied %v, worker 0 %v", it, i, w, x, y)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }

@@ -313,34 +313,66 @@ func (ic *iswClient) sendGradient(grad []float32, limit int) {
 		ic.relayContribute(ic.round%protocol.RoundTagMod, ic.curGrad, limit)
 		return
 	}
-	tag := ic.roundTag()
-	per := cfg.perPacket()
+	ic.sendSegments(ic.sw, cfg.Compression, ic.roundTag(), grad, limit)
+}
+
+// sendSegments sends grad to dst, one frame per segment with tag in the
+// Seg field's round bits, stopping after limit frames (negative: all).
+func (ic *iswClient) sendSegments(dst protocol.Addr, scheme protocol.Compression, tag uint64, grad []float32, limit int) {
+	per := ic.cluster.cfg.perPacket()
 	segs := protocol.SegmentCountWith(len(grad), per)
 	if limit >= 0 && limit < segs {
 		segs = limit
 	}
 	for s := uint64(0); s < uint64(segs); s++ {
 		lo, hi := protocol.SegmentRangeWith(len(grad), s, per)
-		var pkt *protocol.Packet
-		switch cfg.Compression {
-		case protocol.CompInt32Block:
-			// The clone owns a copy of the codec scratch.
-			q := ic.ensureCodec().EncodeQ(s, grad[lo:hi])
-			pkt = protocol.NewQData(ic.host.Addr, ic.sw, s|tag, q, 0).PooledClone()
-		case protocol.CompTopK:
-			idx, vals := ic.codec.Sparse(s)
-			pkt = protocol.NewSparseData(ic.host.Addr, ic.sw, s|tag, idx, vals).PooledClone()
-		default:
-			// The frame aliases grad; it is not pooled (see README
-			// "Performance": the downlink clones live in that pool).
-			pkt = protocol.NewData(ic.host.Addr, ic.sw, s|tag, grad[lo:hi])
-			if cfg.Compression == protocol.CompFP16 {
-				pkt.Enc = protocol.CompFP16
-			}
-		}
-		pkt.Job = cfg.Job
-		ic.host.Send(pkt)
+		ic.host.Send(ic.dataFrame(dst, scheme, s|tag, grad[lo:hi], false))
 	}
+}
+
+// dataFrame builds the frame that carries one segment's values to dst
+// under scheme. It is the one place a worker's data frame is made:
+// first upload, retransmission and the relay path alike. The header is
+// pooled and whoever consumes the frame releases it. A float payload
+// aliases vals, which the sender keeps intact while the frame can be in
+// flight; codec output is copied in, since the codec's scratch and
+// cached selection move on with the next segment or round. prevRound
+// encodes on the grid, or replays the selection, of the round before
+// the current one.
+func (ic *iswClient) dataFrame(dst protocol.Addr, scheme protocol.Compression, taggedSeg uint64, vals []float32, prevRound bool) *protocol.Packet {
+	seg := taggedSeg & segMask
+	var pkt *protocol.Packet
+	switch scheme {
+	case protocol.CompInt32Block:
+		codec := ic.ensureCodec()
+		var q []int32
+		if prevRound {
+			q = codec.EncodeQPrev(seg, vals)
+		} else {
+			q = codec.EncodeQ(seg, vals)
+		}
+		pkt = protocol.NewQData(ic.host.Addr, dst, taggedSeg, q, 0)
+		pkt.SetQDataCopy(q)
+	case protocol.CompTopK:
+		codec := ic.ensureCodec()
+		var idx []uint16
+		var sel []float32
+		if prevRound {
+			idx, sel = codec.SparsePrev(seg)
+		} else {
+			idx, sel = codec.Sparse(seg)
+		}
+		pkt = protocol.NewSparseData(ic.host.Addr, dst, taggedSeg, idx, sel)
+		pkt.SetIdxCopy(idx)
+		pkt.SetDataCopy(sel)
+	default:
+		pkt = protocol.NewData(ic.host.Addr, dst, taggedSeg, vals)
+		if scheme == protocol.CompFP16 {
+			pkt.Enc = protocol.CompFP16 // vals already hold rounded values
+		}
+	}
+	pkt.Job = ic.cluster.cfg.Job
+	return pkt
 }
 
 // retransmit resends this worker's contribution for one (possibly
@@ -375,35 +407,7 @@ func (ic *iswClient) retransmit(taggedSeg uint64) {
 	if lo >= hi {
 		return
 	}
-	var pkt *protocol.Packet
-	switch cfg.Compression {
-	case protocol.CompInt32Block:
-		codec := ic.ensureCodec()
-		var q []int32
-		if prevRound {
-			q = codec.EncodeQPrev(seg, grad[lo:hi])
-		} else {
-			q = codec.EncodeQ(seg, grad[lo:hi])
-		}
-		pkt = protocol.NewQData(ic.host.Addr, ic.sw, taggedSeg, q, 0).PooledClone()
-	case protocol.CompTopK:
-		codec := ic.ensureCodec()
-		var idx []uint16
-		var vals []float32
-		if prevRound {
-			idx, vals = codec.SparsePrev(seg)
-		} else {
-			idx, vals = codec.Sparse(seg)
-		}
-		pkt = protocol.NewSparseData(ic.host.Addr, ic.sw, taggedSeg, idx, vals).PooledClone()
-	default:
-		pkt = protocol.NewData(ic.host.Addr, ic.sw, taggedSeg, grad[lo:hi])
-		if cfg.Compression == protocol.CompFP16 {
-			pkt.Enc = protocol.CompFP16 // grad already holds rounded values
-		}
-	}
-	pkt.Job = cfg.Job
-	ic.host.Send(pkt)
+	ic.host.Send(ic.dataFrame(ic.sw, cfg.Compression, taggedSeg, grad[lo:hi], prevRound))
 	ic.cluster.Retransmits++
 }
 
@@ -448,10 +452,7 @@ func (ic *iswClient) CollectAggregate(p *sim.Proc) []float32 {
 				}
 				// Stalled: request recovery for every missing segment.
 				for _, seg := range ic.asm.Missing() {
-					help := protocol.NewControl(ic.host.Addr, ic.sw,
-						protocol.ActionHelp, protocol.HelpValue(seg|tag))
-					help.Job = cfg.Job
-					ic.host.Send(help)
+					ic.host.Send(ic.help(ic.sw, seg|tag))
 					ic.cluster.HelpsSent++
 					if cfg.Untagged {
 						// No switch-side bitmap to target retransmission
@@ -525,6 +526,13 @@ func (ic *iswClient) CollectAggregate(p *sim.Proc) []float32 {
 		ic.codec.Advance()
 	}
 	return ic.asm.Vector()
+}
+
+// help builds this worker's Help for the (round-tagged) segment seg.
+func (ic *iswClient) help(dst protocol.Addr, seg uint64) *protocol.Packet {
+	h := protocol.NewHelp(ic.host.Addr, dst, seg)
+	h.Job = ic.cluster.cfg.Job
+	return h
 }
 
 // addQuantized decodes one quantized aggregate segment through the

@@ -186,16 +186,21 @@ func (c *PSCluster) startServer(k *sim.Kernel, s int) {
 			for len(round) < len(c.workers) {
 				pkt := srv.Recv(p)
 				if !pkt.IsData() {
+					pkt.Release()
 					continue
 				}
-				a := asm[pkt.Src]
+				src := pkt.Src
+				a := asm[src]
 				if a == nil {
 					a = protocol.NewAssembler(nShard)
-					asm[pkt.Src] = a
+					asm[src] = a
 				}
 				// Remap the global segment index into shard-local space
 				// (misrouted segments wrap out of range and are dropped).
-				if err := a.AddFloats(pkt.Seg-segBase, pkt.Data); err != nil {
+				// The payload is copied out: the frame is spent.
+				err := a.AddFloats(pkt.Seg-segBase, pkt.Data)
+				pkt.Release()
+				if err != nil {
 					continue
 				}
 				if a.Complete() {
@@ -204,7 +209,7 @@ func (c *PSCluster) startServer(k *sim.Kernel, s int) {
 						sum[i] += v
 					}
 					a.Reset()
-					round = append(round, pkt.Src)
+					round = append(round, src)
 				}
 			}
 			// Deferred whole-vector summation happened above per arrival
@@ -268,10 +273,9 @@ func (pc *psClient) Aggregate(p *sim.Proc, grad []float32) []float32 {
 	for !pc.asm.Complete() {
 		pkt := pc.host.Recv(p)
 		if pkt.IsData() {
-			if err := pc.asm.Add(pkt); err != nil {
-				continue
-			}
+			_ = pc.asm.Add(pkt) // a bad segment is dropped
 		}
+		pkt.Release()
 	}
 	return pc.asm.Vector()
 }

@@ -205,16 +205,7 @@ func (ic *iswClient) relayContribute(rt uint64, grad []float32, limit int) {
 		}
 		return
 	}
-	sent := 0
-	for _, pkt := range protocol.SegmentWith(ic.host.Addr, ic.cluster.relayAddr(), grad, ic.cluster.cfg.perPacket()) {
-		if limit >= 0 && sent >= limit {
-			break
-		}
-		pkt.Seg |= rt << roundShift
-		pkt.Job = ic.cluster.cfg.Job
-		ic.host.Send(pkt)
-		sent++
-	}
+	ic.sendSegments(ic.cluster.relayAddr(), protocol.CompNone, rt<<roundShift, grad, limit)
 }
 
 // relayLocalContribution injects the relay's own gradient into its
@@ -228,8 +219,10 @@ func (ic *iswClient) relayLocalContribution(rt uint64, grad []float32) {
 	if a.Complete() {
 		return
 	}
-	for _, pkt := range protocol.SegmentWith(ic.host.Addr, ic.host.Addr, grad, ic.cluster.cfg.perPacket()) {
-		_ = a.Add(pkt)
+	per := ic.cluster.cfg.perPacket()
+	for s := uint64(0); int(s) < protocol.SegmentCountWith(len(grad), per); s++ {
+		lo, hi := protocol.SegmentRangeWith(len(grad), s, per)
+		_ = a.AddFloats(s, grad[lo:hi])
 	}
 	ic.relayTryComplete(rt)
 }
@@ -322,11 +315,7 @@ func (ic *iswClient) relayTryComplete(rt uint64) {
 		if w.Addr == ic.host.Addr {
 			continue
 		}
-		for _, pkt := range protocol.SegmentWith(ic.host.Addr, w.Addr, total, ic.cluster.cfg.perPacket()) {
-			pkt.Seg |= rt << roundShift
-			pkt.Job = ic.cluster.cfg.Job
-			ic.host.Send(pkt)
-		}
+		ic.sendSegments(w.Addr, protocol.CompNone, rt<<roundShift, total, -1)
 	}
 }
 
@@ -345,17 +334,16 @@ func (ic *iswClient) relayHandleHelp(pkt *protocol.Packet) {
 		if lo >= hi {
 			return
 		}
-		out := protocol.NewData(ic.host.Addr, pkt.Src, seg, sum[lo:hi])
-		out.Job = ic.cluster.cfg.Job
-		ic.host.Send(out)
+		ic.host.Send(ic.dataFrame(pkt.Src, protocol.CompNone, seg, sum[lo:hi], false))
 		return
 	}
-	ic.relayChase(rt, pkt.Value)
+	ic.relayChase(rt, seg)
 }
 
 // relayChase asks every worker whose contribution for round tag rt is
-// incomplete to (re)send it.
-func (ic *iswClient) relayChase(rt uint64, helpValue []byte) {
+// incomplete to (re)send it, naming seg (any segment of that round) in
+// its own Help frames.
+func (ic *iswClient) relayChase(rt, seg uint64) {
 	byW := ic.relayEngine().rounds[rt]
 	for _, w := range ic.cluster.workers {
 		if w.Addr == ic.host.Addr {
@@ -366,9 +354,7 @@ func (ic *iswClient) relayChase(rt uint64, helpValue []byte) {
 				continue
 			}
 		}
-		help := protocol.NewControl(ic.host.Addr, w.Addr, protocol.ActionHelp, helpValue)
-		help.Job = ic.cluster.cfg.Job
-		ic.host.Send(help)
+		ic.host.Send(ic.help(w.Addr, seg))
 	}
 }
 
@@ -433,7 +419,7 @@ func (ic *iswClient) collectViaRelay(p *sim.Proc) []float32 {
 			pkt, ok := ic.host.RecvTimeout(p, ic.backoffTimeout())
 			if !ok {
 				ic.level++
-				ic.relayChase(rt, protocol.HelpValue(rt<<roundShift))
+				ic.relayChase(rt, rt<<roundShift)
 				ic.cluster.HelpsSent++
 				continue
 			}
@@ -450,10 +436,7 @@ func (ic *iswClient) collectViaRelay(p *sim.Proc) []float32 {
 			// assemblers absorb duplicates) and Help for missing sums.
 			ic.relayContribute(rt, ic.curGrad, -1)
 			for _, seg := range ic.asm.Missing() {
-				help := protocol.NewControl(ic.host.Addr, ic.cluster.relayAddr(),
-					protocol.ActionHelp, protocol.HelpValue(seg|rt<<roundShift))
-				help.Job = cfg.Job
-				ic.host.Send(help)
+				ic.host.Send(ic.help(ic.cluster.relayAddr(), seg|rt<<roundShift))
 				ic.cluster.HelpsSent++
 			}
 			continue

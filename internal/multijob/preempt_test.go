@@ -149,14 +149,26 @@ func TestPreemptRestoreBitIdenticalStar(t *testing.T) {
 	}, 2, nil)
 }
 
-// TestPreemptRestoreBitIdenticalFatTree extends the pin to the fat-
-// tree: the victim's contexts are checkpointed and restored coherently
-// across its whole edge→agg→core chain.
-func TestPreemptRestoreBitIdenticalFatTree(t *testing.T) {
+// TestPreemptRestoreBitIdenticalTree extends the pin to the rack tree:
+// a job spanning both racks is checkpointed and restored on its two
+// ToRs and the root together.
+func TestPreemptRestoreBitIdenticalTree(t *testing.T) {
 	uplink := netsim.LinkConfig{BitsPerSecond: 40e9, Propagation: 4 * time.Microsecond}
 	runPreemptScenario(t, func(k *sim.Kernel, cfg FabricConfig) *Fabric {
-		return NewFatTreeFabric(k, 2, 2, testLink(), uplink, uplink, cfg)
-	}, 2, nil)
+		return NewTreeFabric(k, 8, 2, testLink(), uplink, cfg)
+	}, 4, nil)
+}
+
+// TestPreemptRestoreBitIdenticalFatTree extends the pin to the fat-
+// tree, k=2 and k=4: the victim's contexts are checkpointed and restored
+// coherently across its whole edge→agg→core chain.
+func TestPreemptRestoreBitIdenticalFatTree(t *testing.T) {
+	uplink := netsim.LinkConfig{BitsPerSecond: 40e9, Propagation: 4 * time.Microsecond}
+	for _, kAry := range []int{2, 4} {
+		runPreemptScenario(t, func(k *sim.Kernel, cfg FabricConfig) *Fabric {
+			return NewFatTreeFabric(k, kAry, 2, testLink(), uplink, uplink, cfg)
+		}, kAry, nil)
+	}
 }
 
 // TestPreemptRestoreBitIdenticalUnderFaults layers a lossy worker NIC

@@ -100,22 +100,24 @@ func ParseJoinScheme(value []byte) (modelFloats uint64, scheme Compression, err 
 	}
 }
 
-// NewQData builds a block-scaled quantized data packet. The payload
-// aliases q; shift is the emission-narrowing exponent (zero on the
-// worker→switch leg).
+// NewQData builds a block-scaled quantized data packet on a pooled
+// header. The payload aliases q; shift is the emission-narrowing
+// exponent (zero on the worker→switch leg).
 func NewQData(src, dst Addr, seg uint64, q []int32, shift uint8) *Packet {
 	if len(q) > FloatsPerPacket {
 		panic(fmt.Sprintf("protocol: quantized segment of %d elements exceeds packet capacity %d",
 			len(q), FloatsPerPacket))
 	}
-	return &Packet{Src: src, Dst: dst, ToS: ToSData, Seg: seg,
-		Enc: CompInt32Block, Shift: shift, QData: q}
+	p := GetPacket()
+	p.Src, p.Dst, p.ToS, p.Seg = src, dst, ToSData, seg
+	p.Enc, p.Shift, p.QData = CompInt32Block, shift, q
+	return p
 }
 
-// NewSparseData builds a top-k sparse data packet carrying parallel
-// index/value slices (aliased, not copied). Empty is legal — a segment
-// with no selected elements still sends one packet so the switch's
-// per-segment contribution count advances.
+// NewSparseData builds a top-k sparse data packet on a pooled header,
+// carrying parallel index/value slices (aliased, not copied). Empty is
+// legal — a segment with no selected elements still sends one packet so
+// the switch's per-segment contribution count advances.
 func NewSparseData(src, dst Addr, seg uint64, idx []uint16, vals []float32) *Packet {
 	if len(idx) != len(vals) {
 		panic("protocol: sparse index/value length mismatch")
@@ -124,6 +126,8 @@ func NewSparseData(src, dst Addr, seg uint64, idx []uint16, vals []float32) *Pac
 		panic(fmt.Sprintf("protocol: sparse segment of %d entries exceeds packet capacity %d",
 			len(idx), FloatsPerPacket))
 	}
-	return &Packet{Src: src, Dst: dst, ToS: ToSData, Seg: seg,
-		Enc: CompTopK, Idx: idx, Data: vals}
+	p := GetPacket()
+	p.Src, p.Dst, p.ToS, p.Seg = src, dst, ToSData, seg
+	p.Enc, p.Idx, p.Data = CompTopK, idx, vals
+	return p
 }

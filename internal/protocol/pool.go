@@ -1,32 +1,150 @@
 package protocol
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
-// Packet pooling. Switch fan-out is the dominant packet producer in a
-// large simulation: broadcasting one aggregated segment to W workers
-// materializes W copies, and on a 1024-worker fat-tree that is a
-// gigabyte-scale allocation churn per training step. Pooled packets
-// make those copies flyweight: the consumer that takes delivery calls
-// Release when it has extracted what it needs, and the frame (with its
-// payload backing arrays) is reused for a later copy.
+// Frame memory. A Packet is a small pooled header holding at most one
+// reference to a counted payload record; the record is either a pooled
+// buffer the frame was filled into (Set*Copy) or a slice on loan from
+// its owner (Lend*), handed back when the last frame referring to it is
+// released. The paper's accelerator works the same way: it sums a
+// segment into one BRAM buffer and its output module replicates that
+// one buffer to the ports (§3.3, Figure 7).
+//
+// The two pools are separate, so a header-only GetPacket (a control, an
+// uplink frame aliasing the worker's gradient) can never take a buffer
+// away from the payload-bearing frames.
+//
+// Who allocates, who may alias, who releases:
+//
+//	frame            header from       payload                       released by
+//	uplink data      NewData/NewQData/ aliases the sender's gradient  the switch (or relay) after
+//	                 NewSparseData     or codec scratch; core copies  Ingest*From
+//	                                   codec scratch in (Set*Copy)
+//	emission         GetPacket         on loan from the accelerator   the emitting switch after the
+//	                                   (LendData/LendQData)           fan-out (root) or, see up-forward
+//	broadcast share  Share             one more reference to the      the receiving worker after
+//	                                   emission's record              Assembler.Add; a lower switch
+//	                                                                  after its own fan-out
+//	up-forward       the emission      the child's loan travels up    the parent after Ingest*From:
+//	                                                                  the buffer returns to the child
+//	shadow re-serve  GetPacket         pooled copy of the slot        the requesting worker
+//	control          NewControl/       value ≤ InlineValueLen bytes   the switch's tap after
+//	                 NewHelp           inline in the header           handleControl; the worker's
+//	                                                                  receive loop
+//	dropped frame    any               any                            netsim, at the drop site
+//	kept frame       PooledClone       pooled deep copy: the one      whoever keeps it, when done
+//	                                   copy left, for callers that
+//	                                   hold a frame past delivery
 //
 // Ownership rules:
 //
-//   - A pooled packet is owned by exactly one consumer at a time; the
+//   - A pooled header is owned by exactly one consumer at a time; the
 //     owner either retains it forever or calls Release exactly once,
 //     after which the packet must not be touched.
+//   - A payload may be read through any frame that refers to it and
+//     written through none once it is shared: every holder sees the
+//     same memory.
 //   - Release on a non-pooled packet is a no-op, so delivery paths may
-//     release unconditionally — forgetting a Release leaks nothing
-//     (the GC still collects), and releasing a packet that never came
-//     from the pool is harmless. Pooling is an optimization, never a
+//     release unconditionally. Forgetting a Release leaks nothing: the
+//     GC collects the header, and a loaned buffer that never comes back
+//     is replaced by its owner. Pooling is an optimization, never a
 //     correctness requirement.
-//   - Shallow copies (cp := *pkt) alias the pooled payload: the copy
-//     must not outlive the original's Release, and must never be
-//     released itself.
+//   - Shallow copies (cp := *pkt) alias the payload without counting:
+//     the copy must not outlive the original's Release, and must never
+//     be released itself.
 
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// GetPacket returns an empty pooled packet. The caller owns it until
+// bufPool holds records that own their buffers; loanPool holds the
+// bufferless records that carry a loan.
+var (
+	bufPool  = sync.Pool{New: func() any { return new(payload) }}
+	loanPool = sync.Pool{New: func() any { return new(payload) }}
+)
+
+// InlineValueLen is the longest control value a header stores without a
+// buffer: the 9-byte scheme-carrying Join is the protocol's longest.
+const InlineValueLen = 9
+
+// BufferOwner is where a loaned payload goes back to; the accelerator
+// is one.
+type BufferOwner interface {
+	Recycle(buf []float32)
+	RecycleQ(buf []int32)
+}
+
+// payload is one counted payload record.
+type payload struct {
+	// refs counts the frames referring to the record. It is a plain
+	// integer: a shared payload never crosses kernels or goroutines.
+	// Every share of an emission is made, delivered and released inside
+	// the one simulation kernel the emitting switch belongs to, whose
+	// processes run one at a time.
+	refs int32
+
+	// Buffers owned by the record (owner == nil), kept across release
+	// for reuse, or the one slice on loan from owner.
+	f32 []float32
+	i32 []int32
+	u16 []uint16
+
+	owner BufferOwner
+}
+
+// poisoned makes a payload's last release overwrite it (PoisonOnRelease).
+var poisoned bool
+
+// PoisonOnRelease is for tests: while on, the last release of a payload
+// overwrites it with NaN, math.MinInt32 and 0xFFFF before it goes back
+// to its pool or owner, so a reader that outlives its reference computes
+// garbage instead of passing by luck. Set it before any frame exists
+// (TestMain), not while a simulation runs.
+func PoisonOnRelease(on bool) { poisoned = on }
+
+func (pl *payload) poison() {
+	f32, i32, u16 := pl.f32[:cap(pl.f32)], pl.i32[:cap(pl.i32)], pl.u16[:cap(pl.u16)]
+	for i := range f32 {
+		f32[i] = float32(math.NaN())
+	}
+	for i := range i32 {
+		i32[i] = math.MinInt32
+	}
+	for i := range u16 {
+		u16[i] = math.MaxUint16
+	}
+}
+
+// drop lets go of one reference; the last one returns the record to its
+// pool and a loan to its owner.
+func (pl *payload) drop() {
+	pl.refs--
+	if pl.refs > 0 {
+		return
+	}
+	if pl.refs < 0 {
+		panic("protocol: payload released more often than it was shared")
+	}
+	if poisoned {
+		pl.poison()
+	}
+	if pl.owner == nil {
+		bufPool.Put(pl)
+		return
+	}
+	owner, f32, i32 := pl.owner, pl.f32, pl.i32
+	pl.owner, pl.f32, pl.i32 = nil, nil, nil
+	loanPool.Put(pl)
+	if i32 != nil {
+		owner.RecycleQ(i32)
+	} else {
+		owner.Recycle(f32)
+	}
+}
+
+// GetPacket returns an empty pooled header. The caller owns it until
 // Release.
 func GetPacket() *Packet {
 	p := packetPool.Get().(*Packet)
@@ -34,68 +152,44 @@ func GetPacket() *Packet {
 	return p
 }
 
-// Release returns a pooled packet to the pool, keeping its payload
-// backing arrays for reuse. No-op for packets that did not come from
-// GetPacket, so consumers may call it unconditionally on delivery.
+// Release returns a pooled header to the pool and lets go of its
+// payload reference. No-op for packets that did not come from the pool,
+// so consumers may call it unconditionally on delivery.
 func (p *Packet) Release() {
 	if p == nil || !p.pooled {
 		return
 	}
+	if p.pay != nil {
+		p.pay.drop()
+	}
 	// Cleared field by field: assigning a Packet literal builds a
-	// 232-byte temporary and copies it over *p on every frame.
+	// temporary and copies it over *p on every frame.
 	// TestReleaseClearsEveryField fails if a new field is left out.
 	p.Src, p.Dst, p.ToS, p.Job = Addr{}, Addr{}, 0, 0
 	p.Action, p.Value = 0, nil
 	p.Seg, p.Data = 0, nil
 	p.Enc, p.Shift, p.QData, p.Idx = 0, 0, nil, nil
-	p.pooled = false
+	p.pooled, p.inline, p.pay = false, [InlineValueLen]byte{}, nil
 	packetPool.Put(p)
 }
 
-// SetDataCopy points p.Data at an owned copy of data, reusing p's
-// backing array when it is large enough.
-func (p *Packet) SetDataCopy(data []float32) {
-	if cap(p.dataBuf) < len(data) {
-		p.dataBuf = make([]float32, len(data))
+// Share returns a pooled header that refers to the same payload as p:
+// the header fields are copied, the payload is counted once more and
+// not copied. It is how a switch fans one aggregate out to its members.
+// A payload p merely aliases (NewData over the caller's slice) is
+// aliased by the share too.
+func (p *Packet) Share() *Packet {
+	q := p.header()
+	q.Data, q.QData, q.Idx = p.Data, p.QData, p.Idx
+	if p.pay != nil {
+		p.pay.refs++
+		q.pay = p.pay
 	}
-	p.Data = p.dataBuf[:len(data)]
-	copy(p.Data, data)
+	return q
 }
 
-// SetValueCopy points p.Value at an owned copy of value, reusing p's
-// backing array when it is large enough.
-func (p *Packet) SetValueCopy(value []byte) {
-	if cap(p.valueBuf) < len(value) {
-		p.valueBuf = make([]byte, len(value))
-	}
-	p.Value = p.valueBuf[:len(value)]
-	copy(p.Value, value)
-}
-
-// SetQDataCopy points p.QData at an owned copy of q, reusing p's
-// backing array when it is large enough.
-func (p *Packet) SetQDataCopy(q []int32) {
-	if cap(p.qBuf) < len(q) {
-		p.qBuf = make([]int32, len(q))
-	}
-	p.QData = p.qBuf[:len(q)]
-	copy(p.QData, q)
-}
-
-// SetIdxCopy points p.Idx at an owned copy of idx, reusing p's backing
-// array when it is large enough.
-func (p *Packet) SetIdxCopy(idx []uint16) {
-	if cap(p.idxBuf) < len(idx) {
-		p.idxBuf = make([]uint16, len(idx))
-	}
-	p.Idx = p.idxBuf[:len(idx)]
-	copy(p.Idx, idx)
-}
-
-// PooledClone returns a deep copy of p backed by the pool — same
-// semantics as Clone, but the copy is flyweight: whoever takes delivery
-// should Release it. The clone never aliases p's payload.
-func (p *Packet) PooledClone() *Packet {
+// header returns a pooled copy of everything in p but its payload.
+func (p *Packet) header() *Packet {
 	q := GetPacket()
 	q.Src, q.Dst, q.ToS, q.Job = p.Src, p.Dst, p.ToS, p.Job
 	q.Action, q.Seg = p.Action, p.Seg
@@ -103,6 +197,14 @@ func (p *Packet) PooledClone() *Packet {
 	if p.Value != nil {
 		q.SetValueCopy(p.Value)
 	}
+	return q
+}
+
+// PooledClone returns a deep copy of p backed by the pools, the copy
+// that remains for callers that keep a frame: whoever takes delivery
+// should Release it. The clone never aliases p's payload.
+func (p *Packet) PooledClone() *Packet {
+	q := p.header()
 	if p.Data != nil {
 		q.SetDataCopy(p.Data)
 	}
@@ -115,14 +217,92 @@ func (p *Packet) PooledClone() *Packet {
 	return q
 }
 
+// ownBuf returns the buffer record p may write into, taking one from
+// the pool unless p already holds one to itself.
+func (p *Packet) ownBuf() *payload {
+	if pl := p.pay; pl != nil {
+		if pl.owner == nil && pl.refs == 1 {
+			return pl
+		}
+		pl.drop()
+	}
+	pl := bufPool.Get().(*payload)
+	pl.refs = 1
+	p.pay = pl
+	return pl
+}
+
+// SetDataCopy points p.Data at a pooled copy of data.
+func (p *Packet) SetDataCopy(data []float32) {
+	pl := p.ownBuf()
+	if cap(pl.f32) < len(data) {
+		pl.f32 = make([]float32, len(data))
+	}
+	p.Data = pl.f32[:len(data)]
+	copy(p.Data, data)
+}
+
+// SetQDataCopy points p.QData at a pooled copy of q.
+func (p *Packet) SetQDataCopy(q []int32) {
+	pl := p.ownBuf()
+	if cap(pl.i32) < len(q) {
+		pl.i32 = make([]int32, len(q))
+	}
+	p.QData = pl.i32[:len(q)]
+	copy(p.QData, q)
+}
+
+// SetIdxCopy points p.Idx at a pooled copy of idx.
+func (p *Packet) SetIdxCopy(idx []uint16) {
+	pl := p.ownBuf()
+	if cap(pl.u16) < len(idx) {
+		pl.u16 = make([]uint16, len(idx))
+	}
+	p.Idx = pl.u16[:len(idx)]
+	copy(p.Idx, idx)
+}
+
+// SetValueCopy points p.Value at an owned copy of value: inline in the
+// header up to InlineValueLen bytes, which covers every control the
+// protocol defines.
+func (p *Packet) SetValueCopy(value []byte) {
+	if len(value) > InlineValueLen {
+		p.Value = append([]byte(nil), value...)
+		return
+	}
+	p.Value = p.inline[:len(value)]
+	copy(p.Value, value)
+}
+
+// LendData points p.Data at data, which stays owner's: the last frame
+// referring to it hands it back with owner.Recycle(data). Nobody writes
+// data in the meantime.
+func (p *Packet) LendData(data []float32, owner BufferOwner) {
+	p.lend(owner).f32 = data
+	p.Data = data
+}
+
+// LendQData is LendData for a quantized payload, handed back with
+// owner.RecycleQ(q).
+func (p *Packet) LendQData(q []int32, owner BufferOwner) {
+	p.lend(owner).i32 = q
+	p.QData = q
+}
+
+func (p *Packet) lend(owner BufferOwner) *payload {
+	if p.pay != nil {
+		p.pay.drop()
+	}
+	pl := loanPool.Get().(*payload)
+	pl.refs, pl.owner = 1, owner
+	p.pay = pl
+	return pl
+}
+
 // NewPooledData builds a pooled data packet whose payload is an owned
 // copy of data (copy-in semantics, unlike NewData which aliases).
 func NewPooledData(src, dst Addr, seg uint64, data []float32) *Packet {
-	if len(data) > FloatsPerPacket {
-		panic("protocol: segment exceeds packet capacity")
-	}
-	p := GetPacket()
-	p.Src, p.Dst, p.ToS, p.Seg = src, dst, ToSData, seg
+	p := NewData(src, dst, seg, data)
 	p.SetDataCopy(data)
 	return p
 }

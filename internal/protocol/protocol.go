@@ -172,14 +172,13 @@ type Packet struct {
 	QData []int32
 	Idx   []uint16
 
-	// Pooling state (pool.go). pooled marks frames from GetPacket;
-	// dataBuf/valueBuf/qBuf/idxBuf are owned backing arrays kept across
-	// Release so a recycled frame reuses its payload capacity.
-	pooled   bool
-	dataBuf  []float32
-	valueBuf []byte
-	qBuf     []int32
-	idxBuf   []uint16
+	// Frame memory (pool.go). pooled marks headers from GetPacket;
+	// inline stores a control value of up to InlineValueLen bytes; pay is
+	// the header's one reference to a counted payload record, nil when
+	// the payload fields alias memory the frame does not manage.
+	pooled bool
+	inline [InlineValueLen]byte
+	pay    *payload
 }
 
 // IsControl reports whether the packet is an iSwitch control packet.
@@ -231,8 +230,8 @@ func (p *Packet) WireLen() int {
 func (p *Packet) Clone() *Packet {
 	q := *p
 	// The clone is an independent unpooled packet: it must not inherit
-	// the original's pooled mark or alias its backing arrays.
-	q.pooled, q.dataBuf, q.valueBuf, q.qBuf, q.idxBuf = false, nil, nil, nil, nil
+	// the original's pooled mark or its payload reference.
+	q.pooled, q.pay = false, nil
 	if p.Value != nil {
 		q.Value = append([]byte(nil), p.Value...)
 	}
@@ -248,18 +247,27 @@ func (p *Packet) Clone() *Packet {
 	return &q
 }
 
-// NewControl builds a control packet.
+// NewControl builds a control packet on a pooled header, copying value
+// in. Whoever the control is addressed to releases it.
 func NewControl(src, dst Addr, action Action, value []byte) *Packet {
-	return &Packet{Src: src, Dst: dst, ToS: ToSControl, Action: action, Value: value}
+	p := GetPacket()
+	p.Src, p.Dst, p.ToS, p.Action = src, dst, ToSControl, action
+	if value != nil {
+		p.SetValueCopy(value)
+	}
+	return p
 }
 
-// NewData builds a data packet carrying one gradient segment.
+// NewData builds a data packet carrying one gradient segment on a
+// pooled header. The payload aliases data.
 func NewData(src, dst Addr, seg uint64, data []float32) *Packet {
 	if len(data) > FloatsPerPacket {
 		panic(fmt.Sprintf("protocol: segment of %d floats exceeds packet capacity %d",
 			len(data), FloatsPerPacket))
 	}
-	return &Packet{Src: src, Dst: dst, ToS: ToSData, Seg: seg, Data: data}
+	p := GetPacket()
+	p.Src, p.Dst, p.ToS, p.Seg, p.Data = src, dst, ToSData, seg, data
+	return p
 }
 
 // SetHValue encodes the aggregation-threshold payload for a SetH control
@@ -300,6 +308,15 @@ func HelpValue(seg uint64) []byte {
 	v := make([]byte, 8)
 	binary.LittleEndian.PutUint64(v, seg)
 	return v
+}
+
+// NewHelp builds a Help control for the lost packet seg, written
+// straight into the header's inline value.
+func NewHelp(src, dst Addr, seg uint64) *Packet {
+	p := NewControl(src, dst, ActionHelp, nil)
+	p.Value = p.inline[:8]
+	binary.LittleEndian.PutUint64(p.Value, seg)
+	return p
 }
 
 // ParseHelp decodes a Help payload.

@@ -2,8 +2,10 @@ package switchnet
 
 import (
 	"testing"
+	"time"
 
 	"iswitch/internal/accel"
+	"iswitch/internal/netsim"
 	"iswitch/internal/protocol"
 	"iswitch/internal/sim"
 )
@@ -16,7 +18,9 @@ import (
 
 // benchDemuxSwitch builds a tenancy-armed star iSwitch with nJobs
 // admitted contexts whose thresholds no burst ever reaches (pure
-// ingest, no emissions), plus one reusable in-flight packet per job.
+// ingest, no emissions), plus one reusable in-flight packet per job: a
+// plain literal, which the switch's Release leaves alone, so the same
+// frame can be fed to the tap again.
 func benchDemuxSwitch(tb testing.TB, nJobs int) (*ISwitch, []*protocol.Packet) {
 	tb.Helper()
 	k := sim.NewKernel()
@@ -32,9 +36,8 @@ func benchDemuxSwitch(tb testing.TB, nJobs int) (*ISwitch, []*protocol.Packet) {
 		if err := c.IS.AcceleratorOf(job).SetThreshold(1 << 30); err != nil {
 			tb.Fatal(err)
 		}
-		pkt := protocol.NewData(c.Workers[0].Addr, c.IS.Addr(), uint64(j), payload)
-		pkt.Job = job
-		pkts = append(pkts, pkt)
+		pkts = append(pkts, &protocol.Packet{Src: c.Workers[0].Addr, Dst: c.IS.Addr(),
+			ToS: protocol.ToSData, Job: job, Seg: uint64(j), Data: payload})
 	}
 	return c.IS, pkts
 }
@@ -58,6 +61,9 @@ func TestPerJobDemuxZeroAlloc(t *testing.T) {
 	}
 	if is.UnknownJobDrops != 0 {
 		t.Fatalf("benchmark packets were dropped: %d", is.UnknownJobDrops)
+	}
+	if want := uint64(202 * len(pkts)); is.DataIn != want {
+		t.Fatalf("switch ingested %d frames, want %d: the reused frames did not survive a tap", is.DataIn, want)
 	}
 }
 
@@ -84,7 +90,7 @@ func BenchmarkDefaultJobDemux(b *testing.B) {
 		b.Fatal(err)
 	}
 	payload := make([]float32, protocol.FloatsPerPacket)
-	pkt := protocol.NewData(c.Workers[0].Addr, c.IS.Addr(), 0, payload)
+	pkt := &protocol.Packet{Src: c.Workers[0].Addr, Dst: c.IS.Addr(), ToS: protocol.ToSData, Data: payload}
 	c.IS.tap(pkt, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -93,37 +99,66 @@ func BenchmarkDefaultJobDemux(b *testing.B) {
 	}
 }
 
-// TestStarDataPlaneAllocFree is the allocation gate for a whole star
-// round: 4 workers' frames in, the accelerator's sum held across its
-// latency in a recycled emission record, the root's header written into
-// the reused broadcast template, 4 pooled copies out. After the first
-// round has touched every segment (buffers, shadow slots, rings, the
-// packet pool), a round allocates nothing. With dedup armed the
-// contributor key comes from the membership row, so that path is held
-// to the same zero.
+// TestStarDataPlaneAllocFree is the allocation gate for a whole round
+// of the switch data plane: the workers' frames in on pooled headers,
+// the accelerator's sum held across its latency in a recycled emission
+// record, written once and lent to the emission, one share per member
+// out. After the first round has touched every segment (buffers, shadow
+// slots, rings, the header and payload pools), a round allocates
+// nothing, on every shape:
+//
+//   - the star, with and without dedup (the contributor key comes from
+//     the membership row, rendered once at Join);
+//   - a 2-level tree, where a ToR's sum travels up inside its emission
+//     and returns to the ToR when the root releases it, and the root's
+//     broadcast is shared again at the ToR level;
+//   - the star under int32block, the integer datapath's loan.
 func TestStarDataPlaneAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
 	}
-	for _, dedup := range []bool{false, true} {
-		const workers, segs = 4, 64
+	const workers, segs = 4, 64
+	uplink := netsim.LinkConfig{BitsPerSecond: 32e9, Propagation: time.Microsecond}
+	cases := []struct {
+		name   string
+		build  func(k *sim.Kernel) *Fabric
+		dedup  bool
+		scheme protocol.Compression
+	}{
+		{"star", func(k *sim.Kernel) *Fabric { return BuildStar(k, workers, testLink()) }, false, protocol.CompNone},
+		{"star-dedup", func(k *sim.Kernel) *Fabric { return BuildStar(k, workers, testLink()) }, true, protocol.CompNone},
+		{"tree", func(k *sim.Kernel) *Fabric { return BuildTreeN(k, workers, 2, testLink(), uplink) }, true, protocol.CompNone},
+		{"star-int32block", func(k *sim.Kernel) *Fabric { return BuildStar(k, workers, testLink()) }, true, protocol.CompInt32Block},
+	}
+	for _, tc := range cases {
 		k := sim.NewKernel()
-		c := BuildStar(k, workers, testLink())
-		c.IS.SetDedup(dedup)
-		for _, h := range c.Workers {
-			h.Send(protocol.NewControl(h.Addr, c.IS.Addr(), protocol.ActionJoin, protocol.JoinValue(segs)))
+		c := tc.build(k)
+		for _, is := range c.Switches {
+			is.SetDedup(tc.dedup)
+			is.SetCompression(protocol.DefaultJob, tc.scheme, segs*protocol.FloatsPerPacket)
+		}
+		for i, h := range c.Workers {
+			h.Send(protocol.NewControl(h.Addr, c.Leaf(i).Addr(), protocol.ActionJoin,
+				protocol.JoinValueScheme(segs*protocol.FloatsPerPacket, tc.scheme)))
 		}
 		k.Run()
 		payload := make([]float32, protocol.FloatsPerPacket)
-		var pkts []*protocol.Packet
-		for s := uint64(0); s < segs; s++ {
-			for _, h := range c.Workers {
-				pkts = append(pkts, protocol.NewData(h.Addr, c.IS.Addr(), s, payload))
+		qpayload := make([]int32, protocol.FloatsPerPacket)
+		upForwards := func() (n uint64) {
+			for _, is := range c.Switches {
+				n += is.UpForwards
 			}
+			return n
 		}
 		round := func() {
-			for i, pkt := range pkts {
-				c.Workers[i%workers].Send(pkt)
+			for s := uint64(0); s < segs; s++ {
+				for i, h := range c.Workers {
+					if tc.scheme == protocol.CompInt32Block {
+						h.Send(protocol.NewQData(h.Addr, c.Leaf(i).Addr(), s, qpayload, 0))
+					} else {
+						h.Send(protocol.NewData(h.Addr, c.Leaf(i).Addr(), s, payload))
+					}
+				}
 			}
 			k.Run()
 			for _, h := range c.Workers {
@@ -131,7 +166,7 @@ func TestStarDataPlaneAllocFree(t *testing.T) {
 					pkt, ok := h.RX.TryRecv()
 					if !ok {
 						if n != segs {
-							t.Fatalf("dedup=%v: worker got %d of %d broadcasts", dedup, n, segs)
+							t.Fatalf("%s: worker got %d of %d broadcasts", tc.name, n, segs)
 						}
 						break
 					}
@@ -140,14 +175,19 @@ func TestStarDataPlaneAllocFree(t *testing.T) {
 			}
 		}
 		for _, h := range c.Workers { // the Join acks
-			if pkt, ok := h.RX.TryRecv(); !ok || !pkt.IsControl() {
-				t.Fatalf("dedup=%v: join not acknowledged", dedup)
+			pkt, ok := h.RX.TryRecv()
+			if !ok || !pkt.IsControl() {
+				t.Fatalf("%s: join not acknowledged", tc.name)
 			}
+			pkt.Release()
 		}
 		round()
 		if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
-			t.Fatalf("dedup=%v: star data plane allocated %.1f times per %d-frame round, want 0",
-				dedup, allocs, len(pkts))
+			t.Fatalf("%s: data plane allocated %.1f times per %d-frame round, want 0",
+				tc.name, allocs, workers*segs)
+		}
+		if want := uint64(12 * segs * (len(c.Switches) - 1)); upForwards() != want {
+			t.Fatalf("%s: %d up-forwards, want %d", tc.name, upForwards(), want)
 		}
 	}
 }

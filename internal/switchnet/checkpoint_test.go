@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"iswitch/internal/accel"
+	"iswitch/internal/netsim"
 	"iswitch/internal/protocol"
 	"iswitch/internal/sim"
 )
@@ -136,8 +137,14 @@ func TestRestoreRefusedWhenSRAMTaken(t *testing.T) {
 // A job preempted mid-round and restored resumes exactly: the partial
 // sum survives, the dedup bitmap still rejects the original
 // contributor's retransmission, and the completed aggregate equals the
-// never-preempted sum.
+// never-preempted sum, on the float and on the integer datapath.
 func TestPreemptRestoreMidRound(t *testing.T) {
+	for _, scheme := range []protocol.Compression{protocol.CompNone, protocol.CompInt32Block} {
+		t.Run(scheme.String(), func(t *testing.T) { preemptRestoreMidRound(t, scheme) })
+	}
+}
+
+func preemptRestoreMidRound(t *testing.T, scheme protocol.Compression) {
 	k := sim.NewKernel()
 	pool := accel.NewSRAMPool(0, accel.PartitionDemand, 0)
 	c := BuildStar(k, 2, testLink())
@@ -149,8 +156,32 @@ func TestPreemptRestoreMidRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	is.SetDedupJob(job, true)
+	is.SetCompression(job, scheme, floats)
 
 	seg := protocol.TagSeg(1, 0)
+	// frame builds a contribution under the job's scheme; read widens a
+	// broadcast back to the values it stands for.
+	frame := func(w *netsim.Host, vals ...int32) *protocol.Packet {
+		var pkt *protocol.Packet
+		if scheme == protocol.CompInt32Block {
+			pkt = protocol.NewQData(w.Addr, is.Addr(), seg, vals, 0)
+		} else {
+			f := make([]float32, len(vals))
+			for i, v := range vals {
+				f[i] = float32(v)
+			}
+			pkt = protocol.NewData(w.Addr, is.Addr(), seg, f)
+		}
+		pkt.Job = job
+		return pkt
+	}
+	read := func(pkt *protocol.Packet) []float32 {
+		out := append([]float32(nil), pkt.Data...)
+		for _, q := range pkt.QData {
+			out = append(out, float32(q<<pkt.Shift))
+		}
+		return out
+	}
 	var got [2][]float32
 	for i, w := range c.Workers {
 		i, w := i, w
@@ -158,24 +189,18 @@ func TestPreemptRestoreMidRound(t *testing.T) {
 			joinJob(p, w, is.Addr(), job, floats, t)
 			if i == 0 {
 				p.Sleep(time.Millisecond)
-				pkt := protocol.NewData(w.Addr, is.Addr(), seg, []float32{1, 2, 3, 4})
-				pkt.Job = job
-				w.Send(pkt)
+				w.Send(frame(w, 1, 2, 3, 4))
 				// Retransmit after the restore: dedup must ignore it.
 				p.Sleep(4 * time.Millisecond)
-				dup := protocol.NewData(w.Addr, is.Addr(), seg, []float32{1, 2, 3, 4})
-				dup.Job = job
-				w.Send(dup)
+				w.Send(frame(w, 1, 2, 3, 4))
 			} else {
 				p.Sleep(6 * time.Millisecond)
-				pkt := protocol.NewData(w.Addr, is.Addr(), seg, []float32{10, 20, 30, 40})
-				pkt.Job = job
-				w.Send(pkt)
+				w.Send(frame(w, 10, 20, 30, 40))
 			}
 			for got[i] == nil {
 				pkt := w.Recv(p)
 				if pkt.IsData() && pkt.Seg == seg {
-					got[i] = append([]float32(nil), pkt.Data...)
+					got[i] = read(pkt)
 				}
 				pkt.Release()
 			}

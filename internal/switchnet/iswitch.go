@@ -58,10 +58,8 @@ type ISwitch struct {
 	uplink *netsim.Port  // nil on the root; broadcasts from the parent arrive here
 
 	// freeEm recycles the records that carry a completed segment across
-	// the accelerator's latency; bcast is the header the root's emissions
-	// are cloned from (broadcast copies it per member, so one is enough).
+	// the accelerator's latency.
 	freeEm *emission
-	bcast  protocol.Packet
 
 	// horizon, when positive, arms lazy liveness detection: a worker
 	// whose contribution is blocking a segment and that has not been
@@ -312,7 +310,14 @@ func (is *ISwitch) tap(pkt *protocol.Packet, in *netsim.Port) bool {
 	switch {
 	case pkt.IsControl():
 		is.ControlIn++
+		// Control packets not addressed to this switch are forwarded along
+		// the normal path (e.g. Halt relayed down, Ack back to a worker).
+		// One that is addressed here ends here.
+		if pkt.Dst != is.addr {
+			return false
+		}
 		is.handleControl(pkt)
+		pkt.Release()
 		return true
 	case pkt.IsData():
 		// Data not addressed to this switch and not arriving from the
@@ -329,13 +334,9 @@ func (is *ISwitch) tap(pkt *protocol.Packet, in *netsim.Port) bool {
 	}
 }
 
+// handleControl applies a control addressed to this switch. It does not
+// keep pkt or its value: tap releases the frame afterwards.
 func (is *ISwitch) handleControl(pkt *protocol.Packet) {
-	// Control packets not addressed to this switch are forwarded along
-	// the normal path (e.g. Halt relayed down, Ack back to a worker).
-	if pkt.Dst != is.addr {
-		is.sw.Forward(pkt)
-		return
-	}
 	ctx := is.ctx(pkt.Job)
 	if ctx == nil {
 		// Control for a job with no admitted context: a Join racing
@@ -444,23 +445,19 @@ func (is *ISwitch) handleHelp(ctx *jobCtx, pkt *protocol.Packet) {
 			if m.Addr == pkt.Src {
 				continue
 			}
-			relay := protocol.NewControl(is.addr, m.Addr, protocol.ActionHelp, pkt.Value)
-			relay.Job = ctx.job
-			is.unicast(relay)
+			is.unicast(is.help(ctx, m.Addr, seg))
 		}
 		return
 	}
 	if ctx.acc.CountOf(seg) > 0 {
-		is.relayToMissing(ctx, seg, pkt.Value)
+		is.relayToMissing(ctx, seg)
 		is.maybeAckHelp(ctx, pkt.Src, false)
 		return
 	}
 	if is.uplink != nil && pkt.Src != is.parent {
-		up := protocol.NewControl(is.addr, is.parent, protocol.ActionHelp, pkt.Value)
-		up.Job = ctx.job
 		is.HelpUpForwards++
 		ctx.helpUpSince++
-		is.uplink.Send(up)
+		is.uplink.Send(is.help(ctx, is.parent, seg))
 		is.maybeAckHelp(ctx, pkt.Src, true)
 		return
 	}
@@ -475,11 +472,17 @@ func (is *ISwitch) handleHelp(ctx *jobCtx, pkt *protocol.Packet) {
 	// twice.
 	is.HelpRelayed++
 	for _, m := range ctx.mem.Members() {
-		relay := protocol.NewControl(is.addr, m.Addr, protocol.ActionHelp, pkt.Value)
-		relay.Job = ctx.job
-		is.unicast(relay)
+		is.unicast(is.help(ctx, m.Addr, seg))
 	}
 	is.maybeAckHelp(ctx, pkt.Src, false)
+}
+
+// help builds this switch's own Help for seg: a relayed or escalated
+// Help never aliases the value of the frame that caused it.
+func (is *ISwitch) help(ctx *jobCtx, dst protocol.Addr, seg uint64) *protocol.Packet {
+	h := protocol.NewHelp(is.addr, dst, seg)
+	h.Job = ctx.job
+	return h
 }
 
 // serveFromShadow answers a Help from the segment's shadow slot, in the
@@ -495,9 +498,10 @@ func (is *ISwitch) serveFromShadow(ctx *jobCtx, seg uint64, req protocol.Addr) b
 			return false
 		}
 		is.HelpServed++
-		resp := &protocol.Packet{Src: is.addr, Dst: req, ToS: protocol.ToSData,
-			Job: ctx.job, Seg: seg, Enc: protocol.CompInt32Block, Shift: shift, QData: q}
-		is.unicast(resp.PooledClone())
+		resp := is.dataHeader(ctx, req, seg)
+		resp.Enc, resp.Shift = protocol.CompInt32Block, shift
+		resp.SetQDataCopy(q)
+		is.unicast(resp)
 		return true
 	}
 	sum, ok := ctx.shadow.Get(seg)
@@ -505,13 +509,21 @@ func (is *ISwitch) serveFromShadow(ctx *jobCtx, seg uint64, req protocol.Addr) b
 		return false
 	}
 	is.HelpServed++
-	resp := &protocol.Packet{Src: is.addr, Dst: req,
-		ToS: protocol.ToSData, Job: ctx.job, Seg: seg, Data: sum}
+	resp := is.dataHeader(ctx, req, seg)
 	if ctx.scheme == protocol.CompFP16 {
 		resp.Enc = protocol.CompFP16
 	}
-	is.unicast(resp.PooledClone())
+	resp.SetDataCopy(sum)
+	is.unicast(resp)
 	return true
+}
+
+// dataHeader returns a pooled header for a data frame of this switch's
+// own: an emission or a shadow re-serve.
+func (is *ISwitch) dataHeader(ctx *jobCtx, dst protocol.Addr, seg uint64) *protocol.Packet {
+	p := protocol.GetPacket()
+	p.Src, p.Dst, p.ToS, p.Job, p.Seg = is.addr, dst, protocol.ToSData, ctx.job, seg
+	return p
 }
 
 // relayToMissing forwards a Help only to the members whose contribution
@@ -520,7 +532,7 @@ func (is *ISwitch) serveFromShadow(ctx *jobCtx, seg uint64, req protocol.Addr) b
 // switch whose only worker died goes silent exactly like a dead worker;
 // hosts-per-edge=1 fat-trees hit this). If eviction lowers H enough to
 // complete segments, they are emitted immediately.
-func (is *ISwitch) relayToMissing(ctx *jobCtx, seg uint64, helpValue []byte) {
+func (is *ISwitch) relayToMissing(ctx *jobCtx, seg uint64) {
 	now := is.sw.Kernel().Now()
 	var targets []protocol.Addr
 	evicted := false
@@ -548,9 +560,7 @@ func (is *ISwitch) relayToMissing(ctx *jobCtx, seg uint64, helpValue []byte) {
 	}
 	is.HelpTargeted++
 	for _, t := range targets {
-		relay := protocol.NewControl(is.addr, t, protocol.ActionHelp, helpValue)
-		relay.Job = ctx.job
-		is.unicast(relay)
+		is.unicast(is.help(ctx, t, seg))
 	}
 	if is.uplink != nil {
 		// Chasing missing members can outlast the parent's liveness
@@ -611,55 +621,43 @@ func (is *ISwitch) emitDrained(ctx *jobCtx) {
 	}
 }
 
-// emitFloat sends one completed float-datapath aggregate toward the
-// parent (retaining the buffer in the packet) or broadcasts it to the
-// children and recycles the buffer. An fp16 job's emission is rounded
-// through half precision first — that is the representation the workers
-// will apply, and tagging the packet halves its modeled wire bytes.
-// Top-k aggregates emit dense (CompNone layout), matching the scheme's
-// wire contract.
+// emitFloat sends one completed float-datapath aggregate on its way. An
+// fp16 job's emission is rounded through half precision first: that is
+// the representation the workers will apply, and tagging the packet
+// halves its modeled wire bytes. Top-k aggregates emit dense (CompNone
+// layout), matching the scheme's wire contract.
 func (is *ISwitch) emitFloat(ctx *jobCtx, seg uint64, sum []float32) {
-	out := is.emitHeader()
-	*out = protocol.Packet{Src: is.addr, ToS: protocol.ToSData,
-		Job: ctx.job, Seg: seg, Data: sum}
+	out := is.dataHeader(ctx, is.parent, seg)
 	if ctx.scheme == protocol.CompFP16 {
 		kernels.F16RoundInPlace(sum)
 		out.Enc = protocol.CompFP16
 	}
-	if is.uplink != nil {
-		out.Dst = is.parent
-		is.UpForwards++
-		is.uplink.Send(out) // the packet retains the buffer
-		return
-	}
-	is.broadcast(ctx, out) // broadcast copies per child: buffer is free
-	ctx.acc.Recycle(sum)
-}
-
-// emitHeader returns the packet an emission is written into: a fresh
-// one below the root, where it travels up the link, and the reused
-// broadcast template at the root, where only its per-member copies do.
-func (is *ISwitch) emitHeader() *protocol.Packet {
-	if is.uplink != nil {
-		return new(protocol.Packet)
-	}
-	return &is.bcast
+	out.LendData(sum, ctx.acc)
+	is.emit(ctx, out)
 }
 
 // emitQ is emitFloat for the quantized integer datapath: the payload is
 // the narrowed int32 sum plus its re-widening shift.
 func (is *ISwitch) emitQ(ctx *jobCtx, seg uint64, q []int32, shift uint8) {
-	out := is.emitHeader()
-	*out = protocol.Packet{Src: is.addr, ToS: protocol.ToSData, Job: ctx.job,
-		Seg: seg, Enc: protocol.CompInt32Block, Shift: shift, QData: q}
+	out := is.dataHeader(ctx, is.parent, seg)
+	out.Enc, out.Shift = protocol.CompInt32Block, shift
+	out.LendQData(q, ctx.acc)
+	is.emit(ctx, out)
+}
+
+// emit sends an emission, whose payload is on loan from the job's
+// accelerator, toward the parent or down to the members. The sum is
+// written once: the frame that travels up carries the loan with it, and
+// the parent's Release after ingesting it returns the buffer here; the
+// members each get a share, and the last of them to release returns it.
+func (is *ISwitch) emit(ctx *jobCtx, out *protocol.Packet) {
 	if is.uplink != nil {
-		out.Dst = is.parent
 		is.UpForwards++
-		is.uplink.Send(out) // the packet retains the buffer
+		is.uplink.Send(out)
 		return
 	}
 	is.broadcast(ctx, out)
-	ctx.acc.RecycleQ(q)
+	out.Release()
 }
 
 // refreshAutoH keeps H equal to the number of children while in
@@ -730,12 +728,13 @@ func (is *ISwitch) handleData(pkt *protocol.Packet, in *netsim.Port) {
 		// is the isolation guarantee — a queued/evicted job's packets
 		// can never reach another job's segment buffers.
 		is.UnknownJobDrops++
+		pkt.Release()
 		return
 	}
 	// A data packet arriving from the parent is a downstream broadcast
 	// of a globally aggregated segment: replicate to the job's children
-	// (each child gets its own pooled copy) and retire the frame. It is
-	// also proof the upstream aggregation path is alive.
+	// (each child gets a share of the one payload) and retire the frame.
+	// It is also proof the upstream aggregation path is alive.
 	if is.uplink != nil && in == is.uplink {
 		ctx.helpUpSince = 0
 		is.broadcast(ctx, pkt)
@@ -845,10 +844,12 @@ func encOK(scheme protocol.Compression, pkt *protocol.Packet) bool {
 }
 
 // broadcast replicates a data packet to every member of the job
-// (workers and child switches), one unicast copy per child so each
+// (workers and child switches), one unicast frame per child so each
 // egress link serializes independently, exactly as port-replication
-// hardware behaves. The emitted aggregate moves into the segment's
-// shadow slot on the way out, ready to re-serve lost copies.
+// hardware behaves. Every frame is a share of pkt's one payload, at the
+// root and at every lower level alike; the caller releases pkt. The
+// emitted aggregate is copied into the segment's shadow slot on the way
+// out, ready to re-serve lost copies.
 func (is *ISwitch) broadcast(ctx *jobCtx, pkt *protocol.Packet) {
 	is.Broadcasts++
 	if pkt.QData != nil {
@@ -857,10 +858,7 @@ func (is *ISwitch) broadcast(ctx *jobCtx, pkt *protocol.Packet) {
 		ctx.shadow.Put(pkt.Seg, pkt.Data)
 	}
 	for _, m := range ctx.mem.Members() {
-		// Pooled flyweight copies: each receiver releases its own on
-		// delivery, so a W-member fan-out recycles W frames per segment
-		// instead of allocating them.
-		cp := pkt.PooledClone()
+		cp := pkt.Share()
 		cp.Src = is.addr
 		cp.Dst = m.Addr
 		cp.Job = ctx.job

@@ -332,6 +332,16 @@ func (c *Client) send(pkt *protocol.Packet) error {
 	return err
 }
 
+// sendSegment frames and writes segment seg of grad. The pooled header
+// is spent once its bytes are encoded.
+func (c *Client) sendSegment(seg uint64, grad []float32) error {
+	lo, hi := protocol.SegmentRange(c.n, seg)
+	pkt := protocol.NewData(protocol.Addr{}, protocol.Addr{}, seg, grad[lo:hi])
+	err := c.send(pkt)
+	pkt.Release()
+	return err
+}
+
 // recv reads one packet with the client timeout.
 func (c *Client) recv() (*protocol.Packet, error) {
 	if err := c.conn.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
@@ -387,8 +397,8 @@ func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 	if len(grad) != c.n {
 		return nil, fmt.Errorf("transport: gradient len %d, want %d", len(grad), c.n)
 	}
-	for _, pkt := range protocol.Segment(protocol.Addr{}, protocol.Addr{}, grad) {
-		if err := c.send(pkt); err != nil {
+	for seg := uint64(0); seg < uint64(protocol.SegmentCount(c.n)); seg++ {
+		if err := c.sendSegment(seg, grad); err != nil {
 			return nil, err
 		}
 	}
@@ -406,8 +416,7 @@ func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 						Action: protocol.ActionHelp, Value: protocol.HelpValue(seg)}); err != nil {
 						return nil, err
 					}
-					lo, hi := protocol.SegmentRange(c.n, seg)
-					if err := c.send(protocol.NewData(protocol.Addr{}, protocol.Addr{}, seg, grad[lo:hi])); err != nil {
+					if err := c.sendSegment(seg, grad); err != nil {
 						return nil, err
 					}
 				}
@@ -425,8 +434,7 @@ func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 			if err != nil || seg >= uint64(protocol.SegmentCount(c.n)) {
 				continue
 			}
-			lo, hi := protocol.SegmentRange(c.n, seg)
-			if err := c.send(protocol.NewData(protocol.Addr{}, protocol.Addr{}, seg, grad[lo:hi])); err != nil {
+			if err := c.sendSegment(seg, grad); err != nil {
 				return nil, err
 			}
 		}
