@@ -1,4 +1,4 @@
-package switchnet
+package engine
 
 import (
 	"encoding/binary"
@@ -48,13 +48,13 @@ type JobCheckpoint struct {
 // CheckpointJob serializes an admitted job's context. The context is
 // left untouched; pair with EvictJob (or use PreemptJob) to free the
 // SRAM. The default job cannot be checkpointed.
-func (is *ISwitch) CheckpointJob(job protocol.JobID) (*JobCheckpoint, error) {
+func (e *Engine) CheckpointJob(job protocol.JobID) (*JobCheckpoint, error) {
 	if job == protocol.DefaultJob {
-		return nil, fmt.Errorf("switchnet: the default job cannot be checkpointed")
+		return nil, fmt.Errorf("engine: the default job cannot be checkpointed")
 	}
-	ctx := is.jobs[job]
+	ctx := e.jobs[job]
 	if ctx == nil {
-		return nil, fmt.Errorf("switchnet: job %d is not admitted on %s", job, is.addr)
+		return nil, fmt.Errorf("engine: job %d is not admitted on %s", job, e.addr)
 	}
 	cp := &JobCheckpoint{
 		Job:         job,
@@ -67,8 +67,8 @@ func (is *ISwitch) CheckpointJob(job protocol.JobID) (*JobCheckpoint, error) {
 		Acc:         ctx.acc.Snapshot(),
 		Shadow:      ctx.shadow.Snapshot(),
 	}
-	if is.pool != nil {
-		cp.SRAMDemand = is.pool.Reserved(uint16(job))
+	if e.pool != nil {
+		cp.SRAMDemand = e.pool.Reserved(uint16(job))
 	}
 	return cp, nil
 }
@@ -76,12 +76,12 @@ func (is *ISwitch) CheckpointJob(job protocol.JobID) (*JobCheckpoint, error) {
 // PreemptJob checkpoints a job and evicts it in one step, freeing its
 // SRAM for another tenant. The returned checkpoint restores the job
 // bit-identically via RestoreJob.
-func (is *ISwitch) PreemptJob(job protocol.JobID) (*JobCheckpoint, error) {
-	cp, err := is.CheckpointJob(job)
+func (e *Engine) PreemptJob(job protocol.JobID) (*JobCheckpoint, error) {
+	cp, err := e.CheckpointJob(job)
 	if err != nil {
 		return nil, err
 	}
-	is.EvictJob(job)
+	e.EvictJob(job)
 	return cp, nil
 }
 
@@ -89,15 +89,15 @@ func (is *ISwitch) PreemptJob(job protocol.JobID) (*JobCheckpoint, error) {
 // SRAM and rebuilding its context exactly as CheckpointJob saw it. It
 // fails if the job is already admitted (a restore is not a merge) or if
 // the SRAM no longer fits.
-func (is *ISwitch) RestoreJob(cp *JobCheckpoint) error {
+func (e *Engine) RestoreJob(cp *JobCheckpoint) error {
 	if cp.Job == protocol.DefaultJob {
-		return fmt.Errorf("switchnet: the default job cannot be restored")
+		return fmt.Errorf("engine: the default job cannot be restored")
 	}
-	if is.jobs[cp.Job] != nil {
-		return fmt.Errorf("switchnet: job %d is already admitted on %s", cp.Job, is.addr)
+	if e.jobs[cp.Job] != nil {
+		return fmt.Errorf("engine: job %d is already admitted on %s", cp.Job, e.addr)
 	}
-	if is.pool != nil {
-		if err := is.pool.Reserve(uint16(cp.Job), cp.SRAMDemand); err != nil {
+	if e.pool != nil {
+		if err := e.pool.Reserve(uint16(cp.Job), cp.SRAMDemand); err != nil {
 			return err
 		}
 	}
@@ -113,7 +113,7 @@ func (is *ISwitch) RestoreJob(cp *JobCheckpoint) error {
 	ctx.mem.nextID = cp.NextID
 	ctx.acc.Restore(cp.Acc)
 	ctx.shadow.Restore(cp.Shadow)
-	is.jobs[cp.Job] = ctx
+	e.jobs[cp.Job] = ctx
 	return nil
 }
 
@@ -178,7 +178,7 @@ func (r *cpReader) need(n int, what string) bool {
 		return false
 	}
 	if len(r.b) < n {
-		r.err = fmt.Errorf("switchnet: truncated checkpoint (%s)", what)
+		r.err = fmt.Errorf("engine: truncated checkpoint (%s)", what)
 		return false
 	}
 	return true
@@ -229,7 +229,7 @@ func (cp *JobCheckpoint) UnmarshalBinary(b []byte) error {
 	*cp = JobCheckpoint{}
 	r := cpReader{b: b}
 	if v := r.u8("version"); r.err == nil && v != jobCheckpointVersion {
-		return fmt.Errorf("switchnet: JobCheckpoint version %d unsupported", v)
+		return fmt.Errorf("engine: JobCheckpoint version %d unsupported", v)
 	}
 	cp.Job = protocol.JobID(r.u16("job"))
 	cp.ModelFloats = r.u64("modelFloats")

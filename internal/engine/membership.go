@@ -1,11 +1,4 @@
-// Package switchnet implements the iSwitch programmable-switch
-// extensions (paper §3.2–3.4): a control plane holding a lightweight
-// membership table, and a data plane that taps ToS-tagged packets out
-// of the normal forwarding path into the aggregation accelerator,
-// forwarding partial aggregates up the switch hierarchy and
-// broadcasting completed aggregates back down — all without disturbing
-// regular traffic.
-package switchnet
+package engine
 
 import (
 	"fmt"

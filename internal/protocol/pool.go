@@ -31,7 +31,7 @@ import (
 //	up-forward       the emission      the child's loan travels up    the parent after Ingest*From:
 //	                                                                  the buffer returns to the child
 //	shadow re-serve  GetPacket         pooled copy of the slot        the requesting worker
-//	control          NewControl/       value ≤ InlineValueLen bytes   the switch's tap after
+//	control          NewControl/       value ≤ InlineValueLen bytes   the engine's Handle after
 //	                 NewHelp           inline in the header           handleControl; the worker's
 //	                                                                  receive loop
 //	dropped frame    any               any                            netsim, at the drop site
@@ -82,7 +82,8 @@ type payload struct {
 	// integer: a shared payload never crosses kernels or goroutines.
 	// Every share of an emission is made, delivered and released inside
 	// the one simulation kernel the emitting switch belongs to, whose
-	// processes run one at a time.
+	// processes run one at a time; the UDP switch writes and releases
+	// each share under its mutex before the engine call returns.
 	refs int32
 
 	// Buffers owned by the record (owner == nil), kept across release

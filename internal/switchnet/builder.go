@@ -58,7 +58,8 @@ func newFabric(workers []*netsim.Host, rootSw *netsim.Switch, rootAddr protocol.
 // routes broadcasts for addr back down the same link.
 func child(parent *ISwitch, sw *netsim.Switch, addr protocol.Addr, uplink *netsim.Port) *ISwitch {
 	is := attach(sw, addr)
-	is.parent, is.uplink = parent.addr, uplink
+	is.parent, is.uplink = parent.Addr(), uplink
+	is.SetParent(is.parent)
 	parent.RegisterChildSwitchJob(protocol.DefaultJob, addr)
 	parent.sw.AddRoute(protocol.Addr{IP: addr.IP}, uplink.Peer())
 	return is

@@ -4,7 +4,8 @@
 // produces the paper's timing results; this package proves the protocol
 // is wire-real: cmd/iswitchd is a software emulation of the in-switch
 // aggregator that sums genuine UDP datagrams from worker processes,
-// exactly as the NetFPGA data plane does in hardware.
+// exactly as the NetFPGA data plane does in hardware. The switch is the
+// simulated one's protocol engine (internal/engine) behind a socket.
 //
 // Because a portable UDP socket cannot set the IP ToS byte per packet,
 // the ToS tag travels as the first byte of the UDP payload; the rest of
@@ -14,10 +15,11 @@ package transport
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
-	"iswitch/internal/accel"
+	"iswitch/internal/engine"
 	"iswitch/internal/protocol"
 )
 
@@ -45,31 +47,28 @@ func Decode(src, dst protocol.Addr, datagram []byte) (*protocol.Packet, error) {
 	return protocol.UnmarshalPayload(src, dst, datagram[0], datagram[1:])
 }
 
-// udpToAddr converts a net.UDPAddr into the protocol's 4-byte address.
-func udpToAddr(a *net.UDPAddr) protocol.Addr {
-	var out protocol.Addr
-	if ip4 := a.IP.To4(); ip4 != nil {
-		copy(out.IP[:], ip4)
+// addrOf converts a UDP endpoint into the protocol's 4-byte address; ok
+// is false for anything but IPv4.
+func addrOf(ap netip.AddrPort) (a protocol.Addr, ok bool) {
+	ip := ap.Addr().Unmap()
+	if !ip.Is4() {
+		return a, false
 	}
-	out.Port = uint16(a.Port)
-	return out
+	return protocol.Addr{IP: ip.As4(), Port: ap.Port()}, true
 }
 
-// Switch is the software in-switch aggregator: a UDP server that runs
-// the same control-plane actions and data-plane aggregation as the
-// simulated iSwitch.
+// Switch is the software in-switch aggregator: the UDP driver of the
+// same engine the simulated iSwitch runs (internal/engine), so control
+// actions, aggregation, round-tagged shadow slots and targeted Help are
+// one implementation. A datagram's source endpoint is its protocol
+// address, and every datagram is addressed to the switch.
 type Switch struct {
 	conn *net.UDPConn
-	acc  *accel.Accelerator
+	self protocol.Addr // the bound endpoint, stamped as every inbound Dst
 
-	mu      sync.Mutex
-	members map[string]*net.UDPAddr // key: addr.String()
-	order   []string                // join order for deterministic broadcast
-	autoH   bool
-	encBuf  []byte // sendLocked scratch, guarded by mu
-
-	// Stats (read under mu).
-	DataIn, Broadcasts, ControlIn uint64
+	mu     sync.Mutex
+	eng    *engine.Engine // entered one datagram at a time, under mu
+	encBuf []byte         // Forward's scratch, guarded by mu
 }
 
 // switchRecvBuf asks the kernel for a deep socket receive queue: a full
@@ -77,29 +76,27 @@ type Switch struct {
 // (often 208 KiB) drops the tail of even one 4 MB model's worth.
 const switchRecvBuf = 4 << 20
 
-// ListenSwitch starts an aggregator on addr (e.g. "127.0.0.1:0").
+// ListenSwitch starts an aggregator on addr (e.g. "127.0.0.1:0"). The
+// socket is IPv4: the protocol's addresses are.
 func ListenSwitch(addr string) (*Switch, error) {
-	ua, err := net.ResolveUDPAddr("udp", addr)
+	ua, err := net.ResolveUDPAddr("udp4", addr)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := net.ListenUDP("udp", ua)
+	conn, err := net.ListenUDP("udp4", ua)
 	if err != nil {
 		return nil, err
 	}
 	// Best-effort: the OS clamps to its rmem limit; the clamped value
 	// still beats the default.
 	_ = conn.SetReadBuffer(switchRecvBuf)
-	cfg := accel.DefaultConfig()
-	acc := accel.New(cfg)
-	// UDP workers retransmit on loss; dedup keeps that idempotent.
-	acc.SetDedup(true)
-	return &Switch{
-		conn:    conn,
-		acc:     acc,
-		members: make(map[string]*net.UDPAddr),
-		autoH:   true,
-	}, nil
+	s := &Switch{conn: conn}
+	s.self, _ = addrOf(conn.LocalAddr().(*net.UDPAddr).AddrPort())
+	s.eng = engine.New(s.self, (*driver)(s))
+	// UDP workers retransmit on loss; dedup keeps that idempotent and
+	// lets a Help go only to the members still missing.
+	s.eng.SetDedup(true)
+	return s, nil
 }
 
 // Addr returns the bound UDP address.
@@ -113,7 +110,7 @@ func (s *Switch) Close() error { return s.conn.Close() }
 func (s *Switch) Serve() error { return s.ServeN(1) }
 
 // ServeN drains the socket with workers reader goroutines sharing the
-// bound socket (ReadFromUDP is safe for concurrent use; the kernel hands
+// bound socket (reads are safe for concurrent use; the kernel hands
 // each datagram to exactly one reader). Extra readers keep the socket
 // queue short while a handler holds the switch mutex for an aggregation.
 // Blocks until the socket closes, then returns nil.
@@ -127,8 +124,8 @@ func (s *Switch) ServeN(workers int) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One reusable receive buffer per reader: the handlers copy
-			// what they keep, so reads never allocate.
+			// One reusable receive buffer per reader: Decode copies
+			// what the engine keeps, so reads never allocate.
 			s.serveLoop(make([]byte, maxDatagram))
 		}()
 	}
@@ -138,155 +135,76 @@ func (s *Switch) ServeN(workers int) error {
 
 func (s *Switch) serveLoop(buf []byte) {
 	for {
-		n, peer, err := s.conn.ReadFromUDP(buf)
+		n, from, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				continue
 			}
 			return // closed
 		}
+		src, ok := addrOf(from)
+		if !ok || src == s.self {
+			continue // not IPv4, or forged: the switch sends itself nothing
+		}
 		// Decode copies Value/Data out of the datagram, so buf can be
 		// reused for the next read without a defensive copy.
-		pkt, err := Decode(udpToAddr(peer), protocol.Addr{}, buf[:n])
+		pkt, err := Decode(src, s.self, buf[:n])
 		if err != nil {
 			continue
 		}
-		switch {
-		case pkt.IsControl():
-			s.handleControl(pkt, peer)
-		case pkt.IsData():
-			s.handleData(pkt, peer)
-		}
+		s.mu.Lock()
+		s.handle(pkt)
+		s.mu.Unlock()
 	}
 }
 
-func (s *Switch) handleControl(pkt *protocol.Packet, peer *net.UDPAddr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ControlIn++
-	switch pkt.Action {
-	case protocol.ActionJoin:
-		if _, err := protocol.ParseJoin(pkt.Value); err != nil {
-			s.ackLocked(peer, false)
+// handle gives one decoded datagram to the engine, which releases it.
+// The one rule of the wire's own: AppendPayload serialises CompNone
+// only, so a Join that negotiates another scheme is refused here; an
+// admitted job whose emissions cannot be written would wedge.
+func (s *Switch) handle(pkt *protocol.Packet) {
+	if pkt.IsControl() && pkt.Action == protocol.ActionJoin {
+		if _, scheme, err := protocol.ParseJoinScheme(pkt.Value); err == nil && scheme != protocol.CompNone {
+			s.eng.ControlIn++
+			(*driver)(s).Forward(protocol.NewControl(s.self, pkt.Src, protocol.ActionAck, protocol.AckFail))
 			return
 		}
-		key := peer.String()
-		if _, ok := s.members[key]; !ok {
-			s.members[key] = peer
-			s.order = append(s.order, key)
-		}
-		if s.autoH {
-			_ = s.acc.SetThreshold(uint32(len(s.members)))
-		}
-		s.ackLocked(peer, true)
-	case protocol.ActionLeave:
-		key := peer.String()
-		if _, ok := s.members[key]; ok {
-			delete(s.members, key)
-			for i, k := range s.order {
-				if k == key {
-					s.order = append(s.order[:i], s.order[i+1:]...)
-					break
-				}
-			}
-			if s.autoH && len(s.members) > 0 {
-				_ = s.acc.SetThreshold(uint32(len(s.members)))
-			}
-			s.ackLocked(peer, true)
-			return
-		}
-		s.ackLocked(peer, false)
-	case protocol.ActionReset:
-		s.acc.Reset()
-		s.ackLocked(peer, true)
-	case protocol.ActionSetH:
-		h, err := protocol.ParseSetH(pkt.Value)
-		if err != nil || s.acc.SetThreshold(h) != nil {
-			s.ackLocked(peer, false)
-			return
-		}
-		s.autoH = false
-		s.ackLocked(peer, true)
-	case protocol.ActionFBcast:
-		for _, seg := range s.acc.PendingSegs() {
-			if sum, _, ok := s.acc.Flush(seg); ok {
-				s.broadcastLocked(seg, sum)
-				s.acc.Recycle(sum)
-			}
-		}
-		s.ackLocked(peer, true)
-	case protocol.ActionHelp:
-		// Relay to every other member; they retransmit their segment.
-		for _, key := range s.order {
-			if key == peer.String() {
-				continue
-			}
-			out := &protocol.Packet{ToS: protocol.ToSControl,
-				Action: protocol.ActionHelp, Value: pkt.Value}
-			s.sendLocked(s.members[key], out)
-		}
-	case protocol.ActionHalt:
-		for _, key := range s.order {
-			out := &protocol.Packet{ToS: protocol.ToSControl, Action: protocol.ActionHalt}
-			s.sendLocked(s.members[key], out)
-		}
-	default:
-		s.ackLocked(peer, false)
 	}
+	s.eng.Handle(pkt, false)
 }
 
-func (s *Switch) handleData(pkt *protocol.Packet, peer *net.UDPAddr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.DataIn++
-	sum, done, _ := s.acc.IngestFrom(pkt.Seg, peer.String(), pkt.Data)
-	if done {
-		s.broadcastLocked(pkt.Seg, sum)
-		// The broadcast serialized sum onto the wire; hand the buffer
-		// back to the accelerator's pool.
-		s.acc.Recycle(sum)
-	}
-}
+// driver is the Switch as its engine sees it (engine.Driver), kept off
+// the Switch's own method set because the engine only runs under mu. A
+// frame is written to its destination endpoint and released; the switch
+// is a root, and the accelerator's modelled latency is not waited out.
+type driver Switch
 
-func (s *Switch) broadcastLocked(seg uint64, sum []float32) {
-	s.Broadcasts++
-	out := &protocol.Packet{ToS: protocol.ToSData, Seg: seg, Data: sum}
-	for _, key := range s.order {
-		s.sendLocked(s.members[key], out)
+func (d *driver) Forward(pkt *protocol.Packet) {
+	if buf, err := appendEncoded(d.encBuf[:0], pkt); err == nil {
+		d.encBuf = buf[:0]
+		dst := netip.AddrPortFrom(netip.AddrFrom4(pkt.Dst.IP), pkt.Dst.Port)
+		_, _ = d.conn.WriteToUDPAddrPort(buf, dst)
 	}
+	pkt.Release()
 }
-
-func (s *Switch) ackLocked(peer *net.UDPAddr, ok bool) {
-	v := protocol.AckOK
-	if !ok {
-		v = protocol.AckFail
-	}
-	s.sendLocked(peer, &protocol.Packet{ToS: protocol.ToSControl,
-		Action: protocol.ActionAck, Value: v})
-}
-
-func (s *Switch) sendLocked(peer *net.UDPAddr, pkt *protocol.Packet) {
-	buf, err := appendEncoded(s.encBuf[:0], pkt)
-	if err != nil {
-		return
-	}
-	s.encBuf = buf[:0]
-	_, _ = s.conn.WriteToUDP(buf, peer)
-}
+func (d *driver) SendUp(pkt *protocol.Packet)      { pkt.Release() }
+func (d *driver) Now() time.Duration               { return time.Duration(time.Now().UnixNano()) }
+func (d *driver) After(_ time.Duration, fn func()) { fn() }
 
 // Members reports the current membership size.
 func (s *Switch) Members() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.members)
+	return s.eng.Membership().Count()
 }
 
 // Counters returns a consistent snapshot of the activity counters
-// (safe to call while Serve is running).
+// (safe to call while Serve is running): data datagrams aggregated,
+// aggregates broadcast, and every control datagram received.
 func (s *Switch) Counters() (dataIn, broadcasts, controlIn uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.DataIn, s.Broadcasts, s.ControlIn
+	return s.eng.DataIn, s.eng.Broadcasts, s.eng.ControlIn
 }
 
 // Client is a worker-side handle: it joins a switch and aggregates
@@ -298,17 +216,23 @@ type Client struct {
 	asm     *protocol.Assembler
 	encBuf  []byte
 	recvBuf []byte
+	// round counts Aggregate calls and tags every segment of one
+	// (protocol.TagSeg), as the simulated worker does: the switch keeps
+	// adjacent rounds' state apart and re-serves a lost broadcast from
+	// the shadow slot of the round asked for. Workers of one job make the
+	// same calls, so their counts agree.
+	round uint64
 	// Timeout bounds each receive while collecting an aggregate.
 	Timeout time.Duration
 }
 
 // Dial connects to a switch for vectors of modelFloats elements.
 func Dial(switchAddr string, modelFloats int) (*Client, error) {
-	ua, err := net.ResolveUDPAddr("udp", switchAddr)
+	ua, err := net.ResolveUDPAddr("udp4", switchAddr)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := net.DialUDP("udp", nil, ua)
+	conn, err := net.DialUDP("udp4", nil, ua)
 	if err != nil {
 		return nil, err
 	}
@@ -332,11 +256,11 @@ func (c *Client) send(pkt *protocol.Packet) error {
 	return err
 }
 
-// sendSegment frames and writes segment seg of grad. The pooled header
-// is spent once its bytes are encoded.
+// sendSegment frames and writes segment seg of grad under the current
+// round's tag. The pooled header is spent once its bytes are encoded.
 func (c *Client) sendSegment(seg uint64, grad []float32) error {
 	lo, hi := protocol.SegmentRange(c.n, seg)
-	pkt := protocol.NewData(protocol.Addr{}, protocol.Addr{}, seg, grad[lo:hi])
+	pkt := protocol.NewData(protocol.Addr{}, protocol.Addr{}, protocol.TagSeg(c.round, seg), grad[lo:hi])
 	err := c.send(pkt)
 	pkt.Release()
 	return err
@@ -354,50 +278,50 @@ func (c *Client) recv() (*protocol.Packet, error) {
 	return Decode(protocol.Addr{}, protocol.Addr{}, c.recvBuf[:n])
 }
 
-// Join registers with the switch and waits for the Ack.
-func (c *Client) Join() error {
-	if err := c.send(&protocol.Packet{ToS: protocol.ToSControl,
-		Action: protocol.ActionJoin, Value: protocol.JoinValue(uint64(c.n))}); err != nil {
+// control issues one control action and waits for its Ack, skipping
+// whatever else is still in flight (a late broadcast share, a Help).
+func (c *Client) control(what string, action protocol.Action, value []byte) error {
+	if err := c.send(&protocol.Packet{ToS: protocol.ToSControl, Action: action, Value: value}); err != nil {
 		return err
 	}
 	for {
 		pkt, err := c.recv()
 		if err != nil {
-			return fmt.Errorf("transport: join: %w", err)
+			return fmt.Errorf("transport: %s: %w", what, err)
 		}
 		if pkt.IsControl() && pkt.Action == protocol.ActionAck {
 			if len(pkt.Value) != 1 || pkt.Value[0] != 1 {
-				return fmt.Errorf("transport: join rejected")
+				return fmt.Errorf("transport: %s rejected", what)
 			}
 			return nil
 		}
 	}
 }
 
+// Join registers with the switch and waits for the Ack.
+func (c *Client) Join() error {
+	return c.control("join", protocol.ActionJoin, protocol.JoinValue(uint64(c.n)))
+}
+
 // SetH issues a SetH control action and waits for the Ack.
 func (c *Client) SetH(h uint32) error {
-	if err := c.send(&protocol.Packet{ToS: protocol.ToSControl,
-		Action: protocol.ActionSetH, Value: protocol.SetHValue(h)}); err != nil {
-		return err
-	}
-	pkt, err := c.recv()
-	if err != nil {
-		return err
-	}
-	if !pkt.IsControl() || pkt.Action != protocol.ActionAck || len(pkt.Value) != 1 || pkt.Value[0] != 1 {
-		return fmt.Errorf("transport: SetH rejected")
-	}
-	return nil
+	return c.control("SetH", protocol.ActionSetH, protocol.SetHValue(h))
 }
 
 // Aggregate contributes grad and blocks until the aggregated sum
-// arrives. Lost broadcasts trigger one Help-based retransmission round
-// before failing.
+// arrives. A receive timeout triggers one Help per missing segment
+// before failing: the switch answers from the round's shadow slot when
+// only the broadcast was lost, and otherwise relays the Help to exactly
+// the members whose contribution it is missing (this one included),
+// who resend. Frames of any other round are dropped unread.
 func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 	if len(grad) != c.n {
 		return nil, fmt.Errorf("transport: gradient len %d, want %d", len(grad), c.n)
 	}
-	for seg := uint64(0); seg < uint64(protocol.SegmentCount(c.n)); seg++ {
+	c.round++
+	tag := protocol.RoundTag(c.round)
+	segs := uint64(protocol.SegmentCount(c.n))
+	for seg := uint64(0); seg < segs; seg++ {
 		if err := c.sendSegment(seg, grad); err != nil {
 			return nil, err
 		}
@@ -408,15 +332,10 @@ func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 		pkt, err := c.recv()
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() && !helped {
-				// Request recovery: peers (and we) retransmit the
-				// missing segments' contributions.
 				helped = true
 				for _, seg := range c.asm.Missing() {
 					if err := c.send(&protocol.Packet{ToS: protocol.ToSControl,
-						Action: protocol.ActionHelp, Value: protocol.HelpValue(seg)}); err != nil {
-						return nil, err
-					}
-					if err := c.sendSegment(seg, grad); err != nil {
+						Action: protocol.ActionHelp, Value: protocol.HelpValue(seg | tag)}); err != nil {
 						return nil, err
 					}
 				}
@@ -426,15 +345,17 @@ func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 		}
 		switch {
 		case pkt.IsData():
-			if err := c.asm.Add(pkt); err != nil {
-				continue
+			if pkt.Seg&^protocol.SegIndexMask != tag {
+				continue // a re-served or late share of another round
 			}
+			pkt.Seg &= protocol.SegIndexMask
+			_ = c.asm.Add(pkt) // malformed or duplicate: ignored
 		case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
 			seg, err := protocol.ParseHelp(pkt.Value)
-			if err != nil || seg >= uint64(protocol.SegmentCount(c.n)) {
+			if err != nil || seg&^protocol.SegIndexMask != tag || seg&protocol.SegIndexMask >= segs {
 				continue
 			}
-			if err := c.sendSegment(seg, grad); err != nil {
+			if err := c.sendSegment(seg&protocol.SegIndexMask, grad); err != nil {
 				return nil, err
 			}
 		}
