@@ -6,7 +6,7 @@ import (
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/protocol"
 	"iswitch/internal/sim"
-	"iswitch/internal/tensor"
+	"iswitch/internal/tensor/kernels"
 )
 
 // Ring-AllReduce aggregation (Figure 1b): the N workers form a logical
@@ -144,7 +144,7 @@ func (ac *arClient) Aggregate(p *sim.Proc, grad []float32) []float32 {
 		in := ac.recvChunk(p, recvCi)
 		lo, _ := chunkRange(ac.cluster.n, nw, recvCi)
 		p.Sleep(accel.SumLatency(len(in), 1, ac.cluster.cfg.SumRate))
-		tensor.Add(vec[lo:lo+len(in)], in)
+		kernels.Add(vec[lo:lo+len(in)], in)
 	}
 	// Allgather: circulate the fully reduced chunks.
 	for s := 0; s < nw-1; s++ {

@@ -238,8 +238,16 @@ func compRelSpec(topo ClusterSpec, scheme protocol.Compression, nFloats int, cfg
 // virtual makespan.
 func runCompReliability(t *testing.T, spec ClusterSpec, iters int) ([]*fracAgent, *ISWCluster, sim.Time) {
 	t.Helper()
+	return runCompReliabilityWith(t, spec, iters, func(*ISWCluster) {})
+}
+
+// runCompReliabilityWith is runCompReliability with a hook that sees the
+// built cluster before the first event runs.
+func runCompReliabilityWith(t *testing.T, spec ClusterSpec, iters int, prepare func(*ISWCluster)) ([]*fracAgent, *ISWCluster, sim.Time) {
+	t.Helper()
 	k := sim.NewKernel()
 	c := Build(k, spec).ISW
+	prepare(c)
 	n := len(c.Workers())
 	agents := make([]*fracAgent, n)
 	bar := sim.NewBarrier(k, n)
@@ -353,36 +361,82 @@ func TestCompressedCrashRejoin(t *testing.T) {
 	}
 }
 
-// TestQuantizedFailoverConsistency: when the aggregation plane dies
-// under int32block, workers fall back to the software relay, which
-// sums raw float32 — precision changes by design, so the property
-// pinned here is replica consistency: every worker of the faulted run
-// applies identical post-failover aggregates and the run terminates.
+// TestQuantizedFailoverConsistency: when the aggregation plane dies,
+// the relay worker runs the switch's own engine, so a compressed job
+// keeps its scheme through failover. On the star the relay sums exactly
+// what the switch summed, and every worker applies the clean run's
+// aggregates bit for bit, fractional gradients and all. Below a tree
+// or fat-tree the switch's leaf partials were narrowed (int32block) or
+// summed in another order, so the flat relay sum may differ from the
+// clean run: there the replicas must agree, every data frame the relay
+// sends a peer must carry the scheme's emission encoding, and a top-k
+// aggregate must stay a sum of top-k selections.
 func TestQuantizedFailoverConsistency(t *testing.T) {
 	nFloats := 2*protocolFloats + 9
 	const iters = 8
+	emitted := map[protocol.Compression]protocol.Compression{
+		protocol.CompInt32Block: protocol.CompInt32Block,
+		protocol.CompFP16:       protocol.CompFP16,
+		protocol.CompTopK:       protocol.CompNone, // top-k aggregates are dense
+	}
 	for _, topo := range relTopoSpecs() {
 		t.Run(topo.Topology.String(), func(t *testing.T) {
-			cfg := DefaultISWConfig()
-			cfg.RecoveryTimeout = 2 * time.Millisecond
+			for _, scheme := range []protocol.Compression{protocol.CompInt32Block, protocol.CompFP16, protocol.CompTopK} {
+				t.Run(scheme.String(), func(t *testing.T) {
+					cfg := DefaultISWConfig()
+					cfg.RecoveryTimeout = 2 * time.Millisecond
+					clean, _, cleanTotal := runCompReliability(t, compRelSpec(topo, scheme, nFloats, &cfg, nil), iters)
 
-			_, _, cleanTotal := runCompReliability(t, compRelSpec(topo, protocol.CompInt32Block, nFloats, &cfg, nil), iters)
-
-			cfg2 := cfg
-			cfg2.FailoverAfter = 3
-			plan := &netsim.FaultPlan{Switches: []netsim.SwitchFault{{Switch: -1, At: cleanTotal / 2}}}
-			faulted, c, _ := runCompReliability(t, compRelSpec(topo, protocol.CompInt32Block, nFloats, &cfg2, plan), iters)
-			if int(c.Failovers) != len(faulted) {
-				t.Fatalf("expected all %d workers to fail over, got %d", len(faulted), c.Failovers)
-			}
-			for w := 1; w < len(faulted); w++ {
-				for it := 0; it < iters; it++ {
-					for i := range faulted[w].applied[it] {
-						if x, y := faulted[w].applied[it][i], faulted[0].applied[it][i]; x != y {
-							t.Fatalf("iter %d elem %d: worker %d applied %v, worker 0 %v", it, i, w, x, y)
+					failover := cfg
+					failover.FailoverAfter = 3
+					plan := &netsim.FaultPlan{Switches: []netsim.SwitchFault{{Switch: -1, At: cleanTotal / 2}}}
+					var relayFrames, wrongEnc int
+					faulted, c, _ := runCompReliabilityWith(t, compRelSpec(topo, scheme, nFloats, &failover, plan), iters,
+						func(c *ISWCluster) {
+							relay := c.Workers()[0].Addr
+							peers := map[protocol.Addr]bool{}
+							for _, h := range c.Workers()[1:] {
+								peers[h.Addr] = true
+							}
+							for _, is := range c.Switches() {
+								is, up := is, is.Uplink()
+								is.Switch().SetTap(func(pkt *protocol.Packet, in *netsim.Port) bool {
+									if pkt.IsData() && pkt.Src == relay && peers[pkt.Dst] {
+										relayFrames++
+										if pkt.Enc != emitted[scheme] {
+											wrongEnc++
+										}
+									}
+									return is.Handle(pkt, up != nil && in == up)
+								})
+							}
+						})
+					if int(c.Failovers) != len(faulted) {
+						t.Fatalf("expected all %d workers to fail over, got %d", len(faulted), c.Failovers)
+					}
+					if topo.Topology == TopoStar {
+						requireSameApplied(t, scheme.String(), clean, faulted, iters)
+					} else {
+						requireSameApplied(t, scheme.String(), faulted, faulted, iters)
+					}
+					if relayFrames == 0 || wrongEnc > 0 {
+						t.Fatalf("the relay sent %d data frames to peers, %d not encoded as %v", relayFrames, wrongEnc, emitted[scheme])
+					}
+					if scheme == protocol.CompTopK && topo.Topology != TopoStar {
+						kept := len(faulted) * int(0.05*float64(nFloats)) // compress.DefaultTopKFrac
+						for it, sum := range faulted[0].applied {
+							nonzero := 0
+							for _, v := range sum {
+								if v != 0 {
+									nonzero++
+								}
+							}
+							if nonzero > kept {
+								t.Fatalf("iter %d: %d nonzero elements, more than the %d that %d workers' top-k selections can hold", it, nonzero, kept, len(faulted))
+							}
 						}
 					}
-				}
+				})
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"iswitch/internal/compress"
+	"iswitch/internal/engine"
 	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/protocol"
@@ -28,9 +29,9 @@ type ISWConfig struct {
 	FloatsPerPacket int
 	// Compression selects the job's gradient wire scheme (CompNone: the
 	// paper's raw float32). Negotiated with the switch at Join time and
-	// fixed for the job's lifetime. CompInt32Block and CompTopK are
-	// synchronous-only (SpawnAsyncISW rejects them); the software relay
-	// failover path always runs raw float32 regardless of scheme.
+	// fixed for the job's lifetime, the relay failover path included.
+	// CompInt32Block and CompTopK are synchronous-only (SpawnAsyncISW
+	// rejects them).
 	Compression protocol.Compression
 	// Job tags every packet this client sends (data and control) with a
 	// training-job ID so a multi-tenant switch demultiplexes it into the
@@ -64,9 +65,9 @@ type ISWConfig struct {
 	// FailoverAfter, when positive, arms whole-switch failover: a worker
 	// whose Help timer fires this many consecutive times with neither
 	// data nor a switch ack concludes the aggregation plane is dead and
-	// falls back to the software relay path (contributions unicast to
-	// the relay worker, which sums at H and re-broadcasts). Failover is
-	// sticky and synchronous-only.
+	// fails over to the relay worker, whose host runs the switch's own
+	// engine: the worker then uploads, Helps and retransmits there as it
+	// did to the switch. Failover is sticky and synchronous-only.
 	FailoverAfter int
 	// Relay is the backup software aggregator's address (zero: worker 0).
 	Relay protocol.Addr
@@ -107,9 +108,6 @@ type ISWCluster struct {
 
 	// crashes holds the per-worker crash schedule (ScheduleCrash).
 	crashes map[int][]netsim.CrashFault
-
-	// workerIdx maps worker addresses to indices, for the relay path.
-	workerIdx map[protocol.Addr]int
 
 	// Recovery accounting (single-threaded kernel: plain counters).
 	HelpsSent   uint64 // Help controls sent by stalled workers
@@ -170,10 +168,14 @@ type iswClient struct {
 	level     int
 	fruitless int
 
-	// failedOver marks the sticky switch-to-relay failover; relay holds
-	// the software aggregation engine when this worker is the relay.
+	// failedOver marks the sticky switch-to-relay failover (sw is then
+	// the relay). On the relay worker, relay is the engine it runs for
+	// its peers, loopback holds that engine's frames to this worker
+	// itself, and k is the clock the engine reads.
 	failedOver bool
-	relay      *relayState
+	relay      *engine.Engine
+	loopback   []*protocol.Packet
+	k          *sim.Kernel
 
 	// codec holds the compression state (lazily built when the job's
 	// scheme needs one); fpGrad is the fp16 rounding scratch and decBuf
@@ -209,6 +211,7 @@ func (ic *iswClient) roundTag() uint64 {
 // aggregation plane died), Setup escalates to the relay path instead of
 // retrying forever.
 func (ic *iswClient) Setup(p *sim.Proc) {
+	ic.k = p.Kernel()
 	if ic.failedOver {
 		return // the relay path has no admission protocol
 	}
@@ -290,9 +293,9 @@ func (ic *iswClient) sendGradient(grad []float32, limit int) {
 	switch cfg.Compression {
 	case protocol.CompFP16:
 		// Round through the wire precision up front: the retained
-		// recovery copy and the relay fallback then hold exactly the
-		// values the switch will sum, so retransmissions are
-		// bit-identical to the original upload.
+		// recovery copy then holds exactly the values the switch will
+		// sum, so retransmissions are bit-identical to the original
+		// upload.
 		ic.fpGrad = append(ic.fpGrad[:0], grad...)
 		kernels.F16RoundInPlace(ic.fpGrad)
 		grad = ic.fpGrad
@@ -307,18 +310,13 @@ func (ic *iswClient) sendGradient(grad []float32, limit int) {
 		// more, so the two rotate and no round allocates after the second.
 		ic.prevGrad, ic.curGrad = ic.curGrad, append(ic.prevGrad[:0], grad...)
 	}
-	if ic.failedOver {
-		// The software relay path aggregates raw float32 regardless of
-		// the job's wire scheme.
-		ic.relayContribute(ic.round%protocol.RoundTagMod, ic.curGrad, limit)
-		return
-	}
-	ic.sendSegments(ic.sw, cfg.Compression, ic.roundTag(), grad, limit)
+	ic.sendSegments(ic.roundTag(), grad, limit, false)
 }
 
-// sendSegments sends grad to dst, one frame per segment with tag in the
-// Seg field's round bits, stopping after limit frames (negative: all).
-func (ic *iswClient) sendSegments(dst protocol.Addr, scheme protocol.Compression, tag uint64, grad []float32, limit int) {
+// sendSegments sends grad to the switch, one frame per segment with tag
+// in the Seg field's round bits, stopping after limit frames (negative:
+// all). prevRound encodes as dataFrame's flag says.
+func (ic *iswClient) sendSegments(tag uint64, grad []float32, limit int, prevRound bool) {
 	per := ic.cluster.cfg.perPacket()
 	segs := protocol.SegmentCountWith(len(grad), per)
 	if limit >= 0 && limit < segs {
@@ -326,21 +324,32 @@ func (ic *iswClient) sendSegments(dst protocol.Addr, scheme protocol.Compression
 	}
 	for s := uint64(0); s < uint64(segs); s++ {
 		lo, hi := protocol.SegmentRangeWith(len(grad), s, per)
-		ic.host.Send(ic.dataFrame(dst, scheme, s|tag, grad[lo:hi], false))
+		ic.send(ic.dataFrame(ic.sw, s|tag, grad[lo:hi], prevRound))
 	}
 }
 
+// send puts one of this worker's frames on the wire, except a frame for
+// the relay engine on this very host, which gets it directly.
+func (ic *iswClient) send(pkt *protocol.Packet) {
+	if pkt.Dst == ic.host.Addr {
+		ic.relayEngine().Handle(pkt, false)
+		return
+	}
+	ic.host.Send(pkt)
+}
+
 // dataFrame builds the frame that carries one segment's values to dst
-// under scheme. It is the one place a worker's data frame is made:
-// first upload, retransmission and the relay path alike. The header is
+// under the job's scheme. It is the one place a worker's data frame is
+// made: first upload, retransmission and failover alike. The header is
 // pooled and whoever consumes the frame releases it. A float payload
 // aliases vals, which the sender keeps intact while the frame can be in
 // flight; codec output is copied in, since the codec's scratch and
 // cached selection move on with the next segment or round. prevRound
 // encodes on the grid, or replays the selection, of the round before
 // the current one.
-func (ic *iswClient) dataFrame(dst protocol.Addr, scheme protocol.Compression, taggedSeg uint64, vals []float32, prevRound bool) *protocol.Packet {
+func (ic *iswClient) dataFrame(dst protocol.Addr, taggedSeg uint64, vals []float32, prevRound bool) *protocol.Packet {
 	seg := taggedSeg & segMask
+	scheme := ic.cluster.cfg.Compression
 	var pkt *protocol.Packet
 	switch scheme {
 	case protocol.CompInt32Block:
@@ -375,14 +384,15 @@ func (ic *iswClient) dataFrame(dst protocol.Addr, scheme protocol.Compression, t
 	return pkt
 }
 
-// retransmit resends this worker's contribution for one (possibly
-// round-tagged) segment, if the matching round's gradient is retained.
+// retransmit resends to dst this worker's contribution for one
+// (possibly round-tagged) segment, if the matching round's gradient is
+// retained.
 // The resend is bit-identical to the original upload under every
 // scheme: fp16 gradients were rounded before retention, quantized
 // segments re-encode on the grid their round used (current or
 // previous — the codec retains both), and sparse segments replay the
 // cached selection.
-func (ic *iswClient) retransmit(taggedSeg uint64) {
+func (ic *iswClient) retransmit(dst protocol.Addr, taggedSeg uint64) {
 	cfg := &ic.cluster.cfg
 	var grad []float32
 	prevRound := false
@@ -407,7 +417,7 @@ func (ic *iswClient) retransmit(taggedSeg uint64) {
 	if lo >= hi {
 		return
 	}
-	ic.host.Send(ic.dataFrame(ic.sw, cfg.Compression, taggedSeg, grad[lo:hi], prevRound))
+	ic.send(ic.dataFrame(dst, taggedSeg, grad[lo:hi], prevRound))
 	ic.cluster.Retransmits++
 }
 
@@ -422,7 +432,8 @@ func (ic *iswClient) retransmit(taggedSeg uint64) {
 // missing, so only the lost data moves again). Consecutive fruitless
 // stalls back the timer off exponentially; with failover armed, enough
 // of them with no sign of switch life (no data, no ack) trips the
-// sticky switch-to-relay failover.
+// sticky switch-to-relay failover, after which this same loop runs
+// against the relay.
 //
 // The result is the assembler's own vector, valid until this worker's
 // next CollectAggregate as the Service contract says: a round costs no
@@ -433,31 +444,28 @@ func (ic *iswClient) CollectAggregate(p *sim.Proc) []float32 {
 	} else {
 		ic.asm.Reset()
 	}
-	if ic.failedOver {
-		return ic.collectViaRelay(p)
-	}
 	cfg := &ic.cluster.cfg
 	tag := ic.roundTag()
 	for !ic.asm.Complete() {
 		var pkt *protocol.Packet
 		if cfg.RecoveryTimeout > 0 {
 			var ok bool
-			pkt, ok = ic.host.RecvTimeout(p, ic.backoffTimeout())
+			pkt, ok = ic.recv(p)
 			if !ok {
 				ic.level++
 				ic.fruitless++
-				if cfg.FailoverAfter > 0 && !cfg.Untagged && ic.fruitless >= cfg.FailoverAfter {
+				if cfg.FailoverAfter > 0 && !cfg.Untagged && !ic.failedOver && ic.fruitless >= cfg.FailoverAfter {
 					ic.enterFailover()
-					return ic.collectViaRelay(p)
+					continue
 				}
 				// Stalled: request recovery for every missing segment.
 				for _, seg := range ic.asm.Missing() {
-					ic.host.Send(ic.help(ic.sw, seg|tag))
+					ic.send(ic.help(ic.sw, seg|tag))
 					ic.cluster.HelpsSent++
 					if cfg.Untagged {
 						// No switch-side bitmap to target retransmission
 						// with: resend our own contribution blindly.
-						ic.retransmit(seg | tag)
+						ic.retransmit(ic.sw, seg|tag)
 					}
 				}
 				continue
@@ -477,15 +485,19 @@ func (ic *iswClient) CollectAggregate(p *sim.Proc) []float32 {
 				continue // another tenant's broadcast (shared host)
 			}
 			if cfg.FailoverAfter > 0 && pkt.Src != ic.sw {
-				// Relay-path traffic reaching a worker still on the
-				// switch path: peers have already failed over.
-				ic.relaySidecar(pkt, tag)
-				if ic.failedOver {
-					// A relay-served aggregate for our round arrived: the
-					// sidecar flipped us; finish the round on the relay path.
-					return ic.collectViaRelay(p)
+				// Relay-path traffic while this worker is still on the
+				// switch path: a peer's contribution to the relay this host
+				// runs, or the relay's aggregate. Peers have failed over
+				// first; an aggregate for this round says the switch is
+				// dead, so follow them.
+				if ic.toRelay(pkt) {
+					continue
 				}
-				continue
+				if pkt.Src != ic.cluster.relayAddr() || pkt.Seg>>roundShift != tag>>roundShift {
+					pkt.Release()
+					continue
+				}
+				ic.enterFailover()
 			}
 			if pkt.Seg>>roundShift != tag>>roundShift {
 				pkt.Release()
@@ -504,12 +516,21 @@ func (ic *iswClient) CollectAggregate(p *sim.Proc) []float32 {
 			}
 			ic.level, ic.fruitless = 0, 0 // progress: the path is alive
 		case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
+			dst := ic.sw
 			if ic.cluster.relayArmed() && pkt.Src != ic.sw {
-				ic.relayHelpSidecar(pkt)
-				continue
+				// A peer's Help to the relay this host runs, or the relay
+				// chasing this worker before it failed over.
+				if ic.toRelay(pkt) {
+					continue
+				}
+				if pkt.Src != ic.cluster.relayAddr() {
+					pkt.Release()
+					continue
+				}
+				dst = pkt.Src
 			}
 			if seg, err := protocol.ParseHelp(pkt.Value); err == nil {
-				ic.retransmit(seg)
+				ic.retransmit(dst, seg)
 			}
 			pkt.Release()
 		case pkt.IsControl() && pkt.Action == protocol.ActionAck:
@@ -526,6 +547,17 @@ func (ic *iswClient) CollectAggregate(p *sim.Proc) []float32 {
 		ic.codec.Advance()
 	}
 	return ic.asm.Vector()
+}
+
+// recv waits out the Help timer for this worker's next frame, taking
+// the frames its own relay engine addressed to it first.
+func (ic *iswClient) recv(p *sim.Proc) (*protocol.Packet, bool) {
+	if len(ic.loopback) > 0 {
+		pkt := ic.loopback[0]
+		ic.loopback = ic.loopback[:copy(ic.loopback, ic.loopback[1:])]
+		return pkt, true
+	}
+	return ic.host.RecvTimeout(p, ic.backoffTimeout())
 }
 
 // help builds this worker's Help for the (round-tagged) segment seg.

@@ -4,8 +4,9 @@
 // segments in the aggregation accelerator, forwards partial aggregates
 // up the switch hierarchy and broadcasts completed ones back down. It
 // knows no clock, link or socket; a Driver says where a frame goes and
-// when. The simulated switch (switchnet.ISwitch) and the real-UDP
-// switch (transport.Switch) are two drivers of this one engine, so the
+// when. The simulated switch (switchnet.ISwitch), the real-UDP switch
+// (transport.Switch) and the worker that takes over after a switch dies
+// (core's failover relay) are three drivers of this one engine, so the
 // protocol is spelled once.
 package engine
 

@@ -6,6 +6,7 @@ import (
 
 	"iswitch/internal/accel"
 	"iswitch/internal/core"
+	"iswitch/internal/engine"
 	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/protocol"
@@ -74,7 +75,7 @@ type jobRun struct {
 	// cps holds the per-switch checkpoints while the job is preempted,
 	// aligned with switchesFor(chains); non-nil means re-admission goes
 	// through RestoreJob instead of AdmitJob.
-	cps []*switchnet.JobCheckpoint
+	cps []*engine.JobCheckpoint
 
 	// Elastic accumulators (per-phase stats summed by finish).
 	elRounds   int64
@@ -422,7 +423,7 @@ func (s *scheduler) fitsAfterEvicting(jr *jobRun, victims []*jobRun) bool {
 // (retransmission + dedup) resumes the round exactly.
 func (s *scheduler) preempt(vr *jobRun) bool {
 	sws := switchesFor(vr.chains)
-	cps := make([]*switchnet.JobCheckpoint, len(sws))
+	cps := make([]*engine.JobCheckpoint, len(sws))
 	for i, is := range sws {
 		cp, err := is.PreemptJob(vr.id)
 		if err != nil {

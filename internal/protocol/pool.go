@@ -20,14 +20,15 @@ import (
 // Who allocates, who may alias, who releases:
 //
 //	frame            header from       payload                       released by
-//	uplink data      NewData/NewQData/ aliases the sender's gradient  the switch (or relay) after
-//	                 NewSparseData     or codec scratch; core copies  Ingest*From
-//	                                   codec scratch in (Set*Copy)
+//	uplink data      NewData/NewQData/ aliases the sender's gradient  the engine after Ingest*From:
+//	                 NewSparseData     or codec scratch; core copies  a switch's, or after failover
+//	                                   codec scratch in (Set*Copy)    the relay worker's
 //	emission         GetPacket         on loan from the accelerator   the emitting switch after the
 //	                                   (LendData/LendQData)           fan-out (root) or, see up-forward
 //	broadcast share  Share             one more reference to the      the receiving worker after
-//	                                   emission's record              Assembler.Add; a lower switch
-//	                                                                  after its own fan-out
+//	                                   emission's record              Assembler.Add (the relay's own
+//	                                                                  share, off its loopback queue);
+//	                                                                  a lower switch after its fan-out
 //	up-forward       the emission      the child's loan travels up    the parent after Ingest*From:
 //	                                                                  the buffer returns to the child
 //	shadow re-serve  GetPacket         pooled copy of the slot        the requesting worker

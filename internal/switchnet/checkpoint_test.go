@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"iswitch/internal/accel"
+	"iswitch/internal/engine"
 	"iswitch/internal/netsim"
 	"iswitch/internal/protocol"
 	"iswitch/internal/sim"
@@ -29,8 +30,8 @@ func TestCheckpointRestoreAccounting(t *testing.T) {
 	mem := is.MembershipOf(1)
 	a0 := protocol.AddrFrom(10, 0, 0, 1, 7000)
 	a1 := protocol.AddrFrom(10, 0, 0, 2, 7000)
-	mem.Join(a0, MemberWorker, 0, floats)
-	mem.Join(a1, MemberWorker, 0, floats)
+	mem.Join(a0, engine.MemberWorker, 0, floats)
+	mem.Join(a1, engine.MemberWorker, 0, floats)
 	mem.Leave(a0) // leaves an ID gap: restored nextID must preserve it
 	acc := is.AcceleratorOf(1)
 	if err := acc.SetThreshold(2); err != nil {
@@ -57,7 +58,7 @@ func TestCheckpointRestoreAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back JobCheckpoint
+	var back engine.JobCheckpoint
 	if err := back.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestCheckpointRestoreAccounting(t *testing.T) {
 		t.Fatalf("restored context re-checkpoints differently:\n got %+v\nwant %+v", again, cp)
 	}
 	// The ID allocator continues past the gap: a new member gets ID 2.
-	if id := is.MembershipOf(1).Join(a0, MemberWorker, 0, floats); id != 2 {
+	if id := is.MembershipOf(1).Join(a0, engine.MemberWorker, 0, floats); id != 2 {
 		t.Fatalf("post-restore join got ID %d, want 2", id)
 	}
 
@@ -207,7 +208,7 @@ func preemptRestoreMidRound(t *testing.T, scheme protocol.Compression) {
 		})
 	}
 
-	var cp *JobCheckpoint
+	var cp *engine.JobCheckpoint
 	k.After(2*time.Millisecond, func() {
 		var err error
 		if cp, err = is.PreemptJob(job); err != nil {

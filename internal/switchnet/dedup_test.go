@@ -3,6 +3,7 @@ package switchnet
 import (
 	"testing"
 
+	"iswitch/internal/engine"
 	"iswitch/internal/protocol"
 	"iswitch/internal/sim"
 )
@@ -107,7 +108,7 @@ func TestContributorKeyRenderedAtJoin(t *testing.T) {
 	if err := is.AdmitJob(1, 4); err != nil {
 		t.Fatal(err)
 	}
-	is.MembershipOf(1).Join(w0.Addr, MemberWorker, 0, 4)
+	is.MembershipOf(1).Join(w0.Addr, engine.MemberWorker, 0, 4)
 	cp, err := is.PreemptJob(1)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +117,7 @@ func TestContributorKeyRenderedAtJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back JobCheckpoint
+	var back engine.JobCheckpoint
 	if err := back.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"iswitch/internal/engine"
 	"iswitch/internal/netsim"
 	"iswitch/internal/protocol"
 	"iswitch/internal/sim"
@@ -94,7 +95,7 @@ func TestFabricContract(t *testing.T) {
 				if parent == nil {
 					t.Fatalf("%v: parent %v is not in the fabric", is.Addr(), is.parent)
 				}
-				if m, ok := parent.Membership().Lookup(is.Addr()); !ok || m.Type != MemberSwitch {
+				if m, ok := parent.Membership().Lookup(is.Addr()); !ok || m.Type != engine.MemberSwitch {
 					t.Fatalf("%v is not a switch member of its parent %v", is.Addr(), parent.Addr())
 				}
 				children[parent]++

@@ -16,10 +16,6 @@ import (
 	"iswitch/internal/protocol"
 )
 
-// JobCheckpoint is what CheckpointJob and PreemptJob return, named here
-// for the schedulers that hold one between preemption and restore.
-type JobCheckpoint = engine.JobCheckpoint
-
 // ISwitch augments a netsim.Switch with the iSwitch engine: it is the
 // engine's discrete-event driver. The augmentation is a
 // "bump-in-the-wire": the tap hands the engine only the ToS-tagged

@@ -4,15 +4,7 @@ import (
 	"os"
 	"testing"
 
-	"iswitch/internal/engine"
 	"iswitch/internal/protocol"
-)
-
-// The member types are spelled as they were when the membership table
-// lived in this package; the tests here read and write a job's table.
-const (
-	MemberWorker = engine.MemberWorker
-	MemberSwitch = engine.MemberSwitch
 )
 
 // TestMain poisons released payloads for the whole package: a switch or
