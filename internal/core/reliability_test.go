@@ -162,10 +162,11 @@ func TestCrashRejoinBitIdentical(t *testing.T) {
 }
 
 // TestSwitchFailoverBitIdentical: when the whole aggregation plane dies
-// mid-run, every worker fails over to the software relay path, and the
-// relay's worker-index-order summation reproduces the in-switch sums
-// exactly (integer gradients make any order exact; the property pinned
-// here is that no contribution is lost or double-counted).
+// mid-run, every worker fails over to the relay worker, whose host runs
+// the switch's engine behind core.hostDriver, and the relay's sums
+// reproduce the in-switch sums exactly (integer gradients make any
+// arrival order exact; the property pinned here is that no
+// contribution is lost or double-counted).
 func TestSwitchFailoverBitIdentical(t *testing.T) {
 	nFloats := 2*protocolFloats + 9
 	for _, topo := range relTopoSpecs() {

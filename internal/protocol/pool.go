@@ -35,6 +35,9 @@ import (
 //	control          NewControl/       value ≤ InlineValueLen bytes   the engine's Handle after
 //	                 NewHelp           inline in the header           handleControl; the worker's
 //	                                                                  receive loop
+//	decoded datagram UnmarshalPayload  control value inline; data     the UDP switch's engine after
+//	                 (Unmarshal)       decoded into a pooled buffer   Handle; the UDP client after
+//	                                                                  Assembler.Add or dropping it
 //	dropped frame    any               any                            netsim, at the drop site
 //	kept frame       PooledClone       pooled deep copy: the one      whoever keeps it, when done
 //	                                   copy left, for callers that
@@ -84,7 +87,9 @@ type payload struct {
 	// Every share of an emission is made, delivered and released inside
 	// the one simulation kernel the emitting switch belongs to, whose
 	// processes run one at a time; the UDP switch writes and releases
-	// each share under its mutex before the engine call returns.
+	// each share under its mutex before the engine call returns. A
+	// decoded datagram is never shared before the goroutine that read it
+	// releases it.
 	refs int32
 
 	// Buffers owned by the record (owner == nil), kept across release
@@ -235,13 +240,17 @@ func (p *Packet) ownBuf() *payload {
 }
 
 // SetDataCopy points p.Data at a pooled copy of data.
-func (p *Packet) SetDataCopy(data []float32) {
+func (p *Packet) SetDataCopy(data []float32) { copy(p.ownData(len(data)), data) }
+
+// ownData points p.Data at n floats of a pooled buffer p owns, for the
+// caller to fill: SetDataCopy from a slice, the wire decode from bytes.
+func (p *Packet) ownData(n int) []float32 {
 	pl := p.ownBuf()
-	if cap(pl.f32) < len(data) {
-		pl.f32 = make([]float32, len(data))
+	if cap(pl.f32) < n {
+		pl.f32 = make([]float32, n)
 	}
-	p.Data = pl.f32[:len(data)]
-	copy(p.Data, data)
+	p.Data = pl.f32[:n]
+	return p.Data
 }
 
 // SetQDataCopy points p.QData at a pooled copy of q.

@@ -64,8 +64,9 @@ func Marshal(p *Packet) ([]byte, error) {
 }
 
 // Unmarshal parses a full Ethernet frame produced by Marshal (or any
-// frame with the same layout). Frames that are not iSwitch traffic are
-// returned with ToS preserved so callers can forward them unmodified.
+// frame with the same layout) into a pooled frame, as UnmarshalPayload
+// does. Frames that are not iSwitch traffic are returned with ToS
+// preserved so callers can forward them unmodified.
 func Unmarshal(frame []byte) (*Packet, error) {
 	if len(frame) < EthernetHeaderLen+IPv4HeaderLen+UDPHeaderLen {
 		return nil, fmt.Errorf("protocol: frame too short (%d bytes)", len(frame))
@@ -87,20 +88,22 @@ func Unmarshal(frame []byte) (*Packet, error) {
 	if ipLen < IPv4HeaderLen+UDPHeaderLen || EthernetHeaderLen+ipLen > len(frame) {
 		return nil, fmt.Errorf("protocol: bad IP total length %d", ipLen)
 	}
-	p := &Packet{ToS: ip[1], Job: JobID(binary.BigEndian.Uint16(ip[4:6]))}
-	copy(p.Src.IP[:], ip[12:16])
-	copy(p.Dst.IP[:], ip[16:20])
+	var src, dst Addr
+	copy(src.IP[:], ip[12:16])
+	copy(dst.IP[:], ip[16:20])
 
 	udp := ip[IPv4HeaderLen:ipLen]
-	p.Src.Port = binary.BigEndian.Uint16(udp[0:2])
-	p.Dst.Port = binary.BigEndian.Uint16(udp[2:4])
+	src.Port = binary.BigEndian.Uint16(udp[0:2])
+	dst.Port = binary.BigEndian.Uint16(udp[2:4])
 	udpLen := int(binary.BigEndian.Uint16(udp[4:6]))
 	if udpLen < UDPHeaderLen || udpLen > len(udp) {
 		return nil, fmt.Errorf("protocol: bad UDP length %d", udpLen)
 	}
-	if err := unmarshalPayloadInto(p, udp[UDPHeaderLen:udpLen]); err != nil {
+	p, err := UnmarshalPayload(src, dst, ip[1], udp[UDPHeaderLen:udpLen])
+	if err != nil {
 		return nil, err
 	}
+	p.Job = JobID(binary.BigEndian.Uint16(ip[4:6]))
 	return p, nil
 }
 
@@ -140,7 +143,9 @@ func AppendPayload(dst []byte, p *Packet) ([]byte, error) {
 	}
 }
 
-// unmarshalPayloadInto fills the ToS-selected payload fields of p.
+// unmarshalPayloadInto fills the ToS-selected payload fields of p: a
+// control value inline in the header (SetValueCopy), data decoded
+// straight into a pooled payload buffer. Nothing aliases payload.
 func unmarshalPayloadInto(p *Packet, payload []byte) error {
 	switch {
 	case p.IsControl():
@@ -149,7 +154,7 @@ func unmarshalPayloadInto(p *Packet, payload []byte) error {
 		}
 		p.Action = Action(payload[0])
 		if len(payload) > 1 {
-			p.Value = append([]byte(nil), payload[1:]...)
+			p.SetValueCopy(payload[1:])
 		}
 		return nil
 	case p.IsData():
@@ -160,10 +165,10 @@ func unmarshalPayloadInto(p *Packet, payload []byte) error {
 			return fmt.Errorf("protocol: data payload length %d not float32-aligned", len(payload))
 		}
 		p.Seg = binary.LittleEndian.Uint64(payload[0:8])
-		n := (len(payload) - SegFieldLen) / 4
-		p.Data = make([]float32, n)
-		for i := range p.Data {
-			p.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[8+4*i:]))
+		raw := payload[SegFieldLen:]
+		data := p.ownData(len(raw) / 4)
+		for i := range data {
+			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
 		return nil
 	default:
@@ -172,10 +177,14 @@ func unmarshalPayloadInto(p *Packet, payload []byte) error {
 }
 
 // UnmarshalPayload parses a UDP payload given the out-of-band ToS tag
-// and addressing (how the real-UDP transport reconstructs packets).
+// and addressing (how the real-UDP transport reconstructs packets). The
+// result is a pooled frame that owns its payload; the caller releases
+// it, and may reuse payload at once.
 func UnmarshalPayload(src, dst Addr, tos uint8, payload []byte) (*Packet, error) {
-	p := &Packet{Src: src, Dst: dst, ToS: tos}
+	p := GetPacket()
+	p.Src, p.Dst, p.ToS = src, dst, tos
 	if err := unmarshalPayloadInto(p, payload); err != nil {
+		p.Release()
 		return nil, err
 	}
 	return p, nil

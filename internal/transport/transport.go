@@ -10,6 +10,22 @@
 // Because a portable UDP socket cannot set the IP ToS byte per packet,
 // the ToS tag travels as the first byte of the UDP payload; the rest of
 // the payload is the standard iSwitch framing (protocol.MarshalPayload).
+//
+// A datagram leaves no garbage. Each one is decoded into a pooled frame
+// (a pooled header over a pooled payload buffer) that its consumer
+// releases: the switch's engine after Handle, the client after
+// Assembler.Add or after dropping the frame. Client.Aggregate returns
+// the client's own assembled vector. A steady-state round therefore
+// allocates nothing (TestUDPSteadyStateAllocFree).
+//
+// fp32 sums follow datagram arrival order: the switch adds
+// contributions in the order it takes them, and under ServeN(k > 1)
+// that order is a race between readers. A sum is reproducible only
+// when every partial sum is exact, as with 2^-8-grid gradients or
+// TestAggregateMultiReader's integers. int32block's saturating integer
+// sum would be order-free (Yuan et al., FPISA, on what in-switch float
+// addition can promise), but the wire carries CompNone only until the
+// payload codec learns the other schemes.
 package transport
 
 import (
@@ -38,8 +54,9 @@ func appendEncoded(dst []byte, p *protocol.Packet) ([]byte, error) {
 	return protocol.AppendPayload(dst, p)
 }
 
-// Decode parses a UDP datagram produced by Encode. src/dst describe the
-// UDP endpoints (the kernel owns the real headers).
+// Decode parses a UDP datagram produced by Encode into a pooled frame
+// the caller releases; nothing in it aliases datagram. src/dst describe
+// the UDP endpoints (the kernel owns the real headers).
 func Decode(src, dst protocol.Addr, datagram []byte) (*protocol.Packet, error) {
 	if len(datagram) < 1 {
 		return nil, fmt.Errorf("transport: empty datagram")
@@ -113,7 +130,10 @@ func (s *Switch) Serve() error { return s.ServeN(1) }
 // bound socket (reads are safe for concurrent use; the kernel hands
 // each datagram to exactly one reader). Extra readers keep the socket
 // queue short while a handler holds the switch mutex for an aggregation.
-// Blocks until the socket closes, then returns nil.
+// With more than one reader, fp32 sums follow the order in which the
+// readers win the mutex, not the socket's: they are exact only when
+// every partial sum is (see the package doc). Blocks until the socket
+// closes, then returns nil.
 func (s *Switch) ServeN(workers int) error {
 	if workers <= 1 {
 		s.serveLoop(make([]byte, maxDatagram))
@@ -125,7 +145,7 @@ func (s *Switch) ServeN(workers int) error {
 		go func() {
 			defer wg.Done()
 			// One reusable receive buffer per reader: Decode copies
-			// what the engine keeps, so reads never allocate.
+			// the datagram into a pooled frame, so reads never allocate.
 			s.serveLoop(make([]byte, maxDatagram))
 		}()
 	}
@@ -146,7 +166,7 @@ func (s *Switch) serveLoop(buf []byte) {
 		if !ok || src == s.self {
 			continue // not IPv4, or forged: the switch sends itself nothing
 		}
-		// Decode copies Value/Data out of the datagram, so buf can be
+		// Decode copies Value/Data into a pooled frame, so buf can be
 		// reused for the next read without a defensive copy.
 		pkt, err := Decode(src, s.self, buf[:n])
 		if err != nil {
@@ -158,19 +178,24 @@ func (s *Switch) serveLoop(buf []byte) {
 	}
 }
 
-// handle gives one decoded datagram to the engine, which releases it.
-// The one rule of the wire's own: AppendPayload serialises CompNone
-// only, so a Join that negotiates another scheme is refused here; an
-// admitted job whose emissions cannot be written would wedge.
+// handle gives one decoded datagram to the engine, which releases every
+// iSwitch frame (each is addressed to the switch); regular traffic has
+// nowhere to go and is released here. The one rule of the wire's own:
+// AppendPayload serialises CompNone only, so a Join that negotiates
+// another scheme is refused here; an admitted job whose emissions
+// cannot be written would wedge.
 func (s *Switch) handle(pkt *protocol.Packet) {
 	if pkt.IsControl() && pkt.Action == protocol.ActionJoin {
 		if _, scheme, err := protocol.ParseJoinScheme(pkt.Value); err == nil && scheme != protocol.CompNone {
 			s.eng.ControlIn++
 			(*driver)(s).Forward(protocol.NewControl(s.self, pkt.Src, protocol.ActionAck, protocol.AckFail))
+			pkt.Release()
 			return
 		}
 	}
-	s.eng.Handle(pkt, false)
+	if !s.eng.Handle(pkt, false) {
+		pkt.Release()
+	}
 }
 
 // driver is the Switch as its engine sees it (engine.Driver), kept off
@@ -266,7 +291,8 @@ func (c *Client) sendSegment(seg uint64, grad []float32) error {
 	return err
 }
 
-// recv reads one packet with the client timeout.
+// recv reads one packet with the client timeout. The packet is a pooled
+// frame the caller releases.
 func (c *Client) recv() (*protocol.Packet, error) {
 	if err := c.conn.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
 		return nil, err
@@ -289,8 +315,11 @@ func (c *Client) control(what string, action protocol.Action, value []byte) erro
 		if err != nil {
 			return fmt.Errorf("transport: %s: %w", what, err)
 		}
-		if pkt.IsControl() && pkt.Action == protocol.ActionAck {
-			if len(pkt.Value) != 1 || pkt.Value[0] != 1 {
+		ack := pkt.IsControl() && pkt.Action == protocol.ActionAck
+		ok := len(pkt.Value) == 1 && pkt.Value[0] == 1
+		pkt.Release()
+		if ack {
+			if !ok {
 				return fmt.Errorf("transport: %s rejected", what)
 			}
 			return nil
@@ -314,6 +343,10 @@ func (c *Client) SetH(h uint32) error {
 // only the broadcast was lost, and otherwise relays the Help to exactly
 // the members whose contribution it is missing (this one included),
 // who resend. Frames of any other round are dropped unread.
+//
+// The sum is the client's assembled vector, not a copy: it stays valid
+// until this client's next Aggregate overwrites it (the core.Service
+// contract). A caller that keeps a sum across rounds copies it.
 func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 	if len(grad) != c.n {
 		return nil, fmt.Errorf("transport: gradient len %d, want %d", len(grad), c.n)
@@ -334,8 +367,10 @@ func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() && !helped {
 				helped = true
 				for _, seg := range c.asm.Missing() {
-					if err := c.send(&protocol.Packet{ToS: protocol.ToSControl,
-						Action: protocol.ActionHelp, Value: protocol.HelpValue(seg | tag)}); err != nil {
+					help := protocol.NewHelp(protocol.Addr{}, protocol.Addr{}, seg|tag)
+					err := c.send(help)
+					help.Release()
+					if err != nil {
 						return nil, err
 					}
 				}
@@ -343,22 +378,32 @@ func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 			}
 			return nil, fmt.Errorf("transport: aggregate: %w", err)
 		}
-		switch {
-		case pkt.IsData():
-			if pkt.Seg&^protocol.SegIndexMask != tag {
-				continue // a re-served or late share of another round
-			}
-			pkt.Seg &= protocol.SegIndexMask
-			_ = c.asm.Add(pkt) // malformed or duplicate: ignored
-		case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
-			seg, err := protocol.ParseHelp(pkt.Value)
-			if err != nil || seg&^protocol.SegIndexMask != tag || seg&protocol.SegIndexMask >= segs {
-				continue
-			}
-			if err := c.sendSegment(seg&protocol.SegIndexMask, grad); err != nil {
-				return nil, err
-			}
+		err = c.take(pkt, grad, tag, segs)
+		pkt.Release()
+		if err != nil {
+			return nil, err
 		}
 	}
-	return append([]float32(nil), c.asm.Vector()...), nil
+	return c.asm.Vector(), nil
+}
+
+// take applies one received frame to the round tagged tag: a share of
+// its aggregate goes into the assembler, a Help for one of its segments
+// is answered with that segment, and anything else (a re-served or late
+// share of another round, a stale Help, a late Ack) is dropped. The
+// caller releases pkt.
+func (c *Client) take(pkt *protocol.Packet, grad []float32, tag, segs uint64) error {
+	switch {
+	case pkt.IsData():
+		if pkt.Seg&^protocol.SegIndexMask == tag {
+			pkt.Seg &= protocol.SegIndexMask
+			_ = c.asm.Add(pkt) // malformed or duplicate: ignored
+		}
+	case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
+		seg, err := protocol.ParseHelp(pkt.Value)
+		if err == nil && seg&^protocol.SegIndexMask == tag && seg&protocol.SegIndexMask < segs {
+			return c.sendSegment(seg&protocol.SegIndexMask, grad)
+		}
+	}
+	return nil
 }
