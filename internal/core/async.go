@@ -151,6 +151,11 @@ func SpawnAsyncISW(k *sim.Kernel, agents []rl.Agent, cluster *ISWCluster, cfg As
 				ts++
 				rec.UpdateEnd = p.Now()
 				prev = rec.UpdateEnd
+				if ws.Iters == nil {
+					// Sized on the first record: one allocation instead
+					// of a regrowth per doubling, and none at spawn time.
+					ws.Iters = make([]IterRecord, 0, cfg.Updates)
+				}
 				ws.Iters = append(ws.Iters, rec)
 				if rec.UpdateEnd > stats.Total {
 					stats.Total = rec.UpdateEnd

@@ -70,6 +70,11 @@ func SpawnSync(k *sim.Kernel, agents []rl.Agent, services []Service, cfg SyncCon
 				agent.ApplyAggregated(sum, svc.H())
 				rec.UpdateEnd = p.Now()
 
+				if ws.Iters == nil {
+					// Sized on the first record: one allocation instead
+					// of a regrowth per doubling, and none at spawn time.
+					ws.Iters = make([]IterRecord, 0, cfg.Iterations)
+				}
 				ws.Iters = append(ws.Iters, rec)
 				for _, r := range agent.DrainEpisodes() {
 					ws.Rewards = append(ws.Rewards, RewardPoint{Time: p.Now(), Reward: r})

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -70,6 +71,46 @@ func BenchmarkHoldCalendar16384(b *testing.B) { benchHold(b, NewKernel, 16384) }
 func BenchmarkHoldHeap64(b *testing.B)        { benchHold(b, NewHeapKernel, 64) }
 func BenchmarkHoldHeap1024(b *testing.B)      { benchHold(b, NewHeapKernel, 1024) }
 func BenchmarkHoldHeap16384(b *testing.B)     { benchHold(b, NewHeapKernel, 16384) }
+
+// BenchmarkHoldBimodal runs the hold model on the fattree1024 event mix,
+// in callbacks only so that it measures the scheduler: 1024 sleepers
+// each wake every ~8.5 ms and launch a packet of 2-6 After hops of
+// 256 ns-4 µs, so a thousand far events sit behind a few near ones.
+func BenchmarkHoldBimodal(b *testing.B) {
+	k := NewKernel()
+	rng := newDiffRNG(7)
+	hop := func() Time { return Time(256+rng.intn(3744)) * time.Nanosecond }
+	for i := 0; i < 1024; i++ {
+		var left int
+		var fly, wake func()
+		fly = func() {
+			if left--; left > 0 {
+				k.After(hop(), fly)
+			}
+		}
+		wake = func() {
+			left = 2 + rng.intn(5)
+			k.After(hop(), fly)
+			k.After(8500*time.Microsecond+Time(rng.intn(20000)), wake)
+		}
+		k.After(Time(rng.intn(8_500_000)), wake)
+	}
+	k.RunUntil(50 * time.Millisecond) // warm-up: event pool and rungs
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := k.Events()
+	b.ResetTimer()
+	t0 := time.Now()
+	for k.Events()-start < uint64(b.N) {
+		k.RunUntil(k.Now() + time.Millisecond)
+	}
+	wall := time.Since(t0)
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(k.Events() - start)
+	b.ReportMetric(n/wall.Seconds(), "events/sec")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/event")
+}
 
 // BenchmarkChanSteadyState pins the ring-buffer rework: a
 // send-then-receive cycle at steady state must not allocate (waiter
@@ -165,10 +206,29 @@ func TestSleepWakeAllocFree(t *testing.T) {
 	}
 }
 
+// TestBimodalAllocFree: on the fattree1024-shaped mix (spawnBimodal:
+// 1024 sleeping workers, packet chains, timeout races leaving stale
+// wakes) the warmed-up kernel runs at exactly 0 allocations: the ladder
+// reuses its rungs' bucket arrays and the events come off the free list.
+func TestBimodalAllocFree(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	spawnBimodal(k, 1024, -1, 1, nil)
+	k.RunUntil(60 * time.Millisecond) // warm-up: event pool, rungs, rings, waiters
+	before := k.Events()
+	allocs := testing.AllocsPerRun(50, func() { k.RunUntil(k.Now() + time.Millisecond) })
+	if n := k.Events() - before; n < 50*500 {
+		t.Fatalf("only %d events in the measured window; the mix is not running", n)
+	}
+	if allocs != 0 {
+		t.Fatalf("bimodal mix allocates %.2f per 1 ms slice, want 0", allocs)
+	}
+}
+
 // TestHoldCalendarAllocFree is the event-pooling regression gate: on
-// the calendar scheduler a steady-state hold recycles its event through
+// the ladder scheduler a steady-state hold recycles its event through
 // the kernel's free list, so priming aside the run must not allocate.
-// 0.1 allocs/event leaves room for the priming and bucket growth
+// 0.1 allocs/event leaves room for the priming and rung growth
 // amortized over 100k holds; the unpooled heap path sits at 1.0.
 func TestHoldCalendarAllocFree(t *testing.T) {
 	res := RunHold(NewKernel(), 1024, 100_000, 7)

@@ -2,279 +2,211 @@ package sim
 
 import "math/bits"
 
-// calQueue is an O(1) calendar-queue event scheduler (Brown 1988): an
-// array of day buckets, each holding a (t, seq)-sorted intrusive list
-// of events whose timestamp falls on that day (day = t / width, mapped
-// onto the array modulo its length). Dequeue scans forward from the
-// day of the last popped event; because every bucket-resident event
-// lies within the current "year" (one full rotation of the array), the
-// first head found inside its day window is the global minimum.
+// ladderQueue is the kernel's event scheduler: a ladder queue (Tang,
+// Goh & Thng, ACM TOMACS 2005), amortized O(1) per event however the
+// timestamps mix near and far. It keeps events in three tiers, each a
+// chain through event.next:
 //
-// Two mechanisms keep the common operations O(1):
+//   - top: an unsorted list of the far future, every t >= topStart,
+//     whose min and max are tracked on push;
+//   - rungs: arrays of unsorted buckets, each rung finer than the one
+//     above it. Rung i takes the pushes with t >= rungs[i].lo that no
+//     tier above takes;
+//   - bottom: a short list sorted by (t, seq), below every rung.
 //
-//   - Automatic resize: when bucket occupancy drifts outside [1/4, 2]
-//     events per bucket, the array is rebuilt at the new size and the
-//     day width re-estimated from sampled inter-event gaps, keeping
-//     roughly one event per day for any event density.
-//
-//   - Binary-heap overflow: events scheduled beyond the current year
-//     (t >= yearEnd) would alias onto near-future days, so they go to
-//     a far-future heap instead. Each peek migrates newly in-year
-//     overflow events back into the calendar, so the heap only ever
-//     holds genuinely far-future work (timers, long timeouts).
-//
-// Pop order is exactly (t, seq) — byte-identical to the reference
-// binary heap (heapQueue), which the differential suite enforces.
-type calQueue struct {
-	buckets []calBucket
-	mask    int64 // len(buckets)-1; bucket count is a power of two
-	shift   uint  // day width is 1<<shift nanoseconds (a power of two)
-	last    Time  // floor: every queued event has t >= last
-	bn      int   // events resident in buckets (excludes overflow)
+// A pop takes the bottom's head. An empty bottom is refilled from the
+// lowest rung's next non-empty bucket, or from the whole top when there
+// are no rungs: a list of more than ladderThres events with more than
+// one distinct timestamp is spread over a new, finer rung, anything
+// else is sorted into the bottom. A bottom pushed past ladderThres
+// spawns a rung the same way. The tiers split the time axis, so the
+// bottom's head is the (t, seq) minimum: pop order equals the reference
+// heapQueue's, which the differential suite and FuzzEventQueue enforce.
+type ladderQueue struct {
+	n int // events in all tiers
 
-	overflow heapQueue // far-future events (t >= yearEnd at push time)
+	top            *event
+	topN           int
+	topMin, topMax Time
+	topStart       Time
 
-	// peeked caches the event located by peek until the matching pop or
-	// an intervening push invalidates it.
-	peeked       *event
-	peekOverflow bool
+	rungs [ladderRungs]rung
+	nr    int // rungs in use; rungs[nr-1] is the lowest
+
+	bot, botTail *event
+	botN         int
+}
+
+// rung is one level of buckets: bucket i holds timestamps in
+// [start + i<<shift, start + (i+1)<<shift). Buckets before cur are empty.
+type rung struct {
+	b     []*event // bucket heads; reused by later spawns, all nil when idle
+	start Time
+	shift uint
+	cur   int
+	lo    Time // the rung's floor, at or after bucket cur's start
 }
 
 const (
-	// calMinBuckets is the smallest bucket array (shrink floor).
-	calMinBuckets = 16
-	// calSampleCap bounds the gap sample taken when re-estimating the
-	// day width during a resize.
-	calSampleCap = 32
+	// ladderThres is the longest list sorted straight into the bottom.
+	ladderThres = 32
+	// ladderRungs bounds the ladder's depth; past it, lists are sorted.
+	ladderRungs = 8
 )
 
-func newCalQueue() *calQueue {
-	return &calQueue{
-		buckets: make([]calBucket, calMinBuckets),
-		mask:    calMinBuckets - 1,
-		shift:   10, // ~1us days until the first resize re-estimates
-	}
-}
+func (q *ladderQueue) pooled() bool { return true }
 
-// calBucket is one day's sorted event chain.
-type calBucket struct {
-	head, tail *event
-}
+func (q *ladderQueue) len() int { return q.n }
 
-func (q *calQueue) pooled() bool { return true }
-
-func (q *calQueue) len() int { return q.bn + q.overflow.len() }
-
-// day maps a timestamp to its day index. Day widths are powers of two
-// so this is a shift, not a division — it runs on every push and pop.
-func (q *calQueue) day(t Time) int64 { return int64(t) >> q.shift }
-
-// yearEnd is the first timestamp beyond the current rotation window:
-// events at or past it must live in the overflow heap.
-func (q *calQueue) yearEnd() Time {
-	return Time((q.day(q.last) + int64(len(q.buckets))) << q.shift)
-}
-
-func (q *calQueue) push(e *event) {
-	q.peeked = nil
-	if e.t >= q.yearEnd() {
-		q.overflow.push(e)
+func (q *ladderQueue) push(e *event) {
+	q.n++
+	t := e.t
+	if t >= q.topStart {
+		if q.topN == 0 {
+			q.topMin, q.topMax = t, t
+		} else if t < q.topMin {
+			q.topMin = t
+		} else if t > q.topMax {
+			q.topMax = t
+		}
+		e.next, q.top = q.top, e
+		q.topN++
 		return
 	}
-	q.bucketInsert(e)
-	if q.bn > 2*len(q.buckets) {
-		q.resize(2 * len(q.buckets))
+	for i := 0; i < q.nr; i++ {
+		if r := &q.rungs[i]; t >= r.lo {
+			b := &r.b[(t-r.start)>>r.shift]
+			e.next, *b = *b, e
+			return
+		}
+	}
+	q.botInsert(e)
+	if q.botN > ladderThres && q.bot.t != q.botTail.t && q.nr < ladderRungs &&
+		(q.nr == 0 || q.bot.t >= q.rungs[q.nr-1].start) {
+		l, n, lo, hi, p := q.bot, q.botN, q.bot.t, q.botTail.t, q.nr-1
+		q.bot, q.botTail, q.botN = nil, nil, 0
+		q.floor(p, q.spread(l, n, lo, hi))
 	}
 }
 
-// bucketInsert chains e into its day bucket in (t, seq) order. The
-// tail fast path covers the dominant DES pattern — events scheduled at
-// the current timestamp in ascending seq order — in O(1).
-func (q *calQueue) bucketInsert(e *event) {
-	b := &q.buckets[q.day(e.t)&q.mask]
+// botInsert chains e into the bottom in (t, seq) order. The tail and
+// head fast paths cover the common cases (a later event; a same-time
+// run in either seq order) in O(1).
+func (q *ladderQueue) botInsert(e *event) {
+	q.botN++
 	switch {
-	case b.head == nil:
+	case q.bot == nil:
 		e.next = nil
-		b.head, b.tail = e, e
-	case b.tail.before(e):
+		q.bot, q.botTail = e, e
+	case q.botTail.before(e):
 		e.next = nil
-		b.tail.next = e
-		b.tail = e
-	case e.before(b.head):
-		e.next = b.head
-		b.head = e
+		q.botTail.next, q.botTail = e, e
+	case e.before(q.bot):
+		e.next, q.bot = q.bot, e
 	default:
-		cur := b.head
-		for cur.next != nil && cur.next.before(e) {
+		cur := q.bot
+		for cur.next.before(e) {
 			cur = cur.next
 		}
-		e.next = cur.next
-		cur.next = e
+		e.next, cur.next = cur.next, e
 	}
-	q.bn++
 }
 
-func (q *calQueue) peek() *event {
-	if q.peeked != nil {
-		return q.peeked
+func (q *ladderQueue) peek() *event {
+	for q.bot == nil && q.n > 0 {
+		q.refill()
 	}
-	q.migrate()
-	if q.bn == 0 {
-		q.peeked = q.overflow.peek()
-		q.peekOverflow = q.peeked != nil
-		return q.peeked
-	}
-	q.peeked = q.scanMin()
-	q.peekOverflow = false
-	return q.peeked
+	return q.bot
 }
 
-func (q *calQueue) pop() *event {
+func (q *ladderQueue) pop() *event {
 	e := q.peek()
 	if e == nil {
 		return nil
 	}
-	q.peeked = nil
-	if q.peekOverflow {
-		q.overflow.pop()
-		q.last = e.t
-		return e
-	}
-	b := &q.buckets[q.day(e.t)&q.mask]
-	b.head = e.next
-	if b.head == nil {
-		b.tail = nil
+	if q.bot = e.next; q.bot == nil {
+		q.botTail = nil
 	}
 	e.next = nil
-	q.bn--
-	q.last = e.t
-	if len(q.buckets) > calMinBuckets && q.bn < len(q.buckets)/4 {
-		q.resize(len(q.buckets) / 2)
-	}
+	q.botN--
+	q.n--
 	return e
 }
 
-// migrate moves overflow events that now fall inside the current year
-// into their day buckets. Amortized O(1): each event migrates at most
-// once per resize.
-func (q *calQueue) migrate() {
-	for {
-		top := q.overflow.peek()
-		if top == nil || top.t >= q.yearEnd() {
-			return
-		}
-		q.overflow.pop()
-		q.bucketInsert(top)
-		if q.bn > 2*len(q.buckets) {
-			q.resize(2 * len(q.buckets))
-		}
+// refill moves the earliest list down a tier: the whole top when there
+// are no rungs, else the lowest rung's next non-empty bucket. A rung
+// whose buckets are all spent retires.
+func (q *ladderQueue) refill() {
+	if q.nr == 0 {
+		l, n := q.top, q.topN
+		q.top, q.topN = nil, 0
+		q.topStart = q.spread(l, n, q.topMin, q.topMax)
+		return
 	}
-}
-
-// scanMin walks day windows forward from the day of the last popped
-// event. Every bucket-resident event satisfies last <= t < yearEnd, so
-// one rotation is guaranteed to visit each event's day exactly once,
-// and the first head inside its window is the (t, seq) minimum.
-func (q *calQueue) scanMin() *event {
-	d := q.day(q.last)
-	idx := d & q.mask
-	top := Time((d + 1) << q.shift)
-	for i := 0; i < len(q.buckets); i++ {
-		if h := q.buckets[idx].head; h != nil && h.t < top {
-			return h
-		}
-		idx = (idx + 1) & q.mask
-		top += Time(1) << q.shift
+	p := q.nr - 1
+	r := &q.rungs[p]
+	for r.cur < len(r.b) && r.b[r.cur] == nil {
+		r.cur++
 	}
-	// Defensive direct search: unreachable while the year invariant
-	// holds, but a linear min over bucket heads keeps pop order correct
-	// even if it ever slips.
-	var best *event
-	for i := range q.buckets {
-		if h := q.buckets[i].head; h != nil && (best == nil || h.before(best)) {
-			best = h
-		}
+	if r.cur == len(r.b) {
+		q.nr--
+		return
 	}
-	return best
-}
-
-// resize rebuilds the bucket array at newLen and re-estimates the day
-// width, redistributing every resident event (events that no longer
-// fit the new year fall through to the overflow heap).
-func (q *calQueue) resize(newLen int) {
-	events := make([]*event, 0, q.bn)
-	for i := range q.buckets {
-		for e := q.buckets[i].head; e != nil; {
-			next := e.next
-			e.next = nil
-			events = append(events, e)
-			e = next
-		}
-		q.buckets[i] = calBucket{}
-	}
-	q.shift = q.estimateShift(events)
-	if newLen != len(q.buckets) {
-		q.buckets = make([]calBucket, newLen)
-		q.mask = int64(newLen - 1)
-	}
-	q.bn = 0
-	ye := q.yearEnd()
-	for _, e := range events {
-		if e.t >= ye {
-			q.overflow.push(e)
-		} else {
-			q.bucketInsert(e)
-		}
-	}
-}
-
-// estimateShift picks the day span as 3x the mean gap between the
-// earliest sampled event timestamps (Brown's original heuristic, which
-// samples the queue front rather than the whole population). Sampling
-// the front matters under skew: dequeue activity happens in the dense
-// near-now cluster, and a handful of far-future outliers must not
-// inflate the width — with a front-derived width those outliers simply
-// fall past the year boundary into the overflow heap. Zero gaps —
-// bursts of events on the same timestamp — are excluded so a same-time
-// flood cannot collapse the width.
-func (q *calQueue) estimateShift(events []*event) uint {
-	if len(events) < 2 {
-		return q.shift
-	}
-	// Select the calSampleCap smallest timestamps into a sorted array
-	// (bounded insertion; one pass over the events).
-	var sample [calSampleCap]Time
-	n := 0
-	for _, e := range events {
-		t := e.t
-		if n == len(sample) {
-			if t >= sample[n-1] {
-				continue
-			}
-			n--
-		}
-		j := n
-		for j > 0 && sample[j-1] > t {
-			sample[j] = sample[j-1]
-			j--
-		}
-		sample[j] = t
+	l := r.b[r.cur]
+	r.b[r.cur] = nil
+	n, lo, hi := 0, l.t, l.t
+	for e := l; e != nil; e = e.next {
 		n++
+		lo, hi = min(lo, e.t), max(hi, e.t)
 	}
-	ts := sample[:n]
-	span := ts[n-1] - ts[0]
-	if span == 0 {
-		return q.shift // all sampled events share one timestamp
+	r.cur++
+	r.lo = r.start + Time(r.cur)<<r.shift
+	q.floor(p, q.spread(l, n, lo, hi))
+}
+
+// spread empties list l (n events, timestamps lo..hi) into a new tier
+// below the one it left and returns where the new tier ends: a rung of
+// about n buckets when l is long, holds more than one timestamp and the
+// ladder has room, else the sorted bottom (empty whenever this runs).
+func (q *ladderQueue) spread(l *event, n int, lo, hi Time) Time {
+	if n <= ladderThres || lo == hi || q.nr == ladderRungs {
+		for l != nil {
+			e := l
+			l = e.next
+			q.botInsert(e)
+		}
+		return hi + 1
 	}
-	// 3x the mean separation, zero separations included, rounded down
-	// to a power of two. Including zeros matters: when several events
-	// share each timestamp this drives the width to the 1ns floor,
-	// which makes every day a single-timestamp chain — and
-	// same-timestamp events always arrive in increasing seq, so inserts
-	// hit the O(1) tail fast path.
-	w := 3 * span / Time(n)
-	if w < 1 {
-		w = 1
+	var shift uint
+	if w := (hi - lo) / Time(n); w > 1 {
+		shift = uint(bits.Len64(uint64(w)) - 1)
 	}
-	return uint(bits.Len64(uint64(w)) - 1)
+	nb := int((hi-lo)>>shift) + 1
+	r := &q.rungs[q.nr]
+	q.nr++
+	if cap(r.b) < nb {
+		r.b = make([]*event, nb)
+	}
+	r.b, r.start, r.shift, r.cur, r.lo = r.b[:nb], lo, shift, 0, lo
+	for l != nil {
+		e := l
+		l = e.next
+		b := &r.b[(e.t-lo)>>shift]
+		e.next, *b = *b, e
+	}
+	return lo + Time(nb)<<shift
+}
+
+// floor lowers the floor of tier p (a rung, or the top when p < 0) to
+// t, the end of the tier spawned below it, so that every push at or
+// after t lands in p, whose buckets cover it. Buckets between the new
+// and the old cur are empty: they were spent.
+func (q *ladderQueue) floor(p int, t Time) {
+	if p < 0 {
+		q.topStart = min(q.topStart, t)
+		return
+	}
+	if r := &q.rungs[p]; t < r.lo {
+		r.lo, r.cur = t, int((t-r.start)>>r.shift)
+	}
 }

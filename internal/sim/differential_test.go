@@ -7,14 +7,14 @@ import (
 	"time"
 )
 
-// The differential suite pins the calendar-queue scheduler
+// The differential suite pins the ladder-queue scheduler
 // byte-identical to the reference binary heap: the same workload run on
 // both kernels must produce the same trace (every observable action in
 // order, with its virtual timestamp), the same final clock, and the
 // same event count. Workloads are generated from a seeded PRNG mixing
 // every kernel primitive: After chains, Sleep, Chan send/recv,
 // RecvTimeout races, mid-run Spawn, barriers, and far-future timers
-// that exercise the overflow heap.
+// that wait in the ladder's top.
 
 // diffRNG is a tiny deterministic generator (xorshift64*).
 type diffRNG uint64
@@ -36,7 +36,7 @@ func (r *diffRNG) next() uint64 {
 func (r *diffRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // delay draws from a mix of zero, microsecond-scale, and far-future
-// delays (the last forces overflow-heap traffic).
+// delays (the last wait in the ladder's top).
 func (r *diffRNG) delay() Time {
 	switch r.intn(10) {
 	case 0:
@@ -141,7 +141,7 @@ func TestCalendarHeapDifferential(t *testing.T) {
 		heapTrace := runDiffWorkload(NewHeapKernel(), seed)
 		calTrace := runDiffWorkload(NewKernel(), seed)
 		if heapTrace != calTrace {
-			t.Fatalf("seed %d: schedulers diverge\n--- heap ---\n%s\n--- calendar ---\n%s",
+			t.Fatalf("seed %d: schedulers diverge\n--- heap ---\n%s\n--- ladder ---\n%s",
 				seed, firstDiff(heapTrace, calTrace), firstDiff(calTrace, heapTrace))
 		}
 	}
@@ -168,8 +168,8 @@ func firstDiff(a, b string) string {
 }
 
 // TestCalendarHeapDifferentialHeavy pushes a dense event population
-// (thousands of pending events, forcing several calendar resizes and
-// overflow migrations) through both schedulers via pure After chains.
+// (thousands of pending events, spawning rungs and bringing the top
+// down many times) through both schedulers via pure After chains.
 func TestCalendarHeapDifferentialHeavy(t *testing.T) {
 	run := func(k *Kernel) string {
 		var b strings.Builder
@@ -198,6 +198,80 @@ func TestCalendarHeapDifferentialHeavy(t *testing.T) {
 	}
 }
 
+// spawnBimodal spawns the fattree1024 event mix on k: n workers that
+// each round sleep about 8.5 ms (compute), then send a packet to a peer
+// along a chain of 2-6 After hops of 256 ns-4 µs (the fabric) and wait
+// for their own packet with a RecvTimeout of up to 40 µs. Packet and
+// timeout race both ways, and every packet that wins leaves its
+// receiver's timeout queued as a stale wake. rounds < 0 runs forever;
+// rec, when non-nil, sees every receive. Steady state allocates nothing:
+// every callback is bound once.
+func spawnBimodal(k *Kernel, n, rounds int, seed int64, rec func(w, round, v int, ok bool)) {
+	rng := newDiffRNG(seed)
+	hop := func() Time { return Time(256+rng.intn(3744)) * time.Nanosecond }
+	inbox := make([]*Chan[int], n)
+	for i := range inbox {
+		inbox[i] = NewChan[int](k, "inbox")
+	}
+	for i := 0; i < n; i++ {
+		i, wrng := i, newDiffRNG(seed*1009+int64(i))
+		var left, round int
+		var fly func()
+		fly = func() {
+			if left--; left > 0 {
+				k.After(hop(), fly)
+				return
+			}
+			inbox[(7*i+1)%n].Send(round)
+		}
+		k.Spawn("worker", func(p *Proc) {
+			for round = 0; rounds < 0 || round < rounds; round++ {
+				p.Sleep(8500*time.Microsecond + Time(wrng.intn(20000)))
+				left = 2 + wrng.intn(5)
+				k.After(hop(), fly)
+				v, ok := inbox[i].RecvTimeout(p, Time(wrng.intn(40000)))
+				if rec != nil {
+					rec(i, round, v, ok)
+				}
+			}
+		})
+	}
+}
+
+// TestBimodalSchedulerDifferential runs the fattree1024-shaped mix —
+// hundreds of millisecond sleepers over microsecond packet chains, with
+// stale timeout wakes in the queue — on both schedulers: the same
+// trace, final clock and event count, seed after seed.
+func TestBimodalSchedulerDifferential(t *testing.T) {
+	run := func(k *Kernel, seed int64) (string, [2]int) {
+		var b strings.Builder
+		var outcomes [2]int
+		spawnBimodal(k, 320, 4, seed, func(w, round, v int, ok bool) {
+			fmt.Fprintf(&b, "%d w%d r%d v%d %v\n", k.Now(), w, round, v, ok)
+			if ok {
+				outcomes[1]++
+			} else {
+				outcomes[0]++
+			}
+		})
+		k.Run()
+		fmt.Fprintf(&b, "final clock %d, events %d, procs %d\n", k.Now(), k.Events(), k.Procs())
+		k.Shutdown()
+		return b.String(), outcomes
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		heapTrace, _ := run(NewHeapKernel(), seed)
+		ladderTrace, outcomes := run(NewKernel(), seed)
+		if heapTrace != ladderTrace {
+			t.Fatalf("seed %d: schedulers diverge\n--- heap ---\n%s\n--- ladder ---\n%s",
+				seed, firstDiff(heapTrace, ladderTrace), firstDiff(ladderTrace, heapTrace))
+		}
+		if outcomes[0] == 0 || outcomes[1] == 0 {
+			t.Fatalf("seed %d: %d timeouts, %d deliveries; the race must go both ways", seed, outcomes[0], outcomes[1])
+		}
+	}
+}
+
 // TestUseHeapSchedulerToggle pins the NewKernel override used by the
 // cross-package differential tests.
 func TestUseHeapSchedulerToggle(t *testing.T) {
@@ -208,6 +282,6 @@ func TestUseHeapSchedulerToggle(t *testing.T) {
 		t.Fatal("UseHeapScheduler(true) did not select the heap scheduler")
 	}
 	if !NewKernel().sched.pooled() {
-		t.Fatal("UseHeapScheduler(false) did not restore the calendar scheduler")
+		t.Fatal("UseHeapScheduler(false) did not restore the ladder scheduler")
 	}
 }

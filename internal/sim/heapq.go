@@ -3,10 +3,10 @@ package sim
 import "container/heap"
 
 // heapQueue is the original binary-heap event scheduler, retained as
-// the reference implementation: the differential suite pins the
-// calendar queue's pop order byte-identical to it, and the hold-model
-// benchmarks measure the calendar queue's speedup against it. It
-// deliberately keeps the seed kernel's allocation behavior — one heap
+// the reference implementation: the differential suite and
+// FuzzEventQueue pin the ladder queue's pop order byte-identical to it,
+// and the hold-model benchmarks measure the ladder's speedup against
+// it. It deliberately keeps the seed kernel's allocation behavior — one heap
 // allocation per scheduled event (pooled() returns false) — so
 // old-vs-new benchmark numbers reflect the seed implementation.
 type heapQueue struct {

@@ -6,9 +6,10 @@ import (
 	"time"
 )
 
-// Edge cases called out by the calendar-queue rework: behaviors that
-// must hold identically on both schedulers. Each test runs against
-// NewKernel (calendar) and NewHeapKernel (reference heap).
+// Kernel edge cases: behaviors that must hold identically on both
+// schedulers. Each test runs against NewKernel (the ladder queue; the
+// subtest keeps its old name, "calendar") and NewHeapKernel (the
+// reference heap).
 
 func onBothKernels(t *testing.T, f func(t *testing.T, k *Kernel)) {
 	t.Helper()
@@ -40,6 +41,29 @@ func TestRunUntilExactlyOnEventTimestamp(t *testing.T) {
 		k.Run()
 		if len(fired) != 4 || fired[3] != 30 {
 			t.Fatalf("fired = %v after final Run, want trailing 30", fired)
+		}
+	})
+}
+
+// TestRunUntilNeverRewindsClock: a RunUntil limit before the current
+// time leaves the clock where it is, so a callback scheduled afterwards
+// never runs before one that has already run.
+func TestRunUntilNeverRewindsClock(t *testing.T) {
+	onBothKernels(t, func(t *testing.T, k *Kernel) {
+		var fired []Time
+		record := func() { fired = append(fired, k.Now()) }
+		k.After(10*time.Microsecond, record)
+		k.After(30*time.Microsecond, record)
+		k.RunUntil(20 * time.Microsecond)
+		k.RunUntil(5 * time.Microsecond)
+		if k.Now() != 20*time.Microsecond {
+			t.Fatalf("Now() = %v after RunUntil(5µs), want 20µs", k.Now())
+		}
+		k.After(time.Microsecond, record)
+		k.Run()
+		want := []Time{10 * time.Microsecond, 21 * time.Microsecond, 30 * time.Microsecond}
+		if len(fired) != len(want) || fired[0] != want[0] || fired[1] != want[1] || fired[2] != want[2] {
+			t.Fatalf("callbacks ran at %v, want %v", fired, want)
 		}
 	})
 }

@@ -12,17 +12,17 @@
 // virtual-time channels (Chan). Network links, switches, and training
 // workers in the iSwitch reproduction are all sim processes.
 //
-// The event queue behind the kernel is an O(1) calendar queue with a
-// binary-heap fallback for far-future events (calqueue.go); the seed's
-// binary heap survives as the reference scheduler (heapQueue) behind
-// NewHeapKernel, with pop order pinned byte-identical by the
-// differential suite. Events are pool-allocated through a free list, so
-// the steady-state hot path — After callbacks and process wakes —
-// performs no heap allocation. Pure-callback events (After) execute
-// inline in the kernel loop with no goroutine handoff; waking a parked
-// process is one coroutine switch in and one back out, each a direct
-// hand-over of the thread that touches neither a run queue nor a
-// channel. (The go1.23 build line is for iter: go.mod stays at go 1.22
+// The event queue behind the kernel is a ladder queue (calqueue.go):
+// amortized O(1) per event for near and far timestamps alike, with no
+// heap, resize or width estimate. The seed's binary heap survives as the
+// reference scheduler (heapQueue) behind NewHeapKernel, with pop order
+// pinned byte-identical by the differential suite and FuzzEventQueue.
+// Events are pool-allocated through a free list, so the steady-state
+// hot path — After callbacks and process wakes — performs no heap
+// allocation. Pure-callback events (After) execute inline in the kernel
+// loop with no goroutine handoff; waking a parked process is one
+// coroutine switch in and one back out, each a direct hand-over of the
+// thread that touches neither a run queue nor a channel. (The go1.23 build line is for iter: go.mod stays at go 1.22
 // because benchmark/go.mod replaces this module at that version.)
 package sim
 
@@ -37,8 +37,8 @@ type Time = time.Duration
 
 // event is a scheduled occurrence: at time t, run fn (kernel context)
 // and/or resume proc. seq breaks ties so ordering is deterministic.
-// Events are pooled: next links both a bucket chain inside the calendar
-// queue and the kernel's free list.
+// Events are pooled: next links both a list inside the ladder queue
+// and the kernel's free list.
 type event struct {
 	t    Time
 	seq  uint64
@@ -74,9 +74,9 @@ type Kernel struct {
 	now      Time
 	seq      uint64
 	sched    scheduler
-	cal      *calQueue // sched devirtualized, nil for other schedulers
-	pool     bool      // sched.pooled(), cached off the hot path
-	free     *event    // recycled events (calendar scheduler only)
+	ladder   *ladderQueue // sched devirtualized, nil for other schedulers
+	pool     bool         // sched.pooled(), cached off the hot path
+	free     *event       // recycled events (ladder scheduler only)
 	stopped  bool
 	panicVal any
 	live     []*Proc // the spawned, unfinished processes (Shutdown stops them)
@@ -84,12 +84,12 @@ type Kernel struct {
 }
 
 // NewKernel returns a kernel with the clock at zero, scheduled by the
-// calendar queue.
+// ladder queue.
 func NewKernel() *Kernel {
 	if useHeapScheduler {
 		return NewHeapKernel()
 	}
-	return newKernel(newCalQueue())
+	return newKernel(&ladderQueue{})
 }
 
 // NewHeapKernel returns a kernel scheduled by the reference binary
@@ -100,8 +100,8 @@ func NewHeapKernel() *Kernel { return newKernel(newHeapQueue()) }
 func newKernel(s scheduler) *Kernel {
 	k := &Kernel{sched: s, pool: s.pooled()}
 	// Devirtualize the hot path: push/peek/pop run a few times per
-	// event, and the calendar queue is the production scheduler.
-	k.cal, _ = s.(*calQueue)
+	// event, and the ladder queue is the production scheduler.
+	k.ladder, _ = s.(*ladderQueue)
 	return k
 }
 
@@ -111,7 +111,7 @@ func newKernel(s scheduler) *Kernel {
 var useHeapScheduler bool
 
 // UseHeapScheduler forces every subsequent NewKernel to use the
-// reference binary-heap scheduler (true) or the calendar queue (false,
+// reference binary-heap scheduler (true) or the ladder queue (false,
 // the default). It exists for differential testing: toggle, rerun an
 // unmodified workload, and compare. Not safe to flip while kernels are
 // running in other goroutines.
@@ -159,8 +159,8 @@ func (k *Kernel) enqueue(t Time, seq uint64, fn func(), proc *Proc) {
 		e = &event{}
 	}
 	e.t, e.seq, e.fn, e.proc = t, seq, fn, proc
-	if k.cal != nil {
-		k.cal.push(e)
+	if k.ladder != nil {
+		k.ladder.push(e)
 	} else {
 		k.sched.push(e)
 	}
@@ -239,28 +239,25 @@ func (k *Kernel) finish(p *Proc) {
 // Shutdown to release them and reclaim their goroutines.
 func (k *Kernel) Run() { k.run(-1) }
 
-// RunUntil processes events with timestamps <= t, then sets the clock to
-// t. Events after t stay queued for a subsequent Run/RunUntil.
+// RunUntil processes events with timestamps <= t, then advances the
+// clock to t; a t before Now leaves the clock where it is. Events after
+// t stay queued for a subsequent Run/RunUntil.
 func (k *Kernel) RunUntil(t Time) { k.run(t) }
 
 func (k *Kernel) run(limit Time) {
 	k.stopped = false
 	for !k.stopped {
 		var e *event
-		if k.cal != nil {
-			e = k.cal.peek()
+		if k.ladder != nil {
+			e = k.ladder.peek()
 		} else {
 			e = k.sched.peek()
 		}
-		if e == nil {
+		if e == nil || limit >= 0 && e.t > limit {
 			break
 		}
-		if limit >= 0 && e.t > limit {
-			k.now = limit
-			return
-		}
-		if k.cal != nil {
-			k.cal.pop()
+		if k.ladder != nil {
+			k.ladder.pop()
 		} else {
 			k.sched.pop()
 		}
