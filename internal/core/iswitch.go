@@ -3,14 +3,12 @@ package core
 import (
 	"fmt"
 
-	"iswitch/internal/compress"
 	"iswitch/internal/engine"
 	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/protocol"
 	"iswitch/internal/sim"
 	"iswitch/internal/switchnet"
-	"iswitch/internal/tensor/kernels"
 )
 
 // iSwitch aggregation (Figure 1c): workers send their gradient packets
@@ -83,14 +81,6 @@ func DefaultISWConfig() ISWConfig {
 // has no per-workload software costs).
 func ISWConfigFor(perfmodel.Workload) ISWConfig { return DefaultISWConfig() }
 
-// perPacket resolves the payload size in use.
-func (c ISWConfig) perPacket() int {
-	if c.FloatsPerPacket > 0 {
-		return c.FloatsPerPacket
-	}
-	return protocol.FloatsPerPacket
-}
-
 // ISWCluster is a cluster whose switches run the iSwitch extension:
 // either a star (single switch) or the rack-scale ToR/root hierarchy.
 type ISWCluster struct {
@@ -138,71 +128,52 @@ func (c *ISWCluster) Workers() []*netsim.Host { return c.workers }
 
 // Client returns worker i's aggregation handle.
 func (c *ISWCluster) Client(i int) Service {
-	return &iswClient{cluster: c, host: c.workers[i], sw: c.target[i], idx: i}
+	ic := &iswClient{cluster: c, host: c.workers[i], idx: i}
+	ic.Init(ic, ic.host.Addr, c.target[i], c.cfg.Job, c.n, c.cfg.FloatsPerPacket, c.cfg.Compression, c.cfg.tagMode())
+	return ic
 }
 
-// The round-tag layout lives in protocol (RoundShift and friends);
-// these aliases keep the client code terse.
-const (
-	roundShift = protocol.RoundShift
-	segMask    = protocol.SegIndexMask
-)
+// tagMode is how the client engine counts rounds: not at all without
+// recovery, untagged in the asynchronous pipeline, tagged otherwise.
+func (c ISWConfig) tagMode() engine.TagMode {
+	switch {
+	case c.RecoveryTimeout <= 0:
+		return engine.TagOff
+	case c.Untagged:
+		return engine.Untagged
+	}
+	return engine.Tagged
+}
 
+// iswClient is the discrete-event driver of the client engine: it
+// waits in virtual time, times the Help backoff, schedules crashes,
+// trips failover and routes relay traffic, while the embedded engine
+// builds every frame and assembles the aggregate.
 type iswClient struct {
+	engine.Client
 	cluster *ISWCluster
 	host    *netsim.Host
-	sw      protocol.Addr
 	idx     int
-	asm     *protocol.Assembler
 
-	// Recovery-mode state: the current round number and the gradients
-	// of the current and previous rounds, retained so relayed Help
-	// requests for either round can be answered.
-	round    uint64
-	curGrad  []float32
-	prevGrad []float32
-
-	// level is the exponential-backoff level of the Help timer;
-	// fruitless counts consecutive timeouts with neither data nor a
-	// switch ack (the failover trigger).
-	level     int
-	fruitless int
-
-	// failedOver marks the sticky switch-to-relay failover (sw is then
-	// the relay). On the relay worker, relay is the engine it runs for
-	// its peers, loopback holds that engine's frames to this worker
-	// itself, and k is the clock the engine reads.
+	// failedOver marks the sticky switch-to-relay failover (the engine's
+	// target is then the relay). On the relay worker, relay is the
+	// engine it runs for its peers, loopback holds that engine's frames
+	// to this worker itself, and k is the clock the engine reads.
 	failedOver bool
 	relay      *engine.Engine
 	loopback   []*protocol.Packet
 	k          *sim.Kernel
-
-	// codec holds the compression state (lazily built when the job's
-	// scheme needs one); fpGrad is the fp16 rounding scratch and decBuf
-	// the per-segment dequantization scratch.
-	codec  *compress.Codec
-	fpGrad []float32
-	decBuf []float32
 }
 
-// ensureCodec lazily builds the worker's compression codec.
-func (ic *iswClient) ensureCodec() *compress.Codec {
-	if ic.codec == nil {
-		ic.codec = compress.NewCodec(compress.Config{Scheme: ic.cluster.cfg.Compression},
-			ic.cluster.n, ic.cluster.cfg.perPacket())
+// Send puts one of this worker's frames on the wire (engine.Sender),
+// except a frame for the relay engine on this very host, which gets it
+// directly.
+func (ic *iswClient) Send(pkt *protocol.Packet) {
+	if pkt.Dst == ic.host.Addr {
+		ic.relayEngine().Handle(pkt, false)
+		return
 	}
-	return ic.codec
-}
-
-// roundTag returns the Seg-field tag for the current round (0 when
-// recovery mode is off or running untagged, preserving plain segment
-// numbering for the asynchronous pipeline where worker rounds do not
-// align).
-func (ic *iswClient) roundTag() uint64 {
-	if ic.cluster.cfg.RecoveryTimeout <= 0 || ic.cluster.cfg.Untagged {
-		return 0
-	}
-	return protocol.RoundTag(ic.round)
+	ic.host.Send(pkt)
 }
 
 // Setup implements Service: Join the training job and wait for the Ack
@@ -215,54 +186,42 @@ func (ic *iswClient) Setup(p *sim.Proc) {
 	if ic.failedOver {
 		return // the relay path has no admission protocol
 	}
-	join := func() {
-		value := protocol.JoinValue(uint64(ic.cluster.n))
-		if s := ic.cluster.cfg.Compression; s != protocol.CompNone {
-			value = protocol.JoinValueScheme(uint64(ic.cluster.n), s)
-		}
-		pkt := protocol.NewControl(ic.host.Addr, ic.sw, protocol.ActionJoin, value)
-		pkt.Job = ic.cluster.cfg.Job
-		ic.host.Send(pkt)
-	}
-	join()
-	retries := 0
-	for {
+	cfg := &ic.cluster.cfg
+	ic.Join()
+	for retries := 0; ; {
 		var pkt *protocol.Packet
-		if to := ic.cluster.cfg.RecoveryTimeout; to > 0 {
-			var ok bool
-			pkt, ok = ic.host.RecvTimeout(p, to)
-			if !ok {
-				retries++
-				if fa := ic.cluster.cfg.FailoverAfter; fa > 0 && retries >= fa && !ic.cluster.cfg.Untagged {
-					ic.enterFailover()
-					return
-				}
-				join() // Join or its Ack was lost; retry (idempotent)
-				continue
-			}
+		ok := true
+		if cfg.RecoveryTimeout > 0 {
+			pkt, ok = ic.host.RecvTimeout(p, cfg.RecoveryTimeout)
 		} else {
 			pkt = ic.host.Recv(p)
 		}
-		if pkt.IsControl() && pkt.Action == protocol.ActionAck {
-			admitted := len(pkt.Value) == 1 && pkt.Value[0] == 1
-			pkt.Release()
-			if admitted {
+		if !ok {
+			if retries++; ic.cluster.relayArmed() && retries >= cfg.FailoverAfter {
+				ic.enterFailover()
 				return
 			}
-			if to := ic.cluster.cfg.RecoveryTimeout; to > 0 {
-				// An explicit refusal with recovery armed means the job's
-				// switch context is gone right now (preempted or not yet
-				// restored after a failure). Back off and re-Join: the
-				// scheduler restores the context when SRAM frees up.
-				p.Sleep(to)
-				join()
-				continue
-			}
+			ic.Join() // Join or its Ack was lost; retry (idempotent)
+			continue
+		}
+		// Anything but an Ack (e.g. an early data broadcast from a
+		// previous tenant of this address) is dropped.
+		ack, admitted := engine.AckOf(pkt)
+		pkt.Release()
+		switch {
+		case !ack:
+		case admitted:
+			return
+		case cfg.RecoveryTimeout > 0:
+			// An explicit refusal with recovery armed means the job's
+			// switch context is gone right now (preempted or not yet
+			// restored after a failure). Back off and re-Join: the
+			// scheduler restores the context when SRAM frees up.
+			p.Sleep(cfg.RecoveryTimeout)
+			ic.Join()
+		default:
 			panic(fmt.Sprintf("core: worker %v join rejected", ic.host.Addr))
 		}
-		// Anything else (e.g. an early data broadcast from a previous
-		// tenant of this address) is dropped; recycle pooled frames.
-		pkt.Release()
 	}
 }
 
@@ -284,302 +243,89 @@ func (ic *iswClient) Aggregate(p *sim.Proc, grad []float32) []float32 {
 // SendGradient is the non-blocking upload half of Aggregate — the
 // asynchronous pipeline's LGC thread uses it alone (Algorithm 1's
 // "nonblocking send g_w to switch").
-func (ic *iswClient) SendGradient(grad []float32) { ic.sendGradient(grad, -1) }
-
-// sendGradient uploads the gradient, optionally truncated to the first
-// limit segments (how a scheduled crash models dying mid-upload).
-func (ic *iswClient) sendGradient(grad []float32, limit int) {
-	cfg := &ic.cluster.cfg
-	switch cfg.Compression {
-	case protocol.CompFP16:
-		// Round through the wire precision up front: the retained
-		// recovery copy then holds exactly the values the switch will
-		// sum, so retransmissions are bit-identical to the original
-		// upload.
-		ic.fpGrad = append(ic.fpGrad[:0], grad...)
-		kernels.F16RoundInPlace(ic.fpGrad)
-		grad = ic.fpGrad
-	case protocol.CompTopK:
-		// One global selection per round, cached for retransmissions.
-		ic.ensureCodec().SelectTopK(grad)
-	}
-	if cfg.RecoveryTimeout > 0 {
-		ic.round++
-		// Retain a copy (the caller reuses grad) in the older of the two
-		// retained buffers: it held round r-2, which no Help can name any
-		// more, so the two rotate and no round allocates after the second.
-		ic.prevGrad, ic.curGrad = ic.curGrad, append(ic.prevGrad[:0], grad...)
-	}
-	ic.sendSegments(ic.roundTag(), grad, limit, false)
-}
-
-// sendSegments sends grad to the switch, one frame per segment with tag
-// in the Seg field's round bits, stopping after limit frames (negative:
-// all). prevRound encodes as dataFrame's flag says.
-func (ic *iswClient) sendSegments(tag uint64, grad []float32, limit int, prevRound bool) {
-	per := ic.cluster.cfg.perPacket()
-	segs := protocol.SegmentCountWith(len(grad), per)
-	if limit >= 0 && limit < segs {
-		segs = limit
-	}
-	for s := uint64(0); s < uint64(segs); s++ {
-		lo, hi := protocol.SegmentRangeWith(len(grad), s, per)
-		ic.send(ic.dataFrame(ic.sw, s|tag, grad[lo:hi], prevRound))
-	}
-}
-
-// send puts one of this worker's frames on the wire, except a frame for
-// the relay engine on this very host, which gets it directly.
-func (ic *iswClient) send(pkt *protocol.Packet) {
-	if pkt.Dst == ic.host.Addr {
-		ic.relayEngine().Handle(pkt, false)
-		return
-	}
-	ic.host.Send(pkt)
-}
-
-// dataFrame builds the frame that carries one segment's values to dst
-// under the job's scheme. It is the one place a worker's data frame is
-// made: first upload, retransmission and failover alike. The header is
-// pooled and whoever consumes the frame releases it. A float payload
-// aliases vals, which the sender keeps intact while the frame can be in
-// flight; codec output is copied in, since the codec's scratch and
-// cached selection move on with the next segment or round. prevRound
-// encodes on the grid, or replays the selection, of the round before
-// the current one.
-func (ic *iswClient) dataFrame(dst protocol.Addr, taggedSeg uint64, vals []float32, prevRound bool) *protocol.Packet {
-	seg := taggedSeg & segMask
-	scheme := ic.cluster.cfg.Compression
-	var pkt *protocol.Packet
-	switch scheme {
-	case protocol.CompInt32Block:
-		codec := ic.ensureCodec()
-		var q []int32
-		if prevRound {
-			q = codec.EncodeQPrev(seg, vals)
-		} else {
-			q = codec.EncodeQ(seg, vals)
-		}
-		pkt = protocol.NewQData(ic.host.Addr, dst, taggedSeg, q, 0)
-		pkt.SetQDataCopy(q)
-	case protocol.CompTopK:
-		codec := ic.ensureCodec()
-		var idx []uint16
-		var sel []float32
-		if prevRound {
-			idx, sel = codec.SparsePrev(seg)
-		} else {
-			idx, sel = codec.Sparse(seg)
-		}
-		pkt = protocol.NewSparseData(ic.host.Addr, dst, taggedSeg, idx, sel)
-		pkt.SetIdxCopy(idx)
-		pkt.SetDataCopy(sel)
-	default:
-		pkt = protocol.NewData(ic.host.Addr, dst, taggedSeg, vals)
-		if scheme == protocol.CompFP16 {
-			pkt.Enc = protocol.CompFP16 // vals already hold rounded values
-		}
-	}
-	pkt.Job = ic.cluster.cfg.Job
-	return pkt
-}
-
-// retransmit resends to dst this worker's contribution for one
-// (possibly round-tagged) segment, if the matching round's gradient is
-// retained.
-// The resend is bit-identical to the original upload under every
-// scheme: fp16 gradients were rounded before retention, quantized
-// segments re-encode on the grid their round used (current or
-// previous — the codec retains both), and sparse segments replay the
-// cached selection.
-func (ic *iswClient) retransmit(dst protocol.Addr, taggedSeg uint64) {
-	cfg := &ic.cluster.cfg
-	var grad []float32
-	prevRound := false
-	if cfg.Untagged {
-		grad = ic.curGrad // untagged: only the latest gradient is held
-	} else {
-		switch taggedSeg >> roundShift {
-		case (ic.round) % protocol.RoundTagMod:
-			grad = ic.curGrad
-		case (ic.round - 1) % protocol.RoundTagMod:
-			grad = ic.prevGrad
-			prevRound = true
-		default:
-			return // too old to serve
-		}
-	}
-	if grad == nil {
-		return
-	}
-	seg := taggedSeg & segMask
-	lo, hi := protocol.SegmentRangeWith(len(grad), seg, cfg.perPacket())
-	if lo >= hi {
-		return
-	}
-	ic.send(ic.dataFrame(dst, taggedSeg, grad[lo:hi], prevRound))
-	ic.cluster.Retransmits++
-}
+func (ic *iswClient) SendGradient(grad []float32) { ic.Upload(grad, -1) }
 
 // CollectAggregate is the blocking download half of Aggregate — the
 // asynchronous pipeline's LWU thread uses it alone (Algorithm 1's "wait
 // until g_sum received").
 //
 // Recovery behaviour when RecoveryTimeout is armed: a stall sends Help
-// for each missing segment (and, in untagged/async mode, blindly
-// retransmits the worker's own contributions — with round tags the
-// switch instead relays the Help to exactly the contributors it is
-// missing, so only the lost data moves again). Consecutive fruitless
-// stalls back the timer off exponentially; with failover armed, enough
-// of them with no sign of switch life (no data, no ack) trips the
-// sticky switch-to-relay failover, after which this same loop runs
-// against the relay.
+// for each missing segment (untagged, it also resends the worker's own
+// contribution; tagged, the switch relays the Help to exactly the
+// contributors it is missing). Consecutive fruitless stalls back the
+// timer off exponentially; with failover armed, enough of them with no
+// sign of switch life (no data, no ack) trips the sticky
+// switch-to-relay failover, after which this same loop runs against the
+// relay.
 //
 // The result is the assembler's own vector, valid until this worker's
 // next CollectAggregate as the Service contract says: a round costs no
 // model-sized copy.
 func (ic *iswClient) CollectAggregate(p *sim.Proc) []float32 {
-	if ic.asm == nil {
-		ic.asm = protocol.NewAssemblerWith(ic.cluster.n, ic.cluster.cfg.perPacket())
-	} else {
-		ic.asm.Reset()
-	}
+	ic.Expect()
 	cfg := &ic.cluster.cfg
-	tag := ic.roundTag()
-	for !ic.asm.Complete() {
-		var pkt *protocol.Packet
-		if cfg.RecoveryTimeout > 0 {
-			var ok bool
-			pkt, ok = ic.recv(p)
-			if !ok {
-				ic.level++
-				ic.fruitless++
-				if cfg.FailoverAfter > 0 && !cfg.Untagged && !ic.failedOver && ic.fruitless >= cfg.FailoverAfter {
-					ic.enterFailover()
-					continue
-				}
-				// Stalled: request recovery for every missing segment.
-				for _, seg := range ic.asm.Missing() {
-					ic.send(ic.help(ic.sw, seg|tag))
-					ic.cluster.HelpsSent++
-					if cfg.Untagged {
-						// No switch-side bitmap to target retransmission
-						// with: resend our own contribution blindly.
-						ic.retransmit(ic.sw, seg|tag)
-					}
-				}
+	for !ic.Complete() {
+		pkt, ok := ic.recv(p)
+		if !ok {
+			fruitless := ic.Stalled()
+			if ic.cluster.relayArmed() && !ic.failedOver && fruitless >= cfg.FailoverAfter {
+				ic.enterFailover()
 				continue
 			}
-		} else {
-			pkt = ic.host.Recv(p)
+			helps, resent := ic.HelpMissing()
+			ic.cluster.HelpsSent += uint64(helps)
+			ic.cluster.Retransmits += uint64(resent)
+			continue
 		}
 		// The switch broadcasts pooled frames; this loop takes delivery,
-		// so it owns each frame and releases it once the assembler has
-		// copied the payload (or the packet is rejected). Ownership also
-		// means the round tag can be stripped by mutating Seg in place —
-		// no shallow copy that would alias pooled payload.
-		switch {
-		case pkt.IsData():
-			if pkt.Job != cfg.Job {
-				pkt.Release()
-				continue // another tenant's broadcast (shared host)
-			}
-			if cfg.FailoverAfter > 0 && pkt.Src != ic.sw {
-				// Relay-path traffic while this worker is still on the
-				// switch path: a peer's contribution to the relay this host
-				// runs, or the relay's aggregate. Peers have failed over
-				// first; an aggregate for this round says the switch is
-				// dead, so follow them.
-				if ic.toRelay(pkt) {
-					continue
-				}
-				if pkt.Src != ic.cluster.relayAddr() || pkt.Seg>>roundShift != tag>>roundShift {
-					pkt.Release()
-					continue
-				}
-				ic.enterFailover()
-			}
-			if pkt.Seg>>roundShift != tag>>roundShift {
-				pkt.Release()
-				continue // stale re-broadcast from a completed round
-			}
-			pkt.Seg &= segMask
-			var err error
-			if pkt.Enc == protocol.CompInt32Block {
-				err = ic.addQuantized(pkt)
-			} else {
-				err = ic.asm.Add(pkt)
-			}
-			pkt.Release()
-			if err != nil {
-				continue
-			}
-			ic.level, ic.fruitless = 0, 0 // progress: the path is alive
-		case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
-			dst := ic.sw
-			if ic.cluster.relayArmed() && pkt.Src != ic.sw {
-				// A peer's Help to the relay this host runs, or the relay
-				// chasing this worker before it failed over.
-				if ic.toRelay(pkt) {
-					continue
-				}
-				if pkt.Src != ic.cluster.relayAddr() {
-					pkt.Release()
-					continue
-				}
-				dst = pkt.Src
-			}
-			if seg, err := protocol.ParseHelp(pkt.Value); err == nil {
-				ic.retransmit(dst, seg)
-			}
-			pkt.Release()
-		case pkt.IsControl() && pkt.Action == protocol.ActionAck:
-			ic.fruitless = 0 // the switch is alive; peers are just slow
-			pkt.Release()
-		default:
-			pkt.Release()
+		// so it owns each frame and hands it on to the relay or the
+		// engine, which release it.
+		if ic.divert(pkt) {
+			continue
+		}
+		if ic.Take(pkt) {
+			ic.cluster.Retransmits++
 		}
 	}
-	if ic.codec != nil && ic.codec.Scheme() == protocol.CompInt32Block {
-		// Commit the grid exponents derived from this round's aggregate;
-		// every worker decoded identical (q, shift) pairs, so every
-		// worker advances to identical exponents.
-		ic.codec.Advance()
-	}
-	return ic.asm.Vector()
+	return ic.Finish()
 }
 
-// recv waits out the Help timer for this worker's next frame, taking
-// the frames its own relay engine addressed to it first.
+// divert handles relay-path traffic while this worker is still on the
+// switch path, reporting whether it consumed pkt: a peer's frame for
+// the relay this host runs goes there, and the relay's own frames are
+// let through only when the worker should follow them. An aggregate for
+// this round from the relay says the switch is dead (peers failed over
+// first), so the worker fails over too; a Help from the relay is
+// answered there by the engine.
+func (ic *iswClient) divert(pkt *protocol.Packet) bool {
+	cfg := &ic.cluster.cfg
+	data := pkt.IsData() && cfg.FailoverAfter > 0 && pkt.Job == cfg.Job
+	help := pkt.IsControl() && pkt.Action == protocol.ActionHelp && ic.cluster.relayArmed()
+	switch {
+	case pkt.Src == ic.Target() || !data && !help:
+		return false
+	case ic.toRelay(pkt):
+		return true
+	case pkt.Src != ic.cluster.relayAddr() || data && !ic.IsCurrent(pkt.Seg):
+		pkt.Release()
+		return true
+	case data:
+		ic.enterFailover()
+	}
+	return false
+}
+
+// recv waits for this worker's next frame, out to the Help timer when
+// recovery is armed, taking the frames its own relay engine addressed
+// to it first.
 func (ic *iswClient) recv(p *sim.Proc) (*protocol.Packet, bool) {
 	if len(ic.loopback) > 0 {
 		pkt := ic.loopback[0]
 		ic.loopback = ic.loopback[:copy(ic.loopback, ic.loopback[1:])]
 		return pkt, true
 	}
+	if ic.cluster.cfg.RecoveryTimeout <= 0 {
+		return ic.host.Recv(p), true
+	}
 	return ic.host.RecvTimeout(p, ic.backoffTimeout())
-}
-
-// help builds this worker's Help for the (round-tagged) segment seg.
-func (ic *iswClient) help(dst protocol.Addr, seg uint64) *protocol.Packet {
-	h := protocol.NewHelp(ic.host.Addr, dst, seg)
-	h.Job = ic.cluster.cfg.Job
-	return h
-}
-
-// addQuantized decodes one quantized aggregate segment through the
-// codec and places it in the assembler. Re-decoding a re-served shadow
-// copy is idempotent.
-func (ic *iswClient) addQuantized(pkt *protocol.Packet) error {
-	lo, hi := protocol.SegmentRangeWith(ic.cluster.n, pkt.Seg, ic.cluster.cfg.perPacket())
-	if len(pkt.QData) != hi-lo {
-		return fmt.Errorf("core: quantized segment %d carries %d values, want %d",
-			pkt.Seg, len(pkt.QData), hi-lo)
-	}
-	if cap(ic.decBuf) < hi-lo {
-		ic.decBuf = make([]float32, ic.cluster.cfg.perPacket())
-	}
-	dst := ic.decBuf[:hi-lo]
-	ic.ensureCodec().DecodeQ(pkt.Seg, pkt.QData, pkt.Shift, dst)
-	return ic.asm.AddFloats(pkt.Seg, dst)
 }

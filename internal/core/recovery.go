@@ -74,7 +74,7 @@ func (c *ISWCluster) relayAddr() protocol.Addr {
 func (ic *iswClient) backoffTimeout() sim.Time {
 	cfg := &ic.cluster.cfg
 	base := cfg.RecoveryTimeout
-	lvl := ic.level
+	lvl := ic.Level()
 	if lvl > 6 {
 		lvl = 6
 	}
@@ -86,7 +86,7 @@ func (ic *iswClient) backoffTimeout() sim.Time {
 	if to > max {
 		to = max
 	}
-	h := (uint64(ic.idx)+1)*0x9e3779b97f4a7c15 ^ ic.round*0xbf58476d1ce4e5b9 ^ uint64(lvl)*0x94d049bb133111eb
+	h := (uint64(ic.idx)+1)*0x9e3779b97f4a7c15 ^ ic.Round()*0xbf58476d1ce4e5b9 ^ uint64(lvl)*0x94d049bb133111eb
 	h ^= h >> 29
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 32
@@ -97,7 +97,7 @@ func (ic *iswClient) backoffTimeout() sim.Time {
 func (ic *iswClient) takeCrash() (netsim.CrashFault, bool) {
 	list := ic.cluster.crashes[ic.idx]
 	for j, f := range list {
-		if f.AtRound == int(ic.round)+1 {
+		if f.AtRound == int(ic.Round())+1 {
 			ic.cluster.crashes[ic.idx] = append(list[:j:j], list[j+1:]...)
 			return f, true
 		}
@@ -114,7 +114,7 @@ func (ic *iswClient) takeCrash() (netsim.CrashFault, bool) {
 // own missing segments stalled.
 func (ic *iswClient) crashedAggregate(p *sim.Proc, grad []float32, f netsim.CrashFault) []float32 {
 	p.Sleep(ic.cluster.cfg.WorkerBase)
-	ic.sendGradient(grad, f.PartialSegs)
+	ic.Upload(grad, f.PartialSegs)
 	if !f.Rejoin {
 		for {
 			ic.host.Recv(p).Release()
@@ -130,34 +130,23 @@ func (ic *iswClient) crashedAggregate(p *sim.Proc, grad []float32, f netsim.Cras
 			pkt.Release()
 		}
 	}
-	ic.level, ic.fruitless = 0, 0
+	ic.ResetBackoff()
 	ic.cluster.Rejoins++
 	ic.Setup(p) // re-Join is idempotent: membership and H do not move
 	return ic.CollectAggregate(p)
 }
 
 // enterFailover flips the sticky switch-to-relay failover: from now on
-// this worker's switch is the relay. It offers the previous round's
-// gradient (a peer one round behind needs every worker's contribution
-// for it) and the current round's, both under the job's scheme.
+// this worker's switch is the relay, which the engine offers both
+// retained rounds.
 func (ic *iswClient) enterFailover() {
 	if ic.failedOver {
 		return
 	}
 	ic.failedOver = true
-	ic.sw = ic.cluster.relayAddr()
 	ic.cluster.Failovers++
-	ic.level, ic.fruitless = 0, 0
-	if ic.prevGrad != nil {
-		ic.sendSegments(protocol.RoundTag(ic.round-1), ic.prevGrad, -1, true)
-	}
-	if ic.curGrad != nil {
-		ic.sendSegments(ic.roundTag(), ic.curGrad, -1, false)
-	}
+	ic.Failover(ic.cluster.relayAddr())
 }
-
-// isRelay reports whether this worker hosts the relay engine.
-func (ic *iswClient) isRelay() bool { return ic.host.Addr == ic.cluster.relayAddr() }
 
 // relayEngine returns the switch engine the relay worker runs for its
 // failed-over peers, building it on first use: every cluster worker is
@@ -180,6 +169,9 @@ func (ic *iswClient) relayEngine() *engine.Engine {
 	ic.relay = e
 	return e
 }
+
+// isRelay reports whether this worker hosts the relay engine.
+func (ic *iswClient) isRelay() bool { return ic.host.Addr == ic.cluster.relayAddr() }
 
 // toRelay hands a peer's frame to this host's relay engine, reporting
 // whether it did. Takes ownership of pkt when it does.

@@ -156,40 +156,3 @@ func TestRecoverySurvivesFinalRoundDownlinkLoss(t *testing.T) {
 	t.Logf("dropped %d, help served from cache %d, relayed %d",
 		c.Fabric.IS.Switch().Ports()[0].Dropped, c.Fabric.IS.HelpServed, c.Fabric.IS.HelpRelayed)
 }
-
-// The two gradients a worker retains for Help (this round's and the
-// previous one's) rotate through two buffers: after the second round no
-// round allocates a model-sized copy, and each buffer still holds
-// exactly the round a Help can name.
-func TestRetainedGradientsRotateTwoBuffers(t *testing.T) {
-	const nFloats = protocolFloats + 5
-	k := sim.NewKernel()
-	cfg := DefaultISWConfig()
-	cfg.RecoveryTimeout = 2 * time.Millisecond
-	spec := starSpec(ModeISW, 2, nFloats)
-	spec.ISW = &cfg
-	ic := Build(k, spec).ISW.Client(0).(*iswClient)
-
-	grad := make([]float32, nFloats)
-	var bufs [2]*float32
-	for round := 1; round <= 6; round++ {
-		for i := range grad { // the caller reuses grad, as the trainers do
-			grad[i] = float32(round*1000 + i)
-		}
-		ic.SendGradient(grad)
-		if round <= 2 {
-			bufs[round%2] = &ic.curGrad[0]
-		} else if &ic.curGrad[0] != bufs[round%2] {
-			t.Fatalf("round %d retained its gradient in a fresh buffer", round)
-		}
-		if ic.curGrad[7] != float32(round*1000+7) {
-			t.Fatalf("round %d: curGrad[7] = %v", round, ic.curGrad[7])
-		}
-		if round > 1 && ic.prevGrad[7] != float32((round-1)*1000+7) {
-			t.Fatalf("round %d: prevGrad[7] = %v, want round %d's value", round, ic.prevGrad[7], round-1)
-		}
-	}
-	if bufs[0] == bufs[1] {
-		t.Fatal("current and previous round share one buffer")
-	}
-}

@@ -20,11 +20,12 @@ func imports(t *testing.T, pkg string) []string {
 	return p.Imports
 }
 
-// The engine is sans-I/O at compile time: nothing it imports, directly
-// or through another package of the module, is the simulator's kernel
-// or network. And the UDP transport reaches the accelerator through the
-// engine only: importing accel directly is how a second switch would
-// start.
+// The engine, switch and client alike, is sans-I/O at compile time:
+// nothing it imports, directly or through another package of the
+// module, is the simulator's kernel or network. And its drivers reach
+// the accelerator and the codec through it only: the UDP transport
+// importing accel is how a second switch would start, and core or the
+// transport importing compress is how a second client would.
 func TestImportBoundary(t *testing.T) {
 	banned := map[string]bool{module + "internal/sim": true, module + "internal/netsim": true}
 	seen := map[string]bool{}
@@ -52,6 +53,13 @@ func TestImportBoundary(t *testing.T) {
 	for _, imp := range imports(t, module+"internal/transport") {
 		if imp == module+"internal/accel" {
 			t.Error("internal/transport imports internal/accel directly; the engine owns the accelerator")
+		}
+	}
+	for _, pkg := range []string{"internal/core", "internal/transport"} {
+		for _, imp := range imports(t, module+pkg) {
+			if imp == module+"internal/compress" {
+				t.Errorf("%s imports internal/compress directly; the client engine owns the codec", pkg)
+			}
 		}
 	}
 }

@@ -1,0 +1,351 @@
+package engine
+
+import (
+	"fmt"
+
+	"iswitch/internal/compress"
+	"iswitch/internal/protocol"
+	"iswitch/internal/tensor/kernels"
+)
+
+// Sender is where a Client's frames go: toward pkt.Dst. Every frame
+// handed over is the sender's to deliver and release.
+type Sender interface {
+	Send(pkt *protocol.Packet)
+}
+
+// TagMode is how a Client counts and tags its rounds.
+type TagMode uint8
+
+const (
+	// TagOff counts no rounds and retains no gradient: recovery is off,
+	// so no Help can be answered.
+	TagOff TagMode = iota
+	// Tagged stamps each round's segments with the round's tag in the
+	// Seg field's high bits, so the switch keeps adjacent rounds apart
+	// and a Help names the round it means.
+	Tagged
+	// Untagged counts rounds and retains gradients but sends plain
+	// segment numbers: the asynchronous pipeline, whose workers' rounds
+	// do not align. A stall also resends the worker's own contribution.
+	Untagged
+)
+
+// Client is the worker half of the protocol (paper §3.3), free of I/O:
+// the Join frame, the round counter and tag, the two retained
+// gradients, the compression codec, every data frame a worker builds,
+// the assembler, Help on a stall, and the Help-timer counters. It never
+// blocks, reads a clock or touches a socket; a Sender carries its
+// frames. The simulated worker (core) and the UDP client (transport)
+// are its two drivers: they decide when to wait and what to do on a
+// timeout, and the Client decides what goes on the wire.
+//
+// A Client is a value to embed; Init readies it. Its buffers come on
+// first use (Reserve sizes them at once).
+type Client struct {
+	out      Sender
+	self, sw protocol.Addr
+	job      protocol.JobID
+	n, per   int
+	scheme   protocol.Compression
+	mode     TagMode
+
+	// round counts uploads (not under TagOff). cur and prev retain the
+	// gradients of this round and the one before, so a Help for either
+	// can be answered; they rotate, so no round allocates after the
+	// second.
+	round     uint64
+	cur, prev []float32
+
+	asm *protocol.Assembler
+
+	// codec holds the compression state (built when the scheme first
+	// needs it); fpGrad is the fp16 rounding scratch and decBuf the
+	// per-segment dequantization scratch.
+	codec          *compress.Codec
+	fpGrad, decBuf []float32
+
+	// level is the Help timer's backoff level; fruitless counts
+	// consecutive timeouts with neither data nor an Ack (the failover
+	// trigger). Progress resets both.
+	level, fruitless int
+}
+
+// Init readies c to work for the worker at self toward the switch at
+// sw: n-element gradients in per-element segments (0: the MTU-filling
+// protocol.FloatsPerPacket), under job's scheme, rounds counted as mode
+// says.
+func (c *Client) Init(out Sender, self, sw protocol.Addr, job protocol.JobID, n, per int, scheme protocol.Compression, mode TagMode) {
+	if per <= 0 {
+		per = protocol.FloatsPerPacket
+	}
+	*c = Client{out: out, self: self, sw: sw, job: job, n: n, per: per, scheme: scheme, mode: mode}
+}
+
+// Reserve allocates the assembler and both retained gradients now,
+// for a driver whose rounds must not allocate.
+func (c *Client) Reserve() {
+	c.asm = protocol.NewAssemblerWith(c.n, c.per)
+	c.cur, c.prev = make([]float32, 0, c.n), make([]float32, 0, c.n)
+}
+
+// Target is the switch this worker contributes to.
+func (c *Client) Target() protocol.Addr { return c.sw }
+
+// Round is the current round's number (0 before the first upload, and
+// always under TagOff).
+func (c *Client) Round() uint64 { return c.round }
+
+// Level is the Help timer's backoff level.
+func (c *Client) Level() int { return c.level }
+
+// Join asks the switch to admit this worker for the model and scheme
+// (Table 2).
+func (c *Client) Join() {
+	value := protocol.JoinValue(uint64(c.n))
+	if c.scheme != protocol.CompNone {
+		value = protocol.JoinValueScheme(uint64(c.n), c.scheme)
+	}
+	pkt := protocol.NewControl(c.self, c.sw, protocol.ActionJoin, value)
+	pkt.Job = c.job
+	c.out.Send(pkt)
+}
+
+// AckOf reads a frame as the answer to a control action: whether it is
+// an Ack, and whether the Ack says yes.
+func AckOf(pkt *protocol.Packet) (ack, ok bool) {
+	if !pkt.IsControl() || pkt.Action != protocol.ActionAck {
+		return false, false
+	}
+	return true, len(pkt.Value) == 1 && pkt.Value[0] == 1
+}
+
+// tag is the Seg-field tag of the current round (0 unless Tagged).
+func (c *Client) tag() uint64 {
+	if c.mode != Tagged {
+		return 0
+	}
+	return protocol.RoundTag(c.round)
+}
+
+// IsCurrent reports whether a Seg field carries the current round's tag.
+func (c *Client) IsCurrent(taggedSeg uint64) bool {
+	return taggedSeg>>protocol.RoundShift == c.tag()>>protocol.RoundShift
+}
+
+// Upload starts a round: it brings grad to the wire's precision, picks
+// the round's top-k selection, retains a copy unless recovery is off,
+// and sends the first limit segments (negative: all). A float frame
+// aliases grad (or the fp16 scratch), which the caller keeps intact
+// while the frame can be in flight.
+func (c *Client) Upload(grad []float32, limit int) {
+	switch c.scheme {
+	case protocol.CompFP16:
+		// Round up front: the retained copy then holds exactly what the
+		// switch sums, so a retransmission is bit-identical.
+		c.fpGrad = append(c.fpGrad[:0], grad...)
+		kernels.F16RoundInPlace(c.fpGrad)
+		grad = c.fpGrad
+	case protocol.CompTopK:
+		c.ensureCodec().SelectTopK(grad)
+	}
+	if c.mode != TagOff {
+		c.round++
+		// The older buffer held round r-2, which no Help can name.
+		c.prev, c.cur = c.cur, append(c.prev[:0], grad...)
+	}
+	c.sendSegments(c.tag(), grad, limit, false)
+}
+
+// sendSegments sends grad to the switch, one frame per segment tagged
+// tag, stopping after limit frames (negative: all). prevRound encodes
+// as dataFrame's says.
+func (c *Client) sendSegments(tag uint64, grad []float32, limit int, prevRound bool) {
+	segs := protocol.SegmentCountWith(len(grad), c.per)
+	if limit >= 0 && limit < segs {
+		segs = limit
+	}
+	for s := uint64(0); s < uint64(segs); s++ {
+		lo, hi := protocol.SegmentRangeWith(len(grad), s, c.per)
+		c.out.Send(c.dataFrame(c.sw, s|tag, grad[lo:hi], prevRound))
+	}
+}
+
+func (c *Client) ensureCodec() *compress.Codec {
+	if c.codec == nil {
+		c.codec = compress.NewCodec(compress.Config{Scheme: c.scheme}, c.n, c.per)
+	}
+	return c.codec
+}
+
+// dataFrame builds the frame that carries one segment's values to dst
+// under the job's scheme: the one place a worker's data frame is made,
+// for the first upload, a retransmission and a failover re-offer alike.
+// A float payload aliases vals; codec output is copied in, since the
+// codec's scratch and cached selection move on. prevRound encodes on
+// the grid, or replays the selection, of the round before the current.
+func (c *Client) dataFrame(dst protocol.Addr, taggedSeg uint64, vals []float32, prevRound bool) *protocol.Packet {
+	seg := taggedSeg & protocol.SegIndexMask
+	var pkt *protocol.Packet
+	switch c.scheme {
+	case protocol.CompInt32Block:
+		encode := c.ensureCodec().EncodeQ
+		if prevRound {
+			encode = c.codec.EncodeQPrev
+		}
+		q := encode(seg, vals)
+		pkt = protocol.NewQData(c.self, dst, taggedSeg, q, 0)
+		pkt.SetQDataCopy(q)
+	case protocol.CompTopK:
+		sparse := c.ensureCodec().Sparse
+		if prevRound {
+			sparse = c.codec.SparsePrev
+		}
+		idx, sel := sparse(seg)
+		pkt = protocol.NewSparseData(c.self, dst, taggedSeg, idx, sel)
+		pkt.SetIdxCopy(idx)
+		pkt.SetDataCopy(sel)
+	default:
+		pkt = protocol.NewData(c.self, dst, taggedSeg, vals)
+		if c.scheme == protocol.CompFP16 {
+			pkt.Enc = protocol.CompFP16 // vals already hold rounded values
+		}
+	}
+	pkt.Job = c.job
+	return pkt
+}
+
+// retransmit resends to dst this worker's contribution for one
+// (possibly round-tagged) segment, reporting whether it did: only this
+// round's and the previous one's gradients are retained, and untagged
+// only the latest. The resend is bit-identical to the upload under
+// every scheme: fp16 was rounded before retention, int32block encodes
+// on the grid its round used, and top-k replays the cached selection.
+func (c *Client) retransmit(dst protocol.Addr, taggedSeg uint64) bool {
+	grad, prevRound := c.cur, false
+	switch r := taggedSeg >> protocol.RoundShift; {
+	case c.mode == Untagged, r == c.round%protocol.RoundTagMod:
+	case r == (c.round-1)%protocol.RoundTagMod:
+		grad, prevRound = c.prev, true
+	default:
+		return false // too old to serve
+	}
+	lo, hi := protocol.SegmentRangeWith(len(grad), taggedSeg&protocol.SegIndexMask, c.per)
+	if lo >= hi {
+		return false // nothing retained, or a segment outside the model
+	}
+	c.out.Send(c.dataFrame(dst, taggedSeg, grad[lo:hi], prevRound))
+	return true
+}
+
+// Expect readies the assembler for this round's aggregate, building it
+// on the first round.
+func (c *Client) Expect() {
+	if c.asm == nil {
+		c.asm = protocol.NewAssemblerWith(c.n, c.per)
+	}
+	c.asm.Reset()
+}
+
+// Complete reports whether the round's aggregate is assembled.
+func (c *Client) Complete() bool { return c.asm.Complete() }
+
+// Take applies one inbound frame to the round and releases it: a share
+// of this round's aggregate is assembled, a Help this worker can serve
+// is answered to its sender, an Ack is noted, and anything else (another
+// round's or job's frame, a segment outside the model, a malformed
+// share) is dropped. It reports whether it resent a contribution.
+func (c *Client) Take(pkt *protocol.Packet) (resent bool) {
+	defer pkt.Release()
+	switch {
+	case pkt.IsData():
+		seg := pkt.Seg & protocol.SegIndexMask
+		if pkt.Job != c.job || !c.IsCurrent(pkt.Seg) || seg >= uint64(protocol.SegmentCountWith(c.n, c.per)) {
+			return false
+		}
+		// Take owns the frame, so the tag is stripped in place.
+		pkt.Seg = seg
+		if c.add(pkt) == nil {
+			c.level, c.fruitless = 0, 0 // progress: the path is alive
+		}
+	case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
+		seg, err := protocol.ParseHelp(pkt.Value)
+		return err == nil && c.retransmit(pkt.Src, seg)
+	case pkt.IsControl() && pkt.Action == protocol.ActionAck:
+		c.fruitless = 0 // the switch is alive; peers are just slow
+	}
+	return false
+}
+
+// add places one in-model share in the assembler, decoding a quantized
+// one through the codec first (idempotent for a re-served shadow copy).
+func (c *Client) add(pkt *protocol.Packet) error {
+	if pkt.Enc != protocol.CompInt32Block {
+		return c.asm.Add(pkt)
+	}
+	lo, hi := protocol.SegmentRangeWith(c.n, pkt.Seg, c.per)
+	if c.scheme != protocol.CompInt32Block || len(pkt.QData) != hi-lo {
+		return fmt.Errorf("engine: quantized segment %d carries %d values, want %d of %v",
+			pkt.Seg, len(pkt.QData), hi-lo, c.scheme)
+	}
+	if cap(c.decBuf) < hi-lo {
+		c.decBuf = make([]float32, c.per)
+	}
+	dst := c.decBuf[:hi-lo]
+	c.ensureCodec().DecodeQ(pkt.Seg, pkt.QData, pkt.Shift, dst)
+	return c.asm.AddFloats(pkt.Seg, dst)
+}
+
+// Stalled records a wait that timed out: the Help timer backs off a
+// level and one more fruitless wait counts toward failover. It returns
+// that count.
+func (c *Client) Stalled() int {
+	c.level++
+	c.fruitless++
+	return c.fruitless
+}
+
+// ResetBackoff restarts the Help timer and the failover count.
+func (c *Client) ResetBackoff() { c.level, c.fruitless = 0, 0 }
+
+// HelpMissing asks the switch for every segment of this round's
+// aggregate still missing. Untagged, the switch keeps no per-round
+// state to target a retransmission with, so the worker also resends
+// its own contribution blindly. It returns how many Helps and resends
+// it sent.
+func (c *Client) HelpMissing() (helps, resent int) {
+	tag := c.tag()
+	for _, seg := range c.asm.Missing() {
+		h := protocol.NewHelp(c.self, c.sw, seg|tag)
+		h.Job = c.job
+		c.out.Send(h)
+		helps++
+		if c.mode == Untagged && c.retransmit(c.sw, seg|tag) {
+			resent++
+		}
+	}
+	return helps, resent
+}
+
+// Failover makes to this worker's switch and offers it both retained
+// rounds under the job's scheme (none before the first upload): the
+// previous one first, since a peer one round behind needs every
+// worker's contribution to it.
+func (c *Client) Failover(to protocol.Addr) {
+	c.sw = to
+	c.ResetBackoff()
+	c.sendSegments(protocol.RoundTag(c.round-1), c.prev, -1, true)
+	c.sendSegments(c.tag(), c.cur, -1, false)
+}
+
+// Finish closes a completed round and returns its aggregate: the
+// assembler's own vector, valid until the next round's Expect. An
+// int32block worker commits the grid exponents derived from the
+// aggregate; every worker decoded the same shares, so every worker
+// advances to the same grid.
+func (c *Client) Finish() []float32 {
+	if c.codec != nil && c.scheme == protocol.CompInt32Block {
+		c.codec.Advance()
+	}
+	return c.asm.Vector()
+}

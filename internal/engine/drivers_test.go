@@ -291,3 +291,252 @@ func TestOneEngineThreeDrivers(t *testing.T) {
 		}
 	}
 }
+
+// One client engine, two drivers: one script of what a switch sends a
+// worker is fed to a bare client engine behind a recording sender, and
+// to a transport.Client on loopback that faces a raw scripted switch
+// socket. What the worker sends back, frame by frame, must be the same
+// in both, and so must the sums it returns.
+
+// clientFloats is three segments, the last one short.
+const clientFloats = 2*protocol.FloatsPerPacket + 5
+
+type clientAct int
+
+const (
+	actJoin   clientAct = iota // the worker joins
+	actAdmit                   // the switch acks the Join
+	actUpload                  // the worker starts a round
+	actFrame                   // the switch sends a frame mid-round
+)
+
+// clientStep is one event of the client script; in builds a fresh copy
+// of what the switch sends.
+type clientStep struct {
+	name  string
+	act   clientAct
+	round uint64
+	in    func() *protocol.Packet
+}
+
+// clientGrad is the worker's gradient for a round.
+func clientGrad(round uint64) []float32 {
+	g := make([]float32, clientFloats)
+	for i := range g {
+		g[i] = float32(round*1000) + float32(i)
+	}
+	return g
+}
+
+// shareVals is the switch's aggregate of one segment of a round.
+func shareVals(round, seg uint64) []float32 {
+	lo, hi := protocol.SegmentRange(clientFloats, seg)
+	vals := make([]float32, hi-lo)
+	for i := range vals {
+		vals[i] = float32(100*round+10*seg) + float32(i)/4
+	}
+	return vals
+}
+
+func clientScript() []clientStep {
+	ack := func(name string, act clientAct) clientStep {
+		return clientStep{name: name, act: act, in: func() *protocol.Packet {
+			return protocol.NewControl(protocol.Addr{}, protocol.Addr{}, protocol.ActionAck, protocol.AckOK)
+		}}
+	}
+	upload := func(round uint64) clientStep {
+		return clientStep{name: fmt.Sprintf("upload r%d", round), act: actUpload, round: round}
+	}
+	share := func(round, seg uint64) clientStep {
+		return clientStep{fmt.Sprintf("share r%d s%d", round, seg), actFrame, 0, func() *protocol.Packet {
+			return protocol.NewPooledData(protocol.Addr{}, protocol.Addr{}, protocol.TagSeg(round, seg), shareVals(round, seg))
+		}}
+	}
+	help := func(round, seg uint64) clientStep {
+		return clientStep{fmt.Sprintf("help r%d s%d", round, seg), actFrame, 0, func() *protocol.Packet {
+			return protocol.NewHelp(protocol.Addr{}, protocol.Addr{}, protocol.TagSeg(round, seg))
+		}}
+	}
+	s := []clientStep{{name: "join", act: actJoin}, ack("ack", actAdmit)}
+	for r := uint64(1); r <= 2; r++ {
+		s = append(s, upload(r), share(r, 0), share(r, 1), share(r, 2))
+	}
+	// Round 3: shares out of order and duplicated, a share of round 2,
+	// Helps for this round, the previous one, one two back and a segment
+	// outside the model, and a late Ack.
+	return append(s, upload(3), share(3, 2), share(3, 2), share(2, 0),
+		help(3, 1), help(2, 0), help(1, 0), help(3, 9), ack("late ack", actFrame),
+		share(3, 0), share(3, 1))
+}
+
+// sendRecorder is the client engine's sender in the direct run.
+type sendRecorder struct{ out []emitted }
+
+func (r *sendRecorder) Send(p *protocol.Packet) {
+	r.out = append(r.out, observe(0, p))
+	p.Release()
+}
+
+// runClientDirect feeds the script straight into a client engine and
+// returns, per step, the frames the worker sent, and each round's sum.
+func runClientDirect(t *testing.T, steps []clientStep) (out [][]emitted, sums [][]float32) {
+	rec := &sendRecorder{}
+	var c engine.Client
+	c.Init(rec, protocol.AddrFrom(10, 9, 0, 1, 7000), protocol.AddrFrom(10, 9, 9, 9, 9990), 0,
+		clientFloats, protocol.FloatsPerPacket, protocol.CompNone, engine.Tagged)
+	for _, st := range steps {
+		rec.out = nil
+		switch st.act {
+		case actJoin:
+			c.Join()
+		case actAdmit:
+			pkt := st.in()
+			if ack, ok := engine.AckOf(pkt); !ack || !ok {
+				t.Fatalf("%s: not an admitting Ack", st.name)
+			}
+			pkt.Release()
+		case actUpload:
+			c.Upload(clientGrad(st.round), -1)
+			c.Expect()
+		case actFrame:
+			c.Take(st.in())
+			if c.Complete() {
+				sums = append(sums, append([]float32(nil), c.Finish()...))
+			}
+		}
+		out = append(out, rec.out)
+	}
+	return out, sums
+}
+
+// runClientUDP plays the switch's side of the script from a raw socket
+// against a transport.Client, which joins and aggregates on its own
+// goroutine. After each step it reads exactly as many frames as the
+// direct run sent; at the end, nothing more may come.
+func runClientUDP(t *testing.T, steps []clientStep, want [][]emitted) (out [][]emitted, sums [][]float32) {
+	sw, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	c, err := transport.Dial(sw.LocalAddr().String(), clientFloats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	for _, st := range steps {
+		if st.act == actUpload {
+			rounds++
+		}
+	}
+	var workerErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		workerErr = c.Join()
+		for r := 1; r <= rounds && workerErr == nil; r++ {
+			var sum []float32
+			if sum, workerErr = c.Aggregate(clientGrad(uint64(r))); workerErr == nil {
+				sums = append(sums, append([]float32(nil), sum...))
+			}
+		}
+	}()
+	defer func() { c.Close(); <-done }()
+
+	var worker *net.UDPAddr
+	buf := make([]byte, 2048)
+	for i, st := range steps {
+		if st.act == actAdmit || st.act == actFrame {
+			pkt := st.in()
+			b, err := transport.Encode(pkt)
+			pkt.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sw.WriteToUDP(b, worker); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []emitted
+		for range want[i] {
+			sw.SetReadDeadline(time.Now().Add(2 * time.Second))
+			n, from, err := sw.ReadFromUDP(buf)
+			if err != nil {
+				t.Fatalf("%s: the worker owes a frame: %v", st.name, err)
+			}
+			worker = from
+			p, err := transport.Decode(protocol.Addr{}, protocol.Addr{}, buf[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, observe(0, p))
+			p.Release()
+		}
+		out = append(out, got)
+	}
+	sw.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if n, _, err := sw.ReadFromUDP(buf); err == nil {
+		p, _ := transport.Decode(protocol.Addr{}, protocol.Addr{}, buf[:n])
+		t.Fatalf("the worker sent a frame past the script: %+v", observe(0, p))
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the UDP worker never finished its rounds")
+	}
+	if workerErr != nil {
+		t.Fatalf("the UDP worker: %v", workerErr)
+	}
+	return out, sums
+}
+
+func TestOneClientTwoDrivers(t *testing.T) {
+	steps := clientScript()
+	direct, directSums := runClientDirect(t, steps)
+
+	// The script does what its comments say, by the direct run.
+	byName := map[string][]emitted{}
+	for i, st := range steps {
+		byName[st.name] = append(byName[st.name], direct[i]...)
+	}
+	count := func(name string, want int) {
+		t.Helper()
+		if got := len(byName[name]); got != want {
+			t.Fatalf("%s: %d frames sent, want %d: %+v", name, got, want, byName[name])
+		}
+	}
+	count("join", 1)
+	count("upload r3", 3)
+	count("share r3 s2", 0)
+	count("help r3 s1", 1) // this round's segment, resent
+	count("help r2 s0", 1) // the previous round's, from the retained copy
+	count("help r1 s0", 0) // two rounds back: gone
+	count("help r3 s9", 0) // outside the model
+	count("late ack", 0)
+	if e := byName["help r2 s0"][0]; e.ToS != protocol.ToSData || e.Seg != protocol.TagSeg(2, 0) ||
+		e.Payload != observe(0, protocol.NewData(protocol.Addr{}, protocol.Addr{}, 0, clientGrad(2)[:protocol.FloatsPerPacket])).Payload {
+		t.Fatalf("previous-round resend: %+v", e)
+	}
+	if len(directSums) != 3 {
+		t.Fatalf("%d rounds completed, want 3", len(directSums))
+	}
+	for seg := uint64(0); seg < 3; seg++ {
+		lo, _ := protocol.SegmentRange(clientFloats, seg)
+		if want := shareVals(3, seg); !reflect.DeepEqual(directSums[2][lo:lo+len(want)], want) {
+			t.Fatalf("round 3 segment %d: the sum holds something but the round's share", seg)
+		}
+	}
+
+	udp, udpSums := runClientUDP(t, steps, direct)
+	for i, st := range steps {
+		if len(udp[i]) == 0 && len(direct[i]) == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(udp[i], direct[i]) {
+			t.Errorf("UDP loopback, step %d (%s):\n  got  %+v\n  want %+v", i, st.name, udp[i], direct[i])
+		}
+	}
+	if !reflect.DeepEqual(udpSums, directSums) {
+		t.Error("the two drivers returned different sums")
+	}
+}

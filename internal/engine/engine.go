@@ -1,13 +1,20 @@
-// Package engine is the iSwitch protocol state machine (paper §3.2–3.4),
-// free of I/O: the control plane of Table 2 over a lightweight
-// membership table, and the data plane of Figure 7 that sums tagged
-// segments in the aggregation accelerator, forwards partial aggregates
-// up the switch hierarchy and broadcasts completed ones back down. It
-// knows no clock, link or socket; a Driver says where a frame goes and
-// when. The simulated switch (switchnet.ISwitch), the real-UDP switch
-// (transport.Switch) and the worker that takes over after a switch dies
-// (core's failover relay) are three drivers of this one engine, so the
-// protocol is spelled once.
+// Package engine is the iSwitch protocol (paper §3.2–3.4) free of I/O,
+// one engine per side. It knows no clock, link or socket.
+//
+// Engine is the switch side: the control plane of Table 2 over a
+// lightweight membership table, and the data plane of Figure 7 that
+// sums tagged segments in the aggregation accelerator, forwards partial
+// aggregates up the switch hierarchy and broadcasts completed ones back
+// down. A Driver says where a frame goes and when. The simulated switch
+// (switchnet.ISwitch), the real-UDP switch (transport.Switch) and the
+// worker that takes over after a switch dies (core's failover relay)
+// are its three drivers.
+//
+// Client is the worker side: Join, tagged segments up under the job's
+// compression scheme, reassembly of the broadcast, Help on a stall and
+// answers to the Helps it is sent. A Sender carries its frames. The
+// simulated worker (core) and the UDP client (transport.Client) are its
+// two drivers. So the protocol is spelled once on each side.
 package engine
 
 import (

@@ -20,8 +20,8 @@ import (
 // Who allocates, who may alias, who releases:
 //
 //	frame            header from       payload                       released by
-//	uplink data      NewData/NewQData/ aliases the sender's gradient  the engine after Ingest*From:
-//	                 NewSparseData     or codec scratch; core copies  a switch's, or after failover
+//	uplink data      NewData/NewQData/ aliases the sender's gradient; the engine after Ingest*From:
+//	                 NewSparseData     the client engine copies       a switch's, or after failover
 //	                                   codec scratch in (Set*Copy)    the relay worker's
 //	emission         GetPacket         on loan from the accelerator   the emitting switch after the
 //	                                   (LendData/LendQData)           fan-out (root) or, see up-forward
@@ -36,8 +36,8 @@ import (
 //	                 NewHelp           inline in the header           handleControl; the worker's
 //	                                                                  receive loop
 //	decoded datagram UnmarshalPayload  control value inline; data     the UDP switch's engine after
-//	                 (Unmarshal)       decoded into a pooled buffer   Handle; the UDP client after
-//	                                                                  Assembler.Add or dropping it
+//	                 (Unmarshal)       decoded into a pooled buffer   Handle; the UDP client's engine
+//	                                                                  after Take
 //	dropped frame    any               any                            netsim, at the drop site
 //	kept frame       PooledClone       pooled deep copy: the one      whoever keeps it, when done
 //	                                   copy left, for callers that

@@ -241,7 +241,8 @@ func TestSetHSkipsNonAckFrames(t *testing.T) {
 	}
 	// H = 1: this contribution completes and its share is queued at the
 	// client's socket ahead of the SetH Ack.
-	if err := c.sendSegment(0, []float32{1, 2, 3, 4}); err != nil {
+	c.eng.Upload([]float32{1, 2, 3, 4}, -1)
+	if err := c.sent(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SetH(1); err != nil {

@@ -4,8 +4,11 @@
 // produces the paper's timing results; this package proves the protocol
 // is wire-real: cmd/iswitchd is a software emulation of the in-switch
 // aggregator that sums genuine UDP datagrams from worker processes,
-// exactly as the NetFPGA data plane does in hardware. The switch is the
-// simulated one's protocol engine (internal/engine) behind a socket.
+// exactly as the NetFPGA data plane does in hardware. Both ends are the
+// simulation's own protocol engines (internal/engine) behind a socket:
+// Switch drives engine.Engine, the switch side, and Client drives
+// engine.Client, the worker side, as the simulated switch and worker
+// drive them in virtual time.
 //
 // Because a portable UDP socket cannot set the IP ToS byte per packet,
 // the ToS tag travels as the first byte of the UDP payload; the rest of
@@ -13,10 +16,11 @@
 //
 // A datagram leaves no garbage. Each one is decoded into a pooled frame
 // (a pooled header over a pooled payload buffer) that its consumer
-// releases: the switch's engine after Handle, the client after
-// Assembler.Add or after dropping the frame. Client.Aggregate returns
-// the client's own assembled vector. A steady-state round therefore
-// allocates nothing (TestUDPSteadyStateAllocFree).
+// releases: the switch's engine after Handle, the client's engine after
+// assembling or dropping the frame. Client.Aggregate returns the client
+// engine's own assembled vector, and Dial sizes it and both retained
+// gradients. A steady-state round therefore allocates nothing
+// (TestUDPSteadyStateAllocFree).
 //
 // fp32 sums follow datagram arrival order: the switch adds
 // contributions in the order it takes them, and under ServeN(k > 1)
@@ -233,25 +237,26 @@ func (s *Switch) Counters() (dataIn, broadcasts, controlIn uint64) {
 }
 
 // Client is a worker-side handle: it joins a switch and aggregates
-// gradient vectors through it. A Client is single-goroutine: send and
-// recv share scratch buffers.
+// gradient vectors through it. It is the UDP driver of the client
+// engine the simulated worker also runs (engine.Client), which tags
+// every segment with its round, retains this round's and the previous
+// round's gradient, answers Helps for either, and reassembles the
+// broadcast; the Client adds the socket, the deadline and when to give
+// up. A Client is single-goroutine: send and recv share scratch
+// buffers.
 type Client struct {
-	conn    *net.UDPConn
-	n       int
-	asm     *protocol.Assembler
-	encBuf  []byte
-	recvBuf []byte
-	// round counts Aggregate calls and tags every segment of one
-	// (protocol.TagSeg), as the simulated worker does: the switch keeps
-	// adjacent rounds' state apart and re-serves a lost broadcast from
-	// the shadow slot of the round asked for. Workers of one job make the
-	// same calls, so their counts agree.
-	round uint64
+	conn            *net.UDPConn
+	n               int
+	eng             engine.Client
+	encBuf, recvBuf []byte
+	err             error // the first failed write the caller has not yet seen
 	// Timeout bounds each receive while collecting an aggregate.
 	Timeout time.Duration
 }
 
-// Dial connects to a switch for vectors of modelFloats elements.
+// Dial connects to a switch for vectors of modelFloats elements. The
+// assembler and both retained gradients are sized here, so a round
+// allocates nothing.
 func Dial(switchAddr string, modelFloats int) (*Client, error) {
 	ua, err := net.ResolveUDPAddr("udp4", switchAddr)
 	if err != nil {
@@ -261,10 +266,12 @@ func Dial(switchAddr string, modelFloats int) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, n: modelFloats,
-		asm:     protocol.NewAssembler(modelFloats),
-		recvBuf: make([]byte, maxDatagram),
-		Timeout: 5 * time.Second}, nil
+	c := &Client{conn: conn, n: modelFloats, recvBuf: make([]byte, maxDatagram), Timeout: 5 * time.Second}
+	// The socket is connected: every frame goes to the switch, and
+	// neither end's protocol address travels on the wire.
+	c.eng.Init((*sender)(c), protocol.Addr{}, protocol.Addr{}, 0, modelFloats, 0, protocol.CompNone, engine.Tagged)
+	c.eng.Reserve()
+	return c, nil
 }
 
 // Close releases the socket.
@@ -281,13 +288,22 @@ func (c *Client) send(pkt *protocol.Packet) error {
 	return err
 }
 
-// sendSegment frames and writes segment seg of grad under the current
-// round's tag. The pooled header is spent once its bytes are encoded.
-func (c *Client) sendSegment(seg uint64, grad []float32) error {
-	lo, hi := protocol.SegmentRange(c.n, seg)
-	pkt := protocol.NewData(protocol.Addr{}, protocol.Addr{}, protocol.TagSeg(c.round, seg), grad[lo:hi])
-	err := c.send(pkt)
+// sender is the Client as its engine sees it (engine.Sender): a frame
+// is written to the switch and released. The first failed write is kept
+// for the caller (sent), and the frames after it are not written.
+type sender Client
+
+func (s *sender) Send(pkt *protocol.Packet) {
+	if s.err == nil {
+		s.err = (*Client)(s).send(pkt)
+	}
 	pkt.Release()
+}
+
+// sent returns, and clears, the first failed write since its last call.
+func (c *Client) sent() error {
+	err := c.err
+	c.err = nil
 	return err
 }
 
@@ -304,10 +320,10 @@ func (c *Client) recv() (*protocol.Packet, error) {
 	return Decode(protocol.Addr{}, protocol.Addr{}, c.recvBuf[:n])
 }
 
-// control issues one control action and waits for its Ack, skipping
+// awaitAck waits for the Ack of the control action just sent, skipping
 // whatever else is still in flight (a late broadcast share, a Help).
-func (c *Client) control(what string, action protocol.Action, value []byte) error {
-	if err := c.send(&protocol.Packet{ToS: protocol.ToSControl, Action: action, Value: value}); err != nil {
+func (c *Client) awaitAck(what string) error {
+	if err := c.sent(); err != nil {
 		return err
 	}
 	for {
@@ -315,8 +331,7 @@ func (c *Client) control(what string, action protocol.Action, value []byte) erro
 		if err != nil {
 			return fmt.Errorf("transport: %s: %w", what, err)
 		}
-		ack := pkt.IsControl() && pkt.Action == protocol.ActionAck
-		ok := len(pkt.Value) == 1 && pkt.Value[0] == 1
+		ack, ok := engine.AckOf(pkt)
 		pkt.Release()
 		if ack {
 			if !ok {
@@ -329,12 +344,14 @@ func (c *Client) control(what string, action protocol.Action, value []byte) erro
 
 // Join registers with the switch and waits for the Ack.
 func (c *Client) Join() error {
-	return c.control("join", protocol.ActionJoin, protocol.JoinValue(uint64(c.n)))
+	c.eng.Join()
+	return c.awaitAck("join")
 }
 
 // SetH issues a SetH control action and waits for the Ack.
 func (c *Client) SetH(h uint32) error {
-	return c.control("SetH", protocol.ActionSetH, protocol.SetHValue(h))
+	(*sender)(c).Send(protocol.NewControl(protocol.Addr{}, protocol.Addr{}, protocol.ActionSetH, protocol.SetHValue(h)))
+	return c.awaitAck("SetH")
 }
 
 // Aggregate contributes grad and blocks until the aggregated sum
@@ -342,7 +359,8 @@ func (c *Client) SetH(h uint32) error {
 // before failing: the switch answers from the round's shadow slot when
 // only the broadcast was lost, and otherwise relays the Help to exactly
 // the members whose contribution it is missing (this one included),
-// who resend. Frames of any other round are dropped unread.
+// who resend. Helps for this round or the previous one are answered;
+// every other frame of another round is dropped unread.
 //
 // The sum is the client's assembled vector, not a copy: it stays valid
 // until this client's next Aggregate overwrites it (the core.Service
@@ -351,59 +369,25 @@ func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 	if len(grad) != c.n {
 		return nil, fmt.Errorf("transport: gradient len %d, want %d", len(grad), c.n)
 	}
-	c.round++
-	tag := protocol.RoundTag(c.round)
-	segs := uint64(protocol.SegmentCount(c.n))
-	for seg := uint64(0); seg < segs; seg++ {
-		if err := c.sendSegment(seg, grad); err != nil {
-			return nil, err
-		}
+	c.eng.Upload(grad, -1)
+	if err := c.sent(); err != nil {
+		return nil, err
 	}
-	c.asm.Reset()
+	c.eng.Expect()
 	helped := false
-	for !c.asm.Complete() {
+	for !c.eng.Complete() {
 		pkt, err := c.recv()
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && !helped {
-				helped = true
-				for _, seg := range c.asm.Missing() {
-					help := protocol.NewHelp(protocol.Addr{}, protocol.Addr{}, seg|tag)
-					err := c.send(help)
-					help.Release()
-					if err != nil {
-						return nil, err
-					}
-				}
-				continue
-			}
+		if ne, ok := err.(net.Error); ok && ne.Timeout() && !helped {
+			helped = true
+			c.eng.HelpMissing()
+		} else if err != nil {
 			return nil, fmt.Errorf("transport: aggregate: %w", err)
+		} else {
+			c.eng.Take(pkt)
 		}
-		err = c.take(pkt, grad, tag, segs)
-		pkt.Release()
-		if err != nil {
+		if err := c.sent(); err != nil {
 			return nil, err
 		}
 	}
-	return c.asm.Vector(), nil
-}
-
-// take applies one received frame to the round tagged tag: a share of
-// its aggregate goes into the assembler, a Help for one of its segments
-// is answered with that segment, and anything else (a re-served or late
-// share of another round, a stale Help, a late Ack) is dropped. The
-// caller releases pkt.
-func (c *Client) take(pkt *protocol.Packet, grad []float32, tag, segs uint64) error {
-	switch {
-	case pkt.IsData():
-		if pkt.Seg&^protocol.SegIndexMask == tag {
-			pkt.Seg &= protocol.SegIndexMask
-			_ = c.asm.Add(pkt) // malformed or duplicate: ignored
-		}
-	case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
-		seg, err := protocol.ParseHelp(pkt.Value)
-		if err == nil && seg&^protocol.SegIndexMask == tag && seg&protocol.SegIndexMask < segs {
-			return c.sendSegment(seg&protocol.SegIndexMask, grad)
-		}
-	}
-	return nil
+	return c.eng.Finish(), nil
 }
