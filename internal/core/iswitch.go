@@ -50,10 +50,8 @@ type ISWConfig struct {
 	// Help/retransmission traffic (harmless to correctness — the bitmap
 	// absorbs duplicates — but costly to throughput). Consecutive
 	// fruitless timeouts back off exponentially with deterministic
-	// jitter, capped at MaxBackoff.
+	// jitter, capped at 16× RecoveryTimeout.
 	RecoveryTimeout sim.Time
-	// MaxBackoff caps the backed-off Help timer (0: 16× RecoveryTimeout).
-	MaxBackoff sim.Time
 	// Untagged runs recovery without round tags: Help timers and blind
 	// self-retransmission only, no per-round switch state. This is the
 	// asynchronous pipeline's mode (worker rounds do not align, so a
@@ -67,8 +65,6 @@ type ISWConfig struct {
 	// engine: the worker then uploads, Helps and retransmits there as it
 	// did to the switch. Failover is sticky and synchronous-only.
 	FailoverAfter int
-	// Relay is the backup software aggregator's address (zero: worker 0).
-	Relay protocol.Addr
 }
 
 // DefaultISWConfig mirrors the raw-UDP client implementation.

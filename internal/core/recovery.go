@@ -22,11 +22,11 @@ import (
 //	           round)--> failed over (a peer tripped first; follow)
 //
 // A failed-over worker is an ordinary client whose switch is now the
-// relay worker (cfg.Relay, worker 0 by default): it uploads, Helps and
-// answers Helps there under the job's own scheme. The relay worker's
-// host runs the switch's engine (internal/engine) behind hostDriver, so
-// the relay aggregates, re-serves lost sums from its shadow slots and
-// chases missing contributors exactly as the dead switch did.
+// relay worker (worker 0): it uploads, Helps and answers Helps there
+// under the job's own scheme. The relay worker's host runs the switch's
+// engine (internal/engine) behind hostDriver, so the relay aggregates,
+// re-serves lost sums from its shadow slots and chases missing
+// contributors exactly as the dead switch did.
 
 // RecoveryTimeoutFor derives a safe Help timer from the perfmodel's
 // expected synchronous round for the workload: twice the healthy round
@@ -59,33 +59,17 @@ func (c *ISWCluster) relayArmed() bool {
 	return c.cfg.FailoverAfter > 0 && !c.cfg.Untagged
 }
 
-// relayAddr resolves the backup software aggregator's address.
-func (c *ISWCluster) relayAddr() protocol.Addr {
-	if c.cfg.Relay != (protocol.Addr{}) {
-		return c.cfg.Relay
-	}
-	return c.workers[0].Addr
-}
+// relayAddr is the backup software aggregator's address: worker 0's.
+func (c *ISWCluster) relayAddr() protocol.Addr { return c.workers[0].Addr }
 
 // backoffTimeout returns the Help timer for the current backoff level:
-// RecoveryTimeout doubled per fruitless timeout (capped at MaxBackoff,
-// default 16× base) plus deterministic per-worker jitter so the fleet's
-// timers decorrelate without a shared RNG.
+// RecoveryTimeout doubled per fruitless timeout (capped at 16× base)
+// plus deterministic per-worker jitter so the fleet's timers
+// decorrelate without a shared RNG.
 func (ic *iswClient) backoffTimeout() sim.Time {
-	cfg := &ic.cluster.cfg
-	base := cfg.RecoveryTimeout
-	lvl := ic.Level()
-	if lvl > 6 {
-		lvl = 6
-	}
-	to := base << uint(lvl)
-	max := cfg.MaxBackoff
-	if max <= 0 {
-		max = 16 * base
-	}
-	if to > max {
-		to = max
-	}
+	base := ic.cluster.cfg.RecoveryTimeout
+	lvl := min(ic.Level(), 6)
+	to := min(base<<uint(lvl), 16*base)
 	h := (uint64(ic.idx)+1)*0x9e3779b97f4a7c15 ^ ic.Round()*0xbf58476d1ce4e5b9 ^ uint64(lvl)*0x94d049bb133111eb
 	h ^= h >> 29
 	h *= 0xbf58476d1ce4e5b9

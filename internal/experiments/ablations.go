@@ -10,8 +10,6 @@ import (
 	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/protocol"
-	"iswitch/internal/rl"
-	"iswitch/internal/sim"
 )
 
 // Ablations for the design choices DESIGN.md calls out. These go beyond
@@ -135,21 +133,12 @@ func AblationMTU() Result {
 	fmt.Fprintf(&b, "%-18s %-14s\n", "floats/packet", "iSW agg ms")
 	fracs := []int{1, 2, 4, 8}
 	cells := parMap(len(fracs), func(fi int) *core.RunStats {
-		k := sim.NewKernel()
-		defer k.Shutdown()
 		cfg := core.DefaultISWConfig()
 		cfg.FloatsPerPacket = protocol.FloatsPerPacket / fracs[fi]
-		c := core.Build(k, core.ClusterSpec{
+		return simSyncSpec(w, core.ClusterSpec{
 			Topology: core.TopoStar, Mode: core.ModeISW, Workers: 4,
 			ModelFloats: w.Floats(), Link: netsim.TenGbE(), ISW: &cfg,
-		}).ISW
-		agents := make([]rl.Agent, 4)
-		services := make([]core.Service, 4)
-		for i := range agents {
-			agents[i], services[i] = core.NewSyntheticAgent(w.Floats()), c.Client(i)
-		}
-		return core.RunSync(k, agents, services, core.SyncConfig{Iterations: 2,
-			LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate})
+		}, 2)
 	})
 	for fi, frac := range fracs {
 		fmt.Fprintf(&b, "%-18d %-14s\n", protocol.FloatsPerPacket/frac, ms(cells[fi].MeanAgg()))

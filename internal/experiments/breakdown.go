@@ -75,18 +75,16 @@ func abbrevStage(name string) string {
 // Figure4 reproduces the per-iteration breakdown of PS and AllReduce
 // training: gradient aggregation must occupy roughly 49.9–83.2% of each
 // iteration across the four benchmarks.
-func Figure4() Result {
+func Figure4() Result { return figure4(syncCells()) }
+
+// figure4 renders Figure 4 from a synchronous grid.
+func figure4(cells map[string][]*core.RunStats) Result {
 	var b strings.Builder
 	lo, hi := 100.0, 0.0
-	strats := []string{StratPS, StratAR}
-	ws := perfmodel.Workloads()
-	cells := parMap(len(strats)*len(ws), func(i int) *core.RunStats {
-		return simSync(ws[i%len(ws)], strats[i/len(ws)], 4, 0, 3)
-	})
-	for si, strategy := range strats {
+	for _, strategy := range []string{StratPS, StratAR} {
 		fmt.Fprintf(&b, "(%s)\n", strategy)
-		for wi, w := range ws {
-			stats := cells[si*len(ws)+wi]
+		for wi, w := range perfmodel.Workloads() {
+			stats := cells[strategy][wi]
 			sb := breakdownFor(w, w.LocalCompute, stats.MeanAgg(), w.WeightUpdate, stats.MeanIter())
 			sb.render(&b, w.Name)
 			if p := sb.aggPercent(); p < lo {
@@ -106,18 +104,16 @@ func Figure4() Result {
 // Figure12 reproduces the synchronous per-iteration comparison with
 // breakdown: for each benchmark, PS/AR/iSW per-iteration times
 // normalized to PS.
-func Figure12() Result {
+func Figure12() Result { return figure12(syncCells()) }
+
+// figure12 renders Figure 12 from a synchronous grid.
+func figure12(cells map[string][]*core.RunStats) Result {
 	var b strings.Builder
-	ws := perfmodel.Workloads()
-	strats := SyncStrategies()
-	cells := parMap(len(ws)*len(strats), func(i int) *core.RunStats {
-		return simSync(ws[i/len(strats)], strats[i%len(strats)], 4, 0, 3)
-	})
-	for wi, w := range ws {
+	for wi, w := range perfmodel.Workloads() {
 		fmt.Fprintf(&b, "%s:\n", w.Name)
 		var psIter time.Duration
-		for si, strategy := range strats {
-			stats := cells[wi*len(strats)+si]
+		for _, strategy := range SyncStrategies() {
+			stats := cells[strategy][wi]
 			if strategy == StratPS {
 				psIter = stats.MeanIter()
 			}

@@ -6,22 +6,22 @@ import (
 	"strings"
 	"time"
 
-	"iswitch/internal/compress"
 	"iswitch/internal/core"
+	"iswitch/internal/engine"
 	"iswitch/internal/netsim"
 	"iswitch/internal/protocol"
 	"iswitch/internal/rl"
 	"iswitch/internal/sim"
-	"iswitch/internal/tensor/kernels"
 )
 
 // Quantized/sparse aggregation sweep: the compression tentpole measured
 // two ways. The DES side runs an oversubscribed fat-tree under every
 // wire scheme and records round time and access-link bytes (the ≥1.5×
 // speedup / ≥1.9× byte-cut acceptance gates live on the int32block
-// cell). The ablation side aggregates real RL gradients (DQN, A2C,
-// PPO, DDPG) through each codec offline and records accuracy against
-// the exact float32 sum, modeled wire bytes, and the drift a short
+// cell). The ablation side trains real RL agents (DQN, A2C, PPO, DDPG)
+// through the shipping protocol in memory, four engine.Clients and one
+// root engine.Engine, and records the aggregate's accuracy against the
+// exact sum, the wire bytes a worker uploads, and the drift a short
 // training trajectory accumulates versus the uncompressed run.
 
 // QuantCell is one DES sweep cell.
@@ -48,7 +48,8 @@ type QuantAblationRow struct {
 	// RelErr is the final-round aggregate's relative L2 error against
 	// the exact float32 sum (after the int32block grid has adapted).
 	RelErr float64
-	// UploadBytes is the modeled bytes one worker sends per round.
+	// UploadBytes is the wire bytes of the data frames worker 0 sent
+	// in the final round.
 	UploadBytes uint64
 	// ParamDrift is the relative L2 distance between the final
 	// parameters of a short training run under this scheme and the
@@ -111,21 +112,44 @@ func runQuantCell(scheme protocol.Compression) QuantCell {
 	return cell
 }
 
-// --- Offline accuracy ablation on real RL gradients -------------------
+// --- Accuracy ablation on real RL gradients -------------------------
 
 const (
 	quantAblWorkers = 4
 	quantAblRounds  = 6
 )
 
-// quantHdr is the fixed per-packet wire overhead before the payload.
-const quantHdr = protocol.EthernetHeaderLen + protocol.IPv4HeaderLen +
-	protocol.UDPHeaderLen + protocol.SegFieldLen
+// quantNet joins quantAblWorkers engine.Clients to one root
+// engine.Engine in memory, as the engine's Driver and every client's
+// Sender: a frame reaches its destination the moment it is sent, and
+// the accelerator's latency is not modelled. Worker w sits at
+// 10.0.0.(w+1).
+type quantNet struct {
+	sw      *engine.Engine
+	clients [quantAblWorkers]engine.Client
+	// upload counts the wire bytes of each worker's data frames.
+	upload [quantAblWorkers]uint64
+}
+
+func (q *quantNet) Forward(pkt *protocol.Packet)     { q.clients[pkt.Dst.IP[3]-1].Take(pkt) }
+func (q *quantNet) SendUp(*protocol.Packet)          { panic("quant: a root engine sent a frame up") }
+func (q *quantNet) Now() time.Duration               { return 0 }
+func (q *quantNet) After(_ time.Duration, fn func()) { fn() }
+
+func (q *quantNet) Send(pkt *protocol.Packet) {
+	if pkt.IsData() {
+		q.upload[pkt.Src.IP[3]-1] += uint64(pkt.WireLen())
+	}
+	if !q.sw.Handle(pkt, false) {
+		pkt.Release()
+	}
+}
 
 // quantTrainRun trains quantAblWorkers copies of a workload agent for
-// quantAblRounds synchronous rounds, aggregating through scheme, and
-// returns worker 0's final parameters plus the final round's aggregate
-// error and one worker's upload bytes.
+// quantAblRounds synchronous rounds, aggregating through the shipping
+// protocol under scheme, and returns worker 0's final parameters plus
+// the final round's aggregate error against the exact sum and worker
+// 0's upload bytes in that round.
 func quantTrainRun(name string, scheme protocol.Compression) (params []float32, relErr float64, upload uint64) {
 	agents := make([]rl.Agent, quantAblWorkers)
 	for i := range agents {
@@ -136,116 +160,53 @@ func quantTrainRun(name string, scheme protocol.Compression) (params []float32, 
 		agents[i] = a
 	}
 	n := agents[0].GradLen()
-	per := protocol.FloatsPerPacket
-	segs := protocol.SegmentCountWith(n, per)
-	codec := compress.NewCodec(compress.Config{Scheme: scheme}, n, per)
+	swAddr := protocol.AddrFrom(10, 0, 0, 254, 7000)
+	q := &quantNet{}
+	q.sw = engine.New(swAddr, q)
+	for w := range q.clients {
+		self := protocol.AddrFrom(10, 0, 0, byte(1+w), 7000)
+		q.clients[w].Init(q, self, swAddr, protocol.DefaultJob, n, 0, scheme, engine.TagOff)
+		q.clients[w].Join()
+	}
 
 	grads := make([][]float32, quantAblWorkers)
 	for w := range grads {
 		grads[w] = make([]float32, n)
 	}
-	sum := make([]float32, n)
 	exact := make([]float64, n)
-	qsum := make([][]int32, segs)
-	var sel []int32
-	var keys []uint64
-	topk := int(compress.DefaultTopKFrac * float64(n))
-	if topk < 1 {
-		topk = 1
-	}
-
 	for r := 0; r < quantAblRounds; r++ {
-		for i := range exact {
-			exact[i] = 0
-		}
-		for i := range sum {
-			sum[i] = 0
-		}
-		upload = 0
+		clear(exact)
+		q.upload = [quantAblWorkers]uint64{}
 		for w, a := range agents {
 			a.ComputeGradient(grads[w])
 			for i, v := range grads[w] {
 				exact[i] += float64(v)
 			}
+			q.clients[w].Expect()
 		}
-		switch scheme {
-		case protocol.CompNone:
-			for w := range agents {
-				for i, v := range grads[w] {
-					sum[i] += v
-				}
-			}
-			for s := 0; s < segs; s++ {
-				lo, hi := protocol.SegmentRangeWith(n, uint64(s), per)
-				upload += uint64(quantHdr + 4*(hi-lo))
-			}
-		case protocol.CompFP16:
-			// Workers round through the wire precision; the switch sums
-			// float32 and rounds the emission once.
-			for w := range agents {
-				g := append([]float32(nil), grads[w]...)
-				kernels.F16RoundInPlace(g)
-				for i, v := range g {
-					sum[i] += v
-				}
-			}
-			kernels.F16RoundInPlace(sum)
-			for s := 0; s < segs; s++ {
-				lo, hi := protocol.SegmentRangeWith(n, uint64(s), per)
-				upload += uint64(quantHdr + 2*(hi-lo))
-			}
-		case protocol.CompInt32Block:
-			// All workers share one grid timeline, so one codec encodes
-			// for everybody; the switch-side saturating accumulation and
-			// emission narrowing run through the same kernels the
-			// accelerator uses.
-			for s := 0; s < segs; s++ {
-				lo, hi := protocol.SegmentRangeWith(n, uint64(s), per)
-				if qsum[s] == nil {
-					qsum[s] = make([]int32, hi-lo)
-				}
-				for i := range qsum[s] {
-					qsum[s][i] = 0
-				}
-				for w := range agents {
-					q := codec.EncodeQ(uint64(s), grads[w][lo:hi])
-					kernels.AddSatInt32(qsum[s], q)
-				}
-				upload += uint64(quantHdr + protocol.ShiftFieldLen + 2*(hi-lo))
-				shift := kernels.NarrowShift(kernels.MaxAbsI32(qsum[s]))
-				kernels.ShrI32(qsum[s], shift)
-				codec.DecodeQ(uint64(s), qsum[s], shift, sum[lo:hi])
-			}
-			codec.Advance()
-		case protocol.CompTopK:
-			counts := make([]int, segs)
-			for w := range agents {
-				sel, keys = kernels.TopKSelect(sel[:0], keys, grads[w], topk)
-				for _, gi := range sel {
-					sum[gi] += grads[w][gi]
-					if w == 0 {
-						counts[int(gi)/per]++
-					}
-				}
-			}
-			for s := 0; s < segs; s++ {
-				upload += uint64(quantHdr + protocol.CountFieldLen + protocol.SparseEntryLen*counts[s])
-			}
+		for w := range q.clients {
+			q.clients[w].Upload(grads[w], -1)
 		}
-		var errN, refN float64
-		for i := range exact {
-			d := float64(sum[i]) - exact[i]
-			errN += d * d
-			refN += exact[i] * exact[i]
-		}
-		relErr = math.Sqrt(errN) / (math.Sqrt(refN) + 1e-30)
-		for _, a := range agents {
+		for w, a := range agents {
+			if !q.clients[w].Complete() {
+				panic(fmt.Sprintf("quant: %s/%v round %d incomplete at worker %d", name, scheme, r, w))
+			}
+			sum := q.clients[w].Finish()
+			if w == 0 {
+				var errN, refN float64
+				for i := range exact {
+					d := float64(sum[i]) - exact[i]
+					errN += d * d
+					refN += exact[i] * exact[i]
+				}
+				relErr = math.Sqrt(errN) / (math.Sqrt(refN) + 1e-30)
+			}
 			a.ApplyAggregated(sum, quantAblWorkers)
 		}
 	}
 	params = make([]float32, n)
 	agents[0].ReadParams(params)
-	return params, relErr, upload
+	return params, relErr, q.upload[0]
 }
 
 // quantAblation measures every workload×scheme pair.

@@ -38,8 +38,9 @@ func TestRenderQuant(t *testing.T) {
 // the gradient (relative error strictly below 1.0 — the error of
 // sending nothing — with headroom). Bounds are generous multiples of
 // the observed values so the gate trips on regressions, not noise.
-// These are the rows the golden leaves out (they differ in the last
-// digit by kernel backend), read from the same run.
+// TestReportGolden pins these rows exactly on every kernel backend
+// with a recording; on the others these bounds are their only check.
+// Both read the same run.
 func TestQuantConvergenceGate(t *testing.T) {
 	bounds := map[string]struct{ maxErr, maxDrift float64 }{
 		protocol.CompFP16.String():       {5e-3, 1e-2},

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"iswitch/internal/core"
@@ -16,22 +17,52 @@ type SyncRow struct {
 	EndToEndH map[string]float64       // strategy -> derived hours
 }
 
-// syncRows runs the Table 4 simulations once; Table3, Table4 and
-// EXPERIMENTS.md reuse them. The workload × strategy grid is flattened
-// so every cell (an isolated kernel) can run on the worker pool.
-func syncRows() []SyncRow {
+// cellGrid runs every workload under every strategy, each cell an
+// isolated kernel on the worker pool, and returns the results as
+// grid[strategy][workload index].
+func cellGrid[T any](strats []string, run func(perfmodel.Workload, string) T) map[string][]T {
 	ws := perfmodel.Workloads()
-	strats := SyncStrategies()
-	perIter := parMap(len(ws)*len(strats), func(i int) time.Duration {
-		return simSync(ws[i/len(strats)], strats[i%len(strats)], 4, 0, 3).MeanIter()
+	flat := parMap(len(ws)*len(strats), func(i int) T {
+		return run(ws[i/len(strats)], strats[i%len(strats)])
 	})
+	grid := map[string][]T{}
+	for i, v := range flat {
+		s := strats[i%len(strats)]
+		grid[s] = append(grid[s], v)
+	}
+	return grid
+}
+
+// runSyncCells simulates the synchronous grid (4 workers, 3
+// iterations) afresh.
+func runSyncCells() map[string][]*core.RunStats {
+	return cellGrid(SyncStrategies(), func(w perfmodel.Workload, s string) *core.RunStats {
+		return simSync(w, s, 4, 0, 3)
+	})
+}
+
+// syncCells is the synchronous grid, run once per process: Figures 4
+// and 12 and Tables 3 and 4 all read it.
+var syncCells = sync.OnceValue(runSyncCells)
+
+// asyncCells is the asynchronous grid (4 workers, S=3), run once per
+// process: Tables 3 and 5 read it.
+var asyncCells = sync.OnceValue(func() map[string][]*core.AsyncStats {
+	return cellGrid([]string{StratPS, StratISW}, func(w perfmodel.Workload, s string) *core.AsyncStats {
+		return simAsync(w, s, 4, 0, 60, 3)
+	})
+})
+
+// syncRows derives Table 4's rows from the synchronous grid.
+func syncRows() []SyncRow {
+	cells := syncCells()
 	var rows []SyncRow
-	for wi, w := range ws {
+	for wi, w := range perfmodel.Workloads() {
 		row := SyncRow{Workload: w,
 			PerIter:   map[string]time.Duration{},
 			EndToEndH: map[string]float64{}}
-		for si, s := range strats {
-			mi := perIter[wi*len(strats)+si]
+		for _, s := range SyncStrategies() {
+			mi := cells[s][wi].MeanIter()
 			row.PerIter[s] = mi
 			row.EndToEndH[s] = hours(w.SyncIters, mi)
 		}
@@ -48,22 +79,17 @@ type AsyncRow struct {
 	Staleness map[string]float64
 }
 
-// asyncRows runs the Table 5 simulations (4 workers, S=3), one pooled
-// cell per workload × strategy.
+// asyncRows derives Table 5's rows from the asynchronous grid.
 func asyncRows() []AsyncRow {
-	ws := perfmodel.Workloads()
-	strats := []string{StratPS, StratISW}
-	cells := parMap(len(ws)*len(strats), func(i int) *core.AsyncStats {
-		return simAsync(ws[i/len(strats)], strats[i%len(strats)], 4, 0, 60, 3)
-	})
+	cells := asyncCells()
 	var rows []AsyncRow
-	for wi, w := range ws {
+	for wi, w := range perfmodel.Workloads() {
 		row := AsyncRow{Workload: w,
 			PerIter:   map[string]time.Duration{},
 			EndToEndH: map[string]float64{},
 			Staleness: map[string]float64{}}
-		for si, s := range strats {
-			stats := cells[wi*len(strats)+si]
+		for _, s := range []string{StratPS, StratISW} {
+			stats := cells[s][wi]
 			row.PerIter[s] = asyncPerIter(stats)
 			row.Staleness[s] = stats.MeanStaleness()
 			iters := w.AsyncItersPS
@@ -143,13 +169,13 @@ func Table5() Result {
 // over the PS baseline for each benchmark, sync and async.
 func Table3() Result {
 	var b strings.Builder
-	sync := syncRows()
-	async := asyncRows()
+	syncR := syncRows()
+	asyncR := asyncRows()
 	fmt.Fprintf(&b, "%-28s %-8s %-8s %-8s %-8s\n", "Speedup vs PS baseline", "DQN", "A2C", "PPO", "DDPG")
 
 	line := func(label string, f func(i int) float64, paper []float64) {
 		fmt.Fprintf(&b, "%-28s", label)
-		for i := range sync {
+		for i := range syncR {
 			fmt.Fprintf(&b, " %-8.2f", f(i))
 		}
 		b.WriteString("\n")
@@ -160,13 +186,13 @@ func Table3() Result {
 		b.WriteString("\n")
 	}
 	line("Sync  AR", func(i int) float64 {
-		return sync[i].EndToEndH[StratPS] / sync[i].EndToEndH[StratAR]
+		return syncR[i].EndToEndH[StratPS] / syncR[i].EndToEndH[StratAR]
 	}, []float64{1.97, 1.62, 0.91, 0.90})
 	line("Sync  iSW", func(i int) float64 {
-		return sync[i].EndToEndH[StratPS] / sync[i].EndToEndH[StratISW]
+		return syncR[i].EndToEndH[StratPS] / syncR[i].EndToEndH[StratISW]
 	}, []float64{3.66, 2.55, 1.72, 1.83})
 	line("Async iSW", func(i int) float64 {
-		return async[i].EndToEndH[StratPS] / async[i].EndToEndH[StratISW]
+		return asyncR[i].EndToEndH[StratPS] / asyncR[i].EndToEndH[StratISW]
 	}, []float64{3.71, 3.14, 1.92, 1.56})
 	return Result{ID: "table3", Title: "Summary of performance speedups in end-to-end training time", Text: b.String()}
 }
