@@ -61,17 +61,18 @@ func DefaultConfig() Config {
 func (c Config) AddersPerCycle() int { return c.BusWidthBits / 32 }
 
 // segState is one segment's accumulation buffer and counter. seen is
-// the optional contributor bitmap (hardware analog: one bit per member
-// port) that makes retransmissions idempotent. A segment accumulates in
-// exactly one of buf (float32 adders: raw, fp16, and sparse traffic) or
-// qbuf (the saturating int32 adders of the block-scaled quantized
-// path) — the job's compression scheme is fixed at Join, so the two
-// never mix within a job.
+// the optional contributor set (hardware analog: one bit per member
+// port) that makes retransmissions idempotent: a list, not a map, as a
+// segment's fan-in is a handful of children, reused with the pooled
+// record. A segment accumulates in exactly one of buf (float32 adders:
+// raw, fp16, and sparse traffic) or qbuf (the saturating int32 adders
+// of the block-scaled quantized path) — the job's compression scheme is
+// fixed at Join, so the two never mix within a job.
 type segState struct {
 	buf   []float32
 	qbuf  []int32
 	count uint32
-	seen  map[string]struct{}
+	seen  []string
 	next  *segState // the spare list's link, while banked bufferless
 }
 
@@ -162,7 +163,7 @@ func (a *Accelerator) getState() *segState {
 		st = a.spareState()
 	}
 	st.count = 0
-	clear(st.seen)
+	st.seen = st.seen[:0]
 	return st
 }
 
@@ -324,14 +325,21 @@ func (a *Accelerator) isDup(st *segState, contributor string) bool {
 	if !a.dedup || contributor == "" {
 		return false
 	}
-	if st.seen == nil {
-		st.seen = make(map[string]struct{})
-	}
-	if _, dup := st.seen[contributor]; dup {
+	if st.hasSeen(contributor) {
 		a.stats.DupDropped++
 		return true
 	}
-	st.seen[contributor] = struct{}{}
+	st.seen = append(st.seen, contributor)
+	return false
+}
+
+// hasSeen reports whether contributor is in the segment's set.
+func (st *segState) hasSeen(contributor string) bool {
+	for _, c := range st.seen {
+		if c == contributor {
+			return true
+		}
+	}
 	return false
 }
 
@@ -544,10 +552,7 @@ func (a *Accelerator) SeenBy(seg uint64) []string {
 	if st == nil {
 		return nil
 	}
-	out := make([]string, 0, len(st.seen))
-	for k := range st.seen {
-		out = append(out, k)
-	}
+	out := append(make([]string, 0, len(st.seen)), st.seen...)
 	sort.Strings(out)
 	return out
 }
@@ -556,11 +561,7 @@ func (a *Accelerator) SeenBy(seg uint64) []string {
 // (dedup mode).
 func (a *Accelerator) Seen(seg uint64, contributor string) bool {
 	st := a.segs[seg]
-	if st == nil {
-		return false
-	}
-	_, ok := st.seen[contributor]
-	return ok
+	return st != nil && st.hasSeen(contributor)
 }
 
 // CountOf reports a pending segment's contribution count.

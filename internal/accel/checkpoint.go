@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"iswitch/internal/protocol"
 )
 
 // SegSnapshot is one pending segment's accumulation state. Exactly one
@@ -50,10 +48,10 @@ func (a *Accelerator) Snapshot() *AccSnapshot {
 		} else {
 			ss.Buf = append([]float32(nil), st.buf...)
 		}
-		for c := range st.seen {
-			ss.Seen = append(ss.Seen, c)
+		if len(st.seen) > 0 {
+			ss.Seen = append([]string(nil), st.seen...)
+			sort.Strings(ss.Seen)
 		}
-		sort.Strings(ss.Seen)
 		s.Segs = append(s.Segs, ss)
 	}
 	return s
@@ -83,12 +81,7 @@ func (a *Accelerator) Restore(s *AccSnapshot) {
 			copy(st.buf, ss.Buf)
 		}
 		st.count = ss.Count
-		if len(ss.Seen) > 0 {
-			st.seen = make(map[string]struct{}, len(ss.Seen))
-			for _, c := range ss.Seen {
-				st.seen[c] = struct{}{}
-			}
-		}
+		st.seen = append(st.seen, ss.Seen...)
 		a.segs[ss.Seg] = st
 	}
 }
@@ -110,38 +103,36 @@ type ShadowSnapshot struct {
 
 // Snapshot deep-copies the store's slots.
 func (s *ShadowStore) Snapshot() *ShadowSnapshot {
-	idxs := make([]uint64, 0, len(s.slots))
-	for idx := range s.slots {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	snap := &ShadowSnapshot{}
-	for _, idx := range idxs {
-		sl := s.slots[idx]
-		ss := ShadowSlotSnapshot{Tagged: sl.tagged, Shift: sl.shift, Quant: sl.quant}
+	for _, sl := range s.slots {
+		if sl.pkt == nil {
+			continue
+		}
+		ss := ShadowSlotSnapshot{Tagged: sl.tagged, Shift: sl.pkt.Shift, Quant: sl.quant}
 		if sl.quant {
-			ss.QBuf = append([]int32(nil), sl.qbuf...)
+			ss.QBuf = append([]int32(nil), sl.pkt.QData...)
 		} else {
-			ss.Buf = append([]float32(nil), sl.buf...)
+			ss.Buf = append([]float32(nil), sl.pkt.Data...)
 		}
 		snap.Slots = append(snap.Slots, ss)
 	}
 	return snap
 }
 
-// Restore replaces the store's slots with a snapshot's. Stats are kept
-// (they count lifetime activity, not state).
+// Restore replaces the store's slots with a snapshot's, releasing the
+// frames it kept and copying the snapshot in (Put, PutQ). Stats are
+// kept (they count lifetime activity, not state).
 func (s *ShadowStore) Restore(snap *ShadowSnapshot) {
-	clear(s.slots)
+	stats := s.stats
+	s.Reset()
 	for _, ss := range snap.Slots {
-		sl := &shadowSlot{tagged: ss.Tagged, shift: ss.Shift, quant: ss.Quant}
 		if ss.Quant {
-			sl.qbuf = append([]int32(nil), ss.QBuf...)
+			s.PutQ(ss.Tagged, ss.QBuf, ss.Shift)
 		} else {
-			sl.buf = append([]float32(nil), ss.Buf...)
+			s.Put(ss.Tagged, ss.Buf)
 		}
-		s.slots[protocol.SegIndex(ss.Tagged)] = sl
 	}
+	s.stats = stats
 }
 
 // --- Binary encoding -----------------------------------------------------

@@ -70,7 +70,29 @@ func TestShadowStoreUntagged(t *testing.T) {
 	}
 }
 
-func TestShadowStorePutCopiesAndReusesStorage(t *testing.T) {
+// owner is a fake BufferOwner that records what comes back to it.
+type owner struct {
+	f32 [][]float32
+	i32 [][]int32
+}
+
+func (o *owner) Recycle(buf []float32) { o.f32 = append(o.f32, buf) }
+func (o *owner) RecycleQ(buf []int32)  { o.i32 = append(o.i32, buf) }
+
+// emission is a frame of tagged seg whose payload is on loan from o,
+// the way an engine's emission carries its accelerator's buffer.
+func emission(o *owner, tagged uint64, vals ...float32) *protocol.Packet {
+	p := protocol.GetPacket()
+	p.Seg = tagged
+	p.LendData(vals, o)
+	return p
+}
+
+// TestShadowStorePutCopiesAndOverwriteReleases: Put copies, so the
+// caller may reuse its slice; a kept frame is held by reference, and
+// an overwrite by the next round releases it, which returns the loan to
+// its owner.
+func TestShadowStorePutCopiesAndOverwriteReleases(t *testing.T) {
 	s := NewShadowStore()
 	src := []float32{1, 2, 3}
 	s.Put(protocol.TagSeg(1, 0), src)
@@ -79,14 +101,82 @@ func TestShadowStorePutCopiesAndReusesStorage(t *testing.T) {
 		t.Fatalf("Put aliased the caller's buffer: got[0] = %v", got[0])
 	}
 
-	// The slot's backing array must be recycled across rounds — the
-	// hardware analogue is a fixed double-buffered BRAM bank, so steady
-	// state allocates nothing.
-	first, _ := s.Get(protocol.TagSeg(1, 0))
-	s.Put(protocol.TagSeg(2, 0), []float32{4, 5, 6})
-	second, _ := s.Get(protocol.TagSeg(2, 0))
-	if &first[0] != &second[0] {
-		t.Fatal("round reuse reallocated the slot buffer; want in-place recycle")
+	o := &owner{}
+	buf := []float32{4, 5, 6}
+	em := emission(o, protocol.TagSeg(1, 1), buf...)
+	s.Keep(em.Share())
+	em.Release()
+	if got, ok := s.Get(protocol.TagSeg(1, 1)); !ok || &got[0] != &buf[0] {
+		t.Fatalf("kept frame: Get = %v, %v; want the emission's own buffer", got, ok)
+	}
+	if len(o.f32) != 0 {
+		t.Fatal("the loan came back while the slot keeps the frame")
+	}
+	s.Keep(emission(o, protocol.TagSeg(2, 1), 7, 8, 9))
+	if len(o.f32) != 1 || o.f32[0][0] != 4 {
+		t.Fatalf("overwrite returned %v to the owner; want the round-1 buffer", o.f32)
+	}
+	if st := s.Stats(); st.Puts != 3 || st.Overwrites != 1 {
+		t.Fatalf("stats = %+v; want 3 puts, 1 overwrite", st)
+	}
+	s.Reset()
+	if len(o.f32) != 2 {
+		t.Fatalf("Reset returned %d loans, want 2", len(o.f32))
+	}
+}
+
+// TestShadowServedFrameOutlivesOverwrite: a frame served for a Help is
+// one more share of the kept emission, so it stays intact after the
+// slot is overwritten and the slot's share is released, even with
+// released payloads poisoned.
+func TestShadowServedFrameOutlivesOverwrite(t *testing.T) {
+	protocol.PoisonOnRelease(true)
+	defer protocol.PoisonOnRelease(false)
+	s := NewShadowStore()
+	o := &owner{}
+	em := protocol.GetPacket()
+	em.Seg = protocol.TagSeg(1, 2)
+	em.LendQData([]int32{10, -20, 30}, o)
+	em.Shift = 3
+	s.Keep(em)
+	resp := s.Serve(protocol.TagSeg(1, 2), true)
+	if resp == nil {
+		t.Fatal("Serve missed the kept round")
+	}
+	if s.Serve(protocol.TagSeg(1, 2), false) != nil {
+		t.Fatal("a quantized slot served a float lookup")
+	}
+	s.Put(protocol.TagSeg(2, 2), []float32{1})
+	if len(o.i32) != 0 {
+		t.Fatal("the loan came back while a served share still holds it")
+	}
+	if resp.Shift != 3 || resp.QData[0] != 10 || resp.QData[1] != -20 || resp.QData[2] != 30 {
+		t.Fatalf("served frame after overwrite: %v<<%d; want [10 -20 30]<<3", resp.QData, resp.Shift)
+	}
+	resp.Release()
+	if len(o.i32) != 1 {
+		t.Fatalf("%d loans back after the last share, want 1", len(o.i32))
+	}
+}
+
+// TestShadowStoreCapsSlotArray: the slot array grows to the highest
+// index kept, up to maxShadowSlots; a frame past that is released at
+// once and never sizes the array, whatever 48-bit index it carries.
+func TestShadowStoreCapsSlotArray(t *testing.T) {
+	s := NewShadowStore()
+	o := &owner{}
+	for _, idx := range []uint64{1 << 47, protocol.SegIndexMask, maxShadowSlots} {
+		s.Keep(emission(o, protocol.TagSeg(1, idx), 1))
+	}
+	if s.Len() != 0 || len(s.slots) != 0 || len(o.f32) != 3 {
+		t.Fatalf("frames past the cap: %d kept, %d slots, %d released; want 0, 0, 3", s.Len(), len(s.slots), len(o.f32))
+	}
+	if _, ok := s.Get(protocol.TagSeg(1, 1<<47)); ok {
+		t.Fatal("Get hit past the cap")
+	}
+	s.Keep(emission(o, protocol.TagSeg(1, maxShadowSlots-1), 2))
+	if s.Len() != 1 || len(s.slots) != maxShadowSlots {
+		t.Fatalf("last slot: %d kept in %d slots; want 1 in %d", s.Len(), len(s.slots), maxShadowSlots)
 	}
 }
 

@@ -108,7 +108,7 @@ func (e *Engine) RestoreJob(cp *JobCheckpoint) error {
 	ctx.modelFloats = cp.ModelFloats
 	ctx.mem.members = append(ctx.mem.members[:0], cp.Members...)
 	for i, m := range cp.Members {
-		ctx.mem.byAddr[m.Addr] = i
+		ctx.mem.byAddr[m.Addr.Key()] = i
 	}
 	ctx.mem.nextID = cp.NextID
 	ctx.acc.Restore(cp.Acc)

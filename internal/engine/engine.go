@@ -87,6 +87,9 @@ type Engine struct {
 	// the accelerator's latency.
 	freeEm *emission
 
+	// relayScratch is relayToMissing's target list, kept between calls.
+	relayScratch []protocol.Addr
+
 	// horizon, when positive, arms lazy liveness detection: a worker
 	// whose contribution is blocking a segment and that has not been
 	// heard from within horizon is evicted (Leave + SetH adjustment)
@@ -123,8 +126,8 @@ type jobCtx struct {
 	mem   *Membership
 	autoH bool // H tracks member count until SetH overrides
 
-	// shadow holds each segment's most recently emitted aggregate
-	// (keyed by round tag when the job runs tagged recovery) so a lost
+	// shadow keeps each segment's most recently emitted frame (matched
+	// by round tag when the job runs tagged recovery) so a lost
 	// broadcast copy can be re-served directly to the requester of a
 	// Help while the next round is already accumulating in the primary
 	// slot — without this, a worker that loses the last broadcast of a
@@ -132,8 +135,9 @@ type jobCtx struct {
 	shadow *accel.ShadowStore
 
 	// lastSeen tracks when each member last transmitted anything, for
-	// the liveness horizon. Only maintained when the horizon is armed.
-	lastSeen map[protocol.Addr]time.Duration
+	// the liveness horizon, by Addr.Key. Only maintained when the horizon
+	// is armed.
+	lastSeen map[uint64]time.Duration
 
 	// helpUpSince counts Helps escalated to the parent with no parent
 	// broadcast observed in between — the signal that the upstream
@@ -255,10 +259,12 @@ func (e *Engine) EvictJob(job protocol.JobID) bool {
 	if job == protocol.DefaultJob {
 		return false
 	}
-	if e.jobs[job] == nil {
+	ctx := e.jobs[job]
+	if ctx == nil {
 		return false
 	}
 	delete(e.jobs, job)
+	ctx.shadow.Reset() // the kept frames go back to their pools
 	if e.pool != nil {
 		e.pool.Release(uint16(job))
 	}
@@ -505,37 +511,31 @@ func (e *Engine) help(ctx *jobCtx, dst protocol.Addr, seg uint64) *protocol.Pack
 // job's emission representation: quantized jobs re-serve the narrowed
 // (q, shift) pair bit-identically, fp16 jobs re-serve the rounded floats
 // tagged with their half-width encoding, everything else the raw
-// aggregate. The response owns a pooled copy: the shadow slot's storage
-// is reused on the next emission, possibly before delivery.
+// aggregate. The response is one more share of the kept emission: a
+// later emission into the slot releases the slot's share only, so the
+// payload stays intact until the requester releases the response.
 func (e *Engine) serveFromShadow(ctx *jobCtx, seg uint64, req protocol.Addr) bool {
-	if ctx.scheme == protocol.CompInt32Block {
-		q, shift, ok := ctx.shadow.GetQ(seg)
-		if !ok {
-			return false
-		}
-		e.HelpServed++
-		resp := e.dataHeader(ctx, req, seg)
-		resp.Enc, resp.Shift = protocol.CompInt32Block, shift
-		resp.SetQDataCopy(q)
-		e.drv.Forward(resp)
-		return true
-	}
-	sum, ok := ctx.shadow.Get(seg)
-	if !ok {
+	quant := ctx.scheme == protocol.CompInt32Block
+	resp := ctx.shadow.Serve(seg, quant)
+	if resp == nil {
 		return false
 	}
 	e.HelpServed++
-	resp := e.dataHeader(ctx, req, seg)
-	if ctx.scheme == protocol.CompFP16 {
-		resp.Enc = protocol.CompFP16
+	resp.Src, resp.Dst, resp.ToS, resp.Job, resp.Seg = e.addr, req, protocol.ToSData, ctx.job, seg
+	switch {
+	case quant:
+		resp.Enc = protocol.CompInt32Block
+	case ctx.scheme == protocol.CompFP16:
+		resp.Enc, resp.Shift = protocol.CompFP16, 0
+	default:
+		resp.Enc, resp.Shift = protocol.CompNone, 0
 	}
-	resp.SetDataCopy(sum)
 	e.drv.Forward(resp)
 	return true
 }
 
-// dataHeader returns a pooled header for a data frame of this switch's
-// own: an emission or a shadow re-serve.
+// dataHeader returns a pooled header for an emission of this switch's
+// own.
 func (e *Engine) dataHeader(ctx *jobCtx, dst protocol.Addr, seg uint64) *protocol.Packet {
 	p := protocol.GetPacket()
 	p.Src, p.Dst, p.ToS, p.Job, p.Seg = e.addr, dst, protocol.ToSData, ctx.job, seg
@@ -550,45 +550,53 @@ func (e *Engine) dataHeader(ctx *jobCtx, dst protocol.Addr, seg uint64) *protoco
 // complete segments, they are emitted immediately.
 func (e *Engine) relayToMissing(ctx *jobCtx, seg uint64) {
 	now := e.drv.Now()
-	var targets []protocol.Addr
-	evicted := false
+	// The targets go in the engine's scratch slice, taken for the call:
+	// a driver may re-enter Handle from Forward (the in-memory ablation
+	// driver does), and that nested call starts a scratch of its own.
+	targets := e.relayScratch[:0]
+	e.relayScratch = nil
+	var stale []protocol.Addr
 	for _, m := range ctx.mem.Members() {
 		if ctx.acc.Seen(seg, m.Key) {
 			continue
 		}
 		if e.horizon > 0 {
-			if last, ok := ctx.lastSeen[m.Addr]; ok && now-last > e.horizon {
-				ctx.mem.Leave(m.Addr)
-				delete(ctx.lastSeen, m.Addr)
-				e.Evicted++
-				evicted = true
+			if last, ok := ctx.lastSeen[m.Addr.Key()]; ok && now-last > e.horizon {
+				stale = append(stale, m.Addr)
 				continue
 			}
 		}
 		targets = append(targets, m.Addr)
 	}
-	if evicted {
+	// Evict only after the scan: Leave compacts the slice Members returns.
+	for _, a := range stale {
+		ctx.mem.Leave(a)
+		delete(ctx.lastSeen, a.Key())
+		e.Evicted++
+	}
+	if len(stale) > 0 {
 		e.refreshAutoH(ctx)
 		e.emitDrained(ctx)
 	}
-	if ctx.acc.CountOf(seg) == 0 {
-		return // eviction completed and emitted the segment
+	// Unless eviction completed and emitted the segment, chase the rest.
+	if ctx.acc.CountOf(seg) != 0 {
+		e.HelpTargeted++
+		for _, t := range targets {
+			e.drv.Forward(e.help(ctx, t, seg))
+		}
+		if e.hasParent {
+			// Chasing missing members can outlast the parent's liveness
+			// horizon (this switch is waiting out its own horizon before
+			// evicting a dead contributor, and emits nothing upward in the
+			// meantime). Refresh liveness with an Ack so an alive-but-stalled
+			// switch is not itself evicted while it resolves the round; a
+			// truly dead subtree sends nothing and ages out as intended.
+			up := protocol.NewControl(e.addr, e.parent, protocol.ActionAck, protocol.AckOK)
+			up.Job = ctx.job
+			e.drv.SendUp(up)
+		}
 	}
-	e.HelpTargeted++
-	for _, t := range targets {
-		e.drv.Forward(e.help(ctx, t, seg))
-	}
-	if e.hasParent {
-		// Chasing missing members can outlast the parent's liveness
-		// horizon (this switch is waiting out its own horizon before
-		// evicting a dead contributor, and emits nothing upward in the
-		// meantime). Refresh liveness with an Ack so an alive-but-stalled
-		// switch is not itself evicted while it resolves the round; a
-		// truly dead subtree sends nothing and ages out as intended.
-		up := protocol.NewControl(e.addr, e.parent, protocol.ActionAck, protocol.AckOK)
-		up.Job = ctx.job
-		e.drv.SendUp(up)
-	}
+	e.relayScratch = targets[:0]
 }
 
 // helpUpSuppressAfter is how many consecutive unanswered parent
@@ -616,9 +624,9 @@ func (e *Engine) touch(ctx *jobCtx, src protocol.Addr) {
 		return
 	}
 	if ctx.lastSeen == nil {
-		ctx.lastSeen = make(map[protocol.Addr]time.Duration)
+		ctx.lastSeen = make(map[uint64]time.Duration)
 	}
-	ctx.lastSeen[src] = e.drv.Now()
+	ctx.lastSeen[src.Key()] = e.drv.Now()
 }
 
 // emitDrained emits every segment whose counter satisfies the (possibly
@@ -864,15 +872,11 @@ func encOK(scheme protocol.Compression, pkt *protocol.Packet) bool {
 // egress link serializes independently, exactly as port-replication
 // hardware behaves. Every frame is a share of pkt's one payload, at the
 // root and at every lower level alike; the caller releases pkt. The
-// emitted aggregate is copied into the segment's shadow slot on the way
-// out, ready to re-serve lost copies.
+// segment's shadow slot keeps one more share, ready to re-serve lost
+// copies, so the switches of a tree all hold the root's one buffer.
 func (e *Engine) broadcast(ctx *jobCtx, pkt *protocol.Packet) {
 	e.Broadcasts++
-	if pkt.QData != nil {
-		ctx.shadow.PutQ(pkt.Seg, pkt.QData, pkt.Shift)
-	} else {
-		ctx.shadow.Put(pkt.Seg, pkt.Data)
-	}
+	ctx.shadow.Keep(pkt.Share())
 	for _, m := range ctx.mem.Members() {
 		cp := pkt.Share()
 		cp.Src = e.addr

@@ -63,6 +63,9 @@ func FuzzEngineHandle(f *testing.F) {
 	f.Add(cat(join(0), ctl(0, protocol.ActionSetH, protocol.SetHValue(3)), seg(0, 5, 1), seg(2, 5, 1, 2, 3), ctl(2, protocol.ActionFBcast, nil), ctl(0, protocol.ActionReset, nil)))
 	f.Add(cat(ctl(3, protocol.ActionJoin, protocol.JoinValueScheme(8, protocol.CompTopK)), seg(3, 0), ctl(3, protocol.ActionHalt, nil), ctl(3, protocol.Action(200), []byte{1, 2, 3})))
 	f.Add(cat(ctl(0, protocol.ActionJoin, protocol.JoinValueScheme(8, protocol.CompInt32Block)), seg(0, 0, 1), ctl(0, protocol.ActionHelp, []byte{9}), []byte{2, 0, 0x99, 1, 2}))
+	// H = 1 completes a segment at index 2^47: its emission must not size
+	// the shadow's slot array (TestShadowBoundedPastCap).
+	f.Add(cat(join(0), seg(0, farSeg, 1, 2), ctl(0, protocol.ActionHelp, protocol.HelpValue(farSeg))))
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		self := protocol.AddrFrom(10, 0, 0, 1, 9990)

@@ -44,19 +44,19 @@ type Member struct {
 // join order, keeping simulations deterministic.
 type Membership struct {
 	members []Member
-	byAddr  map[protocol.Addr]int // addr -> index in members
+	byAddr  map[uint64]int // Addr.Key -> index in members
 	nextID  int
 }
 
 // NewMembership returns an empty table.
 func NewMembership() *Membership {
-	return &Membership{byAddr: make(map[protocol.Addr]int)}
+	return &Membership{byAddr: make(map[uint64]int)}
 }
 
 // Join adds (or refreshes) an entry and returns its ID. Joining twice
 // from the same address updates the row instead of duplicating it.
 func (m *Membership) Join(addr protocol.Addr, typ MemberType, parent int, modelFloats uint64) int {
-	if i, ok := m.byAddr[addr]; ok {
+	if i, ok := m.byAddr[addr.Key()]; ok {
 		m.members[i].Type = typ
 		m.members[i].Parent = parent
 		m.members[i].ModelFloats = modelFloats
@@ -64,7 +64,7 @@ func (m *Membership) Join(addr protocol.Addr, typ MemberType, parent int, modelF
 	}
 	id := m.nextID
 	m.nextID++
-	m.byAddr[addr] = len(m.members)
+	m.byAddr[addr.Key()] = len(m.members)
 	m.members = append(m.members, Member{
 		ID: id, Addr: addr, Type: typ, Parent: parent, ModelFloats: modelFloats,
 		Key: addr.String(),
@@ -75,7 +75,7 @@ func (m *Membership) Join(addr protocol.Addr, typ MemberType, parent int, modelF
 // KeyOf returns the dedup key for a contribution from addr: the
 // member's Key, or a fresh rendering for an address that never joined.
 func (m *Membership) KeyOf(addr protocol.Addr) string {
-	if i, ok := m.byAddr[addr]; ok {
+	if i, ok := m.byAddr[addr.Key()]; ok {
 		return m.members[i].Key
 	}
 	return addr.String()
@@ -83,21 +83,21 @@ func (m *Membership) KeyOf(addr protocol.Addr) string {
 
 // Leave removes the entry for addr. It reports whether one existed.
 func (m *Membership) Leave(addr protocol.Addr) bool {
-	i, ok := m.byAddr[addr]
+	i, ok := m.byAddr[addr.Key()]
 	if !ok {
 		return false
 	}
-	delete(m.byAddr, addr)
+	delete(m.byAddr, addr.Key())
 	m.members = append(m.members[:i], m.members[i+1:]...)
 	for j := i; j < len(m.members); j++ {
-		m.byAddr[m.members[j].Addr] = j
+		m.byAddr[m.members[j].Addr.Key()] = j
 	}
 	return true
 }
 
 // Lookup returns the entry for addr.
 func (m *Membership) Lookup(addr protocol.Addr) (Member, bool) {
-	i, ok := m.byAddr[addr]
+	i, ok := m.byAddr[addr.Key()]
 	if !ok {
 		return Member{}, false
 	}

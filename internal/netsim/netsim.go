@@ -311,8 +311,8 @@ type Switch struct {
 	proc  time.Duration      // per-packet pipeline (lookup + crossbar) delay
 	pipe  *sim.FIFO[ingress] // frames inside the pipeline; made on first use
 	ports []*Port
-	route map[protocol.Addr]*Port
-	def   *Port // default route (uplink) when no table entry matches
+	route map[uint64]*Port // by Addr.Key
+	def   *Port            // default route (uplink) when no table entry matches
 	tap   func(pkt *protocol.Packet, in *Port) bool
 
 	Forwarded uint64
@@ -322,7 +322,7 @@ type Switch struct {
 // NewSwitch creates a switch. procDelay models the lookup/forwarding
 // pipeline per packet (a production ToR cuts through in ~1µs).
 func NewSwitch(k *sim.Kernel, name string, procDelay time.Duration) *Switch {
-	return &Switch{k: k, name: name, proc: procDelay, route: make(map[protocol.Addr]*Port)}
+	return &Switch{k: k, name: name, proc: procDelay, route: make(map[uint64]*Port)}
 }
 
 // Name returns the switch name.
@@ -344,7 +344,7 @@ func (s *Switch) Ports() []*Port { return s.ports }
 // AddRoute installs a forwarding-table entry: frames for addr exit via
 // port. Route entries for whole hosts use their full Addr; lookup falls
 // back to IP-only matching so replies to any port of a host route too.
-func (s *Switch) AddRoute(addr protocol.Addr, port *Port) { s.route[addr] = port }
+func (s *Switch) AddRoute(addr protocol.Addr, port *Port) { s.route[addr.Key()] = port }
 
 // SetDefault installs the default (uplink) route used when no table
 // entry matches.
@@ -353,10 +353,11 @@ func (s *Switch) SetDefault(p *Port) { s.def = p }
 // RouteFor resolves the egress port for a destination, trying the exact
 // address, then an IP-wildcard (port 0) entry, then the default route.
 func (s *Switch) RouteFor(dst protocol.Addr) (*Port, bool) {
-	if p, ok := s.route[dst]; ok {
+	key := dst.Key()
+	if p, ok := s.route[key]; ok {
 		return p, true
 	}
-	if p, ok := s.route[protocol.Addr{IP: dst.IP}]; ok {
+	if p, ok := s.route[key&^0xFFFF]; ok { // the IP with port 0
 		return p, true
 	}
 	if s.def != nil {

@@ -31,7 +31,11 @@ import (
 //	                                                                  a lower switch after its fan-out
 //	up-forward       the emission      the child's loan travels up    the parent after Ingest*From:
 //	                                                                  the buffer returns to the child
-//	shadow re-serve  GetPacket         pooled copy of the slot        the requesting worker
+//	shadow slot      Share             one more reference to the      the switch's ShadowStore, when
+//	                                   broadcast's record, kept past  the next round overwrites the
+//	                                   the engine call                slot (or on Reset)
+//	shadow re-serve  Share             one more reference to the      the requesting worker
+//	                                   kept emission's record
 //	control          NewControl/       value ≤ InlineValueLen bytes   the engine's Handle after
 //	                 NewHelp           inline in the header           handleControl; the worker's
 //	                                                                  receive loop
@@ -86,10 +90,13 @@ type payload struct {
 	// integer: a shared payload never crosses kernels or goroutines.
 	// Every share of an emission is made, delivered and released inside
 	// the one simulation kernel the emitting switch belongs to, whose
-	// processes run one at a time; the UDP switch writes and releases
-	// each share under its mutex before the engine call returns. A
-	// decoded datagram is never shared before the goroutine that read it
-	// releases it.
+	// processes run one at a time. The share a switch's shadow slot
+	// keeps outlives the engine call that made it, but only that
+	// switch's engine touches it again (to serve a Help, or to release
+	// it on overwrite), and the UDP switch enters its engine only under
+	// its mutex, where it also writes and releases each share it
+	// forwards. A decoded datagram is never shared before the goroutine
+	// that read it releases it.
 	refs int32
 
 	// Buffers owned by the record (owner == nil), kept across release

@@ -191,3 +191,71 @@ func TestStarDataPlaneAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestShadowHelpAllocFree pins the re-serve path beside the data plane:
+// every worker loses every broadcast of a round and sends a Help per
+// segment, and the switch answers each from its shadow slot with one
+// more share of the kept emission. After the first such round, a round
+// of Helps and answers allocates nothing, on the float and the integer
+// datapaths.
+func TestShadowHelpAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	const workers, segs = 4, 64
+	for _, scheme := range []protocol.Compression{protocol.CompNone, protocol.CompInt32Block} {
+		k := sim.NewKernel()
+		c := BuildStar(k, workers, testLink())
+		c.IS.SetDedup(true)
+		c.IS.SetCompression(protocol.DefaultJob, scheme, segs*protocol.FloatsPerPacket)
+		for _, h := range c.Workers {
+			h.Send(protocol.NewControl(h.Addr, c.IS.Addr(), protocol.ActionJoin,
+				protocol.JoinValueScheme(segs*protocol.FloatsPerPacket, scheme)))
+		}
+		k.Run()
+		payload := make([]float32, protocol.FloatsPerPacket)
+		qpayload := make([]int32, protocol.FloatsPerPacket)
+		for s := uint64(0); s < segs; s++ {
+			for _, h := range c.Workers {
+				if scheme == protocol.CompInt32Block {
+					h.Send(protocol.NewQData(h.Addr, c.IS.Addr(), s, qpayload, 0))
+				} else {
+					h.Send(protocol.NewData(h.Addr, c.IS.Addr(), s, payload))
+				}
+			}
+		}
+		k.Run()
+		drain := func(want int) {
+			for _, h := range c.Workers {
+				for n := 0; ; n++ {
+					pkt, ok := h.RX.TryRecv()
+					if !ok {
+						if n != want {
+							t.Fatalf("%v: worker got %d of %d frames", scheme, n, want)
+						}
+						break
+					}
+					pkt.Release()
+				}
+			}
+		}
+		drain(segs + 1) // the Join ack and the round's broadcasts
+		helps := func() {
+			for s := uint64(0); s < segs; s++ {
+				for _, h := range c.Workers {
+					h.Send(protocol.NewHelp(h.Addr, c.IS.Addr(), s))
+				}
+			}
+			k.Run()
+			drain(segs)
+		}
+		helps()
+		served := c.IS.HelpServed
+		if allocs := testing.AllocsPerRun(10, helps); allocs != 0 {
+			t.Fatalf("%v: re-serving %d Helps allocated %.1f times, want 0", scheme, workers*segs, allocs)
+		}
+		if got := c.IS.HelpServed - served; got != 11*workers*segs {
+			t.Fatalf("%v: %d Helps served from the shadow, want %d", scheme, got, 11*workers*segs)
+		}
+	}
+}

@@ -134,3 +134,29 @@ func BenchmarkKernelAdam(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkMaxAbsI32 is the integer max-abs scan on one wire packet's
+// worth of narrowed sums (366 elements), per backend: it runs on every
+// int32block emission and decode.
+func BenchmarkMaxAbsI32(b *testing.B) {
+	orig := Backend()
+	defer SetBackend(orig)
+	rng := rand.New(rand.NewSource(7))
+	v := make([]int32, 366)
+	for i := range v {
+		v[i] = int32(rng.Intn(1<<16)) - 1<<15
+	}
+	for _, backend := range Backends() {
+		b.Run(backend, func(b *testing.B) {
+			if err := SetBackend(backend); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkI32 = MaxAbsI32(v)
+			}
+		})
+	}
+}
+
+var sinkI32 int32

@@ -58,6 +58,7 @@ func archInit() *funcs {
 		quantize:    quantizeAVX2,
 		dequantize:  dequantizeAVX2,
 		addSatI32:   addSatI32AVX2,
+		maxAbsI32:   maxAbsI32AVX2,
 	}
 	if fma {
 		f.dot = dotAVX2

@@ -22,5 +22,6 @@ func archInit() *funcs {
 		fill:       fillNEON,
 		dot:        dotNEON,
 		maxAbsBits: maxAbsBitsNEON,
+		maxAbsI32:  maxAbsI32NEON,
 	}
 }

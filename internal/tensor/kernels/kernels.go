@@ -71,6 +71,9 @@ type funcs struct {
 	quantize   func(dst []int32, src []float32, scale float32)
 	dequantize func(dst []float32, src []int32, scale float32)
 	addSatI32  func(dst, src []int32)
+	// maxAbsI32 is the unsigned max of |v[i]| (|MinInt32| is 1<<31):
+	// an order-free integer reduction, exact on every backend.
+	maxAbsI32 func(v []int32) uint32
 
 	// Half-precision wire conversion (f16.go): bit-identical to scalar.
 	f16Pack   func(dst []byte, src []float32)
@@ -93,6 +96,7 @@ var scalarFuncs = funcs{
 	quantize:    quantizeScalar,
 	dequantize:  dequantizeScalar,
 	addSatI32:   addSatI32Scalar,
+	maxAbsI32:   maxAbsI32Scalar,
 	f16Pack:     f16PackScalar,
 	f16Unpack:   f16UnpackScalar,
 	f16Round:    f16RoundScalar,
@@ -161,6 +165,9 @@ func backfill(f *funcs) {
 	}
 	if f.addSatI32 == nil {
 		f.addSatI32 = addSatI32Scalar
+	}
+	if f.maxAbsI32 == nil {
+		f.maxAbsI32 = maxAbsI32Scalar
 	}
 	if f.f16Pack == nil {
 		f.f16Pack = f16PackScalar

@@ -8,10 +8,11 @@ import (
 
 // Quantized-aggregation kernel surface: block max-abs scan, float↔int32
 // scale conversion, saturating integer accumulation, top-k magnitude
-// selection and sparse scatter-add. The first four dispatch through the
-// backend table (AVX2 on amd64; max-abs also has a NEON form — the Go
-// arm64 assembler exposes no vector float convert or saturating add, so
-// the rest backfill to scalar there, like the optimizer kernels). All
+// selection and sparse scatter-add. The first four and the integer
+// max-abs dispatch through the backend table (AVX2 on amd64; both
+// max-abs scans also have a NEON form — the Go arm64 assembler exposes
+// no vector float convert or saturating add, so the rest backfill to
+// scalar there, like the optimizer kernels). All
 // dispatched entries are bit-identical across backends; see
 // scalar_quant.go for why that holds exactly rather than approximately.
 
@@ -56,22 +57,12 @@ func AddSatInt32(dst, src []int32) {
 }
 
 // MaxAbsI32 returns max(|v[i]|), saturating |math.MinInt32| to
-// math.MaxInt32. Scalar on every backend (it runs once per emitted
-// segment, off the element hot path).
+// math.MaxInt32. It runs on every int32block emission (the narrowing
+// shift) and every decode (the next exponent), so it dispatches through
+// the backend table (AVX2, NEON); the backends compute the unsigned
+// magnitude and the saturation happens here, once.
 func MaxAbsI32(v []int32) int32 {
-	var m int32
-	for _, x := range v {
-		if x == math.MinInt32 {
-			return math.MaxInt32
-		}
-		if x < 0 {
-			x = -x
-		}
-		if x > m {
-			m = x
-		}
-	}
-	return m
+	return int32(min(active.maxAbsI32(v), math.MaxInt32))
 }
 
 // ShlI32 shifts every element left in place (exact re-widening of a

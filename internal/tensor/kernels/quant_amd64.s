@@ -127,3 +127,40 @@ addsat8:
 
 	VZEROUPPER
 	RET
+
+// func maxAbsI32Blocks8(v *int32, n int, part *[8]uint32)
+//
+// part[j] = unsigned max over the j-th lane of |v[i]|. VPABSD leaves
+// MinInt32 as 0x80000000, which is exactly its magnitude read unsigned,
+// so VPMAXUD orders every lane correctly (MaxAbsI32 saturates it to
+// MaxInt32). Two accumulators, 16 lanes a step, while at least 16
+// remain.
+TEXT ·maxAbsI32Blocks8(SB), NOSPLIT, $0-24
+	MOVQ v+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVQ part+16(FP), DI
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+
+maxabsi16:
+	CMPQ CX, $16
+	JLT  maxabsi8
+	VPABSD  (SI), Y2
+	VPABSD  32(SI), Y3
+	VPMAXUD Y2, Y0, Y0
+	VPMAXUD Y3, Y1, Y1
+	ADDQ $64, SI
+	SUBQ $16, CX
+	JMP  maxabsi16
+
+maxabsi8:
+	TESTQ CX, CX
+	JZ    maxabsidone
+	VPABSD  (SI), Y2
+	VPMAXUD Y2, Y0, Y0
+
+maxabsidone:
+	VPMAXUD Y1, Y0, Y0
+	VMOVDQU Y0, (DI)
+	VZEROUPPER
+	RET

@@ -132,6 +132,27 @@ func TestParityAddSatInt32(t *testing.T) {
 	}
 }
 
+// TestMaxAbsI32Semantics pins the contract on the active backend:
+// |MinInt32| saturates to MaxInt32 wherever it sits, including the
+// SIMD body and the scalar tail.
+func TestMaxAbsI32Semantics(t *testing.T) {
+	for _, tc := range []struct {
+		v    []int32
+		want int32
+	}{
+		{nil, 0},
+		{[]int32{-7}, 7},
+		{[]int32{3, -9, 4, 0, 1, 2, 8, -1, 5}, 9},
+		{[]int32{1, 2, 3, 4, 5, 6, 7, math.MinInt32}, math.MaxInt32},
+		{[]int32{1, 2, 3, 4, 5, 6, 7, 8, math.MinInt32}, math.MaxInt32},
+		{[]int32{-math.MaxInt32, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, math.MaxInt32},
+	} {
+		if got := MaxAbsI32(tc.v); got != tc.want {
+			t.Fatalf("MaxAbsI32(%v) = %d on %s, want %d", tc.v, got, Backend(), tc.want)
+		}
+	}
+}
+
 // TestQuantizeSemantics pins the saturation and special-value contract
 // against hand-computed expectations on the scalar oracle (the parity
 // tests above then extend it to every backend).
@@ -288,8 +309,8 @@ func TestScatterAddAndShifts(t *testing.T) {
 
 // FuzzQuantParity is the CI fuzz entry for the pack/quantize kernels:
 // every backend must agree with the scalar oracle bit-for-bit on the
-// quantize→saturating-add→dequantize pipeline and on the fp16 wire
-// round trip.
+// quantize→saturating-add→dequantize pipeline, both max-abs scans and
+// the fp16 wire round trip.
 func FuzzQuantParity(f *testing.F) {
 	f.Add(int64(1), 17, float32(256))
 	f.Add(int64(2), 4096, float32(1e-3))
@@ -318,6 +339,7 @@ func FuzzQuantParity(f *testing.F) {
 		wantD := make([]float32, n)
 		Dequantize(wantD, wantAcc, 0.25)
 		wantMax := MaxAbs(src)
+		wantMaxI32 := MaxAbsI32(acc0)
 		wantWire := F16AppendPack(nil, src)
 		wantF16 := make([]float32, n)
 		F16UnpackInto(wantF16, wantWire)
@@ -337,6 +359,9 @@ func FuzzQuantParity(f *testing.F) {
 			requireBitIdentical(t, "Dequantize", backend, n, gotD, wantD)
 			if got := MaxAbs(src); math.Float32bits(got) != math.Float32bits(wantMax) {
 				t.Fatalf("MaxAbs backend=%s: %x vs %x", backend, math.Float32bits(got), math.Float32bits(wantMax))
+			}
+			if got := MaxAbsI32(acc0); got != wantMaxI32 {
+				t.Fatalf("MaxAbsI32 backend=%s: %d vs %d", backend, got, wantMaxI32)
 			}
 			gotWire := F16AppendPack(nil, src)
 			if len(gotWire) != len(wantWire) {

@@ -4,8 +4,8 @@ import "math"
 
 // Scalar oracles for the quantized-aggregation kernels. Unlike the
 // float kernels in scalar.go, whose contract is "same IEEE ops in the
-// same order", these four are *exact* on every backend: maxAbsBits and
-// addSatI32 are pure integer functions, and quantize/dequantize pin the
+// same order", these are *exact* on every backend: maxAbsBits, maxAbsI32
+// and addSatI32 are pure integer functions, and quantize/dequantize pin the
 // hardware conversion semantics (CVTPS2DQ / CVTDQ2PS round to nearest
 // even) that the scalar expressions below reproduce. parity_quant_test.go
 // enforces bit-identity across backends over fuzzed adversarial inputs.
@@ -90,6 +90,21 @@ func addSatI32Elem(a, b int32) int32 {
 		return math.MaxInt32
 	}
 	return r
+}
+
+// maxAbsI32Scalar is the integer max-abs oracle: the magnitude of each
+// element as an unsigned value, so |MinInt32| is 1<<31 rather than
+// overflowing (MaxAbsI32 saturates it), reduced with an unsigned max.
+func maxAbsI32Scalar(v []int32) uint32 {
+	var m uint32
+	for _, x := range v {
+		a := uint32(x)
+		if x < 0 {
+			a = -a
+		}
+		m = max(m, a)
+	}
+	return m
 }
 
 func addSatI32Scalar(dst, src []int32) {
