@@ -89,12 +89,9 @@ type Codec struct {
 
 	// exp is the current per-segment grid exponent; nextExp accumulates
 	// the exponents derived while decoding the in-flight round and is
-	// applied by Advance. prevExp retains the exponents the previous
-	// round encoded under, so a Help-triggered retransmission for a
-	// round the switch is still accumulating re-encodes bit-identically.
+	// applied by Advance.
 	exp     []int16
 	nextExp []int16
-	prevExp []int16
 
 	qOut []int32 // EncodeQ scratch, reused per call
 
@@ -119,11 +116,9 @@ func NewCodec(cfg Config, n, perPacket int) *Codec {
 	if cfg.Scheme == protocol.CompInt32Block {
 		c.exp = make([]int16, segs)
 		c.nextExp = make([]int16, segs)
-		c.prevExp = make([]int16, segs)
 		for i := range c.exp {
 			c.exp[i] = int16(cfg.InitExp)
 			c.nextExp[i] = int16(cfg.InitExp)
-			c.prevExp[i] = int16(cfg.InitExp)
 		}
 		c.qOut = make([]int32, perPacket)
 	}
@@ -146,24 +141,20 @@ func (c *Codec) Exp(seg uint64) int { return int(c.exp[seg]) }
 // expCeil+32], comfortably inside float32's exponent range.
 func scaleFor(e int) float32 { return float32(math.Ldexp(1, e)) }
 
-// EncodeQ quantizes one segment's values onto its current grid:
-// q[i] = rne(vals[i]·2^-e), saturating at ±QuantMax. The returned slice
-// is codec-owned scratch, valid until the next EncodeQ call — copy it
-// into the packet (SetQDataCopy). Re-encoding the same values within a
-// round (retransmission) yields identical bits: the exponent only moves
-// at Advance.
-func (c *Codec) EncodeQ(seg uint64, vals []float32) []int32 {
-	dst := c.qOut[:len(vals)]
+// EncodeQInto quantizes one segment's values onto its current grid
+// into dst, which has len(vals) elements: dst[i] = rne(vals[i]·2^-e),
+// saturating at ±QuantMax. Encoding the same values within a round
+// yields identical bits: the exponent only moves at Advance. A worker
+// encodes each round once, into the buffer its data frames share.
+func (c *Codec) EncodeQInto(dst []int32, seg uint64, vals []float32) {
 	kernels.Quantize(dst, vals, scaleFor(-int(c.exp[seg])))
-	return dst
 }
 
-// EncodeQPrev is EncodeQ on the previous round's grid — what a
-// retransmission for a round the switch is still accumulating must use,
-// or the resent contribution would land on the wrong scale.
-func (c *Codec) EncodeQPrev(seg uint64, vals []float32) []int32 {
+// EncodeQ is EncodeQInto into codec-owned scratch, which it returns; the
+// slice is valid until the next EncodeQ call.
+func (c *Codec) EncodeQ(seg uint64, vals []float32) []int32 {
 	dst := c.qOut[:len(vals)]
-	kernels.Quantize(dst, vals, scaleFor(-int(c.prevExp[seg])))
+	c.EncodeQInto(dst, seg, vals)
 	return dst
 }
 
@@ -207,10 +198,7 @@ func clampExp(e int) int {
 // Advance commits the exponents derived during the just-completed round
 // so the next round encodes on the adapted grid. Call exactly once per
 // fully decoded round, on every worker.
-func (c *Codec) Advance() {
-	copy(c.prevExp, c.exp)
-	copy(c.exp, c.nextExp)
-}
+func (c *Codec) Advance() { copy(c.exp, c.nextExp) }
 
 // SelectTopK computes the round's sparse selection: the k globally
 // largest-magnitude elements of grad (k = TopKFrac·len, at least 1),

@@ -144,43 +144,6 @@ func TestDecodeIdempotent(t *testing.T) {
 	}
 }
 
-// TestEncodeQPrevIdentity: after Advance, EncodeQPrev reproduces the
-// bits the previous round's EncodeQ emitted — the property Help-driven
-// retransmissions for a still-accumulating round rely on.
-func TestEncodeQPrevIdentity(t *testing.T) {
-	const n, per = 32, 32
-	c := qCodec(n, per)
-	vals := make([]float32, n)
-	for i := range vals {
-		vals[i] = float32(i%11-5) * 3e-3
-	}
-	old := append([]int32(nil), c.EncodeQ(0, vals)...)
-
-	// Complete the round with a decode whose shift moves the exponent,
-	// then advance to the new grid.
-	dst := make([]float32, n)
-	c.DecodeQ(0, old, 8, dst)
-	c.Advance()
-
-	cur := c.EncodeQ(0, vals)
-	moved := false
-	for i := range cur {
-		if cur[i] != old[i] {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		t.Fatal("exponent did not move; identity check would be vacuous")
-	}
-	prev := c.EncodeQPrev(0, vals)
-	for i := range prev {
-		if prev[i] != old[i] {
-			t.Fatalf("elem %d: EncodeQPrev %d, original %d", i, prev[i], old[i])
-		}
-	}
-}
-
 // TestShiftFoldsExactly: decoding (q, shift) equals decoding the
 // re-widened values (q<<shift, 0) — the narrowed sum has at most 15
 // significand bits, so folding the shift into the scale is exact.

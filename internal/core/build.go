@@ -276,8 +276,9 @@ func (s ClusterSpec) BuildFabric(k *sim.Kernel) (*switchnet.Fabric, error) {
 
 // Validate checks that the spec describes a cluster Build can construct:
 // a known topology and mode with positive shape fields, a supported
-// topology×mode pairing, a shard count the PS modes can honour, and a
-// compression scheme the mode's datapath implements. Each rejection says
+// topology×mode pairing, a shard count the PS modes can honour, a
+// segment that fits a packet, and a compression scheme the mode's
+// datapath implements. Each rejection says
 // why. Build panics on a spec that fails; drivers handed a user-written
 // spec call Validate first and report the error.
 func (s ClusterSpec) Validate() error {
@@ -311,6 +312,9 @@ func (s ClusterSpec) Validate() error {
 		}
 	}
 
+	if s.ISW != nil && (s.ISW.FloatsPerPacket < 0 || s.ISW.FloatsPerPacket > protocol.FloatsPerPacket) {
+		return fmt.Errorf("core: ISW.FloatsPerPacket must be in [0, %d] (0: the MTU-filling default), got %d: a segment travels in one packet", protocol.FloatsPerPacket, s.ISW.FloatsPerPacket)
+	}
 	scheme := s.scheme()
 	if !scheme.Valid() {
 		return fmt.Errorf("core: unknown compression scheme Compression(%d)", uint8(scheme))

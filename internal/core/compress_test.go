@@ -323,10 +323,11 @@ func TestCompressedLossReserveBitIdentical(t *testing.T) {
 }
 
 // TestCompressedCrashRejoin: a worker that dies mid-upload under a
-// quantized scheme rejoins and re-contributes on the round's original
-// grid (EncodeQPrev / the cached sparse selection); the dedup bitmap
-// absorbs duplicates and the run stays bit-identical to a crash-free
-// one, on every topology for int32block and on the star for top-k.
+// quantized scheme rejoins and re-contributes the round's original bits
+// (its retained wire round / the cached sparse selection); the dedup
+// bitmap absorbs duplicates and the run stays bit-identical to a
+// crash-free one, on every topology for int32block and on the star for
+// top-k.
 func TestCompressedCrashRejoin(t *testing.T) {
 	nFloats := 2*protocolFloats + 9
 	const iters = 8

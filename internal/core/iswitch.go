@@ -21,9 +21,9 @@ import (
 type ISWConfig struct {
 	// WorkerBase is charged per aggregation round per worker.
 	WorkerBase sim.Time
-	// FloatsPerPacket overrides the gradient payload per packet
-	// (0 selects the MTU-filling protocol default). Exposed for the
-	// packet-size ablation.
+	// FloatsPerPacket overrides the gradient payload per packet, at
+	// most the MTU-filling protocol default (0 selects it). Exposed for
+	// the packet-size ablation.
 	FloatsPerPacket int
 	// Compression selects the job's gradient wire scheme (CompNone: the
 	// paper's raw float32). Negotiated with the switch at Join time and

@@ -65,6 +65,8 @@ func TestValidateRejections(t *testing.T) {
 	}
 	smallSegs := DefaultISWConfig()
 	smallSegs.FloatsPerPacket = 64
+	bigSegs, negSegs := DefaultISWConfig(), DefaultISWConfig()
+	bigSegs.FloatsPerPacket, negSegs.FloatsPerPacket = 1000, -1
 	for _, tc := range []struct {
 		name string
 		spec ClusterSpec
@@ -104,6 +106,15 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown-topology", with(func(s *ClusterSpec) { s.Topology = Topology(9) }), "unknown topology"},
 		{"unknown-mode", with(func(s *ClusterSpec) { s.Mode = Mode(9) }), "unknown mode"},
 		{"unknown-scheme", with(func(s *ClusterSpec) { s.Compression = protocol.Compression(99) }), "unknown compression scheme"},
+		// A segment past the packet's capacity used to pass, and the
+		// first Aggregate panicked inside a simulated process.
+		{"segment-over-packet", with(func(s *ClusterSpec) {
+			s.Mode, s.Workers, s.ModelFloats, s.ISW = ModeISW, 2, 5000, &bigSegs
+		}), "FloatsPerPacket must be in [0, 366]"},
+		{"segment-over-packet-int32block", with(func(s *ClusterSpec) {
+			s.Mode, s.Compression, s.ISW = ModeISW, protocol.CompInt32Block, &bigSegs
+		}), "FloatsPerPacket must be in [0, 366]"},
+		{"segment-negative", with(func(s *ClusterSpec) { s.Mode, s.ISW = ModeISW, &negSegs }), "FloatsPerPacket must be in [0, 366]"},
 		{"topk-nondefault-segment", with(func(s *ClusterSpec) {
 			s.Mode, s.Compression, s.ISW = ModeISW, protocol.CompTopK, &smallSegs
 		}), "per-packet payload"},

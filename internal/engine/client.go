@@ -32,8 +32,8 @@ const (
 )
 
 // Client is the worker half of the protocol (paper §3.3), free of I/O:
-// the Join frame, the round counter and tag, the two retained
-// gradients, the compression codec, every data frame a worker builds,
+// the Join frame, the round counter and tag, the two retained rounds,
+// the compression codec, every data frame a worker builds,
 // the assembler, Help on a stall, and the Help-timer counters. It never
 // blocks, reads a clock or touches a socket; a Sender carries its
 // frames. The simulated worker (core) and the UDP client (transport)
@@ -50,20 +50,25 @@ type Client struct {
 	scheme   protocol.Compression
 	mode     TagMode
 
-	// round counts uploads (not under TagOff). cur and prev retain the
-	// gradients of this round and the one before, so a Help for either
-	// can be answered; they rotate, so no round allocates after the
-	// second.
+	// round counts uploads (not under TagOff). A Help may name this
+	// round or the one before, so both are retained in the form the
+	// scheme resends from: fp32 and fp16 keep the gradients in cur and
+	// prev, which rotate, so no round allocates after the second;
+	// int32block keeps the rounds in wire form; top-k keeps nothing, as
+	// the codec caches both rounds' selections.
 	round     uint64
 	cur, prev []float32
+	wire      wireRounds
 
-	asm *protocol.Assembler
+	// asm assembles the round's aggregate; missing is HelpMissing's
+	// scratch.
+	asm     *protocol.Assembler
+	missing []uint64
 
 	// codec holds the compression state (built when the scheme first
-	// needs it); fpGrad is the fp16 rounding scratch and decBuf the
-	// per-segment dequantization scratch.
-	codec          *compress.Codec
-	fpGrad, decBuf []float32
+	// needs it); fpGrad is the fp16 rounding scratch.
+	codec  *compress.Codec
+	fpGrad []float32
 
 	// level is the Help timer's backoff level; fruitless counts
 	// consecutive timeouts with neither data nor an Ack (the failover
@@ -82,11 +87,19 @@ func (c *Client) Init(out Sender, self, sw protocol.Addr, job protocol.JobID, n,
 	*c = Client{out: out, self: self, sw: sw, job: job, n: n, per: per, scheme: scheme, mode: mode}
 }
 
-// Reserve allocates the assembler and both retained gradients now,
-// for a driver whose rounds must not allocate.
+// Reserve allocates the assembler and both retained float gradients
+// now, for a driver whose rounds must not allocate.
 func (c *Client) Reserve() {
 	c.asm = protocol.NewAssemblerWith(c.n, c.per)
-	c.cur, c.prev = make([]float32, 0, c.n), make([]float32, 0, c.n)
+	if c.floatRounds() {
+		c.cur, c.prev = make([]float32, 0, c.n), make([]float32, 0, c.n)
+	}
+}
+
+// floatRounds reports whether the scheme resends from retained float
+// gradients: fp32 and fp16 frames carry the gradient's own values.
+func (c *Client) floatRounds() bool {
+	return c.scheme == protocol.CompNone || c.scheme == protocol.CompFP16
 }
 
 // Target is the switch this worker contributes to.
@@ -133,12 +146,15 @@ func (c *Client) IsCurrent(taggedSeg uint64) bool {
 	return taggedSeg>>protocol.RoundShift == c.tag()>>protocol.RoundShift
 }
 
-// Upload starts a round: it brings grad to the wire's precision, picks
-// the round's top-k selection, retains a copy unless recovery is off,
-// and sends the first limit segments (negative: all). A float frame
-// aliases grad (or the fp16 scratch), which the caller keeps intact
-// while the frame can be in flight.
+// Upload starts a round: it brings grad (the model's n values) to the
+// wire's precision, quantizes it or picks its top-k selection, retains
+// the round unless recovery is off, and sends the first limit segments
+// (negative: all). A float frame aliases grad (or the fp16 scratch),
+// which the caller keeps intact while the frame can be in flight.
 func (c *Client) Upload(grad []float32, limit int) {
+	if len(grad) != c.n {
+		panic(fmt.Sprintf("engine: a %d-value gradient for a %d-value model", len(grad), c.n))
+	}
 	switch c.scheme {
 	case protocol.CompFP16:
 		// Round up front: the retained copy then holds exactly what the
@@ -146,28 +162,45 @@ func (c *Client) Upload(grad []float32, limit int) {
 		c.fpGrad = append(c.fpGrad[:0], grad...)
 		kernels.F16RoundInPlace(c.fpGrad)
 		grad = c.fpGrad
+	case protocol.CompInt32Block:
+		c.encodeRound(grad)
 	case protocol.CompTopK:
 		c.ensureCodec().SelectTopK(grad)
 	}
 	if c.mode != TagOff {
 		c.round++
-		// The older buffer held round r-2, which no Help can name.
-		c.prev, c.cur = c.cur, append(c.prev[:0], grad...)
+		if c.floatRounds() {
+			// The older buffer held round r-2, which no Help can name.
+			c.prev, c.cur = c.cur, append(c.prev[:0], grad...)
+		}
 	}
 	c.sendSegments(c.tag(), grad, limit, false)
 }
 
-// sendSegments sends grad to the switch, one frame per segment tagged
-// tag, stopping after limit frames (negative: all). prevRound encodes
-// as dataFrame's says.
+// encodeRound quantizes grad once, segment by segment on the codec's
+// current grids, into the wire round every frame of this round shares.
+func (c *Client) encodeRound(grad []float32) {
+	codec := c.ensureCodec()
+	q := c.wire.next(c.n)
+	for s := uint64(0); s < uint64(protocol.SegmentCountWith(c.n, c.per)); s++ {
+		lo, hi := protocol.SegmentRangeWith(c.n, s, c.per)
+		codec.EncodeQInto(q[lo:hi], s, grad[lo:hi])
+	}
+	held := protocol.NewQData(c.self, c.sw, 0, nil, 0)
+	held.LendQData(q, &c.wire)
+	c.wire.prev, c.wire.cur = c.wire.cur, held
+}
+
+// sendSegments sends a round to the switch, one frame per segment
+// tagged tag, stopping after limit frames (negative: all). prevRound
+// picks the round before the current; grad holds a float round.
 func (c *Client) sendSegments(tag uint64, grad []float32, limit int, prevRound bool) {
-	segs := protocol.SegmentCountWith(len(grad), c.per)
+	segs := protocol.SegmentCountWith(c.n, c.per)
 	if limit >= 0 && limit < segs {
 		segs = limit
 	}
 	for s := uint64(0); s < uint64(segs); s++ {
-		lo, hi := protocol.SegmentRangeWith(len(grad), s, c.per)
-		c.out.Send(c.dataFrame(c.sw, s|tag, grad[lo:hi], prevRound))
+		c.out.Send(c.dataFrame(c.sw, s|tag, grad, prevRound))
 	}
 }
 
@@ -178,26 +211,23 @@ func (c *Client) ensureCodec() *compress.Codec {
 	return c.codec
 }
 
-// dataFrame builds the frame that carries one segment's values to dst
-// under the job's scheme: the one place a worker's data frame is made,
-// for the first upload, a retransmission and a failover re-offer alike.
-// A float payload aliases vals; codec output is copied in, since the
-// codec's scratch and cached selection move on. prevRound encodes on
-// the grid, or replays the selection, of the round before the current.
-func (c *Client) dataFrame(dst protocol.Addr, taggedSeg uint64, vals []float32, prevRound bool) *protocol.Packet {
+// dataFrame builds the frame that carries one segment of this worker's
+// contribution to dst under the job's scheme: the one place a worker's
+// data frame is made, for the first upload, a retransmission and a
+// failover re-offer alike, so each is bit-identical to the others. A
+// float payload aliases grad, an int32block one shares the retained wire
+// round, and top-k's selection is copied in, since the codec's cache
+// moves on. prevRound picks the round before the current.
+func (c *Client) dataFrame(dst protocol.Addr, taggedSeg uint64, grad []float32, prevRound bool) *protocol.Packet {
 	seg := taggedSeg & protocol.SegIndexMask
+	lo, hi := protocol.SegmentRangeWith(c.n, seg, c.per)
 	var pkt *protocol.Packet
 	switch c.scheme {
 	case protocol.CompInt32Block:
-		encode := c.ensureCodec().EncodeQ
-		if prevRound {
-			encode = c.codec.EncodeQPrev
-		}
-		q := encode(seg, vals)
-		pkt = protocol.NewQData(c.self, dst, taggedSeg, q, 0)
-		pkt.SetQDataCopy(q)
+		pkt = c.wire.frame(prevRound, lo, hi)
+		pkt.Dst, pkt.Seg = dst, taggedSeg
 	case protocol.CompTopK:
-		sparse := c.ensureCodec().Sparse
+		sparse := c.codec.Sparse
 		if prevRound {
 			sparse = c.codec.SparsePrev
 		}
@@ -206,9 +236,9 @@ func (c *Client) dataFrame(dst protocol.Addr, taggedSeg uint64, vals []float32, 
 		pkt.SetIdxCopy(idx)
 		pkt.SetDataCopy(sel)
 	default:
-		pkt = protocol.NewData(c.self, dst, taggedSeg, vals)
+		pkt = protocol.NewData(c.self, dst, taggedSeg, grad[lo:hi])
 		if c.scheme == protocol.CompFP16 {
-			pkt.Enc = protocol.CompFP16 // vals already hold rounded values
+			pkt.Enc = protocol.CompFP16 // grad already holds rounded values
 		}
 	}
 	pkt.Job = c.job
@@ -217,24 +247,25 @@ func (c *Client) dataFrame(dst protocol.Addr, taggedSeg uint64, vals []float32, 
 
 // retransmit resends to dst this worker's contribution for one
 // (possibly round-tagged) segment, reporting whether it did: only this
-// round's and the previous one's gradients are retained, and untagged
-// only the latest. The resend is bit-identical to the upload under
-// every scheme: fp16 was rounded before retention, int32block encodes
-// on the grid its round used, and top-k replays the cached selection.
+// round and the previous one are retained, and untagged only the
+// latest. The resend is bit-identical to the upload under every scheme:
+// fp16 was rounded before retention, an int32block round was encoded
+// once and is resent as sent, and top-k replays the cached selection.
 func (c *Client) retransmit(dst protocol.Addr, taggedSeg uint64) bool {
 	grad, prevRound := c.cur, false
 	switch r := taggedSeg >> protocol.RoundShift; {
+	case c.round == 0:
+		return false // nothing retained: no upload yet, or recovery off
 	case c.mode == Untagged, r == c.round%protocol.RoundTagMod:
-	case r == (c.round-1)%protocol.RoundTagMod:
+	case c.round > 1 && r == (c.round-1)%protocol.RoundTagMod:
 		grad, prevRound = c.prev, true
 	default:
 		return false // too old to serve
 	}
-	lo, hi := protocol.SegmentRangeWith(len(grad), taggedSeg&protocol.SegIndexMask, c.per)
-	if lo >= hi {
-		return false // nothing retained, or a segment outside the model
+	if taggedSeg&protocol.SegIndexMask >= uint64(protocol.SegmentCountWith(c.n, c.per)) {
+		return false // a segment outside the model
 	}
-	c.out.Send(c.dataFrame(dst, taggedSeg, grad[lo:hi], prevRound))
+	c.out.Send(c.dataFrame(dst, taggedSeg, grad, prevRound))
 	return true
 }
 
@@ -277,23 +308,21 @@ func (c *Client) Take(pkt *protocol.Packet) (resent bool) {
 	return false
 }
 
-// add places one in-model share in the assembler, decoding a quantized
-// one through the codec first (idempotent for a re-served shadow copy).
+// add places one in-model share in the assembler. A quantized one is
+// decoded straight into its slot; a re-served shadow copy decodes to the
+// same bits again.
 func (c *Client) add(pkt *protocol.Packet) error {
 	if pkt.Enc != protocol.CompInt32Block {
 		return c.asm.Add(pkt)
 	}
-	lo, hi := protocol.SegmentRangeWith(c.n, pkt.Seg, c.per)
-	if c.scheme != protocol.CompInt32Block || len(pkt.QData) != hi-lo {
-		return fmt.Errorf("engine: quantized segment %d carries %d values, want %d of %v",
-			pkt.Seg, len(pkt.QData), hi-lo, c.scheme)
+	if c.scheme != protocol.CompInt32Block {
+		return fmt.Errorf("engine: a quantized share of segment %d in a %v job", pkt.Seg, c.scheme)
 	}
-	if cap(c.decBuf) < hi-lo {
-		c.decBuf = make([]float32, c.per)
+	dst, err := c.asm.Slot(pkt.Seg, len(pkt.QData))
+	if err == nil {
+		c.ensureCodec().DecodeQ(pkt.Seg, pkt.QData, pkt.Shift, dst)
 	}
-	dst := c.decBuf[:hi-lo]
-	c.ensureCodec().DecodeQ(pkt.Seg, pkt.QData, pkt.Shift, dst)
-	return c.asm.AddFloats(pkt.Seg, dst)
+	return err
 }
 
 // Stalled records a wait that timed out: the Help timer backs off a
@@ -315,7 +344,8 @@ func (c *Client) ResetBackoff() { c.level, c.fruitless = 0, 0 }
 // it sent.
 func (c *Client) HelpMissing() (helps, resent int) {
 	tag := c.tag()
-	for _, seg := range c.asm.Missing() {
+	c.missing = c.asm.AppendMissing(c.missing[:0])
+	for _, seg := range c.missing {
 		h := protocol.NewHelp(c.self, c.sw, seg|tag)
 		h.Job = c.job
 		c.out.Send(h)
@@ -334,8 +364,12 @@ func (c *Client) HelpMissing() (helps, resent int) {
 func (c *Client) Failover(to protocol.Addr) {
 	c.sw = to
 	c.ResetBackoff()
-	c.sendSegments(protocol.RoundTag(c.round-1), c.prev, -1, true)
-	c.sendSegments(c.tag(), c.cur, -1, false)
+	if c.round > 1 {
+		c.sendSegments(protocol.RoundTag(c.round-1), c.prev, -1, true)
+	}
+	if c.round > 0 {
+		c.sendSegments(c.tag(), c.cur, -1, false)
+	}
 }
 
 // Finish closes a completed round and returns its aggregate: the
@@ -349,3 +383,60 @@ func (c *Client) Finish() []float32 {
 	}
 	return c.asm.Vector()
 }
+
+// wireRounds retains an int32block worker's last two rounds in wire
+// form. Each round is quantized once into one buffer, lent to a pooled
+// holder frame with wireRounds as its BufferOwner; every data frame of
+// the round, first upload, retransmission or failover re-offer, is a
+// share of the holder narrowed to its segment. The buffer comes back
+// (RecycleQ) when the client has dropped the holder and the last frame
+// is released, all within the driver's one kernel or goroutine.
+type wireRounds struct {
+	cur, prev *protocol.Packet
+	// spare is a returned buffer, ready for the next round; loaned
+	// counts the buffers lent and not yet returned.
+	spare  []int32
+	loaned int
+}
+
+// next drops the holder of the round before the previous one, which no
+// Help can name, and returns an n-value buffer for a new round: a
+// returned one if there is one, else a fresh one, so a frame still out
+// keeps reading its own round.
+func (w *wireRounds) next(n int) []int32 {
+	if w.prev != nil {
+		w.prev.Release()
+		w.prev = nil
+	}
+	buf := w.spare
+	w.spare = nil
+	if cap(buf) < n {
+		buf = make([]int32, n)
+	}
+	w.loaned++
+	return buf[:n]
+}
+
+// frame returns a share of the current round (or with prevRound the
+// previous one) that carries values lo..hi; the cap keeps its payload
+// inside its segment.
+func (w *wireRounds) frame(prevRound bool, lo, hi int) *protocol.Packet {
+	held := w.cur
+	if prevRound {
+		held = w.prev
+	}
+	pkt := held.Share()
+	pkt.QData = held.QData[lo:hi:hi]
+	return pkt
+}
+
+// RecycleQ takes back a round's buffer once nothing refers to it.
+func (w *wireRounds) RecycleQ(buf []int32) {
+	if w.loaned--; w.loaned < 0 {
+		panic("engine: a wire round was returned twice")
+	}
+	w.spare = buf
+}
+
+// Recycle is never called: wireRounds lends no float payload.
+func (w *wireRounds) Recycle([]float32) { panic("engine: a float payload returned to the wire rounds") }

@@ -181,7 +181,8 @@ func inProcess(b []byte, round uint64) *protocol.Packet {
 // and in-process frames of all four schemes go into a client in the
 // middle of round 2. It never panics, releases every frame exactly once,
 // assembles only shares tagged with round 2, and answers a Help exactly
-// when it names a retained round and a segment of the model.
+// when it names a retained round and a segment of the model. An
+// int32block client's own round buffers come back exactly once.
 func FuzzClientTake(f *testing.F) {
 	ctl := func(a protocol.Action, v []byte) []byte {
 		b, _ := protocol.AppendPayload([]byte{0, 0, protocol.ToSControl}, &protocol.Packet{ToS: protocol.ToSControl, Action: a, Value: v})
@@ -305,6 +306,20 @@ func FuzzClientTake(f *testing.F) {
 			}
 			if servable && (!rec.out[0].data || rec.out[0].seg != helpSeg || rec.out[0].dst != src) {
 				t.Fatalf("Help %#x from %v answered with %+v", helpSeg, src, rec.out[0])
+			}
+		}
+		if scheme != protocol.CompInt32Block {
+			return
+		}
+		// The client's own wire rounds come back too, once each: rounds 3
+		// and 4 retire rounds 1 and 2, whose every frame (upload or resend)
+		// has been released, and are quantized into their buffers.
+		bufs := [2]*int32{&c.wire.prev.QData[0], &c.wire.cur.QData[0]}
+		for i, buf := range bufs {
+			c.Upload(make([]float32, fuzzN), -1)
+			if &c.wire.cur.QData[0] != buf || c.wire.loaned != 2 {
+				t.Fatalf("round %d: not in round %d's returned buffer, or %d buffers on loan (want 2)",
+					round+1+uint64(i), round-1+uint64(i), c.wire.loaned)
 			}
 		}
 	})

@@ -20,9 +20,11 @@ import (
 // Who allocates, who may alias, who releases:
 //
 //	frame            header from       payload                       released by
-//	uplink data      NewData/NewQData/ aliases the sender's gradient; the engine after Ingest*From:
-//	                 NewSparseData     the client engine copies       a switch's, or after failover
-//	                                   codec scratch in (Set*Copy)    the relay worker's
+//	uplink data      NewData/Share/    fp32/fp16 alias the sender's  the engine after Ingest*From:
+//	                 NewSparseData     gradient; int32block shares    a switch's, or after failover
+//	                                   the client's retained wire     the relay worker's; the last
+//	                                   round; top-k copies the codec  release of a wire round hands
+//	                                   selection in (Set*Copy)        its buffer back to the client
 //	emission         GetPacket         on loan from the accelerator   the emitting switch after the
 //	                                   (LendData/LendQData)           fan-out (root) or, see up-forward
 //	broadcast share  Share             one more reference to the      the receiving worker after

@@ -94,39 +94,35 @@ func (a *Assembler) Add(p *Packet) error {
 	if !p.IsData() {
 		return fmt.Errorf("protocol: assembler given non-data packet (ToS %#02x)", p.ToS)
 	}
-	if p.Seg >= uint64(len(a.got)) {
-		return fmt.Errorf("protocol: segment %d out of range (have %d)", p.Seg, len(a.got))
-	}
-	lo, hi := SegmentRangeWith(len(a.vec), p.Seg, a.perPacket)
-	if len(p.Data) != hi-lo {
-		return fmt.Errorf("protocol: segment %d carries %d floats, want %d", p.Seg, len(p.Data), hi-lo)
-	}
-	copy(a.vec[lo:hi], p.Data)
-	if !a.got[p.Seg] {
-		a.got[p.Seg] = true
-		a.remaining--
-	}
-	return nil
+	return a.AddFloats(p.Seg, p.Data)
 }
 
-// AddFloats places an already-decoded payload at segment seg, the entry
-// point for compressed packets whose floats were reconstructed by a
-// codec rather than carried in Packet.Data. Same duplicate/range rules
-// as Add.
+// AddFloats places an already-decoded payload at segment seg. Same
+// duplicate/range rules as Add.
 func (a *Assembler) AddFloats(seg uint64, vals []float32) error {
+	dst, err := a.Slot(seg, len(vals))
+	copy(dst, vals)
+	return err
+}
+
+// Slot marks segment seg arrived and returns its place in the vector,
+// for a payload of n values the caller writes there itself: a codec
+// decodes a compressed share straight into its slot. Same
+// duplicate/range rules as Add; on an error nothing is marked and the
+// slot is nil.
+func (a *Assembler) Slot(seg uint64, n int) ([]float32, error) {
 	if seg >= uint64(len(a.got)) {
-		return fmt.Errorf("protocol: segment %d out of range (have %d)", seg, len(a.got))
+		return nil, fmt.Errorf("protocol: segment %d out of range (have %d)", seg, len(a.got))
 	}
 	lo, hi := SegmentRangeWith(len(a.vec), seg, a.perPacket)
-	if len(vals) != hi-lo {
-		return fmt.Errorf("protocol: segment %d carries %d floats, want %d", seg, len(vals), hi-lo)
+	if n != hi-lo {
+		return nil, fmt.Errorf("protocol: segment %d carries %d floats, want %d", seg, n, hi-lo)
 	}
-	copy(a.vec[lo:hi], vals)
 	if !a.got[seg] {
 		a.got[seg] = true
 		a.remaining--
 	}
-	return nil
+	return a.vec[lo:hi], nil
 }
 
 // Complete reports whether every segment has arrived.
@@ -137,14 +133,17 @@ func (a *Assembler) Remaining() int { return a.remaining }
 
 // Missing lists the segment indices not yet received, in order. Workers
 // put these in Help control messages to request retransmission.
-func (a *Assembler) Missing() []uint64 {
-	var m []uint64
+func (a *Assembler) Missing() []uint64 { return a.AppendMissing(nil) }
+
+// AppendMissing is Missing appended to dst, for a caller that reuses
+// one slice across stalls.
+func (a *Assembler) AppendMissing(dst []uint64) []uint64 {
 	for s, ok := range a.got {
 		if !ok {
-			m = append(m, uint64(s))
+			dst = append(dst, uint64(s))
 		}
 	}
-	return m
+	return dst
 }
 
 // Vector returns the assembled vector. Valid once Complete is true; the
