@@ -94,6 +94,9 @@ func main() {
 	if *updates < 1 {
 		log.Fatalf("iswitch-sim: -updates must be >= 1")
 	}
+	if *stale < 0 {
+		log.Fatalf("iswitch-sim: -staleness must be >= 0")
+	}
 
 	// One declarative spec covers every strategy × topology pairing and
 	// the shared fabric of -jobs; the pieces below only vary Mode

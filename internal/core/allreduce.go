@@ -75,7 +75,7 @@ func (c *ARCluster) Client(i int) Service {
 func chunkRange(n, nw, ci int) (lo, hi int) {
 	base := n / nw
 	rem := n % nw
-	lo = ci*base + minInt(ci, rem)
+	lo = ci*base + min(ci, rem)
 	size := base
 	if ci < rem {
 		size++
@@ -83,17 +83,16 @@ func chunkRange(n, nw, ci int) (lo, hi int) {
 	return lo, lo + size
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 type arClient struct {
 	cluster *ARCluster
 	rank    int
 	host    *netsim.Host
+	asm     []*protocol.Assembler // asm[ci] receives ring chunk ci
+	// vecs are the working vectors, used by alternate rounds: the last
+	// chunk a round sends aliases its vector and may still be in flight
+	// to the successor when this worker begins the next round.
+	vecs  [2][]float32
+	round int
 }
 
 // Setup implements Service.
@@ -102,60 +101,45 @@ func (ac *arClient) Setup(*sim.Proc) {}
 // H implements Service.
 func (ac *arClient) H() int { return len(ac.cluster.workers) }
 
-// sendChunk ships one chunk of vec to the ring successor as data
-// packets whose Seg numbers are chunk-relative.
-func (ac *arClient) sendChunk(vec []float32, ci int) {
+// step is one ring step: charge its software cost, ship chunk sendCi of
+// vec to the ring successor (Seg numbers chunk-relative), and receive
+// chunk recvCi from the predecessor. It returns the received chunk and
+// its place in vec.
+func (ac *arClient) step(p *sim.Proc, vec []float32, sendCi, recvCi int) (in, dst []float32) {
 	n, nw := ac.cluster.n, len(ac.cluster.workers)
-	lo, hi := chunkRange(n, nw, ci)
-	next := ac.cluster.workers[(ac.rank+1)%nw]
-	for _, pkt := range protocol.Segment(ac.host.Addr, next.Addr, vec[lo:hi]) {
-		ac.host.Send(pkt)
-	}
+	lo, hi := chunkRange(n, nw, sendCi)
+	p.Sleep(ac.cluster.cfg.stepCost(hi - lo))
+	sendSlice(ac.host, ac.cluster.workers[(ac.rank+1)%nw].Addr, vec[lo:hi], 0, protocol.CompNone)
+	lo, hi = chunkRange(n, nw, recvCi)
+	return recvAll(p, ac.host, ac.asm[recvCi]), vec[lo:hi]
 }
 
-// recvChunk collects one chunk-sized message from the ring predecessor.
-func (ac *arClient) recvChunk(p *sim.Proc, ci int) []float32 {
-	n, nw := ac.cluster.n, len(ac.cluster.workers)
-	lo, hi := chunkRange(n, nw, ci)
-	asm := protocol.NewAssembler(hi - lo)
-	for !asm.Complete() {
-		pkt := ac.host.Recv(p)
-		if pkt.IsData() {
-			_ = asm.Add(pkt) // a bad segment is dropped
-		}
-		pkt.Release()
-	}
-	return asm.Vector()
-}
-
-// Aggregate implements Service with the classic two-phase ring.
+// Aggregate implements Service with the classic two-phase ring. The
+// returned slice is one of the client's working vectors, valid until
+// the next Aggregate call.
 func (ac *arClient) Aggregate(p *sim.Proc, grad []float32) []float32 {
 	nw := len(ac.cluster.workers)
-	vec := append([]float32(nil), grad...)
+	if ac.asm == nil { // buffers are made by the first round, not at setup
+		for ci := range nw {
+			lo, hi := chunkRange(ac.cluster.n, nw, ci)
+			ac.asm = append(ac.asm, protocol.NewAssembler(hi-lo))
+		}
+	}
+	ac.round ^= 1
+	vec := append(ac.vecs[ac.round][:0], grad...)
+	ac.vecs[ac.round] = vec
 
 	// Reduce-scatter: after step s, worker i holds the running sum of
 	// chunk (i−s−1 mod nw) over s+2 contributors.
 	for s := 0; s < nw-1; s++ {
-		sendCi := mod(ac.rank-s, nw)
-		recvCi := mod(ac.rank-s-1, nw)
-		lo0, hi0 := chunkRange(ac.cluster.n, nw, sendCi)
-		p.Sleep(ac.cluster.cfg.stepCost(hi0 - lo0))
-		ac.sendChunk(vec, sendCi)
-		in := ac.recvChunk(p, recvCi)
-		lo, _ := chunkRange(ac.cluster.n, nw, recvCi)
+		in, dst := ac.step(p, vec, mod(ac.rank-s, nw), mod(ac.rank-s-1, nw))
 		p.Sleep(accel.SumLatency(len(in), 1, ac.cluster.cfg.SumRate))
-		kernels.Add(vec[lo:lo+len(in)], in)
+		kernels.Add(dst, in)
 	}
 	// Allgather: circulate the fully reduced chunks.
 	for s := 0; s < nw-1; s++ {
-		sendCi := mod(ac.rank+1-s, nw)
-		recvCi := mod(ac.rank-s, nw)
-		lo0, hi0 := chunkRange(ac.cluster.n, nw, sendCi)
-		p.Sleep(ac.cluster.cfg.stepCost(hi0 - lo0))
-		ac.sendChunk(vec, sendCi)
-		in := ac.recvChunk(p, recvCi)
-		lo, _ := chunkRange(ac.cluster.n, nw, recvCi)
-		copy(vec[lo:lo+len(in)], in)
+		in, dst := ac.step(p, vec, mod(ac.rank+1-s, nw), mod(ac.rank-s, nw))
+		copy(dst, in)
 	}
 	return vec
 }

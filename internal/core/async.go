@@ -51,29 +51,26 @@ func (c AsyncConfig) jitterFor(worker, iter int) sim.Time {
 // AsyncStats extends RunStats with staleness accounting.
 type AsyncStats struct {
 	RunStats
-	// Committed and Discarded count gradients that passed / failed the
-	// staleness check.
-	Committed, Discarded int64
-	// StalenessSum accumulates the staleness of committed gradients;
-	// StalenessSum/Committed is the run's average staleness.
-	StalenessSum int64
+	// ShardStats holds the run's commit/discard/staleness totals.
+	ShardStats
 	// PerShard holds per-shard commit/discard/staleness accounting for
 	// parameter-server runs over more than one shard (nil otherwise);
-	// PerShard[s] belongs to shard s.
+	// PerShard[s] belongs to shard s, and the run's totals are their sum.
 	PerShard []ShardStats
 }
 
-// ShardStats is one parameter-server shard's asynchronous accounting.
+// ShardStats is the staleness accounting of one parameter-server shard,
+// or of a whole asynchronous run.
 type ShardStats struct {
-	// Committed and Discarded count gradient slices that passed / failed
-	// this shard's staleness check.
+	// Committed and Discarded count gradients (or gradient slices) that
+	// passed / failed the staleness check.
 	Committed, Discarded int64
-	// StalenessSum accumulates committed staleness against this shard's
-	// update counter; MaxStaleness is the largest committed staleness.
+	// StalenessSum accumulates committed staleness; MaxStaleness is the
+	// largest committed staleness.
 	StalenessSum, MaxStaleness int64
 }
 
-// MeanStaleness returns the shard's average committed staleness.
+// MeanStaleness returns the average committed staleness.
 func (s ShardStats) MeanStaleness() float64 {
 	if s.Committed == 0 {
 		return 0
@@ -81,12 +78,23 @@ func (s ShardStats) MeanStaleness() float64 {
 	return float64(s.StalenessSum) / float64(s.Committed)
 }
 
-// MeanStaleness returns the average staleness of committed gradients.
-func (s *AsyncStats) MeanStaleness() float64 {
-	if s.Committed == 0 {
-		return 0
+// admit is Algorithm 1's staleness check: it counts a gradient of the
+// given staleness as committed and reports true when it is within
+// bound, else counts it discarded. A negative bound would discard every
+// gradient, so no update would ever be applied and the run would never
+// end; admit panics instead.
+func (s *ShardStats) admit(staleness, bound int64) bool {
+	if bound < 0 {
+		panic(fmt.Sprintf("core: staleness bound %d is negative: every gradient would be discarded and the run would never end", bound))
 	}
-	return float64(s.StalenessSum) / float64(s.Committed)
+	if staleness > bound {
+		s.Discarded++
+		return false
+	}
+	s.Committed++
+	s.StalenessSum += staleness
+	s.MaxStaleness = max(s.MaxStaleness, staleness)
+	return true
 }
 
 // RunAsyncISW trains agents with the asynchronous iSwitch pipeline
@@ -179,26 +187,13 @@ func SpawnAsyncISW(k *sim.Kernel, agents []rl.Agent, cluster *ISWCluster, cfg As
 				for _, r := range agent.DrainEpisodes() {
 					ws.Rewards = append(ws.Rewards, RewardPoint{Time: p.Now(), Reward: r})
 				}
-				staleness := ts - tw
-				if staleness <= cfg.StalenessBound {
-					stats.Committed++
-					stats.StalenessSum += staleness
+				if stats.admit(ts-tw, cfg.StalenessBound) {
 					client.SendGradient(grad) // nonblocking: NIC queues it
-				} else {
-					stats.Discarded++
 				}
 			}
 		})
 	}
 	return stats
-}
-
-// pullRequest is the async-PS application message a worker sends to
-// fetch the current weights. It reuses the control-packet framing with
-// the Help action ("request data") — PS traffic crosses only plain
-// switches, so the iSwitch data plane never interprets it.
-func pullRequest(src, dst protocol.Addr) *protocol.Packet {
-	return protocol.NewControl(src, dst, protocol.ActionHelp, nil)
 }
 
 // RunAsyncPS trains agents with the asynchronous parameter-server
@@ -219,27 +214,21 @@ func pullRequest(src, dst protocol.Addr) *protocol.Packet {
 // reports each shard's accounting.
 func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster *PSCluster, cfg AsyncConfig) *AsyncStats {
 	nWorkers := len(agents)
+	if nWorkers != len(cluster.workers) {
+		panic("core: agents/cluster size mismatch")
+	}
 	nShards := cluster.NumShards()
 	stats := &AsyncStats{}
-	if nShards > 1 {
-		stats.PerShard = make([]ShardStats, nShards)
-	}
 	for i := 0; i < nWorkers+nShards; i++ { // shard s's update records at nWorkers+s
 		stats.Workers = append(stats.Workers, &WorkerStats{})
 	}
+	perShard := make([]ShardStats, nShards)
 	stop := false
 	remaining := nShards
 
-	for s := 0; s < nShards; s++ {
-		srv := cluster.Servers[s]
-		lo, hi := cluster.ShardElems(s)
-		nShard := hi - lo
-		segBase := uint64(cluster.segLo[s])
-		shardStats := stats.Workers[nWorkers+s]
-		perShard := new(ShardStats) // discarded at one shard: the global counters are the shard's
-		if nShards > 1 {
-			perShard = &stats.PerShard[s]
-		}
+	for s, sh := range cluster.shards {
+		shardStats, counts := stats.Workers[nWorkers+s], &perShard[s]
+		nShard := sh.hi - sh.lo
 		msgCost := cluster.cfg.shardMsgCost(nShard, cluster.n)
 		updateCost := scaleByShare(cfg.WeightUpdate+cluster.cfg.AsyncUpdateExtra, nShard, cluster.n)
 
@@ -257,71 +246,42 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 				p.Sleep(msgCost)
 				masterAgent.ReadParams(params)
 				lastSent[src] = version
-				for _, out := range protocol.Segment(srv.Addr, src, params[lo:hi]) {
-					out.Seg += segBase
-					srv.Send(out)
-				}
+				sendSlice(sh.srv, src, params[sh.lo:sh.hi], sh.segBase, protocol.CompNone)
 			}
 		})
 
+		pull := func(pkt *protocol.Packet) {
+			if pkt.IsControl() && pkt.Action == protocol.ActionHelp {
+				pulls.Send(pkt.Src)
+			}
+		}
 		k.Spawn(fmt.Sprintf("async-ps-server-%d", s), func(p *sim.Proc) {
-			asm := make(map[protocol.Addr]*protocol.Assembler)
 			var applyBuf []float32 // S>1: full-length gradient, zero outside [lo,hi)
 			if nShards > 1 {
 				applyBuf = make([]float32, cluster.n)
 			}
 			prev := p.Now()
 			for version < cfg.Updates {
-				pkt := srv.Recv(p)
-				src := pkt.Src
-				switch {
-				case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
-					pkt.Release()
-					pulls.Send(src)
-				case pkt.IsData():
-					a := asm[src]
-					if a == nil {
-						a = protocol.NewAssembler(nShard)
-						asm[src] = a
-					}
-					// The payload is copied out: the frame is spent.
-					err := a.AddFloats(pkt.Seg-segBase, pkt.Data)
-					pkt.Release()
-					if err != nil || !a.Complete() {
-						continue
-					}
-					// Push: apply if within the staleness bound.
-					p.Sleep(msgCost)
-					staleness := version - lastSent[src]
-					if staleness <= cfg.StalenessBound {
-						stats.Committed++
-						stats.StalenessSum += staleness
-						perShard.Committed++
-						perShard.StalenessSum += staleness
-						perShard.MaxStaleness = max(perShard.MaxStaleness, staleness)
-						p.Sleep(updateCost)
-						grad := a.Vector()
-						if applyBuf != nil {
-							copy(applyBuf[lo:hi], grad)
-							grad = applyBuf
-						}
-						masterAgent.ApplyAggregated(grad, 1)
-						version++
-						now := p.Now()
-						shardStats.Iters = append(shardStats.Iters, IterRecord{
-							Start: prev, ComputeEnd: prev, AggEnd: now, UpdateEnd: now,
-						})
-						prev = now
-						if now > stats.Total {
-							stats.Total = now
-						}
-					} else {
-						stats.Discarded++
-						perShard.Discarded++
-					}
-					a.Reset()
-				default:
-					pkt.Release()
+				// Push: apply if within the staleness bound.
+				src, grad := sh.gather(p, pull)
+				p.Sleep(msgCost)
+				if !counts.admit(version-lastSent[src], cfg.StalenessBound) {
+					continue
+				}
+				p.Sleep(updateCost)
+				if applyBuf != nil {
+					copy(applyBuf[sh.lo:sh.hi], grad)
+					grad = applyBuf
+				}
+				masterAgent.ApplyAggregated(grad, 1)
+				version++
+				now := p.Now()
+				shardStats.Iters = append(shardStats.Iters, IterRecord{
+					Start: prev, ComputeEnd: prev, AggEnd: now, UpdateEnd: now,
+				})
+				prev = now
+				if now > stats.Total {
+					stats.Total = now
 				}
 			}
 			if remaining--; remaining == 0 {
@@ -338,10 +298,13 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 			grad := make([]float32, agent.GradLen())
 			for iter := 0; !stop; iter++ {
 				// Pull the latest weights from every shard (replies
-				// arrive concurrently on S server NICs).
+				// arrive concurrently on S server NICs). A pull request
+				// reuses the control framing with the Help action
+				// ("request data"): PS traffic crosses only plain
+				// switches, so no iSwitch data plane interprets it.
 				p.Sleep(cluster.cfg.WorkerBase)
-				for _, srv := range cluster.Servers {
-					host.Send(pullRequest(host.Addr, srv.Addr))
+				for _, sh := range cluster.shards {
+					host.Send(protocol.NewControl(host.Addr, sh.srv.Addr, protocol.ActionHelp, nil))
 				}
 				weights.Reset()
 				for !weights.Complete() {
@@ -374,5 +337,14 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 	}
 	k.Run()
 	stats.Updates = cfg.Updates
+	for _, c := range perShard {
+		stats.Committed += c.Committed
+		stats.Discarded += c.Discarded
+		stats.StalenessSum += c.StalenessSum
+		stats.MaxStaleness = max(stats.MaxStaleness, c.MaxStaleness)
+	}
+	if nShards > 1 {
+		stats.PerShard = perShard
+	}
 	return stats
 }

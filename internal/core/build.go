@@ -402,35 +402,42 @@ func buildISW(k *sim.Kernel, spec ClusterSpec) *ISWCluster {
 	return c
 }
 
-// buildPS wires the workers plus the shard servers (on the workers'
-// switch for a star, on the root for a tree) and, for ModePS, spawns the
-// synchronous server processes.
-func buildPS(k *sim.Kernel, spec ClusterSpec) *PSCluster {
+// plainFabric wires the baselines' workers over plain forwarding
+// switches and returns them with a function that attaches one more host
+// (a parameter-server shard): on the workers' switch for a star, on the
+// root for a tree.
+func plainFabric(k *sim.Kernel, spec ClusterSpec) ([]*netsim.Host, func(protocol.Addr) *netsim.Host) {
 	link, uplink := spec.Link, spec.Uplink
+	if spec.Topology == TopoStar {
+		// AttachHost appends to star.Hosts, not to the returned slice.
+		star := netsim.BuildStar(k, spec.Workers, link)
+		return star.Hosts, func(a protocol.Addr) *netsim.Host { return star.AttachHost(k, a, link) }
+	}
+	tr := netsim.BuildRacksN(k, spec.Workers, spec.PerRack, link, uplink)
+	return tr.Hosts, func(a protocol.Addr) *netsim.Host { return tr.AttachRootHost(k, a, uplink) }
+}
+
+// buildPS wires the workers plus the shard servers and, for ModePS,
+// spawns the synchronous server processes.
+func buildPS(k *sim.Kernel, spec ClusterSpec) *PSCluster {
 	c := &PSCluster{n: spec.ModelFloats, cfg: DefaultPSConfig(), scheme: spec.scheme()}
 	if spec.PS != nil {
 		c.cfg = *spec.PS
 	}
-	var attach func(protocol.Addr) *netsim.Host
-	if spec.Topology == TopoStar {
-		star := netsim.BuildStar(k, spec.Workers, link)
-		c.workers = star.Hosts // AttachHost appends the servers to star.Hosts, not to this slice
-		attach = func(a protocol.Addr) *netsim.Host { return star.AttachHost(k, a, link) }
-	} else {
-		tr := netsim.BuildRacksN(k, spec.Workers, spec.PerRack, link, uplink)
-		c.workers = tr.Hosts
-		attach = func(a protocol.Addr) *netsim.Host { return tr.AttachRootHost(k, a, uplink) }
-	}
+	workers, attach := plainFabric(k, spec)
+	c.workers = workers
 	totalSegs := protocol.SegmentCount(spec.ModelFloats)
 	nShards := min(max(spec.Shards, 1), totalSegs) // a shard owns at least one whole segment
 	for s := 0; s < nShards; s++ {
-		c.segLo = append(c.segLo, s*totalSegs/nShards)
-		c.Servers = append(c.Servers, attach(PSShardAddr(s)))
+		first, end := s*totalSegs/nShards, (s+1)*totalSegs/nShards
+		lo, _ := protocol.SegmentRange(c.n, uint64(first))
+		_, hi := protocol.SegmentRange(c.n, uint64(end-1))
+		c.shards = append(c.shards, &psShard{srv: attach(PSShardAddr(s)), lo: lo, hi: hi,
+			segBase: uint64(first), asm: make(map[protocol.Addr]*protocol.Assembler)})
 	}
-	c.segLo = append(c.segLo, totalSegs)
-	c.Server = c.Servers[0]
+	c.Server = c.shards[0].srv
 	if spec.Mode == ModePS {
-		for s := range c.Servers {
+		for s := range c.shards {
 			c.startServer(k, s)
 		}
 	}
@@ -440,16 +447,11 @@ func buildPS(k *sim.Kernel, spec ClusterSpec) *PSCluster {
 // buildAR wires the ring's workers; the ring follows worker index
 // order, so on a tree rack boundaries add root-switch crossings.
 func buildAR(k *sim.Kernel, spec ClusterSpec) *ARCluster {
-	link, uplink := spec.Link, spec.Uplink
 	c := &ARCluster{n: spec.ModelFloats, cfg: DefaultARConfig()}
 	if spec.AR != nil {
 		c.cfg = *spec.AR
 	}
-	if spec.Topology == TopoStar {
-		c.workers = netsim.BuildStar(k, spec.Workers, link).Hosts
-	} else {
-		c.workers = netsim.BuildRacksN(k, spec.Workers, spec.PerRack, link, uplink).Hosts
-	}
+	c.workers, _ = plainFabric(k, spec)
 	return c
 }
 

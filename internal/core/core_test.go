@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -344,6 +345,66 @@ func TestAsyncStalenessBoundZeroDiscardsStale(t *testing.T) {
 		t.Fatalf("S=0 but mean staleness %v", stats.MeanStaleness())
 	}
 	t.Logf("S=0: committed=%d discarded=%d", stats.Committed, stats.Discarded)
+}
+
+// panicsWithin runs f and returns what it panicked with. A hang past d
+// or a normal return fails the test: a wedged run must not wedge the
+// suite.
+func panicsWithin(t *testing.T, d time.Duration, f func()) string {
+	t.Helper()
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		f()
+	}()
+	select {
+	case v := <-got:
+		if v == nil {
+			t.Fatal("returned normally, want a panic")
+		}
+		return fmt.Sprint(v)
+	case <-time.After(d):
+		t.Fatalf("no panic within %v: the run hangs", d)
+		return ""
+	}
+}
+
+// A negative staleness bound discards every gradient, so no update is
+// ever applied: both async designs must refuse it instead of computing
+// forever in virtual time. RunAsyncPS must also refuse more agents than
+// the cluster has workers.
+func TestAsyncRejectsBadInputs(t *testing.T) {
+	const nWorkers, nFloats = 2, 200
+	cfg := AsyncConfig{Updates: 5, StalenessBound: -1,
+		LocalCompute: 50 * time.Microsecond, WeightUpdate: 10 * time.Microsecond}
+	agents := func(n int) []rl.Agent {
+		a := make([]rl.Agent, n)
+		for i := range a {
+			a[i] = newIntAgent(i, nFloats)
+		}
+		return a
+	}
+	runPS := func(n int, cfg AsyncConfig) func() {
+		return func() {
+			k := sim.NewKernel()
+			RunAsyncPS(k, agents(n), newIntAgent(99, nFloats), Build(k, starSpec(ModeAsyncPS, nWorkers, nFloats)).PS, cfg)
+		}
+	}
+	for name, f := range map[string]func(){
+		"ps": runPS(nWorkers, cfg),
+		"isw": func() {
+			k := sim.NewKernel()
+			RunAsyncISW(k, agents(nWorkers), Build(k, starSpec(ModeISW, nWorkers, nFloats)).ISW, cfg)
+		},
+	} {
+		if msg := panicsWithin(t, 10*time.Second, f); !strings.Contains(msg, "staleness bound -1") {
+			t.Fatalf("%s: panic %q does not name the bound", name, msg)
+		}
+	}
+	cfg.StalenessBound = 3
+	if msg := panicsWithin(t, 10*time.Second, runPS(nWorkers+1, cfg)); !strings.Contains(msg, "agents/cluster size mismatch") {
+		t.Fatalf("ps with %d agents: panic %q", nWorkers+1, msg)
+	}
 }
 
 // Functional end-to-end: real A2C agents training CartPole through the

@@ -34,6 +34,12 @@ import (
 // iSwitch speedups are measured against. The paper's single host is the
 // S=1 case of the same code. Shard boundaries align to packet-segment
 // boundaries so one data packet never straddles two shards.
+//
+// A shard is one psShard whose gather loop serves both policies: the
+// synchronous server below sums slices in the order they complete and
+// replies to each worker; the asynchronous one (async.go) checks each
+// slice's staleness and applies it. sendSlice and recvAll are the one
+// sender and the one reassembly loop of the PS and ring baselines.
 
 // PSConfig carries the software-stack costs of the PS reference design.
 type PSConfig struct {
@@ -126,14 +132,11 @@ func PSShardAddr(s int) protocol.Addr {
 // PSCluster is a star or two-level network with S parameter-server
 // hosts, each owning a contiguous slice of the model vector.
 type PSCluster struct {
-	Server  *netsim.Host   // Servers[0]: the paper's single host when S=1
-	Servers []*netsim.Host // shard s's host is Servers[s]
+	Server  *netsim.Host // shard 0's host: the paper's single host when S=1
+	shards  []*psShard
 	workers []*netsim.Host
 	n       int
 	cfg     PSConfig
-	// segLo[s] .. segLo[s+1] is the half-open packet-segment range of
-	// shard s; len(segLo) == NumShards()+1.
-	segLo []int
 
 	// scheme is the job's gradient wire format. The PS path supports
 	// CompNone and CompFP16 (gradients and sync replies rounded through
@@ -142,79 +145,111 @@ type PSCluster struct {
 	scheme protocol.Compression
 }
 
+// psShard is one parameter-server shard: its server host, the element
+// range [lo, hi) it owns, the global packet-segment index of its first
+// element, and one assembler per worker. The sync server (startServer)
+// and the async one (RunAsyncPS) both read pushes through gather.
+type psShard struct {
+	srv     *netsim.Host
+	lo, hi  int
+	segBase uint64
+	asm     map[protocol.Addr]*protocol.Assembler
+}
+
+// gather receives until one worker's slice is complete and returns that
+// worker and the slice, which stays valid until the next gather. Frames
+// that are not data go to control (nil: dropped) and are released
+// after it returns.
+func (sh *psShard) gather(p *sim.Proc, control func(*protocol.Packet)) (protocol.Addr, []float32) {
+	for {
+		pkt := sh.srv.Recv(p)
+		if !pkt.IsData() {
+			if control != nil {
+				control(pkt)
+			}
+			pkt.Release()
+			continue
+		}
+		src := pkt.Src
+		a := sh.asm[src]
+		if a == nil {
+			a = protocol.NewAssembler(sh.hi - sh.lo)
+			sh.asm[src] = a
+		}
+		// Remap the global segment index into shard-local space
+		// (misrouted segments wrap out of range and are dropped). The
+		// payload is copied out: the frame is spent.
+		err := a.AddFloats(pkt.Seg-sh.segBase, pkt.Data)
+		pkt.Release()
+		if err == nil && a.Complete() {
+			a.Reset() // the vector stays intact until src's next frame
+			return src, a.Vector()
+		}
+	}
+}
+
 // Workers exposes the worker hosts (the servers are separate).
 func (c *PSCluster) Workers() []*netsim.Host { return c.workers }
 
 // NumShards returns the effective shard count: ClusterSpec.Shards
 // clamped to the model's packet-segment count (a shard must own at
 // least one whole segment).
-func (c *PSCluster) NumShards() int { return len(c.Servers) }
+func (c *PSCluster) NumShards() int { return len(c.shards) }
 
 // ShardElems returns the element range [lo, hi) owned by shard s.
-func (c *PSCluster) ShardElems(s int) (lo, hi int) {
-	lo, _ = protocol.SegmentRange(c.n, uint64(c.segLo[s]))
-	_, hi = protocol.SegmentRange(c.n, uint64(c.segLo[s+1]-1))
-	return lo, hi
-}
+func (c *PSCluster) ShardElems(s int) (lo, hi int) { return c.shards[s].lo, c.shards[s].hi }
 
-// scatter sends grad from h as data packets, each segment routed to its
-// owning shard server with its global Seg index. Packets alias grad.
-func (c *PSCluster) scatter(h *netsim.Host, grad []float32) {
-	for s, srv := range c.Servers {
-		lo, hi := c.ShardElems(s)
-		for _, pkt := range protocol.Segment(h.Addr, srv.Addr, grad[lo:hi]) {
-			pkt.Seg += uint64(c.segLo[s])
-			pkt.Enc = c.scheme
-			h.Send(pkt)
-		}
+// sendSlice sends vals from h to dst as data packets numbered from
+// segment base and carried under enc. Packets alias vals.
+func sendSlice(h *netsim.Host, dst protocol.Addr, vals []float32, base uint64, enc protocol.Compression) {
+	for _, pkt := range protocol.Segment(h.Addr, dst, vals) {
+		pkt.Seg += base
+		pkt.Enc = enc
+		h.Send(pkt)
 	}
 }
 
-// startServer spawns shard s's synchronous aggregation process: gather
-// every worker's shard slice, sum, reply to each worker of the round.
+// recvAll resets asm, receives data frames into it until it is
+// complete, and returns its vector (frames that do not fit are dropped).
+func recvAll(p *sim.Proc, h *netsim.Host, asm *protocol.Assembler) []float32 {
+	asm.Reset()
+	for !asm.Complete() {
+		pkt := h.Recv(p)
+		if pkt.IsData() {
+			_ = asm.Add(pkt)
+		}
+		pkt.Release()
+	}
+	return asm.Vector()
+}
+
+// scatter sends grad from h, each shard's slice to its server under the
+// shard's global segment numbers. Packets alias grad.
+func (c *PSCluster) scatter(h *netsim.Host, grad []float32) {
+	for _, sh := range c.shards {
+		sendSlice(h, sh.srv.Addr, grad[sh.lo:sh.hi], sh.segBase, c.scheme)
+	}
+}
+
+// startServer spawns shard s's synchronous aggregation process: sum the
+// workers' slices in the order they complete, then reply to each worker
+// of the round.
 func (c *PSCluster) startServer(k *sim.Kernel, s int) {
-	srv := c.Servers[s]
-	lo, hi := c.ShardElems(s)
-	nShard := hi - lo
-	segBase := uint64(c.segLo[s])
+	sh := c.shards[s]
+	n := sh.hi - sh.lo
 	k.Spawn(fmt.Sprintf("ps-server-%d", s), func(p *sim.Proc) {
-		asm := make(map[protocol.Addr]*protocol.Assembler)
 		for {
-			// Gather one full slice from each worker.
 			var round []protocol.Addr
-			sum := make([]float32, nShard)
+			sum := make([]float32, n) // the replies alias it
 			for len(round) < len(c.workers) {
-				pkt := srv.Recv(p)
-				if !pkt.IsData() {
-					pkt.Release()
-					continue
-				}
-				src := pkt.Src
-				a := asm[src]
-				if a == nil {
-					a = protocol.NewAssembler(nShard)
-					asm[src] = a
-				}
-				// Remap the global segment index into shard-local space
-				// (misrouted segments wrap out of range and are dropped).
-				// The payload is copied out: the frame is spent.
-				err := a.AddFloats(pkt.Seg-segBase, pkt.Data)
-				pkt.Release()
-				if err != nil {
-					continue
-				}
-				if a.Complete() {
-					p.Sleep(c.cfg.msgCost(nShard)) // framework receive cost
-					for i, v := range a.Vector() {
-						sum[i] += v
-					}
-					a.Reset()
-					round = append(round, src)
-				}
+				src, slice := sh.gather(p, nil)
+				p.Sleep(c.cfg.msgCost(n)) // framework receive cost
+				kernels.Add(sum, slice)
+				round = append(round, src)
 			}
 			// Deferred whole-vector summation happened above per arrival
 			// order; charge the vectorized add cost once per round.
-			p.Sleep(accel.SumLatency(nShard, len(round), c.cfg.SumRate))
+			p.Sleep(accel.SumLatency(n, len(round), c.cfg.SumRate))
 			// Reply to each worker of the round; the server NIC
 			// serializes these N slices back-to-back. Under fp16 the
 			// reply is rounded through the wire precision once — every
@@ -223,12 +258,8 @@ func (c *PSCluster) startServer(k *sim.Kernel, s int) {
 				kernels.F16RoundInPlace(sum)
 			}
 			for _, dst := range round {
-				p.Sleep(c.cfg.msgCost(nShard))
-				for _, out := range protocol.Segment(srv.Addr, dst, sum) {
-					out.Seg += segBase
-					out.Enc = c.scheme
-					srv.Send(out)
-				}
+				p.Sleep(c.cfg.msgCost(n))
+				sendSlice(sh.srv, dst, sum, sh.segBase, c.scheme)
 			}
 		}
 	})
@@ -267,15 +298,6 @@ func (pc *psClient) Aggregate(p *sim.Proc, grad []float32) []float32 {
 	pc.cluster.scatter(pc.host, grad)
 	if pc.asm == nil {
 		pc.asm = protocol.NewAssembler(pc.cluster.n)
-	} else {
-		pc.asm.Reset()
 	}
-	for !pc.asm.Complete() {
-		pkt := pc.host.Recv(p)
-		if pkt.IsData() {
-			_ = pc.asm.Add(pkt) // a bad segment is dropped
-		}
-		pkt.Release()
-	}
-	return pc.asm.Vector()
+	return recvAll(p, pc.host, pc.asm)
 }

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/protocol"
 	"iswitch/internal/rl"
 	"iswitch/internal/sim"
+	"iswitch/internal/tensor/kernels"
 )
 
 // The shard partition must cover the vector exactly: contiguous,
@@ -58,29 +62,35 @@ func TestShardedPSMatchesDirectSum(t *testing.T) {
 			services[i] = c.Client(i)
 		}
 		RunSync(k, agents, services, fastTiming(iters))
+		checkDirectSums(t, fmt.Sprintf("shards=%d", shards), ints, iters)
+	}
+}
 
-		ref := make([]*intAgent, nWorkers)
-		for i := range ref {
-			ref[i] = newIntAgent(i, nFloats)
+// checkDirectSums fails t unless each agent's it-th applied aggregate,
+// for every it < iters, is the element-wise sum of the it-th gradients
+// of fresh agents with the same ids.
+func checkDirectSums(t *testing.T, label string, ints []*intAgent, iters int) {
+	t.Helper()
+	n := ints[0].n
+	ref := make([]*intAgent, len(ints))
+	for i, a := range ints {
+		ref[i] = newIntAgent(a.id, n)
+	}
+	g := make([]float32, n)
+	for it := 0; it < iters; it++ {
+		want := make([]float32, n)
+		for _, a := range ref {
+			a.ComputeGradient(g)
+			kernels.Add(want, g)
 		}
-		g := make([]float32, nFloats)
-		for it := 0; it < iters; it++ {
-			want := make([]float32, nFloats)
-			for _, a := range ref {
-				a.ComputeGradient(g)
-				for i := range want {
-					want[i] += g[i]
-				}
+		for w, a := range ints {
+			if len(a.applied) != iters {
+				t.Fatalf("%s worker %d applied %d", label, w, len(a.applied))
 			}
-			for w, a := range ints {
-				if len(a.applied) != iters {
-					t.Fatalf("shards=%d worker %d applied %d", shards, w, len(a.applied))
-				}
-				for i := range want {
-					if a.applied[it][i] != want[i] {
-						t.Fatalf("shards=%d iter %d worker %d elem %d: got %v want %v",
-							shards, it, w, i, a.applied[it][i], want[i])
-					}
+			for i := range want {
+				if a.applied[it][i] != want[i] {
+					t.Fatalf("%s iter %d worker %d elem %d: got %v want %v",
+						label, it, w, i, a.applied[it][i], want[i])
 				}
 			}
 		}
@@ -217,16 +227,23 @@ func (a *scratchAgent) ApplyAggregated(sum []float32, h int) {
 	a.intAgent.ApplyAggregated(sum, h)
 }
 
-// psClient.Aggregate must return its reusable assembler buffer instead
-// of a fresh per-round copy (the alloc-regression guard for the fix).
+// psClient.Aggregate and arClient.Aggregate must return a reusable
+// client buffer instead of a fresh per-round copy (the alloc-regression
+// guard). The ring alternates two working vectors, so its round r
+// reuses round r-2's.
 func TestPSAggregateReusesScratchBuffer(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		const nWorkers, nFloats, iters = 2, 2000, 3
+	for _, tc := range []struct {
+		mode         Mode
+		shards, bufs int
+	}{{ModePS, 1, 1}, {ModePS, 2, 1}, {ModeAllReduce, 1, 2}} {
+		const nWorkers, nFloats, iters = 2, 2000, 4
 		k := sim.NewKernel()
 		agents := make([]rl.Agent, nWorkers)
 		scratch := make([]*scratchAgent, nWorkers)
 		services := make([]Service, nWorkers)
-		c := psStar(k, ModePS, nWorkers, nFloats, shards)
+		spec := starSpec(tc.mode, nWorkers, nFloats)
+		spec.Shards = tc.shards
+		c := Build(k, spec)
 		for i := range agents {
 			scratch[i] = &scratchAgent{intAgent: *newIntAgent(i, nFloats)}
 			agents[i] = scratch[i]
@@ -235,15 +252,36 @@ func TestPSAggregateReusesScratchBuffer(t *testing.T) {
 		RunSync(k, agents, services, fastTiming(iters))
 		for w, a := range scratch {
 			if len(a.ptrs) != iters {
-				t.Fatalf("S=%d worker %d saw %d aggregates", shards, w, len(a.ptrs))
+				t.Fatalf("%v S=%d worker %d saw %d aggregates", tc.mode, tc.shards, w, len(a.ptrs))
 			}
-			for it := 1; it < iters; it++ {
-				if a.ptrs[it] != a.ptrs[0] {
-					t.Fatalf("S=%d worker %d: aggregate buffer reallocated at iter %d", shards, w, it)
+			for it := tc.bufs; it < iters; it++ {
+				if a.ptrs[it] != a.ptrs[it-tc.bufs] {
+					t.Fatalf("%v S=%d worker %d: aggregate buffer reallocated at iter %d", tc.mode, tc.shards, w, it)
 				}
 			}
 		}
 	}
+}
+
+// A ring worker with no compute between rounds starts the next round
+// while its last chunk may still be crossing a slower link to its
+// successor; that chunk must still carry the old round's values.
+func TestARBackToBackRoundsExact(t *testing.T) {
+	const nWorkers, nFloats, iters = 6, 3000, 4
+	k := sim.NewKernel()
+	c := Build(k, ClusterSpec{Topology: TopoTree, Mode: ModeAllReduce, Workers: nWorkers, PerRack: 3,
+		ModelFloats: nFloats, Link: netsim.FortyGbE(), Uplink: netsim.TenGbE(),
+		AR: &ARConfig{SumRate: 1e12, CopyRate: 1e15, Tensors: 1}})
+	agents := make([]rl.Agent, nWorkers)
+	ints := make([]*intAgent, nWorkers)
+	services := make([]Service, nWorkers)
+	for i := range agents {
+		ints[i] = newIntAgent(i, nFloats)
+		agents[i] = ints[i]
+		services[i] = c.Client(i)
+	}
+	RunSync(k, agents, services, SyncConfig{Iterations: iters})
+	checkDirectSums(t, "back-to-back", ints, iters)
 }
 
 // BenchmarkPSAggregateRoundPPO tracks the per-round allocation profile
@@ -265,4 +303,105 @@ func BenchmarkPSAggregateRoundPPO(b *testing.B) {
 		}
 		RunSync(k, agents, services, fastTiming(4))
 	}
+}
+
+// lender is a protocol.BufferOwner that counts the payloads handed back.
+type lender struct{ back int }
+
+func (l *lender) Recycle([]float32) { l.back++ }
+func (l *lender) RecycleQ([]int32)  { l.back++ }
+
+// misroute delivers, at each of the given times, one data frame per
+// segment of the model that a shard does not own straight into that
+// shard's server (segments below and above its range), from worker 0's
+// address. It returns the number of frames it will deliver.
+func misroute(k *sim.Kernel, c *PSCluster, owner *lender, at ...time.Duration) int {
+	segs := protocol.SegmentCount(c.n)
+	sent := 0
+	for _, d := range at {
+		for _, sh := range c.shards {
+			for seg := 0; seg < segs; seg++ {
+				lo, hi := protocol.SegmentRange(c.n, uint64(seg))
+				if lo >= sh.lo && hi <= sh.hi {
+					continue // the shard's own segment
+				}
+				pkt := protocol.NewData(c.workers[0].Addr, sh.srv.Addr, uint64(seg), nil)
+				junk := make([]float32, protocol.FloatsPerPacket)
+				for i := range junk {
+					junk[i] = 1e6
+				}
+				pkt.LendData(junk, owner)
+				srv := sh.srv
+				k.After(d, func() { srv.Deliver(pkt, nil) })
+				sent++
+			}
+		}
+	}
+	return sent
+}
+
+// A shard drops data frames whose global segment lies outside its range
+// (the shard-local index wraps out of range), under the sync and the
+// async policy alike: the run completes as if they had never arrived,
+// and every such frame is released.
+func TestShardDropsForeignSegments(t *testing.T) {
+	const nWorkers, nFloats, shards = 3, 1500, 2
+	at := []time.Duration{0, 40 * time.Microsecond, 200 * time.Microsecond}
+
+	t.Run("sync", func(t *testing.T) {
+		const iters = 3
+		k := sim.NewKernel()
+		c := psStar(k, ModePS, nWorkers, nFloats, shards)
+		owner := &lender{}
+		sent := misroute(k, c, owner, at...)
+		ints := make([]*intAgent, nWorkers)
+		agents := make([]rl.Agent, nWorkers)
+		services := make([]Service, nWorkers)
+		for i := range agents {
+			ints[i] = newIntAgent(i, nFloats)
+			agents[i] = ints[i]
+			services[i] = c.Client(i)
+		}
+		if end := RunSync(k, agents, services, fastTiming(iters)).Total; end < at[len(at)-1] {
+			t.Fatalf("run ended at %v, before the last injection", end)
+		}
+		checkDirectSums(t, "misrouted", ints, iters)
+		if owner.back != sent {
+			t.Fatalf("%d of %d foreign frames released", owner.back, sent)
+		}
+	})
+
+	t.Run("async", func(t *testing.T) {
+		cfg := AsyncConfig{Updates: 6, StalenessBound: 2,
+			LocalCompute: 50 * time.Microsecond, WeightUpdate: 10 * time.Microsecond}
+		run := func(inject bool) (*AsyncStats, *intAgent, int, *lender) {
+			k := sim.NewKernel()
+			c := psStar(k, ModeAsyncPS, nWorkers, nFloats, shards)
+			owner := &lender{}
+			sent := 0
+			if inject {
+				sent = misroute(k, c, owner, at...)
+			}
+			agents := make([]rl.Agent, nWorkers)
+			for i := range agents {
+				agents[i] = newIntAgent(i, nFloats)
+			}
+			master := newIntAgent(99, nFloats)
+			return RunAsyncPS(k, agents, master, c, cfg), master, sent, owner
+		}
+		want, wantMaster, _, _ := run(false)
+		got, master, sent, owner := run(true)
+		if got.Total < at[len(at)-1] {
+			t.Fatalf("run ended at %v, before the last injection", got.Total)
+		}
+		if got.Total != want.Total || got.ShardStats != want.ShardStats {
+			t.Fatalf("injected run %v %+v, clean run %v %+v", got.Total, got.ShardStats, want.Total, want.ShardStats)
+		}
+		if !reflect.DeepEqual(master.applied, wantMaster.applied) {
+			t.Fatal("the master applied different updates once foreign frames arrived")
+		}
+		if owner.back != sent {
+			t.Fatalf("%d of %d foreign frames released", owner.back, sent)
+		}
+	})
 }

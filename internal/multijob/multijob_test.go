@@ -1,6 +1,7 @@
 package multijob
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -288,6 +289,28 @@ func TestStaticPartitionQueueing(t *testing.T) {
 		if r.Rounds != iters {
 			t.Fatalf("job %d rounds = %d, want %d", i, r.Rounds, iters)
 		}
+	}
+}
+
+// TestNegativeStalenessRejected: an async job whose staleness bound is
+// negative would discard every gradient and never finish; Run must
+// reject the spec up front. A hang fails the test, not the suite.
+func TestNegativeStalenessRejected(t *testing.T) {
+	wl := ppoWorkload(t)
+	f := NewStarFabric(sim.NewKernel(), 2, testLink(), FabricConfig{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(f, []JobSpec{{Workload: wl, Workers: 2, Mode: ModeAsync,
+			Updates: 5, StalenessBound: -1, ModelFloats: 400}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "StalenessBound") {
+			t.Fatalf("Run returned %v, want a StalenessBound rejection", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hangs on a negative staleness bound")
 	}
 }
 

@@ -225,6 +225,9 @@ func validateSpec(spec JobSpec) error {
 			}
 		}
 	}
+	if spec.Mode == ModeAsync && spec.StalenessBound < 0 {
+		return fmt.Errorf("async jobs need StalenessBound >= 0 (a negative bound discards every gradient)")
+	}
 	if fp := spec.Faults; fp != nil {
 		if len(fp.Crashes) > 0 || len(fp.Switches) > 0 {
 			return fmt.Errorf("multijob fault injection supports link faults only")
