@@ -13,9 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"iswitch/internal/accel"
@@ -24,7 +25,6 @@ import (
 	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/protocol"
-	"iswitch/internal/rl"
 	"iswitch/internal/sim"
 	"iswitch/internal/trace"
 )
@@ -51,56 +51,67 @@ func newTraceRecorder(host *netsim.Host, max int, tail bool) *trace.Recorder {
 	return rec
 }
 
-func dumpTrace(rec *trace.Recorder) {
-	fmt.Println("\npacket trace (worker 0 NIC):")
-	fmt.Print(rec.String())
+func dumpTrace(out io.Writer, rec *trace.Recorder) {
+	fmt.Fprintln(out, "\npacket trace (worker 0 NIC):")
+	fmt.Fprint(out, rec.String())
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "iswitch-sim:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, simulates the scenario they name and writes the
+// report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("iswitch-sim", flag.ContinueOnError)
 	var (
-		workload = flag.String("workload", "DQN", "DQN | A2C | PPO | DDPG")
-		strategy = flag.String("strategy", "isw", "ps | ar | isw")
-		topology = flag.String("topology", "star", "star | tree | 3tier (3tier: isw only)")
-		workers  = flag.Int("workers", 4, "worker count (star/tree)")
-		perRack  = flag.Int("per-rack", 3, "workers per rack (tree)")
-		aggs     = flag.Int("aggs", 2, "aggregation switches (3tier)")
-		tors     = flag.Int("tors", 2, "ToRs per AGG (3tier)")
-		hosts    = flag.Int("hosts", 3, "workers per ToR (3tier)")
-		mode     = flag.String("mode", "sync", "sync | async (async: ps or isw)")
-		psShards = flag.Int("ps-shards", 1, "PS shard servers (ps/star only; 1 = single-server baseline)")
-		iters    = flag.Int("iters", 3, "sync iterations to simulate")
-		updates  = flag.Int64("updates", 50, "async weight updates to simulate")
-		stale    = flag.Int64("staleness", 3, "async staleness bound S")
-		doTrace  = flag.Int("trace", 0, "print N packet events of worker 0's NIC (isw strategies, any topology/mode)")
-		traceEnd = flag.Bool("trace-tail", false, "with -trace: keep the last N events (ring buffer) instead of the first N")
-		jobs     = flag.Int("jobs", 1, "co-running training jobs sharing the fabric (isw only; workloads cycled from -workload)")
-		jobsPol  = flag.String("jobs-policy", "demand", "SRAM partition policy for -jobs: demand | static")
+		workload = fs.String("workload", "DQN", "DQN | A2C | PPO | DDPG")
+		strategy = fs.String("strategy", "isw", "ps | ar | isw")
+		topology = fs.String("topology", "star", "star | tree | 3tier (3tier: isw only)")
+		workers  = fs.Int("workers", 4, "worker count (star/tree)")
+		perRack  = fs.Int("per-rack", 3, "workers per rack (tree)")
+		aggs     = fs.Int("aggs", 2, "aggregation switches (3tier)")
+		tors     = fs.Int("tors", 2, "ToRs per AGG (3tier)")
+		hosts    = fs.Int("hosts", 3, "workers per ToR (3tier)")
+		mode     = fs.String("mode", "sync", "sync | async (async: ps or isw)")
+		psShards = fs.Int("ps-shards", 1, "PS shard servers (ps/star only; 1 = single-server baseline)")
+		iters    = fs.Int("iters", 3, "sync iterations to simulate")
+		updates  = fs.Int64("updates", 50, "async weight updates to simulate")
+		stale    = fs.Int64("staleness", 3, "async staleness bound S")
+		doTrace  = fs.Int("trace", 0, "print N packet events of worker 0's NIC (isw strategies, any topology/mode)")
+		traceEnd = fs.Bool("trace-tail", false, "with -trace: keep the last N events (ring buffer) instead of the first N")
+		jobs     = fs.Int("jobs", 1, "co-running training jobs sharing the fabric (isw only; workloads cycled from -workload)")
+		jobsPol  = fs.String("jobs-policy", "demand", "SRAM partition policy for -jobs: demand | static")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	w, err := perfmodel.WorkloadByName(*workload)
 	if err != nil {
-		log.Fatalf("iswitch-sim: %v", err)
+		return err
 	}
 	if *doTrace > 0 && *strategy != "isw" {
-		log.Fatalf("iswitch-sim: -trace supports -strategy isw (any topology or mode)")
+		return fmt.Errorf("-trace supports -strategy isw (any topology or mode)")
 	}
 	if *jobs < 1 {
-		log.Fatalf("iswitch-sim: -jobs must be >= 1")
+		return fmt.Errorf("-jobs must be >= 1")
 	}
-	if *iters < 1 {
-		log.Fatalf("iswitch-sim: -iters must be >= 1")
-	}
-	if *updates < 1 {
-		log.Fatalf("iswitch-sim: -updates must be >= 1")
-	}
-	if *stale < 0 {
-		log.Fatalf("iswitch-sim: -staleness must be >= 0")
+	job := core.Job{LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate}
+	switch *mode {
+	case "sync":
+		job.Iterations = *iters
+	case "async":
+		job.Updates, job.StalenessBound = *updates, *stale
+	default:
+		return fmt.Errorf("mode must be sync or async")
 	}
 
 	// One declarative spec covers every strategy × topology pairing and
-	// the shared fabric of -jobs; the pieces below only vary Mode
-	// (sync/async flavors) on top of it.
+	// the shared fabric of -jobs.
 	spec := core.ClusterSpec{
 		Workers:     *jobs * *workers,
 		PerRack:     *perRack,
@@ -119,111 +130,78 @@ func main() {
 		spec.AGGs, spec.ToRsPerAGG, spec.HostsPerToR = *aggs, *tors, *hosts
 		spec.Link, spec.Uplink, spec.CoreLink = netsim.DefaultThreeTierLinks()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *topology)
-		os.Exit(1)
+		return fmt.Errorf("unknown topology %q", *topology)
 	}
 	if *jobs > 1 {
 		if *strategy != "isw" {
-			log.Fatalf("iswitch-sim: -jobs requires -strategy isw (only iSwitches are multi-tenant)")
+			return fmt.Errorf("-jobs requires -strategy isw (only iSwitches are multi-tenant)")
 		}
-		runJobs(w, spec, *jobs, *jobsPol, *topology, *workers,
-			*mode, *iters, *updates, *stale, *doTrace, *traceEnd)
-		return
+		return runJobs(out, w, spec, *jobs, *jobsPol, *topology, *workers, *mode, job, *doTrace, *traceEnd)
 	}
-	switch *strategy {
-	case "ps":
-		cfg := core.PSConfigFor(w)
-		spec.PS = &cfg
-		spec.Mode = core.ModePS
-		if *mode == "async" {
-			spec.Mode = core.ModeAsyncPS
-		}
-	case "ar":
-		cfg := core.ARConfigFor(w)
-		spec.AR = &cfg
-		spec.Mode = core.ModeAllReduce
-	case "isw":
-		cfg := core.ISWConfigFor(w)
-		spec.ISW = &cfg
-		spec.Mode = core.ModeISW
-	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
-		os.Exit(1)
+	m, ok := map[string]core.Mode{"ps": core.ModePS, "ar": core.ModeAllReduce, "isw": core.ModeISW}[*strategy]
+	if !ok {
+		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
-	if *mode != "sync" && *mode != "async" {
-		fmt.Fprintln(os.Stderr, "mode must be sync or async")
-		os.Exit(1)
+	spec.Mode = m
+	if m == core.ModePS && *mode == "async" {
+		spec.Mode = core.ModeAsyncPS
 	}
-	if *mode == "async" && *strategy == "ar" {
-		fmt.Fprintln(os.Stderr, "async supports strategies: ps, isw")
-		os.Exit(1)
-	}
+	spec = spec.WithWorkload(w)
 	if err := spec.Validate(); err != nil {
-		log.Fatalf("iswitch-sim: %v", err)
+		return err
 	}
-	k := sim.NewKernel()
-	c := core.Build(k, spec)
+	if err := job.Validate(spec); err != nil {
+		return err
+	}
+	c := core.Build(sim.NewKernel(), spec)
 	n := len(c.Workers())
-	agents := make([]rl.Agent, n)
-	for i := range agents {
-		agents[i] = core.NewSyntheticAgent(w.Floats())
-	}
 	if *doTrace > 0 {
-		defer dumpTrace(newTraceRecorder(c.Workers()[0], *doTrace, *traceEnd))
+		defer dumpTrace(out, newTraceRecorder(c.Workers()[0], *doTrace, *traceEnd))
+	}
+	stats, err := c.Run(job)
+	if err != nil {
+		return err
 	}
 
 	if *mode == "sync" {
-		services := make([]core.Service, n)
-		for i := range services {
-			services[i] = c.Client(i)
-		}
-		stats := core.RunSync(k, agents, services, core.SyncConfig{
-			Iterations: *iters, LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate})
 		shardNote := ""
 		if *psShards > 1 {
 			shardNote = fmt.Sprintf(" | %d PS shards", *psShards)
 		}
-		fmt.Printf("%s | sync %s over %s | %d workers%s | %d iterations\n",
+		fmt.Fprintf(out, "%s | sync %s over %s | %d workers%s | %d iterations\n",
 			w.Name, *strategy, *topology, n, shardNote, *iters)
-		fmt.Printf("  per-iteration:    %v\n", stats.MeanIter().Round(1000))
-		fmt.Printf("    local compute:  %v\n", w.LocalCompute)
-		fmt.Printf("    aggregation:    %v (%.1f%% of iteration)\n", stats.MeanAgg().Round(1000),
+		fmt.Fprintf(out, "  per-iteration:    %v\n", stats.MeanIter().Round(1000))
+		fmt.Fprintf(out, "    local compute:  %v\n", w.LocalCompute)
+		fmt.Fprintf(out, "    aggregation:    %v (%.1f%% of iteration)\n", stats.MeanAgg().Round(1000),
 			100*float64(stats.MeanAgg())/float64(stats.MeanIter()))
-		fmt.Printf("    weight update:  %v\n", w.WeightUpdate)
-		fmt.Printf("  total virtual:    %v\n", stats.Total.Round(1000))
-		fmt.Printf("  paper reference:  PS %v  AR %v  iSW %v per iteration\n",
+		fmt.Fprintf(out, "    weight update:  %v\n", w.WeightUpdate)
+		fmt.Fprintf(out, "  total virtual:    %v\n", stats.Total.Round(1000))
+		fmt.Fprintf(out, "  paper reference:  PS %v  AR %v  iSW %v per iteration\n",
 			w.PaperSyncPerIterPS, w.PaperSyncPerIterAR, w.PaperSyncPerIterISW)
-		return
+		return nil
 	}
 
-	cfg := core.AsyncConfig{Updates: *updates, StalenessBound: *stale,
-		LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate}
-	var stats *core.AsyncStats
-	if c.PS != nil {
-		stats = core.RunAsyncPS(k, agents, core.NewSyntheticAgent(w.Floats()), c.PS, cfg)
-	} else {
-		stats = core.RunAsyncISW(k, agents, c.ISW, cfg)
-	}
-	fmt.Printf("%s | async %s over %s | %d workers | %d updates | S=%d\n",
+	fmt.Fprintf(out, "%s | async %s over %s | %d workers | %d updates | S=%d\n",
 		w.Name, *strategy, *topology, n, *updates, *stale)
-	fmt.Printf("  per-update interval: %v\n", stats.MeanIter().Round(1000))
-	fmt.Printf("  committed/discarded: %d/%d\n", stats.Committed, stats.Discarded)
-	fmt.Printf("  mean staleness:      %.2f (bound %d)\n", stats.MeanStaleness(), *stale)
+	fmt.Fprintf(out, "  per-update interval: %v\n", stats.MeanIter().Round(1000))
+	fmt.Fprintf(out, "  committed/discarded: %d/%d\n", stats.Committed, stats.Discarded)
+	fmt.Fprintf(out, "  mean staleness:      %.2f (bound %d)\n", stats.MeanStaleness(), *stale)
 	for s, ps := range stats.PerShard {
-		fmt.Printf("    shard %d:           committed/discarded %d/%d, mean staleness %.2f\n",
+		fmt.Fprintf(out, "    shard %d:           committed/discarded %d/%d, mean staleness %.2f\n",
 			s, ps.Committed, ps.Discarded, ps.MeanStaleness())
 	}
-	fmt.Printf("  total virtual:       %v\n", stats.Total.Round(1000))
-	fmt.Printf("  paper reference:     async PS %v  async iSW %v per iteration\n",
+	fmt.Fprintf(out, "  total virtual:       %v\n", stats.Total.Round(1000))
+	fmt.Fprintf(out, "  paper reference:     async PS %v  async iSW %v per iteration\n",
 		w.PaperAsyncPerIterPS, w.PaperAsyncPerIterISW)
+	return nil
 }
 
 // runJobs simulates J co-running training jobs sharing one iSwitch
 // fabric through the multijob admission scheduler. Workloads cycle
 // starting from the -workload selection; every job runs the chosen
 // mode with the chosen per-job worker count.
-func runJobs(w perfmodel.Workload, fabric core.ClusterSpec, jobs int, policy, topology string,
-	workers int, mode string, iters int, updates, stale int64, doTrace int, traceTail bool) {
+func runJobs(out io.Writer, w perfmodel.Workload, fabric core.ClusterSpec, jobs int, policy, topology string,
+	workers int, mode string, job core.Job, doTrace int, traceTail bool) error {
 	var pol accel.Partition
 	switch policy {
 	case "demand":
@@ -231,15 +209,15 @@ func runJobs(w perfmodel.Workload, fabric core.ClusterSpec, jobs int, policy, to
 	case "static":
 		pol = accel.PartitionStatic
 	default:
-		log.Fatalf("iswitch-sim: -jobs-policy must be demand or static")
+		return fmt.Errorf("-jobs-policy must be demand or static")
 	}
 
 	f, err := multijob.NewFabricFromSpec(sim.NewKernel(), fabric, multijob.FabricConfig{Policy: pol})
 	if err != nil {
-		log.Fatalf("iswitch-sim: %v", err)
+		return err
 	}
 	if nHosts := jobs * workers; len(f.Hosts) < nHosts {
-		log.Fatalf("iswitch-sim: %s fabric has %d hosts; %d jobs x %d workers need %d",
+		return fmt.Errorf("%s fabric has %d hosts; %d jobs x %d workers need %d",
 			topology, len(f.Hosts), jobs, workers, nHosts)
 	}
 
@@ -262,21 +240,21 @@ func runJobs(w perfmodel.Workload, fabric core.ClusterSpec, jobs int, policy, to
 			Name: fmt.Sprintf("%s/%d", wl.Name, i), Workload: wl, Workers: workers,
 		}
 		if mode == "async" {
-			spec.Mode, spec.Updates, spec.StalenessBound = multijob.ModeAsync, updates, stale
+			spec.Mode, spec.Updates, spec.StalenessBound = multijob.ModeAsync, job.Updates, job.StalenessBound
 		} else {
-			spec.Mode, spec.Iterations = multijob.ModeSync, iters
+			spec.Mode, spec.Iterations = multijob.ModeSync, job.Iterations
 		}
 		specs[i] = spec
 	}
 
 	res, err := multijob.Run(f, specs)
 	if err != nil {
-		log.Fatalf("iswitch-sim: %v", err)
+		return err
 	}
 
-	fmt.Printf("%d co-running jobs over %s | %s SRAM partition | %d workers each | %s mode\n",
+	fmt.Fprintf(out, "%d co-running jobs over %s | %s SRAM partition | %d workers each | %s mode\n",
 		jobs, topology, pol, workers, mode)
-	fmt.Printf("%-10s %-6s %-9s %12s %12s %11s %10s\n",
+	fmt.Fprintf(out, "%-10s %-6s %-9s %12s %12s %11s %10s\n",
 		"job", "mode", "admission", "started(ms)", "finish(ms)", "round(ms)", "wire(MB)")
 	for _, r := range res {
 		adm := "ok"
@@ -287,22 +265,23 @@ func runJobs(w perfmodel.Workload, fabric core.ClusterSpec, jobs int, policy, to
 			adm = "queued"
 		}
 		if r.Rejected {
-			fmt.Printf("%-10s %-6s %-9s\n", r.Name, r.Mode, adm)
+			fmt.Fprintf(out, "%-10s %-6s %-9s\n", r.Name, r.Mode, adm)
 			continue
 		}
-		fmt.Printf("%-10s %-6s %-9s %12.2f %12.2f %11.2f %10.2f\n",
+		fmt.Fprintf(out, "%-10s %-6s %-9s %12.2f %12.2f %11.2f %10.2f\n",
 			r.Name, r.Mode, adm,
 			float64(r.Started)/1e6, float64(r.Finished)/1e6,
 			float64(r.MeanRound)/1e6, float64(r.WireBytes)/1e6)
 	}
 	sum := multijob.Summarize(res)
-	fmt.Printf("\nmakespan:            %v\n", sum.Makespan.Round(1000))
-	fmt.Printf("aggregate gradient:  %.3f Gb/s\n", sum.AggThroughputBps/1e9)
-	fmt.Printf("wire fairness:       %.3f (Jain)\n", sum.Fairness)
-	fmt.Printf("admission:           %d ran, %d queued, %d rejected\n",
+	fmt.Fprintf(out, "\nmakespan:            %v\n", sum.Makespan.Round(1000))
+	fmt.Fprintf(out, "aggregate gradient:  %.3f Gb/s\n", sum.AggThroughputBps/1e9)
+	fmt.Fprintf(out, "wire fairness:       %.3f (Jain)\n", sum.Fairness)
+	fmt.Fprintf(out, "admission:           %d ran, %d queued, %d rejected\n",
 		sum.Ran, sum.Queued, sum.Rejected)
 
 	if rec != nil {
-		dumpTrace(rec)
+		dumpTrace(out, rec)
 	}
+	return nil
 }

@@ -32,36 +32,20 @@ func main() {
 
 	// --- Half 1: full-size timing under each strategy. ---
 	perIter := map[string]time.Duration{}
+	modes := map[string]core.Mode{"PS": core.ModePS, "AR": core.ModeAllReduce, "iSW": core.ModeISW}
 	for _, strategy := range []string{"PS", "AR", "iSW"} {
-		k := sim.NewKernel()
-		agents := make([]rl.Agent, workers)
-		services := make([]core.Service, workers)
 		spec := core.ClusterSpec{
 			Topology:    core.TopoStar,
+			Mode:        modes[strategy],
 			Workers:     workers,
 			ModelFloats: w.Floats(),
 			Link:        netsim.TenGbE(),
 		}
-		switch strategy {
-		case "PS":
-			spec.Mode = core.ModePS
-			cfg := core.PSConfigFor(w)
-			spec.PS = &cfg
-		case "AR":
-			spec.Mode = core.ModeAllReduce
-			cfg := core.ARConfigFor(w)
-			spec.AR = &cfg
-		case "iSW":
-			spec.Mode = core.ModeISW
-			cfg := core.ISWConfigFor(w)
-			spec.ISW = &cfg
-		}
-		c := core.Build(k, spec)
-		for i := range agents {
-			agents[i], services[i] = core.NewSyntheticAgent(w.Floats()), c.Client(i)
-		}
-		stats := core.RunSync(k, agents, services, core.SyncConfig{
+		stats, err := core.Build(sim.NewKernel(), spec.WithWorkload(w)).Run(core.Job{
 			Iterations: 3, LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate})
+		if err != nil {
+			panic(err)
+		}
 		perIter[strategy] = stats.MeanIter()
 		fmt.Printf("%-4s per-iteration %8.2f ms (aggregation %8.2f ms)\n",
 			strategy, float64(stats.MeanIter())/1e6, float64(stats.MeanAgg())/1e6)

@@ -58,8 +58,7 @@ func main() {
 		},
 	}
 
-	k := sim.NewKernel()
-	cluster := core.Build(k, core.ClusterSpec{
+	cluster := core.Build(sim.NewKernel(), core.ClusterSpec{
 		Topology:    core.TopoStar,
 		Mode:        core.ModeISW,
 		Workers:     workers,
@@ -70,16 +69,16 @@ func main() {
 		Faults:      plan,
 	})
 
-	services := make([]core.Service, workers)
-	for i := range services {
-		services[i] = cluster.Client(i)
-	}
 	fmt.Printf("training A2C over a lossy fabric (%.1f%% loss on worker 0's links, crash/rejoin at iter 800)...\n", lossRate*100)
-	stats := core.RunSync(k, agents, services, core.SyncConfig{
+	stats, err := cluster.Run(core.Job{
 		Iterations:   iterations,
 		LocalCompute: w.LocalCompute,
 		WeightUpdate: w.WeightUpdate,
+		NewAgent:     func(i int) rl.Agent { return agents[i] },
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	rewards := stats.AllRewards()
 	var early, late float64

@@ -36,22 +36,25 @@ func main() {
 		agents[i] = a
 	}
 
-	k := sim.NewKernel()
-	cluster := core.Build(k, core.ClusterSpec{
+	cluster := core.Build(sim.NewKernel(), core.ClusterSpec{
 		Topology:    core.TopoStar,
 		Mode:        core.ModeISW,
 		Workers:     workers,
 		ModelFloats: agents[0].GradLen(),
 		Link:        netsim.TenGbE(),
-	}).ISW
+	})
 	fmt.Printf("async PPO on Pendulum: %d workers, S=%d, target %d weight updates...\n",
 		workers, stalenessBound, updates)
-	stats := core.RunAsyncISW(k, agents, cluster, core.AsyncConfig{
+	stats, err := cluster.Run(core.Job{
 		Updates:        updates,
 		StalenessBound: stalenessBound,
 		LocalCompute:   w.LocalCompute,
 		WeightUpdate:   w.WeightUpdate,
+		NewAgent:       func(i int) rl.Agent { return agents[i] },
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	rewards := stats.AllRewards()
 	step := len(rewards) / 10

@@ -36,28 +36,27 @@ func main() {
 	}
 
 	// One iSwitch-enabled top-of-rack switch, one 10GbE link per worker.
-	k := sim.NewKernel()
-	cluster := core.Build(k, core.ClusterSpec{
+	cluster := core.Build(sim.NewKernel(), core.ClusterSpec{
 		Topology:    core.TopoStar,
 		Mode:        core.ModeISW,
 		Workers:     workers,
 		ModelFloats: agents[0].GradLen(),
 		Link:        netsim.TenGbE(),
-	}).ISW
-	services := make([]core.Service, workers)
-	for i := range services {
-		services[i] = cluster.Client(i)
-	}
+	})
 
 	// Stage durations from the paper's A2C calibration.
 	w, _ := perfmodel.WorkloadByName("A2C")
 	fmt.Printf("training %d iterations of distributed A2C (%d params) on %d workers...\n",
 		iterations, agents[0].GradLen(), workers)
-	stats := core.RunSync(k, agents, services, core.SyncConfig{
+	stats, err := cluster.Run(core.Job{
 		Iterations:   iterations,
 		LocalCompute: w.LocalCompute,
 		WeightUpdate: w.WeightUpdate,
+		NewAgent:     func(i int) rl.Agent { return agents[i] },
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	rewards := stats.AllRewards()
 	fmt.Printf("\n%-14s %-12s\n", "virtual time", "episode reward (moving avg)")
@@ -82,5 +81,5 @@ func main() {
 		stats.MeanIter().Round(1e4), stats.Workers[0].MeanCompute().Round(1e4),
 		stats.MeanAgg().Round(1e4), stats.Workers[0].MeanUpdate().Round(1e4))
 	fmt.Printf("switch stats: %d data packets in, %d segment broadcasts\n",
-		cluster.Fabric.IS.DataIn, cluster.Fabric.IS.Broadcasts)
+		cluster.ISW.Fabric.IS.DataIn, cluster.ISW.Fabric.IS.Broadcasts)
 }

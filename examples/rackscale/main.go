@@ -34,8 +34,7 @@ func main() {
 		}
 		agents[i] = a
 	}
-	k := sim.NewKernel()
-	cluster := core.Build(k, core.ClusterSpec{
+	cluster := core.Build(sim.NewKernel(), core.ClusterSpec{
 		Topology:    core.TopoTree,
 		Mode:        core.ModeISW,
 		Workers:     workers,
@@ -43,16 +42,15 @@ func main() {
 		ModelFloats: agents[0].GradLen(),
 		Link:        netsim.TenGbE(),
 		Uplink:      netsim.FortyGbE(),
-	}).ISW
-	services := make([]core.Service, workers)
-	for i := range services {
-		services[i] = cluster.Client(i)
-	}
-	root, tors := cluster.Fabric.IS, cluster.Switches()[1:]
+	})
+	root, tors := cluster.ISW.Fabric.IS, cluster.Switches()[1:]
 	fmt.Printf("training DDPG on %d workers across %d racks (hierarchical aggregation)...\n",
 		workers, len(tors))
-	stats := core.RunSync(k, agents, services, core.SyncConfig{
-		Iterations: 400, LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate})
+	stats, err := cluster.Run(core.Job{Iterations: 400, LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate,
+		NewAgent: func(i int) rl.Agent { return agents[i] }})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("  %d iterations in %v virtual time (per-iteration %v)\n",
 		400, stats.Total.Round(1e6), stats.MeanIter().Round(1e4))
 	for r, tor := range tors {
@@ -66,40 +64,24 @@ func main() {
 	fmt.Printf("\nscaling DDPG-sized (%d KB) timing, racks of %d:\n", w.ModelBytes/1024, perRack)
 	fmt.Printf("%-8s %-10s %-10s %-10s %-8s\n", "workers", "PS", "AR", "iSW", "Ideal")
 	base := map[string]float64{}
+	modes := map[string]core.Mode{"PS": core.ModePS, "AR": core.ModeAllReduce, "iSW": core.ModeISW}
 	for _, n := range []int{4, 6, 9, 12} {
 		row := fmt.Sprintf("%-8d", n)
 		for _, strategy := range []string{"PS", "AR", "iSW"} {
-			kk := sim.NewKernel()
-			ag := make([]rl.Agent, n)
-			svc := make([]core.Service, n)
 			spec := core.ClusterSpec{
 				Topology:    core.TopoTree,
+				Mode:        modes[strategy],
 				Workers:     n,
 				PerRack:     perRack,
 				ModelFloats: w.Floats(),
 				Link:        netsim.TenGbE(),
 				Uplink:      netsim.FortyGbE(),
 			}
-			switch strategy {
-			case "PS":
-				spec.Mode = core.ModePS
-				cfg := core.PSConfigFor(w)
-				spec.PS = &cfg
-			case "AR":
-				spec.Mode = core.ModeAllReduce
-				cfg := core.ARConfigFor(w)
-				spec.AR = &cfg
-			case "iSW":
-				spec.Mode = core.ModeISW
-				cfg := core.ISWConfigFor(w)
-				spec.ISW = &cfg
-			}
-			c := core.Build(kk, spec)
-			for i := range ag {
-				ag[i], svc[i] = core.NewSyntheticAgent(w.Floats()), c.Client(i)
-			}
-			st := core.RunSync(kk, ag, svc, core.SyncConfig{
+			st, err := core.Build(sim.NewKernel(), spec.WithWorkload(w)).Run(core.Job{
 				Iterations: 2, LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate})
+			if err != nil {
+				panic(err)
+			}
 			perIter := st.MeanIter().Seconds()
 			if n == 4 {
 				base[strategy] = perIter

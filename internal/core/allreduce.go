@@ -31,15 +31,15 @@ type ARConfig struct {
 	Tensors int
 }
 
-// DefaultARConfig mirrors the measured reference implementation.
-func DefaultARConfig() ARConfig {
+// defaultARConfig mirrors the measured reference implementation.
+func defaultARConfig() ARConfig {
 	return ARConfig{PerStep: perfmodel.ARPerStep, SumRate: perfmodel.ARSumRate,
 		CopyRate: perfmodel.ARCopyRate, Tensors: 1}
 }
 
 // ARConfigFor adapts the default AR config to a paper workload.
 func ARConfigFor(w perfmodel.Workload) ARConfig {
-	cfg := DefaultARConfig()
+	cfg := defaultARConfig()
 	cfg.Tensors = w.Tensors()
 	return cfg
 }

@@ -21,33 +21,6 @@ import (
 //     and broadcasts the sum, which every LWU applies identically — so
 //     the decentralized weight replicas never diverge.
 
-// AsyncConfig parameterizes an asynchronous run.
-type AsyncConfig struct {
-	// Updates is the target number of weight updates ("Number of
-	// Iterations" in Table 5: weight updates at the PS, or LWU updates
-	// for iSwitch).
-	Updates int64
-	// StalenessBound is Algorithm 1's S: a local gradient computed
-	// against weights more than S updates old is discarded.
-	StalenessBound int64
-	// LocalCompute and WeightUpdate as in SyncConfig.
-	LocalCompute sim.Time
-	WeightUpdate sim.Time
-	// ComputeJitter, when non-nil, returns extra local-compute time for
-	// worker w's iter-th gradient. Deterministic (seeded) jitter lets
-	// stress tests skew the workers without losing reproducibility; nil
-	// means no jitter.
-	ComputeJitter func(worker, iter int) sim.Time
-}
-
-// jitterFor resolves the per-gradient compute jitter (zero when unset).
-func (c AsyncConfig) jitterFor(worker, iter int) sim.Time {
-	if c.ComputeJitter == nil {
-		return 0
-	}
-	return c.ComputeJitter(worker, iter)
-}
-
 // AsyncStats extends RunStats with staleness accounting.
 type AsyncStats struct {
 	RunStats
@@ -97,40 +70,41 @@ func (s *ShardStats) admit(staleness, bound int64) bool {
 	return true
 }
 
-// RunAsyncISW trains agents with the asynchronous iSwitch pipeline
-// (Algorithm 1) on an iSwitch cluster. agents[i] runs on cluster
-// worker i.
+// RunAsyncISW trains caller-built agents with the asynchronous iSwitch
+// pipeline (Algorithm 1) on an iSwitch cluster and runs the kernel;
+// agents[i] runs on cluster worker i. It is Cluster.Run's Algorithm 1
+// loop without the agents or the shutdown, kept for callers that wire
+// those themselves.
 func RunAsyncISW(k *sim.Kernel, agents []rl.Agent, cluster *ISWCluster, cfg AsyncConfig) *AsyncStats {
-	stats := SpawnAsyncISW(k, agents, cluster, cfg, nil)
+	stats := cluster.spawnAsync(k, agents, cfg, nil)
 	k.Run()
 	return stats
 }
 
-// SpawnAsyncISW spawns the asynchronous pipeline's LGC/LWU threads
-// without running the kernel, for multi-tenant fabrics where several
-// jobs' processes share one simulation. The returned stats are complete
-// only after the kernel drains; done, when non-nil, fires in kernel
-// context when this job's last LWU thread reaches cfg.Updates.
-func SpawnAsyncISW(k *sim.Kernel, agents []rl.Agent, cluster *ISWCluster, cfg AsyncConfig, done func()) *AsyncStats {
+// spawnAsync spawns the asynchronous pipeline's LGC/LWU threads without
+// running the kernel. The returned stats are complete only after the
+// kernel drains; done, when non-nil, fires in kernel context when this
+// job's last LWU thread reaches job.Updates.
+func (c *ISWCluster) spawnAsync(k *sim.Kernel, agents []rl.Agent, job Job, done func()) *AsyncStats {
 	n := len(agents)
-	if n != len(cluster.Workers()) {
+	if n != len(c.Workers()) {
 		panic("core: agents/cluster size mismatch")
 	}
-	stats := &AsyncStats{RunStats: RunStats{Updates: cfg.Updates}}
-	switch cluster.cfg.Compression {
+	stats := &AsyncStats{RunStats: RunStats{Updates: job.Updates}}
+	switch c.cfg.Compression {
 	case protocol.CompInt32Block, protocol.CompTopK:
 		// Both schemes carry per-round state (shared grid exponents,
 		// cached selections) that only makes sense when every worker's
 		// round r is the same round — the asynchronous pipeline has no
 		// such alignment, so the job must run CompNone or CompFP16
 		// (stateless).
-		panic(fmt.Sprintf("core: SpawnAsyncISW: %v compression is synchronous-only", cluster.cfg.Compression))
+		panic(fmt.Sprintf("core: asynchronous iSwitch: %v compression is synchronous-only", c.cfg.Compression))
 	}
-	if cluster.cfg.RecoveryTimeout > 0 {
+	if c.cfg.RecoveryTimeout > 0 {
 		// Worker rounds never align in the asynchronous pipeline, so a
 		// shared round tag is meaningless: run recovery untagged (Help
 		// timers plus blind self-retransmission).
-		cluster.cfg.Untagged = true
+		c.cfg.Untagged = true
 	}
 	for range agents {
 		stats.Workers = append(stats.Workers, &WorkerStats{})
@@ -141,7 +115,7 @@ func SpawnAsyncISW(k *sim.Kernel, agents []rl.Agent, cluster *ISWCluster, cfg As
 
 	for i := range agents {
 		agent, ws := agents[i], stats.Workers[i]
-		client := cluster.Client(i).(*iswClient)
+		client := c.Client(i).(*iswClient)
 		// Shared per-worker state: ts (LWU's update counter) in
 		// Algorithm 1's shared/global memory.
 		var ts int64
@@ -151,10 +125,10 @@ func SpawnAsyncISW(k *sim.Kernel, agents []rl.Agent, cluster *ISWCluster, cfg As
 			client.Setup(p)
 			start.Wait(p)
 			prev := p.Now()
-			for ts < cfg.Updates {
+			for ts < job.Updates {
 				sum := client.CollectAggregate(p)
 				rec := IterRecord{Start: prev, ComputeEnd: prev, AggEnd: p.Now()}
-				p.Sleep(cfg.WeightUpdate)
+				p.Sleep(job.WeightUpdate)
 				agent.ApplyAggregated(sum, client.H())
 				ts++
 				rec.UpdateEnd = p.Now()
@@ -162,7 +136,7 @@ func SpawnAsyncISW(k *sim.Kernel, agents []rl.Agent, cluster *ISWCluster, cfg As
 				if ws.Iters == nil {
 					// Sized on the first record: one allocation instead
 					// of a regrowth per doubling, and none at spawn time.
-					ws.Iters = make([]IterRecord, 0, cfg.Updates)
+					ws.Iters = make([]IterRecord, 0, job.Updates)
 				}
 				ws.Iters = append(ws.Iters, rec)
 				if rec.UpdateEnd > stats.Total {
@@ -180,14 +154,14 @@ func SpawnAsyncISW(k *sim.Kernel, agents []rl.Agent, cluster *ISWCluster, cfg As
 		k.Spawn(fmt.Sprintf("async-lgc-%d", i), func(p *sim.Proc) {
 			start.Wait(p)
 			grad := make([]float32, agent.GradLen())
-			for iter := 0; !stop && ts < cfg.Updates; iter++ {
+			for iter := 0; !stop && ts < job.Updates; iter++ {
 				tw := ts // copy iteration index (and implicitly weights)
 				agent.ComputeGradient(grad)
-				p.Sleep(cfg.LocalCompute + cfg.jitterFor(worker, iter))
+				p.Sleep(job.LocalCompute + job.jitterFor(worker, iter))
 				for _, r := range agent.DrainEpisodes() {
 					ws.Rewards = append(ws.Rewards, RewardPoint{Time: p.Now(), Reward: r})
 				}
-				if stats.admit(ts-tw, cfg.StalenessBound) {
+				if stats.admit(ts-tw, job.StalenessBound) {
 					client.SendGradient(grad) // nonblocking: NIC queues it
 				}
 			}
@@ -196,9 +170,19 @@ func SpawnAsyncISW(k *sim.Kernel, agents []rl.Agent, cluster *ISWCluster, cfg As
 	return stats
 }
 
-// RunAsyncPS trains agents with the asynchronous parameter-server
-// baseline against the cluster's S shard servers (build it with
-// ModeAsyncPS, which spawns no synchronous servers). masterAgent
+// RunAsyncPS trains caller-built agents with the asynchronous
+// parameter-server baseline and runs the kernel. It is Cluster.Run's
+// ModeAsyncPS loop without the agents or the shutdown, kept for
+// callers that wire those themselves.
+func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster *PSCluster, cfg AsyncConfig) *AsyncStats {
+	stats := cluster.spawnAsync(k, agents, masterAgent, cfg)
+	k.Run()
+	return stats
+}
+
+// spawnAsync spawns the asynchronous parameter-server baseline against
+// the cluster's S shard servers (build it with ModeAsyncPS, which spawns
+// no synchronous servers) without running the kernel. masterAgent
 // supplies the authoritative weights and optimizer; it must be
 // constructed with the same model seed as the workers (its environment
 // is never stepped).
@@ -207,18 +191,18 @@ func SpawnAsyncISW(k *sim.Kernel, agents []rl.Agent, cluster *ISWCluster, cfg As
 // counter; Algorithm 1's staleness bound is enforced per shard (a
 // gradient slice computed against weights more than S updates behind
 // that shard's counter is discarded). The run ends when every shard has
-// applied cfg.Updates updates. With more than one shard, each accepted
+// applied job.Updates updates. With more than one shard, each accepted
 // update is applied through a full-length gradient that is zero outside
 // the shard's slice — identical to a per-slice update for SGD-style
 // optimizers (the timing layer's concern) — and AsyncStats.PerShard
 // reports each shard's accounting.
-func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster *PSCluster, cfg AsyncConfig) *AsyncStats {
+func (c *PSCluster) spawnAsync(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, job Job) *AsyncStats {
 	nWorkers := len(agents)
-	if nWorkers != len(cluster.workers) {
+	if nWorkers != len(c.workers) {
 		panic("core: agents/cluster size mismatch")
 	}
-	nShards := cluster.NumShards()
-	stats := &AsyncStats{}
+	nShards := len(c.shards)
+	stats := &AsyncStats{RunStats: RunStats{Updates: job.Updates}}
 	for i := 0; i < nWorkers+nShards; i++ { // shard s's update records at nWorkers+s
 		stats.Workers = append(stats.Workers, &WorkerStats{})
 	}
@@ -226,11 +210,11 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 	stop := false
 	remaining := nShards
 
-	for s, sh := range cluster.shards {
+	for s, sh := range c.shards {
 		shardStats, counts := stats.Workers[nWorkers+s], &perShard[s]
 		nShard := sh.hi - sh.lo
-		msgCost := cluster.cfg.shardMsgCost(nShard, cluster.n)
-		updateCost := scaleByShare(cfg.WeightUpdate+cluster.cfg.AsyncUpdateExtra, nShard, cluster.n)
+		msgCost := c.cfg.shardMsgCost(nShard, c.n)
+		updateCost := scaleByShare(job.WeightUpdate+c.cfg.AsyncUpdateExtra, nShard, c.n)
 
 		// Pull requests are served by a dedicated reply thread so weight
 		// reads never block the push/update path (real parameter servers
@@ -258,14 +242,14 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 		k.Spawn(fmt.Sprintf("async-ps-server-%d", s), func(p *sim.Proc) {
 			var applyBuf []float32 // S>1: full-length gradient, zero outside [lo,hi)
 			if nShards > 1 {
-				applyBuf = make([]float32, cluster.n)
+				applyBuf = make([]float32, c.n)
 			}
 			prev := p.Now()
-			for version < cfg.Updates {
+			for version < job.Updates {
 				// Push: apply if within the staleness bound.
 				src, grad := sh.gather(p, pull)
 				p.Sleep(msgCost)
-				if !counts.admit(version-lastSent[src], cfg.StalenessBound) {
+				if !counts.admit(version-lastSent[src], job.StalenessBound) {
 					continue
 				}
 				p.Sleep(updateCost)
@@ -286,15 +270,25 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 			}
 			if remaining--; remaining == 0 {
 				stop = true
+				// Every shard is done: the run's totals are final.
+				for _, t := range perShard {
+					stats.Committed += t.Committed
+					stats.Discarded += t.Discarded
+					stats.StalenessSum += t.StalenessSum
+					stats.MaxStaleness = max(stats.MaxStaleness, t.MaxStaleness)
+				}
+				if nShards > 1 {
+					stats.PerShard = perShard
+				}
 			}
 		})
 	}
 
 	for i := range agents {
-		agent, ws, host := agents[i], stats.Workers[i], cluster.workers[i]
+		agent, ws, host := agents[i], stats.Workers[i], c.workers[i]
 		worker := i
 		k.Spawn(fmt.Sprintf("async-ps-worker-%d", i), func(p *sim.Proc) {
-			weights := protocol.NewAssembler(cluster.n)
+			weights := protocol.NewAssembler(c.n)
 			grad := make([]float32, agent.GradLen())
 			for iter := 0; !stop; iter++ {
 				// Pull the latest weights from every shard (replies
@@ -302,13 +296,13 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 				// reuses the control framing with the Help action
 				// ("request data"): PS traffic crosses only plain
 				// switches, so no iSwitch data plane interprets it.
-				p.Sleep(cluster.cfg.WorkerBase)
-				for _, sh := range cluster.shards {
+				p.Sleep(c.cfg.WorkerBase)
+				for _, sh := range c.shards {
 					host.Send(protocol.NewControl(host.Addr, sh.srv.Addr, protocol.ActionHelp, nil))
 				}
 				weights.Reset()
 				for !weights.Complete() {
-					pkt, ok := host.RecvTimeout(p, 200*cfg.LocalCompute+sim.Time(1e9))
+					pkt, ok := host.RecvTimeout(p, 200*job.LocalCompute+sim.Time(1e9))
 					if !ok {
 						return // servers stopped mid-reply
 					}
@@ -320,7 +314,7 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 				agent.WriteParams(weights.Vector())
 				// Local gradient computing.
 				agent.ComputeGradient(grad)
-				p.Sleep(cfg.LocalCompute + cfg.jitterFor(worker, iter))
+				p.Sleep(job.LocalCompute + job.jitterFor(worker, iter))
 				for _, r := range agent.DrainEpisodes() {
 					ws.Rewards = append(ws.Rewards, RewardPoint{Time: p.Now(), Reward: r})
 				}
@@ -328,23 +322,12 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 				// wire precision (the server applies what the wire
 				// carried); weight pulls stay raw float32 so the
 				// authoritative weights never lose precision.
-				if cluster.scheme == protocol.CompFP16 {
+				if c.scheme == protocol.CompFP16 {
 					kernels.F16RoundInPlace(grad)
 				}
-				cluster.scatter(host, grad)
+				c.scatter(host, grad)
 			}
 		})
-	}
-	k.Run()
-	stats.Updates = cfg.Updates
-	for _, c := range perShard {
-		stats.Committed += c.Committed
-		stats.Discarded += c.Discarded
-		stats.StalenessSum += c.StalenessSum
-		stats.MaxStaleness = max(stats.MaxStaleness, c.MaxStaleness)
-	}
-	if nShards > 1 {
-		stats.PerShard = perShard
 	}
 	return stats
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"iswitch/internal/netsim"
+	"iswitch/internal/perfmodel"
 	"iswitch/internal/protocol"
 	"iswitch/internal/sim"
 	"iswitch/internal/switchnet"
@@ -51,8 +52,8 @@ const (
 	// ModePS is the synchronous parameter server baseline.
 	ModePS
 	// ModeAsyncPS is the asynchronous parameter server baseline: the
-	// same cluster without the synchronous server processes (RunAsyncPS
-	// spawns its own).
+	// same cluster without the synchronous server processes (Run spawns
+	// the asynchronous ones).
 	ModeAsyncPS
 	// ModeAllReduce is the Ring-AllReduce baseline.
 	ModeAllReduce
@@ -142,9 +143,6 @@ type Cluster struct {
 	AR  *ARCluster
 }
 
-// Kernel returns the simulation kernel the cluster was built on.
-func (c *Cluster) Kernel() *sim.Kernel { return c.k }
-
 // Client returns worker i's aggregation handle, whichever mode is live.
 func (c *Cluster) Client(i int) Service {
 	switch {
@@ -178,6 +176,24 @@ func (c *Cluster) Switches() []*switchnet.ISwitch {
 		return c.ISW.Switches()
 	}
 	return nil
+}
+
+// WithWorkload returns the spec with the config of its Mode calibrated
+// to workload w (PSConfigFor, ARConfigFor or ISWConfigFor), replacing
+// any config the spec named for that mode.
+func (s ClusterSpec) WithWorkload(w perfmodel.Workload) ClusterSpec {
+	switch s.Mode {
+	case ModePS, ModeAsyncPS:
+		cfg := PSConfigFor(w)
+		s.PS = &cfg
+	case ModeAllReduce:
+		cfg := ARConfigFor(w)
+		s.AR = &cfg
+	case ModeISW:
+		cfg := ISWConfigFor(w)
+		s.ISW = &cfg
+	}
+	return s
 }
 
 // scheme resolves the spec's effective compression: the spec-level
@@ -300,8 +316,8 @@ func (s ClusterSpec) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown mode %v", s.Mode)
 	}
-	if s.Shards < 0 || s.Shards > MaxPSShards {
-		return fmt.Errorf("core: Shards must be in [0, %d], got %d", MaxPSShards, s.Shards)
+	if s.Shards < 0 || s.Shards > maxPSShards {
+		return fmt.Errorf("core: Shards must be in [0, %d], got %d", maxPSShards, s.Shards)
 	}
 	if s.Shards > 1 {
 		if s.Mode != ModePS && s.Mode != ModeAsyncPS {
@@ -420,7 +436,7 @@ func plainFabric(k *sim.Kernel, spec ClusterSpec) ([]*netsim.Host, func(protocol
 // buildPS wires the workers plus the shard servers and, for ModePS,
 // spawns the synchronous server processes.
 func buildPS(k *sim.Kernel, spec ClusterSpec) *PSCluster {
-	c := &PSCluster{n: spec.ModelFloats, cfg: DefaultPSConfig(), scheme: spec.scheme()}
+	c := &PSCluster{n: spec.ModelFloats, cfg: defaultPSConfig(), scheme: spec.scheme()}
 	if spec.PS != nil {
 		c.cfg = *spec.PS
 	}
@@ -432,7 +448,7 @@ func buildPS(k *sim.Kernel, spec ClusterSpec) *PSCluster {
 		first, end := s*totalSegs/nShards, (s+1)*totalSegs/nShards
 		lo, _ := protocol.SegmentRange(c.n, uint64(first))
 		_, hi := protocol.SegmentRange(c.n, uint64(end-1))
-		c.shards = append(c.shards, &psShard{srv: attach(PSShardAddr(s)), lo: lo, hi: hi,
+		c.shards = append(c.shards, &psShard{srv: attach(psShardAddr(s)), lo: lo, hi: hi,
 			segBase: uint64(first), asm: make(map[protocol.Addr]*protocol.Assembler)})
 	}
 	c.Server = c.shards[0].srv
@@ -447,7 +463,7 @@ func buildPS(k *sim.Kernel, spec ClusterSpec) *PSCluster {
 // buildAR wires the ring's workers; the ring follows worker index
 // order, so on a tree rack boundaries add root-switch crossings.
 func buildAR(k *sim.Kernel, spec ClusterSpec) *ARCluster {
-	c := &ARCluster{n: spec.ModelFloats, cfg: DefaultARConfig()}
+	c := &ARCluster{n: spec.ModelFloats, cfg: defaultARConfig()}
 	if spec.AR != nil {
 		c.cfg = *spec.AR
 	}
@@ -484,7 +500,7 @@ func (c *Cluster) ApplyFaults(fp *netsim.FaultPlan) error {
 		if c.ISW.cfg.RecoveryTimeout <= 0 {
 			return fmt.Errorf("core: crash faults need ISWConfig.RecoveryTimeout armed")
 		}
-		c.ISW.ScheduleCrash(cf)
+		c.ISW.scheduleCrash(cf)
 	}
 	if len(fp.Switches) > 0 {
 		switches := c.ISW.Switches()

@@ -28,8 +28,8 @@ type ISWConfig struct {
 	// Compression selects the job's gradient wire scheme (CompNone: the
 	// paper's raw float32). Negotiated with the switch at Join time and
 	// fixed for the job's lifetime, the relay failover path included.
-	// CompInt32Block and CompTopK are synchronous-only (SpawnAsyncISW
-	// rejects them).
+	// CompInt32Block and CompTopK are synchronous-only (the
+	// asynchronous pipeline rejects them).
 	Compression protocol.Compression
 	// Job tags every packet this client sends (data and control) with a
 	// training-job ID so a multi-tenant switch demultiplexes it into the
@@ -55,7 +55,7 @@ type ISWConfig struct {
 	// Untagged runs recovery without round tags: Help timers and blind
 	// self-retransmission only, no per-round switch state. This is the
 	// asynchronous pipeline's mode (worker rounds do not align, so a
-	// shared round tag is meaningless); SpawnAsyncISW sets it
+	// shared round tag is meaningless); the pipeline sets it
 	// automatically when recovery is armed.
 	Untagged bool
 	// FailoverAfter, when positive, arms whole-switch failover: a worker
@@ -92,7 +92,7 @@ type ISWCluster struct {
 	// NewISWOnFabric laid over hosts of a shared fabric).
 	Fabric *switchnet.Fabric
 
-	// crashes holds the per-worker crash schedule (ScheduleCrash).
+	// crashes holds the per-worker crash schedule (scheduleCrash).
 	crashes map[int][]netsim.CrashFault
 
 	// Recovery accounting (single-threaded kernel: plain counters).
@@ -226,7 +226,7 @@ func (ic *iswClient) H() int { return ic.cluster.h }
 
 // Aggregate implements Service: stream the gradient as tagged data
 // packets and reassemble the broadcast aggregate. A scheduled crash
-// (ScheduleCrash / FaultPlan) fires here, at the round it names.
+// (scheduleCrash / FaultPlan) fires here, at the round it names.
 func (ic *iswClient) Aggregate(p *sim.Proc, grad []float32) []float32 {
 	if f, ok := ic.takeCrash(); ok {
 		return ic.crashedAggregate(p, grad, f)

@@ -65,8 +65,8 @@ type PSConfig struct {
 	AsyncUpdateExtra sim.Time
 }
 
-// DefaultPSConfig mirrors the measured reference implementation.
-func DefaultPSConfig() PSConfig {
+// defaultPSConfig mirrors the measured reference implementation.
+func defaultPSConfig() PSConfig {
 	return PSConfig{
 		PerMessage:   perfmodel.PSPerMessage,
 		WorkerBase:   perfmodel.PSWorkerBase,
@@ -79,7 +79,7 @@ func DefaultPSConfig() PSConfig {
 
 // PSConfigFor adapts the default PS config to a paper workload.
 func PSConfigFor(w perfmodel.Workload) PSConfig {
-	cfg := DefaultPSConfig()
+	cfg := defaultPSConfig()
 	cfg.Tensors = w.Tensors()
 	cfg.AsyncUpdateExtra = w.AsyncPSUpdateCost
 	return cfg
@@ -115,16 +115,16 @@ func (c PSConfig) shardMsgCost(shardFloats, modelFloats int) sim.Time {
 	return max(scaleByShare(c.PerMessage, shardFloats, modelFloats), c.MessageFloor)
 }
 
-// MaxPSShards bounds the shard count (shard addresses live in one
+// maxPSShards bounds the shard count (shard addresses live in one
 // /24-style subnet byte).
-const MaxPSShards = 128
+const maxPSShards = 128
 
-// PSShardAddr returns shard s's server address. Servers live on the
+// psShardAddr returns shard s's server address. Servers live on the
 // 10.0.1.x subnet; worker plans keep the third byte 0 (netsim.HostAddr)
 // and bound their own indices, so no valid shape reaches it.
-func PSShardAddr(s int) protocol.Addr {
-	if s < 0 || s >= MaxPSShards {
-		panic(fmt.Sprintf("core: shard index %d out of range [0,%d)", s, MaxPSShards))
+func psShardAddr(s int) protocol.Addr {
+	if s < 0 || s >= maxPSShards {
+		panic(fmt.Sprintf("core: shard index %d out of range [0,%d)", s, maxPSShards))
 	}
 	return protocol.AddrFrom(10, 0, 1, byte(10+s), 9990)
 }
@@ -148,7 +148,8 @@ type PSCluster struct {
 // psShard is one parameter-server shard: its server host, the element
 // range [lo, hi) it owns, the global packet-segment index of its first
 // element, and one assembler per worker. The sync server (startServer)
-// and the async one (RunAsyncPS) both read pushes through gather.
+// and the async one (PSCluster.spawnAsync) both read pushes through
+// gather.
 type psShard struct {
 	srv     *netsim.Host
 	lo, hi  int
@@ -190,14 +191,6 @@ func (sh *psShard) gather(p *sim.Proc, control func(*protocol.Packet)) (protocol
 
 // Workers exposes the worker hosts (the servers are separate).
 func (c *PSCluster) Workers() []*netsim.Host { return c.workers }
-
-// NumShards returns the effective shard count: ClusterSpec.Shards
-// clamped to the model's packet-segment count (a shard must own at
-// least one whole segment).
-func (c *PSCluster) NumShards() int { return len(c.shards) }
-
-// ShardElems returns the element range [lo, hi) owned by shard s.
-func (c *PSCluster) ShardElems(s int) (lo, hi int) { return c.shards[s].lo, c.shards[s].hi }
 
 // sendSlice sends vals from h to dst as data packets numbered from
 // segment base and carried under enc. Packets alias vals.

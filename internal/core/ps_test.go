@@ -24,8 +24,8 @@ func TestShardPartitionCoversVector(t *testing.T) {
 		k := sim.NewKernel()
 		c := psStar(k, ModeAsyncPS, 2, tc.n, tc.shards)
 		prevHi := 0
-		for s := 0; s < c.NumShards(); s++ {
-			lo, hi := c.ShardElems(s)
+		for s, sh := range c.shards {
+			lo, hi := sh.lo, sh.hi
 			if lo != prevHi {
 				t.Fatalf("n=%d shards=%d: shard %d starts at %d, want %d", tc.n, tc.shards, s, lo, prevHi)
 			}
@@ -188,8 +188,7 @@ func TestAsyncShardedPSUpdatesAreSliceLocal(t *testing.T) {
 
 	bounds := make([][2]int, shards)
 	for s := 0; s < shards; s++ {
-		lo, hi := c.ShardElems(s)
-		bounds[s] = [2]int{lo, hi}
+		bounds[s] = [2]int{c.shards[s].lo, c.shards[s].hi}
 	}
 	for u, vec := range master.applied {
 		// Each applied vector must be non-zero inside exactly one shard.

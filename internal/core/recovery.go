@@ -35,10 +35,9 @@ func RecoveryTimeoutFor(w perfmodel.Workload, link netsim.LinkConfig) sim.Time {
 	return 2 * perfmodel.ExpectedSyncRound(w, link.BitsPerSecond)
 }
 
-// ScheduleCrash registers a worker crash (netsim.CrashFault) to fire at
-// the aggregation round it names. Applied by Cluster.ApplyFaults;
-// exposed for tests that drive an ISWCluster directly.
-func (c *ISWCluster) ScheduleCrash(f netsim.CrashFault) {
+// scheduleCrash registers a worker crash (netsim.CrashFault) to fire at
+// the aggregation round it names (Cluster.ApplyFaults).
+func (c *ISWCluster) scheduleCrash(f netsim.CrashFault) {
 	if c.crashes == nil {
 		c.crashes = make(map[int][]netsim.CrashFault)
 	}

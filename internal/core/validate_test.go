@@ -89,7 +89,7 @@ func TestValidateRejections(t *testing.T) {
 		{"shards-fp16", with(func(s *ClusterSpec) { s.Shards, s.Compression = 2, protocol.CompFP16 }), "fp16 compression with 2 parameter-server shards"},
 		{"shards-off-ps", with(func(s *ClusterSpec) { s.Mode, s.Shards = ModeISW, 2 }), "parameter-server modes only"},
 		{"shards-negative", with(func(s *ClusterSpec) { s.Shards = -1 }), "Shards must be in [0, 128]"},
-		{"shards-too-many", with(func(s *ClusterSpec) { s.Shards = MaxPSShards + 1 }), "Shards must be in [0, 128]"},
+		{"shards-too-many", with(func(s *ClusterSpec) { s.Shards = maxPSShards + 1 }), "Shards must be in [0, 128]"},
 		{"workers-zero", with(func(s *ClusterSpec) { s.Workers = 0 }), "needs Workers > 0"},
 		{"workers-negative-tree", with(func(s *ClusterSpec) { s.Topology, s.Workers = TopoTree, -3 }), "needs Workers > 0"},
 		{"per-rack-negative", with(func(s *ClusterSpec) { s.Topology, s.PerRack = TopoTree, -1 }), "PerRack must not be negative"},
@@ -189,7 +189,7 @@ func TestValidateAcceptedSpecsBuild(t *testing.T) {
 	for _, topo := range []Topology{TopoStar, TopoTree, TopoThreeTier, TopoFatTree, Topology(9)} {
 		for _, mode := range []Mode{ModeISW, ModePS, ModeAsyncPS, ModeAllReduce, Mode(9)} {
 			for _, n := range []int{0, 1, 3} {
-				for _, shards := range []int{-1, 0, 2, MaxPSShards + 1} {
+				for _, shards := range []int{-1, 0, 2, maxPSShards + 1} {
 					for _, scheme := range protocol.Compressions() {
 						for _, floats := range []int{0, 800} {
 							spec := ClusterSpec{Topology: topo, Mode: mode, Workers: n, PerRack: 2,

@@ -9,7 +9,6 @@ import (
 	"iswitch/internal/envs"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/rl"
-	"iswitch/internal/sim"
 	"iswitch/internal/tensor"
 )
 
@@ -134,25 +133,18 @@ func Figure14(opts CurveOpts) Result {
 	w, _ := perfmodel.WorkloadByName("DQN")
 
 	run := func(strategy string, updates int64) (*core.AsyncStats, time.Duration) {
-		k := sim.NewKernel()
-		defer k.Shutdown()
 		agents := make([]rl.Agent, workers)
 		for i := range agents {
 			agents[i] = rl.NewDQN(newGridPong(int64(400+i)), rl.DefaultDQNConfig(), 42, int64(500+i))
 		}
-		cfg := core.AsyncConfig{
-			Updates: updates, StalenessBound: 3,
-			LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate,
+		job := core.Job{Updates: updates, StalenessBound: 3,
+			NewAgent: func(i int) rl.Agent { return agents[i] }}
+		if strategy == StratPS {
+			job.Master = rl.NewDQN(newGridPong(999), rl.DefaultDQNConfig(), 42, 999)
 		}
-		var stats *core.AsyncStats
 		spec := strategySpec(w, strategy, workers, 0, true)
 		spec.ModelFloats = agents[0].GradLen()
-		if strategy == StratISW {
-			stats = core.RunAsyncISW(k, agents, core.Build(k, spec).ISW, cfg)
-		} else {
-			master := rl.NewDQN(newGridPong(999), rl.DefaultDQNConfig(), 42, 999)
-			stats = core.RunAsyncPS(k, agents, master, core.Build(k, spec).PS, cfg)
-		}
+		stats := simSpec(w, spec, job)
 		// Full-model per-update time from the synthetic timing run.
 		full := simAsync(w, strategy, workers, 0, 40, 3)
 		return stats, asyncPerIter(full)

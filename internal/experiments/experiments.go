@@ -13,7 +13,6 @@ import (
 	"iswitch/internal/core"
 	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
-	"iswitch/internal/rl"
 	"iswitch/internal/sim"
 )
 
@@ -51,9 +50,9 @@ func hours(iters int64, perIter time.Duration) float64 {
 }
 
 // strategySpec maps a comparison strategy and rack shape onto a
-// ClusterSpec: perRack <= 0 selects the flat single-switch testbed,
-// otherwise the two-level rack topology; async picks the asynchronous
-// flavor of the parameter server.
+// ClusterSpec calibrated to w: perRack <= 0 selects the flat
+// single-switch testbed, otherwise the two-level rack topology; async
+// picks the asynchronous flavor of the parameter server.
 func strategySpec(w perfmodel.Workload, strategy string, nWorkers, perRack int, async bool) core.ClusterSpec {
 	spec := core.ClusterSpec{
 		Topology:    core.TopoStar,
@@ -66,26 +65,26 @@ func strategySpec(w perfmodel.Workload, strategy string, nWorkers, perRack int, 
 		spec.Topology = core.TopoTree
 		spec.PerRack = perRack
 	}
-	switch strategy {
-	case StratPS:
-		spec.Mode = core.ModePS
-		if async {
-			spec.Mode = core.ModeAsyncPS
-		}
-		cfg := core.PSConfigFor(w)
-		spec.PS = &cfg
-	case StratAR:
-		spec.Mode = core.ModeAllReduce
-		cfg := core.ARConfigFor(w)
-		spec.AR = &cfg
-	case StratISW:
-		spec.Mode = core.ModeISW
-		cfg := core.ISWConfigFor(w)
-		spec.ISW = &cfg
-	default:
+	mode, ok := map[string]core.Mode{StratPS: core.ModePS, StratAR: core.ModeAllReduce, StratISW: core.ModeISW}[strategy]
+	if !ok {
 		panic("experiments: unknown strategy " + strategy)
 	}
-	return spec
+	spec.Mode = mode
+	if async && mode == core.ModePS {
+		spec.Mode = core.ModeAsyncPS
+	}
+	return spec.WithWorkload(w)
+}
+
+// simRun runs job on cluster c (synthetic agents unless the job names
+// its own), charging workload w's compute and update times.
+func simRun(w perfmodel.Workload, c *core.Cluster, job core.Job) *core.AsyncStats {
+	job.LocalCompute, job.WeightUpdate = w.LocalCompute, w.WeightUpdate
+	stats, err := c.Run(job)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return stats
 }
 
 // simSync runs a synchronous timing simulation: nWorkers synthetic
@@ -99,45 +98,19 @@ func simSync(w perfmodel.Workload, strategy string, nWorkers, perRack, iters int
 // simSyncSpec is simSync for any synchronous spec (shard counts and
 // fabrics strategySpec does not name).
 func simSyncSpec(w perfmodel.Workload, spec core.ClusterSpec, iters int) *core.RunStats {
-	k := sim.NewKernel()
-	defer k.Shutdown() // release parked server loops (goroutine leak fix)
-	c := core.Build(k, spec)
-	agents := make([]rl.Agent, len(c.Workers()))
-	services := make([]core.Service, len(agents))
-	for i := range agents {
-		agents[i], services[i] = core.NewSyntheticAgent(w.Floats()), c.Client(i)
-	}
-	return core.RunSync(k, agents, services, core.SyncConfig{
-		Iterations:   iters,
-		LocalCompute: w.LocalCompute,
-		WeightUpdate: w.WeightUpdate,
-	})
+	return &simSpec(w, spec, core.Job{Iterations: iters}).RunStats
 }
 
 // simAsync runs an asynchronous timing simulation and returns the
 // stats; strategy is PS or iSW. updates is the number of weight
 // updates to simulate.
 func simAsync(w perfmodel.Workload, strategy string, nWorkers, perRack int, updates int64, staleness int64) *core.AsyncStats {
-	return simAsyncSpec(w, strategySpec(w, strategy, nWorkers, perRack, true), updates, staleness)
+	return simSpec(w, strategySpec(w, strategy, nWorkers, perRack, true), core.Job{Updates: updates, StalenessBound: staleness})
 }
 
-// simAsyncSpec is simAsync for any ModeAsyncPS or ModeISW spec.
-func simAsyncSpec(w perfmodel.Workload, spec core.ClusterSpec, updates, staleness int64) *core.AsyncStats {
-	k := sim.NewKernel()
-	defer k.Shutdown()
-	cfg := core.AsyncConfig{
-		Updates: updates, StalenessBound: staleness,
-		LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate,
-	}
-	c := core.Build(k, spec)
-	agents := make([]rl.Agent, len(c.Workers()))
-	for i := range agents {
-		agents[i] = core.NewSyntheticAgent(w.Floats())
-	}
-	if c.PS != nil {
-		return core.RunAsyncPS(k, agents, core.NewSyntheticAgent(w.Floats()), c.PS, cfg)
-	}
-	return core.RunAsyncISW(k, agents, c.ISW, cfg)
+// simSpec builds spec on a fresh kernel and runs job on it (simRun).
+func simSpec(w perfmodel.Workload, spec core.ClusterSpec, job core.Job) *core.AsyncStats {
+	return simRun(w, core.Build(sim.NewKernel(), spec), job)
 }
 
 // asyncPerIter extracts the per-iteration (inter-update) time from an

@@ -8,7 +8,6 @@ import (
 	"iswitch/internal/core"
 	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
-	"iswitch/internal/rl"
 	"iswitch/internal/sim"
 )
 
@@ -153,44 +152,23 @@ func runLossyCell(topo, mode, fault string, loss float64) LossyCell {
 		}
 	}
 
-	k := sim.NewKernel()
-	cluster := core.Build(k, lossySpec(topo, cfg, plan, horizon))
-	workers := cluster.Workers()
-
-	agents := make([]rl.Agent, len(workers))
-	services := make([]core.Service, len(workers))
-	for i := range workers {
-		agents[i] = core.NewSyntheticAgent(lossyModelFloats)
-		services[i] = cluster.Client(i)
-	}
-
-	cell := LossyCell{
-		Topology: topo, Mode: mode, Fault: fault, Loss: loss,
-		Workers: len(workers), Iterations: lossyIterations,
-	}
-
-	var stats *core.RunStats
+	var job core.Job
 	switch mode {
 	case "sync":
-		stats = core.RunSync(k, agents, services, core.SyncConfig{
-			Iterations:   lossyIterations,
-			LocalCompute: wl.LocalCompute,
-			WeightUpdate: wl.WeightUpdate,
-		})
+		job = core.Job{Iterations: lossyIterations}
 	case "async":
-		as := core.RunAsyncISW(k, agents, cluster.ISW, core.AsyncConfig{
-			Updates:        lossyIterations,
-			StalenessBound: 4,
-			LocalCompute:   wl.LocalCompute,
-			WeightUpdate:   wl.WeightUpdate,
-		})
-		stats = &as.RunStats
+		job = core.Job{Updates: lossyIterations, StalenessBound: 4}
 	default:
 		panic("experiments: unknown lossy mode " + mode)
 	}
-
-	cell.Total = stats.Total
-	cell.MeanIter = stats.MeanIter()
+	cluster := core.Build(sim.NewKernel(), lossySpec(topo, cfg, plan, horizon))
+	stats := simRun(wl, cluster, job)
+	workers := cluster.Workers()
+	cell := LossyCell{
+		Topology: topo, Mode: mode, Fault: fault, Loss: loss,
+		Workers: len(workers), Iterations: lossyIterations,
+		Total: stats.Total, MeanIter: stats.MeanIter(),
+	}
 	for _, w := range stats.Workers {
 		for _, it := range w.Iters {
 			if t := it.Total(); t > cell.MaxIter {

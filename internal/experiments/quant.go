@@ -9,6 +9,7 @@ import (
 	"iswitch/internal/core"
 	"iswitch/internal/engine"
 	"iswitch/internal/netsim"
+	"iswitch/internal/perfmodel"
 	"iswitch/internal/protocol"
 	"iswitch/internal/rl"
 	"iswitch/internal/sim"
@@ -75,14 +76,9 @@ const (
 	quantHostsPer    = 2
 )
 
-func quantWorkload() (localCompute, weightUpdate time.Duration) {
-	return 50 * time.Microsecond, 20 * time.Microsecond
-}
-
 // runQuantCell measures one scheme on the fat-tree.
 func runQuantCell(scheme protocol.Compression) QuantCell {
-	k := sim.NewKernel()
-	spec := core.ClusterSpec{
+	cluster := core.Build(sim.NewKernel(), core.ClusterSpec{
 		Topology:     core.TopoFatTree,
 		Mode:         core.ModeISW,
 		KAry:         quantKAry,
@@ -90,20 +86,10 @@ func runQuantCell(scheme protocol.Compression) QuantCell {
 		ModelFloats:  quantModelFloats,
 		Link:         netsim.TenGbE(),
 		Compression:  scheme,
-	}
-	cluster := core.Build(k, spec)
+	})
+	wl := perfmodel.Workload{LocalCompute: 50 * time.Microsecond, WeightUpdate: 20 * time.Microsecond}
+	stats := simRun(wl, cluster, core.Job{Iterations: quantIterations})
 	workers := cluster.Workers()
-
-	agents := make([]rl.Agent, len(workers))
-	services := make([]core.Service, len(workers))
-	for i := range workers {
-		agents[i] = core.NewSyntheticAgent(quantModelFloats)
-		services[i] = cluster.Client(i)
-	}
-	lc, wu := quantWorkload()
-	stats := core.RunSync(k, agents, services, core.SyncConfig{
-		Iterations: quantIterations, LocalCompute: lc, WeightUpdate: wu})
-
 	cell := QuantCell{Scheme: scheme.String(), Workers: len(workers), Iterations: quantIterations,
 		Total: stats.Total, MeanIter: stats.MeanIter()}
 	for _, h := range workers {

@@ -62,7 +62,7 @@ func shardSweepRows() []ShardSweepRow {
 		}
 		return cell{
 			sync:  simSyncSpec(w, spec(false), 2),
-			async: simAsyncSpec(w, spec(true), 40, 3),
+			async: simSpec(w, spec(true), core.Job{Updates: 40, StalenessBound: 3}),
 		}
 	})
 	var rows []ShardSweepRow

@@ -144,12 +144,10 @@ func (s *scheduler) startElastic(jr *jobRun) {
 			cfg.Job = jr.id
 			cfg.RecoveryTimeout = spec.RecoveryTimeout
 			cluster := core.NewISWOnFabric(jr.hosts[:n], jr.targets[:n], spec.floats(), n, cfg)
-			var stats *core.RunStats
-			stats = core.SpawnSync(s.f.K, agents[:n], services(cluster, n), core.SyncConfig{
-				Iterations:   phase.Iterations,
-				LocalCompute: spec.Workload.LocalCompute,
-				WeightUpdate: spec.Workload.WeightUpdate,
-			}, func() {
+			job := spec.job()
+			job.Iterations = phase.Iterations
+			var stats *core.AsyncStats
+			stats = cluster.Spawn(s.f.K, agents[:n], job, func() {
 				// Fires when the phase's last worker finishes its final
 				// iteration — every IterRecord is in by then.
 				jr.elRounds += int64(phase.Iterations)

@@ -129,6 +129,19 @@ func (s JobSpec) floats() int {
 	return s.Workload.Floats()
 }
 
+// job is the training run the spec asks core for: its mode's length
+// and the workload's step times (an elastic phase sets its own
+// Iterations).
+func (s JobSpec) job() core.Job {
+	j := core.Job{LocalCompute: s.Workload.LocalCompute, WeightUpdate: s.Workload.WeightUpdate}
+	if s.Mode == ModeAsync {
+		j.Updates, j.StalenessBound = s.Updates, s.StalenessBound
+	} else {
+		j.Iterations = s.Iterations
+	}
+	return j
+}
+
 // FabricConfig parameterizes the shared-resource model of every switch
 // in a fabric.
 type FabricConfig struct {
@@ -181,7 +194,7 @@ func NewFabric(k *sim.Kernel, fab *switchnet.Fabric, cfg FabricConfig) *Fabric {
 
 // NewFatTreeFabric is NewFabric over switchnet.BuildFatTree: kAry=8
 // with hostsPerEdge=32 is the 1024-worker rackscale shape the
-// calendar-queue kernel is sized for.
+// ladder-queue kernel is sized for.
 func NewFatTreeFabric(k *sim.Kernel, kAry, hostsPerEdge int,
 	edge, aggLink, coreLink netsim.LinkConfig, cfg FabricConfig) *Fabric {
 	return NewFabric(k, switchnet.BuildFatTree(k, kAry, hostsPerEdge, edge, aggLink, coreLink), cfg)

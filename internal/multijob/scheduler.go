@@ -225,8 +225,10 @@ func validateSpec(spec JobSpec) error {
 			}
 		}
 	}
-	if spec.Mode == ModeAsync && spec.StalenessBound < 0 {
-		return fmt.Errorf("async jobs need StalenessBound >= 0 (a negative bound discards every gradient)")
+	if spec.Adversary == nil && spec.Elastic == nil {
+		if err := spec.job().Validate(core.ClusterSpec{Mode: core.ModeISW}); err != nil {
+			return err
+		}
 	}
 	if fp := spec.Faults; fp != nil {
 		if len(fp.Crashes) > 0 || len(fp.Switches) > 0 {
@@ -526,19 +528,11 @@ func (s *scheduler) start(jr *jobRun) {
 	cfg.RecoveryTimeout = spec.RecoveryTimeout
 	cluster := core.NewISWOnFabric(jr.hosts, jr.targets, spec.floats(), spec.Workers, cfg)
 
-	done := func() { s.finish(jr) }
-	switch spec.Mode {
-	case ModeAsync:
-		jr.res.Async = core.SpawnAsyncISW(s.f.K, agents, cluster, core.AsyncConfig{
-			Updates: spec.Updates, StalenessBound: spec.StalenessBound,
-			LocalCompute: spec.Workload.LocalCompute, WeightUpdate: spec.Workload.WeightUpdate,
-		}, done)
-	default:
-		jr.res.Sync = core.SpawnSync(s.f.K, agents, services(cluster, spec.Workers), core.SyncConfig{
-			Iterations:   spec.Iterations,
-			LocalCompute: spec.Workload.LocalCompute,
-			WeightUpdate: spec.Workload.WeightUpdate,
-		}, done)
+	stats := cluster.Spawn(s.f.K, agents, spec.job(), func() { s.finish(jr) })
+	if spec.Mode == ModeAsync {
+		jr.res.Async = stats
+	} else {
+		jr.res.Sync = &stats.RunStats
 	}
 }
 
@@ -552,14 +546,6 @@ func (s *scheduler) agents(jr *jobRun, n int) []rl.Agent {
 		}
 	}
 	return agents
-}
-
-func services(c *core.ISWCluster, n int) []core.Service {
-	out := make([]core.Service, n)
-	for i := range out {
-		out[i] = c.Client(i)
-	}
-	return out
 }
 
 // finish runs in kernel context when the job's last worker completes:

@@ -12,7 +12,7 @@ import (
 // switches. The classic construction attaches k/2 hosts to each edge
 // switch; hostsPerEdge generalizes that so rack density and pod count
 // scale independently — k=8 with hostsPerEdge=32 yields the
-// 1024-worker topology the calendar-queue kernel is sized for.
+// 1024-worker topology the ladder-queue kernel is sized for.
 //
 // Routing is deterministic single-path: every flow follows the embedded
 // aggregation tree edge → agg0(pod) → core0 (no ECMP hashing — path
