@@ -48,6 +48,20 @@ type SyncConfig = Job
 // AsyncConfig is Job (see SyncConfig).
 type AsyncConfig = Job
 
+// Agents builds one agent per worker: NewAgent's, or timing-only
+// synthetic agents of modelFloats floats when NewAgent is nil.
+func (j Job) Agents(workers, modelFloats int) []rl.Agent {
+	agents := make([]rl.Agent, workers)
+	for i := range agents {
+		if j.NewAgent != nil {
+			agents[i] = j.NewAgent(i)
+		} else {
+			agents[i] = NewSyntheticAgent(modelFloats)
+		}
+	}
+	return agents
+}
+
 // jitterFor resolves the per-gradient compute jitter (zero when unset).
 func (j Job) jitterFor(worker, iter int) sim.Time {
 	if j.ComputeJitter == nil {
@@ -90,14 +104,7 @@ func (c *Cluster) Run(job Job) (*AsyncStats, error) {
 	if err := job.Validate(c.Spec); err != nil {
 		return nil, err
 	}
-	agents := make([]rl.Agent, len(c.Workers()))
-	for i := range agents {
-		if job.NewAgent != nil {
-			agents[i] = job.NewAgent(i)
-		} else {
-			agents[i] = NewSyntheticAgent(c.Spec.ModelFloats)
-		}
-	}
+	agents := job.Agents(len(c.Workers()), c.Spec.ModelFloats)
 	var stats *AsyncStats
 	switch {
 	case c.Spec.Mode == ModeAsyncPS:

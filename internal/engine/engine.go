@@ -256,22 +256,33 @@ func (e *Engine) AdmitJob(job protocol.JobID, modelFloats uint64) error {
 // state. It reports whether a context existed. The default job can not
 // be evicted.
 func (e *Engine) EvictJob(job protocol.JobID) bool {
-	if job == protocol.DefaultJob {
-		return false
-	}
-	ctx := e.jobs[job]
+	ctx := e.detach(job)
 	if ctx == nil {
 		return false
 	}
-	delete(e.jobs, job)
 	ctx.shadow.Reset() // the kept frames go back to their pools
+	return true
+}
+
+// detach removes an admitted job's context from the switch, releasing
+// its SRAM and bus state, and returns it (nil for the default job or a
+// job not admitted).
+func (e *Engine) detach(job protocol.JobID) *jobCtx {
+	if job == protocol.DefaultJob {
+		return nil
+	}
+	ctx := e.jobs[job]
+	if ctx == nil {
+		return nil
+	}
+	delete(e.jobs, job)
 	if e.pool != nil {
 		e.pool.Release(uint16(job))
 	}
 	if e.bus != nil {
 		e.bus.Forget(uint16(job))
 	}
-	return true
+	return ctx
 }
 
 // Jobs lists the admitted job IDs in ascending order (job 0 included).
@@ -485,7 +496,7 @@ func (e *Engine) handleHelp(ctx *jobCtx, pkt *protocol.Packet) {
 	}
 	// Root with no state, or a re-gather request from the parent: the
 	// segment's every contribution was lost — including the requester's
-	// own (a dropped upload, or a context checkpointed while data was in
+	// own (a dropped upload, or a context preempted while data was in
 	// flight). Ask ALL local members to resend, requester included: a
 	// worker requester re-serves its retained gradient, and a child
 	// switch requester recycled the segment's state when it emitted

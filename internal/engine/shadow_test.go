@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -119,9 +118,9 @@ func TestShadowBoundedPastCap(t *testing.T) {
 }
 
 // TestCheckpointRoundTripKeptFrames: a job whose shadow keeps emitted
-// frames checkpoints, preempts and restores bit-identically, on the
-// float and the int32 datapaths, and the restored slot re-serves the
-// same payload.
+// frames preempts and restores on the float and the int32 datapaths: the
+// partial segment is still partial, the restored slot re-serves the same
+// payload, and the checkpoint restores once.
 func TestCheckpointRoundTripKeptFrames(t *testing.T) {
 	const job = protocol.JobID(1)
 	for _, scheme := range []protocol.Compression{protocol.CompNone, protocol.CompInt32Block} {
@@ -132,56 +131,99 @@ func TestCheckpointRoundTripKeptFrames(t *testing.T) {
 		}
 		e.SetDedupJob(job, true)
 		join(e, job, 2, scheme, 16)
-		r1 := protocol.TagSeg(1, 0)
+		r1, partial := protocol.TagSeg(1, 0), protocol.TagSeg(1, 1)
 		contribute(e, job, 0, r1, scheme, []float32{1, -2, 3})
 		contribute(e, job, 1, r1, scheme, []float32{4, 5, -6})
-		contribute(e, job, 0, protocol.TagSeg(1, 1), scheme, []float32{7, 8, 9}) // still partial
-		cp, err := e.CheckpointJob(job)
+		contribute(e, job, 0, partial, scheme, []float32{7, 8, 9})
+		cp, err := e.PreemptJob(job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := cp.MarshalBinary()
-		if err != nil {
+		if e.AcceleratorOf(job) != nil {
+			t.Fatalf("%v: a preempted job is still admitted", scheme)
+		}
+		if err := e.RestoreJob(cp); err != nil {
 			t.Fatal(err)
 		}
-		if len(cp.Shadow.Slots) != 1 || len(cp.Acc.Segs) != 1 {
-			t.Fatalf("%v: checkpoint holds %d shadow slots, %d pending segments; want 1, 1",
-				scheme, len(cp.Shadow.Slots), len(cp.Acc.Segs))
+		ctx := e.ctx(job)
+		if ctx.shadow.Len() != 1 || ctx.acc.CountOf(partial) != 1 || !ctx.acc.Seen(partial, worker(0).String()) {
+			t.Fatalf("%v: restored context holds %d shadow slots, partial count %d; want 1, 1 with worker 0 seen",
+				scheme, ctx.shadow.Len(), ctx.acc.CountOf(partial))
 		}
-		if _, err := e.PreemptJob(job); err != nil {
-			t.Fatal(err)
-		}
-		var back JobCheckpoint
-		if err := back.UnmarshalBinary(b); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.RestoreJob(&back); err != nil {
-			t.Fatal(err)
-		}
-		again, err := e.CheckpointJob(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := again.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b, b2) {
-			t.Fatalf("%v: restored context re-checkpoints differently", scheme)
-		}
-		served := e.ctx(job).shadow.Serve(r1, scheme == protocol.CompInt32Block)
+		served := ctx.shadow.Serve(r1, scheme == protocol.CompInt32Block)
 		if served == nil {
 			t.Fatalf("%v: restored shadow misses round 1", scheme)
 		}
-		want := cp.Shadow.Slots[0]
-		if scheme == protocol.CompInt32Block {
-			if served.Shift != want.Shift || len(served.QData) != len(want.QBuf) || served.QData[0] != want.QBuf[0] {
-				t.Fatalf("re-served %v<<%d, want %v<<%d", served.QData, served.Shift, want.QBuf, want.Shift)
-			}
-		} else if len(served.Data) != 3 || served.Data[0] != 5 || served.Data[1] != 3 || served.Data[2] != -3 {
-			t.Fatalf("re-served %v, want [5 3 -3]", served.Data)
+		got := append([]float32(nil), served.Data...)
+		for _, q := range served.QData {
+			got = append(got, float32(q<<served.Shift))
 		}
 		served.Release()
+		if len(got) != 3 || got[0] != 5 || got[1] != 3 || got[2] != -3 {
+			t.Fatalf("%v: re-served %v, want [5 3 -3]", scheme, got)
+		}
+		e.EvictJob(job)
+		if err := e.RestoreJob(cp); err == nil {
+			t.Fatalf("%v: a checkpoint restored twice", scheme)
+		}
+	}
+}
+
+// queued is clock with the accelerator's latency in it: After keeps the
+// callback until the test fires it.
+type queued struct {
+	clock
+	pending []func()
+}
+
+func (q *queued) After(_ time.Duration, fn func()) { q.pending = append(q.pending, fn) }
+
+func (q *queued) fire() {
+	for len(q.pending) > 0 {
+		fn := q.pending[0]
+		q.pending = q.pending[1:]
+		fn()
+	}
+}
+
+// TestPreemptKeepsInFlightEmission: round 2 completes and the job is
+// preempted while the emission still waits out the accelerator's
+// latency. The emission broadcasts from the context it left and keeps
+// its shadow share there, so the restored job re-serves round 2 to a
+// worker that lost the broadcast.
+func TestPreemptKeepsInFlightEmission(t *testing.T) {
+	const job = protocol.JobID(1)
+	drv := &queued{}
+	e := New(shadowSelf, drv)
+	if err := e.AdmitJob(job, 16); err != nil {
+		t.Fatal(err)
+	}
+	e.SetDedupJob(job, true)
+	join(e, job, 2, protocol.CompNone, 16)
+	r2 := protocol.TagSeg(2, 0)
+	contribute(e, job, 0, r2, protocol.CompNone, []float32{1, 2, 3})
+	contribute(e, job, 1, r2, protocol.CompNone, []float32{4, 5, 6})
+	if len(drv.pending) != 1 {
+		t.Fatalf("%d emissions pending, want 1", len(drv.pending))
+	}
+	cp, err := e.PreemptJob(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv.fire()
+	if e.Broadcasts != 1 || drv.data != 2 {
+		t.Fatalf("%d broadcasts, %d data frames; want 1, 2", e.Broadcasts, drv.data)
+	}
+	if err := e.RestoreJob(cp); err != nil {
+		t.Fatal(err)
+	}
+	served := e.ctx(job).shadow.Serve(r2, false)
+	if served == nil {
+		t.Fatal("the restored job lost round 2's emission")
+	}
+	defer served.Release()
+	if d := served.Data; len(d) != 3 || d[0] != 5 || d[1] != 7 || d[2] != 9 {
+		t.Fatalf("re-served %v, want [5 7 9]", d)
 	}
 }
 

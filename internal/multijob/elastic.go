@@ -107,9 +107,9 @@ func wiringFor(chains [][]*switchnet.ISwitch) map[wireEdge]bool {
 // startElastic runs the job's phases back to back, reconciling switch
 // membership between them.
 func (s *scheduler) startElastic(jr *jobRun) {
-	spec := jr.spec
-	agents := s.agents(jr, spec.Workers) // persist across phases
-	registered := wiringFor(jr.chains)   // admit wired every chain
+	spec, job := jr.spec, jr.spec.job()
+	agents := job.Agents(spec.Workers, spec.floats()) // persist across phases
+	registered := wiringFor(jr.chains)                // admit wired every chain
 	prevWorkers := 0
 
 	var runPhase func(ph int)
@@ -144,7 +144,6 @@ func (s *scheduler) startElastic(jr *jobRun) {
 			cfg.Job = jr.id
 			cfg.RecoveryTimeout = spec.RecoveryTimeout
 			cluster := core.NewISWOnFabric(jr.hosts[:n], jr.targets[:n], spec.floats(), n, cfg)
-			job := spec.job()
 			job.Iterations = phase.Iterations
 			var stats *core.AsyncStats
 			stats = cluster.Spawn(s.f.K, agents[:n], job, func() {

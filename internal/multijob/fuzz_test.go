@@ -72,7 +72,7 @@ func FuzzScheduler(f *testing.F) {
 			}
 			switch b & 3 {
 			case 1:
-				spec.Mode = ModeAsync
+				spec.Mode, spec.Iterations = ModeAsync, 0 // an async job's length is Updates
 				spec.Updates, spec.StalenessBound = 2, 1
 			case 2:
 				spec.Preemptible = true

@@ -65,10 +65,10 @@ type JobSpec struct {
 	Workers int
 	// Mode selects sync or async training.
 	Mode Mode
-	// Iterations is the synchronous iteration count (ModeSync).
+	// Iterations is the synchronous iteration count (ModeSync only).
 	Iterations int
 	// Updates and StalenessBound drive the asynchronous pipeline
-	// (ModeAsync).
+	// (ModeAsync only: Run rejects a length set for the other mode).
 	Updates        int64
 	StalenessBound int64
 	// ModelFloats overrides the gradient length (0 selects the
@@ -92,9 +92,9 @@ type JobSpec struct {
 	// Priority orders admission under PriorityPreempt (higher wins).
 	Priority int
 	// Preemptible consents to checkpoint/restore: the scheduler may
-	// serialize this job's switch contexts (partial aggregates, dedup
-	// bitmaps, membership) to make room for another tenant and restore
-	// them later, bit-identically. Requires ModeSync and a positive
+	// detach this job's switch contexts (partial aggregates, dedup
+	// bitmaps, membership) to make room for another tenant and attach
+	// them again later, bit-identically. Requires ModeSync and a positive
 	// RecoveryTimeout — preempted workers ride the loss-recovery path
 	// (retransmission + switch dedup) across the gap.
 	Preemptible bool
@@ -129,11 +129,11 @@ func (s JobSpec) floats() int {
 	return s.Workload.Floats()
 }
 
-// job is the training run the spec asks core for: its mode's length
-// and the workload's step times (an elastic phase sets its own
-// Iterations).
+// job is the training run the spec asks core for: its mode's length,
+// the workload's step times and the agents (an elastic phase sets its
+// own Iterations).
 func (s JobSpec) job() core.Job {
-	j := core.Job{LocalCompute: s.Workload.LocalCompute, WeightUpdate: s.Workload.WeightUpdate}
+	j := core.Job{LocalCompute: s.Workload.LocalCompute, WeightUpdate: s.Workload.WeightUpdate, NewAgent: s.NewAgent}
 	if s.Mode == ModeAsync {
 		j.Updates, j.StalenessBound = s.Updates, s.StalenessBound
 	} else {

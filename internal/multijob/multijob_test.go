@@ -314,6 +314,28 @@ func TestNegativeStalenessRejected(t *testing.T) {
 	}
 }
 
+// TestSpecLengthMatchesMode: a spec reads the length of its own mode
+// only, so a length set for the other mode is refused with a reason
+// instead of being dropped (a ModeSync spec with Updates used to run
+// synchronously).
+func TestSpecLengthMatchesMode(t *testing.T) {
+	wl := ppoWorkload(t)
+	for _, tc := range []struct {
+		spec JobSpec
+		want string
+	}{
+		{JobSpec{Workload: wl, Workers: 2, Mode: ModeSync, Iterations: 2, Updates: 5, ModelFloats: 400}, "not Updates"},
+		{JobSpec{Workload: wl, Workers: 2, Mode: ModeAsync, Iterations: 2, Updates: 5, StalenessBound: 1, ModelFloats: 400}, "not Iterations"},
+	} {
+		f := NewStarFabric(sim.NewKernel(), 2, testLink(), FabricConfig{})
+		_, err := Run(f, []JobSpec{tc.spec})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v spec with Iterations %d, Updates %d: Run returned %v, want %q",
+				tc.spec.Mode, tc.spec.Iterations, tc.spec.Updates, err, tc.want)
+		}
+	}
+}
+
 // TestInfeasibleJobRejected pins outright rejection: a job whose demand
 // exceeds switch capacity is rejected (not queued — it would head-block
 // the FIFO forever) and consumes no hosts; later jobs still run.

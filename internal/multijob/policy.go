@@ -98,8 +98,9 @@ type weightedFair struct {
 // offered SRAM in credit order, so small jobs start in the gaps a
 // blocked large job leaves. Starvation is bounded: a job bypassed
 // maxBypass times (<= 0 selects 8) hard-blocks the queue until it
-// starts, and running preemptible tenants become eviction candidates
-// (lightest weight first) to force the issue.
+// starts, and the running preemptible tenants that arrived after it
+// become eviction candidates (lightest weight first) to force the
+// issue.
 func WeightedFair(maxBypass int) Policy {
 	if maxBypass <= 0 {
 		maxBypass = 8
@@ -136,7 +137,16 @@ func (w *weightedFair) Victims(cand JobInfo, running []JobInfo) []protocol.JobID
 	if cand.Bypassed < w.maxBypass {
 		return nil // preemption is the anti-starvation backstop only
 	}
-	return victimsBy(running, func(a, b JobInfo) bool {
+	// Only tenants that arrived after the starved job may go: evicting an
+	// earlier arrival starves it in turn, and two starved jobs then evict
+	// each other forever without the clock moving.
+	later := make([]JobInfo, 0, len(running))
+	for _, r := range running {
+		if r.Arrival > cand.Arrival {
+			later = append(later, r)
+		}
+	}
+	return victimsBy(later, func(a, b JobInfo) bool {
 		wa, wb := weightOr1(a.Weight), weightOr1(b.Weight)
 		if wa != wb {
 			return wa < wb // evict the lightest share first

@@ -141,6 +141,58 @@ func runPreemptScenario(t *testing.T, newFabric func(k *sim.Kernel, cfg FabricCo
 	}
 }
 
+// TestPartialRestoreKeepsCheckpoints: three one-rack jobs share the
+// root of a three-rack tree whose switches fit one context each. The
+// urgent job preempts the victim; when it ends, the middle-priority job
+// takes the root first, so the victim's restore succeeds on its ToR and
+// is refused at the root. The victim goes back to waiting with both
+// contexts detached, and restores in full once the middle job frees the
+// root. A rollback that drops a detached context wedges the victim, so a
+// hang fails the test.
+func TestPartialRestoreKeepsCheckpoints(t *testing.T) {
+	const floats = 900
+	wl := ppoWorkload(t)
+	demand := accel.ContextDemand(floats, protocol.FloatsPerPacket)
+	f := NewTreeFabric(sim.NewKernel(), 6, 2, testLink(), testLink(), FabricConfig{
+		SRAMBytes: demand + demand/2, Policy: accel.PartitionDemand,
+		Admission: PriorityPreempt(),
+	})
+	spec := func(name string, iters, priority int, at time.Duration) JobSpec {
+		return JobSpec{Name: name, Workload: wl, Workers: 2, Mode: ModeSync,
+			Iterations: iters, ModelFloats: floats, Priority: priority, SubmitAt: at}
+	}
+	victim := spec("victim", 6, 0, 0)
+	victim.Preemptible, victim.RecoveryTimeout = true, 12*time.Millisecond
+	var res []*JobResult
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		res, err = Run(f, []JobSpec{victim, spec("urgent", 3, 5, 20*time.Millisecond), spec("middle", 3, 3, 25*time.Millisecond)})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the victim never restored after its partial restore")
+	}
+	v, u, m := res[0], res[1], res[2]
+	if v.Preemptions != 1 || v.Rounds != 6 {
+		t.Fatalf("victim: %d preemptions, %d rounds; want 1, 6", v.Preemptions, v.Rounds)
+	}
+	if !m.Queued || m.Started != u.Finished || v.Finished <= m.Finished {
+		t.Fatalf("the middle job did not hold the root across the victim's first restore: "+
+			"urgent ends %v, middle runs %v..%v (queued %v), victim ends %v", u.Finished, m.Started, m.Finished, m.Queued, v.Finished)
+	}
+	for _, is := range f.Switches {
+		if pool := is.SRAMPool(); pool.Jobs() != 0 || pool.Used() != 0 {
+			t.Fatalf("switch %v leaked SRAM: %d jobs, %d bytes", is.Addr(), pool.Jobs(), pool.Used())
+		}
+	}
+}
+
 // TestPreemptRestoreBitIdenticalStar is the checkpoint/restore
 // property pin on the single-switch fabric.
 func TestPreemptRestoreBitIdenticalStar(t *testing.T) {

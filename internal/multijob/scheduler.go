@@ -10,7 +10,6 @@ import (
 	"iswitch/internal/netsim"
 	"iswitch/internal/perfmodel"
 	"iswitch/internal/protocol"
-	"iswitch/internal/rl"
 	"iswitch/internal/switchnet"
 )
 
@@ -190,6 +189,14 @@ func Run(f *Fabric, specs []JobSpec) ([]*JobResult, error) {
 
 // validateSpec rejects spec combinations the scheduler cannot honor.
 func validateSpec(spec JobSpec) error {
+	// job() reads only the length of the spec's mode: the other one
+	// would be dropped without a word.
+	if spec.Mode == ModeSync && spec.Updates > 0 {
+		return fmt.Errorf("a synchronous job sets Iterations, not Updates (got Updates %d); set Mode to ModeAsync to run Algorithm 1", spec.Updates)
+	}
+	if spec.Mode == ModeAsync && spec.Iterations > 0 {
+		return fmt.Errorf("an asynchronous job sets Updates, not Iterations (got Iterations %d)", spec.Iterations)
+	}
 	if spec.Preemptible {
 		if spec.Mode != ModeSync {
 			return fmt.Errorf("preemptible jobs must be synchronous")
@@ -332,15 +339,16 @@ func (s *scheduler) admitOne(jr *jobRun) bool {
 	return true
 }
 
-// restoreOne re-installs a preempted job's contexts, all or nothing:
-// a refusal on any switch rolls the restored prefix back and keeps the
-// checkpoints for the next attempt.
+// restoreOne re-attaches a preempted job's contexts, all or nothing: a
+// refusal on any switch preempts the restored prefix again, and the new
+// checkpoints wait for the next attempt.
 func (s *scheduler) restoreOne(jr *jobRun) bool {
 	sws := switchesFor(jr.chains)
 	for i, is := range sws {
 		if err := is.RestoreJob(jr.cps[i]); err != nil {
-			for _, done := range sws[:i] {
-				done.EvictJob(jr.id)
+			for j, done := range sws[:i] {
+				// It was attached a moment ago: detaching cannot fail.
+				jr.cps[j], _ = done.PreemptJob(jr.id)
 			}
 			return false
 		}
@@ -422,17 +430,17 @@ func (s *scheduler) fitsAfterEvicting(jr *jobRun, victims []*jobRun) bool {
 	return true
 }
 
-// preempt checkpoints a running job out of every switch it occupies
-// and re-queues it. The job's workers keep running: their uploads fall
-// on deaf switches until the restore, then the loss-recovery path
-// (retransmission + dedup) resumes the round exactly.
+// preempt detaches a running job's contexts from every switch it
+// occupies and re-queues it. The job's workers keep running: their
+// uploads fall on deaf switches until the restore, then the
+// loss-recovery path (retransmission + dedup) resumes the round exactly.
 func (s *scheduler) preempt(vr *jobRun) bool {
 	sws := switchesFor(vr.chains)
 	cps := make([]*engine.JobCheckpoint, len(sws))
 	for i, is := range sws {
 		cp, err := is.PreemptJob(vr.id)
 		if err != nil {
-			for j := 0; j < i; j++ { // roll the checkpointed prefix back
+			for j := 0; j < i; j++ { // roll the detached prefix back
 				_ = sws[j].RestoreJob(cps[j])
 			}
 			return false
@@ -522,30 +530,18 @@ func (s *scheduler) start(jr *jobRun) {
 	}
 
 	spec := jr.spec
-	agents := s.agents(jr, spec.Workers)
+	job := spec.job()
 	cfg := core.DefaultISWConfig()
 	cfg.Job = jr.id
 	cfg.RecoveryTimeout = spec.RecoveryTimeout
 	cluster := core.NewISWOnFabric(jr.hosts, jr.targets, spec.floats(), spec.Workers, cfg)
 
-	stats := cluster.Spawn(s.f.K, agents, spec.job(), func() { s.finish(jr) })
+	stats := cluster.Spawn(s.f.K, job.Agents(spec.Workers, spec.floats()), job, func() { s.finish(jr) })
 	if spec.Mode == ModeAsync {
 		jr.res.Async = stats
 	} else {
 		jr.res.Sync = &stats.RunStats
 	}
-}
-
-func (s *scheduler) agents(jr *jobRun, n int) []rl.Agent {
-	agents := make([]rl.Agent, n)
-	for i := range agents {
-		if jr.spec.NewAgent != nil {
-			agents[i] = jr.spec.NewAgent(i)
-		} else {
-			agents[i] = core.NewSyntheticAgent(jr.spec.floats())
-		}
-	}
-	return agents
 }
 
 // finish runs in kernel context when the job's last worker completes:
@@ -554,8 +550,8 @@ func (s *scheduler) agents(jr *jobRun, n int) []rl.Agent {
 func (s *scheduler) finish(jr *jobRun) {
 	s.removeRunning(jr)
 	if jr.cps != nil {
-		// The job completed while preempted (checkpointed after its
-		// final broadcast had already left the switches): drop the
+		// The job completed while preempted (detached after its final
+		// broadcast had already left the switches): drop the
 		// checkpoints and pull it off the queue.
 		jr.cps = nil
 		for i, q := range s.queue {

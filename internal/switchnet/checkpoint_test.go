@@ -12,8 +12,8 @@ import (
 	"iswitch/internal/sim"
 )
 
-// Checkpoint/restore accounting and exactness, driven through the
-// public control-plane API without a running simulation.
+// Preempt/restore accounting, driven through the public control-plane
+// API without a running simulation.
 func TestCheckpointRestoreAccounting(t *testing.T) {
 	k := sim.NewKernel()
 	pool := accel.NewSRAMPool(1<<20, accel.PartitionDemand, 0)
@@ -32,60 +32,42 @@ func TestCheckpointRestoreAccounting(t *testing.T) {
 	a1 := protocol.AddrFrom(10, 0, 0, 2, 7000)
 	mem.Join(a0, engine.MemberWorker, 0, floats)
 	mem.Join(a1, engine.MemberWorker, 0, floats)
-	mem.Leave(a0) // leaves an ID gap: restored nextID must preserve it
+	mem.Leave(a0) // leaves an ID gap: the restored allocator must keep it
 	acc := is.AcceleratorOf(1)
 	if err := acc.SetThreshold(2); err != nil {
 		t.Fatal(err)
 	}
-	acc.IngestFrom(protocol.TagSeg(3, 0), a1.String(), []float32{1, 2, 3})
+	seg := protocol.TagSeg(3, 0)
+	acc.IngestFrom(seg, a1.String(), []float32{1, 2, 3})
+	reserved := pool.Reserved(1)
 
-	cp, err := is.CheckpointJob(1)
+	// Preempt frees the SRAM; restore re-reserves exactly it and puts
+	// the same context back.
+	cp, err := is.PreemptJob(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.SRAMDemand != pool.Reserved(1) || cp.SRAMDemand == 0 {
-		t.Fatalf("checkpoint demand %d, pool reservation %d", cp.SRAMDemand, pool.Reserved(1))
-	}
-	if len(cp.Members) != 1 || cp.Members[0].ID != 1 || cp.NextID != 2 {
-		t.Fatalf("member snapshot wrong: %+v nextID=%d", cp.Members, cp.NextID)
-	}
-	if len(cp.Acc.Segs) != 1 || cp.Acc.Segs[0].Count != 1 {
-		t.Fatalf("accelerator snapshot wrong: %+v", cp.Acc)
-	}
-
-	// Binary round trip is exact.
-	b, err := cp.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back engine.JobCheckpoint
-	if err := back.UnmarshalBinary(b); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cp, &back) {
-		t.Fatalf("binary round trip diverged:\n got %+v\nwant %+v", &back, cp)
-	}
-
-	// Preempt frees the SRAM; restore re-reserves exactly it and the
-	// re-checkpointed state matches the original.
-	if _, err := is.PreemptJob(1); err != nil {
-		t.Fatal(err)
+	if cp.SRAMDemand != reserved || cp.SRAMDemand == 0 {
+		t.Fatalf("checkpoint demand %d, pool reservation was %d", cp.SRAMDemand, reserved)
 	}
 	if pool.Reserved(1) != 0 || pool.Jobs() != 0 {
 		t.Fatalf("preempt left SRAM reserved: %d B, %d jobs", pool.Reserved(1), pool.Jobs())
 	}
-	if err := is.RestoreJob(&back); err != nil {
+	if is.AcceleratorOf(1) != nil || is.MembershipOf(1) != nil {
+		t.Fatal("a preempted job is still admitted")
+	}
+	if err := is.RestoreJob(cp); err != nil {
 		t.Fatal(err)
 	}
 	if pool.Reserved(1) != cp.SRAMDemand {
 		t.Fatalf("restore reserved %d B, want %d", pool.Reserved(1), cp.SRAMDemand)
 	}
-	again, err := is.CheckpointJob(1)
-	if err != nil {
-		t.Fatal(err)
+	if is.AcceleratorOf(1) != acc || is.MembershipOf(1) != mem {
+		t.Fatal("restore did not put the preempted context back")
 	}
-	if !reflect.DeepEqual(again, cp) {
-		t.Fatalf("restored context re-checkpoints differently:\n got %+v\nwant %+v", again, cp)
+	if acc.CountOf(seg) != 1 || !acc.Seen(seg, a1.String()) || mem.Count() != 1 {
+		t.Fatalf("restored state: count %d, a1 seen %v, %d members; want 1, true, 1",
+			acc.CountOf(seg), acc.Seen(seg, a1.String()), mem.Count())
 	}
 	// The ID allocator continues past the gap: a new member gets ID 2.
 	if id := is.MembershipOf(1).Join(a0, engine.MemberWorker, 0, floats); id != 2 {
@@ -93,14 +75,28 @@ func TestCheckpointRestoreAccounting(t *testing.T) {
 	}
 
 	// Error paths.
-	if _, err := is.CheckpointJob(42); err == nil {
-		t.Fatal("checkpointing an unadmitted job must fail")
+	if _, err := is.PreemptJob(42); err == nil {
+		t.Fatal("preempting an unadmitted job must fail")
 	}
-	if _, err := is.CheckpointJob(protocol.DefaultJob); err == nil {
-		t.Fatal("checkpointing the default job must fail")
+	if _, err := is.PreemptJob(protocol.DefaultJob); err == nil {
+		t.Fatal("preempting the default job must fail")
 	}
-	if err := is.RestoreJob(&back); err == nil {
+	again, err := is.PreemptJob(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := is.AdmitJob(1, floats); err != nil {
+		t.Fatal(err)
+	}
+	if err := is.RestoreJob(again); err == nil {
 		t.Fatal("restoring over an admitted job must fail")
+	}
+	is.EvictJob(1)
+	if err := is.RestoreJob(cp); err == nil {
+		t.Fatal("a checkpoint restored twice")
+	}
+	if pool.Reserved(1) != 0 {
+		t.Fatalf("refused restores left %d B reserved", pool.Reserved(1))
 	}
 }
 

@@ -71,9 +71,8 @@ func TestDedupOffAllowsRepeatContributions(t *testing.T) {
 }
 
 // The dedup bitmap names a contributor by its address string. Rendering
-// it costs a Sprintf, so it happens once, at Join (and again when a row
-// comes back from a binary checkpoint, which does not carry it); data
-// frames and targeted Helps look it up.
+// it costs a Sprintf, so it happens once, at Join; data frames and
+// targeted Helps look it up, and a preemption keeps it.
 func TestContributorKeyRenderedAtJoin(t *testing.T) {
 	k := sim.NewKernel()
 	c := BuildStar(k, 2, testLink())
@@ -104,7 +103,7 @@ func TestContributorKeyRenderedAtJoin(t *testing.T) {
 			acc.Seen(0, w0.Key), acc.Seen(0, w1.Key), acc.Seen(1, w0.Key))
 	}
 
-	// The key survives a checkpoint's binary form, which omits it.
+	// The key survives a preemption.
 	if err := is.AdmitJob(1, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +112,7 @@ func TestContributorKeyRenderedAtJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cp.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back engine.JobCheckpoint
-	if err := back.UnmarshalBinary(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := is.RestoreJob(&back); err != nil {
+	if err := is.RestoreJob(cp); err != nil {
 		t.Fatal(err)
 	}
 	if got := is.MembershipOf(1).Members()[0].Key; got != w0.Key {

@@ -20,9 +20,9 @@ import (
 // engine's discrete-event driver. The augmentation is a
 // "bump-in-the-wire": the tap hands the engine only the ToS-tagged
 // packets addressed to this switch; everything else follows the normal
-// lookup tables. Jobs, membership, thresholds, recovery and checkpoints
+// lookup tables. Jobs, membership, thresholds, recovery and preemption
 // are the embedded engine's (AdmitJob, Membership, ForceThreshold,
-// SetLivenessHorizon, CheckpointJob, …), as are the activity counters.
+// SetLivenessHorizon, PreemptJob, …), as are the activity counters.
 type ISwitch struct {
 	*engine.Engine
 	sw *netsim.Switch
