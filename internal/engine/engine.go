@@ -248,6 +248,9 @@ func (e *Engine) AdmitJob(job protocol.JobID, modelFloats uint64) error {
 			return err
 		}
 	}
+	if e.bus != nil {
+		e.bus.Admit(uint16(job))
+	}
 	e.jobs[job] = newJobCtx(job)
 	return nil
 }

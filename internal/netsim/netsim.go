@@ -103,25 +103,53 @@ type Port struct {
 	// before serialization, so they appear in no Tx counter.
 	Policed uint64
 
-	// txByJob attributes transmitted bytes to the training job tagged on
+	// jobTx attributes transmitted bytes to the training job tagged on
 	// each frame. Only nonzero job IDs are metered (job 0 is the
 	// unmetered single-tenant default), so legacy ports never allocate
-	// the map and the hot path stays untouched.
-	txByJob map[protocol.JobID]uint64
+	// it.
+	jobTx jobLedger
 }
 
 // TxBytesByJob returns the bytes this port transmitted for one job
 // (nonzero IDs only; job 0 traffic is not metered per job).
-func (p *Port) TxBytesByJob(job protocol.JobID) uint64 { return p.txByJob[job] }
+func (p *Port) TxBytesByJob(job protocol.JobID) uint64 { return p.jobTx.of(job) }
 
-// TxJobShares returns a copy of the per-job transmitted-byte ledger,
-// the raw material for fair-share analysis of a contended link.
-func (p *Port) TxJobShares() map[protocol.JobID]uint64 {
-	out := make(map[protocol.JobID]uint64, len(p.txByJob))
-	for j, b := range p.txByJob {
-		out[j] = b
+// jobLedger counts bytes per job ID: bytes[i] belongs to job first+i.
+// It spans the lowest to the highest ID counted, so a port that carries
+// one job keeps one counter, and counting a frame is an index, never a
+// hash.
+type jobLedger struct {
+	first protocol.JobID
+	bytes []uint64
+}
+
+func (l *jobLedger) add(job protocol.JobID, n uint64) {
+	i := int(job) - int(l.first)
+	if uint(i) >= uint(len(l.bytes)) {
+		i = l.grow(job)
 	}
-	return out
+	l.bytes[i] += n
+}
+
+// grow widens the ledger to cover job, in one allocation, and returns
+// job's index.
+func (l *jobLedger) grow(job protocol.JobID) int {
+	if len(l.bytes) == 0 {
+		l.first = job
+	}
+	lo := min(int(job), int(l.first))
+	hi := max(int(job), int(l.first)+len(l.bytes)-1)
+	bytes := make([]uint64, hi-lo+1)
+	copy(bytes[int(l.first)-lo:], l.bytes)
+	l.first, l.bytes = protocol.JobID(lo), bytes
+	return int(job) - lo
+}
+
+func (l *jobLedger) of(job protocol.JobID) uint64 {
+	if i := int(job) - int(l.first); uint(i) < uint(len(l.bytes)) {
+		return l.bytes[i]
+	}
+	return 0
 }
 
 // Name returns the port's diagnostic name.
@@ -195,8 +223,9 @@ func (p *Port) Send(pkt *protocol.Packet) {
 	}
 	now := p.k.Now()
 	start := now
+	n := pkt.WireLen()
 	if p.shaper != nil && pkt.Job != protocol.DefaultJob &&
-		!p.shaper.Admit(now, uint16(pkt.Job), pkt.WireLen()) {
+		!p.shaper.Admit(now, uint16(pkt.Job), n) {
 		// Policed before any accounting: the frame never reaches the
 		// wire, so Tx counters keep reflecting actual link usage.
 		p.Policed++
@@ -209,15 +238,12 @@ func (p *Port) Send(pkt *protocol.Packet) {
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
-	txEnd := start + p.cfg.SerializationTime(pkt.WireLen())
+	txEnd := start + p.cfg.SerializationTime(n)
 	p.busyUntil = txEnd
 	p.TxPackets++
-	p.TxBytes += uint64(pkt.WireLen())
+	p.TxBytes += uint64(n)
 	if pkt.Job != protocol.DefaultJob {
-		if p.txByJob == nil {
-			p.txByJob = make(map[protocol.JobID]uint64)
-		}
-		p.txByJob[pkt.Job] += uint64(pkt.WireLen())
+		p.jobTx.add(pkt.Job, uint64(n))
 	}
 	if p.Trace != nil {
 		p.Trace(start, "tx", pkt)

@@ -383,9 +383,8 @@ func TestPerJobTxAccounting(t *testing.T) {
 	if pa.TxBytes != 4*per {
 		t.Fatalf("total TxBytes = %d, want %d", pa.TxBytes, 4*per)
 	}
-	shares := pa.TxJobShares()
-	if len(shares) != 2 || shares[1] != 2*per || shares[2] != per {
-		t.Fatalf("ledger = %v", shares)
+	if got := pa.TxBytesByJob(3); got != 0 {
+		t.Fatalf("job 3, past the ledger's end, reads %d bytes", got)
 	}
 }
 

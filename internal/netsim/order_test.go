@@ -17,7 +17,8 @@ import (
 // the same number of kernel events. The reference below is that older
 // model, written out in the test: a star of recording hosts around one
 // store-and-forward node, every arrival and every pipeline exit its own
-// closure.
+// closure. Frames carry job tags, and every port's per-job byte ledger
+// must match the reference's tally, dropped frames included.
 
 // arrival is one frame reaching a host.
 type arrival struct {
@@ -40,7 +41,12 @@ type orderBurst struct {
 	from, to int
 	frames   int
 	floats   int
+	job      protocol.JobID
 }
+
+// orderJobs are the tags a burst may carry: the unmetered default job,
+// the low IDs multijob numbers its jobs with, and the serving tier's.
+var orderJobs = []protocol.JobID{protocol.DefaultJob, 1, 2, 3, 1000}
 
 type orderFault struct {
 	port        int
@@ -87,6 +93,9 @@ func newOrderScript(seed int64, hosts, bursts int) orderScript {
 		}
 		s.faults = append(s.faults, f)
 	}
+	for i := range s.bursts {
+		s.bursts[i].job = orderJobs[rng.Intn(len(orderJobs))]
+	}
 	return s
 }
 
@@ -100,7 +109,9 @@ func (s orderScript) play(k *sim.Kernel, send func(host int, pkt *protocol.Packe
 		seg += uint64(b.frames)
 		k.After(b.at, func() {
 			for i := 0; i < b.frames; i++ {
-				send(b.from, dataPkt(HostAddr(0, b.from), HostAddr(0, b.to), first+uint64(i), b.floats))
+				pkt := dataPkt(HostAddr(0, b.from), HostAddr(0, b.to), first+uint64(i), b.floats)
+				pkt.Job = b.job
+				send(b.from, pkt)
 			}
 		})
 	}
@@ -118,8 +129,16 @@ func (r *recorder) Deliver(pkt *protocol.Packet, _ *Port) {
 	*r.trace = append(*r.trace, arrival{r.k.Now(), r.host, pkt.Seg})
 }
 
+// orderRun is what one play of a script shows: the deliveries, the
+// kernel events, and each port's transmitted bytes per orderJobs entry.
+type orderRun struct {
+	trace  []arrival
+	events uint64
+	tx     [][]uint64
+}
+
 // runProduction plays the script over real Ports and a real Switch.
-func runProduction(k *sim.Kernel, s orderScript) ([]arrival, uint64) {
+func runProduction(k *sim.Kernel, s orderScript) orderRun {
 	var trace []arrival
 	sw := NewSwitch(k, "sw", orderSwitchDelay)
 	ports := make([]*Port, 2*s.hosts)
@@ -141,12 +160,26 @@ func runProduction(k *sim.Kernel, s orderScript) ([]arrival, uint64) {
 		}
 	}
 	s.play(k, func(h int, pkt *protocol.Packet) { ports[h].Send(pkt) })
-	return trace, k.Events()
+	return orderRun{trace, k.Events(), ledgers(len(ports), func(p int, job protocol.JobID) uint64 {
+		return ports[p].TxBytesByJob(job)
+	})}
+}
+
+// ledgers reads each port's transmitted bytes per orderJobs entry.
+func ledgers(ports int, bytes func(port int, job protocol.JobID) uint64) [][]uint64 {
+	tx := make([][]uint64, ports)
+	for p := range tx {
+		for _, job := range orderJobs {
+			tx[p] = append(tx[p], bytes(p, job))
+		}
+	}
+	return tx
 }
 
 // refPort is Port.Send as it was before the FIFO: same serialization,
 // same loss draws and fault checks in the same order, one After per
-// surviving frame.
+// surviving frame. It tallies the bytes of every job-tagged frame it
+// serializes, whether or not the frame survives.
 type refPort struct {
 	k         *sim.Kernel
 	cfg       LinkConfig
@@ -156,6 +189,7 @@ type refPort struct {
 	fault     orderFault
 	lossRNG   *rand.Rand
 	dropNth   map[uint64]bool
+	byJob     map[protocol.JobID]uint64
 }
 
 func (p *refPort) send(pkt *protocol.Packet) {
@@ -167,6 +201,9 @@ func (p *refPort) send(pkt *protocol.Packet) {
 	txEnd := start + p.cfg.SerializationTime(pkt.WireLen())
 	p.busyUntil = txEnd
 	p.tx++
+	if pkt.Job != protocol.DefaultJob {
+		p.byJob[pkt.Job] += uint64(pkt.WireLen())
+	}
 	drop := p.lossRNG != nil && p.lossRNG.Float64() < p.fault.lossRate
 	if !drop && p.dropNth[p.tx] {
 		delete(p.dropNth, p.tx)
@@ -183,7 +220,7 @@ func (p *refPort) send(pkt *protocol.Packet) {
 
 // runReference plays the script over refPorts and a closure-per-frame
 // forwarding pipeline.
-func runReference(k *sim.Kernel, s orderScript) ([]arrival, uint64) {
+func runReference(k *sim.Kernel, s orderScript) orderRun {
 	var trace []arrival
 	ports := make([]*refPort, 2*s.hosts)
 	index := make(map[protocol.Addr]int, s.hosts)
@@ -204,32 +241,37 @@ func runReference(k *sim.Kernel, s orderScript) ([]arrival, uint64) {
 			p.lossRNG = rand.New(rand.NewSource(f.lossSeed))
 		}
 		p.dropNth = make(map[uint64]bool)
+		p.byJob = make(map[protocol.JobID]uint64)
 		for _, n := range f.dropNth {
 			p.dropNth[n] = true
 		}
 	}
 	s.play(k, func(h int, pkt *protocol.Packet) { ports[h].send(pkt) })
-	return trace, k.Events()
+	return orderRun{trace, k.Events(), ledgers(len(ports), func(p int, job protocol.JobID) uint64 {
+		return ports[p].byJob[job]
+	})}
 }
 
 // checkPortOrder runs one script through production and reference on
-// both schedulers, requires one trace and one event count, and returns
-// the trace.
-func checkPortOrder(t *testing.T, s orderScript) []arrival {
+// both schedulers, requires one trace, one event count and one per-job
+// byte ledger per port, and returns the reference's run.
+func checkPortOrder(t *testing.T, s orderScript) orderRun {
 	t.Helper()
-	want, wantEvents := runReference(sim.NewHeapKernel(), s)
+	ref := runReference(sim.NewHeapKernel(), s)
+	want := ref.trace
 	for _, r := range []struct {
 		name string
-		run  func(*sim.Kernel, orderScript) ([]arrival, uint64)
+		run  func(*sim.Kernel, orderScript) orderRun
 		k    *sim.Kernel
 	}{
 		{"reference/calendar", runReference, sim.NewKernel()},
 		{"production/heap", runProduction, sim.NewHeapKernel()},
 		{"production/calendar", runProduction, sim.NewKernel()},
 	} {
-		trace, events := r.run(r.k, s)
-		if events != wantEvents {
-			t.Fatalf("%s ran %d kernel events, reference/heap %d", r.name, events, wantEvents)
+		got := r.run(r.k, s)
+		trace := got.trace
+		if got.events != ref.events {
+			t.Fatalf("%s ran %d kernel events, reference/heap %d", r.name, got.events, ref.events)
 		}
 		if len(trace) != len(want) {
 			t.Fatalf("%s delivered %d frames, reference/heap %d", r.name, len(trace), len(want))
@@ -239,18 +281,33 @@ func checkPortOrder(t *testing.T, s orderScript) []arrival {
 				t.Fatalf("%s diverges at delivery %d: got %+v, reference/heap %+v", r.name, i, trace[i], want[i])
 			}
 		}
+		for p := range ref.tx {
+			for i, job := range orderJobs {
+				if got.tx[p][i] != ref.tx[p][i] {
+					t.Fatalf("%s port %d sent %d bytes of job %d, reference/heap %d",
+						r.name, p, got.tx[p][i], job, ref.tx[p][i])
+				}
+			}
+		}
 	}
-	return want
+	return ref
 }
 
 // TestPortOrderDifferential covers 40 seeded scripts and checks that
-// they do what they are for: frames are lost, and arrivals tie.
+// they do what they are for: frames are lost, arrivals tie, and ports
+// carry both a low job ID and the serving tier's 1000.
 func TestPortOrderDifferential(t *testing.T) {
-	delivered, sent, ties := 0, 0, 0
+	delivered, sent, ties, mixed := 0, 0, 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		s := newOrderScript(seed, 2+int(seed%4), 30)
-		trace := checkPortOrder(t, s)
+		run := checkPortOrder(t, s)
+		trace := run.trace
 		delivered += len(trace)
+		for _, tx := range run.tx {
+			if tx[len(tx)-1] > 0 && tx[1]+tx[2]+tx[3] > 0 {
+				mixed++
+			}
+		}
 		for _, b := range s.bursts {
 			sent += b.frames
 		}
@@ -265,6 +322,9 @@ func TestPortOrderDifferential(t *testing.T) {
 	}
 	if ties < 100 {
 		t.Fatalf("only %d arrivals tie across ports: the scripts do not test tie-breaking", ties)
+	}
+	if mixed < 40 {
+		t.Fatalf("only %d ports carry job 1000 beside a low ID: the scripts do not test the ledger's span", mixed)
 	}
 }
 
