@@ -48,9 +48,9 @@ type ISWConfig struct {
 	// too-small timeout, a worker whose peers are merely still computing
 	// mistakes the silence for loss and floods the fabric with
 	// Help/retransmission traffic (harmless to correctness — the bitmap
-	// absorbs duplicates — but costly to throughput). Consecutive
-	// fruitless timeouts back off exponentially with deterministic
-	// jitter, capped at 16× RecoveryTimeout.
+	// absorbs duplicates — but costly to throughput). It is the base of
+	// the client engine's Help timer (engine.Recovery, keyed by the
+	// worker's index).
 	RecoveryTimeout sim.Time
 	// Untagged runs recovery without round tags: Help timers and blind
 	// self-retransmission only, no per-round switch state. This is the
@@ -125,40 +125,30 @@ func (c *ISWCluster) Workers() []*netsim.Host { return c.workers }
 // Client returns worker i's aggregation handle.
 func (c *ISWCluster) Client(i int) Service {
 	ic := &iswClient{cluster: c, host: c.workers[i], idx: i}
-	ic.Init(ic, ic.host.Addr, c.target[i], c.cfg.Job, c.n, c.cfg.FloatsPerPacket, c.cfg.Compression, c.cfg.tagMode())
+	rec := engine.Recovery{Timeout: c.cfg.RecoveryTimeout, Key: uint64(i), Untagged: c.cfg.Untagged}
+	if c.relayArmed() {
+		rec.FailoverAfter = c.cfg.FailoverAfter
+	}
+	ic.Init(ic, ic.host.Addr, c.target[i], c.cfg.Job, c.n, c.cfg.FloatsPerPacket, c.cfg.Compression, rec)
 	return ic
 }
 
-// tagMode is how the client engine counts rounds: not at all without
-// recovery, untagged in the asynchronous pipeline, tagged otherwise.
-func (c ISWConfig) tagMode() engine.TagMode {
-	switch {
-	case c.RecoveryTimeout <= 0:
-		return engine.TagOff
-	case c.Untagged:
-		return engine.Untagged
-	}
-	return engine.Tagged
-}
-
 // iswClient is the discrete-event driver of the client engine: it
-// waits in virtual time, times the Help backoff, schedules crashes,
-// trips failover and routes relay traffic, while the embedded engine
-// builds every frame and assembles the aggregate.
+// waits in virtual time out to the engine's Help timer, schedules
+// crashes, fails over when told and routes relay traffic, while the
+// embedded engine builds every frame and assembles the aggregate.
 type iswClient struct {
 	engine.Client
 	cluster *ISWCluster
 	host    *netsim.Host
 	idx     int
 
-	// failedOver marks the sticky switch-to-relay failover (the engine's
-	// target is then the relay). On the relay worker, relay is the
-	// engine it runs for its peers, loopback holds that engine's frames
-	// to this worker itself, and k is the clock the engine reads.
-	failedOver bool
-	relay      *engine.Engine
-	loopback   []*protocol.Packet
-	k          *sim.Kernel
+	// On the relay worker, relay is the engine it runs for its peers,
+	// loopback holds that engine's frames to this worker itself, and k
+	// is the clock the engine reads.
+	relay    *engine.Engine
+	loopback []*protocol.Packet
+	k        *sim.Kernel
 }
 
 // Send puts one of this worker's frames on the wire (engine.Sender),
@@ -179,8 +169,8 @@ func (ic *iswClient) Send(pkt *protocol.Packet) {
 // retrying forever.
 func (ic *iswClient) Setup(p *sim.Proc) {
 	ic.k = p.Kernel()
-	if ic.failedOver {
-		return // the relay path has no admission protocol
+	if ic.Target() == ic.cluster.relayAddr() {
+		return // failed over: the relay path has no admission protocol
 	}
 	cfg := &ic.cluster.cfg
 	ic.Join()
@@ -248,29 +238,27 @@ func (ic *iswClient) SendGradient(grad []float32) { ic.Upload(grad, -1) }
 // Recovery behaviour when RecoveryTimeout is armed: a stall sends Help
 // for each missing segment (untagged, it also resends the worker's own
 // contribution; tagged, the switch relays the Help to exactly the
-// contributors it is missing). Consecutive fruitless stalls back the
-// timer off exponentially; with failover armed, enough of them with no
-// sign of switch life (no data, no ack) trips the sticky
-// switch-to-relay failover, after which this same loop runs against the
-// relay.
+// contributors it is missing). With failover armed, the engine answers
+// FailOver once enough stalls in a row showed no sign of switch life
+// (no data, no ack), and the worker fails over to the relay, after
+// which this same loop runs against it.
 //
 // The result is the assembler's own vector, valid until this worker's
 // next CollectAggregate as the Service contract says: a round costs no
 // model-sized copy.
 func (ic *iswClient) CollectAggregate(p *sim.Proc) []float32 {
 	ic.Expect()
-	cfg := &ic.cluster.cfg
 	for !ic.Complete() {
 		pkt, ok := ic.recv(p)
 		if !ok {
-			fruitless := ic.Stalled()
-			if ic.cluster.relayArmed() && !ic.failedOver && fruitless >= cfg.FailoverAfter {
+			// The DES gives up on no round: GiveUpAfter is 0.
+			switch v, helps, resent := ic.Expire(); v {
+			case engine.FailOver:
 				ic.enterFailover()
-				continue
+			case engine.Helped:
+				ic.cluster.HelpsSent += uint64(helps)
+				ic.cluster.Retransmits += uint64(resent)
 			}
-			helps, resent := ic.HelpMissing()
-			ic.cluster.HelpsSent += uint64(helps)
-			ic.cluster.Retransmits += uint64(resent)
 			continue
 		}
 		// The switch broadcasts pooled frames; this loop takes delivery,
@@ -311,9 +299,9 @@ func (ic *iswClient) divert(pkt *protocol.Packet) bool {
 	return false
 }
 
-// recv waits for this worker's next frame, out to the Help timer when
-// recovery is armed, taking the frames its own relay engine addressed
-// to it first.
+// recv waits for this worker's next frame, out to the engine's Help
+// timer when recovery is armed, taking the frames its own relay engine
+// addressed to it first.
 func (ic *iswClient) recv(p *sim.Proc) (*protocol.Packet, bool) {
 	if len(ic.loopback) > 0 {
 		pkt := ic.loopback[0]
@@ -323,5 +311,5 @@ func (ic *iswClient) recv(p *sim.Proc) (*protocol.Packet, bool) {
 	if ic.cluster.cfg.RecoveryTimeout <= 0 {
 		return ic.host.Recv(p), true
 	}
-	return ic.host.RecvTimeout(p, ic.backoffTimeout())
+	return ic.host.RecvTimeout(p, ic.Wait())
 }

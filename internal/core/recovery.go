@@ -11,8 +11,10 @@ import (
 	"iswitch/internal/switchnet"
 )
 
-// Reliability layer for the in-switch path: Help-timer backoff, worker
-// crash/rejoin, and whole-switch failover to a software relay.
+// Reliability layer for the in-switch path: worker crash/rejoin and
+// whole-switch failover to a software relay. The Help timer's rule
+// (backoff, jitter, when to fail over) is the client engine's
+// (engine.Recovery).
 //
 // Failover state machine (per worker):
 //
@@ -61,21 +63,6 @@ func (c *ISWCluster) relayArmed() bool {
 // relayAddr is the backup software aggregator's address: worker 0's.
 func (c *ISWCluster) relayAddr() protocol.Addr { return c.workers[0].Addr }
 
-// backoffTimeout returns the Help timer for the current backoff level:
-// RecoveryTimeout doubled per fruitless timeout (capped at 16× base)
-// plus deterministic per-worker jitter so the fleet's timers
-// decorrelate without a shared RNG.
-func (ic *iswClient) backoffTimeout() sim.Time {
-	base := ic.cluster.cfg.RecoveryTimeout
-	lvl := min(ic.Level(), 6)
-	to := min(base<<uint(lvl), 16*base)
-	h := (uint64(ic.idx)+1)*0x9e3779b97f4a7c15 ^ ic.Round()*0xbf58476d1ce4e5b9 ^ uint64(lvl)*0x94d049bb133111eb
-	h ^= h >> 29
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 32
-	return to + sim.Time(h%uint64(to/4+1))
-}
-
 // takeCrash consumes a scheduled crash for the round about to start.
 func (ic *iswClient) takeCrash() (netsim.CrashFault, bool) {
 	list := ic.cluster.crashes[ic.idx]
@@ -113,7 +100,6 @@ func (ic *iswClient) crashedAggregate(p *sim.Proc, grad []float32, f netsim.Cras
 			pkt.Release()
 		}
 	}
-	ic.ResetBackoff()
 	ic.cluster.Rejoins++
 	ic.Setup(p) // re-Join is idempotent: membership and H do not move
 	return ic.CollectAggregate(p)
@@ -121,12 +107,10 @@ func (ic *iswClient) crashedAggregate(p *sim.Proc, grad []float32, f netsim.Cras
 
 // enterFailover flips the sticky switch-to-relay failover: from now on
 // this worker's switch is the relay, which the engine offers both
-// retained rounds.
+// retained rounds. It runs once per worker: after it, Setup returns at
+// once, divert lets the relay's frames through, and the engine answers
+// FailOver no more.
 func (ic *iswClient) enterFailover() {
-	if ic.failedOver {
-		return
-	}
-	ic.failedOver = true
 	ic.cluster.Failovers++
 	ic.Failover(ic.cluster.relayAddr())
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"time"
 
 	"iswitch/internal/compress"
 	"iswitch/internal/protocol"
@@ -14,31 +15,48 @@ type Sender interface {
 	Send(pkt *protocol.Packet)
 }
 
-// TagMode is how a Client counts and tags its rounds.
-type TagMode uint8
+// Recovery is a Client's Help-timer policy, given at Init: the driver
+// waits Wait for a frame and calls Expire when the wait runs out.
+type Recovery struct {
+	// Timeout is the timer's base; zero turns recovery off (no round
+	// counted, no gradient retained, no Help answered).
+	Timeout time.Duration
+	// FailoverAfter is how many timeouts in a row with neither data nor
+	// an Ack make Expire answer FailOver (0: never).
+	FailoverAfter int
+	// GiveUpAfter is how many timeouts with no share of the aggregate
+	// make Expire answer GiveUp (0: never). An Ack does not reset it: a
+	// switch acks every Help while a peer's contribution is missing.
+	GiveUpAfter int
+	// Key decorrelates a fleet's timers (a worker index).
+	Key uint64
+	// Untagged sends plain segment numbers, for the asynchronous
+	// pipeline, whose workers' rounds do not align; a stall then also
+	// resends the worker's own contribution. Tagged, a round's segments
+	// carry its tag, so the switch keeps adjacent rounds apart and a
+	// Help names the round it means.
+	Untagged bool
+}
+
+// Verdict is what an expired Help timer comes to (Expire): Helped (the
+// Helps are out; wait again), FailOver (the switch looks dead) or
+// GiveUp (the round is lost).
+type Verdict uint8
 
 const (
-	// TagOff counts no rounds and retains no gradient: recovery is off,
-	// so no Help can be answered.
-	TagOff TagMode = iota
-	// Tagged stamps each round's segments with the round's tag in the
-	// Seg field's high bits, so the switch keeps adjacent rounds apart
-	// and a Help names the round it means.
-	Tagged
-	// Untagged counts rounds and retains gradients but sends plain
-	// segment numbers: the asynchronous pipeline, whose workers' rounds
-	// do not align. A stall also resends the worker's own contribution.
-	Untagged
+	Helped Verdict = iota
+	FailOver
+	GiveUp
 )
 
 // Client is the worker half of the protocol (paper §3.3), free of I/O:
 // the Join frame, the round counter and tag, the two retained rounds,
 // the compression codec, every data frame a worker builds,
-// the assembler, Help on a stall, and the Help-timer counters. It never
+// the assembler, and the Help timer's rule (Wait, Expire). It never
 // blocks, reads a clock or touches a socket; a Sender carries its
 // frames. The simulated worker (core) and the UDP client (transport)
-// are its two drivers: they decide when to wait and what to do on a
-// timeout, and the Client decides what goes on the wire.
+// are its two drivers: they arm the timer and act on its verdict, and
+// the Client decides what goes on the wire.
 //
 // A Client is a value to embed; Init readies it. Its buffers come on
 // first use (Reserve sizes them at once).
@@ -48,9 +66,9 @@ type Client struct {
 	job      protocol.JobID
 	n, per   int
 	scheme   protocol.Compression
-	mode     TagMode
+	Recovery Recovery // as Init was given it; Timeout may change between rounds
 
-	// round counts uploads (not under TagOff). A Help may name this
+	// round counts uploads (not with recovery off). A Help may name this
 	// round or the one before, so both are retained in the form the
 	// scheme resends from: fp32 and fp16 keep the gradients in cur and
 	// prev, which rotate, so no round allocates after the second;
@@ -78,13 +96,13 @@ type Client struct {
 
 // Init readies c to work for the worker at self toward the switch at
 // sw: n-element gradients in per-element segments (0: the MTU-filling
-// protocol.FloatsPerPacket), under job's scheme, rounds counted as mode
-// says.
-func (c *Client) Init(out Sender, self, sw protocol.Addr, job protocol.JobID, n, per int, scheme protocol.Compression, mode TagMode) {
+// protocol.FloatsPerPacket), under job's scheme, recovering from loss
+// as rec says.
+func (c *Client) Init(out Sender, self, sw protocol.Addr, job protocol.JobID, n, per int, scheme protocol.Compression, rec Recovery) {
 	if per <= 0 {
 		per = protocol.FloatsPerPacket
 	}
-	*c = Client{out: out, self: self, sw: sw, job: job, n: n, per: per, scheme: scheme, mode: mode}
+	*c = Client{out: out, self: self, sw: sw, job: job, n: n, per: per, scheme: scheme, Recovery: rec}
 }
 
 // Reserve allocates the assembler and both retained float gradients
@@ -106,11 +124,8 @@ func (c *Client) floatRounds() bool {
 func (c *Client) Target() protocol.Addr { return c.sw }
 
 // Round is the current round's number (0 before the first upload, and
-// always under TagOff).
+// always with recovery off).
 func (c *Client) Round() uint64 { return c.round }
-
-// Level is the Help timer's backoff level.
-func (c *Client) Level() int { return c.level }
 
 // Join asks the switch to admit this worker for the model and scheme
 // (Table 2).
@@ -133,9 +148,10 @@ func AckOf(pkt *protocol.Packet) (ack, ok bool) {
 	return true, len(pkt.Value) == 1 && pkt.Value[0] == 1
 }
 
-// tag is the Seg-field tag of the current round (0 unless Tagged).
+// tag is the Seg-field tag of the current round (0 when untagged or
+// with recovery off).
 func (c *Client) tag() uint64 {
-	if c.mode != Tagged {
+	if c.Recovery.Timeout <= 0 || c.Recovery.Untagged {
 		return 0
 	}
 	return protocol.RoundTag(c.round)
@@ -167,7 +183,7 @@ func (c *Client) Upload(grad []float32, limit int) {
 	case protocol.CompTopK:
 		c.ensureCodec().SelectTopK(grad)
 	}
-	if c.mode != TagOff {
+	if c.Recovery.Timeout > 0 {
 		c.round++
 		if c.floatRounds() {
 			// The older buffer held round r-2, which no Help can name.
@@ -256,7 +272,7 @@ func (c *Client) retransmit(dst protocol.Addr, taggedSeg uint64) bool {
 	switch r := taggedSeg >> protocol.RoundShift; {
 	case c.round == 0:
 		return false // nothing retained: no upload yet, or recovery off
-	case c.mode == Untagged, r == c.round%protocol.RoundTagMod:
+	case c.Recovery.Untagged, r == c.round%protocol.RoundTagMod:
 	case c.round > 1 && r == (c.round-1)%protocol.RoundTagMod:
 		grad, prevRound = c.prev, true
 	default:
@@ -325,24 +341,43 @@ func (c *Client) add(pkt *protocol.Packet) error {
 	return err
 }
 
-// Stalled records a wait that timed out: the Help timer backs off a
-// level and one more fruitless wait counts toward failover. It returns
-// that count.
-func (c *Client) Stalled() int {
-	c.level++
-	c.fruitless++
-	return c.fruitless
+// Wait is how long the driver waits for the next frame before the Help
+// timer expires: Timeout doubled per backoff level (capped at 16×) plus
+// a jitter hashed from Key, the round and the level, so a fleet's
+// timers decorrelate without a shared RNG. It is 0 with recovery off.
+func (c *Client) Wait() time.Duration {
+	base := c.Recovery.Timeout
+	lvl := min(c.level, 6)
+	to := min(base<<uint(lvl), 16*base)
+	h := (c.Recovery.Key+1)*0x9e3779b97f4a7c15 ^ c.round*0xbf58476d1ce4e5b9 ^ uint64(lvl)*0x94d049bb133111eb
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 32
+	return to + time.Duration(h%uint64(to/4+1))
 }
 
-// ResetBackoff restarts the Help timer and the failover count.
-func (c *Client) ResetBackoff() { c.level, c.fruitless = 0, 0 }
+// Expire records a timed-out wait (the timer backs off a level, one more
+// fruitless wait) and says what comes of it: FailOver, GiveUp, or Helped
+// with the Helps sent for every missing segment and the resends.
+func (c *Client) Expire() (v Verdict, helps, resent int) {
+	c.level++
+	c.fruitless++
+	switch r := &c.Recovery; {
+	case r.FailoverAfter > 0 && c.fruitless >= r.FailoverAfter:
+		return FailOver, 0, 0
+	case r.GiveUpAfter > 0 && c.level >= r.GiveUpAfter:
+		return GiveUp, 0, 0
+	}
+	helps, resent = c.helpMissing()
+	return Helped, helps, resent
+}
 
-// HelpMissing asks the switch for every segment of this round's
+// helpMissing asks the switch for every segment of this round's
 // aggregate still missing. Untagged, the switch keeps no per-round
 // state to target a retransmission with, so the worker also resends
 // its own contribution blindly. It returns how many Helps and resends
 // it sent.
-func (c *Client) HelpMissing() (helps, resent int) {
+func (c *Client) helpMissing() (helps, resent int) {
 	tag := c.tag()
 	c.missing = c.asm.AppendMissing(c.missing[:0])
 	for _, seg := range c.missing {
@@ -350,7 +385,7 @@ func (c *Client) HelpMissing() (helps, resent int) {
 		h.Job = c.job
 		c.out.Send(h)
 		helps++
-		if c.mode == Untagged && c.retransmit(c.sw, seg|tag) {
+		if c.Recovery.Untagged && c.retransmit(c.sw, seg|tag) {
 			resent++
 		}
 	}
@@ -360,10 +395,12 @@ func (c *Client) HelpMissing() (helps, resent int) {
 // Failover makes to this worker's switch and offers it both retained
 // rounds under the job's scheme (none before the first upload): the
 // previous one first, since a peer one round behind needs every
-// worker's contribution to it.
+// worker's contribution to it. Failover is sticky: Expire no longer
+// answers FailOver.
 func (c *Client) Failover(to protocol.Addr) {
 	c.sw = to
-	c.ResetBackoff()
+	c.Recovery.FailoverAfter = 0
+	c.level, c.fruitless = 0, 0
 	if c.round > 1 {
 		c.sendSegments(protocol.RoundTag(c.round-1), c.prev, -1, true)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"testing"
+	"time"
 
 	"iswitch/internal/protocol"
 )
@@ -27,13 +28,20 @@ func (e *emissions) Send(p *protocol.Packet) {
 	if !p.IsISwitch() || p.Src != e.self {
 		e.t.Fatalf("emission is not a live frame of this client: %+v", p)
 	}
-	e.out = append(e.out, emitted{dst: p.Dst, action: p.Action, seg: p.Seg, data: p.IsData()})
+	em := emitted{dst: p.Dst, action: p.Action, seg: p.Seg, data: p.IsData()}
+	if p.IsControl() && p.Action == protocol.ActionHelp {
+		em.seg, _ = protocol.ParseHelp(p.Value) // the segment a Help names
+	}
+	e.out = append(e.out, em)
 	p.Release()
 }
 
 var (
 	clientAddr = protocol.AddrFrom(10, 0, 0, 2, 7000)
 	switchAddr = protocol.AddrFrom(10, 0, 0, 1, 9990)
+	// taggedJob is recovery on with round tags, and a timer that never
+	// fails over or gives up.
+	taggedJob = Recovery{Timeout: time.Millisecond}
 )
 
 // The two gradients a worker retains for Help (this round's and the
@@ -44,7 +52,7 @@ func TestRetainedGradientsRotateTwoBuffers(t *testing.T) {
 	const nFloats = protocol.FloatsPerPacket + 5
 	var c Client
 	c.Init(&emissions{t: t, self: clientAddr}, clientAddr, switchAddr, 0, nFloats,
-		protocol.FloatsPerPacket, protocol.CompNone, Tagged)
+		protocol.FloatsPerPacket, protocol.CompNone, taggedJob)
 
 	grad := make([]float32, nFloats)
 	var bufs [2]*float32
@@ -77,7 +85,7 @@ func TestRetainedGradientsRotateTwoBuffers(t *testing.T) {
 func TestClientDropsSegmentOutsideModel(t *testing.T) {
 	var c Client
 	c.Init(&emissions{t: t, self: clientAddr}, clientAddr, switchAddr, 0, 1000,
-		protocol.FloatsPerPacket, protocol.CompInt32Block, Tagged)
+		protocol.FloatsPerPacket, protocol.CompInt32Block, taggedJob)
 	c.Upload(make([]float32, 1000), -1)
 	c.Expect()
 	pkt := protocol.NewQData(switchAddr, clientAddr, protocol.TagSeg(1, 99), nil, 0)
@@ -98,11 +106,14 @@ func (r *recycled) Recycle([]float32) { r.n++ }
 func (r *recycled) RecycleQ([]int32)  { r.n++ }
 
 // midRound returns a client of scheme in round 2 of a tagged job,
-// round 1 complete, with nothing of round 2 assembled yet.
+// round 1 complete, with nothing of round 2 assembled yet. Its Help
+// timer fails over after two fruitless expiries and gives up after
+// five with no share.
 func midRound(t *testing.T, scheme protocol.Compression) (*Client, *emissions) {
 	rec := &emissions{t: t, self: clientAddr}
 	c := &Client{}
-	c.Init(rec, clientAddr, switchAddr, 0, fuzzN, fuzzPer, scheme, Tagged)
+	c.Init(rec, clientAddr, switchAddr, 0, fuzzN, fuzzPer, scheme,
+		Recovery{Timeout: time.Millisecond, FailoverAfter: 2, GiveUpAfter: 5})
 	grad := make([]float32, fuzzN)
 	for i := range grad {
 		grad[i] = float32(i+1) / 64
@@ -179,9 +190,12 @@ func inProcess(b []byte, round uint64) *protocol.Packet {
 // FuzzClientTake: the client engine is total on what a switch can send
 // it. Wire datagrams ([ToS][payload], as the UDP transport carries them)
 // and in-process frames of all four schemes go into a client in the
-// middle of round 2. It never panics, releases every frame exactly once,
-// assembles only shares tagged with round 2, and answers a Help exactly
-// when it names a retained round and a segment of the model. An
+// middle of round 2, interleaved with Help-timer expiries. It never
+// panics, releases every frame exactly once, assembles only shares
+// tagged with round 2, and answers a Help exactly when it names a
+// retained round and a segment of the model. An expiry Helps for
+// exactly the missing segments under round 2's tag, or sends nothing
+// and fails over (which the test follows, to a relay) or gives up. An
 // int32block client's own round buffers come back exactly once.
 func FuzzClientTake(f *testing.F) {
 	ctl := func(a protocol.Action, v []byte) []byte {
@@ -198,6 +212,8 @@ func FuzzClientTake(f *testing.F) {
 	help := func(round, seg uint64) []byte {
 		return ctl(protocol.ActionHelp, protocol.HelpValue(protocol.TagSeg(round, seg)))
 	}
+	// expiry is the Help timer firing: an op of kind 0x20, no body.
+	expiry := []byte{0, 0x20}
 	cat := func(scheme byte, frames ...[]byte) []byte {
 		out := []byte{scheme}
 		for _, fr := range frames {
@@ -212,6 +228,11 @@ func FuzzClientTake(f *testing.F) {
 	f.Add(cat(1, []byte{4, 1, 0, 1, 0, 1, 9}, []byte{4, 1, 1, 2, 0, 0, 9}, help(2, 1), help(1, 1)))
 	f.Add(cat(3, []byte{4, 3, 0, 0, 0, 3, 1}, []byte{3, 3, 1, 2, 7, 3}, help(1, 0), help(2, 2), help(2, 9)))
 	f.Add(cat(2, []byte{5, 2, 0, 0, 0, 2, 1, 2}, []byte{5, 2, 1, 1, 0, 2, 3, 4}, help(1, 1), ctl(protocol.ActionHelp, []byte{9})))
+	// Expiries: Helps, an Ack, a failover to the relay, a share, then on
+	// to giving up.
+	f.Add(cat(2, expiry, ctl(protocol.ActionAck, protocol.AckOK), expiry, expiry, help(2, 1), []byte{5, 2, 0, 1, 0, 2, 1, 2},
+		expiry, expiry, expiry, expiry, expiry, expiry, help(1, 0)))
+	f.Add(cat(3, share(2, 0, 1, 2, 3, 4), expiry, expiry, expiry, share(2, 1, 1, 2, 3, 4), expiry, expiry, expiry, expiry, expiry, expiry))
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) < 1 {
@@ -223,9 +244,39 @@ func FuzzClientTake(f *testing.F) {
 		segs := uint64(protocol.SegmentCountWith(fuzzN, fuzzPer))
 		owner := &recycled{}
 		fed := 0
+		relay := protocol.AddrFrom(10, 0, 0, 3, 7000)
+		expire := func() {
+			if w := c.Wait(); w < c.Recovery.Timeout || w > 20*c.Recovery.Timeout {
+				t.Fatalf("Help timer %v, base %v", w, c.Recovery.Timeout)
+			}
+			missing := c.asm.AppendMissing(nil)
+			rec.out = nil
+			v, helps, resent := c.Expire()
+			if v != Helped {
+				if len(rec.out) != 0 || helps != 0 || resent != 0 {
+					t.Fatalf("verdict %d sent %+v (%d Helps, %d resends)", v, rec.out, helps, resent)
+				}
+				if v == FailOver {
+					c.Failover(relay)
+				}
+				return
+			}
+			if helps != len(missing) || resent != 0 || len(rec.out) != helps {
+				t.Fatalf("%d Helps and %d resends for missing %v: sent %+v", helps, resent, missing, rec.out)
+			}
+			for i, e := range rec.out {
+				if e.data || e.action != protocol.ActionHelp || e.dst != c.Target() || e.seg != protocol.TagSeg(round, missing[i]) {
+					t.Fatalf("Help for missing %v of round %d: sent %+v", missing, round, rec.out)
+				}
+			}
+		}
 		for script = script[1:]; len(script) >= 3; {
 			n, kind := int(script[0]), script[1]
 			script = script[2:]
+			if kind&0x20 != 0 {
+				expire()
+				continue
+			}
 			if n+1 > len(script) {
 				n = len(script) - 1
 			}
@@ -241,7 +292,7 @@ func FuzzClientTake(f *testing.F) {
 				continue
 			}
 			if kind&0x40 != 0 {
-				pkt.Src = protocol.AddrFrom(10, 0, 0, 3, 7000) // a peer, or the relay
+				pkt.Src = relay // a peer, or the relay
 			}
 			// Put every frame's payload on loan from owner, so its
 			// release is counted.

@@ -383,7 +383,7 @@ func runClientDirect(t *testing.T, steps []clientStep) (out [][]emitted, sums []
 	rec := &sendRecorder{}
 	var c engine.Client
 	c.Init(rec, protocol.AddrFrom(10, 9, 0, 1, 7000), protocol.AddrFrom(10, 9, 9, 9, 9990), 0,
-		clientFloats, protocol.FloatsPerPacket, protocol.CompNone, engine.Tagged)
+		clientFloats, protocol.FloatsPerPacket, protocol.CompNone, engine.Recovery{Timeout: time.Second})
 	for _, st := range steps {
 		rec.out = nil
 		switch st.act {

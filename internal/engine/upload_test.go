@@ -40,7 +40,7 @@ func (w *wireLog) Send(p *protocol.Packet) {
 // per, sending to out.
 func int32Client(out Sender, n, per int) *Client {
 	c := &Client{}
-	c.Init(out, clientAddr, switchAddr, 0, n, per, protocol.CompInt32Block, Tagged)
+	c.Init(out, clientAddr, switchAddr, 0, n, per, protocol.CompInt32Block, taggedJob)
 	return c
 }
 

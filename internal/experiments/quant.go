@@ -151,7 +151,7 @@ func quantTrainRun(name string, scheme protocol.Compression) (params []float32, 
 	q.sw = engine.New(swAddr, q)
 	for w := range q.clients {
 		self := protocol.AddrFrom(10, 0, 0, byte(1+w), 7000)
-		q.clients[w].Init(q, self, swAddr, protocol.DefaultJob, n, 0, scheme, engine.TagOff)
+		q.clients[w].Init(q, self, swAddr, protocol.DefaultJob, n, 0, scheme, engine.Recovery{})
 		q.clients[w].Join()
 	}
 

@@ -32,7 +32,7 @@ func TestLeaveOverUDP(t *testing.T) {
 		t.Fatalf("members = %d", sw.Members())
 	}
 	sendControl(t, b, protocol.ActionLeave, nil)
-	ack, err := b.recv()
+	ack, err := b.recv(b.Timeout)
 	if err != nil || ack.Action != protocol.ActionAck || ack.Value[0] != 1 {
 		t.Fatalf("leave ack: %+v %v", ack, err)
 	}
@@ -41,7 +41,7 @@ func TestLeaveOverUDP(t *testing.T) {
 	}
 	// Leaving twice is refused.
 	sendControl(t, b, protocol.ActionLeave, nil)
-	ack, err = b.recv()
+	ack, err = b.recv(b.Timeout)
 	if err != nil || ack.Value[0] != 0 {
 		t.Fatalf("second leave should nack: %+v %v", ack, err)
 	}
@@ -68,7 +68,7 @@ func TestHaltOverUDP(t *testing.T) {
 	gotHalt := func(c *Client) bool {
 		c.Timeout = 2 * time.Second
 		for {
-			pkt, err := c.recv()
+			pkt, err := c.recv(c.Timeout)
 			if err != nil {
 				return false
 			}
@@ -99,7 +99,7 @@ func TestFBcastOverUDP(t *testing.T) {
 
 	a.Timeout = 2 * time.Second
 	for {
-		pkt, err := a.recv()
+		pkt, err := a.recv(a.Timeout)
 		if err != nil {
 			t.Fatal("partial broadcast never arrived")
 		}
@@ -123,7 +123,7 @@ func TestResetOverUDP(t *testing.T) {
 	_ = a.send(protocol.NewData(protocol.Addr{}, protocol.Addr{}, 0, []float32{9, 9, 9, 9}))
 	time.Sleep(100 * time.Millisecond)
 	sendControl(t, a, protocol.ActionReset, nil)
-	ack, err := a.recv()
+	ack, err := a.recv(a.Timeout)
 	if err != nil || ack.Action != protocol.ActionAck || ack.Value[0] != 1 {
 		t.Fatalf("reset ack: %+v %v", ack, err)
 	}
@@ -154,7 +154,7 @@ func TestBadJoinRejectedOverUDP(t *testing.T) {
 	c, _ := Dial(sw.Addr(), 10)
 	defer c.Close()
 	sendControl(t, c, protocol.ActionJoin, []byte{1, 2}) // malformed
-	ack, err := c.recv()
+	ack, err := c.recv(c.Timeout)
 	if err != nil || ack.Action != protocol.ActionAck || ack.Value[0] != 0 {
 		t.Fatalf("malformed join should nack: %+v %v", ack, err)
 	}

@@ -7,8 +7,9 @@
 // exactly as the NetFPGA data plane does in hardware. Both ends are the
 // simulation's own protocol engines (internal/engine) behind a socket:
 // Switch drives engine.Engine, the switch side, and Client drives
-// engine.Client, the worker side, as the simulated switch and worker
-// drive them in virtual time.
+// engine.Client, the worker side with its Help timer, as the simulated
+// switch and worker drive them in virtual time; what the Client adds is
+// the socket and the error a round the timer gave up on returns.
 //
 // Because a portable UDP socket cannot set the IP ToS byte per packet,
 // the ToS tag travels as the first byte of the UDP payload; the rest of
@@ -240,19 +241,25 @@ func (s *Switch) Counters() (dataIn, broadcasts, controlIn uint64) {
 // gradient vectors through it. It is the UDP driver of the client
 // engine the simulated worker also runs (engine.Client), which tags
 // every segment with its round, retains this round's and the previous
-// round's gradient, answers Helps for either, and reassembles the
-// broadcast; the Client adds the socket, the deadline and when to give
-// up. A Client is single-goroutine: send and recv share scratch
-// buffers.
+// round's gradient, answers Helps for either, reassembles the broadcast
+// and keeps the Help timer's rule; the Client adds the socket, the
+// deadline and the error a lost round returns. A Client is
+// single-goroutine: send and recv share scratch buffers.
 type Client struct {
 	conn            *net.UDPConn
 	n               int
 	eng             engine.Client
 	encBuf, recvBuf []byte
 	err             error // the first failed write the caller has not yet seen
-	// Timeout bounds each receive while collecting an aggregate.
+	// Timeout bounds each wait for an Ack and is the Help timer's base
+	// in Aggregate, which reads it at every call.
 	Timeout time.Duration
 }
+
+// giveUpAfter is how many Help-timer expiries with no share of the
+// aggregate make Aggregate fail: two Help rounds, so a round survives
+// one lost Help.
+const giveUpAfter = 3
 
 // Dial connects to a switch for vectors of modelFloats elements. The
 // assembler and both retained gradients are sized here, so a round
@@ -269,7 +276,8 @@ func Dial(switchAddr string, modelFloats int) (*Client, error) {
 	c := &Client{conn: conn, n: modelFloats, recvBuf: make([]byte, maxDatagram), Timeout: 5 * time.Second}
 	// The socket is connected: every frame goes to the switch, and
 	// neither end's protocol address travels on the wire.
-	c.eng.Init((*sender)(c), protocol.Addr{}, protocol.Addr{}, 0, modelFloats, 0, protocol.CompNone, engine.Tagged)
+	rec := engine.Recovery{Timeout: c.Timeout, GiveUpAfter: giveUpAfter}
+	c.eng.Init((*sender)(c), protocol.Addr{}, protocol.Addr{}, 0, modelFloats, 0, protocol.CompNone, rec)
 	c.eng.Reserve()
 	return c, nil
 }
@@ -307,10 +315,10 @@ func (c *Client) sent() error {
 	return err
 }
 
-// recv reads one packet with the client timeout. The packet is a pooled
+// recv reads one packet, waiting at most wait. The packet is a pooled
 // frame the caller releases.
-func (c *Client) recv() (*protocol.Packet, error) {
-	if err := c.conn.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
+func (c *Client) recv(wait time.Duration) (*protocol.Packet, error) {
+	if err := c.conn.SetReadDeadline(time.Now().Add(wait)); err != nil {
 		return nil, err
 	}
 	n, err := c.conn.Read(c.recvBuf)
@@ -327,7 +335,7 @@ func (c *Client) awaitAck(what string) error {
 		return err
 	}
 	for {
-		pkt, err := c.recv()
+		pkt, err := c.recv(c.Timeout)
 		if err != nil {
 			return fmt.Errorf("transport: %s: %w", what, err)
 		}
@@ -355,12 +363,13 @@ func (c *Client) SetH(h uint32) error {
 }
 
 // Aggregate contributes grad and blocks until the aggregated sum
-// arrives. A receive timeout triggers one Help per missing segment
-// before failing: the switch answers from the round's shadow slot when
-// only the broadcast was lost, and otherwise relays the Help to exactly
-// the members whose contribution it is missing (this one included),
-// who resend. Helps for this round or the previous one are answered;
-// every other frame of another round is dropped unread.
+// arrives. Each expiry of the client engine's Help timer sends one Help
+// per missing segment, and the giveUpAfter-th with no share fails the
+// round: the switch answers from the round's shadow slot when only the
+// broadcast was lost, and otherwise relays the Help to exactly the
+// members whose contribution it is missing (this one included), who
+// resend. Helps for this round or the previous one are answered; every
+// other frame of another round is dropped unread.
 //
 // The sum is the client's assembled vector, not a copy: it stays valid
 // until this client's next Aggregate overwrites it (the core.Service
@@ -369,17 +378,18 @@ func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 	if len(grad) != c.n {
 		return nil, fmt.Errorf("transport: gradient len %d, want %d", len(grad), c.n)
 	}
+	c.eng.Recovery.Timeout = c.Timeout
 	c.eng.Upload(grad, -1)
 	if err := c.sent(); err != nil {
 		return nil, err
 	}
 	c.eng.Expect()
-	helped := false
 	for !c.eng.Complete() {
-		pkt, err := c.recv()
-		if ne, ok := err.(net.Error); ok && ne.Timeout() && !helped {
-			helped = true
-			c.eng.HelpMissing()
+		pkt, err := c.recv(c.eng.Wait())
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			if v, _, _ := c.eng.Expire(); v == engine.GiveUp {
+				return nil, fmt.Errorf("transport: aggregate: %w", err)
+			}
 		} else if err != nil {
 			return nil, fmt.Errorf("transport: aggregate: %w", err)
 		} else {
