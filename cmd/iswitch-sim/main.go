@@ -143,9 +143,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
 	spec.Mode = m
-	if m == core.ModePS && *mode == "async" {
-		spec.Mode = core.ModeAsyncPS
-	}
 	spec = spec.WithWorkload(w)
 	if err := spec.Validate(); err != nil {
 		return err
@@ -236,15 +233,10 @@ func runJobs(out io.Writer, w perfmodel.Workload, fabric core.ClusterSpec, jobs 
 	specs := make([]multijob.JobSpec, jobs)
 	for i := range specs {
 		wl := wls[(start+i)%len(wls)]
-		spec := multijob.JobSpec{
+		specs[i] = multijob.JobSpec{
 			Name: fmt.Sprintf("%s/%d", wl.Name, i), Workload: wl, Workers: workers,
+			Iterations: job.Iterations, Updates: job.Updates, StalenessBound: job.StalenessBound,
 		}
-		if mode == "async" {
-			spec.Mode, spec.Updates, spec.StalenessBound = multijob.ModeAsync, job.Updates, job.StalenessBound
-		} else {
-			spec.Mode, spec.Iterations = multijob.ModeSync, job.Iterations
-		}
-		specs[i] = spec
 	}
 
 	res, err := multijob.Run(f, specs)

@@ -91,21 +91,19 @@ func (c *ISWCluster) spawnAsync(k *sim.Kernel, agents []rl.Agent, job Job, done 
 		panic("core: agents/cluster size mismatch")
 	}
 	stats := &AsyncStats{RunStats: RunStats{Updates: job.Updates}}
-	switch c.cfg.Compression {
+	switch c.scheme {
 	case protocol.CompInt32Block, protocol.CompTopK:
 		// Both schemes carry per-round state (shared grid exponents,
 		// cached selections) that only makes sense when every worker's
 		// round r is the same round — the asynchronous pipeline has no
 		// such alignment, so the job must run CompNone or CompFP16
 		// (stateless).
-		panic(fmt.Sprintf("core: asynchronous iSwitch: %v compression is synchronous-only", c.cfg.Compression))
+		panic(fmt.Sprintf("core: asynchronous iSwitch: %v compression is synchronous-only", c.scheme))
 	}
-	if c.cfg.RecoveryTimeout > 0 {
-		// Worker rounds never align in the asynchronous pipeline, so a
-		// shared round tag is meaningless: run recovery untagged (Help
-		// timers plus blind self-retransmission).
-		c.cfg.Untagged = true
-	}
+	// Worker rounds never align in the asynchronous pipeline, so a
+	// shared round tag is meaningless: run recovery untagged (Help
+	// timers plus blind self-retransmission).
+	c.untagged = c.cfg.RecoveryTimeout > 0
 	for range agents {
 		stats.Workers = append(stats.Workers, &WorkerStats{})
 	}
@@ -172,7 +170,7 @@ func (c *ISWCluster) spawnAsync(k *sim.Kernel, agents []rl.Agent, job Job, done 
 
 // RunAsyncPS trains caller-built agents with the asynchronous
 // parameter-server baseline and runs the kernel. It is Cluster.Run's
-// ModeAsyncPS loop without the agents or the shutdown, kept for
+// asynchronous ModePS loop without the agents or the shutdown, kept for
 // callers that wire those themselves.
 func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster *PSCluster, cfg AsyncConfig) *AsyncStats {
 	stats := cluster.spawnAsync(k, agents, masterAgent, cfg)
@@ -181,8 +179,9 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 }
 
 // spawnAsync spawns the asynchronous parameter-server baseline against
-// the cluster's S shard servers (build it with ModeAsyncPS, which spawns
-// no synchronous servers) without running the kernel. masterAgent
+// the cluster's S shard servers without running the kernel (no client
+// Setup runs, so no synchronous server competes for a shard's
+// receive queue). masterAgent
 // supplies the authoritative weights and optimizer; it must be
 // constructed with the same model seed as the workers (its environment
 // is never stepped).

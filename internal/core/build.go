@@ -49,15 +49,18 @@ type Mode int
 const (
 	// ModeISW is in-switch aggregation (the paper's system).
 	ModeISW Mode = iota
-	// ModePS is the synchronous parameter server baseline.
+	// ModePS is the parameter server baseline, synchronous or
+	// asynchronous as the job's length says.
 	ModePS
-	// ModeAsyncPS is the asynchronous parameter server baseline: the
-	// same cluster without the synchronous server processes (Run spawns
-	// the asynchronous ones).
-	ModeAsyncPS
 	// ModeAllReduce is the Ring-AllReduce baseline.
 	ModeAllReduce
 )
+
+// ModeAsyncPS is ModePS: a job's Updates selects the asynchronous
+// parameter server.
+//
+// Deprecated: use ModePS. The name stays while benchmark/ calls it.
+const ModeAsyncPS = ModePS
 
 func (m Mode) String() string {
 	switch m {
@@ -65,8 +68,6 @@ func (m Mode) String() string {
 		return "isw"
 	case ModePS:
 		return "ps"
-	case ModeAsyncPS:
-		return "async-ps"
 	case ModeAllReduce:
 		return "allreduce"
 	default:
@@ -93,15 +94,13 @@ type ClusterSpec struct {
 	// ModelFloats is the gradient length.
 	ModelFloats int
 	// Shards is the parameter-server host count, each owning a contiguous
-	// slice of the model (0 or 1: the paper's single host). PS modes only.
+	// slice of the model (0 or 1: the paper's single host). ModePS only.
 	Shards int
 
 	// Compression selects the gradient wire scheme for the whole job
-	// (CompNone: the paper's raw float32). Validate documents which
-	// mode×scheme pairings are supported. For ModeISW the value is
-	// copied into the ISW config (and a non-zero ISWConfig.Compression
-	// on a spec with CompNone is honoured), so either field may name the
-	// scheme.
+	// (CompNone: the paper's raw float32), negotiated at Join and fixed
+	// for the job's lifetime. Validate documents which mode×scheme
+	// pairings are supported.
 	Compression protocol.Compression
 
 	// Link is the worker access link (zero value: 10 GbE). Uplink feeds
@@ -183,7 +182,7 @@ func (c *Cluster) Switches() []*switchnet.ISwitch {
 // any config the spec named for that mode.
 func (s ClusterSpec) WithWorkload(w perfmodel.Workload) ClusterSpec {
 	switch s.Mode {
-	case ModePS, ModeAsyncPS:
+	case ModePS:
 		cfg := PSConfigFor(w)
 		s.PS = &cfg
 	case ModeAllReduce:
@@ -194,18 +193,6 @@ func (s ClusterSpec) WithWorkload(w perfmodel.Workload) ClusterSpec {
 		s.ISW = &cfg
 	}
 	return s
-}
-
-// scheme resolves the spec's effective compression: the spec-level
-// field wins; a ModeISW spec may instead name it on the ISW config.
-func (s ClusterSpec) scheme() protocol.Compression {
-	if s.Compression != protocol.CompNone {
-		return s.Compression
-	}
-	if s.Mode == ModeISW && s.ISW != nil {
-		return s.ISW.Compression
-	}
-	return protocol.CompNone
 }
 
 // ResolveFabric checks the topology's shape fields and returns the spec
@@ -292,7 +279,7 @@ func (s ClusterSpec) BuildFabric(k *sim.Kernel) (*switchnet.Fabric, error) {
 
 // Validate checks that the spec describes a cluster Build can construct:
 // a known topology and mode with positive shape fields, a supported
-// topology×mode pairing, a shard count the PS modes can honour, a
+// topology×mode pairing, a shard count ModePS can honour, a
 // segment that fits a packet, and a compression scheme the mode's
 // datapath implements. Each rejection says
 // why. Build panics on a spec that fails; drivers handed a user-written
@@ -306,7 +293,7 @@ func (s ClusterSpec) Validate() error {
 	}
 	switch s.Mode {
 	case ModeISW:
-	case ModePS, ModeAsyncPS, ModeAllReduce:
+	case ModePS, ModeAllReduce:
 		if s.Topology != TopoStar && s.Topology != TopoTree {
 			return fmt.Errorf("core: %v over %v is not supported: the baselines run over plain forwarding switches, which are built for the star and two-level tree fabrics only", s.Mode, s.Topology)
 		}
@@ -320,8 +307,8 @@ func (s ClusterSpec) Validate() error {
 		return fmt.Errorf("core: Shards must be in [0, %d], got %d", maxPSShards, s.Shards)
 	}
 	if s.Shards > 1 {
-		if s.Mode != ModePS && s.Mode != ModeAsyncPS {
-			return fmt.Errorf("core: Shards = %d applies to the parameter-server modes only (got %v)", s.Shards, s.Mode)
+		if s.Mode != ModePS {
+			return fmt.Errorf("core: Shards = %d applies to the parameter-server mode only (got %v)", s.Shards, s.Mode)
 		}
 		if s.Topology != TopoStar {
 			return fmt.Errorf("core: a sharded parameter server over %v is not supported: the sharded baseline is defined and tested with every shard host on the workers' own switch (star)", s.Topology)
@@ -331,11 +318,10 @@ func (s ClusterSpec) Validate() error {
 	if s.ISW != nil && (s.ISW.FloatsPerPacket < 0 || s.ISW.FloatsPerPacket > protocol.FloatsPerPacket) {
 		return fmt.Errorf("core: ISW.FloatsPerPacket must be in [0, %d] (0: the MTU-filling default), got %d: a segment travels in one packet", protocol.FloatsPerPacket, s.ISW.FloatsPerPacket)
 	}
-	scheme := s.scheme()
-	if !scheme.Valid() {
-		return fmt.Errorf("core: unknown compression scheme Compression(%d)", uint8(scheme))
+	if !s.Compression.Valid() {
+		return fmt.Errorf("core: unknown compression scheme Compression(%d)", uint8(s.Compression))
 	}
-	switch scheme {
+	switch s.Compression {
 	case protocol.CompFP16:
 		if s.Mode == ModeAllReduce {
 			return fmt.Errorf("core: fp16 compression is not supported under %v: the scheme needs a single aggregation point that re-rounds emissions (in-switch or parameter server); the ring splices raw float32 chunks between peers", s.Mode)
@@ -370,7 +356,7 @@ func Build(k *sim.Kernel, spec ClusterSpec) *Cluster {
 	switch spec.Mode {
 	case ModeISW:
 		c.ISW = buildISW(k, spec)
-	case ModePS, ModeAsyncPS:
+	case ModePS:
 		c.PS = buildPS(k, spec)
 	case ModeAllReduce:
 		c.AR = buildAR(k, spec)
@@ -390,11 +376,10 @@ func buildISW(k *sim.Kernel, spec ClusterSpec) *ISWCluster {
 	if spec.ISW != nil {
 		cfg = *spec.ISW
 	}
-	cfg.Compression = spec.scheme()
 	fab, _ := spec.BuildFabric(k) // Validate checked the shape
 	c := &ISWCluster{
 		workers: fab.Workers, n: spec.ModelFloats, h: len(fab.Workers), cfg: cfg,
-		Fabric: fab,
+		scheme: spec.Compression, Fabric: fab,
 	}
 	for i := range fab.Workers {
 		c.target = append(c.target, fab.Leaf(i).Addr())
@@ -407,12 +392,12 @@ func buildISW(k *sim.Kernel, spec ClusterSpec) *ISWCluster {
 			}
 		}
 	}
-	if cfg.Compression != protocol.CompNone {
+	if c.scheme != protocol.CompNone {
 		// Pin the scheme on every aggregation level: parent switches
 		// never see a worker Join, yet must interpret and re-emit their
 		// children's partials under the job's wire format.
 		for _, is := range c.Switches() {
-			is.SetCompression(cfg.Job, cfg.Compression, uint64(spec.ModelFloats))
+			is.SetCompression(cfg.Job, c.scheme, uint64(spec.ModelFloats))
 		}
 	}
 	return c
@@ -433,10 +418,11 @@ func plainFabric(k *sim.Kernel, spec ClusterSpec) ([]*netsim.Host, func(protocol
 	return tr.Hosts, func(a protocol.Addr) *netsim.Host { return tr.AttachRootHost(k, a, uplink) }
 }
 
-// buildPS wires the workers plus the shard servers and, for ModePS,
-// spawns the synchronous server processes.
+// buildPS wires the workers plus the shard servers. It spawns no
+// process: the synchronous servers start at the first client's Setup,
+// the asynchronous ones in Run.
 func buildPS(k *sim.Kernel, spec ClusterSpec) *PSCluster {
-	c := &PSCluster{n: spec.ModelFloats, cfg: defaultPSConfig(), scheme: spec.scheme()}
+	c := &PSCluster{n: spec.ModelFloats, cfg: defaultPSConfig(), scheme: spec.Compression}
 	if spec.PS != nil {
 		c.cfg = *spec.PS
 	}
@@ -452,11 +438,6 @@ func buildPS(k *sim.Kernel, spec ClusterSpec) *PSCluster {
 			segBase: uint64(first), asm: make(map[protocol.Addr]*protocol.Assembler)})
 	}
 	c.Server = c.shards[0].srv
-	if spec.Mode == ModePS {
-		for s := range c.shards {
-			c.startServer(k, s)
-		}
-	}
 	return c
 }
 

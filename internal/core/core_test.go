@@ -57,8 +57,8 @@ func starSpec(mode Mode, nWorkers, nFloats int) ClusterSpec {
 }
 
 // psStar builds starSpec's parameter-server cluster over shards hosts.
-func psStar(k *sim.Kernel, mode Mode, nWorkers, nFloats, shards int) *PSCluster {
-	spec := starSpec(mode, nWorkers, nFloats)
+func psStar(k *sim.Kernel, nWorkers, nFloats, shards int) *PSCluster {
+	spec := starSpec(ModePS, nWorkers, nFloats)
 	spec.Shards = shards
 	return Build(k, spec).PS
 }
@@ -303,7 +303,7 @@ func TestAsyncISWRespectsStalenessAndConverges(t *testing.T) {
 func TestAsyncPSAppliesUpdates(t *testing.T) {
 	const nWorkers, nFloats = 3, 300
 	k := sim.NewKernel()
-	c := Build(k, starSpec(ModeAsyncPS, nWorkers, nFloats)).PS
+	c := Build(k, starSpec(ModePS, nWorkers, nFloats)).PS
 	agents := make([]rl.Agent, nWorkers)
 	for i := range agents {
 		agents[i] = newIntAgent(i, nFloats)
@@ -387,7 +387,7 @@ func TestAsyncRejectsBadInputs(t *testing.T) {
 	runPS := func(n int, cfg AsyncConfig) func() {
 		return func() {
 			k := sim.NewKernel()
-			RunAsyncPS(k, agents(n), newIntAgent(99, nFloats), Build(k, starSpec(ModeAsyncPS, nWorkers, nFloats)).PS, cfg)
+			RunAsyncPS(k, agents(n), newIntAgent(99, nFloats), Build(k, starSpec(ModePS, nWorkers, nFloats)).PS, cfg)
 		}
 	}
 	for name, f := range map[string]func(){

@@ -25,12 +25,6 @@ type ISWConfig struct {
 	// most the MTU-filling protocol default (0 selects it). Exposed for
 	// the packet-size ablation.
 	FloatsPerPacket int
-	// Compression selects the job's gradient wire scheme (CompNone: the
-	// paper's raw float32). Negotiated with the switch at Join time and
-	// fixed for the job's lifetime, the relay failover path included.
-	// CompInt32Block and CompTopK are synchronous-only (the
-	// asynchronous pipeline rejects them).
-	Compression protocol.Compression
 	// Job tags every packet this client sends (data and control) with a
 	// training-job ID so a multi-tenant switch demultiplexes it into the
 	// right aggregation context. Zero — the default — is the unmetered
@@ -52,12 +46,6 @@ type ISWConfig struct {
 	// the client engine's Help timer (engine.Recovery, keyed by the
 	// worker's index).
 	RecoveryTimeout sim.Time
-	// Untagged runs recovery without round tags: Help timers and blind
-	// self-retransmission only, no per-round switch state. This is the
-	// asynchronous pipeline's mode (worker rounds do not align, so a
-	// shared round tag is meaningless); the pipeline sets it
-	// automatically when recovery is armed.
-	Untagged bool
 	// FailoverAfter, when positive, arms whole-switch failover: a worker
 	// whose Help timer fires this many consecutive times with neither
 	// data nor a switch ack concludes the aggregation plane is dead and
@@ -87,6 +75,13 @@ type ISWCluster struct {
 	n      int
 	h      int
 	cfg    ISWConfig
+	// scheme is the job's gradient wire format (ClusterSpec.Compression),
+	// negotiated at Join and kept on the relay failover path too.
+	scheme protocol.Compression
+	// untagged runs recovery without round tags: Help timers and blind
+	// self-retransmission only, no per-round switch state. The
+	// asynchronous pipeline sets it when recovery is armed.
+	untagged bool
 
 	// Fabric is the switch hierarchy Build wired (nil for a cluster
 	// NewISWOnFabric laid over hosts of a shared fabric).
@@ -125,11 +120,11 @@ func (c *ISWCluster) Workers() []*netsim.Host { return c.workers }
 // Client returns worker i's aggregation handle.
 func (c *ISWCluster) Client(i int) Service {
 	ic := &iswClient{cluster: c, host: c.workers[i], idx: i}
-	rec := engine.Recovery{Timeout: c.cfg.RecoveryTimeout, Key: uint64(i), Untagged: c.cfg.Untagged}
+	rec := engine.Recovery{Timeout: c.cfg.RecoveryTimeout, Key: uint64(i), Untagged: c.untagged}
 	if c.relayArmed() {
 		rec.FailoverAfter = c.cfg.FailoverAfter
 	}
-	ic.Init(ic, ic.host.Addr, c.target[i], c.cfg.Job, c.n, c.cfg.FloatsPerPacket, c.cfg.Compression, rec)
+	ic.Init(ic, ic.host.Addr, c.target[i], c.cfg.Job, c.n, c.cfg.FloatsPerPacket, c.scheme, rec)
 	return ic
 }
 

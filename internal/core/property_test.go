@@ -139,7 +139,7 @@ func TestSimulationDeterministic(t *testing.T) {
 func TestAsyncPSDiscardsStale(t *testing.T) {
 	const nWorkers, nFloats = 4, 200
 	k := sim.NewKernel()
-	c := Build(k, starSpec(ModeAsyncPS, nWorkers, nFloats)).PS
+	c := Build(k, starSpec(ModePS, nWorkers, nFloats)).PS
 	agents := make([]rl.Agent, nWorkers)
 	for i := range agents {
 		agents[i] = newIntAgent(i, nFloats)

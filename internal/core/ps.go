@@ -143,6 +143,10 @@ type PSCluster struct {
 	// half precision and carried at 2 B/element; async weight pulls stay
 	// raw float32 so the authoritative weights never lose precision).
 	scheme protocol.Compression
+	// serving is set once the synchronous shard servers run: the first
+	// client Setup starts them. The asynchronous pipeline calls no
+	// Setup, so its servers never share a receive queue with them.
+	serving bool
 }
 
 // psShard is one parameter-server shard: its server host, the element
@@ -233,10 +237,15 @@ func (c *PSCluster) startServer(k *sim.Kernel, s int) {
 	k.Spawn(fmt.Sprintf("ps-server-%d", s), func(p *sim.Proc) {
 		for {
 			var round []protocol.Addr
-			sum := make([]float32, n) // the replies alias it
+			var sum []float32 // the replies alias it: one vector per round
 			for len(round) < len(c.workers) {
 				src, slice := sh.gather(p, nil)
 				p.Sleep(c.cfg.msgCost(n)) // framework receive cost
+				if sum == nil {
+					// Taken with the round's first slice: a server whose
+					// last round is over holds no vector for the next.
+					sum = make([]float32, n)
+				}
 				kernels.Add(sum, slice)
 				round = append(round, src)
 			}
@@ -270,8 +279,16 @@ type psClient struct {
 	fpGrad  []float32 // fp16 rounding scratch
 }
 
-// Setup implements Service (the PS design has no handshake).
-func (pc *psClient) Setup(*sim.Proc) {}
+// Setup implements Service. The PS design has no handshake; the first
+// worker's Setup starts the synchronous shard servers.
+func (pc *psClient) Setup(p *sim.Proc) {
+	if c := pc.cluster; !c.serving {
+		c.serving = true
+		for s := range c.shards {
+			c.startServer(p.Kernel(), s)
+		}
+	}
+}
 
 // H implements Service.
 func (pc *psClient) H() int { return len(pc.cluster.workers) }

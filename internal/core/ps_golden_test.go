@@ -109,9 +109,6 @@ func runPSGolden(g psGolden) psGolden {
 	spec := ClusterSpec{Topology: g.topo, Mode: ModePS, Workers: nWorkers, PerRack: 3,
 		ModelFloats: nFloats, Shards: g.shards, Compression: g.scheme,
 		Link: testLink(), Uplink: netsim.FortyGbE()}
-	if g.async {
-		spec.Mode = ModeAsyncPS
-	}
 	c := Build(k, spec)
 	agents := make([]rl.Agent, nWorkers)
 	golds := make([]*goldenAgent, nWorkers)

@@ -22,7 +22,7 @@ func TestShardPartitionCoversVector(t *testing.T) {
 		{366 * 7, 7}, {366*7 + 1, 7}, {50, 9} /* clamps to 1 segment */, {1_602_500, 16},
 	} {
 		k := sim.NewKernel()
-		c := psStar(k, ModeAsyncPS, 2, tc.n, tc.shards)
+		c := psStar(k, 2, tc.n, tc.shards)
 		prevHi := 0
 		for s, sh := range c.shards {
 			lo, hi := sh.lo, sh.hi
@@ -52,7 +52,7 @@ func TestShardedPSMatchesDirectSum(t *testing.T) {
 		nWorkers, shards := tc.workers, tc.shards
 		const nFloats, iters = 1500, 2
 		k := sim.NewKernel()
-		c := psStar(k, ModePS, nWorkers, nFloats, shards)
+		c := psStar(k, nWorkers, nFloats, shards)
 		agents := make([]rl.Agent, nWorkers)
 		ints := make([]*intAgent, nWorkers)
 		services := make([]Service, nWorkers)
@@ -103,7 +103,7 @@ func TestShardedPSSyncAggDecreases(t *testing.T) {
 	const nWorkers, nFloats = 4, 400_000
 	agg := func(shards int) time.Duration {
 		k := sim.NewKernel()
-		c := psStar(k, ModePS, nWorkers, nFloats, shards)
+		c := psStar(k, nWorkers, nFloats, shards)
 		agents := make([]rl.Agent, nWorkers)
 		services := make([]Service, nWorkers)
 		for i := range agents {
@@ -128,7 +128,7 @@ func TestShardedPSSyncAggDecreases(t *testing.T) {
 func TestAsyncShardedPSAppliesPerShardUpdates(t *testing.T) {
 	const nWorkers, nFloats, shards = 3, 1200, 3
 	k := sim.NewKernel()
-	c := psStar(k, ModeAsyncPS, nWorkers, nFloats, shards)
+	c := psStar(k, nWorkers, nFloats, shards)
 	agents := make([]rl.Agent, nWorkers)
 	for i := range agents {
 		agents[i] = newIntAgent(i, nFloats)
@@ -176,7 +176,7 @@ func TestAsyncShardedPSAppliesPerShardUpdates(t *testing.T) {
 func TestAsyncShardedPSUpdatesAreSliceLocal(t *testing.T) {
 	const nWorkers, nFloats, shards = 2, 1100, 3
 	k := sim.NewKernel()
-	c := psStar(k, ModeAsyncPS, nWorkers, nFloats, shards)
+	c := psStar(k, nWorkers, nFloats, shards)
 	agents := make([]rl.Agent, nWorkers)
 	for i := range agents {
 		agents[i] = newIntAgent(i, nFloats)
@@ -350,7 +350,7 @@ func TestShardDropsForeignSegments(t *testing.T) {
 	t.Run("sync", func(t *testing.T) {
 		const iters = 3
 		k := sim.NewKernel()
-		c := psStar(k, ModePS, nWorkers, nFloats, shards)
+		c := psStar(k, nWorkers, nFloats, shards)
 		owner := &lender{}
 		sent := misroute(k, c, owner, at...)
 		ints := make([]*intAgent, nWorkers)
@@ -375,7 +375,7 @@ func TestShardDropsForeignSegments(t *testing.T) {
 			LocalCompute: 50 * time.Microsecond, WeightUpdate: 10 * time.Microsecond}
 		run := func(inject bool) (*AsyncStats, *intAgent, int, *lender) {
 			k := sim.NewKernel()
-			c := psStar(k, ModeAsyncPS, nWorkers, nFloats, shards)
+			c := psStar(k, nWorkers, nFloats, shards)
 			owner := &lender{}
 			sent := 0
 			if inject {

@@ -57,7 +57,7 @@ func (c *ISWCluster) Switches() []*switchnet.ISwitch {
 
 // relayArmed reports whether the switch-to-relay failover is in play.
 func (c *ISWCluster) relayArmed() bool {
-	return c.cfg.FailoverAfter > 0 && !c.cfg.Untagged
+	return c.cfg.FailoverAfter > 0 && !c.untagged
 }
 
 // relayAddr is the backup software aggregator's address: worker 0's.
@@ -130,7 +130,7 @@ func (ic *iswClient) relayEngine() *engine.Engine {
 	for _, w := range c.workers {
 		e.MembershipOf(job).Join(w.Addr, engine.MemberWorker, 0, n)
 	}
-	e.SetCompression(job, c.cfg.Compression, n)
+	e.SetCompression(job, c.scheme, n)
 	e.SetDedupJob(job, true)
 	_ = e.AcceleratorOf(job).SetThreshold(uint32(c.h)) // a job has h ≥ 1 workers
 	ic.relay = e

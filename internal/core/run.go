@@ -37,7 +37,7 @@ type Job struct {
 	// Master is the asynchronous parameter server's agent: it holds the
 	// authoritative weights and optimizer, and must share the workers'
 	// model seed (its environment is never stepped). nil selects a
-	// synthetic agent. ModeAsyncPS only.
+	// synthetic agent. Asynchronous ModePS only.
 	Master rl.Agent
 }
 
@@ -71,9 +71,10 @@ func (j Job) jitterFor(worker, iter int) sim.Time {
 }
 
 // Validate says why the job cannot run on a cluster built from spec, or
-// returns nil. Exactly one of Iterations and Updates is set, and Updates
-// only where an asynchronous design exists (ModeISW, ModeAsyncPS) under
-// a stateless wire scheme.
+// returns nil. Exactly one of Iterations and Updates is set, and that
+// choice is the discipline: Updates runs asynchronously, so only where
+// an asynchronous design exists (ModeISW, ModePS) under a stateless
+// wire scheme.
 func (j Job) Validate(spec ClusterSpec) error {
 	m := spec.Mode
 	switch {
@@ -83,22 +84,20 @@ func (j Job) Validate(spec ClusterSpec) error {
 		return fmt.Errorf("core: a job sets exactly one of Iterations (synchronous) and Updates (asynchronous), got %d and %d", j.Iterations, j.Updates)
 	case j.StalenessBound < 0:
 		return fmt.Errorf("core: StalenessBound must not be negative, got %d: every gradient would be discarded and the run would never end", j.StalenessBound)
-	case j.Updates > 0 && m != ModeISW && m != ModeAsyncPS:
+	case j.Updates > 0 && m != ModeISW && m != ModePS:
 		return fmt.Errorf("core: %v is synchronous-only: set Iterations, not Updates", m)
-	case j.Iterations > 0 && m == ModeAsyncPS:
-		return fmt.Errorf("core: %v runs no synchronous servers: set Updates, not Iterations", m)
-	case j.Updates > 0 && (spec.scheme() == protocol.CompInt32Block || spec.scheme() == protocol.CompTopK):
-		return fmt.Errorf("core: %v compression is synchronous-only: its per-round state needs every worker in the same round", spec.scheme())
+	case j.Updates > 0 && (spec.Compression == protocol.CompInt32Block || spec.Compression == protocol.CompTopK):
+		return fmt.Errorf("core: %v compression is synchronous-only: its per-round state needs every worker in the same round", spec.Compression)
 	}
 	return nil
 }
 
 // Run trains job on the cluster: it builds one agent per worker, spawns
-// the discipline the spec and job name (synchronous rounds for
-// Iterations; for Updates, the asynchronous parameter server on
-// ModeAsyncPS or Algorithm 1 on ModeISW), runs the kernel and shuts it
-// down, on every path. Ports and switch and recovery counters stay
-// readable afterwards.
+// the discipline the job's length names (synchronous rounds for
+// Iterations; for Updates, the asynchronous parameter server on ModePS
+// or Algorithm 1 on ModeISW), runs the kernel and shuts it down, on
+// every path. Ports and switch and recovery counters stay readable
+// afterwards.
 func (c *Cluster) Run(job Job) (*AsyncStats, error) {
 	defer c.k.Shutdown()
 	if err := job.Validate(c.Spec); err != nil {
@@ -107,16 +106,16 @@ func (c *Cluster) Run(job Job) (*AsyncStats, error) {
 	agents := job.Agents(len(c.Workers()), c.Spec.ModelFloats)
 	var stats *AsyncStats
 	switch {
-	case c.Spec.Mode == ModeAsyncPS:
+	case job.Iterations > 0:
+		stats = spawnSync(c.k, agents, c.Client, job, nil)
+	case c.PS != nil:
 		master := job.Master
 		if master == nil {
 			master = NewSyntheticAgent(c.Spec.ModelFloats)
 		}
 		stats = c.PS.spawnAsync(c.k, agents, master, job)
-	case job.Updates > 0: // Validate admits no other async mode
+	default: // Validate admits no other async mode
 		stats = c.ISW.spawnAsync(c.k, agents, job, nil)
-	default:
-		stats = spawnSync(c.k, agents, c.Client, job, nil)
 	}
 	c.k.Run()
 	return stats, nil

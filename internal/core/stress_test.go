@@ -84,7 +84,7 @@ func TestAsyncShardedPSJitterStress(t *testing.T) {
 	const nWorkers, nFloats, shards = 4, 1500, 3
 	run := func(seed uint64) (*AsyncStats, *intAgent) {
 		k := sim.NewKernel()
-		c := psStar(k, ModeAsyncPS, nWorkers, nFloats, shards)
+		c := psStar(k, nWorkers, nFloats, shards)
 		agents := make([]rl.Agent, nWorkers)
 		for i := range agents {
 			agents[i] = newIntAgent(i, nFloats)

@@ -9,17 +9,26 @@ import (
 	"iswitch/internal/sim"
 )
 
-// ClusterSpec.Validate must accept every supported compression×mode
-// pairing and reject the rest with an error that names the scheme and
-// explains the architectural reason.
+// ClusterSpec.Validate and Job.Validate must accept every supported
+// compression×discipline pairing and reject the rest with an error that
+// names the scheme and explains the architectural reason. async-ps is
+// ModePS running a job of Updates.
 func TestValidateCompressionMatrix(t *testing.T) {
-	allModes := []Mode{ModeISW, ModePS, ModeAsyncPS, ModeAllReduce}
-
-	okFor := map[protocol.Compression]map[Mode]bool{
-		protocol.CompNone:       {ModeISW: true, ModePS: true, ModeAsyncPS: true, ModeAllReduce: true},
-		protocol.CompFP16:       {ModeISW: true, ModePS: true, ModeAsyncPS: true},
-		protocol.CompInt32Block: {ModeISW: true},
-		protocol.CompTopK:       {ModeISW: true},
+	cells := []struct {
+		name string
+		mode Mode
+		job  Job
+	}{
+		{"isw", ModeISW, Job{Iterations: 1}},
+		{"ps", ModePS, Job{Iterations: 1}},
+		{"async-ps", ModePS, Job{Updates: 1}},
+		{"allreduce", ModeAllReduce, Job{Iterations: 1}},
+	}
+	okFor := map[protocol.Compression]map[string]bool{
+		protocol.CompNone:       {"isw": true, "ps": true, "async-ps": true, "allreduce": true},
+		protocol.CompFP16:       {"isw": true, "ps": true, "async-ps": true},
+		protocol.CompInt32Block: {"isw": true},
+		protocol.CompTopK:       {"isw": true},
 	}
 	// The rejection message must carry the scheme name and a reason.
 	reason := map[protocol.Compression]string{
@@ -29,19 +38,22 @@ func TestValidateCompressionMatrix(t *testing.T) {
 	}
 
 	for _, scheme := range protocol.Compressions() {
-		for _, mode := range allModes {
-			t.Run(scheme.String()+"-"+mode.String(), func(t *testing.T) {
-				spec := ClusterSpec{Topology: TopoStar, Mode: mode, Workers: 4,
+		for _, cell := range cells {
+			t.Run(scheme.String()+"-"+cell.name, func(t *testing.T) {
+				spec := ClusterSpec{Topology: TopoStar, Mode: cell.mode, Workers: 4,
 					ModelFloats: 100, Compression: scheme}
 				err := spec.Validate()
-				if okFor[scheme][mode] {
+				if err == nil {
+					err = cell.job.Validate(spec)
+				}
+				if okFor[scheme][cell.name] {
 					if err != nil {
 						t.Fatalf("supported pairing rejected: %v", err)
 					}
 					return
 				}
 				if err == nil {
-					t.Fatalf("unsupported pairing %v × %v accepted", scheme, mode)
+					t.Fatalf("unsupported pairing %v × %v accepted", scheme, cell.name)
 				}
 				if !strings.Contains(err.Error(), scheme.String()) {
 					t.Fatalf("error does not name the scheme %q: %v", scheme, err)
@@ -75,9 +87,9 @@ func TestValidateRejections(t *testing.T) {
 		{"ps-over-3tier", with(func(s *ClusterSpec) {
 			s.Topology, s.AGGs, s.ToRsPerAGG, s.HostsPerToR = TopoThreeTier, 2, 2, 2
 		}), "ps over 3tier is not supported"},
-		{"async-ps-over-fattree", with(func(s *ClusterSpec) {
-			s.Topology, s.Mode, s.KAry, s.HostsPerEdge = TopoFatTree, ModeAsyncPS, 4, 1
-		}), "async-ps over fattree is not supported"},
+		{"ps-over-fattree", with(func(s *ClusterSpec) {
+			s.Topology, s.KAry, s.HostsPerEdge = TopoFatTree, 4, 1
+		}), "ps over fattree is not supported"},
 		{"allreduce-over-3tier", with(func(s *ClusterSpec) {
 			s.Topology, s.Mode, s.AGGs, s.ToRsPerAGG, s.HostsPerToR = TopoThreeTier, ModeAllReduce, 2, 2, 2
 		}), "allreduce over 3tier is not supported"},
@@ -87,7 +99,7 @@ func TestValidateRejections(t *testing.T) {
 		{"allreduce-one-worker", with(func(s *ClusterSpec) { s.Mode, s.Workers = ModeAllReduce, 1 }), "at least 2 workers"},
 		{"shards-over-tree", with(func(s *ClusterSpec) { s.Topology, s.Shards = TopoTree, 2 }), "sharded parameter server over tree"},
 		{"shards-fp16", with(func(s *ClusterSpec) { s.Shards, s.Compression = 2, protocol.CompFP16 }), "fp16 compression with 2 parameter-server shards"},
-		{"shards-off-ps", with(func(s *ClusterSpec) { s.Mode, s.Shards = ModeISW, 2 }), "parameter-server modes only"},
+		{"shards-off-ps", with(func(s *ClusterSpec) { s.Mode, s.Shards = ModeISW, 2 }), "parameter-server mode only"},
 		{"shards-negative", with(func(s *ClusterSpec) { s.Shards = -1 }), "Shards must be in [0, 128]"},
 		{"shards-too-many", with(func(s *ClusterSpec) { s.Shards = maxPSShards + 1 }), "Shards must be in [0, 128]"},
 		{"workers-zero", with(func(s *ClusterSpec) { s.Workers = 0 }), "needs Workers > 0"},
@@ -187,7 +199,7 @@ func TestValidateAddressPlanBounds(t *testing.T) {
 func TestValidateAcceptedSpecsBuild(t *testing.T) {
 	accepted := map[Mode]int{}
 	for _, topo := range []Topology{TopoStar, TopoTree, TopoThreeTier, TopoFatTree, Topology(9)} {
-		for _, mode := range []Mode{ModeISW, ModePS, ModeAsyncPS, ModeAllReduce, Mode(9)} {
+		for _, mode := range []Mode{ModeISW, ModePS, ModeAllReduce, Mode(9)} {
 			for _, n := range []int{0, 1, 3} {
 				for _, shards := range []int{-1, 0, 2, maxPSShards + 1} {
 					for _, scheme := range protocol.Compressions() {
@@ -217,21 +229,9 @@ func TestValidateAcceptedSpecsBuild(t *testing.T) {
 			}
 		}
 	}
-	for _, mode := range []Mode{ModeISW, ModePS, ModeAsyncPS, ModeAllReduce} {
+	for _, mode := range []Mode{ModeISW, ModePS, ModeAllReduce} {
 		if accepted[mode] == 0 {
 			t.Errorf("sweep accepted no %v spec", mode)
 		}
-	}
-}
-
-// The scheme may come from the ISW config instead of the spec field; the
-// support matrix still applies.
-func TestValidateISWConfigScheme(t *testing.T) {
-	cfg := DefaultISWConfig()
-	cfg.Compression = protocol.CompInt32Block
-	spec := ClusterSpec{Topology: TopoStar, Mode: ModeISW, Workers: 4,
-		ModelFloats: 100, ISW: &cfg}
-	if err := spec.Validate(); err != nil {
-		t.Fatalf("config-carried scheme rejected: %v", err)
 	}
 }

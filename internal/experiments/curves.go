@@ -142,7 +142,7 @@ func Figure14(opts CurveOpts) Result {
 		if strategy == StratPS {
 			job.Master = rl.NewDQN(newGridPong(999), rl.DefaultDQNConfig(), 42, 999)
 		}
-		spec := strategySpec(w, strategy, workers, 0, true)
+		spec := strategySpec(w, strategy, workers, 0)
 		spec.ModelFloats = agents[0].GradLen()
 		stats := simSpec(w, spec, job)
 		// Full-model per-update time from the synthetic timing run.

@@ -51,9 +51,8 @@ func hours(iters int64, perIter time.Duration) float64 {
 
 // strategySpec maps a comparison strategy and rack shape onto a
 // ClusterSpec calibrated to w: perRack <= 0 selects the flat
-// single-switch testbed, otherwise the two-level rack topology; async
-// picks the asynchronous flavor of the parameter server.
-func strategySpec(w perfmodel.Workload, strategy string, nWorkers, perRack int, async bool) core.ClusterSpec {
+// single-switch testbed, otherwise the two-level rack topology.
+func strategySpec(w perfmodel.Workload, strategy string, nWorkers, perRack int) core.ClusterSpec {
 	spec := core.ClusterSpec{
 		Topology:    core.TopoStar,
 		Workers:     nWorkers,
@@ -70,9 +69,6 @@ func strategySpec(w perfmodel.Workload, strategy string, nWorkers, perRack int, 
 		panic("experiments: unknown strategy " + strategy)
 	}
 	spec.Mode = mode
-	if async && mode == core.ModePS {
-		spec.Mode = core.ModeAsyncPS
-	}
 	return spec.WithWorkload(w)
 }
 
@@ -92,7 +88,7 @@ func simRun(w perfmodel.Workload, c *core.Cluster, job core.Job) *core.AsyncStat
 // strategy, measuring per-iteration time. perRack <= 0 selects the flat
 // single-switch testbed; otherwise the two-level rack topology.
 func simSync(w perfmodel.Workload, strategy string, nWorkers, perRack, iters int) *core.RunStats {
-	return simSyncSpec(w, strategySpec(w, strategy, nWorkers, perRack, false), iters)
+	return simSyncSpec(w, strategySpec(w, strategy, nWorkers, perRack), iters)
 }
 
 // simSyncSpec is simSync for any synchronous spec (shard counts and
@@ -105,7 +101,7 @@ func simSyncSpec(w perfmodel.Workload, spec core.ClusterSpec, iters int) *core.R
 // stats; strategy is PS or iSW. updates is the number of weight
 // updates to simulate.
 func simAsync(w perfmodel.Workload, strategy string, nWorkers, perRack int, updates int64, staleness int64) *core.AsyncStats {
-	return simSpec(w, strategySpec(w, strategy, nWorkers, perRack, true), core.Job{Updates: updates, StalenessBound: staleness})
+	return simSpec(w, strategySpec(w, strategy, nWorkers, perRack), core.Job{Updates: updates, StalenessBound: staleness})
 }
 
 // simSpec builds spec on a fresh kernel and runs job on it (simRun).

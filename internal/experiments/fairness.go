@@ -92,11 +92,11 @@ func fairnessSpecs(withAdv, weighted bool) []multijob.JobSpec {
 		return 0
 	}
 	specs := []multijob.JobSpec{
-		{Name: "a", Workload: wl, Workers: fairWorkers, Mode: multijob.ModeSync,
+		{Name: "a", Workload: wl, Workers: fairWorkers,
 			Iterations: fairIters, ModelFloats: fairFloats, Weight: weight()},
-		{Name: "b", Workload: wl, Workers: fairWorkers, Mode: multijob.ModeSync,
+		{Name: "b", Workload: wl, Workers: fairWorkers,
 			Iterations: fairIters, ModelFloats: fairFloats, Weight: weight()},
-		{Name: "c", Workload: wl, Workers: fairWorkers, Mode: multijob.ModeSync,
+		{Name: "c", Workload: wl, Workers: fairWorkers,
 			Iterations: fairIters, ModelFloats: fairFloats, Weight: weight()},
 	}
 	if withAdv {

@@ -44,7 +44,7 @@ func jobSweepSpecs(j int) []multijob.JobSpec {
 		specs[i] = multijob.JobSpec{
 			Name:     fmt.Sprintf("%s/%d", wl.Name, i),
 			Workload: wl, Workers: jobSweepWorkersPerJob,
-			Mode: multijob.ModeSync, Iterations: jobSweepIters,
+			Iterations: jobSweepIters,
 		}
 	}
 	return specs

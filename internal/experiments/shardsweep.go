@@ -55,14 +55,11 @@ func shardSweepRows() []ShardSweepRow {
 	}
 	cells := parMap(len(ws)*len(counts), func(i int) cell {
 		w := ws[i/len(counts)]
-		spec := func(async bool) core.ClusterSpec {
-			sp := strategySpec(w, StratPS, 4, 0, async)
-			sp.Shards = counts[i%len(counts)]
-			return sp
-		}
+		spec := strategySpec(w, StratPS, 4, 0)
+		spec.Shards = counts[i%len(counts)]
 		return cell{
-			sync:  simSyncSpec(w, spec(false), 2),
-			async: simSpec(w, spec(true), core.Job{Updates: 40, StalenessBound: 3}),
+			sync:  simSyncSpec(w, spec, 2),
+			async: simSpec(w, spec, core.Job{Updates: 40, StalenessBound: 3}),
 		}
 	})
 	var rows []ShardSweepRow

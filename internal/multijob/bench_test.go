@@ -23,7 +23,7 @@ func benchSpecs(j int) []JobSpec {
 		wl := wls[i%len(wls)]
 		specs[i] = JobSpec{
 			Name: fmt.Sprintf("%s-%d", wl.Name, i), Workload: wl,
-			Workers: 2, Mode: ModeSync, Iterations: 2,
+			Workers: 2, Iterations: 2,
 			ModelFloats: floats[i%len(floats)],
 		}
 	}
@@ -61,7 +61,7 @@ func benchAdversarialSummary(tb testing.TB) Summary {
 	specs := make([]JobSpec, 0, 4)
 	for _, name := range []string{"a", "b", "c"} {
 		specs = append(specs, JobSpec{
-			Name: name, Workload: wl, Workers: 2, Mode: ModeSync,
+			Name: name, Workload: wl, Workers: 2,
 			Iterations: 12, ModelFloats: 20000, Weight: 1,
 		})
 	}

@@ -17,7 +17,7 @@ func TestElasticSinglePhaseMatchesStatic(t *testing.T) {
 	k1 := sim.NewKernel()
 	f1 := NewTreeFabric(k1, nW, 2, testLink(), testLink(), FabricConfig{})
 	ref, err := Run(f1, []JobSpec{{
-		Workload: wl, Workers: nW, Mode: ModeSync, Iterations: iters, ModelFloats: floats,
+		Workload: wl, Workers: nW, Iterations: iters, ModelFloats: floats,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func TestElasticSinglePhaseMatchesStatic(t *testing.T) {
 	k2 := sim.NewKernel()
 	f2 := NewTreeFabric(k2, nW, 2, testLink(), testLink(), FabricConfig{})
 	res, err := Run(f2, []JobSpec{{
-		Workload: wl, Workers: nW, Mode: ModeSync, ModelFloats: floats,
+		Workload: wl, Workers: nW, ModelFloats: floats,
 		Elastic: &ElasticPlan{Phases: []ElasticPhase{{Workers: nW, Iterations: iters}}},
 	}})
 	if err != nil {
@@ -56,7 +56,7 @@ func TestElasticGrowShrink(t *testing.T) {
 	k := sim.NewKernel()
 	f := NewTreeFabric(k, 4, 2, testLink(), testLink(), FabricConfig{})
 	res, err := Run(f, []JobSpec{{
-		Name: "flex", Workload: wl, Workers: 4, Mode: ModeSync, ModelFloats: floats,
+		Name: "flex", Workload: wl, Workers: 4, ModelFloats: floats,
 		Elastic: &ElasticPlan{Phases: phases},
 	}})
 	if err != nil {
@@ -91,11 +91,11 @@ func TestElasticSharesFabric(t *testing.T) {
 	k := sim.NewKernel()
 	f := NewStarFabric(k, 6, testLink(), FabricConfig{})
 	res, err := Run(f, []JobSpec{
-		{Name: "flex", Workload: wl, Workers: 4, Mode: ModeSync, ModelFloats: 500,
+		{Name: "flex", Workload: wl, Workers: 4, ModelFloats: 500,
 			Elastic: &ElasticPlan{Phases: []ElasticPhase{
 				{Workers: 4, Iterations: 2}, {Workers: 2, Iterations: 2},
 			}}},
-		{Name: "steady", Workload: wl, Workers: 2, Mode: ModeSync, Iterations: 4, ModelFloats: 700},
+		{Name: "steady", Workload: wl, Workers: 2, Iterations: 4, ModelFloats: 700},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestAutoscalePlanDeterministic(t *testing.T) {
 	k := sim.NewKernel()
 	f := NewStarFabric(k, 4, testLink(), FabricConfig{})
 	res, err := Run(f, []JobSpec{{
-		Name: "autoscaled", Workload: wl, Workers: a.MaxWorkers(), Mode: ModeSync,
+		Name: "autoscaled", Workload: wl, Workers: a.MaxWorkers(),
 		ModelFloats: 400, Elastic: a,
 	}})
 	if err != nil {
@@ -156,7 +156,7 @@ func TestAdversarySmoke(t *testing.T) {
 	k := sim.NewKernel()
 	f := NewTreeFabric(k, 4, 2, testLink(), testLink(), FabricConfig{})
 	res, err := Run(f, []JobSpec{
-		{Name: "tenant", Workload: wl, Workers: 2, Mode: ModeSync, Iterations: 3, ModelFloats: 600},
+		{Name: "tenant", Workload: wl, Workers: 2, Iterations: 3, ModelFloats: 600},
 		{Name: "adv", Workload: wl, Workers: 2, ModelFloats: 600,
 			Adversary: &AdversaryPlan{Duration: 40 * time.Millisecond}},
 	})

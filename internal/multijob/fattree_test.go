@@ -27,8 +27,8 @@ func TestFatTreeFabricSmall(t *testing.T) {
 		t.Fatalf("k=4 fat-tree with 2 hosts/edge has %d hosts, want 16", len(f.Hosts))
 	}
 	res, err := Run(f, []JobSpec{
-		{Workload: wl, Workers: 8, Mode: ModeSync, Iterations: 2, ModelFloats: 500},
-		{Workload: wl, Workers: 8, Mode: ModeSync, Iterations: 2, ModelFloats: 500},
+		{Workload: wl, Workers: 8, Iterations: 2, ModelFloats: 500},
+		{Workload: wl, Workers: 8, Iterations: 2, ModelFloats: 500},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestFatTreeRackscale64Jobs(t *testing.T) {
 	for j := range specs {
 		specs[j] = JobSpec{
 			Name:     fmt.Sprintf("job%02d", j),
-			Workload: wl, Workers: 16, Mode: ModeSync,
+			Workload: wl, Workers: 16,
 			Iterations: 2, ModelFloats: 400,
 		}
 	}

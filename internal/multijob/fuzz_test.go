@@ -1,6 +1,8 @@
 package multijob
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,12 +23,17 @@ import (
 //     admitted twice (Reserve rejects the duplicate and the job
 //     deadlocks) or never admitted;
 //   - no permanent starvation: every feasible job finishes, queued or
-//     not, and sync jobs complete exactly their iteration count.
+//     not, and completes exactly the length it set;
+//   - one length per job: a job that sets both Iterations and Updates,
+//     or neither (one in 8), is refused with a reason before anything
+//     runs.
 func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 0x00, 0x10, 0x21, 0x05})
 	f.Add([]byte{1, 0, 1, 3, 0x13, 0x02, 0xff, 0x30, 0x44, 0x01})
 	f.Add([]byte{2, 1, 0, 3, 0x81, 0x92, 0x00, 0x07, 0xa3, 0x55})
 	f.Add([]byte{1, 1, 2, 4, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80})
+	f.Add([]byte{0, 0, 2, 1, 0x00, 0x3c}) // job 1 sets both lengths
+	f.Add([]byte{2, 0, 2, 1, 0x1d, 0x00}) // job 0 sets neither
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
@@ -59,10 +66,11 @@ func FuzzScheduler(f *testing.F) {
 		}
 		floatsChoices := []int{300, 500, 800, 1200}
 		var specs []JobSpec
-		hosts := 0
+		hosts, bad := 0, ""
 		for j := 0; j < nJobs; j++ {
 			b := data[4+j]
 			spec := JobSpec{
+				Name:        fmt.Sprintf("j%d", j),
 				Workload:    wl,
 				Workers:     1 + int(b>>7),              // 1..2
 				ModelFloats: floatsChoices[int(b>>5)&3], // 300..1200
@@ -72,13 +80,22 @@ func FuzzScheduler(f *testing.F) {
 			}
 			switch b & 3 {
 			case 1:
-				spec.Mode, spec.Iterations = ModeAsync, 0 // an async job's length is Updates
+				spec.Iterations = 0 // an async job's length is Updates
 				spec.Updates, spec.StalenessBound = 2, 1
 			case 2:
 				spec.Preemptible = true
 				spec.RecoveryTimeout = 3 * time.Millisecond
 			case 3:
 				spec.SubmitAt = time.Duration(1+int(b>>3)&3) * 5 * time.Millisecond
+			}
+			if b&0x1c == 0x1c { // both lengths or neither
+				spec.Iterations, spec.Updates = 0, 0
+				if b&0x20 != 0 {
+					spec.Iterations, spec.Updates = 1, 2
+				}
+				if bad == "" {
+					bad = spec.Name
+				}
 			}
 			hosts += spec.Workers
 			specs = append(specs, spec)
@@ -89,6 +106,15 @@ func FuzzScheduler(f *testing.F) {
 			SRAMBytes: sram, Policy: partition, MaxJobs: 2, Admission: policy,
 		})
 		res, err := Run(fab, specs)
+		if bad != "" {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("job %q", bad)) {
+				t.Fatalf("Run returned %v, want job %s refused", err, bad)
+			}
+			if n := k.Events(); n != 0 {
+				t.Fatalf("a refused mix ran %d events", n)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("scheduler invariant broken (deadlock/double-admit/lost job): %v", err)
 		}
@@ -102,11 +128,7 @@ func FuzzScheduler(f *testing.F) {
 			if r.Finished == 0 {
 				t.Fatalf("job %d never finished (starved): %+v", i, r)
 			}
-			want := int64(specs[i].Iterations)
-			if specs[i].Mode == ModeAsync {
-				want = specs[i].Updates
-			}
-			if r.Rounds != want {
+			if want := int64(specs[i].Iterations) + specs[i].Updates; r.Rounds != want {
 				t.Fatalf("job %d completed %d rounds, want %d", i, r.Rounds, want)
 			}
 		}

@@ -36,7 +36,8 @@ import (
 	"iswitch/internal/switchnet"
 )
 
-// Mode selects a job's training discipline.
+// Mode labels a job's training discipline in its result. A JobSpec
+// picks the discipline by the length it sets: Iterations or Updates.
 type Mode int
 
 const (
@@ -63,12 +64,16 @@ type JobSpec struct {
 	Workload perfmodel.Workload
 	// Workers is how many fabric hosts the job occupies.
 	Workers int
-	// Mode selects sync or async training.
+	// Mode must be left unset (ModeSync): the length a spec sets picks
+	// its discipline, and Run rejects any other value.
+	//
+	// Deprecated: set Updates for the asynchronous pipeline. The field
+	// stays while benchmark/ writes it.
 	Mode Mode
-	// Iterations is the synchronous iteration count (ModeSync only).
-	Iterations int
-	// Updates and StalenessBound drive the asynchronous pipeline
-	// (ModeAsync only: Run rejects a length set for the other mode).
+	// Iterations is the synchronous iteration count; Updates and
+	// StalenessBound drive the asynchronous pipeline. A spec sets
+	// exactly one of Iterations and Updates, which picks the discipline.
+	Iterations     int
 	Updates        int64
 	StalenessBound int64
 	// ModelFloats overrides the gradient length (0 selects the
@@ -94,16 +99,18 @@ type JobSpec struct {
 	// Preemptible consents to checkpoint/restore: the scheduler may
 	// detach this job's switch contexts (partial aggregates, dedup
 	// bitmaps, membership) to make room for another tenant and attach
-	// them again later, bit-identically. Requires ModeSync and a positive
-	// RecoveryTimeout — preempted workers ride the loss-recovery path
-	// (retransmission + switch dedup) across the gap.
+	// them again later, bit-identically. Requires a synchronous job
+	// (Iterations, not Updates) and a positive RecoveryTimeout —
+	// preempted workers ride the loss-recovery path (retransmission +
+	// switch dedup) across the gap.
 	Preemptible bool
 	// RecoveryTimeout arms worker-side loss recovery (core.ISWConfig);
 	// it also enables the switch dedup bitmap for this job, which
 	// checkpoint/restore and link-fault tolerance both require.
 	RecoveryTimeout time.Duration
 	// Elastic, when non-nil, flexes the job's worker count mid-run
-	// (ModeSync only). Workers must cover the largest phase.
+	// (synchronous jobs only: each phase sets its own Iterations, and
+	// Updates must stay 0). Workers must cover the largest phase.
 	Elastic *ElasticPlan
 	// Adversary, when non-nil, runs the job as an open-loop adversarial
 	// tenant (no training: a tagged data flood for Duration) used by
@@ -129,17 +136,20 @@ func (s JobSpec) floats() int {
 	return s.Workload.Floats()
 }
 
-// job is the training run the spec asks core for: its mode's length,
-// the workload's step times and the agents (an elastic phase sets its
-// own Iterations).
+// job is the training run the spec asks core for: its length, the
+// workload's step times and the agents (an elastic phase sets its own
+// Iterations).
 func (s JobSpec) job() core.Job {
-	j := core.Job{LocalCompute: s.Workload.LocalCompute, WeightUpdate: s.Workload.WeightUpdate, NewAgent: s.NewAgent}
-	if s.Mode == ModeAsync {
-		j.Updates, j.StalenessBound = s.Updates, s.StalenessBound
-	} else {
-		j.Iterations = s.Iterations
+	return core.Job{Iterations: s.Iterations, Updates: s.Updates, StalenessBound: s.StalenessBound,
+		LocalCompute: s.Workload.LocalCompute, WeightUpdate: s.Workload.WeightUpdate, NewAgent: s.NewAgent}
+}
+
+// mode labels the discipline the spec's length picks.
+func (s JobSpec) mode() Mode {
+	if s.Updates > 0 {
+		return ModeAsync
 	}
-	return j
+	return ModeSync
 }
 
 // FabricConfig parameterizes the shared-resource model of every switch

@@ -92,7 +92,7 @@ func TestSingleJobEquivalenceStarSync(t *testing.T) {
 	k2 := sim.NewKernel()
 	f := NewStarFabric(k2, nW, testLink(), FabricConfig{})
 	res, err := Run(f, []JobSpec{{
-		Workload: wl, Workers: nW, Mode: ModeSync, Iterations: iters,
+		Workload: wl, Workers: nW, Iterations: iters,
 		ModelFloats: floats,
 		NewAgent:    func(i int) rl.Agent { return mjAgents[i] },
 	}})
@@ -158,7 +158,7 @@ func TestSingleJobEquivalenceStarAsync(t *testing.T) {
 	k2 := sim.NewKernel()
 	f := NewStarFabric(k2, nW, testLink(), FabricConfig{})
 	res, err := Run(f, []JobSpec{{
-		Workload: wl, Workers: nW, Mode: ModeAsync,
+		Workload: wl, Workers: nW,
 		Updates: updates, StalenessBound: bound, ModelFloats: floats,
 	}})
 	if err != nil {
@@ -203,7 +203,7 @@ func TestSingleJobEquivalenceTreeSync(t *testing.T) {
 	k2 := sim.NewKernel()
 	f := NewTreeFabric(k2, nW, perRack, edge, uplink, FabricConfig{})
 	res, err := Run(f, []JobSpec{{
-		Workload: wl, Workers: nW, Mode: ModeSync, Iterations: iters, ModelFloats: floats,
+		Workload: wl, Workers: nW, Iterations: iters, ModelFloats: floats,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestAdmissionQueueing(t *testing.T) {
 		SRAMBytes: demand + demand/2, // one context fits, two do not
 		Policy:    accel.PartitionDemand,
 	})
-	spec := JobSpec{Workload: wl, Workers: 2, Mode: ModeSync, Iterations: iters, ModelFloats: floats}
+	spec := JobSpec{Workload: wl, Workers: 2, Iterations: iters, ModelFloats: floats}
 	a, b := spec, spec
 	a.Name, b.Name = "first", "second"
 	res, err := Run(f, []JobSpec{a, b})
@@ -266,7 +266,7 @@ func TestStaticPartitionQueueing(t *testing.T) {
 	f := NewStarFabric(k, 6, testLink(), FabricConfig{
 		SRAMBytes: 1 << 20, Policy: accel.PartitionStatic, MaxJobs: 2,
 	})
-	spec := JobSpec{Workload: wl, Workers: 2, Mode: ModeSync, Iterations: iters, ModelFloats: floats}
+	spec := JobSpec{Workload: wl, Workers: 2, Iterations: iters, ModelFloats: floats}
 	res, err := Run(f, []JobSpec{spec, spec, spec})
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestNegativeStalenessRejected(t *testing.T) {
 	f := NewStarFabric(sim.NewKernel(), 2, testLink(), FabricConfig{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(f, []JobSpec{{Workload: wl, Workers: 2, Mode: ModeAsync,
+		_, err := Run(f, []JobSpec{{Workload: wl, Workers: 2,
 			Updates: 5, StalenessBound: -1, ModelFloats: 400}})
 		done <- err
 	}()
@@ -314,18 +314,20 @@ func TestNegativeStalenessRejected(t *testing.T) {
 	}
 }
 
-// TestSpecLengthMatchesMode: a spec reads the length of its own mode
-// only, so a length set for the other mode is refused with a reason
-// instead of being dropped (a ModeSync spec with Updates used to run
-// synchronously).
+// TestSpecLengthMatchesMode: the length a spec sets is its discipline,
+// so a spec that sets both lengths is refused with Job.Validate's
+// reason instead of running one of them (a sync spec with Updates used
+// to run synchronously), and the deprecated Mode field, which would say
+// it a second time, is refused unless left unset.
 func TestSpecLengthMatchesMode(t *testing.T) {
 	wl := ppoWorkload(t)
 	for _, tc := range []struct {
 		spec JobSpec
 		want string
 	}{
-		{JobSpec{Workload: wl, Workers: 2, Mode: ModeSync, Iterations: 2, Updates: 5, ModelFloats: 400}, "not Updates"},
-		{JobSpec{Workload: wl, Workers: 2, Mode: ModeAsync, Iterations: 2, Updates: 5, StalenessBound: 1, ModelFloats: 400}, "not Iterations"},
+		{JobSpec{Workload: wl, Workers: 2, Iterations: 2, Updates: 5, ModelFloats: 400}, "exactly one of Iterations"},
+		{JobSpec{Workload: wl, Workers: 2, Iterations: 2, Updates: 5, StalenessBound: 1, ModelFloats: 400}, "exactly one of Iterations"},
+		{JobSpec{Workload: wl, Workers: 2, Mode: ModeAsync, Updates: 5, StalenessBound: 1, ModelFloats: 400}, "set Updates"},
 	} {
 		f := NewStarFabric(sim.NewKernel(), 2, testLink(), FabricConfig{})
 		_, err := Run(f, []JobSpec{tc.spec})
@@ -347,8 +349,8 @@ func TestInfeasibleJobRejected(t *testing.T) {
 		SRAMBytes: smallDemand + smallDemand/2, Policy: accel.PartitionDemand,
 	})
 	res, err := Run(f, []JobSpec{
-		{Name: "huge", Workload: wl, Workers: 2, Mode: ModeSync, Iterations: 1, ModelFloats: 100_000},
-		{Name: "small", Workload: wl, Workers: 2, Mode: ModeSync, Iterations: 1, ModelFloats: 500},
+		{Name: "huge", Workload: wl, Workers: 2, Iterations: 1, ModelFloats: 100_000},
+		{Name: "small", Workload: wl, Workers: 2, Iterations: 1, ModelFloats: 500},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -375,15 +377,18 @@ func TestMixedModeJobs(t *testing.T) {
 	k := sim.NewKernel()
 	f := NewStarFabric(k, 6, testLink(), FabricConfig{})
 	res, err := Run(f, []JobSpec{
-		{Name: "sync-a", Workload: wl, Workers: 2, Mode: ModeSync, Iterations: 3, ModelFloats: 700},
-		{Name: "async-b", Workload: wl, Workers: 2, Mode: ModeAsync, Updates: 4, StalenessBound: 2, ModelFloats: 500},
-		{Name: "sync-c", Workload: wl, Workers: 2, Mode: ModeSync, Iterations: 2, ModelFloats: 900},
+		{Name: "sync-a", Workload: wl, Workers: 2, Iterations: 3, ModelFloats: 700},
+		{Name: "async-b", Workload: wl, Workers: 2, Updates: 4, StalenessBound: 2, ModelFloats: 500},
+		{Name: "sync-c", Workload: wl, Workers: 2, Iterations: 2, ModelFloats: 900},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res[0].Sync == nil || res[1].Async == nil || res[2].Sync == nil {
 		t.Fatal("mode-specific stats missing")
+	}
+	if res[0].Mode != ModeSync || res[1].Mode != ModeAsync || res[2].Mode != ModeSync {
+		t.Fatalf("modes %v %v %v, want the lengths' sync async sync", res[0].Mode, res[1].Mode, res[2].Mode)
 	}
 	wantRounds := []int64{3, 4, 2}
 	for i, r := range res {
@@ -459,7 +464,7 @@ func TestThreeTierSingleJobMatchesUntenantedFabric(t *testing.T) {
 	k2 := sim.NewKernel()
 	f := NewThreeTierFabric(k2, 2, 2, 2, edge, aggL, coreL, FabricConfig{})
 	res, err := Run(f, []JobSpec{{
-		Workload: wl, Workers: nW, Mode: ModeSync, Iterations: iters, ModelFloats: floats,
+		Workload: wl, Workers: nW, Iterations: iters, ModelFloats: floats,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -483,8 +488,8 @@ func TestFabricHostExhaustion(t *testing.T) {
 	k := sim.NewKernel()
 	f := NewStarFabric(k, 2, testLink(), FabricConfig{})
 	_, err := Run(f, []JobSpec{
-		{Workload: wl, Workers: 2, Mode: ModeSync, Iterations: 1, ModelFloats: 100},
-		{Workload: wl, Workers: 1, Mode: ModeSync, Iterations: 1, ModelFloats: 100},
+		{Workload: wl, Workers: 2, Iterations: 1, ModelFloats: 100},
+		{Workload: wl, Workers: 1, Iterations: 1, ModelFloats: 100},
 	})
 	if err == nil {
 		t.Fatal("want host-exhaustion error")
@@ -498,8 +503,8 @@ func TestFabricHostExhaustion(t *testing.T) {
 func TestFabricFromSpec(t *testing.T) {
 	wl := ppoWorkload(t)
 	specs := []JobSpec{
-		{Name: "j0", Workload: wl, Workers: 2, Mode: ModeSync, Iterations: 2, ModelFloats: 400},
-		{Name: "j1", Workload: wl, Workers: 2, Mode: ModeSync, Iterations: 2, ModelFloats: 300},
+		{Name: "j0", Workload: wl, Workers: 2, Iterations: 2, ModelFloats: 400},
+		{Name: "j1", Workload: wl, Workers: 2, Iterations: 2, ModelFloats: 300},
 	}
 	run := func(f *Fabric) Summary {
 		res, err := Run(f, specs)

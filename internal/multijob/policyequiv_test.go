@@ -24,7 +24,7 @@ func TestSingleJobPolicyEquivalence(t *testing.T) {
 		k := sim.NewKernel()
 		f := NewStarFabric(k, nW, testLink(), cfg)
 		js := JobSpec{
-			Workload: wl, Workers: nW, Mode: ModeSync, Iterations: iters,
+			Workload: wl, Workers: nW, Iterations: iters,
 			ModelFloats: floats,
 			NewAgent:    func(i int) rl.Agent { return agents[i] },
 		}

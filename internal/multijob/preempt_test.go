@@ -58,7 +58,7 @@ func runPreemptScenario(t *testing.T, newFabric func(k *sim.Kernel, cfg FabricCo
 
 	specA := func(agents []*intAgent) JobSpec {
 		return JobSpec{
-			Name: "victim", Workload: wl, Workers: nW, Mode: ModeSync,
+			Name: "victim", Workload: wl, Workers: nW,
 			Iterations: iters, ModelFloats: floats,
 			Preemptible: true, RecoveryTimeout: 12 * time.Millisecond,
 			Faults:   faults,
@@ -93,7 +93,7 @@ func runPreemptScenario(t *testing.T, newFabric func(k *sim.Kernel, cfg FabricCo
 	})
 	res, err := Run(f2, []JobSpec{
 		specA(agents),
-		{Name: "urgent", Workload: wl, Workers: nW, Mode: ModeSync,
+		{Name: "urgent", Workload: wl, Workers: nW,
 			Iterations: 3, ModelFloats: floats, Priority: 5,
 			SubmitAt: 20 * time.Millisecond},
 	})
@@ -158,7 +158,7 @@ func TestPartialRestoreKeepsCheckpoints(t *testing.T) {
 		Admission: PriorityPreempt(),
 	})
 	spec := func(name string, iters, priority int, at time.Duration) JobSpec {
-		return JobSpec{Name: name, Workload: wl, Workers: 2, Mode: ModeSync,
+		return JobSpec{Name: name, Workload: wl, Workers: 2,
 			Iterations: iters, ModelFloats: floats, Priority: priority, SubmitAt: at}
 	}
 	victim := spec("victim", 6, 0, 0)

@@ -139,7 +139,7 @@ func Run(f *Fabric, specs []JobSpec) ([]*JobResult, error) {
 			demand: accel.ContextDemand(spec.floats(), protocol.FloatsPerPacket),
 			res: &JobResult{
 				Job: protocol.JobID(i + 1), Name: spec.name(),
-				Workload: spec.Workload.Name, Mode: spec.Mode,
+				Workload: spec.Workload.Name, Mode: spec.mode(),
 				Workers: spec.Workers, ModelFloats: spec.floats(),
 				Weight: spec.Weight, Priority: spec.Priority,
 				Adversary: spec.Adversary != nil,
@@ -189,16 +189,11 @@ func Run(f *Fabric, specs []JobSpec) ([]*JobResult, error) {
 
 // validateSpec rejects spec combinations the scheduler cannot honor.
 func validateSpec(spec JobSpec) error {
-	// job() reads only the length of the spec's mode: the other one
-	// would be dropped without a word.
-	if spec.Mode == ModeSync && spec.Updates > 0 {
-		return fmt.Errorf("a synchronous job sets Iterations, not Updates (got Updates %d); set Mode to ModeAsync to run Algorithm 1", spec.Updates)
-	}
-	if spec.Mode == ModeAsync && spec.Iterations > 0 {
-		return fmt.Errorf("an asynchronous job sets Updates, not Iterations (got Iterations %d)", spec.Iterations)
+	if spec.Mode != ModeSync {
+		return fmt.Errorf("Mode is deprecated and must stay unset (got %v): the length picks the discipline, so set Updates to run Algorithm 1", spec.Mode)
 	}
 	if spec.Preemptible {
-		if spec.Mode != ModeSync {
+		if spec.Updates > 0 {
 			return fmt.Errorf("preemptible jobs must be synchronous")
 		}
 		if spec.RecoveryTimeout <= 0 {
@@ -217,7 +212,7 @@ func validateSpec(spec JobSpec) error {
 		}
 	}
 	if el := spec.Elastic; el != nil {
-		if spec.Mode != ModeSync {
+		if spec.Updates > 0 {
 			return fmt.Errorf("elastic jobs must be synchronous")
 		}
 		if len(el.Phases) == 0 {
@@ -537,7 +532,7 @@ func (s *scheduler) start(jr *jobRun) {
 	cluster := core.NewISWOnFabric(jr.hosts, jr.targets, spec.floats(), spec.Workers, cfg)
 
 	stats := cluster.Spawn(s.f.K, job.Agents(spec.Workers, spec.floats()), job, func() { s.finish(jr) })
-	if spec.Mode == ModeAsync {
+	if job.Updates > 0 {
 		jr.res.Async = stats
 	} else {
 		jr.res.Sync = &stats.RunStats

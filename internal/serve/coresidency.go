@@ -172,7 +172,7 @@ func runCoResCell(cfg CoResConfig, label string, withTrain, policed bool) CoResC
 	if withTrain {
 		spec := multijob.JobSpec{
 			Name: "train", Workload: wl, Workers: 6,
-			Mode: multijob.ModeSync, Iterations: cfg.TrainIters,
+			Iterations:  cfg.TrainIters,
 			ModelFloats: cfg.TrainFloats, Weight: 1,
 			// Policed drops ride the loss-recovery path; the timeout
 			// also arms switch dedup so retransmissions stay idempotent.
