@@ -16,11 +16,11 @@
 // the timing (cycles consumed per packet at the published 200 MHz clock
 // and 256-bit bus width).
 //
-// Performance contract: Ingest is the simulation's innermost loop, so
-// its steady-state path is allocation-free — payload bursts are summed
-// by the vectorized tensor kernels, and segment buffers come from a
-// sync.Pool-backed free list that emitted aggregates can be returned to
-// via Recycle. bench_test.go enforces 0 allocs/op on this path.
+// Performance contract: the ingest is the simulation's innermost loop,
+// so its steady-state path is allocation-free — payload bursts are
+// summed by the vectorized tensor kernels, and segment buffers come from
+// a sync.Pool-backed free list that emitted aggregates return to via
+// Recycle or RecycleQ. pool_test.go enforces 0 allocs/op on this path.
 package accel
 
 import (
@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"iswitch/internal/protocol"
 	"iswitch/internal/tensor"
 	tensorkernels "iswitch/internal/tensor/kernels"
 )
@@ -65,12 +66,13 @@ func (c Config) AddersPerCycle() int { return c.BusWidthBits / 32 }
 // port) that makes retransmissions idempotent: a list, not a map, as a
 // segment's fan-in is a handful of children, reused with the pooled
 // record. A segment accumulates in exactly one of buf (float32 adders:
-// raw, fp16, and sparse traffic) or qbuf (the saturating int32 adders
-// of the block-scaled quantized path) — the job's compression scheme is
-// fixed at Join, so the two never mix within a job.
+// raw, fp16, and sparse traffic) or qbuf (quant: the saturating int32
+// adders of the block-scaled quantized path) — the job's compression
+// scheme is fixed at Join, so the two never mix within a job.
 type segState struct {
 	buf   []float32
 	qbuf  []int32
+	quant bool
 	count uint32
 	seen  []string
 	next  *segState // the spare list's link, while banked bufferless
@@ -85,6 +87,12 @@ type Accelerator struct {
 	h     uint32
 	segs  map[uint64]*segState
 	dedup bool
+
+	// scheme is the job's negotiated wire compression: which frame
+	// encodings IngestFrame takes and how a completed sum is emitted.
+	// modelFloats sizes the dense slots top-k selections scatter into.
+	scheme      protocol.Compression
+	modelFloats uint64
 
 	// pool and spare recycle segState records so steady-state
 	// aggregation never allocates. pool holds the records that have a
@@ -142,6 +150,19 @@ func (a *Accelerator) SetThreshold(h uint32) error {
 	return nil
 }
 
+// SetCompression fixes the job's wire scheme and the model length that
+// top-k's dense slots are cut from (0 keeps the length already set).
+func (a *Accelerator) SetCompression(scheme protocol.Compression, modelFloats uint64) {
+	a.scheme = scheme
+	if modelFloats > 0 {
+		a.modelFloats = modelFloats
+	}
+}
+
+// Quantized reports whether the job sums on the int32 adders: its
+// emissions, and the shadow slots that keep them, are quantized.
+func (a *Accelerator) Quantized() bool { return a.scheme == protocol.CompInt32Block }
+
 // Stats returns a snapshot of activity counters.
 func (a *Accelerator) Stats() Stats { return a.stats }
 
@@ -177,55 +198,93 @@ func (a *Accelerator) spareState() *segState {
 	return st
 }
 
-// newSegState returns a segment record with a zeroed n-element buffer.
-func (a *Accelerator) newSegState(n int) *segState {
+// newSegState returns a segment record with a zeroed n-element buffer
+// for the float32 or, quant, the int32 adders.
+func (a *Accelerator) newSegState(n int, quant bool) *segState {
 	st := a.getState()
-	if cap(st.buf) >= n {
-		st.buf = st.buf[:n]
-		tensor.Zero(st.buf)
+	st.quant = quant
+	if quant {
+		st.qbuf, st.buf = zeroed(st.qbuf, n), st.buf[:0]
 	} else {
-		st.buf = make([]float32, n)
+		st.buf, st.qbuf = zeroed(st.buf, n), st.qbuf[:0]
 	}
-	st.qbuf = st.qbuf[:0]
 	return st
 }
 
-// newSegStateQ is newSegState for the integer datapath: a zeroed
-// n-element int32 accumulator.
-func (a *Accelerator) newSegStateQ(n int) *segState {
-	st := a.getState()
-	if cap(st.qbuf) >= n {
-		st.qbuf = st.qbuf[:n]
-		clear(st.qbuf)
-	} else {
-		st.qbuf = make([]int32, n)
+// zeroed returns buf as n zeroed elements, reusing its storage when it
+// fits.
+func zeroed[T float32 | int32](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	st.buf = st.buf[:0]
-	return st
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// grown returns buf widened to n elements with its contents kept: a
+// contribution longer than its segment (a malformed or inconsistent
+// length; hardware would flag it via the control plane) drops no data.
+func grown[T float32 | int32](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf
+	}
+	g := make([]T, n)
+	copy(g, buf)
+	return g
 }
 
 // recycleState banks a record, buffer included, for reuse.
 func (a *Accelerator) recycleState(st *segState) { a.pool.Put(st) }
 
-// takeBuf detaches a completed segment's buffer for the caller and
-// leaves the bufferless record on the spare list.
-func (a *Accelerator) takeBuf(st *segState) []float32 {
-	buf := st.buf
-	st.buf = nil
-	st.next, a.spare = a.spare, st
-	return buf
+// Sum is a completed segment's aggregate as the job emits it: the
+// float32 sum (rounded through half precision for an fp16 job, dense for
+// top-k) or the int32 sum narrowed into the int16 wire range with its
+// re-widening Shift. Enc is the encoding the emission carries. The
+// buffer is on loan from the accelerator: Lend it onto a frame, or hand
+// it back with Recycle or RecycleQ.
+type Sum struct {
+	Data  []float32
+	QData []int32
+	Shift uint8
+	Enc   protocol.Compression
+	owner *Accelerator
 }
 
-// takeQBuf is takeBuf for the integer datapath.
-func (a *Accelerator) takeQBuf(st *segState) []int32 {
-	buf := st.qbuf
-	st.qbuf = nil
-	st.next, a.spare = a.spare, st
-	return buf
+// Lend makes the sum frame p's payload, tagged with its encoding; the
+// last frame referring to the buffer hands it back to the accelerator.
+func (s Sum) Lend(p *protocol.Packet) {
+	p.Enc, p.Shift = s.Enc, s.Shift
+	if s.Enc == protocol.CompInt32Block {
+		p.LendQData(s.QData, s.owner)
+		return
+	}
+	p.LendData(s.Data, s.owner)
 }
 
-// Recycle returns an aggregate buffer previously handed out by Ingest,
-// IngestFrom, DrainSatisfied, or Flush to the segment-buffer pool. Call
+// take detaches a completed segment's sum for the caller, in the job's
+// emission representation, and leaves the bufferless record on the
+// spare list. This is the one place a sum is narrowed or rounded.
+func (a *Accelerator) take(st *segState) Sum {
+	sum := Sum{owner: a}
+	if st.quant {
+		sum.QData, st.qbuf = st.qbuf, nil
+		sum.Shift = tensorkernels.NarrowShift(tensorkernels.MaxAbsI32(sum.QData))
+		tensorkernels.ShrI32(sum.QData, sum.Shift)
+		sum.Enc = protocol.CompInt32Block
+	} else {
+		sum.Data, st.buf = st.buf, nil
+		if a.scheme == protocol.CompFP16 {
+			tensorkernels.F16RoundInPlace(sum.Data)
+			sum.Enc = protocol.CompFP16
+		}
+	}
+	st.next, a.spare = a.spare, st
+	return sum
+}
+
+// Recycle returns a float aggregate buffer previously handed out (by
+// an ingest, DrainSatisfied, or Flush) to the segment-buffer pool. Call
 // it once the aggregate has been consumed (e.g. serialized onto the
 // wire) and do not use buf afterwards; the accelerator will reuse the
 // storage for a future segment. Recycling is optional: buffers that
@@ -239,8 +298,7 @@ func (a *Accelerator) Recycle(buf []float32) {
 	a.pool.Put(st)
 }
 
-// RecycleQ is Recycle for integer aggregate buffers handed out by
-// IngestQFrom, DrainSatisfiedQ, or FlushQ.
+// RecycleQ is Recycle for integer aggregate buffers.
 func (a *Accelerator) RecycleQ(buf []int32) {
 	if buf == nil {
 		return
@@ -264,7 +322,7 @@ func (a *Accelerator) SetDedup(on bool) { a.dedup = on }
 // Dedup reports whether the contributor bitmap is active.
 func (a *Accelerator) Dedup() bool { return a.dedup }
 
-// Ingest accumulates one data packet's payload into the segment buffer
+// Ingest accumulates one raw float32 payload into the segment buffer
 // identified by seg, in arrival order. If this contribution is the H-th
 // for the segment, the fully aggregated payload is returned (done=true),
 // the buffer is zeroed, and the counter reset — the "on-the-fly"
@@ -280,43 +338,93 @@ func (a *Accelerator) Ingest(seg uint64, data []float32) (sum []float32, done bo
 // IngestFrom is Ingest with a contributor identity for dedup mode. An
 // empty contributor is never deduplicated.
 func (a *Accelerator) IngestFrom(seg uint64, contributor string, data []float32) (sum []float32, done bool, latency time.Duration) {
-	return a.IngestFromBytes(seg, contributor, data, 4*len(data))
+	s, done, latency := a.ingest(&protocol.Packet{Seg: seg, Data: data}, contributor)
+	return s.Data, done, latency
 }
 
-// IngestFromBytes is IngestFrom with an explicit wire-payload byte
-// count for the datapath latency charge — how the fp16 scheme's
-// half-width payloads consume half the bus bursts while the in-memory
-// representation stays float32.
-func (a *Accelerator) IngestFromBytes(seg uint64, contributor string, data []float32, payloadBytes int) (sum []float32, done bool, latency time.Duration) {
-	a.stats.PacketsIn++
-	st := a.segs[seg]
-	if st == nil {
-		st = a.newSegState(len(data))
-		a.segs[seg] = st
-	}
-	latency = a.packetLatencyBytes(payloadBytes)
-	if a.isDup(st, contributor) {
-		return nil, false, latency
-	}
-	if len(st.buf) != len(data) {
-		// A malformed or inconsistent segment length; hardware would
-		// flag this via the control plane. Grow to the larger size so
-		// no data is silently dropped.
-		if len(data) > len(st.buf) {
-			grown := make([]float32, len(data))
-			copy(grown, st.buf)
-			st.buf = grown
-		}
-	}
-	tensor.Add(st.buf[:len(data)], data)
-	st.count++
+// IngestQFrom is IngestFrom for one block-scaled quantized contribution
+// (q with its narrowing shift) on the integer datapath; a completed sum
+// comes back narrowed, with its shift (hand it back via RecycleQ).
+func (a *Accelerator) IngestQFrom(seg uint64, contributor string, q []int32, shift uint8) (qsum []int32, outShift uint8, done bool, latency time.Duration) {
+	s, done, latency := a.ingest(&protocol.Packet{Seg: seg, Enc: protocol.CompInt32Block, QData: q, Shift: shift}, contributor)
+	return s.QData, s.Shift, done, latency
+}
 
-	if st.count >= a.h {
-		delete(a.segs, seg)
-		a.stats.PacketsOut++
-		return a.takeBuf(st), true, latency
+// IngestFrame is the switch's ingest: it sums one contribution frame
+// from contributor (dedup mode) into the frame's segment, on the
+// datapath the job's scheme gives it. ok is false, and nothing is
+// summed or charged, when the frame's encoding defies the scheme: a
+// frame framed under the wrong scheme would corrupt the sum, so the
+// switch trusts the Join-time contract, never the frame. Top-k jobs
+// legitimately carry two layouts: workers' sparse selections (an empty
+// one is a legal count-only frame) and the dense partials child
+// switches forward (CompNone).
+func (a *Accelerator) IngestFrame(pkt *protocol.Packet, contributor string) (sum Sum, done bool, latency time.Duration, ok bool) {
+	if pkt.Enc != a.scheme && (a.scheme != protocol.CompTopK || pkt.Enc != protocol.CompNone) {
+		return Sum{}, false, 0, false
 	}
-	return nil, false, latency
+	sum, done, latency = a.ingest(pkt, contributor)
+	return sum, done, latency, true
+}
+
+// ingest accumulates one contribution on the datapath its encoding
+// names, charging the payload's wire bytes: the float32 adders for raw
+// and fp16 payloads (fp16 at half width, so half the bus bursts), a
+// scatter-add of top-k's (index, value) pairs into the dense slot for
+// the segment's span of the model, or the saturating int32 adders for
+// int32block, with a child's narrowed partial re-widened (q << shift,
+// exact) onto the base grid — an exactly associative sum, so the
+// aggregate is bit-identical under any arrival order. The H-th
+// contribution completes the segment and returns its Sum.
+func (a *Accelerator) ingest(pkt *protocol.Packet, contributor string) (sum Sum, done bool, latency time.Duration) {
+	a.stats.PacketsIn++
+	n, bytes := len(pkt.Data), 4*len(pkt.Data)
+	switch pkt.Enc {
+	case protocol.CompInt32Block:
+		n, bytes = len(pkt.QData), 1+2*len(pkt.QData)
+	case protocol.CompTopK:
+		lo, hi := protocol.SegmentRange(int(a.modelFloats), protocol.SegIndex(pkt.Seg))
+		n, bytes = hi-lo, 2+6*len(pkt.Idx)
+	case protocol.CompFP16:
+		bytes = 2 * len(pkt.Data)
+	}
+	st := a.segs[pkt.Seg]
+	if st == nil {
+		st = a.newSegState(n, pkt.Enc == protocol.CompInt32Block)
+		a.segs[pkt.Seg] = st
+	}
+	latency = a.packetLatencyBytes(bytes)
+	if a.isDup(st, contributor) {
+		return Sum{}, false, latency
+	}
+	switch pkt.Enc {
+	case protocol.CompInt32Block:
+		st.qbuf = grown(st.qbuf, n)
+		addend := pkt.QData
+		if pkt.Shift > 0 {
+			// Re-widen into scratch so the frame's payload stays intact.
+			if cap(a.qscratch) < n {
+				a.qscratch = make([]int32, n)
+			}
+			addend = a.qscratch[:n]
+			copy(addend, pkt.QData)
+			tensorkernels.ShlI32(addend, pkt.Shift)
+		}
+		tensorkernels.AddSatInt32(st.qbuf[:n], addend)
+	case protocol.CompTopK:
+		st.buf = grown(st.buf, n)
+		tensorkernels.ScatterAdd(st.buf, pkt.Idx, pkt.Data)
+	default:
+		st.buf = grown(st.buf, n)
+		tensor.Add(st.buf[:n], pkt.Data)
+	}
+	st.count++
+	if st.count < a.h {
+		return Sum{}, false, latency
+	}
+	delete(a.segs, pkt.Seg)
+	a.stats.PacketsOut++
+	return a.take(st), true, latency
 }
 
 // isDup applies the dedup bitmap: true means this contribution was
@@ -343,151 +451,34 @@ func (st *segState) hasSeen(contributor string) bool {
 	return false
 }
 
-// IngestQFrom accumulates one block-scaled quantized contribution on
-// the integer datapath: the payload is re-widened by its narrowing
-// shift (q << shift, exact) onto the segment's base grid and added with
-// the saturating int32 adders — an exactly associative sum, so the
-// aggregate is bit-identical under any arrival order. When the H-th
-// contribution lands, the completed sum is narrowed back into the int16
-// wire range and returned with its narrowing shift; ownership of the
-// returned slice transfers to the caller (hand it back via RecycleQ).
-func (a *Accelerator) IngestQFrom(seg uint64, contributor string, q []int32, shift uint8) (qsum []int32, outShift uint8, done bool, latency time.Duration) {
-	a.stats.PacketsIn++
-	st := a.segs[seg]
-	if st == nil {
-		st = a.newSegStateQ(len(q))
-		a.segs[seg] = st
-	}
-	latency = a.packetLatencyBytes(1 + 2*len(q))
-	if a.isDup(st, contributor) {
-		return nil, 0, false, latency
-	}
-	if len(q) > len(st.qbuf) {
-		grown := make([]int32, len(q))
-		copy(grown, st.qbuf)
-		st.qbuf = grown
-	}
-	addend := q
-	if shift > 0 {
-		// Re-widen into scratch so the caller's payload stays intact.
-		if cap(a.qscratch) < len(q) {
-			a.qscratch = make([]int32, len(q))
-		}
-		addend = a.qscratch[:len(q)]
-		copy(addend, q)
-		tensorkernels.ShlI32(addend, shift)
-	}
-	tensorkernels.AddSatInt32(st.qbuf[:len(q)], addend)
-	st.count++
-
-	if st.count >= a.h {
-		delete(a.segs, seg)
-		a.stats.PacketsOut++
-		sum := a.takeQBuf(st)
-		k := tensorkernels.NarrowShift(tensorkernels.MaxAbsI32(sum))
-		tensorkernels.ShrI32(sum, k)
-		return sum, k, true, latency
-	}
-	return nil, 0, false, latency
-}
-
-// IngestSparseFrom accumulates one top-k sparse contribution:
-// scatter-add the (index, value) pairs into the segment's dense float32
-// buffer, sized segLen. An empty pair list still counts as the worker's
-// contribution — that is how a segment with no selected elements
-// completes. The emitted aggregate is dense.
-func (a *Accelerator) IngestSparseFrom(seg uint64, contributor string, idx []uint16, vals []float32, segLen int) (sum []float32, done bool, latency time.Duration) {
-	a.stats.PacketsIn++
-	st := a.segs[seg]
-	if st == nil {
-		st = a.newSegState(segLen)
-		a.segs[seg] = st
-	}
-	latency = a.packetLatencyBytes(2 + 6*len(idx))
-	if a.isDup(st, contributor) {
-		return nil, false, latency
-	}
-	if segLen > len(st.buf) {
-		grown := make([]float32, segLen)
-		copy(grown, st.buf)
-		st.buf = grown
-	}
-	tensorkernels.ScatterAdd(st.buf, idx, vals)
-	st.count++
-
-	if st.count >= a.h {
-		delete(a.segs, seg)
-		a.stats.PacketsOut++
-		return a.takeBuf(st), true, latency
-	}
-	return nil, false, latency
-}
-
 // Flush applies an FBcast control action to one segment: return the
-// partially aggregated payload (with how many contributions it holds)
-// and clear the segment. ok is false if the segment holds nothing.
-func (a *Accelerator) Flush(seg uint64) (sum []float32, count uint32, ok bool) {
+// partially aggregated sum, in the job's emission representation, and
+// clear the segment. ok is false if the segment holds nothing.
+func (a *Accelerator) Flush(seg uint64) (sum Sum, ok bool) {
 	st := a.segs[seg]
 	if st == nil {
-		return nil, 0, false
+		return Sum{}, false
 	}
 	delete(a.segs, seg)
 	a.stats.Flushes++
-	count = st.count
-	return a.takeBuf(st), count, true
-}
-
-// FlushQ is Flush for the integer datapath: the partial sum is narrowed
-// the same way a completed emission would be, so downstream decoding is
-// uniform.
-func (a *Accelerator) FlushQ(seg uint64) (q []int32, shift uint8, count uint32, ok bool) {
-	st := a.segs[seg]
-	if st == nil {
-		return nil, 0, 0, false
-	}
-	delete(a.segs, seg)
-	a.stats.Flushes++
-	count = st.count
-	sum := a.takeQBuf(st)
-	k := tensorkernels.NarrowShift(tensorkernels.MaxAbsI32(sum))
-	tensorkernels.ShrI32(sum, k)
-	return sum, k, count, true
+	return a.take(st), true
 }
 
 // DrainSatisfied emits every pending segment whose counter already
 // meets the (possibly just lowered) threshold H — how the control plane
 // unblocks rounds that were waiting on a worker that left the job.
 // Results are ordered by ascending segment.
-func (a *Accelerator) DrainSatisfied() (segs []uint64, sums [][]float32) {
+func (a *Accelerator) DrainSatisfied() (segs []uint64, sums []Sum) {
 	for _, s := range a.PendingSegs() {
 		st := a.segs[s]
 		if st.count >= a.h {
 			segs = append(segs, s)
 			delete(a.segs, s)
-			sums = append(sums, a.takeBuf(st))
+			sums = append(sums, a.take(st))
 			a.stats.PacketsOut++
 		}
 	}
 	return segs, sums
-}
-
-// DrainSatisfiedQ is DrainSatisfied for the integer datapath, narrowing
-// each emitted sum and reporting its per-segment shift.
-func (a *Accelerator) DrainSatisfiedQ() (segs []uint64, sums [][]int32, shifts []uint8) {
-	for _, s := range a.PendingSegs() {
-		st := a.segs[s]
-		if st.count >= a.h {
-			segs = append(segs, s)
-			delete(a.segs, s)
-			sum := a.takeQBuf(st)
-			k := tensorkernels.NarrowShift(tensorkernels.MaxAbsI32(sum))
-			tensorkernels.ShrI32(sum, k)
-			sums = append(sums, sum)
-			shifts = append(shifts, k)
-			a.stats.PacketsOut++
-		}
-	}
-	return segs, sums, shifts
 }
 
 // PendingSegs lists the segments holding partial sums, ascending.
@@ -544,18 +535,6 @@ func (a *Accelerator) CyclesToDuration(cycles int) time.Duration {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// SeenBy reports the contributors recorded for a pending segment
-// (dedup mode); nil when the segment has no state. Debugging aid.
-func (a *Accelerator) SeenBy(seg uint64) []string {
-	st := a.segs[seg]
-	if st == nil {
-		return nil
-	}
-	out := append(make([]string, 0, len(st.seen)), st.seen...)
-	sort.Strings(out)
-	return out
-}
 
 // Seen reports whether contributor is recorded for a pending segment
 // (dedup mode).

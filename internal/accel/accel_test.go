@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"iswitch/internal/protocol"
 )
 
 func newTest(h uint32) *Accelerator {
@@ -97,14 +99,17 @@ func TestFlushPartial(t *testing.T) {
 	a := newTest(4)
 	a.Ingest(3, []float32{1, 1})
 	a.Ingest(3, []float32{2, 2})
-	sum, count, ok := a.Flush(3)
-	if !ok || count != 2 {
-		t.Fatalf("flush: ok=%v count=%d", ok, count)
+	if count := a.CountOf(3); count != 2 {
+		t.Fatalf("flush: count=%d", count)
 	}
-	if sum[0] != 3 || sum[1] != 3 {
-		t.Fatalf("flush sum = %v", sum)
+	sum, ok := a.Flush(3)
+	if !ok || sum.Enc != protocol.CompNone {
+		t.Fatalf("flush: ok=%v enc=%v", ok, sum.Enc)
 	}
-	if _, _, ok := a.Flush(3); ok {
+	if sum.Data[0] != 3 || sum.Data[1] != 3 {
+		t.Fatalf("flush sum = %v", sum.Data)
+	}
+	if _, ok := a.Flush(3); ok {
 		t.Fatal("second flush of same segment succeeded")
 	}
 }

@@ -45,19 +45,20 @@ func BenchmarkAccelIngest1024(b *testing.B) {
 }
 
 // BenchmarkIngestEmitCycle measures a full aggregate-and-emit cycle at
-// H=4 (four contributions then an emission).
+// H=4 (four contributions then an emission) for each scheme's
+// contribution frame through the switch's ingest, emission rounding and
+// narrowing included.
 func BenchmarkIngestEmitCycle(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Threshold = 4
-	a := New(cfg)
-	data := make([]float32, protocol.FloatsPerPacket)
-	b.SetBytes(int64(4 * 4 * len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for w := 0; w < 4; w++ {
-			a.Ingest(0, data)
-		}
+	for _, scheme := range protocol.Compressions() {
+		b.Run(scheme.String(), func(b *testing.B) {
+			a, frame := schemeCycle(scheme)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for w := 0; w < 4; w++ {
+					a.IngestFrame(frame, "")
+				}
+			}
+		})
 	}
 }
 

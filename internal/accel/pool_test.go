@@ -3,6 +3,8 @@ package accel
 import (
 	"math"
 	"testing"
+
+	"iswitch/internal/protocol"
 )
 
 // TestIngestSteadyStateZeroAlloc pins the package's performance
@@ -44,6 +46,62 @@ func TestEmitRecycleCycleZeroAlloc(t *testing.T) {
 	cycle() // warm the pool
 	if n := testing.AllocsPerRun(50, cycle); n != 0 {
 		t.Fatalf("emit/Recycle cycle allocates %v allocs/op, want 0", n)
+	}
+
+	// Every scheme through the switch's ingest: the fp16 rounding, the
+	// top-k scatter into a dense slot and the int32 narrowing reuse the
+	// pooled record and buffer too.
+	for _, scheme := range protocol.Compressions() {
+		a, frame := schemeCycle(scheme)
+		cycle := func() {
+			for w := 0; w < 4; w++ {
+				sum, done, _, ok := a.IngestFrame(frame, "")
+				if !ok {
+					t.Fatalf("%v: the accelerator refused its own scheme's frame", scheme)
+				}
+				if done {
+					recycle(a, sum)
+				}
+			}
+		}
+		cycle()
+		if n := testing.AllocsPerRun(50, cycle); n != 0 {
+			t.Fatalf("%v: emit/Recycle cycle allocates %v allocs/op, want 0", scheme, n)
+		}
+	}
+}
+
+// schemeCycle returns an H = 4 accelerator set up for scheme and a
+// worker's contribution frame to segment 0 under it: a full segment of
+// floats or int32s, or a tenth of one selected for top-k.
+func schemeCycle(scheme protocol.Compression) (*Accelerator, *protocol.Packet) {
+	const n = protocol.FloatsPerPacket
+	cfg := DefaultConfig()
+	cfg.Threshold = 4
+	a := New(cfg)
+	a.SetCompression(scheme, n)
+	frame := &protocol.Packet{Enc: scheme}
+	switch scheme {
+	case protocol.CompInt32Block:
+		frame.QData = make([]int32, n)
+	case protocol.CompTopK:
+		frame.Idx, frame.Data = make([]uint16, n/10), make([]float32, n/10)
+		for i := range frame.Idx {
+			frame.Idx[i] = uint16(10 * i)
+		}
+	default:
+		frame.Data = make([]float32, n)
+	}
+	return a, frame
+}
+
+// recycle hands a completed sum's buffer back, as the release of the
+// last frame it was lent to does.
+func recycle(a *Accelerator, sum Sum) {
+	if sum.Enc == protocol.CompInt32Block {
+		a.RecycleQ(sum.QData)
+	} else {
+		a.Recycle(sum.Data)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 
 	"iswitch/internal/accel"
 	"iswitch/internal/protocol"
-	"iswitch/internal/tensor/kernels"
 )
 
 // Driver is the world as the engine sees it: where a frame goes and
@@ -118,8 +117,9 @@ type Engine struct {
 }
 
 // jobCtx is one training job's slice of the switch: its accelerator
-// (segment buffers + counters), membership table, auto-H mode, and the
-// shadow aggregation slots that re-serve lost broadcasts.
+// (segment buffers + counters, and the job's compression scheme),
+// membership table, auto-H mode, and the shadow aggregation slots that
+// re-serve lost broadcasts.
 type jobCtx struct {
 	job   protocol.JobID
 	acc   *accel.Accelerator
@@ -144,14 +144,6 @@ type jobCtx struct {
 	// aggregation path is dead and worker acks must be withheld so
 	// workers escalate to failover.
 	helpUpSince int
-
-	// scheme is the job's negotiated gradient compression, fixed at
-	// Join time (or pinned by the fabric builder on parent levels that
-	// never see a Join); every contribution is validated against it.
-	// modelFloats sizes the dense buffer that top-k sparse
-	// contributions scatter into.
-	scheme      protocol.Compression
-	modelFloats uint64
 }
 
 func newJobCtx(job protocol.JobID) *jobCtx {
@@ -318,14 +310,13 @@ func (e *Engine) SetLivenessHorizon(d time.Duration) { e.horizon = d }
 func (e *Engine) Shadow() *accel.ShadowStore { return e.def.shadow }
 
 // SetCompression pins a job's negotiated compression scheme and model
-// length on this switch. The fabric builder calls it on every level:
-// parent switches never see a worker Join, yet must know how to
-// interpret and re-emit the partials their children forward. No-op if
-// the job is not admitted.
+// length in its accelerator on this switch. The fabric builder calls it
+// on every level: parent switches never see a worker Join, yet must
+// know how to interpret and re-emit the partials their children
+// forward. No-op if the job is not admitted.
 func (e *Engine) SetCompression(job protocol.JobID, scheme protocol.Compression, modelFloats uint64) {
 	if ctx := e.ctx(job); ctx != nil {
-		ctx.scheme = scheme
-		ctx.modelFloats = modelFloats
+		ctx.acc.SetCompression(scheme, modelFloats)
 	}
 }
 
@@ -397,10 +388,7 @@ func (e *Engine) handleControl(pkt *protocol.Packet) {
 		// compression: a legacy 8-byte Join must not reset a scheme the
 		// fabric builder already pinned.
 		if len(pkt.Value) == 9 {
-			ctx.scheme = scheme
-		}
-		if floats > 0 {
-			ctx.modelFloats = floats
+			ctx.acc.SetCompression(scheme, floats)
 		}
 		e.refreshAutoH(ctx)
 		e.ack(pkt.Src, pkt.Job, true)
@@ -425,7 +413,9 @@ func (e *Engine) handleControl(pkt *protocol.Packet) {
 	case protocol.ActionFBcast:
 		// Force-broadcast every partially aggregated segment downstream.
 		for _, seg := range ctx.acc.PendingSegs() {
-			e.flushAndBroadcast(ctx, seg)
+			if sum, ok := ctx.acc.Flush(seg); ok {
+				e.emit(ctx, seg, sum)
+			}
 		}
 		e.ack(pkt.Src, pkt.Job, true)
 	case protocol.ActionHelp:
@@ -521,29 +511,20 @@ func (e *Engine) help(ctx *jobCtx, dst protocol.Addr, seg uint64) *protocol.Pack
 	return h
 }
 
-// serveFromShadow answers a Help from the segment's shadow slot, in the
-// job's emission representation: quantized jobs re-serve the narrowed
-// (q, shift) pair bit-identically, fp16 jobs re-serve the rounded floats
-// tagged with their half-width encoding, everything else the raw
-// aggregate. The response is one more share of the kept emission: a
-// later emission into the slot releases the slot's share only, so the
-// payload stays intact until the requester releases the response.
+// serveFromShadow answers a Help from the segment's shadow slot with
+// the kept emission as it was sent, encoding and shift included: the
+// narrowed (q, shift) pair of a quantized job, the rounded floats of an
+// fp16 job, the raw aggregate otherwise. The response is one more share
+// of the kept emission: a later emission into the slot releases the
+// slot's share only, so the payload stays intact until the requester
+// releases the response.
 func (e *Engine) serveFromShadow(ctx *jobCtx, seg uint64, req protocol.Addr) bool {
-	quant := ctx.scheme == protocol.CompInt32Block
-	resp := ctx.shadow.Serve(seg, quant)
+	resp := ctx.shadow.Serve(seg, ctx.acc.Quantized())
 	if resp == nil {
 		return false
 	}
 	e.HelpServed++
 	resp.Src, resp.Dst, resp.ToS, resp.Job, resp.Seg = e.addr, req, protocol.ToSData, ctx.job, seg
-	switch {
-	case quant:
-		resp.Enc = protocol.CompInt32Block
-	case ctx.scheme == protocol.CompFP16:
-		resp.Enc, resp.Shift = protocol.CompFP16, 0
-	default:
-		resp.Enc, resp.Shift = protocol.CompNone, 0
-	}
 	e.drv.Forward(resp)
 	return true
 }
@@ -646,49 +627,20 @@ func (e *Engine) touch(ctx *jobCtx, src protocol.Addr) {
 // emitDrained emits every segment whose counter satisfies the (possibly
 // just lowered) threshold H — shared by Leave and liveness eviction.
 func (e *Engine) emitDrained(ctx *jobCtx) {
-	if ctx.scheme == protocol.CompInt32Block {
-		segs, sums, shifts := ctx.acc.DrainSatisfiedQ()
-		for i, seg := range segs {
-			e.emitQ(ctx, seg, sums[i], shifts[i])
-		}
-		return
-	}
 	segs, sums := ctx.acc.DrainSatisfied()
 	for i, seg := range segs {
-		e.emitFloat(ctx, seg, sums[i])
+		e.emit(ctx, seg, sums[i])
 	}
 }
 
-// emitFloat sends one completed float-datapath aggregate on its way. An
-// fp16 job's emission is rounded through half precision first: that is
-// the representation the workers will apply, and tagging the packet
-// halves its modeled wire bytes. Top-k aggregates emit dense (CompNone
-// layout), matching the scheme's wire contract.
-func (e *Engine) emitFloat(ctx *jobCtx, seg uint64, sum []float32) {
-	out := e.dataHeader(ctx, e.parent, seg)
-	if ctx.scheme == protocol.CompFP16 {
-		kernels.F16RoundInPlace(sum)
-		out.Enc = protocol.CompFP16
-	}
-	out.LendData(sum, ctx.acc)
-	e.emit(ctx, out)
-}
-
-// emitQ is emitFloat for the quantized integer datapath: the payload is
-// the narrowed int32 sum plus its re-widening shift.
-func (e *Engine) emitQ(ctx *jobCtx, seg uint64, q []int32, shift uint8) {
-	out := e.dataHeader(ctx, e.parent, seg)
-	out.Enc, out.Shift = protocol.CompInt32Block, shift
-	out.LendQData(q, ctx.acc)
-	e.emit(ctx, out)
-}
-
-// emit sends an emission, whose payload is on loan from the job's
+// emit sends a completed segment's sum, on loan from the job's
 // accelerator, toward the parent or down to the members. The sum is
 // written once: the frame that travels up carries the loan with it, and
 // the parent's Release after ingesting it returns the buffer here; the
 // members each get a share, and the last of them to release returns it.
-func (e *Engine) emit(ctx *jobCtx, out *protocol.Packet) {
+func (e *Engine) emit(ctx *jobCtx, seg uint64, sum accel.Sum) {
+	out := e.dataHeader(ctx, e.parent, seg)
+	sum.Lend(out)
 	if e.hasParent {
 		e.UpForwards++
 		e.drv.SendUp(out)
@@ -780,18 +732,11 @@ func (e *Engine) handleData(pkt *protocol.Packet, fromParent bool) {
 		return
 	}
 	e.touch(ctx, pkt.Src)
-	// Validate the contribution's encoding against the job's negotiated
-	// scheme before it can touch a segment buffer: a packet framed under
-	// the wrong scheme would corrupt the sum, so the switch trusts the
-	// Join-time contract, never the packet.
-	if !encOK(ctx.scheme, pkt) {
-		e.EncMismatchDrops++
-		pkt.Release()
-		return
-	}
 	// Otherwise it is an upstream contribution: run it through the
 	// job's accelerator (keyed by source for the optional dedup
-	// bitmap), charging the datapath latency before any output. With a
+	// bitmap), charging the datapath latency before any output. The
+	// accelerator refuses a contribution whose encoding defies the
+	// job's scheme before it can touch a segment buffer. With a
 	// shared bus attached, the burst train also queues behind other
 	// jobs' in-flight bursts. The contributor key is only looked up when
 	// dedup is armed, and was rendered once, at Join: Addr.String costs
@@ -801,32 +746,14 @@ func (e *Engine) handleData(pkt *protocol.Packet, fromParent bool) {
 		contributor = ctx.mem.KeyOf(pkt.Src)
 	}
 	seg := pkt.Seg
-	var (
-		sum    []float32
-		qsum   []int32
-		oshift uint8
-		done   bool
-		lat    time.Duration
-	)
-	switch {
-	case ctx.scheme == protocol.CompInt32Block:
-		// Saturating int32 adders; child partials re-widened by their
-		// narrowing shift onto the base grid.
-		qsum, oshift, done, lat = ctx.acc.IngestQFrom(seg, contributor, pkt.QData, pkt.Shift)
-	case pkt.Enc == protocol.CompTopK:
-		// Sparse worker selection: scatter-add into the dense slot,
-		// sized by the segment's span of the model vector.
-		lo, hi := protocol.SegmentRange(int(ctx.modelFloats), protocol.SegIndex(seg))
-		sum, done, lat = ctx.acc.IngestSparseFrom(seg, contributor, pkt.Idx, pkt.Data, hi-lo)
-	case pkt.Enc == protocol.CompFP16:
-		// Float adders on half-width wire payloads.
-		sum, done, lat = ctx.acc.IngestFromBytes(seg, contributor, pkt.Data, 2*len(pkt.Data))
-	default:
-		sum, done, lat = ctx.acc.IngestFrom(seg, contributor, pkt.Data)
-	}
+	sum, done, lat, ok := ctx.acc.IngestFrame(pkt, contributor)
 	// The accelerator summed the payload into its own segment buffer;
 	// the contribution frame is spent.
 	pkt.Release()
+	if !ok {
+		e.EncMismatchDrops++
+		return
+	}
 	if e.bus != nil {
 		lat = e.bus.Charge(e.drv.Now(), uint16(ctx.job), lat)
 	}
@@ -840,7 +767,7 @@ func (e *Engine) handleData(pkt *protocol.Packet, fromParent bool) {
 	} else {
 		e.freeEm = em.next
 	}
-	em.ctx, em.seg, em.sum, em.qsum, em.shift = ctx, seg, sum, qsum, oshift
+	em.ctx, em.seg, em.sum = ctx, seg, sum
 	e.drv.After(lat, em.fire)
 }
 
@@ -849,36 +776,19 @@ func (e *Engine) handleData(pkt *protocol.Packet, fromParent bool) {
 // its own event; the record and its bound method are recycled, so
 // scheduling one allocates nothing after the first.
 type emission struct {
-	e     *Engine
-	ctx   *jobCtx
-	seg   uint64
-	sum   []float32
-	qsum  []int32
-	shift uint8
-	fire  func() // em.run, bound once
-	next  *emission
+	e    *Engine
+	ctx  *jobCtx
+	seg  uint64
+	sum  accel.Sum
+	fire func() // em.run, bound once
+	next *emission
 }
 
 func (em *emission) run() {
-	e, ctx, seg, sum, qsum, shift := em.e, em.ctx, em.seg, em.sum, em.qsum, em.shift
-	em.ctx, em.sum, em.qsum = nil, nil, nil
+	e, ctx, seg, sum := em.e, em.ctx, em.seg, em.sum
+	em.ctx, em.sum = nil, accel.Sum{}
 	em.next, e.freeEm = e.freeEm, em
-	if qsum != nil {
-		e.emitQ(ctx, seg, qsum, shift)
-		return
-	}
-	e.emitFloat(ctx, seg, sum)
-}
-
-// encOK validates a contribution's encoding against the job's scheme.
-// Top-k jobs legitimately carry two layouts: sparse worker selections
-// (CompTopK; an empty selection is a legal count-only packet) and dense
-// partials forwarded by child switches (CompNone).
-func encOK(scheme protocol.Compression, pkt *protocol.Packet) bool {
-	if scheme == protocol.CompTopK {
-		return pkt.Enc == protocol.CompTopK || pkt.Enc == protocol.CompNone
-	}
-	return pkt.Enc == scheme
+	e.emit(ctx, seg, sum)
 }
 
 // broadcast replicates a data packet to every member of the job
@@ -908,23 +818,4 @@ func (e *Engine) ack(dst protocol.Addr, job protocol.JobID, ok bool) {
 	ack := protocol.NewControl(e.addr, dst, protocol.ActionAck, v)
 	ack.Job = job
 	e.drv.Forward(ack)
-}
-
-// flushAndBroadcast force-broadcasts one partial segment (FBcast data
-// path), returning false if the segment held no contributions.
-func (e *Engine) flushAndBroadcast(ctx *jobCtx, seg uint64) bool {
-	if ctx.scheme == protocol.CompInt32Block {
-		q, shift, _, ok := ctx.acc.FlushQ(seg)
-		if !ok {
-			return false
-		}
-		e.emitQ(ctx, seg, q, shift)
-		return true
-	}
-	sum, _, ok := ctx.acc.Flush(seg)
-	if !ok {
-		return false
-	}
-	e.emitFloat(ctx, seg, sum)
-	return true
 }

@@ -38,14 +38,11 @@ type LossyCell struct {
 	Overhead float64
 
 	// Fabric and recovery accounting.
-	Drops       uint64
-	HelpsSent   uint64
-	Retransmits uint64
-	ShadowHits  uint64
-	Targeted    uint64
-	Evicted     uint64
-	Rejoins     uint64
-	Failovers   uint64
+	Drops     uint64
+	HelpsSent uint64
+	Evicted   uint64
+	Rejoins   uint64
+	Failovers uint64
 }
 
 // LossyData is the full sweep.
@@ -185,12 +182,9 @@ func runLossyCell(topo, mode, fault string, loss float64) LossyCell {
 	}
 	isw := cluster.ISW
 	cell.HelpsSent = isw.HelpsSent
-	cell.Retransmits = isw.Retransmits
 	cell.Rejoins = isw.Rejoins
 	cell.Failovers = isw.Failovers
 	for _, is := range cluster.Switches() {
-		cell.ShadowHits += is.HelpServed
-		cell.Targeted += is.HelpTargeted
 		cell.Evicted += is.Evicted
 	}
 	return cell

@@ -9,19 +9,14 @@ import "time"
 // the line rate, and every frame it transmits must first draw its wire
 // bytes from the bucket. The model is deterministic lazy virtual time
 // (no randomness, no background refill process): tokens accrue from
-// the elapsed time at each call. Two enforcement forms share the
-// bucket state: ReleaseAt (shaping — a frame may overdraw and the
-// overdraft converts to a release delay at the configured rate) and
-// TakeAt (policing — an uncovered frame is refused and charged
-// nothing). Called with monotonically non-decreasing timestamps (the
-// DES guarantees this), releases are monotone per bucket, so shaped
-// frames never reorder.
+// the elapsed time at each call. Enforcement is policing (TakeAt): an
+// uncovered frame is refused and charged nothing.
 
 // TokenBucket is one job's budget on one egress port.
 type TokenBucket struct {
 	bytesPerSec float64
 	burst       float64 // bucket depth in bytes
-	tokens      float64 // current level; negative = debt already owed
+	tokens      float64 // current level
 	last        time.Duration
 }
 
@@ -37,34 +32,13 @@ func NewTokenBucket(rateBitsPerSec, burstBytes float64) *TokenBucket {
 	return &TokenBucket{bytesPerSec: rateBitsPerSec / 8, burst: burstBytes, tokens: burstBytes}
 }
 
-// ReleaseAt draws n bytes at virtual time now and returns the earliest
-// time the frame may start serializing: now when the bucket covers it,
-// later when the frame ran the bucket into debt.
-func (tb *TokenBucket) ReleaseAt(now time.Duration, n int) time.Duration {
-	if elapsed := now - tb.last; elapsed > 0 {
-		tb.tokens += tb.bytesPerSec * elapsed.Seconds()
-		if tb.tokens > tb.burst {
-			tb.tokens = tb.burst
-		}
-	}
-	if now > tb.last {
-		tb.last = now
-	}
-	tb.tokens -= float64(n)
-	if tb.tokens >= 0 {
-		return now
-	}
-	debt := -tb.tokens / tb.bytesPerSec // seconds until the debt refills
-	return now + time.Duration(debt*float64(time.Second))
-}
-
 // TakeAt refills the bucket to virtual time now and consumes n bytes
 // only if the level covers them, reporting whether it did — policer
 // semantics: an over-rate frame is refused outright (and charged
-// nothing) instead of being granted a delayed release. This is the
-// form the switch egress uses: delaying an over-rate tenant's frames
-// in the port's FIFO would head-of-line block every other tenant
-// behind its backlog, while policing drops only the offender's excess.
+// nothing) instead of being granted a delayed release: delaying an
+// over-rate tenant's frames in the switch egress port's FIFO would
+// head-of-line block every other tenant behind its backlog, while
+// policing drops only the offender's excess.
 func (tb *TokenBucket) TakeAt(now time.Duration, n int) bool {
 	if elapsed := now - tb.last; elapsed > 0 {
 		tb.tokens += tb.bytesPerSec * elapsed.Seconds()
@@ -83,17 +57,12 @@ func (tb *TokenBucket) TakeAt(now time.Duration, n int) bool {
 }
 
 // EgressShaper maps jobs to token buckets on one egress port. Jobs
-// without a bucket (the default job 0 included) are never delayed, so a
+// without a bucket (the default job 0 included) are never policed, so a
 // shaper-armed port carrying only unshaped traffic behaves exactly like
 // an unshaped port.
 type EgressShaper struct {
 	buckets map[uint16]*TokenBucket
 
-	// Shaped counts frames delayed by a bucket; Delay accumulates the
-	// total added release delay (observability of the delay-based
-	// Release form).
-	Shaped uint64
-	Delay  time.Duration
 	// Policed counts frames refused by Admit, per job and in total —
 	// the enforcement evidence the isolation experiment gates on (a
 	// compliant tenant must show zero).
@@ -117,22 +86,6 @@ func (s *EgressShaper) Forget(job uint16) { delete(s.buckets, job) }
 
 // Limited reports whether a job has a bucket installed.
 func (s *EgressShaper) Limited(job uint16) bool { return s.buckets[job] != nil }
-
-// Release is the delay-based form: draw n bytes from the job's bucket
-// at time now and return the frame's earliest start. Kept for callers
-// with per-job queues; the switch egress uses Admit instead.
-func (s *EgressShaper) Release(now time.Duration, job uint16, n int) time.Duration {
-	tb := s.buckets[job]
-	if tb == nil {
-		return now
-	}
-	rel := tb.ReleaseAt(now, n)
-	if rel > now {
-		s.Shaped++
-		s.Delay += rel - now
-	}
-	return rel
-}
 
 // Admit implements the netsim policer hook: true when the job's bucket
 // covers the frame (or the job has no bucket), false when the frame
