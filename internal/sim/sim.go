@@ -81,6 +81,7 @@ type Kernel struct {
 	panicVal any
 	live     []*Proc // the spawned, unfinished processes (Shutdown stops them)
 	events   uint64  // total events processed
+	wakes    uint64  // process resumptions (coroutine switches in)
 }
 
 // NewKernel returns a kernel with the clock at zero, scheduled by the
@@ -131,6 +132,11 @@ func (k *Kernel) Procs() int { return len(k.live) }
 // Events reports the total number of events the kernel has processed —
 // the numerator of every events/sec measurement.
 func (k *Kernel) Events() uint64 { return k.events }
+
+// Wakes reports how many times a process was handed the thread: its
+// start and every return from a Sleep or a blocking receive. Each is a
+// coroutine switch in and out, the cost an event-only callback avoids.
+func (k *Kernel) Wakes() uint64 { return k.wakes }
 
 // QueueLen reports the number of pending events.
 func (k *Kernel) QueueLen() int { return k.sched.len() }
@@ -206,6 +212,7 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 // resume hands the thread to p until it parks or finishes. The first
 // resume is the start event: it builds the coroutine around p.fn.
 func (p *Proc) resume() {
+	p.k.wakes++
 	if p.next == nil {
 		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 			p.yield = yield

@@ -379,3 +379,26 @@ func TestManyProcessesManyEvents(t *testing.T) {
 		t.Fatalf("total = %d, want %d", total, 50*200)
 	}
 }
+
+// Wakes counts each hand-over of the thread to a process: its start and
+// every return from Sleep, Recv and RecvTimeout, whether a value or the
+// timeout woke it. A pure callback wakes nothing.
+func TestWakesCountsResumptions(t *testing.T) {
+	k := NewKernel()
+	defer k.Shutdown()
+	ch := NewChan[int](k, "ch")
+	k.Spawn("sleeper", func(p *Proc) { // 1 start + 3 sleeps
+		for i := 0; i < 3; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	k.Spawn("receiver", func(p *Proc) { // 1 start + 1 value + 1 timeout
+		ch.Recv(p)
+		ch.RecvTimeout(p, time.Microsecond)
+	})
+	k.After(2*time.Microsecond, func() { ch.Send(1) })
+	k.Run()
+	if got := k.Wakes(); got != 7 {
+		t.Fatalf("%d wakes, want 7", got)
+	}
+}
