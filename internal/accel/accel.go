@@ -358,13 +358,33 @@ func (a *Accelerator) IngestQFrom(seg uint64, contributor string, q []int32, shi
 // switch trusts the Join-time contract, never the frame. Top-k jobs
 // legitimately carry two layouts: workers' sparse selections (an empty
 // one is a legal count-only frame) and the dense partials child
-// switches forward (CompNone).
+// switches forward (CompNone). A selection is refused too when an index
+// lies past its segment's span of the model or lacks its value: the
+// scatter-add would write outside the segment's slot.
 func (a *Accelerator) IngestFrame(pkt *protocol.Packet, contributor string) (sum Sum, done bool, latency time.Duration, ok bool) {
 	if pkt.Enc != a.scheme && (a.scheme != protocol.CompTopK || pkt.Enc != protocol.CompNone) {
 		return Sum{}, false, 0, false
 	}
+	if pkt.Enc == protocol.CompTopK && !a.inSpan(pkt) {
+		return Sum{}, false, 0, false
+	}
 	sum, done, latency = a.ingest(pkt, contributor)
 	return sum, done, latency, true
+}
+
+// inSpan reports whether every entry of a sparse selection pairs an
+// index inside its segment's span of the model with a value.
+func (a *Accelerator) inSpan(pkt *protocol.Packet) bool {
+	if len(pkt.Idx) != len(pkt.Data) {
+		return false
+	}
+	lo, hi := protocol.SegmentRange(int(a.modelFloats), protocol.SegIndex(pkt.Seg))
+	for _, i := range pkt.Idx {
+		if int(i) >= hi-lo {
+			return false
+		}
+	}
+	return true
 }
 
 // ingest accumulates one contribution on the datapath its encoding

@@ -113,7 +113,7 @@ type Engine struct {
 	Evicted          uint64 // workers removed by the liveness horizon
 	FailDrops        uint64 // iSwitch frames discarded by a failed switch
 	UnknownJobDrops  uint64 // packets for unadmitted jobs discarded
-	EncMismatchDrops uint64 // contributions whose encoding defies the job's scheme
+	EncMismatchDrops uint64 // contributions the accelerator refuses: an encoding that defies the job's scheme, a top-k index outside its segment
 }
 
 // jobCtx is one training job's slice of the switch: its accelerator
