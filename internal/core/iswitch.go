@@ -157,6 +157,17 @@ func (ic *iswClient) Send(pkt *protocol.Packet) {
 	ic.host.Send(pkt)
 }
 
+// SendTrain puts an upload on the wire as a train, whose frames the NIC
+// makes as they reach the switch, except an upload to the relay engine
+// on this very host, which gets each frame directly.
+func (ic *iswClient) SendTrain(t *engine.Train) {
+	if t.Dst() == ic.host.Addr {
+		t.SendEach(ic)
+		return
+	}
+	ic.host.SendTrain(t)
+}
+
 // Setup implements Service: Join the training job and wait for the Ack
 // (Table 2), retrying on timeout when loss recovery is armed. When
 // failover is armed and the switch never answers (a rejoin after the

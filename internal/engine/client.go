@@ -13,6 +13,11 @@ import (
 // handed over is the sender's to deliver and release.
 type Sender interface {
 	Send(pkt *protocol.Packet)
+	// SendTrain takes one upload of a round toward t.Dst(), whose
+	// frames the sender makes (Train.Frame) when they are due: a
+	// simulated NIC as each one reaches the switch, a socket at once
+	// (Train.SendEach).
+	SendTrain(t *Train)
 }
 
 // Recovery is a Client's Help-timer policy, given at Init: the driver
@@ -92,6 +97,10 @@ type Client struct {
 	// consecutive timeouts with neither data nor an Ack (the failover
 	// trigger). Progress resets both.
 	level, fruitless int
+
+	// trains are upload records whose frames are all settled, free for
+	// the next upload.
+	trains *Train
 }
 
 // Init readies c to work for the worker at self toward the switch at
@@ -190,7 +199,7 @@ func (c *Client) Upload(grad []float32, limit int) {
 			c.prev, c.cur = c.cur, append(c.prev[:0], grad...)
 		}
 	}
-	c.sendSegments(c.tag(), grad, limit, false)
+	c.sendSegments(c.tag(), retained{grad: grad, held: c.wire.cur}, limit)
 }
 
 // encodeRound quantizes grad once, segment by segment on the codec's
@@ -207,16 +216,116 @@ func (c *Client) encodeRound(grad []float32) {
 	c.wire.prev, c.wire.cur = c.wire.cur, held
 }
 
-// sendSegments sends a round to the switch, one frame per segment
-// tagged tag, stopping after limit frames (negative: all). prevRound
-// picks the round before the current; grad holds a float round.
-func (c *Client) sendSegments(tag uint64, grad []float32, limit int, prevRound bool) {
+// sendSegments sends round r to the switch, one frame per segment
+// tagged tag, stopping after limit frames (negative: all): as one train,
+// whose frames are made when they are due, except under top-k. A top-k
+// frame copies its selection out of the codec, whose cache moves on with
+// the next upload, so it is made here.
+func (c *Client) sendSegments(tag uint64, r retained, limit int) {
 	segs := protocol.SegmentCountWith(c.n, c.per)
 	if limit >= 0 && limit < segs {
 		segs = limit
 	}
-	for s := uint64(0); s < uint64(segs); s++ {
-		c.out.Send(c.dataFrame(c.sw, s|tag, grad, prevRound))
+	if segs == 0 {
+		return
+	}
+	if c.scheme == protocol.CompTopK {
+		for s := uint64(0); s < uint64(segs); s++ {
+			c.out.Send(c.dataFrame(c.sw, s|tag, r))
+		}
+		return
+	}
+	t := c.trains
+	if t == nil {
+		t = &Train{c: c}
+	} else {
+		c.trains, t.next = t.next, nil
+	}
+	t.dst, t.tag, t.r, t.segs, t.left = c.sw, tag, r, segs, segs
+	if r.held != nil {
+		// The train's own share keeps the wire round's buffer out of
+		// RecycleQ until its last frame is made.
+		t.r.held = r.held.Share()
+	}
+	c.out.SendTrain(t)
+}
+
+// retained names one round in the form its frames are made from: a
+// float round's values (grad), an int32block wire round (held, its
+// holder), or for top-k whether it is the codec's previous selection.
+type retained struct {
+	grad []float32
+	held *protocol.Packet
+	prev bool
+}
+
+// retainedRound returns the current round as retained, or with prev the
+// one before it.
+func (c *Client) retainedRound(prev bool) retained {
+	if prev {
+		return retained{grad: c.prev, held: c.wire.prev, prev: true}
+	}
+	return retained{grad: c.cur, held: c.wire.cur}
+}
+
+// Train is one upload of a round as its driver carries it: frames
+// 0..Len()-1 toward Dst, each made by Frame when it is due and settled
+// exactly once, by Frame or by Drop (a frame the wire lost). The last
+// settlement lets go of the round and returns the record to its client
+// for a later upload, so a steady round allocates none. It holds the
+// destination, the round tag, the round's values and the segment count;
+// a frame it makes is bit-identical to the one Upload would have made
+// at once, since a float frame aliases the same gradient and an
+// int32block frame shares the same wire round.
+type Train struct {
+	c          *Client
+	dst        protocol.Addr
+	tag        uint64
+	r          retained
+	segs, left int
+	next       *Train // the client's free list
+}
+
+// Len is the number of frames.
+func (t *Train) Len() int { return t.segs }
+
+// Job is the job every frame is tagged with.
+func (t *Train) Job() protocol.JobID { return t.c.job }
+
+// Dst is where the frames go.
+func (t *Train) Dst() protocol.Addr { return t.dst }
+
+// WireLen is frame i's wire length, computed without making it.
+func (t *Train) WireLen(i int) int {
+	lo, hi := protocol.SegmentRangeWith(t.c.n, uint64(i), t.c.per)
+	return protocol.DataWireLen(t.c.scheme, hi-lo)
+}
+
+// Frame makes frame i, segment i of the round, and settles it.
+func (t *Train) Frame(i int) *protocol.Packet {
+	pkt := t.c.dataFrame(t.dst, uint64(i)|t.tag, t.r)
+	t.settle()
+	return pkt
+}
+
+// Drop settles frame i without making it.
+func (t *Train) Drop(int) { t.settle() }
+
+func (t *Train) settle() {
+	if t.left--; t.left > 0 {
+		return
+	}
+	t.r.held.Release()
+	t.r = retained{}
+	t.next, t.c.trains = t.c.trains, t
+}
+
+// SendEach makes every frame at once and hands each to s: a train for a
+// driver whose frames leave when sent (a socket, or an engine on the
+// worker's own host).
+func (t *Train) SendEach(s interface{ Send(*protocol.Packet) }) {
+	for i, n := 0, t.segs; i < n; i++ {
+		s.Send(t.Frame(i))
 	}
 }
 
@@ -229,22 +338,24 @@ func (c *Client) ensureCodec() *compress.Codec {
 
 // dataFrame builds the frame that carries one segment of this worker's
 // contribution to dst under the job's scheme: the one place a worker's
-// data frame is made, for the first upload, a retransmission and a
-// failover re-offer alike, so each is bit-identical to the others. A
-// float payload aliases grad, an int32block one shares the retained wire
-// round, and top-k's selection is copied in, since the codec's cache
-// moves on. prevRound picks the round before the current.
-func (c *Client) dataFrame(dst protocol.Addr, taggedSeg uint64, grad []float32, prevRound bool) *protocol.Packet {
+// data frame is made, for the first upload (Train.Frame), a
+// retransmission and a failover re-offer alike, so each is bit-identical
+// to the others. A float payload aliases r's gradient, an int32block one
+// is a share of r's wire round narrowed to the segment (the cap keeps
+// it inside), and top-k's selection is copied in, since the codec's
+// cache moves on.
+func (c *Client) dataFrame(dst protocol.Addr, taggedSeg uint64, r retained) *protocol.Packet {
 	seg := taggedSeg & protocol.SegIndexMask
 	lo, hi := protocol.SegmentRangeWith(c.n, seg, c.per)
 	var pkt *protocol.Packet
 	switch c.scheme {
 	case protocol.CompInt32Block:
-		pkt = c.wire.frame(prevRound, lo, hi)
+		pkt = r.held.Share()
+		pkt.QData = r.held.QData[lo:hi:hi]
 		pkt.Dst, pkt.Seg = dst, taggedSeg
 	case protocol.CompTopK:
 		sparse := c.codec.Sparse
-		if prevRound {
+		if r.prev {
 			sparse = c.codec.SparsePrev
 		}
 		idx, sel := sparse(seg)
@@ -252,7 +363,7 @@ func (c *Client) dataFrame(dst protocol.Addr, taggedSeg uint64, grad []float32, 
 		pkt.SetIdxCopy(idx)
 		pkt.SetDataCopy(sel)
 	default:
-		pkt = protocol.NewData(c.self, dst, taggedSeg, grad[lo:hi])
+		pkt = protocol.NewData(c.self, dst, taggedSeg, r.grad[lo:hi])
 		if c.scheme == protocol.CompFP16 {
 			pkt.Enc = protocol.CompFP16 // grad already holds rounded values
 		}
@@ -268,20 +379,20 @@ func (c *Client) dataFrame(dst protocol.Addr, taggedSeg uint64, grad []float32, 
 // fp16 was rounded before retention, an int32block round was encoded
 // once and is resent as sent, and top-k replays the cached selection.
 func (c *Client) retransmit(dst protocol.Addr, taggedSeg uint64) bool {
-	grad, prevRound := c.cur, false
+	prev := false
 	switch r := taggedSeg >> protocol.RoundShift; {
 	case c.round == 0:
 		return false // nothing retained: no upload yet, or recovery off
 	case c.Recovery.Untagged, r == c.round%protocol.RoundTagMod:
 	case c.round > 1 && r == (c.round-1)%protocol.RoundTagMod:
-		grad, prevRound = c.prev, true
+		prev = true
 	default:
 		return false // too old to serve
 	}
 	if taggedSeg&protocol.SegIndexMask >= uint64(protocol.SegmentCountWith(c.n, c.per)) {
 		return false // a segment outside the model
 	}
-	c.out.Send(c.dataFrame(dst, taggedSeg, grad, prevRound))
+	c.out.Send(c.dataFrame(dst, taggedSeg, c.retainedRound(prev)))
 	return true
 }
 
@@ -402,10 +513,10 @@ func (c *Client) Failover(to protocol.Addr) {
 	c.Recovery.FailoverAfter = 0
 	c.level, c.fruitless = 0, 0
 	if c.round > 1 {
-		c.sendSegments(protocol.RoundTag(c.round-1), c.prev, -1, true)
+		c.sendSegments(protocol.RoundTag(c.round-1), c.retainedRound(true), -1)
 	}
 	if c.round > 0 {
-		c.sendSegments(c.tag(), c.cur, -1, false)
+		c.sendSegments(c.tag(), c.retainedRound(false), -1)
 	}
 }
 
@@ -425,9 +536,11 @@ func (c *Client) Finish() []float32 {
 // form. Each round is quantized once into one buffer, lent to a pooled
 // holder frame with wireRounds as its BufferOwner; every data frame of
 // the round, first upload, retransmission or failover re-offer, is a
-// share of the holder narrowed to its segment. The buffer comes back
-// (RecycleQ) when the client has dropped the holder and the last frame
-// is released, all within the driver's one kernel or goroutine.
+// share of the holder narrowed to its segment, and an upload's train
+// holds one more share until it has made its last frame. The buffer
+// comes back (RecycleQ) when the client has dropped the holder and the
+// last frame is released, all within the driver's one kernel or
+// goroutine.
 type wireRounds struct {
 	cur, prev *protocol.Packet
 	// spare is a returned buffer, ready for the next round; loaned
@@ -452,19 +565,6 @@ func (w *wireRounds) next(n int) []int32 {
 	}
 	w.loaned++
 	return buf[:n]
-}
-
-// frame returns a share of the current round (or with prevRound the
-// previous one) that carries values lo..hi; the cap keeps its payload
-// inside its segment.
-func (w *wireRounds) frame(prevRound bool, lo, hi int) *protocol.Packet {
-	held := w.cur
-	if prevRound {
-		held = w.prev
-	}
-	pkt := held.Share()
-	pkt.QData = held.QData[lo:hi:hi]
-	return pkt
 }
 
 // RecycleQ takes back a round's buffer once nothing refers to it.

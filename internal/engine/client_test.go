@@ -36,6 +36,8 @@ func (e *emissions) Send(p *protocol.Packet) {
 	p.Release()
 }
 
+func (e *emissions) SendTrain(t *Train) { t.SendEach(e) }
+
 var (
 	clientAddr = protocol.AddrFrom(10, 0, 0, 2, 7000)
 	switchAddr = protocol.AddrFrom(10, 0, 0, 1, 9990)

@@ -377,6 +377,8 @@ func (r *sendRecorder) Send(p *protocol.Packet) {
 	p.Release()
 }
 
+func (r *sendRecorder) SendTrain(t *engine.Train) { t.SendEach(r) }
+
 // runClientDirect feeds the script straight into a client engine and
 // returns, per step, the frames the worker sent, and each round's sum.
 func runClientDirect(t *testing.T, steps []clientStep) (out [][]emitted, sums [][]float32) {

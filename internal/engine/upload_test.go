@@ -16,6 +16,8 @@ func (s *sink) Send(p *protocol.Packet) {
 	p.Release()
 }
 
+func (s *sink) SendTrain(t *Train) { t.SendEach(s) }
+
 // wireLog is a Sender that keeps a copy of every data frame's quantized
 // payload, keyed by its tagged segment (the last copy wins), and can
 // hold on to frames instead of releasing them.
@@ -35,6 +37,8 @@ func (w *wireLog) Send(p *protocol.Packet) {
 	}
 	p.Release()
 }
+
+func (w *wireLog) SendTrain(t *Train) { t.SendEach(w) }
 
 // int32Client is a tagged int32block client of n values in segments of
 // per, sending to out.

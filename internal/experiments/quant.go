@@ -131,6 +131,8 @@ func (q *quantNet) Send(pkt *protocol.Packet) {
 	}
 }
 
+func (q *quantNet) SendTrain(t *engine.Train) { t.SendEach(q) }
+
 // quantTrainRun trains quantAblWorkers copies of a workload agent for
 // quantAblRounds synchronous rounds, aggregating through the shipping
 // protocol under scheme, and returns worker 0's final parameters plus

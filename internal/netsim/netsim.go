@@ -74,8 +74,12 @@ type Port struct {
 	// the first Send, so wiring a fabric costs what it did without it.
 	wire      *sim.FIFO[*protocol.Packet]
 	busyUntil sim.Time
-	lossRate  float64
-	lossRNG   *rand.Rand
+	// trains holds the train frames in flight (SendTrain): a nil item
+	// on wire is the next of them, made as it arrives.
+	trains trainQueue
+
+	lossRate float64
+	lossRNG  *rand.Rand
 
 	// Fault-injection state (FaultPlan): outage windows during which
 	// every frame serialized on this direction is discarded, and one-shot
@@ -218,32 +222,130 @@ func (p *Port) isDown(at sim.Time) bool {
 // packet queues behind in-flight frames (FIFO), which is how contention
 // at a hot link (e.g. the parameter server's downlink) manifests.
 func (p *Port) Send(pkt *protocol.Packet) {
+	now := p.k.Now()
+	arrive, ok := p.transmit(now, pkt.WireLen(), pkt.Job, pkt)
+	if !ok {
+		pkt.Release() // policed and dropped frames go straight back to the pool
+		return
+	}
+	p.queue(arrive-now, pkt)
+}
+
+// Train is a run of data frames a sender queues on a port at once
+// (SendTrain), frames 0..Len()-1 in order, whose headers are made only
+// when they reach the peer: a frame exists only on the wire, so a
+// worker's round costs about one live header, not one per segment.
+// Every frame is settled exactly once, by Frame or, for a frame the port
+// polices or drops, by Drop.
+type Train interface {
+	Len() int
+	Job() protocol.JobID
+	// WireLen is frame i's length, what Packet.WireLen would say of it.
+	WireLen(i int) int
+	// Frame makes frame i, for its receiver to take delivery of.
+	Frame(i int) *protocol.Packet
+	// Drop settles frame i, which never reaches the peer.
+	Drop(i int)
+}
+
+// trainQueue is a port's train frames in flight, in wire order, as
+// runs from runs[head]: a run is a stretch of one train's frames,
+// i..end-1, each arriving in turn; a dropped frame ends a run.
+type trainQueue struct {
+	runs []trainRun
+	head int
+}
+
+type trainRun struct {
+	t      Train
+	i, end int
+}
+
+// push appends a run, first moving the live runs to the front when the
+// slice is full, so a port that is never idle reuses its slice.
+func (q *trainQueue) push(r trainRun) {
+	if q.head > 0 && len(q.runs) == cap(q.runs) {
+		n := copy(q.runs, q.runs[q.head:])
+		clear(q.runs[n:])
+		q.runs, q.head = q.runs[:n], 0
+	}
+	q.runs = append(q.runs, r)
+}
+
+// extend adds the next frame of the last run's train to that run.
+func (q *trainQueue) extend() { q.runs[len(q.runs)-1].end++ }
+
+// next makes the frame due next.
+func (q *trainQueue) next() *protocol.Packet {
+	r := &q.runs[q.head]
+	pkt := r.t.Frame(r.i)
+	if r.i++; r.i == r.end {
+		*r = trainRun{}
+		if q.head++; q.head == len(q.runs) {
+			q.runs, q.head = q.runs[:0], 0
+		}
+	}
+	return pkt
+}
+
+// SendTrain serializes a train's frames onto the link, per frame and in
+// order exactly as Send would: the same shaper admissions, loss draws,
+// DropNth ordinals, down windows, counters and arrival times and seqs.
+// Only the headers wait: each surviving frame is made as it arrives. A
+// traced port shows every frame at send, so it makes them there.
+func (p *Port) SendTrain(t Train) {
+	n := t.Len()
+	if p.Trace != nil {
+		for i := 0; i < n; i++ {
+			p.Send(t.Frame(i))
+		}
+		return
+	}
+	now, job := p.k.Now(), t.Job()
+	open := false // whether the last run is this train's, extendable
+	for i := 0; i < n; i++ {
+		arrive, ok := p.transmit(now, t.WireLen(i), job, nil)
+		switch {
+		case !ok:
+			t.Drop(i)
+			open = false
+			continue
+		case open:
+			p.trains.extend()
+		default:
+			p.trains.push(trainRun{t, i, i + 1})
+			open = true
+		}
+		p.queue(arrive-now, nil)
+	}
+}
+
+// transmit charges one frame of n wire bytes from job to this direction
+// at now: the shaper's admission for a job-tagged frame, then its slot
+// on the transmitter, the Tx counters and the job ledger, then the loss
+// draw, DropNth and the down windows. It reports when the frame reaches
+// the peer and whether it survives. pkt is the frame as Trace sees it
+// (nil only on an untraced port).
+func (p *Port) transmit(now sim.Time, n int, job protocol.JobID, pkt *protocol.Packet) (arrive sim.Time, ok bool) {
 	if p.peer == nil {
 		panic(fmt.Sprintf("netsim: port %s is not connected", p.name))
 	}
-	now := p.k.Now()
-	start := now
-	n := pkt.WireLen()
-	if p.shaper != nil && pkt.Job != protocol.DefaultJob &&
-		!p.shaper.Admit(now, uint16(pkt.Job), n) {
+	if p.shaper != nil && job != protocol.DefaultJob && !p.shaper.Admit(now, uint16(job), n) {
 		// Policed before any accounting: the frame never reaches the
 		// wire, so Tx counters keep reflecting actual link usage.
 		p.Policed++
 		if p.Trace != nil {
 			p.Trace(now, "police", pkt)
 		}
-		pkt.Release()
-		return
+		return 0, false
 	}
-	if p.busyUntil > start {
-		start = p.busyUntil
-	}
+	start := max(now, p.busyUntil)
 	txEnd := start + p.cfg.SerializationTime(n)
 	p.busyUntil = txEnd
 	p.TxPackets++
 	p.TxBytes += uint64(n)
-	if pkt.Job != protocol.DefaultJob {
-		p.jobTx.add(pkt.Job, uint64(n))
+	if job != protocol.DefaultJob {
+		p.jobTx.add(job, uint64(n))
 	}
 	if p.Trace != nil {
 		p.Trace(start, "tx", pkt)
@@ -264,17 +366,26 @@ func (p *Port) Send(pkt *protocol.Packet) {
 		if p.Trace != nil {
 			p.Trace(txEnd, "drop", pkt)
 		}
-		pkt.Release() // dropped frames go straight back to the pool
-		return
+		return 0, false
 	}
+	return txEnd + p.cfg.Propagation, true
+}
+
+// queue puts a surviving frame (nil: the next of a train's) on the wire,
+// due at the peer d from now.
+func (p *Port) queue(d sim.Time, pkt *protocol.Packet) {
 	if p.wire == nil {
 		p.wire = sim.NewFIFO(p.k, p.peer.arrive)
 	}
-	p.wire.Push(txEnd+p.cfg.Propagation-now, pkt)
+	p.wire.Push(d, pkt)
 }
 
-// arrive takes a frame off the link at this, the receiving, end.
+// arrive takes a frame off the link at this, the receiving, end; a nil
+// one is the next frame of the sender's head train, made now.
 func (p *Port) arrive(pkt *protocol.Packet) {
+	if pkt == nil {
+		pkt = p.peer.trains.next()
+	}
 	p.RxPackets++
 	p.RxBytes += uint64(pkt.WireLen())
 	if p.Trace != nil {
@@ -318,6 +429,9 @@ func (h *Host) Deliver(pkt *protocol.Packet, _ *Port) { h.RX.Send(pkt) }
 
 // Send transmits a packet from this host.
 func (h *Host) Send(pkt *protocol.Packet) { h.port.Send(pkt) }
+
+// SendTrain transmits a train of frames from this host (Port.SendTrain).
+func (h *Host) SendTrain(t Train) { h.port.SendTrain(t) }
 
 // Recv blocks the calling process until a frame arrives.
 func (h *Host) Recv(p *sim.Proc) *protocol.Packet { return h.RX.Recv(p) }

@@ -18,13 +18,16 @@ import (
 // model, written out in the test: a star of recording hosts around one
 // store-and-forward node, every arrival and every pipeline exit its own
 // closure. Frames carry job tags, and every port's per-job byte ledger
-// must match the reference's tally, dropped frames included.
+// must match the reference's tally, dropped frames included. Half the
+// bursts leave their host as one train (Port.SendTrain), whose frames
+// are made as they arrive; the reference sends them one by one.
 
 // arrival is one frame reaching a host.
 type arrival struct {
-	at   sim.Time
-	host int
-	seg  uint64
+	at    sim.Time
+	host  int
+	seg   uint64
+	bytes int
 }
 
 // orderScript is a seeded traffic pattern and fault plan for a star of
@@ -42,6 +45,7 @@ type orderBurst struct {
 	frames   int
 	floats   int
 	job      protocol.JobID
+	train    bool // sent as one train from its host
 }
 
 // orderJobs are the tags a burst may carry: the unmetered default job,
@@ -96,26 +100,68 @@ func newOrderScript(seed int64, hosts, bursts int) orderScript {
 	for i := range s.bursts {
 		s.bursts[i].job = orderJobs[rng.Intn(len(orderJobs))]
 	}
+	// Drawn last, so a seed's traffic and faults stay what they were
+	// before trains existed.
+	for i := range s.bursts {
+		s.bursts[i].train = rng.Intn(2) == 0
+	}
 	return s
 }
 
 // play schedules the script's bursts on k and runs it; send transmits
-// from a host's NIC.
-func (s orderScript) play(k *sim.Kernel, send func(host int, pkt *protocol.Packet)) {
+// a frame from a host's NIC, and train, when set, a train burst whole.
+// It returns the trains it sent.
+func (s orderScript) play(k *sim.Kernel, send func(host int, pkt *protocol.Packet), train func(host int, t Train)) []*orderTrain {
+	var trains []*orderTrain
 	seg := uint64(0)
 	for _, b := range s.bursts {
 		b := b
-		first := seg
+		t := &orderTrain{b: b, first: seg, settled: make([]bool, b.frames)}
 		seg += uint64(b.frames)
 		k.After(b.at, func() {
+			if b.train && train != nil {
+				trains = append(trains, t)
+				train(b.from, t)
+				return
+			}
 			for i := 0; i < b.frames; i++ {
-				pkt := dataPkt(HostAddr(0, b.from), HostAddr(0, b.to), first+uint64(i), b.floats)
-				pkt.Job = b.job
-				send(b.from, pkt)
+				send(b.from, t.frame(i))
 			}
 		})
 	}
 	k.Run()
+	return trains
+}
+
+// orderTrain is a burst as a Train; it fails the run if a frame is
+// settled twice.
+type orderTrain struct {
+	b       orderBurst
+	first   uint64
+	settled []bool
+}
+
+func (t *orderTrain) Len() int            { return t.b.frames }
+func (t *orderTrain) Job() protocol.JobID { return t.b.job }
+func (t *orderTrain) WireLen(int) int     { return protocol.DataWireLen(protocol.CompNone, t.b.floats) }
+func (t *orderTrain) Frame(i int) *protocol.Packet {
+	t.settle(i)
+	return t.frame(i)
+}
+func (t *orderTrain) Drop(i int) { t.settle(i) }
+
+func (t *orderTrain) settle(i int) {
+	if t.settled[i] {
+		panic(fmt.Sprintf("train frame %d settled twice", i))
+	}
+	t.settled[i] = true
+}
+
+// frame is the burst's frame i, made from scratch.
+func (t *orderTrain) frame(i int) *protocol.Packet {
+	pkt := dataPkt(HostAddr(0, t.b.from), HostAddr(0, t.b.to), t.first+uint64(i), t.b.floats)
+	pkt.Job = t.b.job
+	return pkt
 }
 
 // recorder is a host that only notes what reaches it.
@@ -126,19 +172,31 @@ type recorder struct {
 }
 
 func (r *recorder) Deliver(pkt *protocol.Packet, _ *Port) {
-	*r.trace = append(*r.trace, arrival{r.k.Now(), r.host, pkt.Seg})
+	*r.trace = append(*r.trace, arrival{r.k.Now(), r.host, pkt.Seg, pkt.WireLen()})
 }
 
 // orderRun is what one play of a script shows: the deliveries, the
 // kernel events, and each port's transmitted bytes per orderJobs entry.
+// A production run also has each port's counters.
 type orderRun struct {
-	trace  []arrival
-	events uint64
-	tx     [][]uint64
+	trace    []arrival
+	events   uint64
+	tx       [][]uint64
+	counters []portCounters
 }
 
-// runProduction plays the script over real Ports and a real Switch.
+type portCounters struct{ txPackets, txBytes, dropped, policed uint64 }
+
+// runProduction plays the script over real Ports and a real Switch,
+// train bursts as trains.
 func runProduction(k *sim.Kernel, s orderScript) orderRun {
+	return playPorts(k, s, true, nil)
+}
+
+// playPorts plays the script over real Ports and a real Switch. trains
+// says whether a train burst goes out as one; shaper, when set, makes
+// each port's egress shaper.
+func playPorts(k *sim.Kernel, s orderScript, trains bool, shaper func() Shaper) orderRun {
 	var trace []arrival
 	sw := NewSwitch(k, "sw", orderSwitchDelay)
 	ports := make([]*Port, 2*s.hosts)
@@ -159,10 +217,30 @@ func runProduction(k *sim.Kernel, s orderScript) orderRun {
 			p.SetDownWindow(f.from, f.until)
 		}
 	}
-	s.play(k, func(h int, pkt *protocol.Packet) { ports[h].Send(pkt) })
-	return orderRun{trace, k.Events(), ledgers(len(ports), func(p int, job protocol.JobID) uint64 {
+	if shaper != nil {
+		for _, p := range ports {
+			p.SetShaper(shaper())
+		}
+	}
+	var train func(int, Train)
+	if trains {
+		train = func(h int, t Train) { ports[h].SendTrain(t) }
+	}
+	sent := s.play(k, func(h int, pkt *protocol.Packet) { ports[h].Send(pkt) }, train)
+	for _, t := range sent {
+		for i, ok := range t.settled {
+			if !ok {
+				panic(fmt.Sprintf("frame %d of a %d-frame train never settled", i, t.b.frames))
+			}
+		}
+	}
+	run := orderRun{trace, k.Events(), ledgers(len(ports), func(p int, job protocol.JobID) uint64 {
 		return ports[p].TxBytesByJob(job)
-	})}
+	}), nil}
+	for _, p := range ports {
+		run.counters = append(run.counters, portCounters{p.TxPackets, p.TxBytes, p.Dropped, p.Policed})
+	}
+	return run
 }
 
 // ledgers reads each port's transmitted bytes per orderJobs entry.
@@ -231,7 +309,7 @@ func runReference(k *sim.Kernel, s orderScript) orderRun {
 			k.After(orderSwitchDelay, func() { ports[s.hosts+index[pkt.Dst]].send(pkt) })
 		}}
 		ports[s.hosts+h] = &refPort{k: k, cfg: orderLink(), deliver: func(pkt *protocol.Packet) {
-			trace = append(trace, arrival{k.Now(), h, pkt.Seg})
+			trace = append(trace, arrival{k.Now(), h, pkt.Seg, pkt.WireLen()})
 		}}
 	}
 	for _, f := range s.faults {
@@ -246,10 +324,10 @@ func runReference(k *sim.Kernel, s orderScript) orderRun {
 			p.dropNth[n] = true
 		}
 	}
-	s.play(k, func(h int, pkt *protocol.Packet) { ports[h].send(pkt) })
+	s.play(k, func(h int, pkt *protocol.Packet) { ports[h].send(pkt) }, nil)
 	return orderRun{trace, k.Events(), ledgers(len(ports), func(p int, job protocol.JobID) uint64 {
 		return ports[p].byJob[job]
-	})}
+	}), nil}
 }
 
 // checkPortOrder runs one script through production and reference on

@@ -215,22 +215,35 @@ func (p *Packet) WireLen() int {
 		return n + SegFieldLen + 4*len(p.Data)
 	}
 	if p.IsData() {
-		n += SegFieldLen
 		switch p.Enc {
-		case CompFP16:
-			return n + 2*len(p.Data)
 		case CompInt32Block:
-			return n + ShiftFieldLen + 2*len(p.QData)
+			return DataWireLen(p.Enc, len(p.QData))
 		case CompTopK:
 			// Always the sparse layout: dense top-k emissions travel as
 			// CompNone, so a CompTopK tag means a worker selection — and
 			// an empty selection is a legal (count-only) packet.
-			return n + CountFieldLen + SparseEntryLen*len(p.Idx)
+			return n + SegFieldLen + CountFieldLen + SparseEntryLen*len(p.Idx)
 		default:
-			return n + 4*len(p.Data)
+			return DataWireLen(p.Enc, len(p.Data))
 		}
 	}
 	return n
+}
+
+// DataWireLen is the wire length of a data frame carrying n values in
+// enc's dense layout (raw float32, fp16 or int32block; a top-k
+// selection's length follows its entries instead): WireLen's arithmetic
+// for a frame whose header is not made yet.
+func DataWireLen(enc Compression, n int) int {
+	h := EthernetHeaderLen + IPv4HeaderLen + UDPHeaderLen + SegFieldLen
+	switch enc {
+	case CompFP16:
+		return h + 2*n
+	case CompInt32Block:
+		return h + ShiftFieldLen + 2*n
+	default:
+		return h + 4*n
+	}
 }
 
 // Clone returns a deep copy of the packet. Switches that broadcast one

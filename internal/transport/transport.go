@@ -308,6 +308,9 @@ func (s *sender) Send(pkt *protocol.Packet) {
 	pkt.Release()
 }
 
+// SendTrain makes and writes an upload's frames one at a time.
+func (s *sender) SendTrain(t *engine.Train) { t.SendEach(s) }
+
 // sent returns, and clears, the first failed write since its last call.
 func (c *Client) sent() error {
 	err := c.err
