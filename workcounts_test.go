@@ -64,8 +64,8 @@ type simFabric struct {
 }
 
 // read adds the run's counters: the kernel's, every link direction's
-// reachable from the hosts and the switches, every accelerator's, and
-// the in-switch workers' recovery counts.
+// reachable from the hosts and the switches, every accelerator's and
+// switch engine's, and the in-switch workers' recovery counts.
 func (c *counts) read(f simFabric) {
 	c.add("sim.events", f.k.Events())
 	c.add("sim.wakes", f.k.Wakes())
@@ -100,6 +100,7 @@ func (c *counts) read(f simFabric) {
 		c.add("accel.dup_dropped", st.DupDropped)
 		c.add("switchnet.data_in", is.DataIn)
 		c.add("switchnet.broadcasts", is.Broadcasts)
+		c.add("switchnet.headers_made", is.HeadersMade)
 	}
 	if f.isw != nil {
 		c.add("core.helps_sent", f.isw.HelpsSent)
