@@ -60,7 +60,7 @@ func (e *Engine) RestoreJob(cp *JobCheckpoint) error {
 	if cp.ctx == nil {
 		return fmt.Errorf("engine: job %d's checkpoint was already restored", cp.Job)
 	}
-	if e.jobs[cp.Job] != nil {
+	if e.ctx(cp.Job) != nil {
 		return fmt.Errorf("engine: job %d is already admitted on %s", cp.Job, e.addr)
 	}
 	if e.pool != nil {
@@ -68,6 +68,7 @@ func (e *Engine) RestoreJob(cp *JobCheckpoint) error {
 			return err
 		}
 	}
-	e.jobs[cp.Job], cp.ctx = cp.ctx, nil
+	e.attach(cp.ctx)
+	cp.ctx = nil
 	return nil
 }
