@@ -157,16 +157,25 @@ func (ic *iswClient) toRelay(pkt *protocol.Packet) bool {
 }
 
 // hostDriver is the relay worker as its engine sees it (engine.Driver).
-// Frames leave through the host's NIC, except those addressed to the
-// relay worker itself, which queue for its own receive loop and never
-// touch the wire. The relay has no parent, and it is host software, not
-// the paper's accelerator, so completed segments go out at once.
+// Frames leave through the host's NIC, except those for the relay
+// worker itself, which queue for its own receive loop and never touch
+// the wire. A frame on the wire crosses plain switches that route on its
+// own Dst, so a broadcast header, which names no member, goes out as a
+// share addressed to its member. The relay has no parent, and it is host
+// software, not the paper's accelerator, so completed segments go out at
+// once.
 type hostDriver iswClient
 
-func (d *hostDriver) Forward(pkt *protocol.Packet) {
-	if pkt.Dst == d.host.Addr {
+func (d *hostDriver) Forward(pkt *protocol.Packet, dst protocol.Addr) {
+	if dst == d.host.Addr {
 		d.loopback = append(d.loopback, pkt)
 		return
+	}
+	if pkt.Dst != dst {
+		out := pkt.Share()
+		out.Dst = dst
+		pkt.Release()
+		pkt = out
 	}
 	d.host.Send(pkt)
 }

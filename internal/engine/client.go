@@ -412,7 +412,9 @@ func (c *Client) Complete() bool { return c.asm.Complete() }
 // of this round's aggregate is assembled, a Help this worker can serve
 // is answered to its sender, an Ack is noted, and anything else (another
 // round's or job's frame, a segment outside the model, a malformed
-// share) is dropped. It reports whether it resent a contribution.
+// share) is dropped. It reads the frame and writes none of it: a
+// broadcast's header is held by every member of the switch it came from.
+// It reports whether it resent a contribution.
 func (c *Client) Take(pkt *protocol.Packet) (resent bool) {
 	defer pkt.Release()
 	switch {
@@ -421,9 +423,7 @@ func (c *Client) Take(pkt *protocol.Packet) (resent bool) {
 		if pkt.Job != c.job || !c.IsCurrent(pkt.Seg) || seg >= uint64(protocol.SegmentCountWith(c.n, c.per)) {
 			return false
 		}
-		// Take owns the frame, so the tag is stripped in place.
-		pkt.Seg = seg
-		if c.add(pkt) == nil {
+		if c.add(seg, pkt) == nil {
 			c.level, c.fruitless = 0, 0 // progress: the path is alive
 		}
 	case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
@@ -435,19 +435,19 @@ func (c *Client) Take(pkt *protocol.Packet) (resent bool) {
 	return false
 }
 
-// add places one in-model share in the assembler. A quantized one is
-// decoded straight into its slot; a re-served shadow copy decodes to the
-// same bits again.
-func (c *Client) add(pkt *protocol.Packet) error {
+// add places one in-model share of segment seg (its Seg field without
+// the round tag) in the assembler. A quantized one is decoded straight
+// into its slot; a re-served shadow copy decodes to the same bits again.
+func (c *Client) add(seg uint64, pkt *protocol.Packet) error {
 	if pkt.Enc != protocol.CompInt32Block {
-		return c.asm.Add(pkt)
+		return c.asm.AddFloats(seg, pkt.Data)
 	}
 	if c.scheme != protocol.CompInt32Block {
-		return fmt.Errorf("engine: a quantized share of segment %d in a %v job", pkt.Seg, c.scheme)
+		return fmt.Errorf("engine: a quantized share of segment %d in a %v job", seg, c.scheme)
 	}
-	dst, err := c.asm.Slot(pkt.Seg, len(pkt.QData))
+	dst, err := c.asm.Slot(seg, len(pkt.QData))
 	if err == nil {
-		c.ensureCodec().DecodeQ(pkt.Seg, pkt.QData, pkt.Shift, dst)
+		c.ensureCodec().DecodeQ(seg, pkt.QData, pkt.Shift, dst)
 	}
 	return err
 }

@@ -124,10 +124,10 @@ type recorder struct {
 	out    []emitted
 }
 
-func (r *recorder) Forward(p *protocol.Packet) {
-	w, ok := r.worker[p.Dst]
+func (r *recorder) Forward(p *protocol.Packet, dst protocol.Addr) {
+	w, ok := r.worker[dst]
 	if !ok {
-		r.t.Errorf("emission to %v, which is no worker", p.Dst)
+		r.t.Errorf("emission to %v, which is no worker", dst)
 	}
 	r.out = append(r.out, observe(w, p))
 	p.Release()

@@ -24,9 +24,9 @@ type capture struct {
 	frames []captured
 }
 
-func (c *capture) Forward(p *protocol.Packet) {
+func (c *capture) Forward(p *protocol.Packet, dst protocol.Addr) {
 	if p.IsData() {
-		c.frames = append(c.frames, captured{p.Dst, p.Enc, p.Shift,
+		c.frames = append(c.frames, captured{dst, p.Enc, p.Shift,
 			append([]float32(nil), p.Data...), append([]int32(nil), p.QData...), len(p.Idx)})
 	}
 	p.Release()

@@ -14,7 +14,7 @@ type clock struct {
 	data, helps int
 }
 
-func (c *clock) Forward(p *protocol.Packet) {
+func (c *clock) Forward(p *protocol.Packet, _ protocol.Addr) {
 	switch {
 	case p.IsData():
 		c.data++

@@ -117,10 +117,10 @@ type quantNet struct {
 	upload [quantAblWorkers]uint64
 }
 
-func (q *quantNet) Forward(pkt *protocol.Packet)     { q.clients[pkt.Dst.IP[3]-1].Take(pkt) }
-func (q *quantNet) SendUp(*protocol.Packet)          { panic("quant: a root engine sent a frame up") }
-func (q *quantNet) Now() time.Duration               { return 0 }
-func (q *quantNet) After(_ time.Duration, fn func()) { fn() }
+func (q *quantNet) Forward(pkt *protocol.Packet, dst protocol.Addr) { q.clients[dst.IP[3]-1].Take(pkt) }
+func (q *quantNet) SendUp(*protocol.Packet)                         { panic("quant: a root engine sent a frame up") }
+func (q *quantNet) Now() time.Duration                              { return 0 }
+func (q *quantNet) After(_ time.Duration, fn func())                { fn() }
 
 func (q *quantNet) Send(pkt *protocol.Packet) {
 	if pkt.IsData() {

@@ -532,12 +532,14 @@ func (s *Switch) process(f ingress) {
 	if s.tap != nil && s.tap(f.pkt, f.in) {
 		return
 	}
-	s.Forward(f.pkt)
+	s.Forward(f.pkt, f.pkt.Dst)
 }
 
-// Forward routes pkt out the port its destination maps to.
-func (s *Switch) Forward(pkt *protocol.Packet) {
-	out, ok := s.RouteFor(pkt.Dst)
+// Forward routes pkt out the port dst maps to: the frame's own Dst for
+// transit traffic, a member's address for a broadcast header that
+// several members hold.
+func (s *Switch) Forward(pkt *protocol.Packet, dst protocol.Addr) {
+	out, ok := s.RouteFor(dst)
 	if !ok {
 		s.NoRoute++
 		pkt.Release() // unroutable frames are dropped

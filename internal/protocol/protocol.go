@@ -182,11 +182,15 @@ type Packet struct {
 	Idx   []uint16
 
 	// Frame memory (pool.go). pooled marks headers from GetPacket;
-	// inline stores a control value of up to InlineValueLen bytes; pay is
-	// the header's one reference to a counted payload record, nil when
-	// the payload fields alias memory the frame does not manage.
+	// inline stores a control value of up to InlineValueLen bytes; refs
+	// counts the holders of a pooled header (Ref), so the last Release
+	// returns it; pay is the header's one reference to a counted payload
+	// record, nil when the payload fields alias memory the frame does
+	// not manage. refs sits after inline, in the padding before pay: the
+	// header stays 160 bytes (TestPacketNoLargerThanBefore).
 	pooled bool
 	inline [InlineValueLen]byte
+	refs   int32
 	pay    *payload
 }
 

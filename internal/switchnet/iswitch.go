@@ -64,7 +64,7 @@ func (is *ISwitch) tap(pkt *protocol.Packet, in *netsim.Port) bool {
 // event on the switch's kernel.
 type driver ISwitch
 
-func (d *driver) Forward(pkt *protocol.Packet)     { d.sw.Forward(pkt) }
-func (d *driver) SendUp(pkt *protocol.Packet)      { d.uplink.Send(pkt) }
-func (d *driver) Now() time.Duration               { return d.sw.Kernel().Now() }
-func (d *driver) After(t time.Duration, fn func()) { d.sw.Kernel().After(t, fn) }
+func (d *driver) Forward(pkt *protocol.Packet, dst protocol.Addr) { d.sw.Forward(pkt, dst) }
+func (d *driver) SendUp(pkt *protocol.Packet)                     { d.uplink.Send(pkt) }
+func (d *driver) Now() time.Duration                              { return d.sw.Kernel().Now() }
+func (d *driver) After(t time.Duration, fn func())                { d.sw.Kernel().After(t, fn) }

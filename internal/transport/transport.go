@@ -193,7 +193,7 @@ func (s *Switch) handle(pkt *protocol.Packet) {
 	if pkt.IsControl() && pkt.Action == protocol.ActionJoin {
 		if _, scheme, err := protocol.ParseJoinScheme(pkt.Value); err == nil && scheme != protocol.CompNone {
 			s.eng.ControlIn++
-			(*driver)(s).Forward(protocol.NewControl(s.self, pkt.Src, protocol.ActionAck, protocol.AckFail))
+			(*driver)(s).Forward(protocol.NewControl(s.self, pkt.Src, protocol.ActionAck, protocol.AckFail), pkt.Src)
 			pkt.Release()
 			return
 		}
@@ -209,11 +209,10 @@ func (s *Switch) handle(pkt *protocol.Packet) {
 // is a root, and the accelerator's modelled latency is not waited out.
 type driver Switch
 
-func (d *driver) Forward(pkt *protocol.Packet) {
+func (d *driver) Forward(pkt *protocol.Packet, dst protocol.Addr) {
 	if buf, err := appendEncoded(d.encBuf[:0], pkt); err == nil {
 		d.encBuf = buf[:0]
-		dst := netip.AddrPortFrom(netip.AddrFrom4(pkt.Dst.IP), pkt.Dst.Port)
-		_, _ = d.conn.WriteToUDPAddrPort(buf, dst)
+		_, _ = d.conn.WriteToUDPAddrPort(buf, netip.AddrPortFrom(netip.AddrFrom4(dst.IP), dst.Port))
 	}
 	pkt.Release()
 }
