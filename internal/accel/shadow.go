@@ -19,8 +19,8 @@ import "iswitch/internal/protocol"
 // or recovery off) degrades to "most recent emission per segment",
 // which is exactly the legacy emission-cache contract.
 //
-// A slot keeps the emitted frame itself (Keep: one more share of the
-// emission's payload, not a copy), so every switch a broadcast crosses
+// A slot keeps the emitted frame itself (Keep: one more holder of the
+// emission's header, not a copy), so every switch a broadcast crosses
 // holds the one buffer the root's accelerator summed into, and a Help
 // is answered with one more share of it (Serve). Overwriting a slot
 // releases its frame; the last release hands a loaned buffer back to
@@ -60,8 +60,9 @@ func NewShadowStore() *ShadowStore { return &ShadowStore{} }
 
 // Keep records an emitted frame in the slot for its (possibly
 // round-tagged) Seg, taking over pkt: the store releases it when the
-// slot is overwritten or reset. The caller hands over a share it made
-// for the store (pkt.Share()) and must not write the payload afterwards.
+// slot is overwritten or reset. The caller hands over a holder it made
+// for the store (pkt.Ref() or pkt.Share()) and must not write the frame
+// afterwards.
 // A frame past maxShadowSlots is released at once.
 func (s *ShadowStore) Keep(pkt *protocol.Packet) {
 	s.keep(pkt, pkt.QData != nil)
